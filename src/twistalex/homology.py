@@ -16,7 +16,8 @@ a failure as an internal error, not bad input.
 Twisted Alexander polynomials are the torsion orders Delta_i of H_i, each
 defined up to a unit c * t^k.  The Wada ratio Delta_1 / Delta_0 has a direct
 determinant-free-of-homology formula via maximal minors, computed by
-wada_ratio and cross-checked against the homology route by homology_ratio.
+wada_ratio and cross-checked against the homology route,
+homology(complex_).ratio().
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "build_complex",
     "homology",
     "wada_ratio",
-    "homology_ratio",
     "euler_rank_check",
     "specialize_homology",
 ]
@@ -222,14 +222,7 @@ def homology(complex_: TwistedChainComplex) -> AlexanderResult:
                 raise InternalInvariantError(
                     "image of d2 escapes the kernel basis of d1"
                 )
-    rows = [[w[i, j] for j in range(w.cols)] for i in range(s, w.rows)]
-    if not rows:
-        y = LaurentMatrix.zero(ctx, 0, w.cols)
-        h1 = ModuleShape(ctx, 0, ())
-        h2 = ModuleShape(ctx, complex_.rank2 - 0, ())
-        return AlexanderResult(h0, h1, h2)
-    y = LaurentMatrix(ctx, rows)
-    snf_y = y.smith_normal_form()
+    snf_y = w.submatrix(range(s, w.rows), range(w.cols)).smith_normal_form()
     h1 = snf_y.cokernel_shape()
     h2 = ModuleShape(ctx, complex_.rank2 - snf_y.rank, ())
     return AlexanderResult(h0, h1, h2)
@@ -271,11 +264,6 @@ def wada_ratio(complex_: TwistedChainComplex, generator: int | None = None) -> R
     k = r * pres.relator_count
     numer = reduced.minors_gcd(k)
     return RationalFunction(numer, denom)
-
-
-def homology_ratio(complex_: TwistedChainComplex) -> RationalFunction:
-    """Delta_1 / Delta_0 through the homology computation."""
-    return homology(complex_).ratio()
 
 
 def euler_rank_check(complex_: TwistedChainComplex, result: AlexanderResult) -> None:

@@ -785,12 +785,6 @@ def _ratio_strings(ratio: RationalFunction) -> tuple[str, str]:
     return str(ratio.numerator), str(ratio.denominator)
 
 
-def _ratio_text(ratio: RationalFunction) -> str:
-    if ratio.is_polynomial():
-        return str(ratio.numerator)
-    return f"({ratio.numerator}) / ({ratio.denominator})"
-
-
 def _hopf_curve(spec: JobSpec, lineno_hint: str):
     """For a hopf builder job the at-infinity curve is implied: d lines whose
     weights are read back off eps (the central generator carries the total)."""
@@ -854,20 +848,20 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
         text, record = _job_summary(spec)
         out.emit(text, record)
 
-        report = validate(pres, eps, rho)
+        # build_complex validates the triple; its verdict is the validation
+        # record.
+        try:
+            complex_ = build_complex(pres, eps, rho)
+            failures, index = [], eps.image_index()
+        except InvalidTripleError as exc:
+            failures, index = list(exc.report.failures), exc.report.eps_image_index
         out.emit(
-            f"validation: {'ok' if report.ok else 'FAILED'} (eps image index {report.eps_image_index})",
-            {
-                "record": "validation",
-                "ok": report.ok,
-                "eps_image_index": report.eps_image_index,
-                "failures": list(report.failures),
-            },
+            f"validation: {'FAILED' if failures else 'ok'} (eps image index {index})",
+            {"record": "validation", "ok": not failures, "eps_image_index": index, "failures": failures},
         )
-        if not report.ok:
+        if failures:
             return out.render(), EXIT_INPUT_ERROR
 
-        complex_ = build_complex(pres, eps, rho)
         result = homology(complex_)
 
         out.emit(
@@ -899,11 +893,12 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
         if ratio is not None:
             num, den = _ratio_strings(ratio)
             out.emit(
-                f"ratio delta1/delta0: {_ratio_text(ratio)}",
+                f"ratio delta1/delta0: {ratio}",
                 {"record": "ratio", "numerator": num, "denominator": den, "polynomial": ratio.is_polynomial()},
             )
 
         deficiency_one = pres.relator_count == pres.generator_count - 1
+        wada = None  # the minor-formula ratio, once computed
 
         for analysis in spec.analyses:
             if analysis == "delta":
@@ -916,11 +911,11 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
                     )
                     out.fail("wada requested on a presentation without deficiency 1")
                     continue
-                w = wada_ratio(complex_)
-                agrees = ratio is not None and w.unit_equal(ratio)
-                num, den = _ratio_strings(w)
+                wada = wada_ratio(complex_)
+                agrees = ratio is not None and wada.unit_equal(ratio)
+                num, den = _ratio_strings(wada)
                 out.emit(
-                    f"wada: {_ratio_text(w)}, agrees with homology: {'yes' if agrees else 'NO'}",
+                    f"wada: {wada}, agrees with homology: {'yes' if agrees else 'NO'}",
                     {"record": "wada", "applicable": True, "numerator": num, "denominator": den, "agrees": agrees},
                 )
                 if not agrees:
@@ -978,7 +973,7 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
                 alpha = alpha_term(curve)
                 num, den = _ratio_strings(alpha)
                 out.emit(
-                    f"alpha: {_ratio_text(alpha)}",
+                    f"alpha: {alpha}",
                     {"record": "alpha", "numerator": num, "denominator": den},
                 )
 
@@ -1010,7 +1005,7 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
             if scalar_texts is not None:
                 scalars = [parse_scalar(s, context) for s in scalar_texts]
             loc = local_polynomial(context, kind, weights, scalars=scalars, params=params)
-            ratio_part = f", ratio {_ratio_text(loc.ratio)}" if loc.ratio is not None else ""
+            ratio_part = f", ratio {loc.ratio}" if loc.ratio is not None else ""
             printed_part = ""
             if loc.printed_matches is not None:
                 printed_part = f", printed formula matches: {'yes' if loc.printed_matches else 'NO'}"
@@ -1033,7 +1028,7 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
                 out.fail(f"local {kind}: printed closed form disagrees with the engine")
 
         if mode == "check":
-            _check_battery(out, spec, complex_, result, ratio, deficiency_one, seed)
+            _check_battery(out, complex_, result, ratio, wada, deficiency_one, seed)
 
     except JobParseError:
         raise
@@ -1059,9 +1054,10 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
     return out.render(), code
 
 
-def _check_battery(out, spec, complex_, result, ratio, deficiency_one, seed):
+def _check_battery(out, complex_, result, ratio, wada, deficiency_one, seed):
     """Assertion battery for check mode; every entry is deterministic given
-    the seed."""
+    the seed.  wada is the minor-formula ratio when the report already
+    computed it, else None."""
 
     def check(name: str, ok: bool, detail: str = ""):
         suffix = f" ({detail})" if detail else ""
@@ -1079,7 +1075,7 @@ def _check_battery(out, spec, complex_, result, ratio, deficiency_one, seed):
         check("euler-ranks", False, str(exc))
 
     if deficiency_one:
-        w = wada_ratio(complex_)
+        w = wada if wada is not None else wada_ratio(complex_)
         agrees = ratio is not None and w.unit_equal(ratio)
         check("wada-agreement", agrees)
     else:

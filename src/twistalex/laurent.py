@@ -4,13 +4,19 @@ F[t, t^-1] over a field F is a principal ideal domain whose units are the
 monomials c*t^k.  Everything an order computation needs lives here: canonical
 unit normalization, Euclidean division by degree span, GCDs, determinants,
 minor GCDs, and Smith normal form with unimodular transform certificates.
+
+LaurentMatrix shares its storage and ring-independent operations with
+ScalarMatrix through scalars.Matrix.  It adds only the promotion of scalar
+entries to constant polynomials, the maps into and out of the field
+(from_scalar_matrix, specialize, substitute_power) and the elimination over
+F[t, t^-1]: Bareiss determinants, minor gcds and Smith normal form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import ContextMismatchError, CycloNumber, FieldContext, embed as embed_scalar, ScalarMatrix
+from .scalars import ContextMismatchError, CycloNumber, FieldContext, Matrix, ScalarMatrix, embed as embed_scalar
 
 __all__ = [
     "LaurentPoly",
@@ -545,133 +551,34 @@ class SmithNormalForm:
         return LaurentMatrix(ctx, entries)
 
 
-class LaurentMatrix:
-    """A matrix over F[t, t^-1]."""
+class LaurentMatrix(Matrix):
+    """A matrix over F[t, t^-1], with Bareiss determinants, minor gcds and
+    Smith normal form."""
 
-    __slots__ = ("context", "entries", "rows", "cols")
+    __slots__ = ()
 
-    def __init__(self, context: FieldContext, entries):
-        conv = []
-        for row in entries:
-            out_row = []
-            for e in row:
-                if isinstance(e, LaurentPoly):
-                    if e.context is not context:
-                        raise ContextMismatchError("entry from a different context")
-                    out_row.append(e)
-                else:
-                    out_row.append(LaurentPoly.from_scalar(context, e))
-            conv.append(tuple(out_row))
-        self.entries = tuple(conv)
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.entries else 0
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged matrix")
-        self.context = context
+    @staticmethod
+    def _entry(context: FieldContext, value) -> LaurentPoly:
+        # Scalars are promoted to constant polynomials.
+        if isinstance(value, LaurentPoly):
+            if value.context is not context:
+                raise ContextMismatchError("entry from a different context")
+            return value
+        return LaurentPoly.from_scalar(context, value)
 
-    @classmethod
-    def identity(cls, context: FieldContext, n: int) -> LaurentMatrix:
-        one, zero = LaurentPoly.one(context), LaurentPoly.zero(context)
-        return cls(context, [[one if i == j else zero for j in range(n)] for i in range(n)])
+    @staticmethod
+    def _ring_zero(context: FieldContext) -> LaurentPoly:
+        return LaurentPoly.zero(context)
 
-    @classmethod
-    def zero(cls, context: FieldContext, rows: int, cols: int) -> LaurentMatrix:
-        z = LaurentPoly.zero(context)
-        return cls(context, [[z] * cols for _ in range(rows)])
-
-    @classmethod
-    def from_blocks(cls, blocks) -> LaurentMatrix:
-        """Assemble from a 2D grid of LaurentMatrix blocks."""
-        ctx = blocks[0][0].context
-        rows = []
-        for block_row in blocks:
-            height = block_row[0].rows
-            for b in block_row:
-                if b.rows != height:
-                    raise ValueError("block heights differ within a row")
-            for i in range(height):
-                row = []
-                for b in block_row:
-                    row.extend(b.entries[i])
-                rows.append(row)
-        return cls(ctx, rows)
+    @staticmethod
+    def _ring_one(context: FieldContext) -> LaurentPoly:
+        return LaurentPoly.one(context)
 
     @classmethod
     def from_scalar_matrix(cls, m: ScalarMatrix, t_exponent: int = 0) -> LaurentMatrix:
         ctx = m.context
-        return cls(
-            ctx,
-            [[LaurentPoly.t_power(ctx, t_exponent, e) if e else LaurentPoly.zero(ctx) for e in row] for row in m.entries],
-        )
-
-    def __getitem__(self, key):
-        i, j = key
-        return self.entries[i][j]
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentMatrix):
-            return NotImplemented
-        return self.context is other.context and self.entries == other.entries
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
-
-    def __add__(self, other):
-        if not isinstance(other, LaurentMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("matrix shapes differ")
-        return LaurentMatrix(
-            self.context,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, LaurentMatrix):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return LaurentMatrix(self.context, [[-e for e in row] for row in self.entries])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CycloNumber, LaurentPoly)):
-            c = other if isinstance(other, LaurentPoly) else LaurentPoly.from_scalar(self.context, other)
-            return LaurentMatrix(self.context, [[e * c for e in row] for row in self.entries])
-        if not isinstance(other, LaurentMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions differ")
-        zero = LaurentPoly.zero(self.context)
-        out = []
-        for row in self.entries:
-            new_row = []
-            for j in range(other.cols):
-                acc = zero
-                for k, a in enumerate(row):
-                    if not a.is_zero():
-                        b = other.entries[k][j]
-                        if not b.is_zero():
-                            acc = acc + a * b
-                new_row.append(acc)
-            out.append(new_row)
-        return LaurentMatrix(self.context, out)
-
-    __rmul__ = __mul__
-
-    def transpose(self) -> LaurentMatrix:
-        return LaurentMatrix(self.context, list(zip(*self.entries)) if self.entries else [])
-
-    def submatrix(self, row_indices, col_indices) -> LaurentMatrix:
-        return LaurentMatrix(
-            self.context,
-            [[self.entries[i][j] for j in col_indices] for i in row_indices],
-        )
-
-    def delete_columns(self, cols) -> LaurentMatrix:
-        keep = [j for j in range(self.cols) if j not in set(cols)]
-        return self.submatrix(range(self.rows), keep)
+        zero = LaurentPoly.zero(ctx)
+        return m._map(lambda e: LaurentPoly(ctx, (e,), t_exponent) if e else zero, cls=cls)
 
     def determinant(self) -> LaurentPoly:
         """Bareiss fraction-free elimination; every division is exact over the
@@ -734,19 +641,10 @@ class LaurentMatrix:
     def specialize(self, value) -> ScalarMatrix:
         """Evaluate every entry at t = value (a nonzero scalar)."""
         a = _coerce_scalar(self.context, value)
-        return ScalarMatrix(
-            self.context, [[e.evaluate(a) for e in row] for row in self.entries]
-        )
+        return self._map(lambda e: e.evaluate(a), cls=ScalarMatrix)
 
     def substitute_power(self, n: int) -> LaurentMatrix:
-        return LaurentMatrix(
-            self.context, [[e.substitute_power(n) for e in row] for row in self.entries]
-        )
-
-    def embed(self, target: FieldContext) -> LaurentMatrix:
-        if target is self.context:
-            return self
-        return LaurentMatrix(target, [[e.embed(target) for e in row] for row in self.entries])
+        return self._map(lambda e: e.substitute_power(n))
 
     def smith_normal_form(self) -> SmithNormalForm:
         """Diagonalize by elementary row/column operations over F[t, t^-1].
@@ -759,10 +657,7 @@ class LaurentMatrix:
         ctx = self.context
         m, n = self.rows, self.cols
         A = [list(row) for row in self.entries]
-        U = [[LaurentPoly.one(ctx) if i == j else LaurentPoly.zero(ctx) for j in range(m)] for i in range(m)]
-        V = [[LaurentPoly.one(ctx) if i == j else LaurentPoly.zero(ctx) for j in range(n)] for i in range(n)]
-        Vinv = [[LaurentPoly.one(ctx) if i == j else LaurentPoly.zero(ctx) for j in range(n)] for i in range(n)]
-        zero = LaurentPoly.zero(ctx)
+        U, V, Vinv = ([list(row) for row in LaurentMatrix.identity(ctx, k).entries] for k in (m, n, n))
 
         def swap_rows(i, j):
             if i != j:
@@ -881,19 +776,7 @@ class LaurentMatrix:
             self,
             tuple(divisors),
             rank,
-            LaurentMatrix(ctx, U),
-            LaurentMatrix(ctx, V),
-            LaurentMatrix(ctx, Vinv),
+            LaurentMatrix._make(ctx, U),
+            LaurentMatrix._make(ctx, V),
+            LaurentMatrix._make(ctx, Vinv),
         )
-
-    def cokernel_shape(self) -> ModuleShape:
-        """The module R^rows / (column span of the matrix)."""
-        snf = self.smith_normal_form()
-        nontrivial = [d for d in snf.divisors if not d.is_one()]
-        return ModuleShape(self.context, self.rows - snf.rank, nontrivial)
-
-    def __str__(self) -> str:
-        return "\n".join("[ " + ", ".join(str(e) for e in row) + " ]" for row in self.entries)
-
-    def __repr__(self) -> str:
-        return f"LaurentMatrix({self.rows}x{self.cols})"

@@ -34,7 +34,6 @@ __all__ = [
     "InvalidTripleError",
     "fox_derivative",
     "PhiMap",
-    "phi_evaluate",
     "validate",
     "hopf_presentation",
     "hopf_augmentation",
@@ -269,16 +268,7 @@ class Representation:
         for diag in diagonals:
             diag = tuple(diag)
             n = len(diag)
-            rows = [
-                [
-                    (context.from_rational(diag[i]) if not isinstance(diag[i], CycloNumber) else diag[i])
-                    if i == j
-                    else context.zero
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-            mats.append(ScalarMatrix(context, rows))
+            mats.append(ScalarMatrix(context, [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]))
         return cls(context, mats)
 
     def of_generator(self, g: int) -> ScalarMatrix:
@@ -379,9 +369,6 @@ class GroupRingElement:
             return NotImplemented
         return self.terms == other.terms
 
-    def words(self):
-        return [(Word(w), c) for w, c in self.terms.items()]
-
     def __repr__(self):
         if not self.terms:
             return "GroupRingElement(0)"
@@ -448,11 +435,6 @@ class PhiMap:
         for letters, coeff in element.terms.items():
             acc = acc + self.word_image(Word(letters)) * coeff
         return acc
-
-
-def phi_evaluate(element: GroupRingElement, eps: Augmentation, rho: Representation) -> LaurentMatrix:
-    """Evaluate a group-ring element through Phi."""
-    return PhiMap(eps, rho).element_image(element)
 
 
 class ValidationReport:
@@ -704,8 +686,7 @@ def rank_one_representation(context: FieldContext, pres: Presentation, scalars) 
     """A rank-1 representation from one nonzero scalar per generator."""
     mats = []
     for s in scalars:
-        if not isinstance(s, CycloNumber):
-            s = context.from_rational(s)
+        s = context.from_rational(s)
         if s.is_zero():
             raise ValueError("rank-1 representation values must be nonzero")
         mats.append(ScalarMatrix(context, [[s]]))

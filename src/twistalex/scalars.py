@@ -4,11 +4,18 @@ A field context fixes the coefficient field once per computation: either Q
 (conductor 1) or Q(zeta_n) with elements written in the power basis
 1, z, ..., z^(phi(n)-1) modulo the n-th cyclotomic polynomial.  All arithmetic
 is exact; there are no floats anywhere in this package.
+
+Matrix is the one dense matrix type of the package: storage, construction,
+sums, products, transposes, embeddings and comparisons for any ring of the
+context.  ScalarMatrix is its field case; it adds only the coercion of
+entries into the field and Gauss-Jordan elimination (rank, det, inverse).
+LaurentMatrix (in laurent.py) is its F[t, t^-1] case.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 Rational = Fraction
@@ -23,6 +30,7 @@ __all__ = [
     "CycloNumber",
     "embed",
     "parse_scalar",
+    "Matrix",
     "ScalarMatrix",
 ]
 
@@ -146,10 +154,6 @@ class FieldContext:
         self.one = CycloNumber(self, (1,) + (0,) * (deg - 1), 1, _normalized=True)
         _CONTEXT_CACHE[conductor] = self
         return self
-
-    @property
-    def kind(self) -> str:
-        return "rational" if self.conductor == 1 else "cyclotomic"
 
     def from_rational(self, value) -> CycloNumber:
         """Embed an int or Fraction."""
@@ -550,44 +554,89 @@ def parse_scalar(text: str, context: FieldContext) -> CycloNumber:
     return total
 
 
-class ScalarMatrix:
-    """An exact matrix over the context field."""
+class Matrix:
+    """A dense exact matrix over a ring of the field context.
+
+    Storage and every operation that reads the same in any ring live here.
+    A subclass fixes the ring by supplying ``_entry`` (coerce one value into
+    the ring, raising for anything else), ``_ring_zero`` and ``_ring_one``,
+    and adds the elimination that its ring supports.  Results of ring
+    operations are built with ``_make``, which skips the per-entry coercion
+    of the public constructor.  Matrices of different subclasses never mix.
+    """
 
     __slots__ = ("context", "rows", "cols", "entries")
 
     def __init__(self, context: FieldContext, entries):
-        self.context = context
-        self.entries = tuple(tuple(row) for row in entries)
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.entries else 0
+        entry = self._entry
+        self._set(context, tuple(tuple([entry(context, e) for e in row]) for row in entries))
         for row in self.entries:
             if len(row) != self.cols:
                 raise ValueError("ragged matrix")
-            for e in row:
-                if not isinstance(e, CycloNumber) or e.context is not context:
-                    raise ContextMismatchError("matrix entry from a different context")
+
+    def _set(self, context, entries):
+        self.context = context
+        self.entries = entries
+        self.rows = len(entries)
+        self.cols = len(entries[0]) if entries else 0
 
     @classmethod
-    def identity(cls, context: FieldContext, n: int) -> ScalarMatrix:
-        one, zero = context.one, context.zero
-        return cls(context, [[one if i == j else zero for j in range(n)] for i in range(n)])
+    def _make(cls, context: FieldContext, rows):
+        """A matrix from rows of entries already in the ring and context."""
+        m = object.__new__(cls)
+        m._set(context, tuple(map(tuple, rows)))
+        return m
 
     @classmethod
-    def zero(cls, context: FieldContext, rows: int, cols: int) -> ScalarMatrix:
-        z = context.zero
-        return cls(context, [[z] * cols for _ in range(rows)])
+    def identity(cls, context: FieldContext, n: int):
+        one, zero = cls._ring_one(context), cls._ring_zero(context)
+        return cls._make(context, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
-    def from_rows(cls, context: FieldContext, rows) -> ScalarMatrix:
-        conv = [[context.from_rational(e) if not isinstance(e, CycloNumber) else e for e in row] for row in rows]
-        return cls(context, conv)
+    def zero(cls, context: FieldContext, rows: int, cols: int):
+        z = cls._ring_zero(context)
+        return cls._make(context, [(z,) * cols] * rows)
+
+    @classmethod
+    def from_blocks(cls, blocks):
+        """Assemble from a 2D grid of blocks of this matrix type."""
+        ctx = blocks[0][0].context
+        rows = []
+        for block_row in blocks:
+            height = block_row[0].rows
+            for b in block_row:
+                if b.rows != height:
+                    raise ValueError("block heights differ within a row")
+            for i in range(height):
+                row = []
+                for b in block_row:
+                    row.extend(b.entries[i])
+                rows.append(row)
+        return cls(ctx, rows)
 
     def __getitem__(self, key):
         i, j = key
         return self.entries[i][j]
 
+    def _map(self, fn, cls=None, context=None):
+        # fn applied to every entry; the result is a cls matrix over context.
+        return (cls or type(self))._make(
+            context or self.context, [[fn(e) for e in row] for row in self.entries]
+        )
+
+    def _entrywise(self, other, op):
+        if type(other) is not type(self):
+            return NotImplemented
+        if other.context is not self.context:
+            raise ContextMismatchError("matrix contexts differ")
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("matrix shapes differ")
+        return self._make(
+            self.context, [[op(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
+        )
+
     def __eq__(self, other):
-        if not isinstance(other, ScalarMatrix):
+        if type(other) is not type(self):
             return NotImplemented
         return self.context is other.context and self.entries == other.entries
 
@@ -595,76 +644,109 @@ class ScalarMatrix:
         return hash((self.context.conductor, self.entries))
 
     def __add__(self, other):
-        self._check(other)
-        return ScalarMatrix(
-            self.context,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
-        )
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other):
-        self._check(other)
-        return ScalarMatrix(
-            self.context,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
-        )
+        return self._entrywise(other, operator.sub)
 
     def __neg__(self):
-        return ScalarMatrix(self.context, [[-a for a in row] for row in self.entries])
-
-    def _check(self, other):
-        if not isinstance(other, ScalarMatrix) or other.context is not self.context:
-            raise ContextMismatchError("matrix contexts differ")
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("matrix shapes differ")
+        return self._map(operator.neg)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CycloNumber)):
-            c = self.context.from_rational(other) if not isinstance(other, CycloNumber) else other
-            return ScalarMatrix(self.context, [[a * c for a in row] for row in self.entries])
-        if not isinstance(other, ScalarMatrix):
-            return NotImplemented
+        if type(other) is not type(self):
+            if isinstance(other, Matrix):
+                return NotImplemented
+            c = self._entry(self.context, other)
+            return self._make(self.context, [[a * c for a in row] for row in self.entries])
         if other.context is not self.context:
             raise ContextMismatchError("matrix contexts differ")
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")
-        zero = self.context.zero
+        zero = None  # built on first use: most products never need it
         bt = other.entries
         out = []
         for row in self.entries:
             new_row = []
             for j in range(other.cols):
-                acc = zero
+                acc = None
                 for k, a in enumerate(row):
                     if a:
                         b = bt[k][j]
                         if b:
-                            acc = acc + a * b
+                            p = a * b
+                            acc = p if acc is None else acc + p
+                if acc is None:
+                    if zero is None:
+                        zero = self._ring_zero(self.context)
+                    acc = zero
                 new_row.append(acc)
             out.append(new_row)
-        return ScalarMatrix(self.context, out)
+        return self._make(self.context, out)
 
     __rmul__ = __mul__
 
-    def transpose(self) -> ScalarMatrix:
-        return ScalarMatrix(self.context, list(zip(*self.entries)) if self.entries else [])
+    def transpose(self):
+        return self._make(self.context, zip(*self.entries))
 
-    def is_identity(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        one, zero = self.context.one, self.context.zero
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                if e != (one if i == j else zero):
-                    return False
-        return True
+    def submatrix(self, row_indices, col_indices):
+        return self._make(self.context, [[self.entries[i][j] for j in col_indices] for i in row_indices])
+
+    def delete_columns(self, cols):
+        keep = [j for j in range(self.cols) if j not in set(cols)]
+        return self.submatrix(range(self.rows), keep)
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
 
+    def is_identity(self) -> bool:
+        return self.rows == self.cols and self == self.identity(self.context, self.rows)
+
+    def commutes_with(self, other) -> bool:
+        return self * other == other * self
+
+    def embed(self, target: FieldContext):
+        """The entrywise field embedding into Q(zeta_N), N a multiple of the
+        conductor."""
+        if target is self.context:
+            return self
+        return self._map(lambda e: e.embed(target), context=target)
+
+    def __str__(self) -> str:
+        return "[" + ", ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries) + "]"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+class ScalarMatrix(Matrix):
+    """A matrix over the context field, with Gauss-Jordan elimination."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _entry(context: FieldContext, value) -> CycloNumber:
+        return context.from_rational(value)
+
+    @staticmethod
+    def _ring_zero(context: FieldContext) -> CycloNumber:
+        return context.zero
+
+    @staticmethod
+    def _ring_one(context: FieldContext) -> CycloNumber:
+        return context.one
+
+    @classmethod
+    def from_rows(cls, context: FieldContext, rows) -> ScalarMatrix:
+        return cls(context, rows)
+
     def _echelon(self, augment: ScalarMatrix | None = None):
-        # Gauss-Jordan over the field; returns (reduced rows, rank, aug rows).
+        # Gauss-Jordan over the field; returns the pivots in the order found
+        # (their count is the rank), the number of row swaps, and the augment
+        # rows carried through the same operations.
         work = [list(row) for row in self.entries]
         aug = [list(row) for row in augment.entries] if augment is not None else None
+        pivots = []
+        swaps = 0
         rank = 0
         for col in range(self.cols):
             pivot = None
@@ -674,81 +756,49 @@ class ScalarMatrix:
                     break
             if pivot is None:
                 continue
-            work[rank], work[pivot] = work[pivot], work[rank]
+            if pivot != rank:
+                swaps += 1
+                work[rank], work[pivot] = work[pivot], work[rank]
+                if aug is not None:
+                    aug[rank], aug[pivot] = aug[pivot], aug[rank]
+            top = work[rank]
+            pivots.append(top[col])
+            inv = top[col].inverse()
+            # The pivot row is zero left of col, so row operations start at
+            # col; zero entries are skipped since they leave values unchanged.
+            top[col:] = tail = [e * inv if e else e for e in top[col:]]
             if aug is not None:
-                aug[rank], aug[pivot] = aug[pivot], aug[rank]
-            inv = work[rank][col].inverse()
-            work[rank] = [e * inv for e in work[rank]]
-            if aug is not None:
-                aug[rank] = [e * inv for e in aug[rank]]
+                aug[rank] = [e * inv if e else e for e in aug[rank]]
             for i in range(self.rows):
                 if i != rank and work[i][col]:
                     f = work[i][col]
-                    work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
+                    work[i][col:] = [a - f * b if b else a for a, b in zip(work[i][col:], tail)]
                     if aug is not None:
-                        aug[i] = [a - f * b for a, b in zip(aug[i], aug[rank])]
+                        aug[i] = [a - f * b if b else a for a, b in zip(aug[i], aug[rank])]
             rank += 1
             if rank == self.rows:
                 break
-        return work, rank, aug
+        return pivots, swaps, aug
 
     def rank(self) -> int:
-        return self._echelon()[1]
+        return len(self._echelon()[0])
 
     def det(self) -> CycloNumber:
+        """Signed product of the Gauss-Jordan pivots; zero below full rank."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        work = [list(row) for row in self.entries]
-        n = self.rows
-        det = self.context.one
-        for col in range(n):
-            pivot = None
-            for i in range(col, n):
-                if work[i][col]:
-                    pivot = i
-                    break
-            if pivot is None:
-                return self.context.zero
-            if pivot != col:
-                work[col], work[pivot] = work[pivot], work[col]
-                det = -det
-            det = det * work[col][col]
-            inv = work[col][col].inverse()
-            for i in range(col + 1, n):
-                if work[i][col]:
-                    f = work[i][col] * inv
-                    work[i] = [a - f * b for a, b in zip(work[i], work[col])]
+        pivots, swaps, _ = self._echelon()
+        if len(pivots) < self.rows:
+            return self.context.zero
+        det = -self.context.one if swaps % 2 else self.context.one
+        for p in pivots:
+            det = det * p
         return det
 
     def inverse(self) -> ScalarMatrix:
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        reduced, rank, aug = self._echelon(ScalarMatrix.identity(self.context, self.rows))
-        if rank != self.rows:
+        pivots, _, aug = self._echelon(ScalarMatrix.identity(self.context, self.rows))
+        if len(pivots) != self.rows:
             raise ZeroDivisionError("matrix is singular")
-        return ScalarMatrix(self.context, aug)
-
-    def __pow__(self, exponent: int):
-        if self.rows != self.cols:
-            raise ValueError("power of a non-square matrix")
-        base = self if exponent >= 0 else self.inverse()
-        e = abs(exponent)
-        result = ScalarMatrix.identity(self.context, self.rows)
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def commutes_with(self, other: ScalarMatrix) -> bool:
-        return self * other == other * self
-
-    def embed(self, target: FieldContext) -> ScalarMatrix:
-        return ScalarMatrix(target, [[embed(e, target) for e in row] for row in self.entries])
-
-    def __str__(self) -> str:
-        return "[" + ", ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries) + "]"
-
-    def __repr__(self) -> str:
-        return f"ScalarMatrix({self})"
+        return ScalarMatrix._make(self.context, aug)
