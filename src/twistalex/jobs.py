@@ -20,6 +20,11 @@ Scalars use the field grammar (``1/2 + 3*z^2 - z^5`` with z the declared
 root of unity); words use the generator grammar (``x0 x1^-1``).
 ``parse_job``/``serialize_job`` round-trip, and ``run_job`` output is
 byte-identical across runs of the same job.
+
+A report is a list of records, one dict per output line with its type under
+``"record"``.  The records format prints each as sorted-key JSON; the text
+format renders each through ``TEXT_FORMATTERS``, one formatter per type, so
+the two formats cannot drift apart.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import json
 import random
 
 from .scalars import FieldContext, ScalarMatrix, parse_scalar
-from .laurent import LaurentMatrix, RationalFunction
+from .laurent import LaurentMatrix
 from .presentations import (
     Augmentation,
     InvalidTripleError,
@@ -91,6 +96,11 @@ class JobParseError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
+def _scalar_matrix(context: FieldContext, rows) -> ScalarMatrix:
+    """A matrix from rows of canonical scalar text."""
+    return ScalarMatrix(context, [[parse_scalar(e, context) for e in row] for row in rows])
+
+
 class JobSpec:
     """A parsed job in canonical form.
 
@@ -151,27 +161,14 @@ class JobSpec:
         return Augmentation(self.eps_values)
 
     def representation(self, context: FieldContext) -> Representation:
-        mats = []
-        for rows in self.rho_rows:
-            mats.append(
-                ScalarMatrix(
-                    context,
-                    [[parse_scalar(e, context) for e in row] for row in rows],
-                )
-            )
-        return Representation(context, mats)
+        return Representation(context, [_scalar_matrix(context, rows) for rows in self.rho_rows])
 
     def curve(self, context: FieldContext) -> CurveData | None:
         if not self.components:
             return None
         comps = []
         for degree, weight, euler, meridian in self.components:
-            mat = None
-            if meridian is not None:
-                mat = ScalarMatrix(
-                    context,
-                    [[parse_scalar(e, context) for e in row] for row in meridian],
-                )
+            mat = _scalar_matrix(context, meridian) if meridian is not None else None
             comps.append(CurveComponent(degree, weight, meridian=mat, euler=euler))
         sings = [Singularity(kind, comps_idx, params) for kind, comps_idx, params in self.singularities]
         return CurveData(comps, sings)
@@ -708,6 +705,11 @@ def parse_job(text: str) -> JobSpec:
     return spec
 
 
+def _builder_line(spec: JobSpec) -> str:
+    """``builder <name> [key=value ...]`` for a job built from a builder."""
+    return " ".join(["builder", spec.source[1], *(f"{k}={v}" for k, v in spec.source[2:])])
+
+
 def serialize_job(spec: JobSpec) -> str:
     """Canonical text for a JobSpec; parse_job(serialize_job(s)) == s."""
     lines = []
@@ -716,8 +718,7 @@ def serialize_job(spec: JobSpec) -> str:
     else:
         lines.append(f"field cyclotomic {spec.conductor}")
     if spec.source[0] == "builder":
-        params = " ".join(f"{k}={v}" for k, v in spec.source[2:])
-        lines.append(f"builder {spec.source[1]}" + (f" {params}" if params else ""))
+        lines.append(_builder_line(spec))
     else:
         lines.append("generators " + " ".join(spec.generator_names))
         for text in spec.relator_texts:
@@ -756,33 +757,99 @@ def serialize_job(spec: JobSpec) -> str:
 
 
 # ---------------------------------------------------------------------------
-# running
+# reports
+
+
+def _quotient(num: str, den: str) -> str:
+    """The text of a rational function from its record fields, as
+    ``str(RationalFunction)`` prints it."""
+    return num if den == "1" else f"({num}) / ({den})"
+
+
+def _local_text(r: dict) -> str:
+    text = (
+        f"local {r['kind']}{tuple(r['params']) if r['params'] else ''} weights {tuple(r['weights'])}: "
+        f"delta0 {r['delta0']}, delta1 {r['delta1']}"
+    )
+    if r["ratio_numerator"] is not None:
+        text += f", ratio {_quotient(r['ratio_numerator'], r['ratio_denominator'])}"
+    if r["printed_matches"] is not None:
+        text += f", printed formula matches: {'yes' if r['printed_matches'] else 'NO'}"
+    return text
+
+
+# The text line of each record type; a text report is its records rendered
+# through this table, line for line.
+TEXT_FORMATTERS = {
+    "job": lambda r: (
+        f"job: {r['source']} ({len(r['generators'])} generators, {len(r['relators'])} relators), "
+        f"field {r['field']}, dimension {r['dimension']}"
+    ),
+    "validation": lambda r: f"validation: {'ok' if r['ok'] else 'FAILED'} (eps image index {r['eps_image_index']})",
+    "ranks": lambda r: f"chain ranks: C2={r['c2']} C1={r['c1']} C0={r['c0']}, euler {r['euler']}",
+    "degree": lambda r: (
+        f"degree {r['degree']}: free rank {r['free_rank']}, delta {r['delta']}, divisors [{', '.join(r['divisors'])}]"
+    ),
+    "ratio": lambda r: f"ratio delta1/delta0: {_quotient(r['numerator'], r['denominator'])}",
+    "wada": lambda r: (
+        f"wada: {_quotient(r['numerator'], r['denominator'])}, agrees with homology: {'yes' if r['agrees'] else 'NO'}"
+        if r["applicable"]
+        else "wada: not applicable (needs deficiency 1)"
+    ),
+    "divisibility": lambda r: (
+        f"divisibility: delta1 divides bound: {'yes' if r['divides'] else 'NO'}; bound {r['bound']}"
+        + "".join(f"; {key} {r[key]}" for key in ("quotient", "witness") if r[key] is not None)
+    ),
+    "root-field": lambda r: (
+        f"root-field: exact {'yes' if r['exact'] else 'no'}, eigenvalues [{', '.join(r['eigenvalues'])}], "
+        f"conductor {r['conductor']}, degree {r['degree']}, formula degree {r['formula_degree']}"
+    ),
+    "alpha": lambda r: f"alpha: {_quotient(r['numerator'], r['denominator'])}",
+    # A violated dimension bound raises, so a reported bound always holds.
+    "specialize": lambda r: f"specialize t={r['at']}: dims {tuple(r['dims'])}" + (
+        " (bound skipped: H0/H1 not torsion)"
+        if r["bound_ok"] is None
+        else f", multiplicities {tuple(r['multiplicities'])}, bounds {tuple(r['bounds'])}, ok"
+    ),
+    "local": _local_text,
+    "check": lambda r: (
+        f"check {r['name']}: {'skipped' if r['ok'] is None else 'ok' if r['ok'] else 'FAIL'}"
+        + (f" ({r['detail']})" if r["detail"] else "")
+    ),
+    "error": lambda r: (
+        f"{'internal invariant violated' if r['kind'] == 'invariant' else 'input error'}: {r['message']}"
+    ),
+    "result": lambda r: "result: " + ("ok" if r["ok"] else f"FAIL ({len(r['failures'])} failed)"),
+    "corpus-job": lambda r: f"{r['job']}: {r['verdict']}" + (f" ({r['detail']})" if r["detail"] else ""),
+    "corpus-summary": lambda r: f"corpus: {r['ok']} ok, {r['fail']} failed, {r['error']} errors",
+}
 
 
 class _Report:
-    """Collects text lines and record dicts in parallel; one of the two is
-    rendered depending on the requested format."""
+    """The records of one report in order, plus the failures that decide its
+    exit code; the format is applied only when rendering."""
 
     def __init__(self, fmt: str):
         self.fmt = fmt
-        self.lines: list[str] = []
+        self.records: list[dict] = []
         self.failures: list[str] = []
 
-    def emit(self, text: str, record: dict):
-        if self.fmt == "records":
-            self.lines.append(json.dumps(record, sort_keys=True))
-        else:
-            self.lines.append(text)
+    def emit(self, record: dict):
+        self.records.append(record)
 
     def fail(self, what: str):
         self.failures.append(what)
 
     def render(self) -> str:
-        return "\n".join(self.lines) + "\n"
+        if self.fmt == "records":
+            lines = [json.dumps(r, sort_keys=True) for r in self.records]
+        else:
+            lines = [TEXT_FORMATTERS[r["record"]](r) for r in self.records]
+        return "\n".join(lines) + "\n"
 
 
-def _ratio_strings(ratio: RationalFunction) -> tuple[str, str]:
-    return str(ratio.numerator), str(ratio.denominator)
+# ---------------------------------------------------------------------------
+# running
 
 
 def _hopf_curve(spec: JobSpec, lineno_hint: str):
@@ -797,31 +864,6 @@ def _hopf_curve(spec: JobSpec, lineno_hint: str):
             raise ValueError(f"{lineno_hint}: eps does not come from positive meridian weights")
         return CurveData([CurveComponent(1, w) for w in weights])
     return None
-
-
-def _job_summary(spec: JobSpec) -> tuple[str, dict]:
-    if spec.source[0] == "builder":
-        src = "builder " + spec.source[1]
-        params = " ".join(f"{k}={v}" for k, v in spec.source[2:])
-        if params:
-            src += " " + params
-    else:
-        src = "inline"
-    field = "rational" if spec.conductor == 1 else f"cyclotomic {spec.conductor}"
-    dim = len(spec.rho_rows[0])
-    text = (
-        f"job: {src} ({len(spec.generator_names)} generators, "
-        f"{len(spec.relator_texts)} relators), field {field}, dimension {dim}"
-    )
-    record = {
-        "record": "job",
-        "source": src,
-        "field": field,
-        "generators": list(spec.generator_names),
-        "relators": list(spec.relator_texts),
-        "dimension": dim,
-    }
-    return text, record
 
 
 def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: int = 0) -> tuple[str, int]:
@@ -845,8 +887,16 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
         eps = spec.augmentation()
         rho = spec.representation(context)
 
-        text, record = _job_summary(spec)
-        out.emit(text, record)
+        out.emit(
+            {
+                "record": "job",
+                "source": _builder_line(spec) if spec.source[0] == "builder" else "inline",
+                "field": "rational" if spec.conductor == 1 else f"cyclotomic {spec.conductor}",
+                "generators": list(spec.generator_names),
+                "relators": list(spec.relator_texts),
+                "dimension": len(spec.rho_rows[0]),
+            }
+        )
 
         # build_complex validates the triple; its verdict is the validation
         # record.
@@ -855,46 +905,41 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
             failures, index = [], eps.image_index()
         except InvalidTripleError as exc:
             failures, index = list(exc.report.failures), exc.report.eps_image_index
-        out.emit(
-            f"validation: {'FAILED' if failures else 'ok'} (eps image index {index})",
-            {"record": "validation", "ok": not failures, "eps_image_index": index, "failures": failures},
-        )
+        out.emit({"record": "validation", "ok": not failures, "eps_image_index": index, "failures": failures})
         if failures:
             return out.render(), EXIT_INPUT_ERROR
 
         result = homology(complex_)
 
         out.emit(
-            f"chain ranks: C2={complex_.rank2} C1={complex_.rank1} C0={complex_.rank0}, "
-            f"euler {complex_.euler_characteristic}",
             {
                 "record": "ranks",
                 "c2": complex_.rank2,
                 "c1": complex_.rank1,
                 "c0": complex_.rank0,
                 "euler": complex_.euler_characteristic,
-            },
+            }
         )
         for i in range(3):
             shape = result.shape(i)
-            delta = result.delta(i)
             out.emit(
-                f"degree {i}: free rank {shape.free_rank}, delta {delta}, "
-                f"divisors [{', '.join(str(d) for d in shape.divisors)}]",
                 {
                     "record": "degree",
                     "degree": i,
                     "free_rank": shape.free_rank,
-                    "delta": str(delta),
+                    "delta": str(result.delta(i)),
                     "divisors": [str(d) for d in shape.divisors],
-                },
+                }
             )
         ratio = result.ratio() if not result.delta(0).is_zero() else None
         if ratio is not None:
-            num, den = _ratio_strings(ratio)
             out.emit(
-                f"ratio delta1/delta0: {ratio}",
-                {"record": "ratio", "numerator": num, "denominator": den, "polynomial": ratio.is_polynomial()},
+                {
+                    "record": "ratio",
+                    "numerator": str(ratio.numerator),
+                    "denominator": str(ratio.denominator),
+                    "polynomial": ratio.is_polynomial(),
+                }
             )
 
         deficiency_one = pres.relator_count == pres.generator_count - 1
@@ -905,18 +950,19 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
                 continue  # the per-degree records above are the delta output
             if analysis == "wada":
                 if not deficiency_one:
-                    out.emit(
-                        "wada: not applicable (needs deficiency 1)",
-                        {"record": "wada", "applicable": False},
-                    )
+                    out.emit({"record": "wada", "applicable": False})
                     out.fail("wada requested on a presentation without deficiency 1")
                     continue
                 wada = wada_ratio(complex_)
                 agrees = ratio is not None and wada.unit_equal(ratio)
-                num, den = _ratio_strings(wada)
                 out.emit(
-                    f"wada: {wada}, agrees with homology: {'yes' if agrees else 'NO'}",
-                    {"record": "wada", "applicable": True, "numerator": num, "denominator": den, "agrees": agrees},
+                    {
+                        "record": "wada",
+                        "applicable": True,
+                        "numerator": str(wada.numerator),
+                        "denominator": str(wada.denominator),
+                        "agrees": agrees,
+                    }
                 )
                 if not agrees:
                     out.fail("wada ratio disagrees with the homology ratio")
@@ -928,21 +974,15 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
                     )
                 bound = infinity_bound(curve, list(rho.matrices))
                 div = check_divides(result.delta(1), bound)
-                quotient = str(div.quotient) if div.quotient is not None else None
-                witness = str(div.witness) if div.witness is not None else None
                 out.emit(
-                    f"divisibility: delta1 divides bound: {'yes' if div.divides else 'NO'}; "
-                    f"bound {div.bound}"
-                    + (f"; quotient {quotient}" if quotient is not None else "")
-                    + (f"; witness {witness}" if witness is not None else ""),
                     {
                         "record": "divisibility",
                         "divides": div.divides,
                         "delta": str(div.candidate),
                         "bound": str(div.bound),
-                        "quotient": quotient,
-                        "witness": witness,
-                    },
+                        "quotient": str(div.quotient) if div.quotient is not None else None,
+                        "witness": str(div.witness) if div.witness is not None else None,
+                    }
                 )
                 if not div.divides:
                     out.fail("delta1 does not divide the infinity bound")
@@ -952,9 +992,6 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
                     raise ValueError("root-field needs the hopf builder or component lines for the degree")
                 rf = root_field(rho.matrices[0], curve.degree)
                 out.emit(
-                    f"root-field: exact {'yes' if rf.exact else 'no'}, eigenvalues "
-                    f"[{', '.join(str(e) for e in rf.eigenvalues)}], conductor {rf.conductor}, "
-                    f"degree {rf.degree}, formula degree {rf.formula_degree}",
                     {
                         "record": "root-field",
                         "exact": rf.exact,
@@ -964,54 +1001,41 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
                         "base_conductor": rf.base_conductor,
                         "degree": str(rf.degree),
                         "formula_degree": str(rf.formula_degree),
-                    },
+                    }
                 )
             elif analysis == "alpha":
                 curve = spec.curve(context)
                 if curve is None:
                     raise ValueError("alpha needs component lines with euler= and meridian=")
                 alpha = alpha_term(curve)
-                num, den = _ratio_strings(alpha)
-                out.emit(
-                    f"alpha: {alpha}",
-                    {"record": "alpha", "numerator": num, "denominator": den},
-                )
+                out.emit({"record": "alpha", "numerator": str(alpha.numerator), "denominator": str(alpha.denominator)})
 
+        # The dimension bound specializes the complex itself; only a job
+        # without it calls specialize_homology here.
         for value_text in spec.specialize_values:
             value = parse_scalar(value_text, context)
-            dims = specialize_homology(complex_, value)
             if result.h0.free_rank == 0 and result.h1.free_rank == 0:
                 bound_report = dimension_bound_check(result, complex_, value)
                 out.emit(
-                    f"specialize t={value_text}: dims {dims}, multiplicities "
-                    f"{bound_report.multiplicities}, bounds {bound_report.bounds}, ok",
                     {
                         "record": "specialize",
                         "at": value_text,
-                        "dims": list(dims),
+                        "dims": list(bound_report.dims),
                         "multiplicities": list(bound_report.multiplicities),
                         "bounds": list(bound_report.bounds),
                         "bound_ok": bound_report.ok,
-                    },
+                    }
                 )
             else:
-                out.emit(
-                    f"specialize t={value_text}: dims {dims} (bound skipped: H0/H1 not torsion)",
-                    {"record": "specialize", "at": value_text, "dims": list(dims), "bound_ok": None},
-                )
+                dims = specialize_homology(complex_, value)
+                out.emit({"record": "specialize", "at": value_text, "dims": list(dims), "bound_ok": None})
 
         for kind, params, weights, scalar_texts in spec.local_requests:
             scalars = None
             if scalar_texts is not None:
                 scalars = [parse_scalar(s, context) for s in scalar_texts]
             loc = local_polynomial(context, kind, weights, scalars=scalars, params=params)
-            ratio_part = f", ratio {loc.ratio}" if loc.ratio is not None else ""
-            printed_part = ""
-            if loc.printed_matches is not None:
-                printed_part = f", printed formula matches: {'yes' if loc.printed_matches else 'NO'}"
             out.emit(
-                f"local {kind}{tuple(params) if params else ''} weights {tuple(weights)}: "
-                f"delta0 {loc.delta0}, delta1 {loc.delta1}{ratio_part}{printed_part}",
                 {
                     "record": "local",
                     "kind": kind,
@@ -1022,7 +1046,7 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
                     "ratio_numerator": str(loc.ratio.numerator) if loc.ratio is not None else None,
                     "ratio_denominator": str(loc.ratio.denominator) if loc.ratio is not None else None,
                     "printed_matches": loc.printed_matches,
-                },
+                }
             )
             if loc.printed_matches is False:
                 out.fail(f"local {kind}: printed closed form disagrees with the engine")
@@ -1030,27 +1054,16 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
         if mode == "check":
             _check_battery(out, complex_, result, ratio, wada, deficiency_one, seed)
 
-    except JobParseError:
-        raise
-    except InvalidTripleError as exc:
-        out.emit(f"input error: {exc}", {"record": "error", "kind": "input", "message": str(exc)})
-        return out.render(), EXIT_INPUT_ERROR
     except InternalInvariantError as exc:
-        out.emit(
-            f"internal invariant violated: {exc}",
-            {"record": "error", "kind": "invariant", "message": str(exc)},
-        )
+        out.emit({"record": "error", "kind": "invariant", "message": str(exc)})
         return out.render(), EXIT_INVARIANT
     except (ValueError, ZeroDivisionError) as exc:
-        out.emit(f"input error: {exc}", {"record": "error", "kind": "input", "message": str(exc)})
+        # InvalidTripleError is a ValueError too.
+        out.emit({"record": "error", "kind": "input", "message": str(exc)})
         return out.render(), EXIT_INPUT_ERROR
 
     code = EXIT_OK if not out.failures else EXIT_CHECK_FAILED
-    verdict = "ok" if code == EXIT_OK else f"FAIL ({len(out.failures)} failed)"
-    out.emit(
-        f"result: {verdict}",
-        {"record": "result", "ok": code == EXIT_OK, "failures": out.failures, "exit": code},
-    )
+    out.emit({"record": "result", "ok": code == EXIT_OK, "failures": out.failures, "exit": code})
     return out.render(), code
 
 
@@ -1059,13 +1072,10 @@ def _check_battery(out, complex_, result, ratio, wada, deficiency_one, seed):
     the seed.  wada is the minor-formula ratio when the report already
     computed it, else None."""
 
-    def check(name: str, ok: bool, detail: str = ""):
-        suffix = f" ({detail})" if detail else ""
-        out.emit(
-            f"check {name}: {'ok' if ok else 'FAIL'}{suffix}",
-            {"record": "check", "name": name, "ok": ok, "detail": detail or None},
-        )
-        if not ok:
+    def check(name: str, ok: bool | None, detail: str = ""):
+        # ok is None for a check that does not apply to this job.
+        out.emit({"record": "check", "name": name, "ok": ok, "detail": detail or None})
+        if ok is False:
             out.fail(f"check {name}")
 
     try:
@@ -1079,23 +1089,18 @@ def _check_battery(out, complex_, result, ratio, wada, deficiency_one, seed):
         agrees = ratio is not None and w.unit_equal(ratio)
         check("wada-agreement", agrees)
     else:
-        out.emit(
-            "check wada-agreement: skipped (not deficiency 1)",
-            {"record": "check", "name": "wada-agreement", "ok": None, "detail": "not deficiency 1"},
-        )
+        check("wada-agreement", None, "not deficiency 1")
 
     # Fox fundamental identity on random words: Phi(w) - Id equals
     # sum_g Phi(dw/dg) (Phi(g) - Id).
     rng = random.Random(seed)
     pres = complex_.presentation
     phi = PhiMap(complex_.eps, complex_.rho)
-    eye = None
+    eye = LaurentMatrix.identity(complex_.context, complex_.rho.dimension)
     passed = 0
     trials = 5
     for _ in range(trials):
         w = random_word(pres.generator_count, 10, rng)
-        if eye is None:
-            eye = LaurentMatrix.identity(complex_.context, complex_.rho.dimension)
         lhs = phi.word_image(w) - eye
         total = None
         for g in range(pres.generator_count):
@@ -1112,41 +1117,21 @@ def _check_battery(out, complex_, result, ratio, wada, deficiency_one, seed):
 
 def run_corpus(paths, *, fmt: str = "text", seed: int = 0) -> tuple[str, int]:
     """Check every job file and summarize; exit code is the worst one seen."""
-    lines = []
+    out = _Report(fmt)
     worst = EXIT_OK
     counts = {"ok": 0, "fail": 0, "error": 0}
     for path in paths:
-        name = path.name
         try:
             spec = parse_job(path.read_text(encoding="utf-8"))
-            _, code = run_job(spec, mode="check", fmt="text", seed=seed)
+            _, code = run_job(spec, mode="check", seed=seed)
         except JobParseError as exc:
             code = EXIT_INPUT_ERROR
             detail = str(exc)
         else:
-            detail = ""
+            detail = None
         worst = max(worst, code)
-        if code == EXIT_OK:
-            verdict = "ok"
-            counts["ok"] += 1
-        elif code == EXIT_CHECK_FAILED:
-            verdict = "FAIL"
-            counts["fail"] += 1
-        else:
-            verdict = "ERROR"
-            counts["error"] += 1
-        if fmt == "records":
-            lines.append(
-                json.dumps(
-                    {"record": "corpus-job", "job": name, "exit": code, "verdict": verdict, "detail": detail or None},
-                    sort_keys=True,
-                )
-            )
-        else:
-            lines.append(f"{name}: {verdict}" + (f" ({detail})" if detail else ""))
-    summary = f"corpus: {counts['ok']} ok, {counts['fail']} failed, {counts['error']} errors"
-    if fmt == "records":
-        lines.append(json.dumps({"record": "corpus-summary", **counts, "exit": worst}, sort_keys=True))
-    else:
-        lines.append(summary)
-    return "\n".join(lines) + "\n", worst
+        verdict = {EXIT_OK: "ok", EXIT_CHECK_FAILED: "FAIL"}.get(code, "ERROR")
+        counts[verdict.lower()] += 1
+        out.emit({"record": "corpus-job", "job": path.name, "exit": code, "verdict": verdict, "detail": detail})
+    out.emit({"record": "corpus-summary", **counts, "exit": worst})
+    return out.render(), worst

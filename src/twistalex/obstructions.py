@@ -121,17 +121,6 @@ class CurveData:
         return sum(c.degree for c in self.components)
 
     @property
-    def component_count(self) -> int:
-        return len(self.components)
-
-    @property
-    def weight_gcd(self) -> int:
-        g = 0
-        for c in self.components:
-            g = math.gcd(g, c.weight)
-        return g
-
-    @property
     def total_weight(self) -> int:
         """eps(x_0) = sum over components of degree * weight."""
         return sum(c.degree * c.weight for c in self.components)

@@ -1,4 +1,5 @@
-"""How often a job runs its expensive passes: validation and the Wada minors."""
+"""How often a job runs its expensive passes: validation, the Wada minors and
+specialization."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from twistalex.homology import wada_ratio
+from twistalex.homology import specialize_homology, wada_ratio
 from twistalex.jobs import parse_job, run_job
 from twistalex.presentations import validate
 
@@ -71,3 +72,15 @@ def test_check_mode_computes_wada_when_not_requested(monkeypatch):
     assert "check wada-agreement: ok" in report
     assert "\nwada:" not in report
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mode", ["compute", "check"])
+def test_each_specialize_point_is_specialized_once(monkeypatch, mode):
+    # trefoil_germ has torsion H0 and H1 and specializes at 1 and -1: the
+    # dimension bound's own specialization gives the reported dims.
+    calls = _count_calls(monkeypatch, specialize_homology)
+    spec = parse_job((SAMPLES / "trefoil_germ.job").read_text(encoding="utf-8"))
+    report, code = run_job(spec, mode=mode)
+    assert code == 0
+    assert report.count("\nspecialize t=") == 2
+    assert len(calls) == 2
