@@ -7,7 +7,11 @@ F[t, t^-1]:
     C2 = R^(r R) --d2--> C1 = R^(r g) --d1--> C0 = R^r
 
 with d1 assembled from the blocks Phi(x_i) - Id and d2 from the Fox
-derivative blocks Phi(d r_j / d x_i).  Columns are chains: the block
+derivative blocks Phi(d r_j / d x_i).  The blocks of one relator come from a
+single left-to-right pass over its letters (PhiMap.fox_row), which carries
+Phi(prefix) as a t-exponent and a scalar matrix, so a relator of length L
+costs L scalar r x r products; the symbolic fox_derivative is left to the
+oracles that check the engine.  Columns are chains: the block
 orientation is fixed by exactness, which forces the transpose of each block
 as it is usually displayed (rows of the Wada matrix are relators).  The
 composite d1 * d2 vanishes identically; build_complex checks that and treats
@@ -35,7 +39,6 @@ from .presentations import (
     PhiMap,
     Presentation,
     Representation,
-    fox_derivative,
     validate,
 )
 
@@ -133,12 +136,9 @@ def build_complex(
     if presentation.relator_count == 0:
         boundary2 = LaurentMatrix.zero(ctx, r * g, 0)
     else:
-        d2_blocks = []
-        for i in range(g):
-            row = []
-            for rel in presentation.relators:
-                row.append(phi.element_image(fox_derivative(rel, i)).transpose())
-            d2_blocks.append(row)
+        # fox_rows[j][i] = Phi(d r_j / d x_i), placed transposed at (i, j).
+        fox_rows = [phi.fox_row(rel) for rel in presentation.relators]
+        d2_blocks = [[row[i].transpose() for row in fox_rows] for i in range(g)]
         boundary2 = LaurentMatrix.from_blocks(d2_blocks)
 
     if not (boundary1 * boundary2).is_zero():

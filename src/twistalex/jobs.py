@@ -830,6 +830,8 @@ class _Report:
     exit code; the format is applied only when rendering."""
 
     def __init__(self, fmt: str):
+        if fmt not in ("text", "records"):
+            raise ValueError(f"unknown format {fmt!r}")
         self.fmt = fmt
         self.records: list[dict] = []
         self.failures: list[str] = []
@@ -875,11 +877,9 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
     Output is deterministic: equal spec, mode, format, and seed give
     byte-identical reports.
     """
-    if fmt not in ("text", "records"):
-        raise ValueError(f"unknown format {fmt!r}")
+    out = _Report(fmt)
     if mode not in ("compute", "check"):
         raise ValueError(f"unknown mode {mode!r}")
-    out = _Report(fmt)
 
     try:
         context = spec.context()

@@ -8,8 +8,9 @@ minor GCDs, and Smith normal form with unimodular transform certificates.
 LaurentMatrix shares its storage and ring-independent operations with
 ScalarMatrix through scalars.Matrix.  It adds only the promotion of scalar
 entries to constant polynomials, the maps into and out of the field
-(from_scalar_matrix, specialize, substitute_power) and the elimination over
-F[t, t^-1]: Bareiss determinants, minor gcds and Smith normal form.
+(from_scalar_matrix, from_scalar_terms, specialize, substitute_power) and
+the elimination over F[t, t^-1]: Bareiss determinants, minor gcds and Smith
+normal form.
 """
 
 from __future__ import annotations
@@ -48,7 +49,18 @@ class LaurentPoly:
     __slots__ = ("context", "low", "coeffs")
 
     def __init__(self, context: FieldContext, coeffs, low: int = 0):
-        coeffs = [(_coerce_scalar(context, c)) for c in coeffs]
+        self._set(context, [_coerce_scalar(context, c) for c in coeffs], low)
+
+    @classmethod
+    def _make(cls, context: FieldContext, coeffs, low: int = 0) -> LaurentPoly:
+        """A polynomial from coefficients already in the context: results of
+        ring operations skip the coercion of the public constructor and are
+        only trimmed."""
+        p = object.__new__(cls)
+        p._set(context, coeffs, low)
+        return p
+
+    def _set(self, context: FieldContext, coeffs, low: int):
         start = 0
         while start < len(coeffs) and coeffs[start].is_zero():
             start += 1
@@ -65,11 +77,11 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls, context: FieldContext) -> LaurentPoly:
-        return cls(context, ())
+        return cls._make(context, ())
 
     @classmethod
     def one(cls, context: FieldContext) -> LaurentPoly:
-        return cls(context, (context.one,))
+        return cls._make(context, (context.one,))
 
     @classmethod
     def t_power(cls, context: FieldContext, k: int, scalar=1) -> LaurentPoly:
@@ -129,7 +141,7 @@ class LaurentPoly:
         return hash((self.context.conductor, self.low, self.coeffs))
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly(self.context, tuple(-c for c in self.coeffs), self.low)
+        return LaurentPoly._make(self.context, tuple(-c for c in self.coeffs), self.low)
 
     def _coerce(self, other):
         if isinstance(other, LaurentPoly):
@@ -157,7 +169,7 @@ class LaurentPoly:
         for i, c in enumerate(o.coeffs):
             j = o.low - low + i
             out[j] = out[j] + c
-        return LaurentPoly(self.context, out, low)
+        return LaurentPoly._make(self.context, out, low)
 
     __radd__ = __add__
 
@@ -182,10 +194,10 @@ class LaurentPoly:
         a, b = self.coeffs, o.coeffs
         if len(a) == 1:
             c = a[0]
-            return LaurentPoly(self.context, tuple(c * x for x in b), self.low + o.low)
+            return LaurentPoly._make(self.context, tuple(c * x for x in b), self.low + o.low)
         if len(b) == 1:
             c = b[0]
-            return LaurentPoly(self.context, tuple(x * c for x in a), self.low + o.low)
+            return LaurentPoly._make(self.context, tuple(x * c for x in a), self.low + o.low)
         zero = self.context.zero
         out = [zero] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
@@ -194,7 +206,7 @@ class LaurentPoly:
             for j, bj in enumerate(b):
                 if not bj.is_zero():
                     out[i + j] = out[i + j] + ai * bj
-        return LaurentPoly(self.context, out, self.low + o.low)
+        return LaurentPoly._make(self.context, out, self.low + o.low)
 
     __rmul__ = __mul__
 
@@ -239,8 +251,8 @@ class LaurentPoly:
             for j, d in enumerate(den):
                 if not d.is_zero():
                     rem[off + j] = rem[off + j] - q * d
-        q_poly = LaurentPoly(self.context, quot, self.low - o.low)
-        r_poly = LaurentPoly(self.context, rem, self.low)
+        q_poly = LaurentPoly._make(self.context, quot, self.low - o.low)
+        r_poly = LaurentPoly._make(self.context, rem, self.low)
         return q_poly, r_poly
 
     def __mod__(self, other):
@@ -269,7 +281,7 @@ class LaurentPoly:
         if self.low == 0 and lead == self.context.one:
             return self
         inv = lead.inverse()
-        return LaurentPoly(self.context, tuple(c * inv for c in self.coeffs), 0)
+        return LaurentPoly._make(self.context, tuple(c * inv for c in self.coeffs), 0)
 
     def unit_equal(self, other: LaurentPoly) -> bool:
         return self.normalize() == other.normalize()
@@ -284,13 +296,13 @@ class LaurentPoly:
         out = [zero] * ((len(self.coeffs) - 1) * n + 1)
         for i, c in enumerate(self.coeffs):
             out[i * n] = c
-        return LaurentPoly(self.context, out, self.low * n)
+        return LaurentPoly._make(self.context, out, self.low * n)
 
     def bar(self) -> LaurentPoly:
         """The involution: conjugate coefficients and t -> t^-1."""
         if self.is_zero():
             return self
-        return LaurentPoly(
+        return LaurentPoly._make(
             self.context,
             tuple(c.conj() for c in reversed(self.coeffs)),
             -(self.low + len(self.coeffs) - 1),
@@ -313,7 +325,7 @@ class LaurentPoly:
     def embed(self, target: FieldContext) -> LaurentPoly:
         if target is self.context:
             return self
-        return LaurentPoly(target, tuple(embed_scalar(c, target) for c in self.coeffs), self.low)
+        return LaurentPoly._make(target, tuple(embed_scalar(c, target) for c in self.coeffs), self.low)
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -576,9 +588,26 @@ class LaurentMatrix(Matrix):
 
     @classmethod
     def from_scalar_matrix(cls, m: ScalarMatrix, t_exponent: int = 0) -> LaurentMatrix:
-        ctx = m.context
-        zero = LaurentPoly.zero(ctx)
-        return m._map(lambda e: LaurentPoly(ctx, (e,), t_exponent) if e else zero, cls=cls)
+        return cls.from_scalar_terms({t_exponent: m})
+
+    @classmethod
+    def from_scalar_terms(cls, terms: dict[int, ScalarMatrix]) -> LaurentMatrix:
+        """sum_e t^e * terms[e] for a nonempty dict of equally shaped scalar
+        matrices keyed by exponent."""
+        first = next(iter(terms.values()))
+        ctx = first.context
+        low = min(terms)
+        width = max(terms) - low + 1
+        rows = []
+        for i in range(first.rows):
+            row = []
+            for j in range(first.cols):
+                coeffs = [ctx.zero] * width
+                for e, m in terms.items():
+                    coeffs[e - low] = m.entries[i][j]
+                row.append(LaurentPoly._make(ctx, coeffs, low))
+            rows.append(row)
+        return cls._make(ctx, rows)
 
     def determinant(self) -> LaurentPoly:
         """Bareiss fraction-free elimination; every division is exact over the

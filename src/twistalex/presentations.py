@@ -383,6 +383,10 @@ def fox_derivative(word: Word, generator: int) -> GroupRingElement:
     product rule d(uv)/d(x) = d(u)/d(x) + u * d(v)/d(x).  Closed form used
     here: a letter x^+1 at position i contributes +prefix(i), a letter x^-1
     contributes -prefix(i) * x^-1 (the prefix through the letter inclusive).
+
+    This symbolic form is the oracle: the check battery's fox-identity check
+    and the tests use it.  The engine does not call it; build_complex
+    evaluates the same formula under Phi in one pass (PhiMap.fox_row).
     """
     out: dict[tuple, int] = {}
     prefix: list[tuple[int, int]] = []
@@ -435,6 +439,38 @@ class PhiMap:
         for letters, coeff in element.terms.items():
             acc = acc + self.word_image(Word(letters)) * coeff
         return acc
+
+    def fox_row(self, word: Word) -> list[LaurentMatrix]:
+        """Phi(d word / d x_g) for every generator g, in one left-to-right pass.
+
+        Phi(prefix) = t^e * rho(prefix) is carried as the integer e and the
+        scalar matrix rho(prefix).  By the prefix formula (see
+        fox_derivative) a letter x_g adds +Phi(prefix) to the derivative by
+        x_g, and a letter x_g^-1 first advances the prefix and then adds
+        -Phi(prefix x_g^-1).  Each derivative collects its scalar matrices by
+        exponent, so a letter costs one r x r scalar product and one sum; the
+        Laurent blocks are assembled once at the end, and a generator that
+        does not occur gets the zero block.
+        """
+        rho = self.rho
+        values = self.eps.values
+        e = 0
+        prefix = ScalarMatrix.identity(self.context, self.dimension)
+        sums: list[dict[int, ScalarMatrix]] = [{} for _ in values]
+        for g, s in word.letters:
+            terms = sums[g]
+            if s == 1:
+                prev = terms.get(e)
+                terms[e] = prefix if prev is None else prev + prefix
+                prefix = prefix * rho.of_generator(g)
+                e += values[g]
+            else:
+                prefix = prefix * rho.inverse_of_generator(g)
+                e -= values[g]
+                prev = terms.get(e)
+                terms[e] = -prefix if prev is None else prev - prefix
+        zero = LaurentMatrix.zero(self.context, self.dimension, self.dimension)
+        return [LaurentMatrix.from_scalar_terms(terms) if terms else zero for terms in sums]
 
 
 class ValidationReport:

@@ -1,5 +1,5 @@
-"""How often a job runs its expensive passes: validation, the Wada minors and
-specialization."""
+"""How often a job runs its expensive passes: validation, the Wada minors,
+specialization and the Fox Jacobian."""
 
 from __future__ import annotations
 
@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from twistalex.homology import specialize_homology, wada_ratio
+from twistalex.homology import build_complex, specialize_homology, wada_ratio
 from twistalex.jobs import parse_job, run_job
-from twistalex.presentations import validate
+from twistalex.laurent import LaurentMatrix
+from twistalex.presentations import Augmentation, Presentation, Representation, Word, fox_derivative, validate
+from twistalex.scalars import FieldContext, Matrix, ScalarMatrix
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_jobs"
 
@@ -84,3 +86,56 @@ def test_each_specialize_point_is_specialized_once(monkeypatch, mode):
     assert code == 0
     assert report.count("\nspecialize t=") == 2
     assert len(calls) == 2
+
+
+LONG_RELATOR_JOB = """
+field cyclotomic 6
+generators x y
+relator x^40 y^-40 x^3 y^5 x^-3 y^-5
+eps x=1 y=1
+rho x = [[z]]
+rho y = [[z^4]]
+analyze delta wada
+"""
+
+
+@pytest.mark.parametrize(
+    "text",
+    [(SAMPLES / "hopf4_twisted_z12.job").read_text(encoding="utf-8"), LONG_RELATOR_JOB],
+    ids=["hopf4_twisted_z12", "long_relator"],
+)
+def test_the_engine_does_not_call_the_symbolic_fox_derivative(monkeypatch, text):
+    # fox_derivative is the oracle of the check battery's fox-identity check;
+    # compute mode builds the Fox Jacobian without it.
+    calls = _count_calls(monkeypatch, fox_derivative)
+    _, code = run_job(parse_job(text), mode="compute")
+    assert code == 0
+    assert calls == []
+
+
+def _products_in_build_complex(monkeypatch, length: int) -> dict:
+    x_l_y_minus_l = Word([(0, 1)] * length + [(1, -1)] * length)
+    pres = Presentation(["x", "y"], [x_l_y_minus_l])
+    eps = Augmentation([1, 1])
+    rho = Representation.trivial(FieldContext(1), 2)
+    calls = {ScalarMatrix: 0, LaurentMatrix: 0}
+
+    def counted(self, other):
+        calls[type(self)] += 1
+        return Matrix.__mul__(self, other)
+
+    with monkeypatch.context() as patch:
+        for cls in calls:
+            patch.setattr(cls, "__mul__", counted)
+        build_complex(pres, eps, rho)
+    return calls
+
+
+def test_build_complex_makes_a_linear_number_of_matrix_products(monkeypatch):
+    # A deterministic count, not a timing: the symbolic route made a number
+    # of Laurent-matrix products quadratic in the relator length.
+    at_500 = _products_in_build_complex(monkeypatch, 500)
+    at_1000 = _products_in_build_complex(monkeypatch, 1000)
+    assert at_500[ScalarMatrix] >= 1000
+    for cls in (ScalarMatrix, LaurentMatrix):
+        assert at_1000[cls] <= 2 * at_500[cls] + 10, cls

@@ -245,3 +245,12 @@ def test_seed_changes_only_the_sampled_words():
     stripped_a = [ln for ln in a.splitlines() if "seed" not in ln]
     stripped_b = [ln for ln in b.splitlines() if "seed" not in ln]
     assert stripped_a == stripped_b
+
+
+def test_run_corpus_rejects_an_unknown_format_before_reading_files(tmp_path):
+    missing = tmp_path / "not_there.job"
+    with pytest.raises(ValueError, match="unknown format 'json'") as corpus_error:
+        run_corpus([missing], fmt="json")
+    with pytest.raises(ValueError) as job_error:
+        run_job(parse_job(HOPF3), fmt="json")
+    assert str(corpus_error.value) == str(job_error.value)

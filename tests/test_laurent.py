@@ -14,7 +14,7 @@ from twistalex.laurent import (
     laurent_gcd,
     multiplicity,
 )
-from twistalex.scalars import FieldContext
+from twistalex.scalars import ContextMismatchError, FieldContext
 
 
 def _poly(ctx, coeffs, low=0):
@@ -280,3 +280,23 @@ def test_matrix_specialize_and_power_substitution():
     assert s[0, 0] == z + 1 and s[1, 1] == z - 1
     m2 = m.substitute_power(2)
     assert m2[0, 0] == t**2 + one and m2[0, 1] == t**2
+
+
+def test_public_constructor_rejects_a_foreign_context_scalar():
+    q, z6 = FieldContext(1), FieldContext(6)
+    with pytest.raises(ContextMismatchError):
+        LaurentPoly(q, [1, z6.zeta(1)])
+    with pytest.raises(ContextMismatchError):
+        LaurentPoly(q, [1]) + LaurentPoly(z6, [1])
+
+
+def test_arithmetic_results_are_trimmed_like_the_public_constructor():
+    ctx = FieldContext(6)
+    z = ctx.zeta(1)
+    a = _poly(ctx, [z, 1, -z], -2)
+    b = _poly(ctx, [z, 0, -1], -2)
+    assert a + (-a) == LaurentPoly.zero(ctx)
+    assert (a + (-a)).low == 0
+    assert a - b == _poly(ctx, [0, 1, 1 - z], -2)
+    assert (a - b).low == -1
+    assert a * b == _poly(ctx, [z * z, z, -z * z - z, -1, z], -4)
