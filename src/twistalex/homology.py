@@ -293,7 +293,7 @@ def specialize_homology(complex_: TwistedChainComplex, value) -> tuple[int, int,
         big = FieldContext(_lcm([complex_.context.conductor, value.context.conductor]))
         boundary1 = boundary1.embed(big)
         boundary2 = boundary2.embed(big)
-        value = value.embed(big) if value.context.conductor != big.conductor else value
+        value = value.embed(big)
     b1 = boundary1.specialize(value)
     b2 = boundary2.specialize(value)
     r1 = b1.rank()

@@ -271,6 +271,8 @@ def _resolve_builder(name: str, params: dict, lineno: int):
             pres = transversal_union_presentation(factors)
             eps = transversal_union_augmentation(factors, [1] * len(factors))
             return pres, eps, (("factors", canon),), extra
+    except JobParseError:
+        raise
     except ValueError as exc:
         raise JobParseError(lineno, str(exc))
     raise JobParseError(

@@ -282,7 +282,7 @@ def _charpoly_roots_of_unity(m: ScalarMatrix, order: int):
     = lcm(ambient conductor, order)."""
     n = lcm([m.context.conductor, order])
     big = FieldContext(n)
-    work = m.embed(big) if m.context.conductor != n else m
+    work = m.embed(big)
     # char(t) = det(t Id - m) as a Laurent polynomial in t.
     eye = LaurentMatrix.identity(big, work.rows)
     tm = eye * LaurentPoly.t_power(big, 1) - LaurentMatrix.from_scalar_matrix(work, 0)
@@ -343,7 +343,7 @@ def root_field(rho_x0: ScalarMatrix, d: int, order_bound: int = 4096) -> RootFie
         n_total = d * o
         # Find b with ev = zeta_{o}^b, gcd(b, o) = 1 (b = 0 for ev = 1).
         target = FieldContext(lcm([big.conductor, o]))
-        evt = ev.embed(target) if big.conductor != target.conductor else ev
+        evt = ev.embed(target)
         b = None
         for j in range(o):
             if target.zeta(j * (target.conductor // o)) == evt:
@@ -542,11 +542,7 @@ def dimension_bound_check(result: AlexanderResult, complex_: TwistedChainComplex
     big = FieldContext(n_ctx)
 
     def mult_at(shape) -> int:
-        order = shape.torsion_order()
-        if big.conductor != order.context.conductor:
-            order = order.embed(big)
-        v = value if value.context.conductor == big.conductor else value.embed(big)
-        return multiplicity(order, v)
+        return multiplicity(shape.torsion_order().embed(big), value.embed(big))
 
     n0 = mult_at(result.h0)
     n1 = mult_at(result.h1)
@@ -571,7 +567,7 @@ def cyclotomic_factors(poly: LaurentPoly, candidate_orders):
         return [], poly
     n = lcm(orders + [poly.context.conductor])
     big = FieldContext(n)
-    work = poly.embed(big) if poly.context.conductor != n else poly
+    work = poly.embed(big)
     found = []
     for m in orders:
         step = n // m

@@ -5,6 +5,12 @@ A field context fixes the coefficient field once per computation: either Q
 1, z, ..., z^(phi(n)-1) modulo the n-th cyclotomic polynomial.  All arithmetic
 is exact; there are no floats anywhere in this package.
 
+The Galois maps z -> z^k (k a unit mod n), complex conjugation (k = -1) and
+the embedding Q(zeta_m) -> Q(zeta_N) (z -> w^(N/m)) are one substitution of
+powers through the integer power table.  Inversion uses them through the
+norm: with c the product of sigma_k(a) over the units k != 1 mod n, a * c =
+N(a) is rational, so a^-1 = c / N(a).
+
 Matrix is the one dense matrix type of the package: storage, construction,
 sums, products, transposes, embeddings and comparisons for any ring of the
 context.  ScalarMatrix is its field case; it adds only the coercion of
@@ -18,10 +24,7 @@ import math
 import operator
 from fractions import Fraction
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "ContextMismatchError",
     "totient",
     "lcm",
@@ -173,9 +176,6 @@ class FieldContext:
         nums = self._powers[power % self.conductor]
         return CycloNumber(self, nums, 1, _normalized=True)
 
-    def power_coords(self, e: int) -> tuple[int, ...]:
-        return self._powers[e % self.conductor]
-
     def __repr__(self) -> str:
         if self.conductor == 1:
             return "FieldContext(rational)"
@@ -312,62 +312,27 @@ class CycloNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> CycloNumber:
-        """Multiplicative inverse via the extended Euclidean algorithm against
-        Phi_n in Q[z]."""
+        """Multiplicative inverse by the norm: a^-1 = c / N(a), where c is the
+        product of the conjugates sigma_k(a), k running over the units mod n
+        other than 1, and N(a) = a * c is rational (Cohen, A Course in
+        Computational Algebraic Number Theory, 4.3)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         ctx = self.context
         if self.is_rational():
             return ctx.from_rational(1 / Fraction(self.nums[0], self.den))
-        # xgcd(a, Phi_n) = (g, u, v) with u*a + v*Phi = g, g a nonzero rational
-        # because Phi_n is irreducible and deg a < deg Phi.
-        a = [Fraction(x, self.den) for x in self.nums]
-        b = [Fraction(c) for c in ctx.modulus]
-        u0, u1 = [Fraction(1)], [Fraction(0)]
-        r0, r1 = a, b
-
-        def trim(p):
-            while p and p[-1] == 0:
-                p.pop()
-            return p
-
-        def poly_sub_scaled(p, q, c, shift):
-            # p -= c * q * z^shift
-            need = len(q) + shift
-            while len(p) < need:
-                p.append(Fraction(0))
-            for i, qc in enumerate(q):
-                p[i + shift] -= c * qc
-            return trim(p)
-
-        r0, r1 = trim(r0), trim(r1)
-        while len(r1) > 1 or (len(r1) == 1 and r1[0] != 0):
-            if len(r0) < len(r1):
-                r0, r1 = r1, r0
-                u0, u1 = u1, u0
-                continue
-            # One long-division step folded into the loop.
-            q: list[tuple[Fraction, int]] = []
-            while len(r0) >= len(r1) and r0:
-                c = r0[-1] / r1[-1]
-                shift = len(r0) - len(r1)
-                q.append((c, shift))
-                r0 = poly_sub_scaled(r0, r1, c, shift)
-            for c, shift in q:
-                u0 = poly_sub_scaled(u0, u1, c, shift)
-            r0, r1 = r1, r0
-            u0, u1 = u1, u0
-        # r0 is the gcd: a nonzero constant.
-        if len(r0) != 1 or r0[0] == 0:
-            raise AssertionError("xgcd against an irreducible modulus must end at a constant")
-        g = r0[0]
-        inv_coords = [c / g for c in u0]
-        inv_coords += [Fraction(0)] * (ctx.degree - len(inv_coords))
-        den = 1
-        for c in inv_coords:
-            den = math.lcm(den, c.denominator)
-        nums = tuple(int(c * den) for c in inv_coords)
-        return CycloNumber(ctx, nums, den)
+        # Work with the integral element den * a, so c and the norm stay in
+        # Z[z]; then a^-1 = den * c / N(den * a).
+        a = CycloNumber(ctx, self.nums, 1, _normalized=True)
+        n = ctx.conductor
+        c = ctx.one
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                c = c * a._substitute(ctx, k)
+        norm = a * c
+        if not norm.is_rational():
+            raise AssertionError("a times its other conjugates must be rational")
+        return CycloNumber(ctx, tuple(x * self.den for x in c.nums), norm.nums[0])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -396,34 +361,31 @@ class CycloNumber:
             exponent >>= 1
         return result
 
+    def _substitute(self, target: FieldContext, k: int) -> CycloNumber:
+        # sum_j c_j z^j -> sum_j c_j w^(j k), w the root of unity of target,
+        # read off target's power table (w^target.conductor = 1).
+        out = [0] * target.degree
+        powers = target._powers
+        n = target.conductor
+        for j, c in enumerate(self.nums):
+            if c:
+                for i, r in enumerate(powers[j * k % n]):
+                    if r:
+                        out[i] += c * r
+        return CycloNumber(target, tuple(out), self.den)
+
     def conj(self) -> CycloNumber:
         """Complex conjugation: z maps to z^(n-1) = z^-1."""
-        ctx = self.context
-        if ctx.conductor <= 2:
-            return self
-        deg = ctx.degree
-        out = [0] * deg
-        powers = ctx._powers
-        for k, c in enumerate(self.nums):
-            if c == 0:
-                continue
-            row = powers[(-k) % ctx.conductor]
-            for j, rj in enumerate(row):
-                if rj:
-                    out[j] += c * rj
-        return CycloNumber(ctx, tuple(out), self.den)
+        return self._substitute(self.context, -1)
 
-    def multiplicative_order(self, bound: int = 4096):
-        """Order of self as a root of unity, or None if none is found within
-        the bound (finite order implies the order divides lcm(2, conductor))."""
-        if self.is_zero():
+    def multiplicative_order(self):
+        """Order of self as a root of unity, or None if it is none.  The roots
+        of unity of Q(zeta_n) are the +-z^k, whose orders divide N = lcm(2, n),
+        so the order is the least divisor k of N with self^k = 1."""
+        big = math.lcm(2, self.conductor)
+        if self**big != self.context.one:
             return None
-        acc = self
-        for k in range(1, bound + 1):
-            if acc == self.context.one:
-                return k
-            acc = acc * self
-        return None
+        return next(k for k in range(1, big + 1) if big % k == 0 and self**k == self.context.one)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -476,16 +438,7 @@ def embed(value: CycloNumber, target: FieldContext) -> CycloNumber:
         raise ContextMismatchError(
             f"no canonical embedding of conductor {src.conductor} into {target.conductor}"
         )
-    step = target.conductor // src.conductor
-    out = [0] * target.degree
-    for k, c in enumerate(value.nums):
-        if c == 0:
-            continue
-        row = target.power_coords(k * step)
-        for j, rj in enumerate(row):
-            if rj:
-                out[j] += c * rj
-    return CycloNumber(target, tuple(out), value.den)
+    return value._substitute(target, target.conductor // src.conductor)
 
 
 def parse_scalar(text: str, context: FieldContext) -> CycloNumber:

@@ -254,3 +254,19 @@ def test_run_corpus_rejects_an_unknown_format_before_reading_files(tmp_path):
     with pytest.raises(ValueError) as job_error:
         run_job(parse_job(HOPF3), fmt="json")
     assert str(corpus_error.value) == str(job_error.value)
+
+
+@pytest.mark.parametrize(
+    "builder, message",
+    [
+        ("hopf", "builder hopf needs d=<int>"),
+        ("hopf d=x", "builder hopf: d must be an integer, got 'x'"),
+        ("union factors=torus:2", "bad union factor 'torus:2' (torus:p:q, cusp, or line)"),
+    ],
+)
+def test_builder_parameter_errors_name_their_line_once(builder, message):
+    with pytest.raises(JobParseError) as err:
+        parse_job(f"field rational\nbuilder {builder}\nrho trivial 1\n")
+    assert str(err.value) == f"line 2: {message}"
+    assert err.value.line == 2
+    assert err.value.message == message

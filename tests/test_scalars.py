@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -116,6 +117,22 @@ def test_multiplicative_order():
     assert ctx.zeta(4).multiplicative_order() == 3
     # 2 is not a root of unity
     assert ctx.from_rational(2).multiplicative_order() is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 12, 15, 60])
+def test_multiplicative_order_of_every_root_of_unity(n):
+    # The roots of unity of Q(zeta_n) form the cyclic group generated by
+    # w = zeta_N, N = lcm(2, n): z = w^(N/n) and -1 = w^(N/2), so +-z^k =
+    # w^e has order N / gcd(N, e).
+    ctx = FieldContext(n)
+    big = lcm([2, n])
+    for k in range(n):
+        for sign, shift in ((1, 0), (-1, big // 2)):
+            e = k * (big // n) + shift
+            assert (sign * ctx.zeta(k)).multiplicative_order() == big // math.gcd(big, e)
+    assert ctx.from_rational(2).multiplicative_order() is None
+    # 1 + z is not a root of unity, except in Q(zeta_3), where it is -z^2.
+    assert (ctx.one + ctx.zeta(1)).multiplicative_order() == (6 if n == 3 else None)
 
 
 def test_embed_commutes_with_arithmetic():
