@@ -5,6 +5,12 @@ monomials c*t^k.  Everything an order computation needs lives here: canonical
 unit normalization, Euclidean division by degree span, GCDs, determinants,
 minor GCDs, and Smith normal form with unimodular transform certificates.
 
+A polynomial keeps its coefficients as integer power-basis rows over one
+denominator (Cohen, A Course in Computational Algebraic Number Theory,
+4.2): ring operations are integer convolutions folded through the power
+table of the context, and field elements are built only when a caller
+reads a coefficient.
+
 LaurentMatrix shares its storage and ring-independent operations with
 ScalarMatrix through scalars.Matrix.  It adds only the promotion of scalar
 entries to constant polynomials, the maps into and out of the field
@@ -15,9 +21,12 @@ normal form.
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
+from itertools import chain
 
-from .scalars import ContextMismatchError, CycloNumber, FieldContext, Matrix, ScalarMatrix, embed as embed_scalar
+from .scalars import ContextMismatchError, CycloNumber, FieldContext, Matrix, ScalarMatrix, embed as embed_scalar, lcm
 
 __all__ = [
     "LaurentPoly",
@@ -39,92 +48,158 @@ def _coerce_scalar(context: FieldContext, value) -> CycloNumber:
     return context.from_rational(value)
 
 
-class LaurentPoly:
-    """A Laurent polynomial: lowest exponent plus a dense coefficient tuple.
+def _product_rows(context: FieldContext, a, b) -> list[list[int]]:
+    """The integer rows of the product of two sequences of power-basis rows.
 
-    The representation is trimmed at both ends, and the zero polynomial is the
-    unique instance with an empty coefficient tuple (low exponent 0).
+    Row i of a stands for the coefficient of t^i.  The product is one integer
+    convolution in t and z: with rows laid out at a stride of 2*phi(n) - 1,
+    the exponents of z in a product of two rows never reach the next row.
+    Each output row then folds its z^e, e >= phi(n), through the power table
+    once."""
+    deg = context.degree
+    width = 2 * deg - 1
+    fa = [(i * width + p, x) for i, row in enumerate(a) for p, x in enumerate(row) if x]
+    fb = [(j * width + q, y) for j, row in enumerate(b) for q, y in enumerate(row) if y]
+    size = (len(a) + len(b) - 1) * width
+    flat = [0] * size
+    for ia, x in fa:
+        for ib, y in fb:
+            flat[ia + ib] += x * y
+    if deg == 1:
+        return [[c] for c in flat]
+    fold = context._fold
+    rows = []
+    for base in range(0, size, width):
+        row = flat[base : base + deg]
+        for c, table in zip(flat[base + deg : base + width], fold):
+            if c:
+                for j, r in table:
+                    row[j] += c * r
+        rows.append(row)
+    return rows
+
+
+class LaurentPoly:
+    """A Laurent polynomial sum_i (rows[i] / den) * t^(low + i).
+
+    Each coefficient is a row of integer power-basis coordinates (length
+    phi(n)) over one positive denominator shared by the whole polynomial.
+    The form is canonical: the rows are trimmed at both ends, the zero
+    polynomial has no rows (low 0, den 1), and the content is reduced once
+    per polynomial, gcd(den, every row entry) = 1; so == and hash compare
+    fields.  Products are one integer convolution in t and z, sums align the
+    two denominators once, and division works on the rows too.  CycloNumber
+    objects appear only at the API boundary: coeffs, coefficient,
+    leading_coefficient, evaluate, bar, embed and the text form.
     """
 
-    __slots__ = ("context", "low", "coeffs")
+    __slots__ = ("context", "low", "rows", "den")
 
     def __init__(self, context: FieldContext, coeffs, low: int = 0):
-        self._set(context, [_coerce_scalar(context, c) for c in coeffs], low)
+        cs = [_coerce_scalar(context, c) for c in coeffs]
+        den = lcm(c.den for c in cs)
+        self._set(context, low, [c.nums if c.den == den else [x * (den // c.den) for x in c.nums] for c in cs], den)
 
     @classmethod
-    def _make(cls, context: FieldContext, coeffs, low: int = 0) -> LaurentPoly:
-        """A polynomial from coefficients already in the context: results of
-        ring operations skip the coercion of the public constructor and are
-        only trimmed."""
+    def _make(cls, context: FieldContext, low: int, rows, den: int) -> LaurentPoly:
+        """rows / den * t^low brought to canonical form: results of ring
+        operations skip the coercion of the public constructor."""
         p = object.__new__(cls)
-        p._set(context, coeffs, low)
+        p._set(context, low, rows, den)
         return p
 
-    def _set(self, context: FieldContext, coeffs, low: int):
-        start = 0
-        while start < len(coeffs) and coeffs[start].is_zero():
+    @classmethod
+    def _raw(cls, context: FieldContext, low: int, rows: tuple, den: int) -> LaurentPoly:
+        # Fields already in canonical form.
+        p = object.__new__(cls)
+        p.context, p.low, p.rows, p.den = context, low, rows, den
+        return p
+
+    def _set(self, context: FieldContext, low: int, rows, den: int):
+        start, end = 0, len(rows)
+        while start < end and not any(rows[start]):
             start += 1
-        end = len(coeffs)
-        while end > start and coeffs[end - 1].is_zero():
+        while end > start and not any(rows[end - 1]):
             end -= 1
-        if start == end:
-            self.low = 0
-            self.coeffs = ()
-        else:
-            self.low = low + start
-            self.coeffs = tuple(coeffs[start:end])
         self.context = context
+        if start == end:
+            self.low, self.rows, self.den = 0, (), 1
+            return
+        rows = rows[start:end]
+        if den < 0:
+            den = -den
+            rows = [[-x for x in row] for row in rows]
+        if den != 1:
+            g = math.gcd(den, *chain.from_iterable(rows))
+            if g != 1:
+                den //= g
+                rows = [[x // g for x in row] for row in rows]
+        self.low = low + start
+        self.rows = tuple(map(tuple, rows))
+        self.den = den
 
     @classmethod
     def zero(cls, context: FieldContext) -> LaurentPoly:
-        return cls._make(context, ())
+        return cls._raw(context, 0, (), 1)
 
     @classmethod
     def one(cls, context: FieldContext) -> LaurentPoly:
-        return cls._make(context, (context.one,))
+        return cls._raw(context, 0, (context.one.nums,), 1)
 
     @classmethod
     def t_power(cls, context: FieldContext, k: int, scalar=1) -> LaurentPoly:
-        return cls(context, (_coerce_scalar(context, scalar),), k)
+        return cls(context, (scalar,), k)
 
     @classmethod
     def from_scalar(cls, context: FieldContext, value) -> LaurentPoly:
-        return cls(context, (_coerce_scalar(context, value),))
+        return cls(context, (value,))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.rows
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.rows)
+
+    @property
+    def coeffs(self) -> tuple[CycloNumber, ...]:
+        """The coefficients as field elements, lowest exponent first."""
+        ctx, den = self.context, self.den
+        return tuple(CycloNumber(ctx, row, den) for row in self.rows)
 
     @property
     def high(self) -> int:
-        if not self.coeffs:
+        if not self.rows:
             raise ValueError("zero polynomial has no degree")
-        return self.low + len(self.coeffs) - 1
+        return self.low + len(self.rows) - 1
 
     @property
     def span(self) -> int:
         """Degree span (top minus bottom exponent); the Euclidean size."""
-        if not self.coeffs:
+        if not self.rows:
             raise ValueError("zero polynomial has no span")
-        return len(self.coeffs) - 1
+        return len(self.rows) - 1
 
     def coefficient(self, exponent: int) -> CycloNumber:
-        if not self.coeffs or exponent < self.low or exponent > self.high:
+        i = exponent - self.low
+        if not 0 <= i < len(self.rows):
             return self.context.zero
-        return self.coeffs[exponent - self.low]
+        return CycloNumber(self.context, self.rows[i], self.den)
 
     def leading_coefficient(self) -> CycloNumber:
-        if not self.coeffs:
+        if not self.rows:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return CycloNumber(self.context, self.rows[-1], self.den)
 
     def is_unit(self) -> bool:
-        return len(self.coeffs) == 1
+        return len(self.rows) == 1
 
     def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.low == 0 and self.coeffs[0] == self.context.one
+        return self.low == 0 and self.den == 1 and self.rows == (self.context.one.nums,)
+
+    def _is_normal(self) -> bool:
+        # Lowest exponent 0 and top coefficient 1.
+        top = self.rows[-1]
+        return self.low == 0 and top[0] == self.den and not any(top[1:])
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, CycloNumber)):
@@ -134,14 +209,18 @@ class LaurentPoly:
         return (
             self.context is other.context
             and self.low == other.low
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.context.conductor, self.low, self.coeffs))
+        # A constant equals its scalar, so it hashes like the scalar.
+        if self.low == 0 and len(self.rows) <= 1:
+            return hash(self.coefficient(0))
+        return hash((self.context.conductor, self.low, self.rows, self.den))
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly._make(self.context, tuple(-c for c in self.coeffs), self.low)
+        return LaurentPoly._raw(self.context, self.low, tuple(tuple(-x for x in row) for row in self.rows), self.den)
 
     def _coerce(self, other):
         if isinstance(other, LaurentPoly):
@@ -152,24 +231,36 @@ class LaurentPoly:
             return LaurentPoly.from_scalar(self.context, other)
         return None
 
+    def _combine(self, o: LaurentPoly, sign: int) -> LaurentPoly:
+        # self + sign * o over the lcm of the two denominators.
+        if not o.rows:
+            return self
+        if not self.rows:
+            return o if sign > 0 else -o
+        da, db = self.den, o.den
+        den = da if da == db else da * db // math.gcd(da, db)
+        fa, fb = den // da, sign * (den // db)
+        low = min(self.low, o.low)
+        out = [(0,) * self.context.degree] * (max(self.low + len(self.rows), o.low + len(o.rows)) - low)
+        off = self.low - low
+        for i, row in enumerate(self.rows):
+            out[off + i] = row if fa == 1 else [x * fa for x in row]
+        off = o.low - low
+        for i, row in enumerate(o.rows):
+            j = off + i
+            if fb == 1:
+                out[j] = list(map(operator.add, out[j], row))
+            elif fb == -1:
+                out[j] = list(map(operator.sub, out[j], row))
+            else:
+                out[j] = [x + y * fb for x, y in zip(out[j], row)]
+        return LaurentPoly._make(self.context, low, out, den)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero():
-            return o
-        if o.is_zero():
-            return self
-        low = min(self.low, o.low)
-        high = max(self.high, o.high)
-        zero = self.context.zero
-        out = [zero] * (high - low + 1)
-        for i, c in enumerate(self.coeffs):
-            out[self.low - low + i] = c
-        for i, c in enumerate(o.coeffs):
-            j = o.low - low + i
-            out[j] = out[j] + c
-        return LaurentPoly._make(self.context, out, low)
+        return self._combine(o, 1)
 
     __radd__ = __add__
 
@@ -177,36 +268,22 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self._combine(o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o._combine(self, -1)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero() or o.is_zero():
+        if not self.rows or not o.rows:
             return LaurentPoly.zero(self.context)
-        a, b = self.coeffs, o.coeffs
-        if len(a) == 1:
-            c = a[0]
-            return LaurentPoly._make(self.context, tuple(c * x for x in b), self.low + o.low)
-        if len(b) == 1:
-            c = b[0]
-            return LaurentPoly._make(self.context, tuple(x * c for x in a), self.low + o.low)
-        zero = self.context.zero
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai.is_zero():
-                continue
-            for j, bj in enumerate(b):
-                if not bj.is_zero():
-                    out[i + j] = out[i + j] + ai * bj
-        return LaurentPoly._make(self.context, out, self.low + o.low)
+        rows = _product_rows(self.context, self.rows, o.rows)
+        return LaurentPoly._make(self.context, self.low + o.low, rows, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -225,35 +302,59 @@ class LaurentPoly:
 
     def __divmod__(self, other):
         """Division with remainder; the remainder has strictly smaller degree
-        span than the divisor (t-powers are units, so spans drive Euclid)."""
+        span than the divisor (t-powers are units, so spans drive Euclid).
+
+        The division runs on integer rows against a divisor whose top
+        coefficient is rational.  A divisor with any other top coefficient is
+        replaced by its monic associate, and the quotient is scaled back by
+        that coefficient's inverse once; a monic divisor needs no inverse."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.is_zero():
+        if not o.rows:
             raise ZeroDivisionError("Laurent division by zero")
-        if self.is_zero():
-            return LaurentPoly.zero(self.context), LaurentPoly.zero(self.context)
-        rem = list(self.coeffs)
-        den = o.coeffs
-        zero = self.context.zero
-        lead_inv = o.coeffs[-1].inverse()
-        qlen = len(rem) - len(den) + 1
-        if qlen <= 0:
-            return LaurentPoly.zero(self.context), self
-        quot = [zero] * qlen
-        for i in range(len(rem) - 1, len(den) - 2, -1):
-            c = rem[i]
-            if c.is_zero():
+        ctx = self.context
+        nb = len(o.rows)
+        if len(self.rows) < nb:
+            return LaurentPoly.zero(ctx), self
+        inv = None
+        if any(o.rows[-1][1:]):
+            inv = o._normalizer()
+            o = o * inv
+        divisor = o.rows
+        lead = divisor[-1][0]
+        # Invariant: the remainder is rem / den, den > 0.  Clearing the top
+        # row g*s of rem, with g = +-gcd(lead, g*s) of the sign of lead,
+        # subtracts (s / den') * divisor * t^off, den' = den * lead / g, after
+        # rem is scaled to den'.
+        rem = [list(row) for row in self.rows]
+        den = self.den
+        steps = []
+        for i in range(len(rem) - 1, nb - 2, -1):
+            top = rem[i]
+            if not any(top):
                 continue
-            q = c * lead_inv
-            quot[i - (len(den) - 1)] = q
-            off = i - (len(den) - 1)
-            for j, d in enumerate(den):
-                if not d.is_zero():
-                    rem[off + j] = rem[off + j] - q * d
-        q_poly = LaurentPoly._make(self.context, quot, self.low - o.low)
-        r_poly = LaurentPoly._make(self.context, rem, self.low)
-        return q_poly, r_poly
+            g = math.gcd(lead, *top) if lead > 0 else -math.gcd(lead, *top)
+            m = lead // g
+            s = top if g == 1 else [x // g for x in top]
+            if m != 1:
+                rem[:i] = [[x * m for x in row] for row in rem[:i]]
+                den *= m
+            off = i - nb + 1
+            for j, row in enumerate(_product_rows(ctx, (s,), divisor[:-1])):
+                rem[off + j] = list(map(operator.sub, rem[off + j], row))
+            steps.append((off, s, den))
+        # quotient = (sum_off s / den_off * t^off) * o.den over the last den,
+        # a multiple of every earlier one.
+        zero_row = (0,) * ctx.degree
+        quot = [zero_row] * (len(rem) - nb + 1)
+        for off, s, step_den in steps:
+            f = den // step_den * o.den
+            quot[off] = [x * f for x in s]
+        q = LaurentPoly._make(ctx, self.low - o.low, quot, den)
+        if inv is not None:
+            q = q * inv
+        return q, LaurentPoly._make(ctx, self.low, rem[: nb - 1], den)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -272,16 +373,22 @@ class LaurentPoly:
             return isinstance(other, LaurentPoly) and other.is_zero()
         return divmod(other, self)[1].is_zero()
 
+    def _normalizer(self) -> LaurentPoly:
+        """The unit u = lead^-1 * t^-low with u * self in canonical unit form;
+        a rational top coefficient needs no field inverse."""
+        top = self.rows[-1]
+        if any(top[1:]):
+            inv = self.leading_coefficient().inverse()
+            return LaurentPoly._raw(self.context, -self.low, (inv.nums,), inv.den)
+        one = self.context.one.nums
+        return LaurentPoly._make(self.context, -self.low, [[self.den * x for x in one]], top[0])
+
     def normalize(self) -> LaurentPoly:
         """Canonical unit form: lowest exponent 0 and monic top coefficient.
         Zero normalizes to zero."""
-        if self.is_zero():
+        if not self.rows or self._is_normal():
             return self
-        lead = self.coeffs[-1]
-        if self.low == 0 and lead == self.context.one:
-            return self
-        inv = lead.inverse()
-        return LaurentPoly._make(self.context, tuple(c * inv for c in self.coeffs), 0)
+        return self._normalizer() * self
 
     def unit_equal(self, other: LaurentPoly) -> bool:
         return self.normalize() == other.normalize()
@@ -292,29 +399,21 @@ class LaurentPoly:
             raise ValueError("substitution exponent must be a positive integer")
         if self.is_zero() or n == 1:
             return self
-        zero = self.context.zero
-        out = [zero] * ((len(self.coeffs) - 1) * n + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * n] = c
-        return LaurentPoly._make(self.context, out, self.low * n)
+        rows = [(0,) * self.context.degree] * ((len(self.rows) - 1) * n + 1)
+        rows[::n] = self.rows
+        return LaurentPoly._raw(self.context, self.low * n, tuple(rows), self.den)
 
     def bar(self) -> LaurentPoly:
         """The involution: conjugate coefficients and t -> t^-1."""
         if self.is_zero():
             return self
-        return LaurentPoly._make(
-            self.context,
-            tuple(c.conj() for c in reversed(self.coeffs)),
-            -(self.low + len(self.coeffs) - 1),
-        )
+        return LaurentPoly(self.context, [c.conj() for c in reversed(self.coeffs)], -self.high)
 
     def evaluate(self, value) -> CycloNumber:
         """Specialize t to a nonzero scalar of the same context."""
         a = _coerce_scalar(self.context, value)
         if a.is_zero():
             raise ZeroDivisionError("cannot specialize t to 0 in a Laurent ring")
-        if self.is_zero():
-            return self.context.zero
         acc = self.context.zero
         for c in reversed(self.coeffs):
             acc = acc * a + c
@@ -325,7 +424,7 @@ class LaurentPoly:
     def embed(self, target: FieldContext) -> LaurentPoly:
         if target is self.context:
             return self
-        return LaurentPoly._make(target, tuple(embed_scalar(c, target) for c in self.coeffs), self.low)
+        return LaurentPoly(target, [embed_scalar(c, target) for c in self.coeffs], self.low)
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -387,8 +486,8 @@ def gcd_many(polys) -> LaurentPoly:
 
 
 def multiplicity(p: LaurentPoly, a) -> int:
-    """Multiplicity of the root t = a (a nonzero scalar) in p; 0 for p = 0 by
-    convention is refused since every power divides 0."""
+    """Multiplicity of the root t = a (a nonzero scalar) in p.  p = 0 is
+    refused with ValueError, since every power of (t - a) divides 0."""
     if p.is_zero():
         raise ValueError("every (t - a) power divides the zero polynomial")
     linear = LaurentPoly(p.context, (-_coerce_scalar(p.context, a), p.context.one))
@@ -605,7 +704,7 @@ class LaurentMatrix(Matrix):
                 coeffs = [ctx.zero] * width
                 for e, m in terms.items():
                     coeffs[e - low] = m.entries[i][j]
-                row.append(LaurentPoly._make(ctx, coeffs, low))
+                row.append(LaurentPoly(ctx, coeffs, low))
             rows.append(row)
         return cls._make(ctx, rows)
 
@@ -680,8 +779,13 @@ class LaurentMatrix(Matrix):
 
         The pivot is always a nonzero entry of minimal degree span (ties by
         position); remainders swap into the pivot, so spans strictly decrease
-        and the loop terminates.  Returns normalized divisors d_1 | d_2 | ...
-        plus unimodular U, V with U*M*V diagonal and Vinv = V^-1.
+        and the loop terminates.  Whenever an entry enters the corner its row
+        is scaled by the unit that puts it in canonical form (monic, lowest
+        exponent 0), a unit row operation that only U records; every division
+        by the corner is then by a monic divisor and needs no field inverse,
+        and the corners are the normalized divisors d_1 | d_2 | ... when the
+        loop ends.  Returns them with unimodular U, V such that U*M*V is
+        diagonal, and Vinv = V^-1.
         """
         ctx = self.context
         m, n = self.rows, self.cols
@@ -719,10 +823,15 @@ class LaurentMatrix(Matrix):
                 row[dst] = row[dst] + factor * row[src]
             Vinv[src] = [a - factor * b for a, b in zip(Vinv[src], Vinv[dst])]
 
-        def scale_row(i, unit):
-            # unit is c * t^k with c invertible.
-            A[i] = [unit * a for a in A[i]]
-            U[i] = [unit * a for a in U[i]]
+        def enter_corner(i, j):
+            # Move entry (i, j) into the corner and scale its row monic.
+            swap_rows(corner, i)
+            swap_cols(corner, j)
+            d = A[corner][corner]
+            if not d._is_normal():
+                unit = d._normalizer()
+                A[corner] = [unit * a for a in A[corner]]
+                U[corner] = [unit * a for a in U[corner]]
 
         corner = 0
         limit = min(m, n)
@@ -744,8 +853,7 @@ class LaurentMatrix(Matrix):
                     break
             if pivot is None:
                 break
-            swap_rows(corner, pivot[0])
-            swap_cols(corner, pivot[1])
+            enter_corner(*pivot)
             while True:
                 # Clear the pivot column.
                 dirty = False
@@ -756,7 +864,7 @@ class LaurentMatrix(Matrix):
                     q, r = divmod(e, A[corner][corner])
                     add_row(i, corner, -q)
                     if not r.is_zero():
-                        swap_rows(corner, i)
+                        enter_corner(i, corner)
                         dirty = True
                         break
                 if dirty:
@@ -769,12 +877,13 @@ class LaurentMatrix(Matrix):
                     q, r = divmod(e, A[corner][corner])
                     add_col(j, corner, -q)
                     if not r.is_zero():
-                        swap_cols(corner, j)
+                        enter_corner(corner, j)
                         dirty = True
                         break
                 if dirty:
                     continue
                 # Row and column are clear; enforce divisibility of the rest.
+                # The corner column is clear, so this leaves the corner as is.
                 offender = None
                 for i in range(corner + 1, m):
                     for j in range(corner + 1, n):
@@ -789,22 +898,10 @@ class LaurentMatrix(Matrix):
                 add_row(corner, offender, LaurentPoly.one(ctx))
             corner += 1
 
-        # Normalize each diagonal entry to canonical unit form by scaling rows.
-        divisors = []
-        for i in range(limit):
-            d = A[i][i]
-            if d.is_zero():
-                break
-            norm = d.normalize()
-            if d != norm:
-                unit = LaurentPoly.t_power(ctx, -d.low, d.leading_coefficient().inverse())
-                scale_row(i, unit)
-            divisors.append(A[i][i])
-        rank = len(divisors)
         return SmithNormalForm(
             self,
-            tuple(divisors),
-            rank,
+            tuple(A[i][i] for i in range(corner)),
+            corner,
             LaurentMatrix._make(ctx, U),
             LaurentMatrix._make(ctx, V),
             LaurentMatrix._make(ctx, Vinv),

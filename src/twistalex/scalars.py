@@ -123,7 +123,7 @@ class FieldContext:
     reference to their context and refuse arithmetic across distinct ones.
     """
 
-    __slots__ = ("conductor", "degree", "modulus", "_powers", "zero", "one")
+    __slots__ = ("conductor", "degree", "modulus", "_powers", "_fold", "zero", "one")
 
     def __new__(cls, conductor: int = 1):
         if conductor < 1:
@@ -153,6 +153,12 @@ class FieldContext:
             powers.append(tuple(nxt))
             cur = nxt
         self._powers = tuple(powers)
+        # The nonzero (coordinate, value) pairs of z^e for the exponents
+        # deg..2*deg-2 that a product of two power-basis rows reaches; z^n = 1
+        # folds the exponent mod the conductor first.
+        self._fold = tuple(
+            tuple((j, r) for j, r in enumerate(powers[e % conductor]) if r) for e in range(deg, 2 * deg - 1)
+        )
         self.zero = CycloNumber(self, (0,) * deg, 1, _normalized=True)
         self.one = CycloNumber(self, (1,) + (0,) * (deg - 1), 1, _normalized=True)
         _CONTEXT_CACHE[conductor] = self
@@ -297,16 +303,10 @@ class CycloNumber:
                 if bj:
                     conv[i + j] += ai * bj
         out = conv[:deg]
-        powers = ctx._powers
-        for e in range(deg, 2 * deg - 1):
-            c = conv[e]
-            if c == 0:
-                continue
-            # z^n = 1, so exponents fold mod the conductor before the table.
-            row = powers[e % ctx.conductor]
-            for j, rj in enumerate(row):
-                if rj:
-                    out[j] += c * rj
+        for c, table in zip(conv[deg:], ctx._fold):
+            if c:
+                for j, r in table:
+                    out[j] += c * r
         return CycloNumber(ctx, tuple(out), self.den * o.den)
 
     __rmul__ = __mul__
@@ -399,6 +399,9 @@ class CycloNumber:
         )
 
     def __hash__(self):
+        # A rational element equals its int or Fraction, so it hashes like it.
+        if self.is_rational():
+            return hash(Fraction(self.nums[0], self.den))
         return hash((self.context.conductor, self.nums, self.den))
 
     def __str__(self) -> str:

@@ -1,19 +1,25 @@
 """Cyclotomic arithmetic against sympy, coefficient for coefficient in the
 power basis: inverse, complex conjugation and the embedding into a larger
-cyclotomic field."""
+cyclotomic field; and Laurent polynomials over Q(zeta_n): products,
+differences, division with remainder, exact division, normalization, gcds
+and Bareiss determinants."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
+from twistalex.laurent import LaurentMatrix, LaurentPoly, laurent_gcd  # noqa: E402
 from twistalex.scalars import CycloNumber, FieldContext, embed  # noqa: E402
 
 Z = sympy.Symbol("z")
+T = sympy.Symbol("t")
 CONDUCTORS = (1, 2, 3, 5, 6, 8, 9, 10, 12, 15, 30, 60, 84)
 KINDS = ("small", "grown")
 
@@ -86,3 +92,166 @@ def test_embed_matches_sympy(n, kind):
 def test_inverse_of_zero_raises(n):
     with pytest.raises(ZeroDivisionError):
         FieldContext(n).zero.inverse()
+
+
+# Laurent polynomials over Q(zeta_n).  Each engine result is compared with
+# the same expression built in sympy from the engine's inputs, every
+# coefficient of t reduced modulo Phi_n.
+
+LAURENT_CONDUCTORS = (1, 2, 3, 4, 5, 12, 60)
+# Leading coefficients of divisors: -1 (so a quotient needs the sign of
+# lead^-1), and a non-rational number (a rational 2/3 over Q and Q(zeta_2)).
+LEADS = ("minus_one", "irrational")
+
+
+def _scalar(ctx: FieldContext, rng: random.Random) -> CycloNumber:
+    return CycloNumber(ctx, [rng.randint(-3, 3) for _ in range(ctx.degree)], rng.choice((1, 2, 3, 6)))
+
+
+def _lead(ctx: FieldContext, kind: str, rng: random.Random) -> CycloNumber:
+    if kind == "minus_one":
+        return -ctx.one
+    if ctx.degree == 1:
+        return ctx.from_rational(Fraction(2, 3))
+    while True:
+        c = _scalar(ctx, rng)
+        if not c.is_rational():
+            return c
+
+
+def _laurent(ctx: FieldContext, rng: random.Random, span: int, lead: CycloNumber | None = None) -> LaurentPoly:
+    coeffs = [_scalar(ctx, rng) for _ in range(span + 1)]
+    while not coeffs[-1]:
+        coeffs[-1] = _scalar(ctx, rng)
+    if lead is not None:
+        coeffs[-1] = lead
+    return LaurentPoly(ctx, coeffs, rng.randint(-2, 2))
+
+
+def _laurent_expr(p: LaurentPoly):
+    if p.is_zero():
+        return sympy.Integer(0)
+    return sum(_expr(p.coefficient(e)) * T**e for e in range(p.low, p.high + 1))
+
+
+def _laurent_coords(expr, n: int) -> dict[int, tuple[Fraction, ...]]:
+    """{exponent of t: power-basis coordinates} of a Laurent expression in t
+    and z, zero coefficients left out."""
+    shift = 64
+    # Division by the monic Phi_n in the main variable z, coefficients in Q[t].
+    modulus = sympy.Poly(sympy.cyclotomic_poly(n, Z), Z, T, domain="QQ")
+    rem = sympy.Poly(sympy.expand(expr * T**shift), Z, T, domain="QQ").rem(modulus)
+    out: dict[int, list[Fraction]] = {}
+    for (j, d), c in rem.terms():
+        out.setdefault(d - shift, [Fraction(0)] * (modulus.degree(Z)))[j] = Fraction(str(c))
+    return {d: tuple(c) for d, c in out.items()}
+
+
+def _engine_coords(p: LaurentPoly) -> dict[int, tuple[Fraction, ...]]:
+    if p.is_zero():
+        return {}
+    return {e: p.coefficient(e).coords for e in range(p.low, p.high + 1) if p.coefficient(e)}
+
+
+def _from_expr(ctx: FieldContext, expr) -> LaurentPoly:
+    """An engine polynomial with the coefficients sympy computed."""
+    coords = _laurent_coords(expr, ctx.conductor)
+    if not coords:
+        return LaurentPoly.zero(ctx)
+    low = min(coords)
+    coeffs = []
+    for e in range(low, max(coords) + 1):
+        c = coords.get(e, (Fraction(0),) * ctx.degree)
+        den = math.lcm(*(x.denominator for x in c))
+        coeffs.append(CycloNumber(ctx, [int(x * den) for x in c], den))
+    return LaurentPoly(ctx, coeffs, low)
+
+
+@pytest.mark.parametrize("n", LAURENT_CONDUCTORS)
+def test_laurent_product_and_difference_match_sympy(n):
+    ctx = FieldContext(n)
+    rng = random.Random(f"laurent-mul-{n}")
+    for _ in range(4):
+        a = _laurent(ctx, rng, rng.randint(0, 4))
+        b = _laurent(ctx, rng, rng.randint(0, 4))
+        assert _engine_coords(a * b) == _laurent_coords(_laurent_expr(a) * _laurent_expr(b), n), (a, b)
+        assert _engine_coords(a - b) == _laurent_coords(_laurent_expr(a) - _laurent_expr(b), n), (a, b)
+        assert (a - a).is_zero()
+
+
+@pytest.mark.parametrize("lead", LEADS)
+@pytest.mark.parametrize("n", LAURENT_CONDUCTORS)
+def test_laurent_divmod_matches_sympy(n, lead):
+    ctx = FieldContext(n)
+    rng = random.Random(f"laurent-divmod-{n}-{lead}")
+    for _ in range(4):
+        a = _laurent(ctx, rng, rng.randint(0, 6))
+        b = _laurent(ctx, rng, rng.randint(0, 3), _lead(ctx, lead, rng))
+        q, r = divmod(a, b)
+        assert r.is_zero() or r.span < b.span, (a, b, r)
+        expected = _laurent_coords(_laurent_expr(a), n)
+        assert _laurent_coords(_laurent_expr(q) * _laurent_expr(b) + _laurent_expr(r), n) == expected, (a, b)
+
+
+@pytest.mark.parametrize("lead", LEADS)
+@pytest.mark.parametrize("n", LAURENT_CONDUCTORS)
+def test_laurent_exact_div_matches_sympy(n, lead):
+    ctx = FieldContext(n)
+    rng = random.Random(f"laurent-exact-{n}-{lead}")
+    for _ in range(4):
+        b = _laurent(ctx, rng, rng.randint(0, 3), _lead(ctx, lead, rng))
+        c = _laurent(ctx, rng, rng.randint(0, 4))
+        a = _from_expr(ctx, _laurent_expr(b) * _laurent_expr(c))
+        assert _engine_coords(a.exact_div(b)) == _laurent_coords(_laurent_expr(c), n), (b, c)
+        assert _engine_coords(a.exact_div(c)) == _laurent_coords(_laurent_expr(b), n), (b, c)
+
+
+@pytest.mark.parametrize("lead", LEADS)
+@pytest.mark.parametrize("n", LAURENT_CONDUCTORS)
+def test_laurent_normalize_matches_sympy(n, lead):
+    ctx = FieldContext(n)
+    rng = random.Random(f"laurent-normalize-{n}-{lead}")
+    for _ in range(4):
+        lc = _lead(ctx, lead, rng)
+        p = _laurent(ctx, rng, rng.randint(0, 4), lc)
+        m = p.normalize()
+        assert m.low == 0 and m.leading_coefficient() == ctx.one, p
+        # p = lead * t^low * normalize(p)
+        unit = _expr(lc) * T**p.low
+        assert _laurent_coords(_laurent_expr(m) * unit, n) == _laurent_coords(_laurent_expr(p), n), p
+
+
+@pytest.mark.parametrize("lead", LEADS)
+@pytest.mark.parametrize("n", LAURENT_CONDUCTORS)
+def test_laurent_gcd_matches_sympy(n, lead):
+    # a = g * u, b = g * v with u, v products of t - c over disjoint sets of
+    # roots c, so gcd(a, b) is g up to a unit.
+    ctx = FieldContext(n)
+    rng = random.Random(f"laurent-gcd-{n}-{lead}")
+    roots = [ctx.from_rational(k) for k in (1, -1, 2, Fraction(1, 2), 3)] + [ctx.zeta(k) for k in range(1, 4)]
+    roots = list(dict.fromkeys(roots))
+    for _ in range(3):
+        rng.shuffle(roots)
+        g = _laurent(ctx, rng, rng.randint(0, 3), _lead(ctx, lead, rng))
+        u = sympy.Mul(*(T - _expr(c) for c in roots[:2])) * T ** rng.randint(-2, 2)
+        v = sympy.Mul(*(T - _expr(c) for c in roots[2:4])) * _expr(_lead(ctx, lead, rng))
+        a = _from_expr(ctx, _laurent_expr(g) * u)
+        b = _from_expr(ctx, _laurent_expr(g) * v)
+        d = laurent_gcd(a, b)
+        assert d.low == 0 and d.leading_coefficient() == ctx.one, (a, b)
+        unit = _expr(g.leading_coefficient()) * T**g.low
+        assert _laurent_coords(_laurent_expr(d) * unit, n) == _laurent_coords(_laurent_expr(g), n), (a, b)
+
+
+@pytest.mark.parametrize("n", LAURENT_CONDUCTORS)
+def test_laurent_determinant_matches_sympy(n):
+    # Bareiss divides exactly by the previous pivot at every step.
+    ctx = FieldContext(n)
+    rng = random.Random(f"laurent-det-{n}")
+    size = 3
+    m = LaurentMatrix(ctx, [[_laurent(ctx, rng, rng.randint(0, 2)) for _ in range(size)] for _ in range(size)])
+    expr = 0
+    for perm in permutations(range(size)):
+        sign = (-1) ** sum(1 for i in range(size) for j in range(i) if perm[j] > perm[i])
+        expr += sign * sympy.Mul(*(_laurent_expr(m[i, perm[i]]) for i in range(size)))
+    assert _engine_coords(m.determinant()) == _laurent_coords(expr, n)

@@ -1,8 +1,10 @@
 """How often a job runs its expensive passes: validation, the Wada minors,
-specialization and the Fox Jacobian."""
+specialization and the Fox Jacobian; and how often the polynomial layer
+builds or inverts field elements."""
 
 from __future__ import annotations
 
+import random
 import sys
 from pathlib import Path
 
@@ -10,9 +12,9 @@ import pytest
 
 from twistalex.homology import build_complex, specialize_homology, wada_ratio
 from twistalex.jobs import parse_job, run_job
-from twistalex.laurent import LaurentMatrix
+from twistalex.laurent import LaurentMatrix, LaurentPoly
 from twistalex.presentations import Augmentation, Presentation, Representation, Word, fox_derivative, validate
-from twistalex.scalars import FieldContext, Matrix, ScalarMatrix
+from twistalex.scalars import CycloNumber, FieldContext, Matrix, ScalarMatrix
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_jobs"
 
@@ -139,3 +141,76 @@ def test_build_complex_makes_a_linear_number_of_matrix_products(monkeypatch):
     assert at_500[ScalarMatrix] >= 1000
     for cls in (ScalarMatrix, LaurentMatrix):
         assert at_1000[cls] <= 2 * at_500[cls] + 10, cls
+
+
+def _count_method(monkeypatch, cls, name):
+    """Count calls to a method, through a wrapper set on its class."""
+    original = getattr(cls, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def _random_poly(ctx, rng, span, lead=None):
+    coeffs = [
+        CycloNumber(ctx, [rng.randint(-3, 3) for _ in range(ctx.degree)], rng.choice((1, 2, 3)))
+        for _ in range(span + 1)
+    ]
+    coeffs[-1] = lead if lead is not None else coeffs[-1] + ctx.zeta(1)
+    return LaurentPoly(ctx, coeffs, rng.randint(-2, 2))
+
+
+def test_polynomial_products_and_monic_divisions_build_no_field_elements(monkeypatch):
+    # Integer rows all the way: no CycloNumber is constructed inside a
+    # product, nor inside a division by a monic divisor.
+    ctx = FieldContext(12)
+    rng = random.Random(12)
+    pairs = [(_random_poly(ctx, rng, 5), _random_poly(ctx, rng, 5)) for _ in range(5)]
+    monic = [(_random_poly(ctx, rng, 6), _random_poly(ctx, rng, 2, ctx.one)) for _ in range(5)]
+    built = _count_method(monkeypatch, CycloNumber, "__init__")
+    for a, b in pairs:
+        a * b
+    assert built == []
+    for a, b in monic:
+        q, r = divmod(a, b)
+        assert q * b + r == a
+    assert built == []
+
+
+def _hopf4_boundaries():
+    spec = parse_job((SAMPLES / "hopf4_twisted_z12.job").read_text(encoding="utf-8"))
+    ctx = spec.context()
+    complex_ = build_complex(spec.presentation(), spec.augmentation(), spec.representation(ctx))
+    snf1 = complex_.boundary1.smith_normal_form()
+    w = snf1.Vinv * complex_.boundary2
+    return complex_.boundary1, w.submatrix(range(snf1.rank, w.rows), range(w.cols))
+
+
+@pytest.mark.parametrize("which", ["d1", "Y"])
+def test_smith_form_inverts_at_most_once_per_corner_entry(monkeypatch, which):
+    # An entry enters the corner when a pivot is chosen (once per divisor)
+    # or when a division by the corner leaves a nonzero remainder, so these
+    # bound the entries.  Each entry is made monic with at most one inverse,
+    # and the divisions by the monic corner invert nothing.
+    matrix = dict(zip(("d1", "Y"), _hopf4_boundaries()))[which]
+    inverses = _count_method(monkeypatch, CycloNumber, "inverse")
+    divide = LaurentPoly.__divmod__
+    remainders, inside = [], []
+
+    def counted_divmod(a, b):
+        before = len(inverses)
+        q, r = divide(a, b)
+        remainders.append(bool(r))
+        inside.append(len(inverses) - before)
+        return q, r
+
+    monkeypatch.setattr(LaurentPoly, "__divmod__", counted_divmod)
+    snf = matrix.smith_normal_form()
+    assert snf.rank > 0 and remainders
+    assert sum(inside) == 0
+    assert len(inverses) <= snf.rank + sum(remainders)

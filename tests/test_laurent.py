@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -300,3 +301,22 @@ def test_arithmetic_results_are_trimmed_like_the_public_constructor():
     assert a - b == _poly(ctx, [0, 1, 1 - z], -2)
     assert (a - b).low == -1
     assert a * b == _poly(ctx, [z * z, z, -z * z - z, -1, z], -4)
+
+
+def test_equal_scalars_and_constant_polynomials_hash_alike():
+    # Equal objects must hash equal, or set and dict lookups miss them.
+    for n in (1, 12):
+        ctx = FieldContext(n)
+        z = ctx.zeta(1)
+        for value in (1, 0, -3, Fraction(2, 3)):
+            poly = LaurentPoly.from_scalar(ctx, value)
+            scalar = ctx.from_rational(value)
+            assert poly == value and scalar == value and poly == scalar
+            assert hash(poly) == hash(value) == hash(scalar)
+            assert value in {poly} and value in {scalar} and scalar in {poly}
+            assert {poly: "p"}[value] == "p" and {value: "v"}[scalar] == "v"
+        const = LaurentPoly.from_scalar(ctx, z + Fraction(1, 2))
+        assert const == z + Fraction(1, 2) and hash(const) == hash(z + Fraction(1, 2))
+    ctx = FieldContext(12)
+    assert 1 in {LaurentPoly.one(ctx)}
+    assert FieldContext(12).one in {1}
