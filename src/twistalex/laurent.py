@@ -3,7 +3,8 @@
 F[t, t^-1] over a field F is a principal ideal domain whose units are the
 monomials c*t^k.  Everything an order computation needs lives here: canonical
 unit normalization, Euclidean division by degree span, GCDs, determinants,
-minor GCDs, and Smith normal form with unimodular transform certificates.
+minor GCDs, and Smith normal form, with unimodular transform certificates
+when a caller asks for them.
 
 A polynomial keeps its coefficients as integer power-basis rows over one
 denominator (Cohen, A Course in Computational Algebraic Number Theory,
@@ -634,7 +635,8 @@ class ModuleShape:
 
 class SmithNormalForm:
     """U * M * V = diag(divisors) with unimodular U, V; Vinv = V^-1 is tracked
-    so kernels can be read off without solving."""
+    so kernels can be read off without solving.  U, V and Vinv are None for a
+    form computed without certificates."""
 
     __slots__ = ("matrix", "divisors", "rank", "U", "V", "Vinv")
 
@@ -710,7 +712,10 @@ class LaurentMatrix(Matrix):
 
     def determinant(self) -> LaurentPoly:
         """Bareiss fraction-free elimination; every division is exact over the
-        integral domain."""
+        integral domain.  The previous pivot p divides every entry of a step,
+        so it is made monic once per step, p = m / u with u the unit of
+        p.normalize(): each entry is divided by the monic m, which needs no
+        field inverse, and the quotient is scaled by u."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         n = self.rows
@@ -718,7 +723,7 @@ class LaurentMatrix(Matrix):
             return LaurentPoly.one(self.context)
         work = [list(row) for row in self.entries]
         sign = 1
-        prev = LaurentPoly.one(self.context)
+        prev = None  # the pivot of the previous step; 1 before the first
         for k in range(n - 1):
             pivot_row = None
             best = None
@@ -734,12 +739,15 @@ class LaurentMatrix(Matrix):
             if pivot_row != k:
                 work[k], work[pivot_row] = work[pivot_row], work[k]
                 sign = -sign
+            if prev is not None:
+                unit = prev._normalizer()
+                monic = unit * prev
             pk = work[k][k]
             for i in range(k + 1, n):
                 rik = work[i][k]
                 for j in range(k + 1, n):
                     num = work[i][j] * pk - rik * work[k][j]
-                    work[i][j] = num.exact_div(prev)
+                    work[i][j] = num if prev is None else num.exact_div(monic) * unit
                 work[i][k] = LaurentPoly.zero(self.context)
             prev = pk
         det = work[n - 1][n - 1]
@@ -774,7 +782,7 @@ class LaurentMatrix(Matrix):
     def substitute_power(self, n: int) -> LaurentMatrix:
         return self._map(lambda e: e.substitute_power(n))
 
-    def smith_normal_form(self) -> SmithNormalForm:
+    def smith_normal_form(self, certificates: bool = True) -> SmithNormalForm:
         """Diagonalize by elementary row/column operations over F[t, t^-1].
 
         The pivot is always a nonzero entry of minimal degree span (ties by
@@ -784,33 +792,40 @@ class LaurentMatrix(Matrix):
         exponent 0), a unit row operation that only U records; every division
         by the corner is then by a monic divisor and needs no field inverse,
         and the corners are the normalized divisors d_1 | d_2 | ... when the
-        loop ends.  Returns them with unimodular U, V such that U*M*V is
-        diagonal, and Vinv = V^-1.
+        loop ends.  With certificates (the default) it returns them with
+        unimodular U, V such that U*M*V is diagonal, and Vinv = V^-1.  With
+        certificates=False the same loop skips every update of U, V and Vinv
+        and returns None for all three: the divisors and the rank, which are
+        all a homology computation reads, come out the same.
         """
         ctx = self.context
         m, n = self.rows, self.cols
         A = [list(row) for row in self.entries]
-        U, V, Vinv = ([list(row) for row in LaurentMatrix.identity(ctx, k).entries] for k in (m, n, n))
+        if certificates:
+            U, V, Vinv = ([list(row) for row in LaurentMatrix.identity(ctx, k).entries] for k in (m, n, n))
 
         def swap_rows(i, j):
             if i != j:
                 A[i], A[j] = A[j], A[i]
-                U[i], U[j] = U[j], U[i]
+                if certificates:
+                    U[i], U[j] = U[j], U[i]
 
         def swap_cols(i, j):
             if i != j:
                 for row in A:
                     row[i], row[j] = row[j], row[i]
-                for row in V:
-                    row[i], row[j] = row[j], row[i]
-                Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+                if certificates:
+                    for row in V:
+                        row[i], row[j] = row[j], row[i]
+                    Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
         def add_row(dst, src, factor):
             # row_dst += factor * row_src; U tracks the same operation.
             if factor.is_zero():
                 return
-            A[dst] = [a + factor * b for a, b in zip(A[dst], A[src])]
-            U[dst] = [a + factor * b for a, b in zip(U[dst], U[src])]
+            A[dst] = [a + factor * b if b else a for a, b in zip(A[dst], A[src])]
+            if certificates:
+                U[dst] = [a + factor * b for a, b in zip(U[dst], U[src])]
 
         def add_col(dst, src, factor):
             # col_dst += factor * col_src; V tracks it, Vinv tracks the inverse
@@ -818,10 +833,12 @@ class LaurentMatrix(Matrix):
             if factor.is_zero():
                 return
             for row in A:
-                row[dst] = row[dst] + factor * row[src]
-            for row in V:
-                row[dst] = row[dst] + factor * row[src]
-            Vinv[src] = [a - factor * b for a, b in zip(Vinv[src], Vinv[dst])]
+                if row[src]:
+                    row[dst] = row[dst] + factor * row[src]
+            if certificates:
+                for row in V:
+                    row[dst] = row[dst] + factor * row[src]
+                Vinv[src] = [a - factor * b for a, b in zip(Vinv[src], Vinv[dst])]
 
         def enter_corner(i, j):
             # Move entry (i, j) into the corner and scale its row monic.
@@ -830,8 +847,9 @@ class LaurentMatrix(Matrix):
             d = A[corner][corner]
             if not d._is_normal():
                 unit = d._normalizer()
-                A[corner] = [unit * a for a in A[corner]]
-                U[corner] = [unit * a for a in U[corner]]
+                A[corner] = [unit * a if a else a for a in A[corner]]
+                if certificates:
+                    U[corner] = [unit * a for a in U[corner]]
 
         corner = 0
         limit = min(m, n)
@@ -898,11 +916,8 @@ class LaurentMatrix(Matrix):
                 add_row(corner, offender, LaurentPoly.one(ctx))
             corner += 1
 
-        return SmithNormalForm(
-            self,
-            tuple(A[i][i] for i in range(corner)),
-            corner,
-            LaurentMatrix._make(ctx, U),
-            LaurentMatrix._make(ctx, V),
-            LaurentMatrix._make(ctx, Vinv),
-        )
+        divisors = tuple(A[i][i] for i in range(corner))
+        if not certificates:
+            return SmithNormalForm(self, divisors, corner, None, None, None)
+        U, V, Vinv = (LaurentMatrix._make(ctx, X) for X in (U, V, Vinv))
+        return SmithNormalForm(self, divisors, corner, U, V, Vinv)

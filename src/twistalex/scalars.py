@@ -9,13 +9,19 @@ The Galois maps z -> z^k (k a unit mod n), complex conjugation (k = -1) and
 the embedding Q(zeta_m) -> Q(zeta_N) (z -> w^(N/m)) are one substitution of
 powers through the integer power table.  Inversion uses them through the
 norm: with c the product of sigma_k(a) over the units k != 1 mod n, a * c =
-N(a) is rational, so a^-1 = c / N(a).
+N(a) is rational, so a^-1 = c / N(a).  The context computes products,
+substitutions and that cofactor c on integer rows of Z[z]
+(FieldContext._product, _substitute, _cofactor); CycloNumber wraps them.
 
 Matrix is the one dense matrix type of the package: storage, construction,
 sums, products, transposes, embeddings and comparisons for any ring of the
-context.  ScalarMatrix is its field case; it adds only the coercion of
-entries into the field and Gauss-Jordan elimination (rank, det, inverse).
-LaurentMatrix (in laurent.py) is its F[t, t^-1] case.
+context.  ScalarMatrix is its field case; it adds the coercion of entries
+into the field and elimination.  rank and det run one Bareiss
+(fraction-free) elimination on the integral rows of the matrix, where the
+exact division by the previous pivot p is a product with the cofactor of p
+and an integer division by N(p); neither inverts a field element.  inverse
+is Gauss-Jordan on [M | Id].  LaurentMatrix (in laurent.py) is the
+F[t, t^-1] case.
 """
 
 from __future__ import annotations
@@ -182,6 +188,61 @@ class FieldContext:
         nums = self._powers[power % self.conductor]
         return CycloNumber(self, nums, 1, _normalized=True)
 
+    # Elements of Z[z] as integer power-basis rows: the arithmetic that
+    # CycloNumber and the fraction-free elimination of ScalarMatrix share.
+
+    def _product(self, a, b) -> list[int]:
+        """The row of a * b: a convolution followed by the reduction of the
+        exponents >= phi(n) through the integer power table."""
+        deg = self.degree
+        if deg == 1:
+            return [a[0] * b[0]]
+        conv = [0] * (2 * deg - 1)
+        for i, ai in enumerate(a):
+            if ai == 0:
+                continue
+            for j, bj in enumerate(b):
+                if bj:
+                    conv[i + j] += ai * bj
+        out = conv[:deg]
+        for c, table in zip(conv[deg:], self._fold):
+            if c:
+                for j, r in table:
+                    out[j] += c * r
+        return out
+
+    def _substitute(self, nums, k: int) -> list[int]:
+        """The row of sum_j c_j w^(j k), w the root of unity of this context,
+        for the coefficients c_j of nums (w^conductor = 1)."""
+        out = [0] * self.degree
+        powers = self._powers
+        n = self.conductor
+        for j, c in enumerate(nums):
+            if c:
+                for i, r in enumerate(powers[j * k % n]):
+                    if r:
+                        out[i] += c * r
+        return out
+
+    def _cofactor(self, a) -> tuple[list[int], int]:
+        """(c, N) for a nonzero row a of Z[z]: c in Z[z] with a * c = N, a
+        nonzero integer.  For non-rational a, c is the product of the
+        conjugates sigma_k(a) over the units k != 1 mod n and N is the norm of
+        a (Cohen, A Course in Computational Algebraic Number Theory, 4.3); a
+        rational a is its own N, with c = 1."""
+        if not any(a[1:]):
+            return [1] + [0] * (self.degree - 1), a[0]
+        n = self.conductor
+        c = None
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                s = self._substitute(a, k)
+                c = s if c is None else self._product(c, s)
+        norm = self._product(a, c)
+        if any(norm[1:]):
+            raise AssertionError("a times its other conjugates must be rational")
+        return c, norm[0]
+
     def __repr__(self) -> str:
         if self.conductor == 1:
             return "FieldContext(rational)"
@@ -288,51 +349,18 @@ class CycloNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ctx = self.context
-        deg = ctx.degree
-        a, b = self.nums, o.nums
-        if deg == 1:
-            return CycloNumber(ctx, (a[0] * b[0],), self.den * o.den)
-        # Convolution followed by reduction of exponents >= deg via the
-        # integer power table.
-        conv = [0] * (2 * deg - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    conv[i + j] += ai * bj
-        out = conv[:deg]
-        for c, table in zip(conv[deg:], ctx._fold):
-            if c:
-                for j, r in table:
-                    out[j] += c * r
-        return CycloNumber(ctx, tuple(out), self.den * o.den)
+        return CycloNumber(self.context, self.context._product(self.nums, o.nums), self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> CycloNumber:
-        """Multiplicative inverse by the norm: a^-1 = c / N(a), where c is the
-        product of the conjugates sigma_k(a), k running over the units mod n
-        other than 1, and N(a) = a * c is rational (Cohen, A Course in
-        Computational Algebraic Number Theory, 4.3)."""
+        """Multiplicative inverse by the norm: with (c, N) the cofactor and
+        norm of the integral element den * a (FieldContext._cofactor),
+        a^-1 = den * c / N."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        ctx = self.context
-        if self.is_rational():
-            return ctx.from_rational(1 / Fraction(self.nums[0], self.den))
-        # Work with the integral element den * a, so c and the norm stay in
-        # Z[z]; then a^-1 = den * c / N(den * a).
-        a = CycloNumber(ctx, self.nums, 1, _normalized=True)
-        n = ctx.conductor
-        c = ctx.one
-        for k in range(2, n):
-            if math.gcd(k, n) == 1:
-                c = c * a._substitute(ctx, k)
-        norm = a * c
-        if not norm.is_rational():
-            raise AssertionError("a times its other conjugates must be rational")
-        return CycloNumber(ctx, tuple(x * self.den for x in c.nums), norm.nums[0])
+        c, norm = self.context._cofactor(self.nums)
+        return CycloNumber(self.context, [x * self.den for x in c], norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -361,22 +389,9 @@ class CycloNumber:
             exponent >>= 1
         return result
 
-    def _substitute(self, target: FieldContext, k: int) -> CycloNumber:
-        # sum_j c_j z^j -> sum_j c_j w^(j k), w the root of unity of target,
-        # read off target's power table (w^target.conductor = 1).
-        out = [0] * target.degree
-        powers = target._powers
-        n = target.conductor
-        for j, c in enumerate(self.nums):
-            if c:
-                for i, r in enumerate(powers[j * k % n]):
-                    if r:
-                        out[i] += c * r
-        return CycloNumber(target, tuple(out), self.den)
-
     def conj(self) -> CycloNumber:
         """Complex conjugation: z maps to z^(n-1) = z^-1."""
-        return self._substitute(self.context, -1)
+        return CycloNumber(self.context, self.context._substitute(self.nums, -1), self.den)
 
     def multiplicative_order(self):
         """Order of self as a root of unity, or None if it is none.  The roots
@@ -441,7 +456,7 @@ def embed(value: CycloNumber, target: FieldContext) -> CycloNumber:
         raise ContextMismatchError(
             f"no canonical embedding of conductor {src.conductor} into {target.conductor}"
         )
-    return value._substitute(target, target.conductor // src.conductor)
+    return CycloNumber(target, target._substitute(value.nums, target.conductor // src.conductor), value.den)
 
 
 def parse_scalar(text: str, context: FieldContext) -> CycloNumber:
@@ -675,7 +690,8 @@ class Matrix:
 
 
 class ScalarMatrix(Matrix):
-    """A matrix over the context field, with Gauss-Jordan elimination."""
+    """A matrix over the context field: fraction-free rank and det, and a
+    Gauss-Jordan inverse."""
 
     __slots__ = ()
 
@@ -695,66 +711,97 @@ class ScalarMatrix(Matrix):
     def from_rows(cls, context: FieldContext, rows) -> ScalarMatrix:
         return cls(context, rows)
 
-    def _echelon(self, augment: ScalarMatrix | None = None):
-        # Gauss-Jordan over the field; returns the pivots in the order found
-        # (their count is the rank), the number of row swaps, and the augment
-        # rows carried through the same operations.
-        work = [list(row) for row in self.entries]
-        aug = [list(row) for row in augment.entries] if augment is not None else None
-        pivots = []
-        swaps = 0
+    def _fraction_free(self) -> tuple[int, list[int] | None, int]:
+        """Bareiss elimination on integral power-basis rows.
+
+        Each row is scaled once by the lcm of its denominators, so the
+        entries lie in Z[z].  The entries left after each step are minors of
+        the scaled matrix, so the division by the previous pivot p is exact
+        in Z[z]: v / p = v * c // N with (c, N) = FieldContext._cofactor(p),
+        computed once per step.  Columns without a pivot are skipped, so any
+        shape works.  Returns the rank, the last pivot (None at rank 0) and
+        the product of the row scales signed by the row swaps; for a square
+        matrix of full rank, the last pivot over that product is the
+        determinant."""
+        ctx = self.context
+        zero = [0] * ctx.degree
+        product = ctx._product
+        work = []
+        scale = 1
+        for row in self.entries:
+            den = lcm(e.den for e in row)
+            scale *= den
+            work.append([e.nums if e.den == den else [x * (den // e.den) for x in e.nums] for e in row])
         rank = 0
+        pivot = None
         for col in range(self.cols):
-            pivot = None
-            for i in range(rank, self.rows):
-                if work[i][col]:
-                    pivot = i
-                    break
-            if pivot is None:
+            found = next((i for i in range(rank, self.rows) if any(work[i][col])), None)
+            if found is None:
                 continue
-            if pivot != rank:
-                swaps += 1
-                work[rank], work[pivot] = work[pivot], work[rank]
-                if aug is not None:
-                    aug[rank], aug[pivot] = aug[pivot], aug[rank]
+            if found != rank:
+                work[rank], work[found] = work[found], work[rank]
+                scale = -scale
             top = work[rank]
-            pivots.append(top[col])
-            inv = top[col].inverse()
-            # The pivot row is zero left of col, so row operations start at
-            # col; zero entries are skipped since they leave values unchanged.
-            top[col:] = tail = [e * inv if e else e for e in top[col:]]
-            if aug is not None:
-                aug[rank] = [e * inv if e else e for e in aug[rank]]
-            for i in range(self.rows):
-                if i != rank and work[i][col]:
-                    f = work[i][col]
-                    work[i][col:] = [a - f * b if b else a for a, b in zip(work[i][col:], tail)]
-                    if aug is not None:
-                        aug[i] = [a - f * b if b else a for a, b in zip(aug[i], aug[rank])]
+            prev, pivot = pivot, top[col]
             rank += 1
             if rank == self.rows:
                 break
-        return pivots, swaps, aug
+            # The division by the previous pivot: a product with its cofactor
+            # (none when it is rational), then an integer division by N.
+            cofactor, norm = None, 1
+            if prev is not None:
+                cofactor, norm = ctx._cofactor(prev)
+                if not any(prev[1:]):
+                    cofactor = None
+            for row in work[rank:]:
+                f = row[col]
+                out = []
+                for a, b in zip(row[col + 1 :], top[col + 1 :]):
+                    v = product(a, pivot) if any(a) else zero
+                    if any(f) and any(b):
+                        v = [x - y for x, y in zip(v, product(f, b))]
+                    if cofactor is not None and any(v):
+                        v = product(v, cofactor)
+                    out.append([x // norm for x in v] if norm != 1 else v)
+                row[col:] = [zero] + out
+        return rank, pivot, scale
 
     def rank(self) -> int:
-        return len(self._echelon()[0])
+        return self._fraction_free()[0]
 
     def det(self) -> CycloNumber:
-        """Signed product of the Gauss-Jordan pivots; zero below full rank."""
+        """The last Bareiss pivot over the product of the row scales; zero
+        below full rank."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        pivots, swaps, _ = self._echelon()
-        if len(pivots) < self.rows:
+        if self.rows == 0:
+            return self.context.one
+        rank, pivot, scale = self._fraction_free()
+        if rank < self.rows:
             return self.context.zero
-        det = -self.context.one if swaps % 2 else self.context.one
-        for p in pivots:
-            det = det * p
-        return det
+        return CycloNumber(self.context, pivot, scale)
 
     def inverse(self) -> ScalarMatrix:
+        """Gauss-Jordan on [self | Id]: the right half ends as the inverse."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        pivots, _, aug = self._echelon(ScalarMatrix.identity(self.context, self.rows))
-        if len(pivots) != self.rows:
-            raise ZeroDivisionError("matrix is singular")
+        n = self.rows
+        work = [list(row) for row in self.entries]
+        aug = [list(row) for row in ScalarMatrix.identity(self.context, n).entries]
+        for col in range(n):
+            pivot = next((i for i in range(col, n) if work[i][col]), None)
+            if pivot is None:
+                raise ZeroDivisionError("matrix is singular")
+            work[col], work[pivot] = work[pivot], work[col]
+            aug[col], aug[pivot] = aug[pivot], aug[col]
+            inv = work[col][col].inverse()
+            # The pivot row is zero left of col, so row operations start at
+            # col; zero entries are skipped since they leave values unchanged.
+            work[col][col:] = tail = [e * inv if e else e for e in work[col][col:]]
+            aug[col] = top = [e * inv if e else e for e in aug[col]]
+            for i in range(n):
+                if i != col and work[i][col]:
+                    f = work[i][col]
+                    work[i][col:] = [a - f * b if b else a for a, b in zip(work[i][col:], tail)]
+                    aug[i] = [a - f * b if b else a for a, b in zip(aug[i], top)]
         return ScalarMatrix._make(self.context, aug)

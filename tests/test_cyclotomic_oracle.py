@@ -2,13 +2,15 @@
 power basis: inverse, complex conjugation and the embedding into a larger
 cyclotomic field; and Laurent polynomials over Q(zeta_n): products,
 differences, division with remainder, exact division, normalization, gcds
-and Bareiss determinants."""
+and Bareiss determinants; and the rank and determinant of scalar matrices
+against sympy's matrices over the algebraic field Q(zeta_n)."""
 
 from __future__ import annotations
 
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 
 import pytest
@@ -16,7 +18,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from twistalex.laurent import LaurentMatrix, LaurentPoly, laurent_gcd  # noqa: E402
-from twistalex.scalars import CycloNumber, FieldContext, embed  # noqa: E402
+from twistalex.scalars import CycloNumber, FieldContext, ScalarMatrix, embed  # noqa: E402
 
 Z = sympy.Symbol("z")
 T = sympy.Symbol("t")
@@ -255,3 +257,99 @@ def test_laurent_determinant_matches_sympy(n):
         sign = (-1) ** sum(1 for i in range(size) for j in range(i) if perm[j] > perm[i])
         expr += sign * sympy.Mul(*(_laurent_expr(m[i, perm[i]]) for i in range(size)))
     assert _engine_coords(m.determinant()) == _laurent_coords(expr, n)
+
+
+# Scalar matrices over Q(zeta_n): rank and determinant against sympy's
+# DomainMatrix over the algebraic field generated by exp(2 pi i / n), whose
+# minimal polynomial is Phi_n, so its elements are power-basis rows too.
+
+SCALAR_SHAPES = ((1, 1), (3, 3), (4, 4), (2, 5), (5, 3))
+
+
+@lru_cache(maxsize=None)
+def _sympy_field(n: int):
+    if n <= 2:
+        return sympy.QQ
+    field = sympy.QQ.algebraic_field(sympy.exp(2 * sympy.pi * sympy.I / n))
+    assert [int(c) for c in reversed(field.mod.to_list())] == list(FieldContext(n).modulus)
+    return field
+
+
+def _sympy_scalar(field, a: CycloNumber):
+    coords = [sympy.QQ(c.numerator, c.denominator) for c in a.coords]
+    return coords[0] if field is sympy.QQ else field(list(reversed(coords)))
+
+
+def _sympy_matrix(m: ScalarMatrix):
+    from sympy.polys.matrices import DomainMatrix
+
+    field = _sympy_field(m.context.conductor)
+    rows = [[_sympy_scalar(field, e) for e in row] for row in m.entries]
+    return field, DomainMatrix(rows, (m.rows, m.cols), field)
+
+
+def _sympy_coords(field, value, degree: int) -> tuple[Fraction, ...]:
+    coords = [value] if field is sympy.QQ else list(reversed(value.to_list()))
+    coords += [0] * (degree - len(coords))
+    return tuple(Fraction(int(c.numerator), int(c.denominator)) if c else Fraction(0) for c in coords)
+
+
+def _scalar_matrices(n: int) -> list[tuple[str, ScalarMatrix]]:
+    """Seeded matrices of every shape: dense, of rank 1 and 2 (a product of
+    two thin factors), and with a zero row and a zero column; entries have
+    denominators 1, 2 and 3."""
+    ctx = FieldContext(n)
+    rng = random.Random(f"scalar-matrix-{n}")
+
+    def entry():
+        return CycloNumber(ctx, [rng.randint(-3, 3) for _ in range(ctx.degree)], rng.choice((1, 2, 3)))
+
+    def dense(rows, cols):
+        return ScalarMatrix(ctx, [[entry() for _ in range(cols)] for _ in range(rows)])
+
+    out = []
+    for rows, cols in SCALAR_SHAPES:
+        out.append((f"dense {rows}x{cols}", dense(rows, cols)))
+        for k in (1, 2):
+            if k < min(rows, cols):
+                out.append((f"rank<={k} {rows}x{cols}", dense(rows, k) * dense(k, cols)))
+        if min(rows, cols) > 1:
+            m = [list(row) for row in dense(rows, cols).entries]
+            m[rng.randrange(rows)] = [ctx.zero] * cols
+            j = rng.randrange(cols)
+            for row in m:
+                row[j] = ctx.zero
+            out.append((f"zero row and column {rows}x{cols}", ScalarMatrix(ctx, m)))
+    return out
+
+
+@pytest.mark.parametrize("n", LAURENT_CONDUCTORS)
+def test_scalar_rank_and_det_match_sympy(n):
+    ctx = FieldContext(n)
+    for label, m in _scalar_matrices(n):
+        field, expected = _sympy_matrix(m)
+        assert m.rank() == expected.rank(), label
+        if m.rows == m.cols:
+            assert m.det().coords == _sympy_coords(field, expected.det(), ctx.degree), label
+        else:
+            with pytest.raises(ValueError):
+                m.det()
+
+
+def test_dense_20x20_over_q_zeta_5():
+    # Too large for a quick sympy oracle: det(M) det(M^-1) = 1, and a row
+    # replaced by the sum of two others drops the rank to 19.
+    ctx = FieldContext(5)
+    rng = random.Random("dense-20")
+    size = 20
+    rows = [
+        [CycloNumber(ctx, [rng.randint(-3, 3) for _ in range(ctx.degree)], rng.choice((1, 2, 3))) for _ in range(size)]
+        for _ in range(size)
+    ]
+    m = ScalarMatrix(ctx, rows)
+    assert m.rank() == size
+    assert m.det() * m.inverse().det() == ctx.one
+    rows[7] = [a + b for a, b in zip(rows[3], rows[11])]
+    singular = ScalarMatrix(ctx, rows)
+    assert singular.rank() == size - 1
+    assert singular.det().is_zero()

@@ -1,6 +1,6 @@
 """How often a job runs its expensive passes: validation, the Wada minors,
-specialization and the Fox Jacobian; and how often the polynomial layer
-builds or inverts field elements."""
+specialization and the Fox Jacobian; and how often the polynomial and
+scalar-matrix layers build or invert field elements."""
 
 from __future__ import annotations
 
@@ -214,3 +214,65 @@ def test_smith_form_inverts_at_most_once_per_corner_entry(monkeypatch, which):
     assert snf.rank > 0 and remainders
     assert sum(inside) == 0
     assert len(inverses) <= snf.rank + sum(remainders)
+
+
+HOPF4_RANK2_JOB = """
+field cyclotomic 12
+builder hopf d=4
+eps x0=4 x1=1 x2=1 x3=1
+rho x0 = [[z, 0], [0, z]]
+rho x1 = [[1, z], [z^2, 2]]
+rho x2 = [[z^3, 1], [0, 1]]
+rho x3 = [[1, 0], [z, z^5]]
+analyze delta wada
+"""
+
+
+@pytest.mark.parametrize(
+    "text",
+    [(SAMPLES / "hopf4_twisted_z12.job").read_text(encoding="utf-8"), HOPF4_RANK2_JOB],
+    ids=["hopf4_twisted_z12", "hopf4_rank2"],
+)
+def test_bareiss_determinant_inverts_at_most_once_per_step(monkeypatch, text):
+    # Every entry of a Bareiss step is divided by the same previous pivot,
+    # which is made monic once for the step, not once per division.  The
+    # rank-2 job's Wada minor is 6 x 6.
+    spec = parse_job(text)
+    ctx = spec.context()
+    complex_ = build_complex(spec.presentation(), spec.augmentation(), spec.representation(ctx))
+    inverses = _count_method(monkeypatch, CycloNumber, "inverse")
+    determinant = LaurentMatrix.determinant
+    per_call = []
+
+    def counted_determinant(self):
+        before = len(inverses)
+        det = determinant(self)
+        per_call.append((self.rows, len(inverses) - before))
+        return det
+
+    monkeypatch.setattr(LaurentMatrix, "determinant", counted_determinant)
+    wada_ratio(complex_)
+    assert per_call and max(n for n, _ in per_call) > 2
+    for n, count in per_call:
+        assert count <= n - 1, (n, count)
+
+
+@pytest.mark.parametrize("n", [1, 5, 12])
+def test_scalar_rank_and_det_invert_nothing(monkeypatch, n):
+    # Fraction-free elimination on integer rows: rank builds no field
+    # element, det builds only its result, and neither inverts.
+    ctx = FieldContext(n)
+    rng = random.Random(n)
+    rows = [
+        [CycloNumber(ctx, [rng.randint(-3, 3) for _ in range(ctx.degree)], rng.choice((1, 2, 3))) for _ in range(6)]
+        for _ in range(6)
+    ]
+    square = ScalarMatrix(ctx, rows)
+    wide = ScalarMatrix(ctx, rows[:4])
+    inverses = _count_method(monkeypatch, CycloNumber, "inverse")
+    built = _count_method(monkeypatch, CycloNumber, "__init__")
+    assert square.rank() == 6 and wide.rank() == 4
+    assert built == []
+    assert not square.det().is_zero()
+    assert len(built) == 1
+    assert inverses == []
