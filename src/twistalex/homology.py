@@ -11,7 +11,10 @@ derivative blocks Phi(d r_j / d x_i).  The blocks of one relator come from a
 single left-to-right pass over its letters (PhiMap.fox_row), which carries
 Phi(prefix) as a t-exponent and a scalar matrix, so a relator of length L
 costs L scalar r x r products; the symbolic fox_derivative is left to the
-oracles that check the engine.  Columns are chains: the block
+oracles that check the engine.  The pass ends on Phi(r) = t^eps(r) rho(r),
+which is the validity verdict of the relator: build_complex hands those ends
+to validate, so the letters are walked once here, not once for validation
+and once for d2.  Columns are chains: the block
 orientation is fixed by exactness, which forces the transpose of each block
 as it is usually displayed (rows of the Wada matrix are relators).  The
 composite d1 * d2 vanishes identically; build_complex checks that and treats
@@ -122,17 +125,27 @@ def build_complex(
 ) -> TwistedChainComplex:
     """Validate the triple, assemble both boundaries, and verify d1 d2 = 0.
 
+    The relators are walked once: the Fox pass of each relator gives its d2
+    blocks and ends on (eps(r), rho(r)), and validate reads the relator
+    verdicts from those ends instead of walking the letters again.  The pass
+    runs only when the counts agree and no rho(x) is singular; otherwise
+    validate judges the triple on its own, with the same failure texts.
     Invalid triples raise InvalidTripleError (bad input); a nonzero composite
     raises InternalInvariantError since the fundamental identity of Fox
     calculus makes it impossible for validated input.
     """
-    report = validate(presentation, eps, rho)
+    phi = PhiMap(eps, rho)
+    g = presentation.generator_count
+    # fox_rows[j][i] = Phi(d r_j / d x_i), placed transposed at (i, j).
+    fox_rows, images = [], None
+    if len(eps.values) == g == len(rho.matrices) and not rho.singular_generators():
+        images = []
+        fox_rows = [phi.fox_row(rel, images=images) for rel in presentation.relators]
+    report = validate(presentation, eps, rho, relator_images=images)
     if not report.ok:
         raise InvalidTripleError(report)
-    phi = PhiMap(eps, rho)
     ctx = rho.context
     r = rho.dimension
-    g = presentation.generator_count
     eye = LaurentMatrix.identity(ctx, r)
 
     d1_blocks = [[(phi.generator_image(i) - eye).transpose() for i in range(g)]]
@@ -141,8 +154,6 @@ def build_complex(
     if presentation.relator_count == 0:
         boundary2 = LaurentMatrix.zero(ctx, r * g, 0)
     else:
-        # fox_rows[j][i] = Phi(d r_j / d x_i), placed transposed at (i, j).
-        fox_rows = [phi.fox_row(rel) for rel in presentation.relators]
         d2_blocks = [[row[i].transpose() for row in fox_rows] for i in range(g)]
         boundary2 = LaurentMatrix.from_blocks(d2_blocks)
 

@@ -27,7 +27,16 @@ import operator
 from fractions import Fraction
 from itertools import chain
 
-from .scalars import ContextMismatchError, CycloNumber, FieldContext, Matrix, ScalarMatrix, embed as embed_scalar, lcm
+from .scalars import (
+    ContextMismatchError,
+    CycloNumber,
+    FieldContext,
+    Matrix,
+    ScalarMatrix,
+    _scalar_text,
+    embed as embed_scalar,
+    lcm,
+)
 
 __all__ = [
     "LaurentPoly",
@@ -89,9 +98,10 @@ class LaurentPoly:
     polynomial has no rows (low 0, den 1), and the content is reduced once
     per polynomial, gcd(den, every row entry) = 1; so == and hash compare
     fields.  Products are one integer convolution in t and z, sums align the
-    two denominators once, and division works on the rows too.  CycloNumber
-    objects appear only at the API boundary: coeffs, coefficient,
-    leading_coefficient, evaluate, bar, embed and the text form.
+    two denominators once, and division works on the rows too, as do
+    evaluate (up to its one result) and the text form.  CycloNumber objects
+    appear only at the API boundary: coeffs, coefficient,
+    leading_coefficient, the result of evaluate, bar and embed.
     """
 
     __slots__ = ("context", "low", "rows", "den")
@@ -318,6 +328,9 @@ class LaurentPoly:
         nb = len(o.rows)
         if len(self.rows) < nb:
             return LaurentPoly.zero(ctx), self
+        if nb == 1:
+            # A unit c * t^k divides exactly; its inverse is its normalizer.
+            return (self if o.is_one() else self * o._normalizer()), LaurentPoly.zero(ctx)
         inv = None
         if any(o.rows[-1][1:]):
             inv = o._normalizer()
@@ -411,16 +424,33 @@ class LaurentPoly:
         return LaurentPoly(self.context, [c.conj() for c in reversed(self.coeffs)], -self.high)
 
     def evaluate(self, value) -> CycloNumber:
-        """Specialize t to a nonzero scalar of the same context."""
+        """Specialize t to a nonzero scalar a = u / d of the same context, u
+        a row of Z[z].  Horner runs on the integer rows, homogenized in u and
+        d: sum_i rows[i] u^i d^(span - i).  t^low is u^low / d^low, or for
+        low < 0 (d c)^-low / N^-low with u c = N the cofactor of u.  Only the
+        result is a field element."""
         a = _coerce_scalar(self.context, value)
         if a.is_zero():
             raise ZeroDivisionError("cannot specialize t to 0 in a Laurent ring")
-        acc = self.context.zero
-        for c in reversed(self.coeffs):
-            acc = acc * a + c
-        if self.low:
-            acc = acc * a ** self.low
-        return acc
+        ctx = self.context
+        if not self.rows:
+            return ctx.zero
+        product = ctx._product
+        u, d = a.nums, a.den
+        acc, scale = self.rows[-1], 1
+        for row in reversed(self.rows[:-1]):
+            scale *= d
+            acc = [x + scale * y for x, y in zip(product(acc, u), row)]
+        den = self.den * scale
+        k = self.low
+        if k < 0:
+            cofactor, norm = ctx._cofactor(u)
+            u = [d * x for x in cofactor]
+            k, d = -k, norm
+        for _ in range(k):
+            acc = product(acc, u)
+            den *= d
+        return CycloNumber(ctx, acc, den)
 
     def embed(self, target: FieldContext) -> LaurentPoly:
         if target is self.context:
@@ -431,24 +461,17 @@ class LaurentPoly:
         if self.is_zero():
             return "0"
         parts: list[str] = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero():
+        for e, row in enumerate(self.rows, self.low):
+            if not any(row):
                 continue
-            e = self.low + i
-            cs = str(c)
-            negated = False
-            if cs.startswith("-") and "+" not in cs and " - " not in cs:
-                cs = cs[1:]
-                negated = True
-            composite = ("+" in cs) or (" - " in cs)
+            negated, cs, composite = _scalar_text(row, self.den)
+            if composite:
+                cs = f"({cs})"
             if e == 0:
-                body = f"({cs})" if composite else cs
+                body = cs
             else:
                 tpart = "t" if e == 1 else f"t^{e}"
-                if cs == "1" and not composite:
-                    body = tpart
-                else:
-                    body = (f"({cs})" if composite else cs) + "*" + tpart
+                body = tpart if cs == "1" else f"{cs}*{tpart}"
             parts.append(("-" if negated else "+", body))
         sign, body = parts[0]
         out = ("-" if sign == "-" else "") + body
@@ -902,6 +925,10 @@ class LaurentMatrix(Matrix):
                     continue
                 # Row and column are clear; enforce divisibility of the rest.
                 # The corner column is clear, so this leaves the corner as is.
+                # A corner entered monic is 1 when it is a unit, and 1 divides
+                # everything.
+                if A[corner][corner].is_one():
+                    break
                 offender = None
                 for i in range(corner + 1, m):
                     for j in range(corner + 1, n):

@@ -236,7 +236,7 @@ class Augmentation:
 class Representation:
     """An invertible matrix over the field context per generator."""
 
-    __slots__ = ("context", "dimension", "matrices", "_inverses")
+    __slots__ = ("context", "dimension", "matrices", "_inverses", "_singular")
 
     def __init__(self, context: FieldContext, matrices):
         self.context = context
@@ -255,6 +255,7 @@ class Representation:
                 raise ValueError("representation matrices must share one dimension")
         self.matrices = tuple(mats)
         self._inverses = [None] * len(mats)
+        self._singular = None
 
     @classmethod
     def trivial(cls, context: FieldContext, generator_count: int, dimension: int = 1):
@@ -273,6 +274,13 @@ class Representation:
 
     def of_generator(self, g: int) -> ScalarMatrix:
         return self.matrices[g]
+
+    def singular_generators(self) -> tuple[int, ...]:
+        """The generators whose matrix is singular, found once per
+        representation."""
+        if self._singular is None:
+            self._singular = tuple(g for g, m in enumerate(self.matrices) if m.det().is_zero())
+        return self._singular
 
     def inverse_of_generator(self, g: int) -> ScalarMatrix:
         inv = self._inverses[g]
@@ -440,7 +448,7 @@ class PhiMap:
             acc = acc + self.word_image(Word(letters)) * coeff
         return acc
 
-    def fox_row(self, word: Word) -> list[LaurentMatrix]:
+    def fox_row(self, word: Word, *, images: list | None = None) -> list[LaurentMatrix]:
         """Phi(d word / d x_g) for every generator g, in one left-to-right pass.
 
         Phi(prefix) = t^e * rho(prefix) is carried as the integer e and the
@@ -451,6 +459,10 @@ class PhiMap:
         exponent, so a letter costs one r x r scalar product and one sum; the
         Laurent blocks are assembled once at the end, and a generator that
         does not occur gets the zero block.
+
+        The pass ends on Phi(word): when images is a list, the pair
+        (eps(word), rho(word)) is appended to it, for validate to judge the
+        word without a walk of its own.
         """
         rho = self.rho
         values = self.eps.values
@@ -469,6 +481,8 @@ class PhiMap:
                 e -= values[g]
                 prev = terms.get(e)
                 terms[e] = -prefix if prev is None else prev - prefix
+        if images is not None:
+            images.append((e, prefix))
         zero = LaurentMatrix.zero(self.context, self.dimension, self.dimension)
         return [LaurentMatrix.from_scalar_terms(terms) if terms else zero for terms in sums]
 
@@ -506,27 +520,37 @@ class InvalidTripleError(ValueError):
         self.report = report
 
 
-def validate(pres: Presentation, eps: Augmentation, rho: Representation) -> ValidationReport:
+def validate(
+    pres: Presentation, eps: Augmentation, rho: Representation, *, relator_images=None
+) -> ValidationReport:
     """Check eps(relator) = 0 and rho(relator) = Id exactly for every relator,
     plus shape agreement; reports eps nontriviality, surjectivity, and the
-    cokernel order (non-surjective eps is legal but flagged)."""
+    cokernel order (non-surjective eps is legal but flagged).
+
+    The counts and the singular rho(x) are checked first.  Each relator is
+    then walked letter by letter, unless relator_images gives its
+    (eps(r), rho(r)) already, in relator order: build_complex passes the
+    values its Fox pass ends on (PhiMap.fox_row).  They are read only when
+    the counts agree and no rho(x) is singular, the condition under which
+    that pass can run."""
     failures = []
     if len(eps.values) != pres.generator_count:
         failures.append("eps value count differs from generator count")
     if len(rho.matrices) != pres.generator_count:
         failures.append("representation matrix count differs from generator count")
     if not failures:
-        singular = False
-        for g in range(pres.generator_count):
-            if rho.matrices[g].det().is_zero():
-                failures.append(f"rho({pres.generator_names[g]}) is singular")
-                singular = True
+        singular = rho.singular_generators()
+        failures += [f"rho({pres.generator_names[g]}) is singular" for g in singular]
         for i, rel in enumerate(pres.relators):
-            v = eps.of_word(rel)
+            if relator_images is not None and not singular:
+                v, image = relator_images[i]
+            else:
+                v = eps.of_word(rel)
+                # rho(relator) needs inverses, which a singular matrix lacks.
+                image = None if singular else rho.of_word(rel)
             if v != 0:
                 failures.append(f"eps does not kill relator {i} (value {v})")
-            # rho(relator) needs inverses, which a singular matrix lacks.
-            if not singular and not rho.of_word(rel).is_identity():
+            if image is not None and not image.is_identity():
                 failures.append(f"rho does not kill relator {i}")
     nontrivial = eps.is_nontrivial()
     index = eps.image_index()

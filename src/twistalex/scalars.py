@@ -249,6 +249,32 @@ class FieldContext:
         return f"FieldContext(cyclotomic {self.conductor})"
 
 
+def _scalar_text(nums, den: int) -> tuple[bool, str, bool]:
+    """The text of the nonzero element nums / den (den > 0) as (negated,
+    body, composite), one term per nonzero power-basis coordinate, each
+    coefficient in lowest terms.  A single term is split into its sign and
+    its magnitude, e.g. ``3/2*z^4``; a sum of terms is the whole signed text,
+    e.g. ``-1 + z - 1/2*z^3``, with composite set.  The row need not be
+    reduced against den."""
+    terms = []
+    for k, a in enumerate(nums):
+        if a:
+            g = math.gcd(a, den)
+            mag = str(abs(a) // g) if g == den else f"{abs(a) // g}/{den // g}"
+            if k:
+                z = "z" if k == 1 else f"z^{k}"
+                mag = z if mag == "1" else f"{mag}*{z}"
+            terms.append((a < 0, mag))
+    if len(terms) == 1:
+        return terms[0] + (False,)
+    negated, out = terms[0]
+    if negated:
+        out = "-" + out
+    for negated, mag in terms[1:]:
+        out += (" - " if negated else " + ") + mag
+    return False, out, True
+
+
 def _normalize_coords(nums, den: int):
     if den < 0:
         den = -den
@@ -422,22 +448,8 @@ class CycloNumber:
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
-        parts: list[str] = []
-        for k, a in enumerate(self.nums):
-            if a == 0:
-                continue
-            coeff = Fraction(a, self.den)
-            if k == 0:
-                parts.append(("" if coeff > 0 else "-") + str(abs(coeff)))
-                continue
-            z = "z" if k == 1 else f"z^{k}"
-            mag = abs(coeff)
-            body = z if mag == 1 else f"{mag}*{z}"
-            parts.append(("" if coeff > 0 else "-") + body)
-        out = parts[0]
-        for p in parts[1:]:
-            out += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
-        return out
+        negated, body, _ = _scalar_text(self.nums, self.den)
+        return "-" + body if negated else body
 
     def embed(self, target: FieldContext) -> "CycloNumber":
         return embed(self, target)

@@ -1,9 +1,10 @@
 """Cyclotomic arithmetic against sympy, coefficient for coefficient in the
 power basis: inverse, complex conjugation and the embedding into a larger
 cyclotomic field; and Laurent polynomials over Q(zeta_n): products,
-differences, division with remainder, exact division, normalization, gcds
-and Bareiss determinants; and the rank and determinant of scalar matrices
-against sympy's matrices over the algebraic field Q(zeta_n)."""
+differences, division with remainder, exact division, normalization, gcds,
+Bareiss determinants and evaluation at a point; and the rank and determinant
+of scalar matrices against sympy's matrices over the algebraic field
+Q(zeta_n)."""
 
 from __future__ import annotations
 
@@ -257,6 +258,45 @@ def test_laurent_determinant_matches_sympy(n):
         sign = (-1) ** sum(1 for i in range(size) for j in range(i) if perm[j] > perm[i])
         expr += sign * sympy.Mul(*(_laurent_expr(m[i, perm[i]]) for i in range(size)))
     assert _engine_coords(m.determinant()) == _laurent_coords(expr, n)
+
+
+def _evaluate_expr(p: LaurentPoly, value: CycloNumber, k: int = 1):
+    """p(value) in sympy, the coefficients of p read through z -> z^k (the
+    embedding into a field k times larger) and t^-1 as the inverse of value
+    modulo Phi_N."""
+    n = value.context.conductor
+    a = _expr(value)
+    inverse = sympy.invert(a, sympy.cyclotomic_poly(n, Z), Z)
+    total = 0
+    for e in range(p.low, p.high + 1):
+        total += _expr(p.coefficient(e), k, n) * (a**e if e >= 0 else inverse**-e)
+    return total
+
+
+@pytest.mark.parametrize("n", LAURENT_CONDUCTORS)
+def test_evaluate_matches_sympy(n):
+    # Values with denominators and non-rational values, polynomials with
+    # negative, zero and positive lowest exponents.
+    ctx = FieldContext(n)
+    rng = random.Random(f"laurent-evaluate-{n}")
+    values = [ctx.zeta(1), ctx.from_rational(Fraction(-2, 3))] + [_scalar(ctx, rng) for _ in range(3)]
+    for a in values:
+        if not a:
+            continue
+        for low in (-3, 0, 2):
+            p = LaurentPoly(ctx, _laurent(ctx, rng, rng.randint(0, 4)).coeffs, low)
+            assert p.evaluate(a).coords == _coords(_evaluate_expr(p, a), n), (p, a)
+
+
+@pytest.mark.parametrize("n,big", [(1, 5), (3, 12), (4, 12), (5, 15), (12, 60)])
+def test_evaluate_at_a_point_of_a_larger_field_matches_sympy(n, big):
+    # The polynomial is embedded into Q(zeta_big) first, as
+    # specialize_homology lifts a complex to the field of its point.
+    ctx, target = FieldContext(n), FieldContext(big)
+    rng = random.Random(f"laurent-evaluate-{n}-{big}")
+    for a in (target.zeta(1), _scalar(target, rng) + target.zeta(2)):
+        p = LaurentPoly(ctx, _laurent(ctx, rng, 3).coeffs, -2)
+        assert p.embed(target).evaluate(a).coords == _coords(_evaluate_expr(p, a, big // n), big), (p, a)
 
 
 # Scalar matrices over Q(zeta_n): rank and determinant against sympy's

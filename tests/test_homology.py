@@ -31,6 +31,7 @@ from twistalex.presentations import (
     torus_germ_presentation,
     transversal_union_augmentation,
     transversal_union_presentation,
+    validate,
 )
 from twistalex.scalars import FieldContext
 
@@ -215,6 +216,48 @@ def test_build_complex_rejects_invalid_triple():
     rho = Representation.trivial(ctx, 2, 1)
     with pytest.raises(InvalidTripleError):
         build_complex(pres, Augmentation([1, 1]), rho)
+
+
+def _verdict_cases():
+    ctx = FieldContext(6)
+    z = ctx.zeta(1)
+    eye, a, b = [[1, 0], [0, 1]], [[1, 1], [0, 1]], [[1, 0], [z, 1]]
+    pres = Presentation(["x", "y"], [])
+    power = pres.word("x^2 y^-3")
+    commutator = pres.word("x y x^-1 y^-1")
+    return {
+        "eps fails": ([power], [1, 1], [eye, eye]),
+        "rho fails": ([commutator], [1, 1], [a, b]),
+        "rho fails, rank 1": ([power], [3, 2], [[[z**2]], [[z**3]]]),
+        "both fail on two relators": ([power, commutator], [1, 1], [a, b]),
+        "singular rho(x)": ([power, commutator], [1, 1], [[[1, 0], [0, 0]], eye]),
+        "eps count": ([commutator], [1, 1, 1], [eye, eye]),
+        "rho count": ([commutator], [1, 1], [eye, eye, eye]),
+        "both counts": ([commutator], [1], [eye, eye, eye]),
+        "trivial eps": ([commutator], [0, 0], [eye, eye]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_verdict_cases()))
+def test_build_complex_gives_the_verdict_of_validate(case):
+    # build_complex takes the relator verdicts from its Fox pass; the report
+    # it raises is the one validate gives on its own walk.
+    relators, eps_values, matrices = _verdict_cases()[case]
+    pres = Presentation(["x", "y"], relators)
+    eps = Augmentation(eps_values)
+    expected = validate(pres, eps, Representation(FieldContext(6), matrices))
+    assert not expected.ok
+    with pytest.raises(InvalidTripleError) as raised:
+        build_complex(pres, eps, Representation(FieldContext(6), matrices))
+    report = raised.value.report
+    assert report.failures == expected.failures
+    assert report.eps_image_index == expected.eps_image_index
+    assert (report.ok, report.eps_nontrivial, report.eps_surjective, report.eps_values) == (
+        expected.ok,
+        expected.eps_nontrivial,
+        expected.eps_surjective,
+        expected.eps_values,
+    )
 
 
 def test_fox_matrix_shape_and_d1_column():

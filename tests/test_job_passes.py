@@ -143,6 +143,23 @@ def test_build_complex_makes_a_linear_number_of_matrix_products(monkeypatch):
         assert at_1000[cls] <= 2 * at_500[cls] + 10, cls
 
 
+def test_build_complex_walks_each_relator_once(monkeypatch):
+    # The Fox pass ends on (eps(r), rho(r)), and validation reads the relator
+    # verdict from there: one scalar product per letter of x^L y^-L, not two.
+    for length in (100, 300):
+        assert _products_in_build_complex(monkeypatch, length)[ScalarMatrix] <= 2 * length + 10
+
+
+def test_a_compute_job_walks_its_relator_letters_twice(monkeypatch):
+    # Once to validate the parsed job, once in the Fox pass of build_complex.
+    length = 200
+    text = f"generators x y\nrelator x^{length} y^-{length}\neps x=1 y=1\nrho x = [[1]]\nrho y = [[1]]\n"
+    products = _count_method(monkeypatch, ScalarMatrix, "__mul__")
+    _, code = run_job(parse_job(text), mode="compute")
+    assert code == 0
+    assert 4 * length <= len(products) <= 4 * length + 10
+
+
 def _count_method(monkeypatch, cls, name):
     """Count calls to a method, through a wrapper set on its class."""
     original = getattr(cls, name)
@@ -276,3 +293,60 @@ def test_scalar_rank_and_det_invert_nothing(monkeypatch, n):
     assert not square.det().is_zero()
     assert len(built) == 1
     assert inverses == []
+
+
+def test_smith_form_with_a_unit_corner_walks_no_empty_divisor(monkeypatch):
+    # A unit corner is 1 after it enters monic: it divides every entry
+    # without a walk over the entry's rows, and the divisibility scan of the
+    # rest is skipped.
+    import twistalex.laurent as laurent
+
+    ctx = FieldContext(12)
+    rng = random.Random(21)
+    rows = [[_random_poly(ctx, rng, 2) for _ in range(4)] for _ in range(3)]
+    rows[1][2] = LaurentPoly(ctx, [ctx.zeta(5)], 3)
+    matrix = LaurentMatrix(ctx, rows)
+    product_rows = laurent._product_rows
+    empty_tails = []
+
+    def counted(context, a, b):
+        if not b:
+            empty_tails.append(a)
+        return product_rows(context, a, b)
+
+    monkeypatch.setattr(laurent, "_product_rows", counted)
+    for certificates in (True, False):
+        snf = matrix.smith_normal_form(certificates=certificates)
+        assert snf.rank == 3 and snf.divisors[0].is_one()
+    assert empty_tails == []
+
+
+def test_polynomial_text_builds_no_field_elements(monkeypatch):
+    # Reports print many polynomials: each coefficient's text is read off its
+    # integer row.
+    ctx = FieldContext(12)
+    rng = random.Random(8)
+    polys = [_random_poly(ctx, rng, 6) for _ in range(5)]
+    built = _count_method(monkeypatch, CycloNumber, "__init__")
+    assert all(str(p) for p in polys)
+    assert built == []
+
+
+def test_evaluate_builds_only_its_result(monkeypatch):
+    # Horner on the integer rows, the t^low factor included: one field
+    # element per evaluation, whatever the span.
+    ctx = FieldContext(12)
+    rng = random.Random(5)
+    polys = [_random_poly(ctx, rng, span) for span in (0, 3, 8)]
+    polys += [LaurentPoly(ctx, p.coeffs, low) for p in polys for low in (-3, 4)]
+    values = [ctx.zeta(5), CycloNumber(ctx, [1, -2, 0, 3], 5), ctx.from_rational(-3)]
+    matrix = LaurentMatrix(ctx, [polys[:3], polys[3:6]])
+    built = _count_method(monkeypatch, CycloNumber, "__init__")
+    for p in polys:
+        for a in values:
+            before = len(built)
+            p.evaluate(a)
+            assert len(built) - before == 1, (p, a)
+    before = len(built)
+    matrix.specialize(values[1])
+    assert len(built) - before == 6
