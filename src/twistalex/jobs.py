@@ -84,6 +84,17 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INVARIANT = 3
 
+# Input budgets.  A job over one of them is refused with JobParseError at the
+# line that asks for it, before anything of that size is built, so a short
+# text cannot ask for an unbounded allocation.  Every sample, benchmark and
+# test job is far below them.
+MAX_CONDUCTOR = 1000  # field cyclotomic <n>: an n x phi(n) power table
+MAX_EPS = 10_000  # |eps(x)| per generator
+MAX_LETTERS = 20_000  # relator letters of a job, powers expanded
+MAX_DEGREE_SPAN = 20_000  # sum of |eps| over the letters of one relator,
+#                           which bounds the t-span of its Fox blocks
+MAX_DIMENSION = 64  # rho trivial <dim>; a written matrix is as large as its text
+
 
 class JobParseError(ValueError):
     """A diagnostic with the line (and column when known) it points at."""
@@ -122,6 +133,7 @@ class JobSpec:
         "local_requests",
         "components",
         "singularities",
+        "_rho",
     )
 
     def __init__(
@@ -149,6 +161,9 @@ class JobSpec:
         self.local_requests = tuple(local_requests)
         self.components = tuple(components)
         self.singularities = tuple(singularities)
+        # (rho_rows, Representation): parse_job stores the representation it
+        # validated; otherwise it is built from rho_rows on first use.
+        self._rho = None
 
     def context(self) -> FieldContext:
         return FieldContext(self.conductor)
@@ -161,7 +176,13 @@ class JobSpec:
         return Augmentation(self.eps_values)
 
     def representation(self, context: FieldContext) -> Representation:
-        return Representation(context, [_scalar_matrix(context, rows) for rows in self.rho_rows])
+        """rho over context, built once per rho_rows: a parsed job reuses the
+        representation that parse_job validated."""
+        cached = self._rho
+        if cached is None or cached[0] is not self.rho_rows or cached[1].context is not context:
+            rho = Representation(context, [_scalar_matrix(context, rows) for rows in self.rho_rows])
+            cached = self._rho = (self.rho_rows, rho)
+        return cached[1]
 
     def curve(self, context: FieldContext) -> CurveData | None:
         if not self.components:
@@ -232,26 +253,70 @@ def _int_param(params: dict, key: str, builder: str, lineno: int) -> int:
         raise JobParseError(lineno, f"builder {builder}: {key} must be an integer, got {params[key]!r}")
 
 
+def _letter_count(text: str) -> int:
+    """The letters of a word text with its powers expanded, counted without
+    expanding them; a malformed token counts one (Word.parse names it)."""
+    count = 0
+    for token in text.split():
+        _, _, exp = token.partition("^")
+        try:
+            count += abs(int(exp)) if exp else 1
+        except ValueError:
+            count += 1
+    return count
+
+
+def _check_letters(count: int, lineno: int):
+    if count > MAX_LETTERS:
+        raise JobParseError(lineno, f"the relators have {count} letters; the limit is {MAX_LETTERS}")
+
+
+def _check_span(span: int, what: str, lineno: int):
+    if span > MAX_DEGREE_SPAN:
+        raise JobParseError(lineno, f"{what} spans {span} powers of t under eps; the limit is {MAX_DEGREE_SPAN}")
+
+
+def _local_size(kind: str, params, weights) -> tuple[int, int]:
+    """Bounds on the relator letters and on the largest relator span under
+    eps of the germ presentation that local_polynomial builds for a local
+    line (see its kinds), from the line's integers alone."""
+    w = sum(abs(x) for x in weights)
+    if kind == "torus":
+        p, q = params
+        return abs(p) + abs(q), 2 * abs(p * q) * w
+    if kind == "a_odd":
+        return 8 * abs(params[0]), 4 * w
+    if kind == "cusp":
+        return 6, 6 * w
+    k = params[0] if params else 2  # node, ordinary k
+    return 4 * abs(k), 4 * w
+
+
 def _resolve_builder(name: str, params: dict, lineno: int):
-    """Return (presentation, default augmentation, canonical params)."""
+    """Return (presentation, default augmentation, canonical params).  The
+    letters of the relators are counted before they are built."""
     try:
         if name == "hopf":
             d = _int_param(params, "d", name, lineno)
             extra = set(params) - {"d"}
+            _check_letters(4 * (d - 1), lineno)
             pres = hopf_presentation(d)
             return pres, hopf_augmentation([1] * d), (("d", str(d)),), extra
         if name == "a_odd":
             n = _int_param(params, "n", name, lineno)
             extra = set(params) - {"n"}
+            _check_letters(8 * n + 3, lineno)
             return a_odd_presentation(n), a_odd_augmentation(n), (("n", str(n)),), extra
         if name == "a_odd_reduced":
             n = _int_param(params, "n", name, lineno)
             extra = set(params) - {"n"}
+            _check_letters(8 * n - 1, lineno)
             return a_odd_reduced_presentation(n), a_odd_augmentation(n), (("n", str(n)),), extra
         if name == "torus":
             p = _int_param(params, "p", name, lineno)
             q = _int_param(params, "q", name, lineno)
             extra = set(params) - {"p", "q"}
+            _check_letters(p + q, lineno)
             return (
                 torus_germ_presentation(p, q),
                 torus_germ_augmentation(p, q),
@@ -267,6 +332,12 @@ def _resolve_builder(name: str, params: dict, lineno: int):
                 raise JobParseError(lineno, "builder union needs factors=torus:p:q,... ")
             factors = _build_union_factors(params["factors"], lineno)
             extra = set(params) - {"factors"}
+            # Each factor's own relator, then a commutator per pair of
+            # generators from distinct factors.
+            sizes = [1 if f[0] == "line" else 2 for f in factors]
+            pairs = (sum(sizes) ** 2 - sum(k * k for k in sizes)) // 2
+            own = sum(f[1] + f[2] if f[0] == "torus" else 6 if f[0] == "cusp" else 0 for f in factors)
+            _check_letters(own + 4 * pairs, lineno)
             canon = ",".join(":".join(str(x) for x in f) for f in factors)
             pres = transversal_union_presentation(factors)
             eps = transversal_union_augmentation(factors, [1] * len(factors))
@@ -333,16 +404,21 @@ def _tokenize_outside_brackets(text: str) -> list[str]:
     return tokens
 
 
+def _matrix_text(values) -> tuple:
+    """Rows of field elements as rows of canonical scalar text."""
+    return tuple(tuple(str(e) for e in row) for row in values)
+
+
 def _parse_matrix_text(text: str, context: FieldContext, lineno: int, what: str):
-    """Parse [[s, s], [s, s]] into a tuple of tuples of canonical scalar
-    strings; a bare scalar is promoted to a 1x1 matrix."""
+    """Parse [[s, s], [s, s]] into a tuple of tuples of field elements; a
+    bare scalar is promoted to a 1x1 matrix."""
     s = text.strip()
     if not s.startswith("["):
         try:
             value = parse_scalar(s, context)
         except ValueError as exc:
             raise JobParseError(lineno, f"{what}: {exc}")
-        return ((str(value),),)
+        return ((value,),)
     if not (s.startswith("[[") and s.endswith("]]")):
         raise JobParseError(lineno, f"{what}: matrix must look like [[a, b], [c, d]]")
     body = s[1:-1]
@@ -354,7 +430,7 @@ def _parse_matrix_text(text: str, context: FieldContext, lineno: int, what: str)
         entries = []
         for entry in _split_top_level(row_text[1:-1]):
             try:
-                entries.append(str(parse_scalar(entry, context)))
+                entries.append(parse_scalar(entry, context))
             except ValueError as exc:
                 raise JobParseError(lineno, f"{what}: {exc}")
         rows.append(tuple(entries))
@@ -421,6 +497,8 @@ def parse_job(text: str) -> JobSpec:
                     raise JobParseError(lineno, f"conductor must be an integer, got {rest[1]!r}")
                 if conductor < 1:
                     raise JobParseError(lineno, "conductor must be positive")
+                if conductor > MAX_CONDUCTOR:
+                    raise JobParseError(lineno, f"conductor {conductor} is over the limit of {MAX_CONDUCTOR}")
             else:
                 raise JobParseError(lineno, "field line must be 'field rational' or 'field cyclotomic <n>'")
         elif keyword == "builder":
@@ -459,6 +537,8 @@ def parse_job(text: str) -> JobSpec:
                     raise JobParseError(lineno, f"rho trivial dimension must be an integer, got {rest[1]!r}")
                 if dim < 1:
                     raise JobParseError(lineno, "rho trivial dimension must be >= 1")
+                if dim > MAX_DIMENSION:
+                    raise JobParseError(lineno, f"rho dimension {dim} is over the limit of {MAX_DIMENSION}")
                 rho_trivial = (lineno, dim)
                 continue
             if rho_trivial is not None:
@@ -515,7 +595,10 @@ def parse_job(text: str) -> JobSpec:
     elif inline_line is not None:
         relators = []
         relator_texts_list = []
+        letters = 0
         for lineno, wtext in relator_lines:
+            letters += _letter_count(wtext)
+            _check_letters(letters, lineno)
             try:
                 w = Word.parse(wtext, inline_generators)
             except ValueError as exc:
@@ -549,16 +632,22 @@ def parse_job(text: str) -> JobSpec:
                 assigned[index[name]] = int(val)
             except ValueError:
                 raise JobParseError(eps_line, f"eps value for {name!r} must be an integer, got {val!r}")
+            if abs(assigned[index[name]]) > MAX_EPS:
+                raise JobParseError(eps_line, f"eps value for {name!r} is over the limit of {MAX_EPS} in size")
         missing = [names[i] for i in range(len(names)) if i not in assigned]
         if missing:
             raise JobParseError(eps_line, f"eps line must cover every generator; missing {', '.join(missing)}")
         eps_values = tuple(assigned[i] for i in range(len(names)))
+    for i, relator in enumerate(pres.relators):
+        span = sum(abs(eps_values[g]) for g, _ in relator.letters)
+        _check_span(span, f"relator {i}", eps_line or builder_line or relator_lines[i][0])
 
     # rho
     if rho_trivial is not None:
         _, dim = rho_trivial
         eye = tuple(tuple("1" if i == j else "0" for j in range(dim)) for i in range(dim))
         rho_rows = tuple(eye for _ in names)
+        rho = Representation.trivial(context, len(names), dim)
     elif rho_lines:
         given: dict[int, tuple] = {}
         dim = None
@@ -582,7 +671,8 @@ def parse_job(text: str) -> JobSpec:
             raise JobParseError(
                 rho_lines[-1][0], f"rho needs a matrix for every generator; missing {', '.join(missing)}"
             )
-        rho_rows = tuple(given[i] for i in range(len(names)))
+        rho_rows = tuple(_matrix_text(given[i]) for i in range(len(names)))
+        rho = Representation(context, [ScalarMatrix(context, given[i]) for i in range(len(names))])
     else:
         raise JobParseError(1, "a job needs rho lines (or 'rho trivial <dim>')")
 
@@ -628,6 +718,9 @@ def parse_job(text: str) -> JobSpec:
             i += 1
         if not weights:
             raise JobParseError(lineno, f"local {kind}: needs at least one weight")
+        letters, span = _local_size(kind, params, weights)
+        _check_letters(letters, lineno)
+        _check_span(span, f"local {kind}", lineno)
         scalars = None
         if i < len(rest):
             scalar_text = " ".join(rest[i + 1 :])
@@ -655,7 +748,7 @@ def parse_job(text: str) -> JobSpec:
             raise JobParseError(lineno, f"component: {exc}")
         meridian = None
         if "meridian" in kv:
-            meridian = _parse_matrix_text(kv["meridian"], context, lineno, "component meridian")
+            meridian = _matrix_text(_parse_matrix_text(kv["meridian"], context, lineno, "component meridian"))
         components.append((degree, weight, euler, meridian))
 
     # singularity lines
@@ -691,9 +784,11 @@ def parse_job(text: str) -> JobSpec:
         tuple(singularities),
     )
 
+    spec._rho = (spec.rho_rows, rho)
+
     # The triple itself must validate; report the first failure against the
     # line that supplied the failing data.
-    report = validate(pres, spec.augmentation(), spec.representation(context))
+    report = validate(pres, spec.augmentation(), rho)
     if not report.ok:
         message = "; ".join(report.failures)
         line = eps_line or (rho_lines[0][0] if rho_lines else None) or builder_line or inline_line or 1

@@ -15,7 +15,7 @@ reads a coefficient.
 LaurentMatrix shares its storage and ring-independent operations with
 ScalarMatrix through scalars.Matrix.  It adds only the promotion of scalar
 entries to constant polynomials, the maps into and out of the field
-(from_scalar_matrix, from_scalar_terms, specialize, substitute_power) and
+(from_scalar_matrix, specialize, substitute_power) and
 the elimination over F[t, t^-1]: Bareiss determinants, minor gcds and Smith
 normal form.
 """
@@ -712,26 +712,34 @@ class LaurentMatrix(Matrix):
 
     @classmethod
     def from_scalar_matrix(cls, m: ScalarMatrix, t_exponent: int = 0) -> LaurentMatrix:
-        return cls.from_scalar_terms({t_exponent: m})
+        return cls._from_row_terms(m.context, {t_exponent: m._rows()})
 
     @classmethod
-    def from_scalar_terms(cls, terms: dict[int, ScalarMatrix]) -> LaurentMatrix:
-        """sum_e t^e * terms[e] for a nonempty dict of equally shaped scalar
-        matrices keyed by exponent."""
-        first = next(iter(terms.values()))
-        ctx = first.context
+    def _from_row_terms(cls, context: FieldContext, terms: dict) -> LaurentMatrix:
+        """sum_e t^e * terms[e] for a nonempty dict of equally shaped
+        matrices in (entries, den) row form, keyed by exponent: each entry's
+        rows are laid out over the lcm of the denominators, absent exponents
+        sharing one zero row."""
+        entries = next(iter(terms.values()))[0]
         low = min(terms)
         width = max(terms) - low + 1
-        rows = []
-        for i in range(first.rows):
-            row = []
-            for j in range(first.cols):
-                coeffs = [ctx.zero] * width
-                for e, m in terms.items():
-                    coeffs[e - low] = m.entries[i][j]
-                row.append(LaurentPoly(ctx, coeffs, low))
-            rows.append(row)
-        return cls._make(ctx, rows)
+        den = lcm(d for _, d in terms.values())
+        scaled = []
+        for e, (m, d) in terms.items():
+            if d != den:
+                m = [[[x * (den // d) for x in v] for v in row] for row in m]
+            scaled.append((e - low, m))
+        zero = context.zero.nums
+        out = []
+        for i, row in enumerate(entries):
+            new = []
+            for j in range(len(row)):
+                rows = [zero] * width
+                for k, m in scaled:
+                    rows[k] = m[i][j]
+                new.append(LaurentPoly._make(context, low, rows, den))
+            out.append(new)
+        return cls._make(context, out)
 
     def determinant(self) -> LaurentPoly:
         """Bareiss fraction-free elimination; every division is exact over the

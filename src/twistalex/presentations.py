@@ -236,7 +236,7 @@ class Augmentation:
 class Representation:
     """An invertible matrix over the field context per generator."""
 
-    __slots__ = ("context", "dimension", "matrices", "_inverses", "_singular")
+    __slots__ = ("context", "dimension", "matrices", "_inverses", "_singular", "_letters", "_identity")
 
     def __init__(self, context: FieldContext, matrices):
         self.context = context
@@ -256,6 +256,8 @@ class Representation:
         self.matrices = tuple(mats)
         self._inverses = [None] * len(mats)
         self._singular = None
+        self._letters = {}
+        self._identity = ScalarMatrix.identity(context, self.dimension)._rows()
 
     @classmethod
     def trivial(cls, context: FieldContext, generator_count: int, dimension: int = 1):
@@ -289,11 +291,23 @@ class Representation:
             self._inverses[g] = inv
         return inv
 
+    def _letter_rows(self, letters) -> dict:
+        """The dict from each letter (g, sign) of letters, and the letters
+        seen before, to rho(x_g)^sign in the (entries, den) row form of
+        FieldContext._matrix_product; each is converted once."""
+        table = self._letters
+        for g, sign in set(letters) - table.keys():
+            table[g, sign] = (self.matrices[g] if sign == 1 else self.inverse_of_generator(g))._rows()
+        return table
+
     def of_word(self, word: Word) -> ScalarMatrix:
-        acc = ScalarMatrix.identity(self.context, self.dimension)
-        for g, s in word.letters:
-            acc = acc * (self.matrices[g] if s == 1 else self.inverse_of_generator(g))
-        return acc
+        """rho(word): one row-form product per letter, and a ScalarMatrix
+        only for the result."""
+        product, table = self.context._matrix_product, self._letter_rows(word.letters)
+        acc = self._identity
+        for letter in word.letters:
+            acc = product(acc, table[letter])
+        return ScalarMatrix._from_rows(self.context, *acc)
 
     def __repr__(self):
         return f"Representation(dim={self.dimension}, generators={len(self.matrices)})"
@@ -451,40 +465,42 @@ class PhiMap:
     def fox_row(self, word: Word, *, images: list | None = None) -> list[LaurentMatrix]:
         """Phi(d word / d x_g) for every generator g, in one left-to-right pass.
 
-        Phi(prefix) = t^e * rho(prefix) is carried as the integer e and the
-        scalar matrix rho(prefix).  By the prefix formula (see
-        fox_derivative) a letter x_g adds +Phi(prefix) to the derivative by
-        x_g, and a letter x_g^-1 first advances the prefix and then adds
-        -Phi(prefix x_g^-1).  Each derivative collects its scalar matrices by
-        exponent, so a letter costs one r x r scalar product and one sum; the
-        Laurent blocks are assembled once at the end, and a generator that
-        does not occur gets the zero block.
+        Phi(prefix) = t^e * rho(prefix) is carried as the integer e and
+        rho(prefix) in the integer row form of FieldContext._matrix_product.
+        By the prefix formula (see fox_derivative) a letter x_g adds
+        +Phi(prefix) to the derivative by x_g, and a letter x_g^-1 first
+        advances the prefix and then adds -Phi(prefix x_g^-1).  Each
+        derivative collects its scalar matrices by exponent, so a letter
+        costs one r x r row-form product and one signed sum, and builds no
+        field element; the Laurent blocks are assembled from the rows once at
+        the end, and a generator that does not occur gets the zero block.
 
         The pass ends on Phi(word): when images is a list, the pair
-        (eps(word), rho(word)) is appended to it, for validate to judge the
-        word without a walk of its own.
+        (eps(word), rho(word)) is appended to it, rho(word) a ScalarMatrix,
+        for validate to judge the word without a walk of its own.
         """
-        rho = self.rho
+        ctx = self.context
+        product, add, table = ctx._matrix_product, ctx._matrix_sum, self.rho._letter_rows(word.letters)
         values = self.eps.values
         e = 0
-        prefix = ScalarMatrix.identity(self.context, self.dimension)
-        sums: list[dict[int, ScalarMatrix]] = [{} for _ in values]
-        for g, s in word.letters:
+        prefix = self.rho._identity
+        sums: list[dict] = [{} for _ in values]
+        for letter in word.letters:
+            g, s = letter
             terms = sums[g]
             if s == 1:
                 prev = terms.get(e)
-                terms[e] = prefix if prev is None else prev + prefix
-                prefix = prefix * rho.of_generator(g)
+                terms[e] = prefix if prev is None else add(prev, prefix, 1)
+                prefix = product(prefix, table[letter])
                 e += values[g]
             else:
-                prefix = prefix * rho.inverse_of_generator(g)
+                prefix = product(prefix, table[letter])
                 e -= values[g]
-                prev = terms.get(e)
-                terms[e] = -prefix if prev is None else prev - prefix
+                terms[e] = add(terms.get(e), prefix, -1)
         if images is not None:
-            images.append((e, prefix))
-        zero = LaurentMatrix.zero(self.context, self.dimension, self.dimension)
-        return [LaurentMatrix.from_scalar_terms(terms) if terms else zero for terms in sums]
+            images.append((e, ScalarMatrix._from_rows(ctx, *prefix)))
+        zero = LaurentMatrix.zero(ctx, self.dimension, self.dimension)
+        return [LaurentMatrix._from_row_terms(ctx, terms) if terms else zero for terms in sums]
 
 
 class ValidationReport:

@@ -12,6 +12,9 @@ norm: with c the product of sigma_k(a) over the units k != 1 mod n, a * c =
 N(a) is rational, so a^-1 = c / N(a).  The context computes products,
 substitutions and that cofactor c on integer rows of Z[z]
 (FieldContext._product, _substitute, _cofactor); CycloNumber wraps them.
+Square matrices get the same treatment where a loop multiplies one per
+letter of a word: rows over one shared denominator, multiplied and summed
+without field elements (FieldContext._matrix_product, _matrix_sum).
 
 Matrix is the one dense matrix type of the package: storage, construction,
 sums, products, transposes, embeddings and comparisons for any ring of the
@@ -243,10 +246,70 @@ class FieldContext:
             raise AssertionError("a times its other conjugates must be rational")
         return c, norm[0]
 
+    # Square matrices over the field as integer rows: a pair (entries, den)
+    # with entries[i][j] the power-basis row of den times the (i, j) entry,
+    # den > 0 and, unless it is 1, prime to the content of the entries.  The
+    # Fox pass and Representation.of_word run one product per letter on
+    # this form (ScalarMatrix._rows and _from_rows convert).
+
+    def _matrix_product(self, a, b):
+        """The (entries, den) of a * b: each entry is one convolution summed
+        over the inner index and folded through the power table once."""
+        (ea, da), (eb, db) = a, b
+        if len(ea) == 1:
+            out = [[self._product(ea[0][0], eb[0][0])]]
+        else:
+            deg, fold = self.degree, self._fold
+            width = 2 * deg - 1
+            cols = tuple(zip(*eb))
+            out = []
+            for row in ea:
+                new = []
+                for col in cols:
+                    conv = [0] * width
+                    for x, y in zip(row, col):
+                        for p, xp in enumerate(x):
+                            if xp:
+                                for q, yq in enumerate(y, p):
+                                    conv[q] += xp * yq
+                    entry = conv[:deg]
+                    for c, table in zip(conv[deg:], fold):
+                        if c:
+                            for k, v in table:
+                                entry[k] += c * v
+                    new.append(entry)
+                out.append(new)
+        return _reduced_rows(out, da * db)
+
+    def _matrix_sum(self, a, b, sign: int):
+        """The (entries, den) of a + sign * b; a is None for the zero
+        matrix."""
+        eb, db = b
+        if a is None:
+            return ([[[-x for x in e] for e in row] for row in eb], db) if sign < 0 else b
+        ea, da = a
+        if da == db:
+            den, fa, fb = da, 1, sign
+        else:
+            den = math.lcm(da, db)
+            fa, fb = den // da, sign * (den // db)
+        out = [[[x * fa + y * fb for x, y in zip(u, v)] for u, v in zip(ra, rb)] for ra, rb in zip(ea, eb)]
+        return _reduced_rows(out, den)
+
     def __repr__(self) -> str:
         if self.conductor == 1:
             return "FieldContext(rational)"
         return f"FieldContext(cyclotomic {self.conductor})"
+
+
+def _reduced_rows(entries, den: int):
+    # The content reduction of the matrix row form, skipped when den is 1.
+    if den != 1:
+        g = math.gcd(den, *(x for row in entries for e in row for x in e))
+        if g != 1:
+            den //= g
+            entries = [[[x // g for x in e] for e in row] for row in entries]
+    return entries, den
 
 
 def _scalar_text(nums, den: int) -> tuple[bool, str, bool]:
@@ -722,6 +785,17 @@ class ScalarMatrix(Matrix):
     @classmethod
     def from_rows(cls, context: FieldContext, rows) -> ScalarMatrix:
         return cls(context, rows)
+
+    def _rows(self):
+        """The (entries, den) row form of this matrix (FieldContext
+        ._matrix_product), den the lcm of the entry denominators."""
+        den = lcm(e.den for row in self.entries for e in row)
+        entries = [[e.nums if e.den == den else [x * (den // e.den) for x in e.nums] for e in row] for row in self.entries]
+        return entries, den
+
+    @classmethod
+    def _from_rows(cls, context: FieldContext, entries, den: int) -> ScalarMatrix:
+        return cls._make(context, [[CycloNumber(context, e, den) for e in row] for row in entries])
 
     def _fraction_free(self) -> tuple[int, list[int] | None, int]:
         """Bareiss elimination on integral power-basis rows.

@@ -1,9 +1,11 @@
 """The one-pass Fox Jacobian row PhiMap.fox_row against the symbolic oracle
-phi.element_image(fox_derivative(w, g))."""
+phi.element_image(fox_derivative(w, g)), and Representation.of_word against
+a fold of ScalarMatrix products."""
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,7 +19,7 @@ from twistalex.presentations import (
     random_invertible_matrix,
     random_word,
 )
-from twistalex.scalars import FieldContext
+from twistalex.scalars import FieldContext, ScalarMatrix
 
 GENERATORS = 3
 
@@ -93,3 +95,92 @@ def test_fundamental_identity_through_the_pass(conductor, dimension):
         for g, block in enumerate(phi.fox_row(w)):
             rhs = rhs + block * (phi.generator_image(g) - eye)
         assert phi.word_image(w) - eye == rhs, w
+
+
+# Long words and representations with denominators: the pass keeps rho(prefix)
+# and the derivative sums as integer rows over one denominator, and these
+# cases make the denominators differ, meet in sums and cancel.
+
+LONG = 600
+
+
+def _bounded_walk(length: int, radius: int, rng: random.Random) -> Word:
+    """A word of the given length whose prefixes freely reduce to at most
+    radius letters, so that the symbolic oracle stays cheap: each letter
+    cancels the last letter of the reduced prefix or extends it."""
+    letters, reduced = [], []
+    while len(letters) < length:
+        if reduced and (len(reduced) == radius or rng.random() < 0.5):
+            g, s = reduced.pop()
+            letters.append((g, -s))
+            continue
+        letter = (rng.randrange(GENERATORS), rng.choice((1, -1)))
+        if reduced and reduced[-1] == (letter[0], -letter[1]):
+            continue
+        reduced.append(letter)
+        letters.append(letter)
+    return Word(letters)
+
+
+RATIONAL_RHO = {
+    1: [[[2]], [[Fraction(-1, 3)]], [[Fraction(3, 2)]]],
+    2: [
+        [[Fraction(1, 2), 1], [0, 3]],
+        [[2, 0], [Fraction(1, 3), 1]],
+        [[1, Fraction(-1, 2)], [1, Fraction(1, 2)]],
+    ],
+}
+
+
+def _rho(conductor: int, dimension: int, rng: random.Random) -> Representation:
+    """Over Q the fixed non-unimodular matrices above; over Q(zeta_n) random
+    integral matrices, whose inverses carry the norms of their determinants
+    as denominators, one of them halved."""
+    ctx = FieldContext(conductor)
+    if conductor == 1:
+        return Representation(ctx, RATIONAL_RHO[dimension])
+    mats = [random_invertible_matrix(ctx, dimension, rng) for _ in range(GENERATORS)]
+    mats[0] = mats[0] * Fraction(1, 2)
+    return Representation(ctx, mats)
+
+
+DENOMINATOR_FIELDS = [(1, 1), (1, 2), (5, 1), (5, 2), (5, 3), (12, 1), (12, 2), (12, 3)]
+
+
+@pytest.mark.parametrize("conductor,dimension", DENOMINATOR_FIELDS)
+def test_fox_row_matches_the_oracle_on_long_words_with_denominators(conductor, dimension):
+    rng = random.Random(7 * conductor + dimension)
+    rho = _rho(conductor, dimension, rng)
+    phi = PhiMap(Augmentation([2, -1, 1]), rho)
+    _assert_matches_oracle(phi, _bounded_walk(LONG, 5, rng))
+
+
+@pytest.mark.parametrize("conductor", [1, 5])
+def test_fox_row_matches_the_oracle_on_a_long_unreduced_power_word(conductor):
+    # x^250 y^-251 x z^-100: every prefix is a distinct reduced word, so
+    # rho(prefix) grows to 2^250-sized numerators and denominators.
+    rng = random.Random(conductor)
+    phi = PhiMap(Augmentation([1, 2, -1]), _rho(conductor, 1, rng))
+    _assert_matches_oracle(phi, Word([(0, 1)] * 250 + [(1, -1)] * 251 + [(0, 1)] + [(2, -1)] * 100))
+
+
+def _folded_image(rho: Representation, word: Word) -> ScalarMatrix:
+    # rho(word) as a left fold of ScalarMatrix products.
+    acc = ScalarMatrix.identity(rho.context, rho.dimension)
+    for g, s in word.letters:
+        m = rho.matrices[g]
+        acc = acc * (m if s == 1 else m.inverse())
+    return acc
+
+
+@pytest.mark.parametrize("conductor,dimension", DENOMINATOR_FIELDS)
+def test_of_word_matches_a_fold_of_scalar_products(conductor, dimension):
+    rng = random.Random(11 * conductor + dimension)
+    rho = _rho(conductor, dimension, rng)
+    words = [random_word(GENERATORS, 0, rng), _bounded_walk(LONG, 5, rng)]
+    words.append(Word([(rng.randrange(GENERATORS), rng.choice((1, -1))) for _ in range(LONG)]))
+    for w in words:
+        assert rho.of_word(w) == _folded_image(rho, w), w
+    # A word and its inverse: the product is the identity again.
+    w = words[-1]
+    assert rho.of_word(w * w.inverse()).is_identity()

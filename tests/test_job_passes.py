@@ -14,7 +14,7 @@ from twistalex.homology import build_complex, specialize_homology, wada_ratio
 from twistalex.jobs import parse_job, run_job
 from twistalex.laurent import LaurentMatrix, LaurentPoly
 from twistalex.presentations import Augmentation, Presentation, Representation, Word, fox_derivative, validate
-from twistalex.scalars import CycloNumber, FieldContext, Matrix, ScalarMatrix
+from twistalex.scalars import CycloNumber, FieldContext, ScalarMatrix
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_jobs"
 
@@ -120,17 +120,13 @@ def _products_in_build_complex(monkeypatch, length: int) -> dict:
     pres = Presentation(["x", "y"], [x_l_y_minus_l])
     eps = Augmentation([1, 1])
     rho = Representation.trivial(FieldContext(1), 2)
-    calls = {ScalarMatrix: 0, LaurentMatrix: 0}
-
-    def counted(self, other):
-        calls[type(self)] += 1
-        return Matrix.__mul__(self, other)
-
     with monkeypatch.context() as patch:
-        for cls in calls:
-            patch.setattr(cls, "__mul__", counted)
+        calls = {
+            "per-letter": _count_method(patch, FieldContext, "_matrix_product"),
+            LaurentMatrix: _count_method(patch, LaurentMatrix, "__mul__"),
+        }
         build_complex(pres, eps, rho)
-    return calls
+    return {kind: len(made) for kind, made in calls.items()}
 
 
 def test_build_complex_makes_a_linear_number_of_matrix_products(monkeypatch):
@@ -138,26 +134,43 @@ def test_build_complex_makes_a_linear_number_of_matrix_products(monkeypatch):
     # of Laurent-matrix products quadratic in the relator length.
     at_500 = _products_in_build_complex(monkeypatch, 500)
     at_1000 = _products_in_build_complex(monkeypatch, 1000)
-    assert at_500[ScalarMatrix] >= 1000
-    for cls in (ScalarMatrix, LaurentMatrix):
-        assert at_1000[cls] <= 2 * at_500[cls] + 10, cls
+    assert at_500["per-letter"] >= 1000
+    for kind in ("per-letter", LaurentMatrix):
+        assert at_1000[kind] <= 2 * at_500[kind] + 10, kind
 
 
 def test_build_complex_walks_each_relator_once(monkeypatch):
     # The Fox pass ends on (eps(r), rho(r)), and validation reads the relator
     # verdict from there: one scalar product per letter of x^L y^-L, not two.
     for length in (100, 300):
-        assert _products_in_build_complex(monkeypatch, length)[ScalarMatrix] <= 2 * length + 10
+        assert _products_in_build_complex(monkeypatch, length)["per-letter"] <= 2 * length + 10
+
+
+def _x_l_y_minus_l_job(length: int) -> str:
+    return f"generators x y\nrelator x^{length} y^-{length}\neps x=1 y=1\nrho x = [[1]]\nrho y = [[1]]\n"
 
 
 def test_a_compute_job_walks_its_relator_letters_twice(monkeypatch):
     # Once to validate the parsed job, once in the Fox pass of build_complex.
     length = 200
-    text = f"generators x y\nrelator x^{length} y^-{length}\neps x=1 y=1\nrho x = [[1]]\nrho y = [[1]]\n"
-    products = _count_method(monkeypatch, ScalarMatrix, "__mul__")
-    _, code = run_job(parse_job(text), mode="compute")
+    products = _count_method(monkeypatch, FieldContext, "_matrix_product")
+    _, code = run_job(parse_job(_x_l_y_minus_l_job(length)), mode="compute")
     assert code == 0
     assert 4 * length <= len(products) <= 4 * length + 10
+
+
+def test_a_compute_job_builds_no_field_element_per_letter(monkeypatch):
+    # The per-letter products and sums of the Fox pass and the relator walk
+    # run on integer rows: how many CycloNumbers a job builds does not
+    # depend on the length of its relator.
+    built = _count_method(monkeypatch, CycloNumber, "__init__")
+    counts = []
+    for length in (100, 400):
+        before = len(built)
+        _, code = run_job(parse_job(_x_l_y_minus_l_job(length)), mode="compute")
+        assert code == 0
+        counts.append(len(built) - before)
+    assert counts[0] == counts[1]
 
 
 def _count_method(monkeypatch, cls, name):

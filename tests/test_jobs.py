@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -19,7 +23,8 @@ from twistalex.jobs import (
     serialize_job,
 )
 
-SAMPLES = sorted((Path(__file__).resolve().parent.parent / "sample_jobs").glob("*.job"))
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLES = sorted((ROOT / "sample_jobs").glob("*.job"))
 
 HOPF3 = """
 field rational
@@ -270,3 +275,42 @@ def test_builder_parameter_errors_name_their_line_once(builder, message):
     assert str(err.value) == f"line 2: {message}"
     assert err.value.line == 2
     assert err.value.message == message
+
+
+def test_python_dash_m_runs_the_cli():
+    # python -m twistalex is the console script: same report, same exit.
+    circle = ROOT / "sample_jobs" / "circle.job"
+    golden = json.loads((ROOT / "tests" / "golden_reports.json").read_text(encoding="utf-8"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "twistalex", "compute", str(circle)], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == golden["circle.job"]["compute/text"]["report"]
+
+
+# Short texts that ask for huge allocations, and the line each is refused at.
+OVER_BUDGET = {
+    "relator letters": ("generators x y\nrelator x^1000000000 y^-1000000000\nrho trivial 1\n", 2),
+    "eps": ("generators x y\nrelator x y x^-1 y^-1\neps x=1000000000 y=1\nrho trivial 1\n", 3),
+    "conductor": ("field cyclotomic 1000000000\ngenerators x\nrho trivial 1\n", 1),
+    "builder letters": ("builder torus p=1000000001 q=2\nrho trivial 1\n", 1),
+    "union letters": ("builder union factors=" + ",".join(["line"] * 200) + "\nrho trivial 1\n", 1),
+    "degree span": ("builder torus p=9001 q=9002\nrho trivial 1\n", 1),
+    "dimension": ("builder cusp\nrho trivial 1000000000\n", 2),
+    "local germ": ("builder cusp\nrho trivial 1\nlocal torus 100000 100001 weights 1\n", 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVER_BUDGET))
+def test_inputs_over_a_budget_exit_2_at_their_line(tmp_path, capsys, name):
+    text, line = OVER_BUDGET[name]
+    path = tmp_path / "big.job"
+    path.write_text(text, encoding="utf-8")
+    start = time.perf_counter()
+    code = main(["compute", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert f"line {line}:" in err and "limit" in err
