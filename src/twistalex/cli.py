@@ -18,13 +18,11 @@ from pathlib import Path
 from .jobs import (
     BUILDER_SUMMARY,
     EXIT_INPUT_ERROR,
-    EXIT_INVARIANT,
     JobParseError,
     parse_job,
     run_corpus,
     run_job,
 )
-from .homology import InternalInvariantError
 
 
 def _add_common(sub):
@@ -67,11 +65,7 @@ def _run_file(path: Path, mode: str, fmt: str, seed: int) -> int:
     except JobParseError as exc:
         print(f"{path}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    try:
-        report, code = run_job(spec, mode=mode, fmt=fmt, seed=seed)
-    except InternalInvariantError as exc:
-        print(f"{path}: internal invariant violated: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+    report, code = run_job(spec, mode=mode, fmt=fmt, seed=seed)
     sys.stdout.write(report)
     return code
 

@@ -14,11 +14,11 @@ costs L scalar r x r products; the symbolic fox_derivative is left to the
 oracles that check the engine.  The pass ends on Phi(r) = t^eps(r) rho(r),
 which is the validity verdict of the relator: build_complex hands those ends
 to validate, so the letters are walked once here, not once for validation
-and once for d2.  Columns are chains: the block
-orientation is fixed by exactness, which forces the transpose of each block
-as it is usually displayed (rows of the Wada matrix are relators).  The
-composite d1 * d2 vanishes identically; build_complex checks that and treats
-a failure as an internal error, not bad input.
+and once for d2; parse_job validates a job by this build alone.  Columns
+are chains: the block orientation is fixed by exactness, which forces the
+transpose of each block as it is usually displayed (rows of the Wada matrix
+are relators).  The composite d1 * d2 vanishes identically; build_complex
+checks that and treats a failure as an internal error, not bad input.
 
 Twisted Alexander polynomials are the torsion orders Delta_i of H_i, each
 defined up to a unit c * t^k.  Over the PID R = F[t, t^-1] every image

@@ -53,10 +53,10 @@ from .presentations import (
     torus_germ_presentation,
     transversal_union_augmentation,
     transversal_union_presentation,
-    validate,
 )
 from .homology import (
     InternalInvariantError,
+    TwistedChainComplex,
     build_complex,
     euler_rank_check,
     homology,
@@ -133,7 +133,7 @@ class JobSpec:
         "local_requests",
         "components",
         "singularities",
-        "_rho",
+        "_complex",
     )
 
     def __init__(
@@ -161,9 +161,8 @@ class JobSpec:
         self.local_requests = tuple(local_requests)
         self.components = tuple(components)
         self.singularities = tuple(singularities)
-        # (rho_rows, Representation): parse_job stores the representation it
-        # validated; otherwise it is built from rho_rows on first use.
-        self._rho = None
+        # (triple fields, TwistedChainComplex): see chain_complex.
+        self._complex = None
 
     def context(self) -> FieldContext:
         return FieldContext(self.conductor)
@@ -176,13 +175,21 @@ class JobSpec:
         return Augmentation(self.eps_values)
 
     def representation(self, context: FieldContext) -> Representation:
-        """rho over context, built once per rho_rows: a parsed job reuses the
-        representation that parse_job validated."""
-        cached = self._rho
-        if cached is None or cached[0] is not self.rho_rows or cached[1].context is not context:
-            rho = Representation(context, [_scalar_matrix(context, rows) for rows in self.rho_rows])
-            cached = self._rho = (self.rho_rows, rho)
-        return cached[1]
+        return Representation(context, [_scalar_matrix(context, rows) for rows in self.rho_rows])
+
+    def _triple(self):
+        """The fields the twisted triple (presentation, eps, rho) is made of."""
+        return (self.conductor, self.generator_names, self.relator_texts, self.eps_values, self.rho_rows)
+
+    def chain_complex(self) -> TwistedChainComplex:
+        """The chain complex of the triple, whose build validates it (an
+        invalid triple raises InvalidTripleError).  parse_job stores the one it
+        built; other specs build it on first use, keyed on _triple by ==."""
+        triple = self._triple()
+        if self._complex is None or self._complex[0] != triple:
+            rho = self.representation(self.context())
+            self._complex = (triple, build_complex(self.presentation(), self.augmentation(), rho))
+        return self._complex[1]
 
     def curve(self, context: FieldContext) -> CurveData | None:
         if not self.components:
@@ -195,19 +202,8 @@ class JobSpec:
         return CurveData(comps, sings)
 
     def _key(self):
-        return (
-            self.conductor,
-            self.source,
-            self.generator_names,
-            self.relator_texts,
-            self.eps_values,
-            self.rho_rows,
-            self.analyses,
-            self.specialize_values,
-            self.local_requests,
-            self.components,
-            self.singularities,
-        )
+        # Every field but the cached complex, in slot order.
+        return tuple(getattr(self, name) for name in self.__slots__ if name != "_complex")
 
     def __eq__(self, other):
         if not isinstance(other, JobSpec):
@@ -784,21 +780,25 @@ def parse_job(text: str) -> JobSpec:
         tuple(singularities),
     )
 
-    spec._rho = (spec.rho_rows, rho)
-
-    # The triple itself must validate; report the first failure against the
-    # line that supplied the failing data.
-    report = validate(pres, spec.augmentation(), rho)
-    if not report.ok:
-        message = "; ".join(report.failures)
-        line = eps_line or (rho_lines[0][0] if rho_lines else None) or builder_line or inline_line or 1
-        if "eps" in message and eps_line is not None:
-            line = eps_line
-        elif rho_lines:
+    # Building the complex is the validation of the triple, and the line that
+    # supplied the data of its first failure is reported.  A failed d1 d2 = 0
+    # check leaves no complex: run_job builds it again and reports that.
+    try:
+        spec._complex = (spec._triple(), build_complex(pres, spec.augmentation(), rho))
+    except InvalidTripleError as exc:
+        first = exc.report.failures[0]
+        if first.endswith(") is singular"):  # rho(<gen>) is singular
+            singular = first[len("rho(") : -len(") is singular")]
+            line = next(lineno for lineno, name, _ in rho_lines if name == singular)
+        elif first.startswith("rho"):  # rho does not kill relator <i>; rho trivial kills all
             line = rho_lines[0][0]
-        elif rho_trivial is not None:
-            line = rho_trivial[0]
-        raise JobParseError(line, f"invalid triple: {message}")
+        elif eps_line is None and first.startswith("eps does not kill") and relator_lines:
+            line = relator_lines[int(first.split()[5])][0]  # inline relators under the default eps
+        else:
+            line = eps_line or builder_line or inline_line
+        raise JobParseError(line, f"invalid triple: {exc}")
+    except InternalInvariantError:
+        pass
     return spec
 
 
@@ -979,11 +979,6 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
         raise ValueError(f"unknown mode {mode!r}")
 
     try:
-        context = spec.context()
-        pres = spec.presentation()
-        eps = spec.augmentation()
-        rho = spec.representation(context)
-
         out.emit(
             {
                 "record": "job",
@@ -995,16 +990,17 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
             }
         )
 
-        # build_complex validates the triple; its verdict is the validation
-        # record.
+        # Building the complex validates the triple; its verdict is the
+        # validation record.  A parsed job reuses the complex of parse_job.
         try:
-            complex_ = build_complex(pres, eps, rho)
-            failures, index = [], eps.image_index()
+            complex_ = spec.chain_complex()
+            failures, index = [], complex_.eps.image_index()
         except InvalidTripleError as exc:
             failures, index = list(exc.report.failures), exc.report.eps_image_index
         out.emit({"record": "validation", "ok": not failures, "eps_image_index": index, "failures": failures})
         if failures:
             return out.render(), EXIT_INPUT_ERROR
+        context, pres, rho = complex_.context, complex_.presentation, complex_.rho
 
         result = homology(complex_)
 

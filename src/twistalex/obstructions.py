@@ -46,6 +46,8 @@ from .homology import (
     specialize_homology,
 )
 
+ORDER_BOUND = 4096  # the largest multiplicative order root_field looks for
+
 __all__ = [
     "CurveComponent",
     "Singularity",
@@ -266,10 +268,10 @@ class RootFieldReport:
         )
 
 
-def _matrix_multiplicative_order(m: ScalarMatrix, bound: int = 4096) -> int | None:
+def _matrix_multiplicative_order(m: ScalarMatrix) -> int | None:
     acc = m
     eye = ScalarMatrix.identity(m.context, m.rows)
-    for k in range(1, bound + 1):
+    for k in range(1, ORDER_BOUND + 1):
         if acc == eye:
             return k
         acc = acc * m
@@ -316,21 +318,21 @@ def extension_degree_formula(d: int, algebraic_orders, transcendental_count: int
     return int(value)
 
 
-def root_field(rho_x0: ScalarMatrix, d: int, order_bound: int = 4096) -> RootFieldReport:
+def root_field(rho_x0: ScalarMatrix, d: int) -> RootFieldReport:
     """Splitting-field data for the roots of Delta_1 (curve of degree d
     transversal at infinity, unitary-type representation).
 
-    Exact path: rho(x0) must have finite multiplicative order; the
+    Exact path: rho(x0) must have multiplicative order at most ORDER_BOUND; the
     eigenvalues lambda_i of rho(x0)^-1 are then roots of unity read off the
     characteristic polynomial, every d-th root of each lambda_i is a root of
     unity of computable exact order, and S is the cyclotomic field generated
-    by all of them together with K.  Without finite order the report is
+    by all of them together with K.  Without such an order the report is
     symbolic only (degree formula unavailable without the orders).
     """
     if d < 2:
         raise ValueError("degree must be at least 2")
     inv = rho_x0.inverse()
-    order = _matrix_multiplicative_order(inv, order_bound)
+    order = _matrix_multiplicative_order(inv)
     if order is None:
         return RootFieldReport(False, d, (), (), None, None, None, None)
     eigenvalues, big = _charpoly_roots_of_unity(inv, order)

@@ -1,6 +1,7 @@
-"""How often a job runs its expensive passes: validation, the Wada minors,
-specialization and the Fox Jacobian; and how often the polynomial and
-scalar-matrix layers build or invert field elements."""
+"""How often a job runs its expensive passes: validation (once, in the
+build_complex of parse_job), the Wada minors, specialization and the Fox
+Jacobian; and how often the polynomial and scalar-matrix layers build or
+invert field elements."""
 
 from __future__ import annotations
 
@@ -35,14 +36,14 @@ def _count_calls(monkeypatch, original):
 
 
 @pytest.mark.parametrize("mode", ["compute", "check"])
-def test_a_job_validates_its_triple_twice(monkeypatch, mode):
-    # Once when the job is parsed, once when the complex is built; the
-    # validation record reuses the second.
+def test_a_job_validates_its_triple_once(monkeypatch, mode):
+    # parse_job builds the complex, which validates the triple; run_job and
+    # its validation record reuse that complex.
     calls = _count_calls(monkeypatch, validate)
     spec = parse_job((SAMPLES / "hopf4_twisted_z12.job").read_text(encoding="utf-8"))
     _, code = run_job(spec, mode=mode)
     assert code == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_invalid_triple_reports_the_build_verdict():
@@ -150,13 +151,14 @@ def _x_l_y_minus_l_job(length: int) -> str:
     return f"generators x y\nrelator x^{length} y^-{length}\neps x=1 y=1\nrho x = [[1]]\nrho y = [[1]]\n"
 
 
-def test_a_compute_job_walks_its_relator_letters_twice(monkeypatch):
-    # Once to validate the parsed job, once in the Fox pass of build_complex.
+def test_a_compute_job_walks_its_relator_letters_once(monkeypatch):
+    # In the Fox pass of the build_complex that parse_job runs; run_job
+    # reuses the complex.
     length = 200
     products = _count_method(monkeypatch, FieldContext, "_matrix_product")
     _, code = run_job(parse_job(_x_l_y_minus_l_job(length)), mode="compute")
     assert code == 0
-    assert 4 * length <= len(products) <= 4 * length + 10
+    assert 2 * length <= len(products) <= 2 * length + 10
 
 
 def test_a_compute_job_builds_no_field_element_per_letter(monkeypatch):

@@ -12,11 +12,14 @@ from pathlib import Path
 import pytest
 
 from twistalex.cli import main
+from twistalex.laurent import LaurentMatrix
 from twistalex.jobs import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT_ERROR,
+    EXIT_INVARIANT,
     EXIT_OK,
     JobParseError,
+    JobSpec,
     parse_job,
     run_corpus,
     run_job,
@@ -146,6 +149,128 @@ analyze delta
     with pytest.raises(JobParseError) as err:
         parse_job(text)
     assert "invalid triple" in str(err.value)
+
+
+INVALID_TRIPLES = {
+    "singular rho": ("builder hopf d=2\nrho x0 = [[1]]\nrho x1 = [[0]]\n", 3, "rho(x1) is singular"),
+    "singular rho first": (
+        "generators x y\nrelator x^2 y^-3\nrho x = [[1]]\nrho y = [[0]]\n",
+        4,
+        "rho(y) is singular; eps does not kill relator 0 (value -1)",
+    ),
+    "default eps, inline": (
+        "field rational\ngenerators x y\nrelator x y x^-1 y^-1\nrelator x^2 y^-3\nrho trivial 1\n",
+        4,
+        "eps does not kill relator 1 (value -1)",
+    ),
+    "eps line": ("builder torus p=2 q=3\nrho trivial 1\neps x=1 y=1\n", 3, "eps does not kill relator 0 (value -1)"),
+    "rho": (
+        "field cyclotomic 4\nbuilder hopf d=2\nrho x1 = [[1, 1], [0, 1]]\nrho x0 = [[1, 0], [1, 1]]\n",
+        3,
+        "rho does not kill relator 0",
+    ),
+    "trivial eps": ("generators x\neps x=0\nrho trivial 1\n", 2, "eps is trivial"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_TRIPLES))
+def test_an_invalid_triple_names_the_line_of_its_first_failure(name):
+    text, line, failures = INVALID_TRIPLES[name]
+    with pytest.raises(JobParseError) as err:
+        parse_job(text)
+    assert str(err.value) == f"line {line}: invalid triple: {failures}"
+
+
+def test_a_nonzero_boundary_composite_exits_3_with_an_error_record(tmp_path, capsys, monkeypatch):
+    # parse_job keeps no complex whose d1 d2 = 0 check failed: run_job builds
+    # it again and reports the violated invariant, and so do the CLI and the
+    # corpus runner through it.
+    monkeypatch.setattr(LaurentMatrix, "is_zero", lambda self: False)
+    spec = parse_job(TORUS23)
+    report, code = run_job(spec, fmt="records")
+    records = [json.loads(line) for line in report.splitlines()]
+    assert code == EXIT_INVARIANT
+    assert [r["record"] for r in records] == ["job", "error"]
+    assert records[1] == {"record": "error", "kind": "invariant", "message": "boundary composite d1 d2 is nonzero"}
+    report, code = run_job(spec, mode="check")
+    assert code == EXIT_INVARIANT
+    assert report.splitlines()[-1] == "internal invariant violated: boundary composite d1 d2 is nonzero"
+    path = tmp_path / "torus.job"
+    path.write_text(TORUS23, encoding="utf-8")
+    assert main(["compute", str(path)]) == EXIT_INVARIANT
+    out = capsys.readouterr()
+    assert out.out == run_job(spec)[0] and out.err == ""
+    report, code = run_corpus([path])
+    assert code == EXIT_INVARIANT
+    assert "torus.job: ERROR" in report.splitlines()
+
+
+def _reports(spec: JobSpec) -> list:
+    return [run_job(spec, mode=mode, fmt=fmt) for mode in ("compute", "check") for fmt in ("text", "records")]
+
+
+TWISTED_TREFOIL = """
+field cyclotomic 6
+generators x y
+relator x^2 y^-3
+eps x=3 y=2
+rho x = [[-1]]
+rho y = [[-1 + z]]
+analyze delta wada
+specialize -1
+"""
+
+# (field, new value, still valid); every valid edit changes the report.  In
+# Q(zeta_12), -1 + z is no cube root of 1.
+TRIPLE_EDITS = {
+    "relator_texts": ("relator_texts", ("x x x x y^-1 y^-1 y^-1 y^-1 y^-1 y^-1",), True),
+    "relator_texts invalid": ("relator_texts", ("x x y^-1 y^-1",), False),
+    "rho_rows": ("rho_rows", ((("1",),), (("-1 + z",),)), True),
+    "rho_rows singular": ("rho_rows", ((("0",),), (("-1 + z",),)), False),
+    "rho_rows not killed": ("rho_rows", ((("2",),), (("-1 + z",),)), False),
+    "conductor invalid": ("conductor", 12, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRIPLE_EDITS))
+def test_a_reassigned_triple_field_rebuilds_the_complex(name):
+    field, value, valid = TRIPLE_EDITS[name]
+    spec = parse_job(TWISTED_TREFOIL)
+    before = _reports(spec)
+    setattr(spec, field, value)
+    after = _reports(spec)
+    if valid:
+        twin = parse_job(serialize_job(spec))
+        assert twin == spec
+        assert after == _reports(twin)
+        assert after != before
+    else:
+        with pytest.raises(JobParseError, match="invalid triple"):
+            parse_job(serialize_job(spec))
+        for (report, code), fmt in zip(after, ("text", "records") * 2):
+            assert code == EXIT_INPUT_ERROR
+            verdict = report.splitlines()[1]
+            assert "validation: FAILED" in verdict if fmt == "text" else '"ok": false' in verdict
+
+
+@pytest.mark.parametrize("path", SAMPLES, ids=lambda p: p.stem)
+def test_a_directly_built_spec_reports_like_its_parsed_twin(path):
+    parsed = parse_job(path.read_text(encoding="utf-8"))
+    direct = JobSpec(
+        parsed.conductor,
+        parsed.source,
+        parsed.generator_names,
+        parsed.relator_texts,
+        parsed.eps_values,
+        parsed.rho_rows,
+        parsed.analyses,
+        parsed.specialize_values,
+        parsed.local_requests,
+        parsed.components,
+        parsed.singularities,
+    )
+    assert direct == parsed
+    assert _reports(direct) == _reports(parsed)
 
 
 def test_parse_errors_carry_line_numbers():
