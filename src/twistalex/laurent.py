@@ -16,8 +16,13 @@ LaurentMatrix shares its storage and ring-independent operations with
 ScalarMatrix through scalars.Matrix.  It adds only the promotion of scalar
 entries to constant polynomials, the maps into and out of the field
 (from_scalar_matrix, specialize, substitute_power) and
-the elimination over F[t, t^-1]: Bareiss determinants, minor gcds and Smith
-normal form.
+the elimination over F[t, t^-1]: determinants, minor gcds and Smith
+normal form.  The eliminations follow the sparsity of their input.  A
+determinant peels singleton rows and columns first (Matrix._peel_singletons,
+shared with the scalar rank and det) and runs Bareiss on the core alone.
+The Smith form breaks span ties between pivots by the Markowitz count, so
+units whose row or column holds nothing else leave without fill, and it
+orders the divisors in one pass at the end, not by a scan per corner.
 """
 
 from __future__ import annotations
@@ -742,18 +747,33 @@ class LaurentMatrix(Matrix):
         return cls._make(context, out)
 
     def determinant(self) -> LaurentPoly:
-        """Bareiss fraction-free elimination; every division is exact over the
-        integral domain.  The previous pivot p divides every entry of a step,
-        so it is made monic once per step, p = m / u with u the unit of
+        """The signed product of the peeled singletons
+        (Matrix._peel_singletons) and the Bareiss determinant of the core.
+
+        Bareiss is fraction-free elimination; every division is exact over
+        the integral domain.  The previous pivot p divides every entry of a
+        step, so it is made monic once per step, p = m / u with u the unit of
         p.normalize(): each entry is divided by the monic m, which needs no
-        field inverse, and the quotient is scaled by u."""
+        field inverse, and the quotient is scaled by u.  A matrix that is
+        triangular or diagonal up to permutations has an empty core and
+        makes no division, and a 1 x 1 matrix is its entry, with no
+        product by 1."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return LaurentPoly.one(self.context)
-        work = [list(row) for row in self.entries]
-        sign = 1
+        if self.rows < 2:
+            return self.entries[0][0] if self.rows else LaurentPoly.one(self.context)
+        zero = LaurentPoly.zero(self.context)
+        peeled, rows, cols, sign = self._peel_singletons()
+        if not sign:
+            return zero
+        det = None
+        for i, j in peeled:
+            e = self.entries[i][j]
+            det = e if det is None else det * e
+        if not rows:
+            return -det if sign < 0 else det
+        work = [[self.entries[i][j] for j in cols] for i in rows]
+        n = len(work)
         prev = None  # the pivot of the previous step; 1 before the first
         for k in range(n - 1):
             pivot_row = None
@@ -766,7 +786,7 @@ class LaurentMatrix(Matrix):
                         best = s
                         pivot_row = i
             if pivot_row is None:
-                return LaurentPoly.zero(self.context)
+                return zero
             if pivot_row != k:
                 work[k], work[pivot_row] = work[pivot_row], work[k]
                 sign = -sign
@@ -779,9 +799,10 @@ class LaurentMatrix(Matrix):
                 for j in range(k + 1, n):
                     num = work[i][j] * pk - rik * work[k][j]
                     work[i][j] = num if prev is None else num.exact_div(monic) * unit
-                work[i][k] = LaurentPoly.zero(self.context)
+                work[i][k] = zero
             prev = pk
-        det = work[n - 1][n - 1]
+        core = work[n - 1][n - 1]
+        det = core if det is None else det * core
         return -det if sign < 0 else det
 
     def minors_gcd(self, k: int) -> LaurentPoly:
@@ -814,20 +835,38 @@ class LaurentMatrix(Matrix):
         return self._map(lambda e: e.substitute_power(n))
 
     def smith_normal_form(self, certificates: bool = True) -> SmithNormalForm:
-        """Diagonalize by elementary row/column operations over F[t, t^-1].
+        """Diagonalize by elementary row/column operations over F[t, t^-1],
+        then put the diagonal in divisibility order.
 
-        The pivot is always a nonzero entry of minimal degree span (ties by
-        position); remainders swap into the pivot, so spans strictly decrease
-        and the loop terminates.  Whenever an entry enters the corner its row
-        is scaled by the unit that puts it in canonical form (monic, lowest
-        exponent 0), a unit row operation that only U records; every division
-        by the corner is then by a monic divisor and needs no field inverse,
-        and the corners are the normalized divisors d_1 | d_2 | ... when the
-        loop ends.  With certificates (the default) it returns them with
-        unimodular U, V such that U*M*V is diagonal, and Vinv = V^-1.  With
-        certificates=False the same loop skips every update of U, V and Vinv
-        and returns None for all three: the divisors and the rank, which are
-        all a homology computation reads, come out the same.
+        Each pivot is a nonzero entry of minimal degree span in the active
+        block; ties go to the least Markowitz count (r - 1)(c - 1), r and c
+        the nonzeros of its row and column in the block (Markowitz,
+        Management Sci. 1957), then to the first in row order.  A unit whose
+        row or column holds nothing else thus leaves without fill.
+        Remainders swap into the pivot, so spans strictly decrease and the
+        clearing of a corner's row and column terminates.  Whenever an entry
+        enters the corner its row is scaled by the unit that puts it in
+        canonical form (monic, lowest exponent 0), a unit row operation that
+        only U records; every division by the corner is then by a monic
+        divisor and needs no field inverse.
+
+        The diagonal d_0, ..., d_(k-1) that the clearing leaves need not be
+        a divisibility chain.  One pass over the pairs i < j mends it: when
+        d_i does not divide d_j, row j is added to row i and the 2 x 2 block
+        of rows and columns i, j is cleared again by the same operations.
+        One clearing can leave a corner that still does not divide the other
+        entry, so the step repeats until it does; each repeat lowers the
+        corner's span, and the pair ends as gcd(d_i, d_j) at i and
+        lcm(d_i, d_j), made monic, at j.
+        After the pairs of i, d_i divides every later entry, and the gcds
+        and lcms keep the earlier ones dividing; so the pass ends on the
+        normalized divisors d_1 | d_2 | ....
+
+        With certificates (the default) it returns unimodular U, V such that
+        U*M*V is diagonal, and Vinv = V^-1.  With certificates=False the
+        same operations skip every update of U, V and Vinv and return None
+        for all three: the divisors and the rank, which are all a homology
+        computation reads, come out the same.
         """
         ctx = self.context
         m, n = self.rows, self.cols
@@ -852,104 +891,106 @@ class LaurentMatrix(Matrix):
 
         def add_row(dst, src, factor):
             # row_dst += factor * row_src; U tracks the same operation.
-            if factor.is_zero():
-                return
             A[dst] = [a + factor * b if b else a for a, b in zip(A[dst], A[src])]
             if certificates:
                 U[dst] = [a + factor * b for a, b in zip(U[dst], U[src])]
 
-        def add_col(dst, src, factor):
-            # col_dst += factor * col_src; V tracks it, Vinv tracks the inverse
-            # operation on rows (row_src -= factor * row_dst).
-            if factor.is_zero():
-                return
-            for row in A:
-                if row[src]:
-                    row[dst] = row[dst] + factor * row[src]
-            if certificates:
-                for row in V:
-                    row[dst] = row[dst] + factor * row[src]
-                Vinv[src] = [a - factor * b for a, b in zip(Vinv[src], Vinv[dst])]
+        def normalize_row(k):
+            # Scale row k by the unit that makes A[k][k] canonical.
+            d = A[k][k]
+            if not d._is_normal():
+                unit = d._normalizer()
+                A[k] = [unit * a if a else a for a in A[k]]
+                if certificates:
+                    U[k] = [unit * a for a in U[k]]
 
-        def enter_corner(i, j):
+        def enter_corner(corner, i, j):
             # Move entry (i, j) into the corner and scale its row monic.
             swap_rows(corner, i)
             swap_cols(corner, j)
-            d = A[corner][corner]
-            if not d._is_normal():
-                unit = d._normalizer()
-                A[corner] = [unit * a if a else a for a in A[corner]]
-                if certificates:
-                    U[corner] = [unit * a for a in U[corner]]
+            normalize_row(corner)
+
+        def settle(corner, rows, cols):
+            # Clear the corner's column over rows and its row over cols.
+            while True:
+                dirty = False
+                for i in rows:
+                    e = A[i][corner]
+                    if not e:
+                        continue
+                    q, r = divmod(e, A[corner][corner])
+                    if q:
+                        add_row(i, corner, -q)
+                    if r:
+                        enter_corner(corner, i, corner)
+                        dirty = True
+                        break
+                if dirty:
+                    continue
+                # The corner's column is clear now, so a column operation
+                # col_j -= q * col_corner changes only A[corner][j], to r.
+                for j in cols:
+                    e = A[corner][j]
+                    if not e:
+                        continue
+                    q, r = divmod(e, A[corner][corner])
+                    A[corner][j] = r
+                    if certificates and q:
+                        # V tracks the column operation; Vinv the inverse
+                        # one on rows, row_corner += q * row_j.
+                        for row in V:
+                            row[j] = row[j] - q * row[corner]
+                        Vinv[corner] = [a + q * b for a, b in zip(Vinv[corner], Vinv[j])]
+                    if r:
+                        enter_corner(corner, corner, j)
+                        dirty = True
+                        break
+                if not dirty:
+                    return
 
         corner = 0
         limit = min(m, n)
         while corner < limit:
-            # Locate a pivot of minimal span at or beyond the corner.
-            pivot = None
+            # A pivot of minimal span in the active block, the least
+            # Markowitz count among those, then the first.  A block of one
+            # row or one column gives every entry the count 0.
             best = None
+            tied = []
             for i in range(corner, m):
+                row = A[i]
                 for j in range(corner, n):
-                    e = A[i][j]
-                    if not e.is_zero():
-                        s = e.span
-                        if best is None or s < best:
+                    s = len(row[j].rows)
+                    if s and (best is None or s <= best):
+                        if s != best:
                             best = s
-                            pivot = (i, j)
-                            if s == 0:
-                                break
-                if pivot is not None and best == 0:
-                    break
-            if pivot is None:
+                            tied = []
+                        tied.append((i, j))
+            if best is None:
                 break
-            enter_corner(*pivot)
-            while True:
-                # Clear the pivot column.
-                dirty = False
-                for i in range(corner + 1, m):
-                    e = A[i][corner]
-                    if e.is_zero():
-                        continue
-                    q, r = divmod(e, A[corner][corner])
-                    add_row(i, corner, -q)
-                    if not r.is_zero():
-                        enter_corner(i, corner)
-                        dirty = True
-                        break
-                if dirty:
-                    continue
-                # Clear the pivot row.
-                for j in range(corner + 1, n):
-                    e = A[corner][j]
-                    if e.is_zero():
-                        continue
-                    q, r = divmod(e, A[corner][corner])
-                    add_col(j, corner, -q)
-                    if not r.is_zero():
-                        enter_corner(corner, j)
-                        dirty = True
-                        break
-                if dirty:
-                    continue
-                # Row and column are clear; enforce divisibility of the rest.
-                # The corner column is clear, so this leaves the corner as is.
-                # A corner entered monic is 1 when it is a unit, and 1 divides
-                # everything.
-                if A[corner][corner].is_one():
-                    break
-                offender = None
-                for i in range(corner + 1, m):
-                    for j in range(corner + 1, n):
-                        e = A[i][j]
-                        if not e.is_zero() and not divmod(e, A[corner][corner])[1].is_zero():
-                            offender = i
-                            break
-                    if offender is not None:
-                        break
-                if offender is None:
-                    break
-                add_row(corner, offender, LaurentPoly.one(ctx))
+            pivot = tied[0]
+            if len(tied) > 1 and m - corner > 1 and n - corner > 1:
+                block = A[corner:]
+                row_nnz = {i: sum(1 for e in A[i][corner:] if e.rows) for i in {i for i, _ in tied}}
+                col_nnz = {j: sum(1 for row in block if row[j].rows) for j in {j for _, j in tied}}
+                pivot = min(tied, key=lambda ij: (row_nnz[ij[0]] - 1) * (col_nnz[ij[1]] - 1))
+            enter_corner(corner, *pivot)
+            settle(corner, range(corner + 1, m), range(corner + 1, n))
             corner += 1
+
+        # The divisibility pass.  A corner entered monic is 1 when it is a
+        # unit, and 1 divides everything.  One clearing of the pair need not
+        # leave a corner that divides the other entry, so it repeats; each
+        # repeat swaps a remainder into the corner, of strictly smaller span.
+        for i in range(corner):
+            for j in range(i + 1, corner):
+                d, e = A[i][i], A[j][j]
+                if d.is_one():
+                    break
+                while d != e and divmod(e, d)[1]:
+                    add_row(i, j, LaurentPoly.one(ctx))
+                    settle(i, (j,), (j,))
+                    normalize_row(j)
+                    d, e = A[i][i], A[j][j]
 
         divisors = tuple(A[i][i] for i in range(corner))
         if not certificates:

@@ -18,12 +18,14 @@ without field elements (FieldContext._matrix_product, _matrix_sum).
 
 Matrix is the one dense matrix type of the package: storage, construction,
 sums, products, transposes, embeddings and comparisons for any ring of the
-context.  ScalarMatrix is its field case; it adds the coercion of entries
-into the field and elimination.  rank and det run one Bareiss
-(fraction-free) elimination on the integral rows of the matrix, where the
-exact division by the previous pivot p is a product with the cofactor of p
-and an integer division by N(p); neither inverts a field element.  inverse
-is Gauss-Jordan on [M | Id].  LaurentMatrix (in laurent.py) is the
+context, and the singleton peeling in front of every elimination of rank
+and determinant.  ScalarMatrix is its field case; it adds the coercion of
+entries into the field and elimination.  rank and det peel singleton rows
+and columns, then run one Bareiss (fraction-free) elimination on the
+integral rows of the core that is left, where the exact division by the
+previous pivot p is a product with the cofactor of p and an integer
+division by N(p); neither inverts a field element.  inverse is
+Gauss-Jordan on [M | Id].  LaurentMatrix (in laurent.py) is the
 F[t, t^-1] case.
 """
 
@@ -381,10 +383,10 @@ class CycloNumber:
         return self.context.conductor
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.nums)
+        return not any(self.nums)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.nums)
 
     def is_rational(self) -> bool:
         return all(a == 0 for a in self.nums[1:])
@@ -600,6 +602,22 @@ def parse_scalar(text: str, context: FieldContext) -> CycloNumber:
     return total
 
 
+def _permutation_sign(order) -> int:
+    """The sign of a permutation of range(len(order)), from its cycles."""
+    seen = [False] * len(order)
+    sign = 1
+    for start in range(len(order)):
+        k = start
+        length = 0
+        while not seen[k]:
+            seen[k] = True
+            k = order[k]
+            length += 1
+        if length and not length % 2:
+            sign = -sign
+    return sign
+
+
 class Matrix:
     """A dense exact matrix over a ring of the field context.
 
@@ -738,8 +756,66 @@ class Matrix:
         return self._make(self.context, [[self.entries[i][j] for j in col_indices] for i in row_indices])
 
     def delete_columns(self, cols):
-        keep = [j for j in range(self.cols) if j not in set(cols)]
+        dropped = set(cols)
+        keep = [j for j in range(self.cols) if j not in dropped]
         return self.submatrix(range(self.rows), keep)
+
+    def _peel_singletons(self):
+        """Singleton peeling, the first stage of every elimination of rank
+        and determinant: what is left for Bareiss is the core.
+
+        A row or column with exactly one nonzero entry a_ij leaves with the
+        column or row of that entry: by the Laplace expansion along that
+        line, det = (-1)^(i+j) a_ij det(minor), and over a field rank = 1 +
+        rank(minor).  A line with no nonzero entry leaves alone: it adds
+        nothing to the rank, and it makes the determinant 0.  Each departure
+        lowers the nonzero counts of the lines that crossed it, which can
+        make new singletons; the peeling runs until none is left and reads
+        every nonzero a bounded number of times.  On a matrix that is
+        triangular or diagonal up to permutations of its rows and columns,
+        the core is empty.
+
+        Returns (peeled, rows, cols, sign): the (i, j) of the peeled
+        entries in peel order, the ascending rows and columns of the core,
+        and the sign of the expansion, which is the product of the signs of
+        the row order (peeled rows, then core rows) and the column order;
+        sign is 0 when a zero line left.  The determinant is then sign times
+        the peeled entries times the determinant of the core."""
+        m, n = self.rows, self.cols
+        row_nz = [[j for j, e in enumerate(row) if e] for row in self.entries]
+        col_nz = [[] for _ in range(n)]
+        for i, js in enumerate(row_nz):
+            for j in js:
+                col_nz[j].append(i)
+        # Per axis (rows, then columns): live flags, nonzero counts among the
+        # live lines of the other axis, and the nonzero positions.
+        axes = (([True] * m, list(map(len, row_nz)), row_nz), ([True] * n, list(map(len, col_nz)), col_nz))
+        todo = [(a, k) for a, (_, count, _) in enumerate(axes) for k, c in enumerate(count) if c < 2]
+        peeled = []
+        sign = 1
+        while todo:
+            a, k = todo.pop()
+            live, count, nz = axes[a]
+            if not live[k] or count[k] > 1:
+                continue
+            live[k] = False
+            if not count[k]:
+                sign = 0
+                continue
+            other_live, _, other_nz = axes[1 - a]
+            partner = next(x for x in nz[k] if other_live[x])
+            other_live[partner] = False
+            for x in other_nz[partner]:
+                if live[x]:
+                    count[x] -= 1
+                    if count[x] < 2:
+                        todo.append((a, x))
+            peeled.append((partner, k) if a else (k, partner))
+        rows = [i for i, alive in enumerate(axes[0][0]) if alive]
+        cols = [j for j, alive in enumerate(axes[1][0]) if alive]
+        if sign and peeled:
+            sign = _permutation_sign([i for i, _ in peeled] + rows) * _permutation_sign([j for _, j in peeled] + cols)
+        return peeled, rows, cols, sign
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
@@ -797,8 +873,9 @@ class ScalarMatrix(Matrix):
     def _from_rows(cls, context: FieldContext, entries, den: int) -> ScalarMatrix:
         return cls._make(context, [[CycloNumber(context, e, den) for e in row] for row in entries])
 
-    def _fraction_free(self) -> tuple[int, list[int] | None, int]:
-        """Bareiss elimination on integral power-basis rows.
+    def _fraction_free(self, rows, cols) -> tuple[int, list[int] | None, int]:
+        """Bareiss elimination of the submatrix on rows and cols, on
+        integral power-basis rows.
 
         Each row is scaled once by the lcm of its denominators, so the
         entries lie in Z[z].  The entries left after each step are minors of
@@ -807,21 +884,23 @@ class ScalarMatrix(Matrix):
         computed once per step.  Columns without a pivot are skipped, so any
         shape works.  Returns the rank, the last pivot (None at rank 0) and
         the product of the row scales signed by the row swaps; for a square
-        matrix of full rank, the last pivot over that product is the
+        submatrix of full rank, the last pivot over that product is its
         determinant."""
         ctx = self.context
         zero = [0] * ctx.degree
         product = ctx._product
         work = []
         scale = 1
-        for row in self.entries:
+        for i in rows:
+            row = [self.entries[i][j] for j in cols]
             den = lcm(e.den for e in row)
             scale *= den
             work.append([e.nums if e.den == den else [x * (den // e.den) for x in e.nums] for e in row])
+        height = len(work)
         rank = 0
         pivot = None
-        for col in range(self.cols):
-            found = next((i for i in range(rank, self.rows) if any(work[i][col])), None)
+        for col in range(len(cols)):
+            found = next((i for i in range(rank, height) if any(work[i][col])), None)
             if found is None:
                 continue
             if found != rank:
@@ -830,7 +909,7 @@ class ScalarMatrix(Matrix):
             top = work[rank]
             prev, pivot = pivot, top[col]
             rank += 1
-            if rank == self.rows:
+            if rank == height:
                 break
             # The division by the previous pivot: a product with its cofactor
             # (none when it is rational), then an integer division by N.
@@ -853,19 +932,33 @@ class ScalarMatrix(Matrix):
         return rank, pivot, scale
 
     def rank(self) -> int:
-        return self._fraction_free()[0]
+        """One per peeled singleton (Matrix._peel_singletons) plus the
+        Bareiss rank of the core."""
+        peeled, rows, cols, _ = self._peel_singletons()
+        return len(peeled) + self._fraction_free(rows, cols)[0]
 
     def det(self) -> CycloNumber:
-        """The last Bareiss pivot over the product of the row scales; zero
-        below full rank."""
+        """The signed product of the peeled singletons and the determinant
+        of the core, the last Bareiss pivot over the product of the row
+        scales; zero below full rank.  The product runs on integer rows, so
+        the result is the one field element built."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         if self.rows == 0:
             return self.context.one
-        rank, pivot, scale = self._fraction_free()
-        if rank < self.rows:
+        peeled, rows, cols, sign = self._peel_singletons()
+        if not sign:
             return self.context.zero
-        return CycloNumber(self.context, pivot, scale)
+        rank, pivot, scale = self._fraction_free(rows, cols)
+        if rank < len(rows):
+            return self.context.zero
+        ctx = self.context
+        nums = pivot if rows else ctx.one.nums
+        for i, j in peeled:
+            e = self.entries[i][j]
+            nums = ctx._product(nums, e.nums)
+            scale *= e.den
+        return CycloNumber(ctx, nums, sign * scale)
 
     def inverse(self) -> ScalarMatrix:
         """Gauss-Jordan on [self | Id]: the right half ends as the inverse."""

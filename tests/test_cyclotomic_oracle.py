@@ -4,7 +4,8 @@ cyclotomic field; and Laurent polynomials over Q(zeta_n): products,
 differences, division with remainder, exact division, normalization, gcds,
 Bareiss determinants and evaluation at a point; and the rank and determinant
 of scalar matrices against sympy's matrices over the algebraic field
-Q(zeta_n)."""
+Q(zeta_n).  Sparse matrices under row and column permutations check the
+singleton peeling in front of both eliminations."""
 
 from __future__ import annotations
 
@@ -393,3 +394,76 @@ def test_dense_20x20_over_q_zeta_5():
     singular = ScalarMatrix(ctx, rows)
     assert singular.rank() == size - 1
     assert singular.det().is_zero()
+
+
+# Sparse matrices under random row and column permutations: singleton
+# peeling hands Bareiss only the core that is left, and the sign of the
+# expansion comes from the two orders.  Each kind is seeded; "odd" forces
+# an odd permutation of rows times columns, and the zero line and the
+# dependent rows make the determinant 0.
+
+SPARSE_KINDS = ("sparse", "odd", "zero row", "zero column", "dependent rows")
+
+
+def _sparse(rng: random.Random, kind: str, shape: tuple[int, int], entry, zero) -> list[list]:
+    rows, cols = shape
+    m = [[entry() if i == j or rng.random() < 0.25 else zero for j in range(cols)] for i in range(rows)]
+    if kind == "zero row":
+        m[rng.randrange(rows)] = [zero] * cols
+    elif kind == "zero column":
+        j = rng.randrange(cols)
+        for row in m:
+            row[j] = zero
+    elif kind == "dependent rows":
+        a, b, k = rng.sample(range(rows), 3)
+        m[k] = [x + y for x, y in zip(m[a], m[b])]
+    row_order, col_order = list(range(rows)), list(range(cols))
+    rng.shuffle(row_order)
+    rng.shuffle(col_order)
+    if kind == "odd" and _parity(row_order) == _parity(col_order):
+        row_order[0], row_order[1] = row_order[1], row_order[0]
+    return [[m[i][j] for j in col_order] for i in row_order]
+
+
+def _parity(order) -> int:
+    return sum(1 for i in range(len(order)) for j in range(i) if order[j] > order[i]) % 2
+
+
+@pytest.mark.parametrize("kind", SPARSE_KINDS)
+@pytest.mark.parametrize("n", (1, 5, 12))
+def test_sparse_laurent_determinant_matches_sympy(n, kind):
+    ctx = FieldContext(n)
+    rng = random.Random(f"sparse-laurent-det-{n}-{kind}")
+    size = 6
+    entries = _sparse(rng, kind, (size, size), lambda: _laurent(ctx, rng, rng.randint(0, 2)), LaurentPoly.zero(ctx))
+    m = LaurentMatrix(ctx, entries)
+    expr = 0
+    for perm in permutations(range(size)):
+        if all(m[i, perm[i]] for i in range(size)):
+            sign = (-1) ** _parity(perm)
+            expr += sign * sympy.Mul(*(_laurent_expr(m[i, perm[i]]) for i in range(size)))
+    # A zero sum reads as one zero coefficient.
+    expected = {e: c for e, c in _laurent_coords(expr, n).items() if any(c)}
+    assert _engine_coords(m.determinant()) == expected
+    if kind in ("zero row", "zero column", "dependent rows"):
+        assert m.determinant().is_zero()
+
+
+@pytest.mark.parametrize("kind", SPARSE_KINDS)
+@pytest.mark.parametrize("n", (1, 3, 12, 60))
+def test_sparse_scalar_rank_and_det_match_sympy(n, kind):
+    ctx = FieldContext(n)
+    rng = random.Random(f"sparse-scalar-{n}-{kind}")
+
+    def entry():
+        while True:
+            a = CycloNumber(ctx, [rng.randint(-3, 3) for _ in range(ctx.degree)], rng.choice((1, 2, 3)))
+            if a:
+                return a
+
+    for shape in ((6, 6), (5, 7), (7, 5)):
+        m = ScalarMatrix(ctx, _sparse(rng, kind, shape, entry, ctx.zero))
+        field, expected = _sympy_matrix(m)
+        assert m.rank() == expected.rank(), shape
+        if m.rows == m.cols:
+            assert m.det().coords == _sympy_coords(field, expected.det(), ctx.degree), shape

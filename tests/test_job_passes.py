@@ -1,10 +1,11 @@
 """How often a job runs its expensive passes: validation (once, in the
 build_complex of parse_job), the Wada minors, specialization and the Fox
-Jacobian; and how often the polynomial and scalar-matrix layers build or
-invert field elements."""
+Jacobian; how often the polynomial and scalar-matrix layers build or
+invert field elements; and how often their eliminations divide."""
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 from pathlib import Path
@@ -312,8 +313,8 @@ def test_scalar_rank_and_det_invert_nothing(monkeypatch, n):
 
 def test_smith_form_with_a_unit_corner_walks_no_empty_divisor(monkeypatch):
     # A unit corner is 1 after it enters monic: it divides every entry
-    # without a walk over the entry's rows, and the divisibility scan of the
-    # rest is skipped.
+    # without a walk over the entry's rows, and the divisibility pass skips
+    # it.
     import twistalex.laurent as laurent
 
     ctx = FieldContext(12)
@@ -365,3 +366,75 @@ def test_evaluate_builds_only_its_result(monkeypatch):
     before = len(built)
     matrix.specialize(values[1])
     assert len(built) - before == 6
+
+
+def _inversion_sign(order) -> int:
+    inversions = sum(1 for i in range(len(order)) for j in range(i) if order[j] > order[i])
+    return -1 if inversions % 2 else 1
+
+
+def _permuted(entries, rows, cols):
+    return [[entries[i][j] for j in cols] for i in rows]
+
+
+@pytest.mark.parametrize("shape", ["diagonal", "triangular"])
+def test_a_permuted_triangular_determinant_divides_nothing(monkeypatch, shape):
+    # Singleton peeling empties the whole matrix: the determinant is the
+    # signed product of the diagonal, with no Bareiss division.
+    ctx = FieldContext(12)
+    rng = random.Random(f"peel-{shape}")
+    n = 12
+    zero = LaurentPoly.zero(ctx)
+    diagonal = [_random_poly(ctx, rng, rng.randint(0, 3)) for _ in range(n)]
+    entries = [
+        [diagonal[i] if i == j else _random_poly(ctx, rng, 2) if shape == "triangular" and j > i else zero for j in range(n)]
+        for i in range(n)
+    ]
+    rows, cols = list(range(n)), list(range(n))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    if _inversion_sign(rows) * _inversion_sign(cols) > 0:
+        rows[0], rows[1] = rows[1], rows[0]
+    expected = -math.prod(diagonal[1:], start=diagonal[0])
+    matrix = LaurentMatrix(ctx, _permuted(entries, rows, cols))
+    divisions = _count_method(monkeypatch, LaurentPoly, "__divmod__")
+    assert matrix.determinant() == expected
+    assert divisions == []
+
+
+@pytest.mark.parametrize("d", [20, 40])
+def test_the_hopf_wada_ratio_makes_a_linear_number_of_divisions(monkeypatch, d):
+    # The reduced Fox matrix of the Hopf arrangement is diagonal up to a row
+    # permutation: dense Bareiss made a number of exact divisions cubic in d.
+    spec = parse_job(f"field rational\nbuilder hopf d={d}\nrho trivial 1\nanalyze delta wada\n")
+    complex_ = spec.chain_complex()
+    ctx = complex_.context
+    divisions = _count_method(monkeypatch, LaurentPoly, "__divmod__")
+    ratio = wada_ratio(complex_)
+    assert len(divisions) <= d
+    t_d_minus_1 = LaurentPoly(ctx, [-1] + [0] * (d - 1) + [1])
+    assert ratio.unit_equal(t_d_minus_1 ** (d - 2))
+
+
+def test_the_scalar_rank_of_a_permuted_diagonal_takes_no_cofactor(monkeypatch):
+    # Peeling leaves no core for Bareiss, whose exact divisions by
+    # non-rational pivots each take a cofactor.
+    ctx = FieldContext(60)
+    rng = random.Random(60)
+    n = 8
+    diagonal = []
+    while len(diagonal) < n:
+        a = CycloNumber(ctx, [rng.randint(-3, 3) for _ in range(ctx.degree)], rng.choice((1, 2, 3)))
+        if not a.is_rational():
+            diagonal.append(a)
+    entries = [[diagonal[i] if i == j else ctx.zero for j in range(n)] for i in range(n)]
+    rows, cols = list(range(n)), list(range(n))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    sign = _inversion_sign(rows) * _inversion_sign(cols)
+    matrix = ScalarMatrix(ctx, _permuted(entries, rows, cols))
+    expected = math.prod(diagonal[1:], start=diagonal[0])
+    cofactors = _count_method(monkeypatch, FieldContext, "_cofactor")
+    assert matrix.rank() == n
+    assert matrix.det() == (expected if sign > 0 else -expected)
+    assert cofactors == []

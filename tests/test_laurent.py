@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -242,6 +244,112 @@ def test_smith_form_properties_randomized():
         for k, d in enumerate(snf.divisors, start=1):
             prod = prod * d
             assert prod.unit_equal(m.minors_gcd(k))
+
+
+def _checked_smith_form(m):
+    """The certified Smith form of m after every check that needs no other
+    engine: U * M * V = D with unimodular U and V, Vinv * V = Id, monic
+    divisors in divisibility order, the same divisors and rank without
+    certificates, and d_1 ... d_k = gcd of the k x k minors up to units."""
+    ctx = m.context
+    snf = m.smith_normal_form()
+    assert snf.U.determinant().is_unit()
+    assert snf.V.determinant().is_unit()
+    assert snf.U * m * snf.V == snf.diagonal()
+    assert snf.Vinv * snf.V == LaurentMatrix.identity(ctx, m.cols)
+    assert all(d == d.normalize() for d in snf.divisors)
+    for a, b in zip(snf.divisors, snf.divisors[1:]):
+        assert a.divides(b)
+    bare = m.smith_normal_form(certificates=False)
+    assert (bare.divisors, bare.rank) == (snf.divisors, snf.rank)
+    assert bare.U is bare.V is bare.Vinv is None
+    prod = LaurentPoly.one(ctx)
+    for k, d in enumerate(snf.divisors, start=1):
+        prod = prod * d
+        assert prod.unit_equal(m.minors_gcd(k))
+    return snf
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_smith_form_of_a_permuted_diagonal_out_of_divisibility_order(seed):
+    # The clearing leaves this diagonal as it is, out of order; the
+    # divisibility pass turns it into gcds and lcms.
+    ctx = FieldContext(1)
+    t = LaurentPoly.t_power(ctx, 1)
+    one = LaurentPoly.one(ctx)
+    zero = LaurentPoly.zero(ctx)
+    diagonal = [(t - one) ** 2, t + one, t - one, one]
+    rng = random.Random(seed)
+    rows, cols = list(range(4)), list(range(4))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    m = LaurentMatrix(ctx, [[diagonal[i] if i == j else zero for j in cols] for i in rows])
+    snf = _checked_smith_form(m)
+    assert snf.divisors == (one, one, t - one, ((t - one) ** 2 * (t + one)).normalize())
+
+
+def test_smith_form_of_a_coprime_pair_that_one_clearing_leaves_unordered():
+    # gcd(a, b) = 1, but one clearing of diag(a, b) ends on diag(t - 1, c)
+    # with c(1) = -1: the divisibility pass has to clear the pair again.
+    ctx = FieldContext(1)
+    t = LaurentPoly.t_power(ctx, 1)
+    one = LaurentPoly.one(ctx)
+    zero = LaurentPoly.zero(ctx)
+    a = t**3 + 2 * t**2 - 2 * t - 2 * one
+    b = (t - one) * (t**3 + 2 * t**2 - t - one)
+    for m in ([[a, zero], [zero, b]], [[b, zero], [zero, a]], [[zero, a], [b, zero]]):
+        snf = _checked_smith_form(LaurentMatrix(ctx, m))
+        assert snf.divisors == (one, (a * b).normalize())
+
+
+def test_smith_form_of_diagonal_pairs_against_gcd_and_lcm():
+    # diag(a, b) for a = t^3 + p t^2 + q t + r and b = (t - s)(t^3 + 2t^2 - t - 1):
+    # a family in which several pairs need more than one clearing in the
+    # divisibility pass.  The divisors must be gcd(a, b) and lcm(a, b).
+    ctx = FieldContext(1)
+    zero = LaurentPoly.zero(ctx)
+    cubic = LaurentPoly(ctx, [-1, -1, 2, 1])
+    for p, q, r in itertools.product(range(-2, 3), repeat=3):
+        if r == 0:
+            continue
+        a = LaurentPoly(ctx, [r, q, p, 1])
+        for s in (-1, 1, 2):
+            b = LaurentPoly(ctx, [-s, 1]) * cubic
+            g = laurent_gcd(a, b)
+            expected = (g, divmod(a * b, g)[0].normalize())
+            snf = LaurentMatrix(ctx, [[a, zero], [zero, b]]).smith_normal_form(certificates=False)
+            assert snf.divisors == expected
+
+
+@pytest.mark.parametrize("n", [1, 12])
+def test_smith_form_of_sparse_matrices_with_rich_divisors(n):
+    # P * D * Q up to row and column permutations, with D a diagonal of
+    # products of small factors and P, Q sparse triangular with unit
+    # diagonals: the divisors are those of D, far from divisibility order.
+    ctx = FieldContext(n)
+    t = LaurentPoly.t_power(ctx, 1)
+    one = LaurentPoly.one(ctx)
+    zero = LaurentPoly.zero(ctx)
+    factors = [t - one, t + one, t - ctx.zeta(1), t**2 + one]
+    rng = random.Random(f"sparse-smith-{n}")
+    for rows, cols in ((4, 4), (5, 4), (4, 5)):
+        size = min(rows, cols)
+        d = [[zero] * cols for _ in range(rows)]
+        for i in range(size - rng.randint(0, 1)):
+            d[i][i] = math.prod(rng.sample(factors, rng.randint(0, 2)), start=one)
+
+        def triangular(k):
+            return LaurentMatrix(
+                ctx,
+                [[one if i == j else _random_poly(rng, ctx, 2) if j < i and rng.random() < 0.3 else zero
+                  for j in range(k)] for i in range(k)],
+            )
+
+        m = triangular(rows) * LaurentMatrix(ctx, d) * triangular(cols).transpose()
+        row_order, col_order = list(range(rows)), list(range(cols))
+        rng.shuffle(row_order)
+        rng.shuffle(col_order)
+        _checked_smith_form(m.submatrix(row_order, col_order))
 
 
 def test_minors_gcd_edges():
