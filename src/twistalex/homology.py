@@ -194,16 +194,6 @@ class AlexanderResult:
             raise ZeroDivisionError("Delta_0 vanishes; the ratio is undefined")
         return RationalFunction(d1, d0)
 
-    def acyclic(self) -> bool:
-        return (
-            self.h0.free_rank == 0
-            and not self.h0.divisors
-            and self.h1.free_rank == 0
-            and not self.h1.divisors
-            and self.h2.free_rank == 0
-            and not self.h2.divisors
-        )
-
     def __repr__(self):
         return f"AlexanderResult(h0={self.h0!r}, h1={self.h1!r}, h2={self.h2!r})"
 

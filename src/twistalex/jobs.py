@@ -1190,14 +1190,15 @@ def _check_battery(out, complex_, result, ratio, wada, deficiency_one, seed):
     pres = complex_.presentation
     phi = PhiMap(complex_.eps, complex_.rho)
     eye = LaurentMatrix.identity(complex_.context, complex_.rho.dimension)
+    steps = [phi.generator_image(g) - eye for g in range(pres.generator_count)]
     passed = 0
     trials = 5
     for _ in range(trials):
         w = random_word(pres.generator_count, 10, rng)
         lhs = phi.word_image(w) - eye
         total = None
-        for g in range(pres.generator_count):
-            term = phi.element_image(fox_derivative(w, g)) * (phi.generator_image(g) - eye)
+        for g, step in enumerate(steps):
+            term = phi.element_image(fox_derivative(w, g)) * step
             total = term if total is None else total + term
         if total is not None and (lhs - total).is_zero():
             passed += 1

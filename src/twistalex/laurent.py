@@ -626,7 +626,7 @@ class ModuleShape:
     """A finitely generated module over F[t, t^-1]: a free rank plus the
     nonunit elementary divisors in divisibility order."""
 
-    __slots__ = ("context", "free_rank", "divisors")
+    __slots__ = ("context", "free_rank", "divisors", "_order")
 
     def __init__(self, context: FieldContext, free_rank: int, divisors):
         self.context = context
@@ -639,14 +639,19 @@ class ModuleShape:
             if not a.divides(b):
                 raise ValueError("elementary divisors must form a divisibility chain")
         self.divisors = divs
+        self._order = None
 
     def torsion_order(self) -> LaurentPoly:
         """Product of the elementary divisors, in canonical unit form; 1 for a
-        torsion-free module."""
-        acc = LaurentPoly.one(self.context)
-        for d in self.divisors:
-            acc = acc * d
-        return acc.normalize()
+        torsion-free module.  Formed once, by pairwise products in a balanced
+        tree, so no product has one long factor and one short one."""
+        if self._order is None:
+            level = list(self.divisors) or [LaurentPoly.one(self.context)]
+            while len(level) > 1:
+                pairs = [a * b for a, b in zip(level[::2], level[1::2])]
+                level = pairs + level[2 * len(pairs) :]
+            self._order = level[0].normalize()
+        return self._order
 
     def is_torsion(self) -> bool:
         return self.free_rank == 0

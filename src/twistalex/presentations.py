@@ -405,22 +405,26 @@ def fox_derivative(word: Word, generator: int) -> GroupRingElement:
     product rule d(uv)/d(x) = d(u)/d(x) + u * d(v)/d(x).  Closed form used
     here: a letter x^+1 at position i contributes +prefix(i), a letter x^-1
     contributes -prefix(i) * x^-1 (the prefix through the letter inclusive).
+    One pass keeps the freely reduced prefix as a stack, so every term is
+    keyed by a reduced word without a reduction of its own.
 
     This symbolic form is the oracle: the check battery's fox-identity check
     and the tests use it.  The engine does not call it; build_complex
     evaluates the same formula under Phi in one pass (PhiMap.fox_row).
     """
     out: dict[tuple, int] = {}
-    prefix: list[tuple[int, int]] = []
+    prefix: list[tuple[int, int]] = []  # the reduced prefix, as a stack
     for g, s in word.letters:
-        if g == generator:
-            if s == 1:
-                key = Word(prefix).free_reduce().letters
-                out[key] = out.get(key, 0) + 1
-            else:
-                key = Word(prefix + [(g, -1)]).free_reduce().letters
-                out[key] = out.get(key, 0) - 1
-        prefix.append((g, s))
+        if g == generator and s == 1:
+            key = tuple(prefix)
+            out[key] = out.get(key, 0) + 1
+        if prefix and prefix[-1] == (g, -s):
+            prefix.pop()
+        else:
+            prefix.append((g, s))
+        if g == generator and s == -1:
+            key = tuple(prefix)
+            out[key] = out.get(key, 0) - 1
     e = GroupRingElement()
     e.terms = {w: c for w, c in out.items() if c}
     return e
@@ -428,9 +432,10 @@ def fox_derivative(word: Word, generator: int) -> GroupRingElement:
 
 class PhiMap:
     """The ring map Phi(x) = t^eps(x) * rho(x) from the group ring into
-    r x r Laurent matrices, with generator images precomputed."""
+    r x r Laurent matrices.  Generator images are formed on first use, and
+    so are the images of word prefixes, which are then kept."""
 
-    __slots__ = ("context", "dimension", "eps", "rho", "_images", "_inv_images")
+    __slots__ = ("context", "dimension", "eps", "rho", "_images", "_inv_images", "_prefixes")
 
     def __init__(self, eps: Augmentation, rho: Representation):
         self.context = rho.context
@@ -439,6 +444,7 @@ class PhiMap:
         self.rho = rho
         self._images = {}
         self._inv_images = {}
+        self._prefixes = {}
 
     def generator_image(self, g: int, sign: int = 1) -> LaurentMatrix:
         cache = self._images if sign == 1 else self._inv_images
@@ -451,15 +457,32 @@ class PhiMap:
         return img
 
     def word_image(self, word: Word) -> LaurentMatrix:
+        return self._letters_image(word.letters)
+
+    def _letters_image(self, letters: tuple) -> LaurentMatrix:
+        """Phi of a letter tuple.  The image of every prefix met is kept in a
+        trie, letter by letter, so a word extends its longest kept prefix by
+        one product a letter.  Every term of a Fox derivative of w is a
+        reduced prefix of w, so Phi(w) and all its derivatives cost at most
+        two products a letter."""
         acc = LaurentMatrix.identity(self.context, self.dimension)
-        for g, s in word.letters:
-            acc = acc * self.generator_image(g, s)
+        node = self._prefixes
+        for letter in letters:
+            if letter not in node:
+                node[letter] = (acc * self.generator_image(*letter), {})
+            acc, node = node[letter]
         return acc
 
     def element_image(self, element: GroupRingElement) -> LaurentMatrix:
         acc = LaurentMatrix.zero(self.context, self.dimension, self.dimension)
         for letters, coeff in element.terms.items():
-            acc = acc + self.word_image(Word(letters)) * coeff
+            image = self._letters_image(letters)
+            if coeff == 1:
+                acc = acc + image
+            elif coeff == -1:
+                acc = acc - image
+            else:
+                acc = acc + image * coeff
         return acc
 
     def fox_row(self, word: Word, *, images: list | None = None) -> list[LaurentMatrix]:

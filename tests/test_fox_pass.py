@@ -1,6 +1,7 @@
 """The one-pass Fox Jacobian row PhiMap.fox_row against the symbolic oracle
 phi.element_image(fox_derivative(w, g)), and Representation.of_word against
-a fold of ScalarMatrix products."""
+a fold of ScalarMatrix products; the oracle's own one-pass derivative and
+kept prefix images against their plain definitions, and its product count."""
 
 from __future__ import annotations
 
@@ -184,3 +185,78 @@ def test_of_word_matches_a_fold_of_scalar_products(conductor, dimension):
     # A word and its inverse: the product is the identity again.
     w = words[-1]
     assert rho.of_word(w * w.inverse()).is_identity()
+
+
+# The oracle itself: fox_derivative keeps the reduced prefix as a stack and
+# PhiMap.word_image keeps the image of every prefix it meets.
+
+
+def _prefix_fox_derivative(word: Word, generator: int) -> dict:
+    # The plain definition: each term is its prefix, reduced on its own.
+    out: dict = {}
+    prefix: list = []
+    for g, s in word.letters:
+        if g == generator:
+            key = Word(prefix + ([] if s == 1 else [(g, -1)])).free_reduce().letters
+            out[key] = out.get(key, 0) + s
+        prefix.append((g, s))
+    return {w: c for w, c in out.items() if c}
+
+
+def test_one_pass_fox_derivative_matches_the_prefix_definition():
+    rng = random.Random(12)
+    words = list(SPECIAL_WORDS.values()) + [
+        Word([(0, 1), (0, -1)] * 4),
+        Word([(0, -1), (0, 1), (0, 1), (0, -1), (0, -1)]),
+        Word([(1, 1)] * 6 + [(1, -1)] * 9 + [(0, 1)] * 3),
+    ]
+    # Two letters in play: a random word cancels often.
+    words += [Word([(rng.randrange(2), rng.choice((1, -1))) for _ in range(rng.randint(0, 30))]) for _ in range(60)]
+    for w in words:
+        for g in range(GENERATORS):
+            assert fox_derivative(w, g).terms == _prefix_fox_derivative(w, g), (w.letters, g)
+
+
+def _uncached_image(phi: PhiMap, word: Word) -> LaurentMatrix:
+    acc = LaurentMatrix.identity(phi.context, phi.dimension)
+    for g, s in word.letters:
+        acc = acc * phi.generator_image(g, s)
+    return acc
+
+
+@pytest.mark.parametrize("conductor", [1, 6, 12])
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_kept_prefix_images_match_the_uncached_product(conductor, dimension):
+    rng = random.Random(100 * conductor + dimension)
+    phi = _phi(conductor, dimension, rng)
+    base = random_word(GENERATORS, 12, rng)
+    words = [Word(), base, base.inverse(), base * base.inverse()]
+    for _ in range(12):
+        cut = rng.randint(0, len(base.letters))
+        tail = random_word(GENERATORS, 4, rng)
+        words += [Word(base.letters[:cut]), Word(base.letters[:cut]) * tail, tail.inverse() * Word(base.letters[:cut])]
+    rng.shuffle(words)
+    for w in words + words[::-1]:
+        assert phi.word_image(w) == _uncached_image(phi, w), w.letters
+
+
+def test_the_fox_identity_terms_cost_a_linear_number_of_products(monkeypatch):
+    # Phi(w) and Phi(dw/dg) for every g: with the prefix images kept, every
+    # term is a reduced prefix of w, so each letter adds at most two
+    # products (one for its raw prefix, one for its reduced prefix).
+    rng = random.Random(5)
+    w = Word([(rng.randrange(GENERATORS), rng.choice((1, -1))) for _ in range(40)])
+    phi = _phi(6, 2, rng)
+    original = LaurentMatrix.__mul__
+    products = []
+
+    def counted(a, b):
+        if isinstance(b, LaurentMatrix):
+            products.append(b)
+        return original(a, b)
+
+    monkeypatch.setattr(LaurentMatrix, "__mul__", counted)
+    phi.word_image(w)
+    for g in range(GENERATORS):
+        phi.element_image(fox_derivative(w, g))
+    assert 0 < len(products) <= 2 * len(w.letters) + GENERATORS

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from twistalex import jobs
 from twistalex.cli import main
 from twistalex.laurent import LaurentMatrix
 from twistalex.jobs import (
@@ -122,6 +124,26 @@ def test_check_mode_emits_battery_lines():
         if json.loads(line)["record"] == "check"
     ]
     assert names == ["euler-ranks", "wada-agreement", "fox-identity"]
+
+
+def test_the_fox_identity_check_fails_when_a_derivative_drops_a_term(monkeypatch):
+    # Negative control: the check must notice a wrong derivative.
+    original = jobs.fox_derivative
+
+    def dropping(word, generator):
+        derivative = original(word, generator)
+        derivative.terms = dict(list(derivative.terms.items())[1:])
+        return derivative
+
+    monkeypatch.setattr(jobs, "fox_derivative", dropping)
+    report, code = run_job(parse_job(TORUS23), mode="check", fmt="records")
+    records = [json.loads(line) for line in report.splitlines()]
+    fox = next(r for r in records if r.get("name") == "fox-identity")
+    assert fox["ok"] is False
+    passed = re.fullmatch(r"(\d)/5 words, seed 0", fox["detail"])
+    assert passed and int(passed.group(1)) < 5
+    assert code == EXIT_CHECK_FAILED == 1
+    assert records[-1]["failures"] == ["check fox-identity"]
 
 
 def test_wada_on_wrong_deficiency_fails_the_job():

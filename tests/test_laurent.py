@@ -12,6 +12,7 @@ import pytest
 from twistalex.laurent import (
     LaurentMatrix,
     LaurentPoly,
+    ModuleShape,
     RationalFunction,
     gcd_many,
     laurent_gcd,
@@ -377,6 +378,52 @@ def test_cokernel_shape():
     assert shape.divisors[0].unit_equal(t - one)
     assert not shape.is_torsion()
     assert shape.torsion_order().unit_equal(t - one)
+
+
+def _left_fold_order(ctx, divisors):
+    acc = LaurentPoly.one(ctx)
+    for d in divisors:
+        acc = acc * d
+    return acc.normalize()
+
+
+@pytest.mark.parametrize("conductor", [1, 6])
+def test_torsion_order_tree_product_matches_the_left_fold(conductor):
+    ctx = FieldContext(conductor)
+    rng = random.Random(conductor)
+    for length in range(9):
+        # A divisibility chain: each divisor a multiple of the one before.
+        chain = []
+        for _ in range(length):
+            step = _random_poly(rng, ctx, max_span=3)
+            chain.append(step if not chain else chain[-1] * step)
+        chain = [d for d in chain if not d.normalize().is_one()]
+        shape = ModuleShape(ctx, 0, chain)
+        expect = _left_fold_order(ctx, shape.divisors)
+        assert shape.torsion_order() == expect, length
+    assert ModuleShape(ctx, 2, []).torsion_order().is_one()
+    single = _poly(ctx, [3, -1, 2], 4)
+    assert ModuleShape(ctx, 0, [single]).torsion_order() == single.normalize()
+
+
+def test_torsion_order_is_multiplied_once(monkeypatch):
+    ctx = FieldContext(1)
+    t = LaurentPoly.t_power(ctx, 1)
+    one = LaurentPoly.one(ctx)
+    shape = ModuleShape(ctx, 0, [t - one, t**2 - one, t**4 - one, t**8 - one, t**8 - one])
+    original = LaurentPoly.__mul__
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    first = shape.torsion_order()
+    assert calls
+    calls.clear()
+    assert shape.torsion_order() is first
+    assert calls == []
 
 
 def test_matrix_specialize_and_power_substitution():
