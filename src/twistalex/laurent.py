@@ -18,8 +18,8 @@ entries to constant polynomials, the maps into and out of the field
 (from_scalar_matrix, specialize, substitute_power) and
 the elimination over F[t, t^-1]: determinants, minor gcds and Smith
 normal form.  The eliminations follow the sparsity of their input.  A
-determinant peels singleton rows and columns first (Matrix._peel_singletons,
-shared with the scalar rank and det) and runs Bareiss on the core alone.
+determinant peels singleton rows and columns and runs the Bareiss loop of
+Matrix, shared with the scalar rank, det and inverse, on the core alone.
 The Smith form breaks span ties between pivots by the Markowitz count, so
 units whose row or column holds nothing else leave without fill, and it
 orders the divisors in one pass at the end, not by a scan per corner.
@@ -517,14 +517,20 @@ def gcd_many(polys) -> LaurentPoly:
 def multiplicity(p: LaurentPoly, a) -> int:
     """Multiplicity of the root t = a (a nonzero scalar) in p.  p = 0 is
     refused with ValueError, since every power of (t - a) divides 0."""
+    return _strip_root(p, _coerce_scalar(p.context, a))[0]
+
+
+def _strip_root(p: LaurentPoly, a: CycloNumber) -> tuple[int, LaurentPoly]:
+    """(k, p / (t - a)^k), k the multiplicity of the root t = a of p, for a
+    nonzero scalar a of p's context; p = 0 raises ValueError."""
     if p.is_zero():
         raise ValueError("every (t - a) power divides the zero polynomial")
-    linear = LaurentPoly(p.context, (-_coerce_scalar(p.context, a), p.context.one))
+    linear = LaurentPoly(p.context, (-a, p.context.one))
     count = 0
     while p.evaluate(a).is_zero():
         p = p.exact_div(linear)
         count += 1
-    return count
+    return count, p
 
 
 class RationalFunction:
@@ -595,6 +601,9 @@ class RationalFunction:
         return self.numerator == other.numerator and self.denominator == other.denominator
 
     def __hash__(self):
+        # A polynomial equals its Laurent polynomial, so it hashes like it.
+        if self.denominator.is_one():
+            return hash(self.numerator)
         return hash((self.numerator, self.denominator))
 
     def unit_equal(self, other) -> bool:
@@ -698,8 +707,8 @@ class SmithNormalForm:
 
 
 class LaurentMatrix(Matrix):
-    """A matrix over F[t, t^-1], with Bareiss determinants, minor gcds and
-    Smith normal form."""
+    """A matrix over F[t, t^-1]: determinants by the Bareiss loop of
+    Matrix, minor gcds and Smith normal form."""
 
     __slots__ = ()
 
@@ -751,18 +760,29 @@ class LaurentMatrix(Matrix):
             out.append(new)
         return cls._make(context, out)
 
-    def determinant(self) -> LaurentPoly:
-        """The signed product of the peeled singletons
-        (Matrix._peel_singletons) and the Bareiss determinant of the core.
+    # The hooks of Matrix._bareiss; the size of an entry is its span + 1.
 
-        Bareiss is fraction-free elimination; every division is exact over
-        the integral domain.  The previous pivot p divides every entry of a
-        step, so it is made monic once per step, p = m / u with u the unit of
-        p.normalize(): each entry is divided by the monic m, which needs no
-        field inverse, and the quotient is scaled by u.  A matrix that is
-        triangular or diagonal up to permutations has an empty core and
-        makes no division, and a 1 x 1 matrix is its entry, with no
-        product by 1."""
+    @staticmethod
+    def _size(e: LaurentPoly) -> int:
+        return len(e.rows)
+
+    @staticmethod
+    def _cross(a, p, f, b):
+        return a * p - f * b if f and b else a * p
+
+    @staticmethod
+    def _divider(prev: LaurentPoly):
+        # prev = m / u with u the unit of prev.normalize(): a division by the
+        # monic m, which needs no field inverse, then a product with u.
+        unit = prev._normalizer()
+        monic = unit * prev
+        return lambda v: v.exact_div(monic) * unit if v else v
+
+    def determinant(self) -> LaurentPoly:
+        """The signed product of the peeled singletons and the Bareiss
+        determinant of the core, each pivot of least span in its column.  A
+        permuted triangular matrix has an empty core and makes no division,
+        and a 1 x 1 matrix is its entry, with no product by 1."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         if self.rows < 2:
@@ -775,39 +795,12 @@ class LaurentMatrix(Matrix):
         for i, j in peeled:
             e = self.entries[i][j]
             det = e if det is None else det * e
-        if not rows:
-            return -det if sign < 0 else det
-        work = [[self.entries[i][j] for j in cols] for i in rows]
-        n = len(work)
-        prev = None  # the pivot of the previous step; 1 before the first
-        for k in range(n - 1):
-            pivot_row = None
-            best = None
-            for i in range(k, n):
-                e = work[i][k]
-                if not e.is_zero():
-                    s = e.span
-                    if best is None or s < best:
-                        best = s
-                        pivot_row = i
-            if pivot_row is None:
+        if rows:
+            rank, core, swaps = self._bareiss([[self.entries[i][j] for j in cols] for i in rows], len(cols))
+            if rank < len(rows):
                 return zero
-            if pivot_row != k:
-                work[k], work[pivot_row] = work[pivot_row], work[k]
-                sign = -sign
-            if prev is not None:
-                unit = prev._normalizer()
-                monic = unit * prev
-            pk = work[k][k]
-            for i in range(k + 1, n):
-                rik = work[i][k]
-                for j in range(k + 1, n):
-                    num = work[i][j] * pk - rik * work[k][j]
-                    work[i][j] = num if prev is None else num.exact_div(monic) * unit
-                work[i][k] = zero
-            prev = pk
-        core = work[n - 1][n - 1]
-        det = core if det is None else det * core
+            sign *= swaps
+            det = core if det is None else det * core
         return -det if sign < 0 else det
 
     def minors_gcd(self, k: int) -> LaurentPoly:

@@ -22,6 +22,7 @@ from .laurent import (
     LaurentMatrix,
     LaurentPoly,
     RationalFunction,
+    _strip_root,
     gcd_many,
     laurent_gcd,
     multiplicity,
@@ -292,9 +293,8 @@ def _charpoly_roots_of_unity(m: ScalarMatrix, order: int):
     eigenvalues = []
     for j in range(n):
         z = big.zeta(j)
-        while char.evaluate(z).is_zero():
-            char = char.exact_div(LaurentPoly(big, [-z, big.one]))
-            eigenvalues.append(z)
+        count, char = _strip_root(char, z)
+        eigenvalues += [z] * count
     if len(eigenvalues) != m.rows:
         raise ValueError("eigenvalues not expressible as roots of unity in the ambient field")
     return eigenvalues, big
@@ -576,11 +576,7 @@ def cyclotomic_factors(poly: LaurentPoly, candidate_orders):
         for j in range(m):
             if m > 1 and math.gcd(j, m) != 1:
                 continue
-            z = big.zeta(j * step)
-            count = 0
-            while not work.is_unit() and work.evaluate(z).is_zero():
-                work = work.exact_div(LaurentPoly(big, [-z, big.one]))
-                count += 1
+            count, work = _strip_root(work, big.zeta(j * step))
             if count:
                 found.append((m, j, count))
     return found, work.normalize()

@@ -18,14 +18,14 @@ without field elements (FieldContext._matrix_product, _matrix_sum).
 
 Matrix is the one dense matrix type of the package: storage, construction,
 sums, products, transposes, embeddings and comparisons for any ring of the
-context, and the singleton peeling in front of every elimination of rank
-and determinant.  ScalarMatrix is its field case; it adds the coercion of
-entries into the field and elimination.  rank and det peel singleton rows
-and columns, then run one Bareiss (fraction-free) elimination on the
-integral rows of the core that is left, where the exact division by the
-previous pivot p is a product with the cofactor of p and an integer
-division by N(p); neither inverts a field element.  inverse is
-Gauss-Jordan on [M | Id].  LaurentMatrix (in laurent.py) is the
+context, and the one elimination of rank, determinant and inverse:
+singleton peeling, then a Bareiss (fraction-free) loop whose pivot size,
+cross product and exact division each ring supplies.  ScalarMatrix is its
+field case.  Its rank, det and inverse run the loop on integral rows of
+Z[z], where the division by the previous pivot p is a product with the
+cofactor of p and an integer division by N(p); inverse runs it in
+Gauss-Jordan form on [M | Id] and divides by the last pivot once.  None of
+them inverts a field element.  LaurentMatrix (in laurent.py) is the
 F[t, t^-1] case.
 """
 
@@ -623,10 +623,11 @@ class Matrix:
 
     Storage and every operation that reads the same in any ring live here.
     A subclass fixes the ring by supplying ``_entry`` (coerce one value into
-    the ring, raising for anything else), ``_ring_zero`` and ``_ring_one``,
-    and adds the elimination that its ring supports.  Results of ring
-    operations are built with ``_make``, which skips the per-entry coercion
-    of the public constructor.  Matrices of different subclasses never mix.
+    the ring, raising for anything else), ``_ring_zero``, ``_ring_one`` and
+    the hooks of ``_bareiss``: ``_size``, ``_cross`` and ``_divider``.
+    Results of ring operations are built with ``_make``, which skips the
+    per-entry coercion of the public constructor.  Matrices of different
+    subclasses never mix.
     """
 
     __slots__ = ("context", "rows", "cols", "entries")
@@ -761,26 +762,22 @@ class Matrix:
         return self.submatrix(range(self.rows), keep)
 
     def _peel_singletons(self):
-        """Singleton peeling, the first stage of every elimination of rank
-        and determinant: what is left for Bareiss is the core.
+        """Singleton peeling in front of Bareiss for rank and determinant.
 
-        A row or column with exactly one nonzero entry a_ij leaves with the
-        column or row of that entry: by the Laplace expansion along that
-        line, det = (-1)^(i+j) a_ij det(minor), and over a field rank = 1 +
-        rank(minor).  A line with no nonzero entry leaves alone: it adds
-        nothing to the rank, and it makes the determinant 0.  Each departure
-        lowers the nonzero counts of the lines that crossed it, which can
-        make new singletons; the peeling runs until none is left and reads
-        every nonzero a bounded number of times.  On a matrix that is
-        triangular or diagonal up to permutations of its rows and columns,
-        the core is empty.
+        A row or column with one nonzero entry a_ij leaves with the column
+        or row of that entry: det = (-1)^(i+j) a_ij det(minor) by the
+        Laplace expansion, and over a field rank = 1 + rank(minor).  A zero
+        line leaves alone and makes the determinant 0.  Each departure can
+        make new singletons; the peeling runs until none is left, reading
+        every nonzero a bounded number of times, and leaves an empty core
+        on a permuted triangular matrix.
 
         Returns (peeled, rows, cols, sign): the (i, j) of the peeled
         entries in peel order, the ascending rows and columns of the core,
-        and the sign of the expansion, which is the product of the signs of
-        the row order (peeled rows, then core rows) and the column order;
-        sign is 0 when a zero line left.  The determinant is then sign times
-        the peeled entries times the determinant of the core."""
+        and the sign of the expansion (that of the row order, peeled rows
+        then core rows, times that of the column order), 0 when a zero line
+        left.  The determinant is sign times the peeled entries times the
+        determinant of the core."""
         m, n = self.rows, self.cols
         row_nz = [[j for j, e in enumerate(row) if e] for row in self.entries]
         col_nz = [[] for _ in range(n)]
@@ -817,6 +814,52 @@ class Matrix:
             sign = _permutation_sign([i for i, _ in peeled] + rows) * _permutation_sign([j for _, j in peeled] + cols)
         return peeled, rows, cols, sign
 
+    def _bareiss(self, work, width: int, jordan: bool = False):
+        """Bareiss (fraction-free) elimination in place on work, rows of
+        entries in the hooks' form, pivoting in the first width columns
+        (Bareiss, Math. Comp. 1968).  Each pivot is the first nonzero entry
+        of least ``_size`` in its column; a column without one is skipped.
+
+        A step sets each entry v right of the pivot column, in the rows
+        below the pivot and with jordan also above it, to ``_cross(v, p, f,
+        b)`` = v p - f b over the previous pivot (``_divider``, None for 1):
+        p the pivot, f the row's pivot-column entry, b the pivot row's entry
+        in v's column.  The entries are minors, so the division is exact.
+        With jordan, [A | Id] for A square of full rank ends with p A^-1 in
+        its right block (Nakos, Turner and Williams, SIGSAM Bull. 1997).
+
+        Returns the rank, the last pivot p (None at rank 0) and the sign of
+        the row swaps; a full-rank square matrix has determinant sign * p."""
+        size, cross = self._size, self._cross
+        height = len(work)
+        rank, pivot, sign = 0, None, 1
+        for col in range(width):
+            found = least = None
+            for i in range(rank, height):
+                s = size(work[i][col])
+                if s and (least is None or s < least):
+                    found, least = i, s
+                    if s == 1:
+                        break
+            if found is None:
+                continue
+            if found != rank:
+                work[rank], work[found] = work[found], work[rank]
+                sign = -sign
+            top = work[rank]
+            targets = work[:rank] + work[rank + 1 :] if jordan else work[rank + 1 :]
+            rank += 1
+            prev, pivot = pivot, top[col]
+            if not targets:
+                break
+            divide = None if prev is None else self._divider(prev)
+            tail = top[col + 1 :]
+            for row in targets:
+                f = row[col]
+                out = [cross(a, pivot, f, b) for a, b in zip(row[col + 1 :], tail)]
+                row[col + 1 :] = out if divide is None else map(divide, out)
+        return rank, pivot, sign
+
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
 
@@ -841,8 +884,8 @@ class Matrix:
 
 
 class ScalarMatrix(Matrix):
-    """A matrix over the context field: fraction-free rank and det, and a
-    Gauss-Jordan inverse."""
+    """A matrix over the context field: rank, det and inverse by the
+    fraction-free elimination of Matrix on integral rows."""
 
     __slots__ = ()
 
@@ -873,69 +916,37 @@ class ScalarMatrix(Matrix):
     def _from_rows(cls, context: FieldContext, entries, den: int) -> ScalarMatrix:
         return cls._make(context, [[CycloNumber(context, e, den) for e in row] for row in entries])
 
-    def _fraction_free(self, rows, cols) -> tuple[int, list[int] | None, int]:
-        """Bareiss elimination of the submatrix on rows and cols, on
-        integral power-basis rows.
+    # The hooks of Matrix._bareiss, on the rows of Z[z] of _integral_rows.
 
-        Each row is scaled once by the lcm of its denominators, so the
-        entries lie in Z[z].  The entries left after each step are minors of
-        the scaled matrix, so the division by the previous pivot p is exact
-        in Z[z]: v / p = v * c // N with (c, N) = FieldContext._cofactor(p),
-        computed once per step.  Columns without a pivot are skipped, so any
-        shape works.  Returns the rank, the last pivot (None at rank 0) and
-        the product of the row scales signed by the row swaps; for a square
-        submatrix of full rank, the last pivot over that product is its
-        determinant."""
-        ctx = self.context
-        zero = [0] * ctx.degree
-        product = ctx._product
-        work = []
-        scale = 1
-        for i in rows:
-            row = [self.entries[i][j] for j in cols]
-            den = lcm(e.den for e in row)
-            scale *= den
-            work.append([e.nums if e.den == den else [x * (den // e.den) for x in e.nums] for e in row])
-        height = len(work)
-        rank = 0
-        pivot = None
-        for col in range(len(cols)):
-            found = next((i for i in range(rank, height) if any(work[i][col])), None)
-            if found is None:
-                continue
-            if found != rank:
-                work[rank], work[found] = work[found], work[rank]
-                scale = -scale
-            top = work[rank]
-            prev, pivot = pivot, top[col]
-            rank += 1
-            if rank == height:
-                break
-            # The division by the previous pivot: a product with its cofactor
-            # (none when it is rational), then an integer division by N.
-            cofactor, norm = None, 1
-            if prev is not None:
-                cofactor, norm = ctx._cofactor(prev)
-                if not any(prev[1:]):
-                    cofactor = None
-            for row in work[rank:]:
-                f = row[col]
-                out = []
-                for a, b in zip(row[col + 1 :], top[col + 1 :]):
-                    v = product(a, pivot) if any(a) else zero
-                    if any(f) and any(b):
-                        v = [x - y for x, y in zip(v, product(f, b))]
-                    if cofactor is not None and any(v):
-                        v = product(v, cofactor)
-                    out.append([x // norm for x in v] if norm != 1 else v)
-                row[col:] = [zero] + out
-        return rank, pivot, scale
+    _size = staticmethod(any)
+
+    def _cross(self, a, p, f, b):
+        product = self.context._product
+        v = product(a, p) if any(a) else a
+        return [x - y for x, y in zip(v, product(f, b))] if any(f) and any(b) else v
+
+    def _divider(self, prev):
+        # v / prev = v c // N in Z[z], (c, N) = FieldContext._cofactor(prev).
+        c, norm = self.context._cofactor(prev)
+        if not any(prev[1:]):
+            return None if norm == 1 else lambda v: [x // norm for x in v]
+        product = self.context._product
+        return lambda v: [x // norm for x in product(v, c)] if any(v) else v
+
+    def _integral_rows(self, rows, cols):
+        """The submatrix on rows and cols as rows of Z[z], each row scaled
+        by the lcm of its denominators, and the list of those scales."""
+        work = [[self.entries[i][j] for j in cols] for i in rows]
+        scales = [lcm(e.den for e in row) for row in work]
+        for row, d in zip(work, scales):
+            row[:] = [e.nums if e.den == d else [x * (d // e.den) for x in e.nums] for e in row]
+        return work, scales
 
     def rank(self) -> int:
         """One per peeled singleton (Matrix._peel_singletons) plus the
         Bareiss rank of the core."""
         peeled, rows, cols, _ = self._peel_singletons()
-        return len(peeled) + self._fraction_free(rows, cols)[0]
+        return len(peeled) + self._bareiss(self._integral_rows(rows, cols)[0], len(cols))[0]
 
     def det(self) -> CycloNumber:
         """The signed product of the peeled singletons and the determinant
@@ -944,43 +955,39 @@ class ScalarMatrix(Matrix):
         the result is the one field element built."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        if self.rows == 0:
-            return self.context.one
         peeled, rows, cols, sign = self._peel_singletons()
         if not sign:
             return self.context.zero
-        rank, pivot, scale = self._fraction_free(rows, cols)
+        work, scales = self._integral_rows(rows, cols)
+        rank, pivot, swaps = self._bareiss(work, len(cols))
         if rank < len(rows):
             return self.context.zero
         ctx = self.context
         nums = pivot if rows else ctx.one.nums
+        scale = sign * swaps * math.prod(scales)
         for i, j in peeled:
             e = self.entries[i][j]
             nums = ctx._product(nums, e.nums)
             scale *= e.den
-        return CycloNumber(ctx, nums, sign * scale)
+        return CycloNumber(ctx, nums, scale)
 
     def inverse(self) -> ScalarMatrix:
-        """Gauss-Jordan on [self | Id]: the right half ends as the inverse."""
+        """Fraction-free Gauss-Jordan (Matrix._bareiss) on the integral rows
+        of [self | Id], each row scaled by the lcm of its denominators: the
+        right block ends as p self^-1, and one cofactor of the last pivot p
+        divides it out."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        n = self.rows
-        work = [list(row) for row in self.entries]
-        aug = [list(row) for row in ScalarMatrix.identity(self.context, n).entries]
-        for col in range(n):
-            pivot = next((i for i in range(col, n) if work[i][col]), None)
-            if pivot is None:
-                raise ZeroDivisionError("matrix is singular")
-            work[col], work[pivot] = work[pivot], work[col]
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = work[col][col].inverse()
-            # The pivot row is zero left of col, so row operations start at
-            # col; zero entries are skipped since they leave values unchanged.
-            work[col][col:] = tail = [e * inv if e else e for e in work[col][col:]]
-            aug[col] = top = [e * inv if e else e for e in aug[col]]
-            for i in range(n):
-                if i != col and work[i][col]:
-                    f = work[i][col]
-                    work[i][col:] = [a - f * b if b else a for a, b in zip(work[i][col:], tail)]
-                    aug[i] = [a - f * b if b else a for a, b in zip(aug[i], top)]
-        return ScalarMatrix._make(self.context, aug)
+        n, ctx = self.rows, self.context
+        if not n:
+            return self
+        work, scales = self._integral_rows(range(n), range(n))
+        zero = [0] * ctx.degree
+        for i, (row, s) in enumerate(zip(work, scales)):
+            row += [zero] * n
+            row[n + i] = [s] + zero[1:]
+        rank, pivot, _ = self._bareiss(work, n, jordan=True)
+        if rank < n:
+            raise ZeroDivisionError("matrix is singular")
+        c, norm = ctx._cofactor(pivot)
+        return self._make(ctx, [[CycloNumber(ctx, ctx._product(v, c), norm) for v in row[n:]] for row in work])

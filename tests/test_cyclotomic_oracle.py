@@ -2,9 +2,9 @@
 power basis: inverse, complex conjugation and the embedding into a larger
 cyclotomic field; and Laurent polynomials over Q(zeta_n): products,
 differences, division with remainder, exact division, normalization, gcds,
-Bareiss determinants and evaluation at a point; and the rank and determinant
-of scalar matrices against sympy's matrices over the algebraic field
-Q(zeta_n).  Sparse matrices under row and column permutations check the
+Bareiss determinants and evaluation at a point; and the rank, determinant
+and inverse of scalar matrices against sympy's matrices over the algebraic
+field Q(zeta_n).  Sparse matrices under row and column permutations check the
 singleton peeling in front of both eliminations."""
 
 from __future__ import annotations
@@ -467,3 +467,69 @@ def test_sparse_scalar_rank_and_det_match_sympy(n, kind):
         assert m.rank() == expected.rank(), shape
         if m.rows == m.cols:
             assert m.det().coords == _sympy_coords(field, expected.det(), ctx.degree), shape
+
+
+# The inverse of scalar matrices against DomainMatrix.inv over the same
+# algebraic field.  Entries have denominators 1, 2, 3 and 6.  A singular
+# matrix raises ZeroDivisionError, also when only the identity block of the
+# elimination holds a nonzero entry in a pivot column.
+
+INVERSE_CONDUCTORS = (1, 3, 5, 12, 60)
+
+
+def _assert_inverse_matches(m: ScalarMatrix, label: str):
+    field, expected = _sympy_matrix(m)
+    got = m.inverse()
+    assert (got.rows, got.cols) == (m.rows, m.cols), label
+    for got_row, row in zip(got.entries, expected.inv().to_list()):
+        for a, b in zip(got_row, row):
+            assert a.coords == _sympy_coords(field, b, m.context.degree), label
+
+
+@pytest.mark.parametrize("n", INVERSE_CONDUCTORS)
+def test_scalar_inverse_matches_sympy(n):
+    ctx = FieldContext(n)
+    rng = random.Random(f"scalar-inverse-{n}")
+
+    def entry():
+        while True:
+            a = CycloNumber(ctx, [rng.randint(-3, 3) for _ in range(ctx.degree)], rng.choice((1, 2, 3, 6)))
+            if a:
+                return a
+
+    for size in range(1, 6):
+        m = ScalarMatrix(ctx, [[entry() for _ in range(size)] for _ in range(size)])
+        assert _sympy_matrix(m)[1].det() != 0
+        _assert_inverse_matches(m, f"dense {size}x{size}")
+    for kind in ("sparse", "odd"):
+        m = ScalarMatrix(ctx, _sparse(rng, kind, (5, 5), entry, ctx.zero))
+        if _sympy_matrix(m)[1].det() == 0:
+            with pytest.raises(ZeroDivisionError):
+                m.inverse()
+        else:
+            _assert_inverse_matches(m, kind)
+
+
+@pytest.mark.parametrize("n", INVERSE_CONDUCTORS)
+def test_scalar_inverse_edge_cases(n):
+    ctx = FieldContext(n)
+    rng = random.Random(f"scalar-inverse-edges-{n}")
+
+    def entry():
+        return CycloNumber(ctx, [rng.randint(-3, 3) for _ in range(ctx.degree)], rng.choice((1, 2, 3, 6)))
+
+    empty = ScalarMatrix(ctx, []).inverse()
+    assert (empty.rows, empty.cols) == (0, 0)
+    for kind in ("zero row", "dependent rows"):
+        m = ScalarMatrix(ctx, _sparse(rng, kind, (5, 5), entry, ctx.zero))
+        with pytest.raises(ZeroDivisionError):
+            m.inverse()
+    # Every row below the first pivot is a multiple of the first: column 1
+    # holds no pivot left of the identity block, whose entries are nonzero.
+    a, b, c = entry() or ctx.one, entry(), entry()
+    rows = [[a, b, c], [2 * a, 2 * b, 2 * c + 1], [3 * a, 3 * b, ctx.zeta(1)]]
+    with pytest.raises(ZeroDivisionError):
+        ScalarMatrix(ctx, rows).inverse()
+    for shape in ((2, 3), (3, 2), (1, 0)):
+        with pytest.raises(ValueError):
+            ScalarMatrix.zero(ctx, *shape).inverse()

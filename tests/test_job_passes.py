@@ -16,7 +16,7 @@ from twistalex.homology import build_complex, specialize_homology, wada_ratio
 from twistalex.jobs import parse_job, run_job
 from twistalex.laurent import LaurentMatrix, LaurentPoly
 from twistalex.presentations import Augmentation, Presentation, Representation, Word, fox_derivative, validate
-from twistalex.scalars import CycloNumber, FieldContext, ScalarMatrix
+from twistalex.scalars import CycloNumber, FieldContext, Matrix, ScalarMatrix
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_jobs"
 
@@ -309,6 +309,41 @@ def test_scalar_rank_and_det_invert_nothing(monkeypatch, n):
     assert not square.det().is_zero()
     assert len(built) == 1
     assert inverses == []
+
+
+def _random_scalar_matrix(ctx, rng, n):
+    return ScalarMatrix(
+        ctx,
+        [[CycloNumber(ctx, [rng.randint(-3, 3) for _ in range(ctx.degree)], rng.choice((1, 2, 3))) for _ in range(n)] for _ in range(n)],
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_scalar_inverse_inverts_nothing(monkeypatch, n):
+    # Fraction-free Gauss-Jordan: one cofactor per step after the first and
+    # one for the final division by the last pivot, no field inverse.
+    ctx = FieldContext(12)
+    m = _random_scalar_matrix(ctx, random.Random(f"inverse-{n}"), n)
+    inverses = _count_method(monkeypatch, CycloNumber, "inverse")
+    cofactors = _count_method(monkeypatch, FieldContext, "_cofactor")
+    inv = m.inverse()
+    assert inverses == []
+    assert len(cofactors) <= n
+    assert (m * inv).is_identity()
+
+
+def test_each_elimination_runs_one_bareiss(monkeypatch):
+    # rank, det, inverse and the Laurent determinant share one loop, and
+    # each runs it once on a matrix with a nonempty core.
+    ctx = FieldContext(12)
+    rng = random.Random("one-bareiss")
+    m = _random_scalar_matrix(ctx, rng, 4)
+    lm = LaurentMatrix(ctx, [[_random_poly(ctx, rng, 1) for _ in range(3)] for _ in range(3)])
+    calls = _count_method(monkeypatch, Matrix, "_bareiss")
+    for op in (m.rank, m.det, m.inverse, lm.determinant):
+        before = len(calls)
+        op()
+        assert len(calls) - before == 1, op
 
 
 def test_smith_form_with_a_unit_corner_walks_no_empty_divisor(monkeypatch):

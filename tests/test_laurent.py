@@ -475,3 +475,17 @@ def test_equal_scalars_and_constant_polynomials_hash_alike():
     ctx = FieldContext(12)
     assert 1 in {LaurentPoly.one(ctx)}
     assert FieldContext(12).one in {1}
+
+
+def test_polynomial_rational_functions_hash_like_their_numerator():
+    # A rational function with denominator 1 equals its numerator, so set
+    # and dict lookups must find one by the other.
+    for n in (1, 12):
+        ctx = FieldContext(n)
+        for p in (LaurentPoly(ctx, [1, 2, 3]), LaurentPoly(ctx, [ctx.zeta(1), 0, 5], -2), LaurentPoly.one(ctx)):
+            rf = RationalFunction.from_poly(p)
+            assert rf == p and hash(rf) == hash(p)
+            assert p in {rf} and rf in {p}
+            assert {rf: "r"}[p] == "r" and {p: "p"}[rf] == "p"
+        ratio = RationalFunction(LaurentPoly(ctx, [1, 2, 3]), LaurentPoly(ctx, [1, 1]))
+        assert ratio in {ratio} and ratio not in {LaurentPoly(ctx, [1, 2, 3])}
