@@ -16,9 +16,9 @@ import sys
 from pathlib import Path
 
 from .jobs import (
-    BUILDER_SUMMARY,
     EXIT_INPUT_ERROR,
     JobParseError,
+    _BUILDERS,
     parse_job,
     run_corpus,
     run_job,
@@ -77,8 +77,9 @@ def main(argv=None) -> int:
     if args.command == "check":
         return _run_file(args.job, "check", args.format, args.seed)
     if args.command == "builders":
-        for name in sorted(BUILDER_SUMMARY):
-            print(f"{name:{max(len(n) for n in BUILDER_SUMMARY)}}  {BUILDER_SUMMARY[name]}")
+        width = max(map(len, _BUILDERS))
+        for name in sorted(_BUILDERS):
+            print(f"{name:{width}}  {_BUILDERS[name][1]}")
         return 0
     if args.command == "corpus":
         if not args.directory.is_dir():

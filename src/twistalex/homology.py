@@ -147,15 +147,13 @@ def build_complex(
     ctx = rho.context
     r = rho.dimension
     eye = LaurentMatrix.identity(ctx, r)
-
-    d1_blocks = [[(phi.generator_image(i) - eye).transpose() for i in range(g)]]
-    boundary1 = LaurentMatrix.from_blocks(d1_blocks)
-
-    if presentation.relator_count == 0:
-        boundary2 = LaurentMatrix.zero(ctx, r * g, 0)
-    else:
-        d2_blocks = [[row[i].transpose() for row in fox_rows] for i in range(g)]
-        boundary2 = LaurentMatrix.from_blocks(d2_blocks)
+    # Row a of d1, and row (i, a) of d2, read column a of every block in
+    # their block row: the blocks are placed transposed.
+    d1_blocks = [(phi.generator_image(i) - eye).entries for i in range(g)]
+    boundary1 = LaurentMatrix._make(ctx, [[block[b][a] for block in d1_blocks for b in range(r)] for a in range(r)])
+    boundary2 = LaurentMatrix._make(
+        ctx, [[row[i].entries[b][a] for row in fox_rows for b in range(r)] for i in range(g) for a in range(r)]
+    )
 
     if not (boundary1 * boundary2).is_zero():
         raise InternalInvariantError("boundary composite d1 d2 is nonzero")
@@ -218,7 +216,7 @@ def homology(complex_: TwistedChainComplex) -> AlexanderResult:
     return AlexanderResult(snf1.cokernel_shape(), h1, h2)
 
 
-def wada_ratio(complex_: TwistedChainComplex, generator: int | None = None) -> RationalFunction:
+def wada_ratio(complex_: TwistedChainComplex) -> RationalFunction:
     """Delta_1 / Delta_0 by the minor formula, bypassing homology.
 
     Pick a generator x_g with det(Phi(x_g) - Id) nonzero, delete its block
@@ -236,10 +234,9 @@ def wada_ratio(complex_: TwistedChainComplex, generator: int | None = None) -> R
     r = complex_.dimension
     eye = LaurentMatrix.identity(ctx, r)
 
-    candidates = range(pres.generator_count) if generator is None else [generator]
     chosen = None
     denom = None
-    for g in candidates:
+    for g in range(pres.generator_count):
         det = (phi.generator_image(g) - eye).determinant()
         if not det.is_zero():
             chosen = g

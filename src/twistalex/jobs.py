@@ -41,6 +41,7 @@ from .presentations import (
     Presentation,
     Representation,
     Word,
+    _union_factors,
     a_odd_augmentation,
     a_odd_presentation,
     a_odd_reduced_presentation,
@@ -67,6 +68,8 @@ from .obstructions import (
     CurveComponent,
     CurveData,
     Singularity,
+    _LOCAL_KINDS,
+    _local_germ,
     alpha_term,
     check_divides,
     dimension_bound_check,
@@ -76,8 +79,6 @@ from .obstructions import (
 )
 
 ANALYSES = ("delta", "wada", "divisibility", "root-field", "alpha")
-
-LOCAL_KINDS = {"node": 0, "ordinary": 1, "a_odd": 1, "torus": 2, "cusp": 0}
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -222,33 +223,6 @@ class JobSpec:
 # builders
 
 
-def _build_union_factors(text: str, lineno: int):
-    factors = []
-    for part in text.split(","):
-        part = part.strip()
-        bits = part.split(":")
-        if bits[0] == "torus" and len(bits) == 3:
-            factors.append(("torus", int(bits[1]), int(bits[2])))
-        elif bits[0] == "cusp" and len(bits) == 1:
-            factors.append(("cusp",))
-        elif bits[0] == "line" and len(bits) == 1:
-            factors.append(("line",))
-        else:
-            raise JobParseError(lineno, f"bad union factor {part!r} (torus:p:q, cusp, or line)")
-    if not factors:
-        raise JobParseError(lineno, "union needs at least one factor")
-    return factors
-
-
-def _int_param(params: dict, key: str, builder: str, lineno: int) -> int:
-    if key not in params:
-        raise JobParseError(lineno, f"builder {builder} needs {key}=<int>")
-    try:
-        return int(params[key])
-    except ValueError:
-        raise JobParseError(lineno, f"builder {builder}: {key} must be an integer, got {params[key]!r}")
-
-
 def _letter_count(text: str) -> int:
     """The letters of a word text with its powers expanded, counted without
     expanding them; a malformed token counts one (Word.parse names it)."""
@@ -267,96 +241,106 @@ def _check_letters(count: int, lineno: int):
         raise JobParseError(lineno, f"the relators have {count} letters; the limit is {MAX_LETTERS}")
 
 
-def _check_span(span: int, what: str, lineno: int):
+def _check_span(relator: Word, eps_values, what: str, lineno: int):
+    """The t-span of a relator's Fox blocks is at most the sum of |eps| over
+    its letters."""
+    span = sum(abs(eps_values[g]) for g, _ in relator.letters)
     if span > MAX_DEGREE_SPAN:
         raise JobParseError(lineno, f"{what} spans {span} powers of t under eps; the limit is {MAX_DEGREE_SPAN}")
 
 
-def _local_size(kind: str, params, weights) -> tuple[int, int]:
-    """Bounds on the relator letters and on the largest relator span under
-    eps of the germ presentation that local_polynomial builds for a local
-    line (see its kinds), from the line's integers alone."""
-    w = sum(abs(x) for x in weights)
-    if kind == "torus":
-        p, q = params
-        return abs(p) + abs(q), 2 * abs(p * q) * w
-    if kind == "a_odd":
-        return 8 * abs(params[0]), 4 * w
-    if kind == "cusp":
-        return 6, 6 * w
-    k = params[0] if params else 2  # node, ordinary k
-    return 4 * abs(k), 4 * w
+def _check_parameters(integers, what: str, lineno: int):
+    """Refuse a builder or germ whose integer parameters sum past
+    MAX_LETTERS, before it is built.  None has fewer relator letters than
+    that sum, so the letter count would refuse it too."""
+    total = sum(abs(v) for v in integers)
+    if total > MAX_LETTERS:
+        raise JobParseError(lineno, f"{what}: the parameters sum to {total}; the limit is {MAX_LETTERS}")
+
+
+# Each builder: its parameter keys, its line in ``twistalex builders``, and
+# the function from its parameters, in key order, to the presentation and
+# its default eps.  Parameters are integers, except union's factors (see
+# presentations._union_factors).
+_BUILDERS = {
+    "hopf": (
+        ("d",),
+        "d=<int>         generalized Hopf link group on x0..x(d-1), x0 central",
+        lambda d: (hopf_presentation(d), hopf_augmentation([1] * d)),
+    ),
+    "a_odd": (
+        ("n",),
+        "n=<int>         A_(2n-1) germ group, full 2n+1 relator presentation",
+        lambda n: (a_odd_presentation(n), a_odd_augmentation(n)),
+    ),
+    "a_odd_reduced": (
+        ("n",),
+        "n=<int>         A_(2n-1) germ group without its redundant relator",
+        lambda n: (a_odd_reduced_presentation(n), a_odd_augmentation(n)),
+    ),
+    "torus": (
+        ("p", "q"),
+        "p=<int> q=<int>  irreducible germ <x, y | x^p = y^q>",
+        lambda p, q: (torus_germ_presentation(p, q), torus_germ_augmentation(p, q)),
+    ),
+    "cusp": (
+        (),
+        "(no parameters) cusp germ in braid form <x, y | xyx = yxy>",
+        lambda: (braid_cusp_presentation(), Augmentation([1, 1])),
+    ),
+    "union": (
+        ("factors",),
+        "factors=f1,f2   transversal union; factor = torus:p:q | cusp | line",
+        lambda factors: (
+            transversal_union_presentation(factors),
+            transversal_union_augmentation(factors, [1] * len(factors)),
+        ),
+    ),
+    "circle": (
+        (),
+        "(no parameters) one generator, no relators",
+        lambda: (Presentation(["x0"], []), Augmentation([1])),
+    ),
+}
+
+
+def _builder_value(name: str, key: str, params: dict, lineno: int):
+    """One builder parameter as (value, canonical text, its integers): an
+    integer, or union's list of factors."""
+    if key not in params:
+        raise JobParseError(lineno, f"builder {name} needs {key}={'f1,f2' if key == 'factors' else '<int>'}")
+    text = params[key]
+    if key == "factors":
+        try:
+            factors = _union_factors(text)
+        except ValueError as exc:
+            raise JobParseError(lineno, str(exc))
+        return factors, ",".join(":".join(map(str, f)) for f in factors), [x for f in factors for x in f[1:]]
+    try:
+        value = int(text)
+    except ValueError:
+        raise JobParseError(lineno, f"builder {name}: {key} must be an integer, got {text!r}")
+    return value, str(value), [value]
 
 
 def _resolve_builder(name: str, params: dict, lineno: int):
     """Return (presentation, default augmentation, canonical params).  The
-    letters of the relators are counted before they are built."""
+    parameters are bounded before the build and the relator letters counted
+    after it."""
+    if name not in _BUILDERS:
+        raise JobParseError(lineno, f"unknown builder {name!r}; available: {', '.join(sorted(_BUILDERS))}")
+    keys, _, build = _BUILDERS[name]
+    extra = set(params) - set(keys)
+    if extra:
+        raise JobParseError(lineno, f"builder {name}: unexpected parameters {', '.join(sorted(extra))}")
+    parsed = [_builder_value(name, key, params, lineno) for key in keys]
+    _check_parameters([x for _, _, integers in parsed for x in integers], f"builder {name}", lineno)
     try:
-        if name == "hopf":
-            d = _int_param(params, "d", name, lineno)
-            extra = set(params) - {"d"}
-            _check_letters(4 * (d - 1), lineno)
-            pres = hopf_presentation(d)
-            return pres, hopf_augmentation([1] * d), (("d", str(d)),), extra
-        if name == "a_odd":
-            n = _int_param(params, "n", name, lineno)
-            extra = set(params) - {"n"}
-            _check_letters(8 * n + 3, lineno)
-            return a_odd_presentation(n), a_odd_augmentation(n), (("n", str(n)),), extra
-        if name == "a_odd_reduced":
-            n = _int_param(params, "n", name, lineno)
-            extra = set(params) - {"n"}
-            _check_letters(8 * n - 1, lineno)
-            return a_odd_reduced_presentation(n), a_odd_augmentation(n), (("n", str(n)),), extra
-        if name == "torus":
-            p = _int_param(params, "p", name, lineno)
-            q = _int_param(params, "q", name, lineno)
-            extra = set(params) - {"p", "q"}
-            _check_letters(p + q, lineno)
-            return (
-                torus_germ_presentation(p, q),
-                torus_germ_augmentation(p, q),
-                (("p", str(p)), ("q", str(q))),
-                extra,
-            )
-        if name == "cusp":
-            return braid_cusp_presentation(), Augmentation([1, 1]), (), set(params)
-        if name == "circle":
-            return Presentation(["x0"], []), Augmentation([1]), (), set(params)
-        if name == "union":
-            if "factors" not in params:
-                raise JobParseError(lineno, "builder union needs factors=torus:p:q,... ")
-            factors = _build_union_factors(params["factors"], lineno)
-            extra = set(params) - {"factors"}
-            # Each factor's own relator, then a commutator per pair of
-            # generators from distinct factors.
-            sizes = [1 if f[0] == "line" else 2 for f in factors]
-            pairs = (sum(sizes) ** 2 - sum(k * k for k in sizes)) // 2
-            own = sum(f[1] + f[2] if f[0] == "torus" else 6 if f[0] == "cusp" else 0 for f in factors)
-            _check_letters(own + 4 * pairs, lineno)
-            canon = ",".join(":".join(str(x) for x in f) for f in factors)
-            pres = transversal_union_presentation(factors)
-            eps = transversal_union_augmentation(factors, [1] * len(factors))
-            return pres, eps, (("factors", canon),), extra
-    except JobParseError:
-        raise
+        pres, eps = build(*(value for value, _, _ in parsed))
     except ValueError as exc:
         raise JobParseError(lineno, str(exc))
-    raise JobParseError(
-        lineno,
-        f"unknown builder {name!r}; available: {', '.join(sorted(BUILDER_SUMMARY))}",
-    )
-
-
-BUILDER_SUMMARY = {
-    "hopf": "d=<int>         generalized Hopf link group on x0..x(d-1), x0 central",
-    "a_odd": "n=<int>         A_(2n-1) germ group, full 2n+1 relator presentation",
-    "a_odd_reduced": "n=<int>         A_(2n-1) germ group without its redundant relator",
-    "torus": "p=<int> q=<int>  irreducible germ <x, y | x^p = y^q>",
-    "cusp": "(no parameters) cusp germ in braid form <x, y | xyx = yxy>",
-    "union": "factors=f1,f2   transversal union; factor = torus:p:q | cusp | line",
-    "circle": "(no parameters) one generator, no relators",
-}
+    _check_letters(sum(len(r) for r in pres.relators), lineno)
+    return pres, eps, tuple((key, text) for key, (_, text, _) in zip(keys, parsed))
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +485,11 @@ def parse_job(text: str) -> JobSpec:
             if builder_line is not None or inline_line is not None:
                 raise JobParseError(lineno, "only one builder/generators line per job")
             if not rest:
-                raise JobParseError(lineno, f"builder line needs a name; available: {', '.join(sorted(BUILDER_SUMMARY))}")
+                raise JobParseError(lineno, f"builder line needs a name; available: {', '.join(sorted(_BUILDERS))}")
             builder_line = lineno
             builder_name = rest[0]
-            builder_params = _parse_kv(rest[1:], lineno, {"d", "n", "p", "q", "factors"}, f"builder {builder_name}")
+            allowed = {key for keys, _, _ in _BUILDERS.values() for key in keys}
+            builder_params = _parse_kv(rest[1:], lineno, allowed, f"builder {builder_name}")
         elif keyword == "generators":
             if builder_line is not None or inline_line is not None:
                 raise JobParseError(lineno, "only one builder/generators line per job")
@@ -579,11 +564,7 @@ def parse_job(text: str) -> JobSpec:
 
     # presentation
     if builder_line is not None:
-        pres, default_eps, canon_params, extra = _resolve_builder(builder_name, builder_params, builder_line)
-        if extra:
-            raise JobParseError(
-                builder_line, f"builder {builder_name}: unexpected parameters {', '.join(sorted(extra))}"
-            )
+        pres, default_eps, canon_params = _resolve_builder(builder_name, builder_params, builder_line)
         if relator_lines:
             raise JobParseError(relator_lines[0][0], "relator lines are for inline presentations only")
         source = ("builder", builder_name) + canon_params
@@ -635,8 +616,7 @@ def parse_job(text: str) -> JobSpec:
             raise JobParseError(eps_line, f"eps line must cover every generator; missing {', '.join(missing)}")
         eps_values = tuple(assigned[i] for i in range(len(names)))
     for i, relator in enumerate(pres.relators):
-        span = sum(abs(eps_values[g]) for g, _ in relator.letters)
-        _check_span(span, f"relator {i}", eps_line or builder_line or relator_lines[i][0])
+        _check_span(relator, eps_values, f"relator {i}", eps_line or builder_line or relator_lines[i][0])
 
     # rho
     if rho_trivial is not None:
@@ -683,14 +663,13 @@ def parse_job(text: str) -> JobSpec:
             raise JobParseError(specialize_line, "specialization at 0 is undefined")
         specialize_values.append(str(value))
 
-    # local lines
+    # local lines: each germ is built here and measured as a job is
     local_requests = []
     for lineno, tokens in local_lines:
-        if not tokens:
-            raise JobParseError(lineno, f"local line needs a kind; available: {', '.join(sorted(LOCAL_KINDS))}")
+        if not tokens or tokens[0] not in _LOCAL_KINDS:
+            what = f"unknown local kind {tokens[0]!r}" if tokens else "local line needs a kind"
+            raise JobParseError(lineno, f"{what}; available: {', '.join(sorted(_LOCAL_KINDS))}")
         kind = tokens[0]
-        if kind not in LOCAL_KINDS:
-            raise JobParseError(lineno, f"unknown local kind {kind!r}; available: {', '.join(sorted(LOCAL_KINDS))}")
         rest = tokens[1:]
         params = []
         i = 0
@@ -700,8 +679,9 @@ def parse_job(text: str) -> JobSpec:
             except ValueError:
                 raise JobParseError(lineno, f"local {kind}: expected integer parameter, got {rest[i]!r}")
             i += 1
-        if len(params) != LOCAL_KINDS[kind]:
-            raise JobParseError(lineno, f"local {kind} takes {LOCAL_KINDS[kind]} integer parameter(s)")
+        count = _LOCAL_KINDS[kind][0]
+        if len(params) != count:
+            raise JobParseError(lineno, f"local {kind} takes {count} integer parameter(s)")
         if i >= len(rest) or rest[i] != "weights":
             raise JobParseError(lineno, f"local {kind}: missing 'weights' section")
         i += 1
@@ -712,24 +692,23 @@ def parse_job(text: str) -> JobSpec:
             except ValueError:
                 raise JobParseError(lineno, f"local {kind}: weights must be integers, got {rest[i]!r}")
             i += 1
-        if not weights:
-            raise JobParseError(lineno, f"local {kind}: needs at least one weight")
-        letters, span = _local_size(kind, params, weights)
-        _check_letters(letters, lineno)
-        _check_span(span, f"local {kind}", lineno)
-        scalars = None
+        _check_parameters(params, f"local {kind}", lineno)
+        texts = None
         if i < len(rest):
             scalar_text = " ".join(rest[i + 1 :])
             if not scalar_text:
                 raise JobParseError(lineno, f"local {kind}: scalars section is empty")
-            scalars = []
-            for part in _split_top_level(scalar_text):
-                try:
-                    scalars.append(str(parse_scalar(part, context)))
-                except ValueError as exc:
-                    raise JobParseError(lineno, f"local {kind}: {exc}")
-            scalars = tuple(scalars)
-        local_requests.append((kind, tuple(params), tuple(weights), scalars))
+            texts = _split_top_level(scalar_text)
+        try:
+            scalars = None if texts is None else [parse_scalar(text, context) for text in texts]
+            germ, germ_eps, _ = _local_germ(context, kind, params, weights, scalars)
+        except ValueError as exc:
+            raise JobParseError(lineno, f"local {kind}: {exc}")
+        _check_letters(sum(len(r) for r in germ.relators), lineno)
+        for relator in germ.relators:
+            _check_span(relator, germ_eps.values, f"local {kind}", lineno)
+        scalar_texts = None if scalars is None else tuple(str(v) for v in scalars)
+        local_requests.append((kind, tuple(params), tuple(weights), scalar_texts))
 
     # component lines
     components = []
@@ -740,6 +719,7 @@ def parse_job(text: str) -> JobSpec:
             degree = int(kv["degree"])
             weight = int(kv["weight"])
             euler = int(kv["euler"]) if "euler" in kv else None
+            CurveComponent(degree, weight, euler=euler)  # as JobSpec.curve will
         except ValueError as exc:
             raise JobParseError(lineno, f"component: {exc}")
         meridian = None
@@ -759,6 +739,7 @@ def parse_job(text: str) -> JobSpec:
         try:
             comps_idx = tuple(int(c) for c in kv["components"].split(","))
             params = tuple(int(p) for p in kv["params"].split(",")) if "params" in kv else ()
+            Singularity(kind, comps_idx, params)  # as JobSpec.curve will
         except ValueError as exc:
             raise JobParseError(lineno, f"singularity: {exc}")
         for c in comps_idx:

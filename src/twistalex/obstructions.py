@@ -69,6 +69,79 @@ __all__ = [
 ]
 
 
+def _ordinary_germ(context: FieldContext, params, weights, values):
+    (k,) = params
+    if len(weights) != k:
+        raise ValueError(f"ordinary {k}-point needs {k} branch weights")
+    branch = values if values is not None else [context.one] * k
+    if len(branch) != k:
+        raise ValueError(f"ordinary {k}-point needs {k} branch scalars")
+    pres = hopf_presentation(k)
+    x0 = context.one
+    for s in branch:
+        x0 = x0 * s
+    return pres, hopf_augmentation(weights), rank_one_representation(context, pres, [x0] + branch[: k - 1])
+
+
+def _a_odd_germ(context: FieldContext, params, weights, values):
+    (n,) = params
+    if len(weights) != 2:
+        raise ValueError("an A_{2n-1} point lies on two branches")
+    branch = values if values is not None else [context.one] * 2
+    if len(branch) < 2:
+        raise ValueError("an A_{2n-1} point needs a scalar per branch")
+    even, odd = branch[:2]
+    pres = a_odd_reduced_presentation(n)
+    scalars = [even if i % 2 == 0 else odd for i in range(2 * n)] + [odd * even]
+    return pres, a_odd_augmentation(n, *weights), rank_one_representation(context, pres, scalars)
+
+
+def _torus_germ(context: FieldContext, params, weights, values):
+    p, q = params
+    if len(weights) != 1:
+        raise ValueError("a torus germ has a single branch")
+    pres = torus_germ_presentation(p, q)
+    scalars = values if values is not None else [context.one] * 2
+    return pres, torus_germ_augmentation(p, q, weights[0]), rank_one_representation(context, pres, scalars)
+
+
+def _cusp_germ(context: FieldContext, params, weights, values):
+    if len(weights) != 1:
+        raise ValueError("a cusp has a single branch")
+    pres = braid_cusp_presentation()
+    # Both generators are meridians of the one branch, hence conjugate: a
+    # rank-1 representation must give them the same value.
+    scalars = values if values is not None else [context.one]
+    if len(scalars) == 1:
+        scalars = scalars * 2
+    return pres, Augmentation(weights * 2), rank_one_representation(context, pres, scalars)
+
+
+# Each local kind: its number of integer parameters, and its germ
+# constructor (context, params, weights, values) -> the rank-1 triple
+# (presentation, eps, rho) of the local link group, with values the given
+# scalars as field elements, or None for the default of all ones.
+_LOCAL_KINDS = {
+    "node": (0, lambda context, params, weights, values: _ordinary_germ(context, (2,), weights, values)),
+    "ordinary": (1, _ordinary_germ),
+    "a_odd": (1, _a_odd_germ),
+    "torus": (2, _torus_germ),
+    "cusp": (0, _cusp_germ),
+}
+
+
+def _local_germ(context: FieldContext, kind: str, params, weights, scalars=None):
+    """The germ triple of a local kind; a kind, parameter count or germ the
+    table does not accept raises ValueError."""
+    if kind not in _LOCAL_KINDS:
+        raise ValueError(f"unsupported singularity kind {kind!r}")
+    count, germ = _LOCAL_KINDS[kind]
+    if len(params) != count:
+        raise ValueError(f"local {kind} takes {count} integer parameter(s)")
+    values = None if scalars is None else [context.from_rational(s) for s in scalars]
+    return germ(context, params, weights, values)
+
+
 class CurveComponent:
     """One irreducible component: its degree, meridian weight, and (when an
     analysis needs them) the meridian's representation matrix and the
@@ -94,7 +167,7 @@ class Singularity:
 
     __slots__ = ("kind", "components", "params")
 
-    KINDS = ("node", "ordinary", "a_odd", "torus", "cusp")
+    KINDS = tuple(_LOCAL_KINDS)
 
     def __init__(self, kind: str, components, params=()):
         if kind not in self.KINDS:
@@ -282,7 +355,8 @@ def _matrix_multiplicative_order(m: ScalarMatrix) -> int | None:
 def _charpoly_roots_of_unity(m: ScalarMatrix, order: int):
     """Eigenvalues of a finite-order matrix: roots of det(t Id - m) among the
     order-th roots of unity, with multiplicity, in the field Q(zeta_N) with N
-    = lcm(ambient conductor, order)."""
+    = lcm(ambient conductor, order), as the exponents j of zeta_N^j, and
+    that field."""
     n = lcm([m.context.conductor, order])
     big = FieldContext(n)
     work = m.embed(big)
@@ -290,14 +364,13 @@ def _charpoly_roots_of_unity(m: ScalarMatrix, order: int):
     eye = LaurentMatrix.identity(big, work.rows)
     tm = eye * LaurentPoly.t_power(big, 1) - LaurentMatrix.from_scalar_matrix(work, 0)
     char = tm.determinant()
-    eigenvalues = []
+    exponents = []
     for j in range(n):
-        z = big.zeta(j)
-        count, char = _strip_root(char, z)
-        eigenvalues += [z] * count
-    if len(eigenvalues) != m.rows:
+        count, char = _strip_root(char, big.zeta(j))
+        exponents += [j] * count
+    if len(exponents) != m.rows:
         raise ValueError("eigenvalues not expressible as roots of unity in the ambient field")
-    return eigenvalues, big
+    return exponents, big
 
 
 def extension_degree_formula(d: int, algebraic_orders, transcendental_count: int = 0):
@@ -335,27 +408,16 @@ def root_field(rho_x0: ScalarMatrix, d: int) -> RootFieldReport:
     order = _matrix_multiplicative_order(inv)
     if order is None:
         return RootFieldReport(False, d, (), (), None, None, None, None)
-    eigenvalues, big = _charpoly_roots_of_unity(inv, order)
-    orders = [ev.multiplicative_order() for ev in eigenvalues]
-    # Exact orders of all d-th roots of each eigenvalue: lambda = zeta_N^(d b)
-    # in the cyclic group of order N = d * o; the roots are zeta_N^(b + j o)
-    # and the root orders are N / gcd(N, b + j o).
+    exponents, big = _charpoly_roots_of_unity(inv, order)
+    eigenvalues, n = [big.zeta(j) for j in exponents], big.conductor
+    # zeta_n^j has order o = n / gcd(n, j) and is zeta_o^b, b = j / gcd(n, j).
+    # Its d-th roots are zeta_(d o)^(b + k o), of orders d o / gcd(d o, b + k o).
+    orders: list[int] = []
     root_orders: list[int] = []
-    for ev, o in zip(eigenvalues, orders):
-        n_total = d * o
-        # Find b with ev = zeta_{o}^b, gcd(b, o) = 1 (b = 0 for ev = 1).
-        target = FieldContext(lcm([big.conductor, o]))
-        evt = ev.embed(target)
-        b = None
-        for j in range(o):
-            if target.zeta(j * (target.conductor // o)) == evt:
-                b = j
-                break
-        if b is None:
-            raise InternalInvariantError("eigenvalue lost its own order")
-        for j in range(d):
-            e = b + j * o
-            root_orders.append(n_total // math.gcd(n_total, e))
+    for j in exponents:
+        o, b = n // math.gcd(n, j), j // math.gcd(n, j)
+        orders.append(o)
+        root_orders += [d * o // math.gcd(d * o, b + k * o) for k in range(d)]
     conductor = lcm(root_orders + orders) if root_orders else 1
     base_conductor = lcm(orders) if orders else 1
     degree = totient(conductor) // totient(base_conductor)
@@ -396,8 +458,10 @@ def local_polynomial(context: FieldContext, kind: str, weights, scalars=None, pa
     """Delta data of the local link group of a singularity, for rank-1
     representations, with component weights applied directly as eps.
 
-    Supported kinds (weights are per branch through the point):
-      node          two transversal smooth branches: Hopf(2)
+    Supported kinds (weights are per branch through the point), one entry
+    each of _LOCAL_KINDS:
+      node          two transversal smooth branches: Hopf(2), reported as
+                    ordinary (2,)
       ordinary k    k pairwise-transversal branches: Hopf(k), params=(k,)
       a_odd n       two branches with n-th order contact, params=(n,); the
                     reduced presentation carries the computation (same H0 and
@@ -412,72 +476,21 @@ def local_polynomial(context: FieldContext, kind: str, weights, scalars=None, pa
     meridian values; a_odd b = product).  Omitted scalars default to 1.
     """
     params = tuple(int(p) for p in params)
-    weights = [int(w) for w in weights]
-
-    def scalar(v):
-        if isinstance(v, CycloNumber):
-            return v
-        return context.from_rational(v)
-
+    weights = tuple(int(w) for w in weights)
+    pres, eps, rho = _local_germ(context, kind, params, weights, scalars)
     if kind == "node":
         kind, params = "ordinary", (2,)
-    if kind == "ordinary":
-        (k,) = params
-        if len(weights) != k:
-            raise ValueError(f"ordinary {k}-point needs {k} branch weights")
-        branch = [scalar(s) for s in (scalars if scalars is not None else [1] * k)]
-        if len(branch) != k:
-            raise ValueError(f"ordinary {k}-point needs {k} branch scalars")
-        pres = hopf_presentation(k)
-        eps = hopf_augmentation(weights)
-        x0 = context.one
-        for s in branch:
-            x0 = x0 * s
-        rho = rank_one_representation(context, pres, [x0] + branch[: k - 1])
-    elif kind == "a_odd":
-        (n,) = params
-        if len(weights) != 2:
-            raise ValueError("an A_{2n-1} point lies on two branches")
-        branch = [scalar(s) for s in (scalars if scalars is not None else [1, 1])]
-        pres = a_odd_reduced_presentation(n)
-        eps = a_odd_augmentation(n, weights[0], weights[1])
-        values = [branch[0] if i % 2 == 0 else branch[1] for i in range(2 * n)]
-        values.append(branch[1] * branch[0])
-        rho = rank_one_representation(context, pres, values)
-    elif kind == "torus":
-        p, q = params
-        if len(weights) != 1:
-            raise ValueError("a torus germ has a single branch")
-        pres = torus_germ_presentation(p, q)
-        eps = torus_germ_augmentation(p, q, weights[0])
-        vals = [scalar(s) for s in (scalars if scalars is not None else [1, 1])]
-        rho = rank_one_representation(context, pres, vals)
-    elif kind == "cusp":
-        if len(weights) != 1:
-            raise ValueError("a cusp has a single branch")
-        n = weights[0]
-        pres = braid_cusp_presentation()
-        eps = Augmentation([n, n])
-        # Both generators are meridians of the one branch, hence conjugate:
-        # a rank-1 representation must give them the same value.
-        vals = [scalar(s) for s in (scalars if scalars is not None else [1])]
-        if len(vals) == 1:
-            vals = [vals[0], vals[0]]
-        rho = rank_one_representation(context, pres, vals)
-    else:
-        raise ValueError(f"unsupported singularity kind {kind!r}")
-
-    cx = build_complex(pres, eps, rho)
-    res = homology(cx)
+    res = homology(build_complex(pres, eps, rho))
     delta0 = res.delta(0)
     delta1 = res.delta(1)
     ratio = res.ratio() if not delta0.is_zero() else None
     printed = None
     matches = None
     if kind == "cusp":
+        n = eps.values[0]
         printed = cusp_printed_formula(rho.matrices[0][0, 0], rho.matrices[1][0, 0], n, n)
         matches = ratio is not None and printed.unit_equal(ratio)
-    return LocalPolynomial(kind, params, tuple(weights), delta0, delta1, ratio, printed, matches)
+    return LocalPolynomial(kind, params, weights, delta0, delta1, ratio, printed, matches)
 
 
 def alpha_term(curve: CurveData) -> RationalFunction:

@@ -704,62 +704,55 @@ _UNION_NAME_POOL = "xyzwuvabcdefgh"
 
 
 def _union_factors(factors):
-    """Normalize factor descriptors: ('torus', p, q) | ('cusp',) | ('line',)."""
+    """Normalize union factors, given as tuples ('torus', p, q) | ('cusp',) |
+    ('line',) or as their job text ``torus:p:q,cusp,line``."""
+    if isinstance(factors, str):
+        factors = [part.strip().split(":") for part in factors.split(",")]
     parsed = []
     for f in factors:
-        kind = f[0]
-        if kind == "torus":
-            parsed.append(("torus", int(f[1]), int(f[2])))
-        elif kind in ("cusp", "line"):
+        kind, *params = f
+        if kind == "torus" and len(params) == 2:
+            parsed.append(("torus", int(params[0]), int(params[1])))
+        elif kind in ("cusp", "line") and not params:
             parsed.append((kind,))
         else:
-            raise ValueError(f"unknown union factor kind {kind!r}")
+            raise ValueError(f"bad union factor {':'.join(map(str, f))!r} (torus:p:q, cusp, or line)")
     if len(parsed) < 2:
         raise ValueError("a transversal union needs at least two factors")
     return parsed
 
 
+def _union_factor(factor, weight: int) -> tuple[Presentation, Augmentation]:
+    """One factor's own presentation, and its eps at its component weight."""
+    if factor[0] == "torus":
+        _, p, q = factor
+        return torus_germ_presentation(p, q), torus_germ_augmentation(p, q, weight)
+    if factor[0] == "cusp":
+        return braid_cusp_presentation(), Augmentation([weight, weight])
+    return Presentation(["x"], []), Augmentation([weight])
+
+
 def transversal_union_presentation(factors) -> Presentation:
-    """Join germ factors transversally: concatenate the factor presentations
-    and add every cross-factor commutator.  Factor kinds: ('torus', p, q)
+    """Join germ factors transversally: the factor presentations side by
+    side, plus every cross-factor commutator.  Factor kinds: ('torus', p, q)
     with germ generators, ('cusp',) with braid meridian generators, ('line',)
     with a single free meridian."""
-    parsed = _union_factors(factors)
-    names: list[str] = []
-    factor_gens: list[list[int]] = []
+    germs = [_union_factor(f, 1)[0] for f in _union_factors(factors)]
+    count = sum(germ.generator_count for germ in germs)
+    if count > len(_UNION_NAME_POOL):
+        raise ValueError(f"a transversal union has {count} generators; the limit is {len(_UNION_NAME_POOL)}")
     relators: list[Word] = []
-    pool = iter(_UNION_NAME_POOL)
-    for f in parsed:
-        if f[0] == "line":
-            base = len(names)
-            names.append(next(pool))
-            factor_gens.append([base])
-            continue
-        base = len(names)
-        names.extend([next(pool), next(pool)])
-        factor_gens.append([base, base + 1])
-        if f[0] == "torus":
-            _, p, q = f
-            relators.append(Word([(base, 1)] * p + [(base + 1, -1)] * q))
-        else:
-            relators.append(
-                Word(
-                    [
-                        (base, 1),
-                        (base + 1, 1),
-                        (base, 1),
-                        (base + 1, -1),
-                        (base, -1),
-                        (base + 1, -1),
-                    ]
-                )
-            )
-    for i in range(len(factor_gens)):
-        for j in range(i + 1, len(factor_gens)):
-            for g in factor_gens[i]:
-                for h in factor_gens[j]:
+    blocks: list[range] = []
+    for germ in germs:
+        base = blocks[-1].stop if blocks else 0
+        relators += [Word((base + g, s) for g, s in r.letters) for r in germ.relators]
+        blocks.append(range(base, base + germ.generator_count))
+    for i, block in enumerate(blocks):
+        for other in blocks[i + 1 :]:
+            for g in block:
+                for h in other:
                     relators.append(Word([(g, 1), (h, 1), (g, -1), (h, -1)]))
-    return Presentation(names, relators)
+    return Presentation(_UNION_NAME_POOL[:count], relators)
 
 
 def transversal_union_augmentation(factors, weights) -> Augmentation:
@@ -769,16 +762,7 @@ def transversal_union_augmentation(factors, weights) -> Augmentation:
     weights = [int(w) for w in weights]
     if len(weights) != len(parsed):
         raise ValueError("one weight per factor required")
-    values: list[int] = []
-    for f, w in zip(parsed, weights):
-        if f[0] == "torus":
-            _, p, q = f
-            values.extend([q * w, p * w])
-        elif f[0] == "cusp":
-            values.extend([w, w])
-        else:
-            values.append(w)
-    return Augmentation(values)
+    return Augmentation([v for f, w in zip(parsed, weights) for v in _union_factor(f, w)[1].values])
 
 
 def rank_one_representation(context: FieldContext, pres: Presentation, scalars) -> Representation:

@@ -662,23 +662,6 @@ class Matrix:
         z = cls._ring_zero(context)
         return cls._make(context, [(z,) * cols] * rows)
 
-    @classmethod
-    def from_blocks(cls, blocks):
-        """Assemble from a 2D grid of blocks of this matrix type."""
-        ctx = blocks[0][0].context
-        rows = []
-        for block_row in blocks:
-            height = block_row[0].rows
-            for b in block_row:
-                if b.rows != height:
-                    raise ValueError("block heights differ within a row")
-            for i in range(height):
-                row = []
-                for b in block_row:
-                    row.extend(b.entries[i])
-                rows.append(row)
-        return cls(ctx, rows)
-
     def __getitem__(self, key):
         i, j = key
         return self.entries[i][j]

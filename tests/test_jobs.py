@@ -461,3 +461,56 @@ def test_inputs_over_a_budget_exit_2_at_their_line(tmp_path, capsys, name):
     assert code == EXIT_INPUT_ERROR
     err = capsys.readouterr().err
     assert f"line {line}:" in err and "limit" in err
+
+
+BUILDERS_LISTING = """\
+a_odd          n=<int>         A_(2n-1) germ group, full 2n+1 relator presentation
+a_odd_reduced  n=<int>         A_(2n-1) germ group without its redundant relator
+circle         (no parameters) one generator, no relators
+cusp           (no parameters) cusp germ in braid form <x, y | xyx = yxy>
+hopf           d=<int>         generalized Hopf link group on x0..x(d-1), x0 central
+torus          p=<int> q=<int>  irreducible germ <x, y | x^p = y^q>
+union          factors=f1,f2   transversal union; factor = torus:p:q | cusp | line
+"""
+
+
+def test_cli_builders_listing_is_pinned(capsys):
+    assert main(["builders"]) == 0
+    assert capsys.readouterr().out == BUILDERS_LISTING
+
+
+# Inputs that crashed, or passed parsing and failed later or never, and the
+# line each is refused at.
+REFUSED_AT_THEIR_LINE = {
+    "union of 15 lines": ("builder union factors=" + ",".join(["line"] * 15) + "\nrho trivial 1\n", 1),
+    "union of 8 cusps": ("builder union factors=" + ",".join(["cusp"] * 8) + "\nrho trivial 1\n", 1),
+    "union torus factor that builder torus refuses": ("builder union factors=torus:2:4,line\nrho trivial 1\n", 1),
+    "unknown singularity kind": (
+        "builder cusp\nrho trivial 1\ncomponent degree=1 weight=1\nsingularity bogus components=0\n",
+        4,
+    ),
+    "component degree 0": (
+        "builder torus p=2 q=3\nrho trivial 1\ncomponent degree=0 weight=1\nanalyze divisibility\n",
+        3,
+    ),
+    "component weight 0": ("builder cusp\nrho trivial 1\ncomponent degree=2 weight=0\n", 3),
+    "local germ that raises": ("builder cusp\nrho trivial 1\nlocal a_odd 0 weights 1 1\n", 3),
+    "local germ short of scalars": ("builder cusp\nrho trivial 1\nlocal a_odd 1 weights 1 1 scalars 2\n", 3),
+    "local germ with a zero scalar": ("builder cusp\nrho trivial 1\nlocal torus 2 3 weights 1 scalars 0, 1\n", 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_AT_THEIR_LINE))
+def test_bad_lines_exit_2_at_their_line(tmp_path, capsys, name):
+    text, line = REFUSED_AT_THEIR_LINE[name]
+    path = tmp_path / "bad.job"
+    path.write_text(text, encoding="utf-8")
+    assert main(["compute", str(path)]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"line {line}:" in captured.err
+
+
+def test_union_of_14_generators_still_builds():
+    spec = parse_job("builder union factors=" + ",".join(["cusp"] * 7) + "\nrho trivial 1\n")
+    assert "".join(spec.generator_names) == "xyzwuvabcdefgh"

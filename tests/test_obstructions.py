@@ -301,3 +301,35 @@ def test_cyclotomic_factors_incomplete_quotient():
     # the quotient lives in the lifted field Q(zeta_lcm(candidates))
     expect = LaurentPoly(quotient.context, [-1, 1])
     assert quotient.unit_equal(expect)
+
+
+def _root_field_cases():
+    """(rho(x0), d) of every sample root-field job, then of seeded Hopf
+    representations over several cyclotomic fields."""
+    import random
+    from pathlib import Path
+
+    from twistalex.jobs import parse_job
+    from twistalex.presentations import random_hopf_representation
+
+    for path in sorted((Path(__file__).resolve().parent.parent / "sample_jobs").glob("*.job")):
+        spec = parse_job(path.read_text(encoding="utf-8"))
+        if "root-field" in spec.analyses:
+            yield spec.chain_complex().rho.matrices[0], len(spec.generator_names)
+    rng = random.Random(14)
+    for conductor in (1, 3, 4, 5, 6, 8, 12, 15):
+        ctx = FieldContext(conductor)
+        for d in (2, 3, 5):
+            for family in ("scalar", "diagonal"):
+                yield random_hopf_representation(ctx, d, rng.randint(1, 2), rng, family).matrices[0], d
+
+
+def test_root_field_orders_are_the_eigenvalue_orders():
+    exact = 0
+    for m, d in _root_field_cases():
+        report = root_field(m, d)
+        assert len(report.eigenvalue_orders) == len(report.eigenvalues)
+        for ev, order in zip(report.eigenvalues, report.eigenvalue_orders):
+            assert order == ev.multiplicative_order()
+        exact += report.exact
+    assert exact >= 20
