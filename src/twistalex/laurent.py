@@ -8,9 +8,12 @@ when a caller asks for them.
 
 A polynomial keeps its coefficients as integer power-basis rows over one
 denominator (Cohen, A Course in Computational Algebraic Number Theory,
-4.2): ring operations are integer convolutions folded through the power
-table of the context, and field elements are built only when a caller
-reads a coefficient.
+4.2), and field elements are built only when a caller reads a coefficient.
+Every product goes through one kernel, _product_rows: an integer
+convolution in t and z into a flat row buffer, each row then folded once
+through the power table of the context.  A product, a fused update a + f*b
+or a*p - f*b, and a whole division are one call each; the division is one
+pass over flat rows.  A rational unit scales the rows and convolves nothing.
 
 LaurentMatrix shares its storage and ring-independent operations with
 ScalarMatrix through scalars.Matrix.  It adds only the promotion of scalar
@@ -63,35 +66,73 @@ def _coerce_scalar(context: FieldContext, value) -> CycloNumber:
     return context.from_rational(value)
 
 
-def _product_rows(context: FieldContext, a, b) -> list[list[int]]:
-    """The integer rows of the product of two sequences of power-basis rows.
+def _flat(rows, width: int, scale: int = 1) -> list[tuple[int, int]]:
+    """The nonzero coordinates of a sequence of power-basis rows as (position,
+    scale * value) pairs, row i starting at position i * width."""
+    return [(i * width + p, x * scale) for i, row in enumerate(rows) for p, x in enumerate(row) if x]
 
-    Row i of a stands for the coefficient of t^i.  The product is one integer
-    convolution in t and z: with rows laid out at a stride of 2*phi(n) - 1,
-    the exponents of z in a product of two rows never reach the next row.
-    Each output row then folds its z^e, e >= phi(n), through the power table
-    once."""
+
+def _fold(context: FieldContext, flat, base: int) -> list[int]:
+    """The row at base of a flat buffer, its z^e, e >= phi(n), folded."""
+    deg = context.degree
+    row = flat[base : base + deg]
+    for c, table in zip(flat[base + deg : base + 2 * deg - 1], context._fold):
+        if c:
+            for j, r in table:
+                row[j] += c * r
+    return row
+
+
+def _product_rows(context: FieldContext, flat, terms) -> list:
+    """Add the products of terms into a flat buffer and return its rows, each
+    folded once through the power table: the one convolution in t and z.
+
+    Row i of the buffer, the coefficient of t^i, starts at i * (2*phi(n) - 1),
+    so the exponents of z in a product of two rows never reach the next row.
+    A term (offset, fa, fb) adds fa * fb, both in the form of _flat, at
+    offset.  A division passes a generator that reads and cuts off its top
+    row between terms, so what is left to fold is its remainder."""
+    for offset, fa, fb in terms:
+        for ia, x in fa:
+            base = offset + ia
+            for ib, y in fb:
+                flat[base + ib] += x * y
     deg = context.degree
     width = 2 * deg - 1
-    fa = [(i * width + p, x) for i, row in enumerate(a) for p, x in enumerate(row) if x]
-    fb = [(j * width + q, y) for j, row in enumerate(b) for q, y in enumerate(row) if y]
-    size = (len(a) + len(b) - 1) * width
-    flat = [0] * size
-    for ia, x in fa:
-        for ib, y in fb:
-            flat[ia + ib] += x * y
-    if deg == 1:
-        return [[c] for c in flat]
-    fold = context._fold
-    rows = []
-    for base in range(0, size, width):
-        row = flat[base : base + deg]
-        for c, table in zip(flat[base + deg : base + width], fold):
-            if c:
-                for j, r in table:
-                    row[j] += c * r
-        rows.append(row)
-    return rows
+    if len(flat) <= 4 * width:
+        return [_fold(context, flat, base) for base in range(0, len(flat), width)]
+    # A longer buffer folds by columns, flat[p::width] being coordinate p:
+    # a fixed cost per power-table entry that only many rows repay.
+    cols = [flat[p::width] for p in range(deg)]
+    for e, table in enumerate(context._fold, deg):
+        high = flat[e::width]
+        if any(high):
+            for j, r in table:
+                if r == 1 or r == -1:
+                    cols[j] = list(map(operator.add if r == 1 else operator.sub, cols[j], high))
+                else:
+                    cols[j] = [x + r * c for x, c in zip(cols[j], high)]
+    return list(zip(*cols))
+
+
+def _sum_of_products(context: FieldContext, terms) -> LaurentPoly:
+    """The sum of sign * a * b over the terms (sign, a, b), b None for 1: one
+    buffer over the lcm of the denominators, one kernel call."""
+    width = 2 * context.degree - 1
+    parts, low, high, den = [], math.inf, -math.inf, 1
+    for sign, a, b in terms:
+        if a.rows and (b is None or b.rows):
+            lo, d, hi, fb = a.low, a.den, a.low + len(a.rows), ((0, 1),)
+            if b is not None:
+                lo, d, hi, fb = lo + b.low, d * b.den, hi + b.low + len(b.rows) - 1, _flat(b.rows, width)
+            parts.append((lo, d, sign, a.rows, fb))
+            low = lo if lo < low else low
+            high = hi if hi > high else high
+            den = den if den % d == 0 else math.lcm(den, d)
+    if not parts:
+        return LaurentPoly.zero(context)
+    products = [((lo - low) * width, _flat(rows, width, sign * (den // d)), fb) for lo, d, sign, rows, fb in parts]
+    return LaurentPoly._make(context, low, _product_rows(context, [0] * ((high - low) * width), products), den)
 
 
 class LaurentPoly:
@@ -298,7 +339,14 @@ class LaurentPoly:
             return NotImplemented
         if not self.rows or not o.rows:
             return LaurentPoly.zero(self.context)
-        rows = _product_rows(self.context, self.rows, o.rows)
+        a, b = (o, self) if len(self.rows) == 1 and not any(self.rows[0][1:]) else (self, o)
+        if len(b.rows) == 1 and not any(b.rows[0][1:]):
+            # b = c * t^k, c rational (a sign, a constant, a normalizer).
+            rows = [[x * b.rows[0][0] for x in row] for row in a.rows]
+            return LaurentPoly._make(self.context, a.low + b.low, rows, a.den * b.den)
+        width = 2 * self.context.degree - 1
+        flat = [0] * ((len(self.rows) + len(o.rows) - 1) * width)
+        rows = _product_rows(self.context, flat, ((0, _flat(self.rows, width), _flat(o.rows, width)),))
         return LaurentPoly._make(self.context, self.low + o.low, rows, self.den * o.den)
 
     __rmul__ = __mul__
@@ -306,24 +354,25 @@ class LaurentPoly:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers take nonnegative integer exponents")
-        result = LaurentPoly.one(self.context)
-        base = self
-        e = exponent
+        # floor(log2 e) squares, none above the top bit, and popcount(e) - 1 products.
+        result, base, e = None, self, exponent
         while e:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if e:
+                base = base * base
+        return LaurentPoly.one(self.context) if result is None else result
 
     def __divmod__(self, other):
         """Division with remainder; the remainder has strictly smaller degree
         span than the divisor (t-powers are units, so spans drive Euclid).
 
-        The division runs on integer rows against a divisor whose top
-        coefficient is rational.  A divisor with any other top coefficient is
-        replaced by its monic associate, and the quotient is scaled back by
-        that coefficient's inverse once; a monic divisor needs no inverse."""
+        The division is one pass over flat rows, one call of the kernel,
+        against a divisor whose top coefficient is rational.  A divisor with
+        any other top coefficient is replaced by its monic associate, and the
+        quotient is scaled back by that coefficient's inverse once; a monic
+        divisor needs no inverse."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -340,40 +389,43 @@ class LaurentPoly:
         if any(o.rows[-1][1:]):
             inv = o._normalizer()
             o = o * inv
-        divisor = o.rows
-        lead = divisor[-1][0]
-        # Invariant: the remainder is rem / den, den > 0.  Clearing the top
-        # row g*s of rem, with g = +-gcd(lead, g*s) of the sign of lead,
-        # subtracts (s / den') * divisor * t^off, den' = den * lead / g, after
-        # rem is scaled to den'.
-        rem = [list(row) for row in self.rows]
-        den = self.den
-        steps = []
-        for i in range(len(rem) - 1, nb - 2, -1):
-            top = rem[i]
-            if not any(top):
-                continue
-            g = math.gcd(lead, *top) if lead > 0 else -math.gcd(lead, *top)
-            m = lead // g
-            s = top if g == 1 else [x // g for x in top]
-            if m != 1:
-                rem[:i] = [[x * m for x in row] for row in rem[:i]]
-                den *= m
-            off = i - nb + 1
-            for j, row in enumerate(_product_rows(ctx, (s,), divisor[:-1])):
-                rem[off + j] = list(map(operator.sub, rem[off + j], row))
-            steps.append((off, s, den))
+        deg = ctx.degree
+        width = 2 * deg - 1
+        flat = list(chain.from_iterable(row + (0,) * (deg - 1) for row in self.rows))
+        lead, tail, den, steps = o.rows[-1][0], _flat(o.rows[:-1], width), self.den, []
+
+        def eliminate():
+            # Invariant: the remainder is flat / den, den > 0, flat ending at
+            # the row being cleared, folded now that it is the top.  Clearing
+            # its top row g*s, g = +-gcd(lead, g*s) of the sign of lead, cuts
+            # it off (lead * s - s * lead = 0), scales the rows below to den'
+            # = den * lead / g and subtracts s * (the divisor's lower rows).
+            nonlocal den
+            for i in range(len(self.rows) - 1, nb - 2, -1):
+                base = i * width
+                top = _fold(ctx, flat, base)
+                del flat[base:]
+                if any(top):
+                    g = math.gcd(lead, *top) if lead > 0 else -math.gcd(lead, *top)
+                    m = lead // g
+                    s = top if g == 1 else [x // g for x in top]
+                    if m != 1:
+                        flat[:] = [x * m for x in flat]
+                        den *= m
+                    steps.append((i - nb + 1, s, den))
+                    yield (i - nb + 1) * width, [(p, -x) for p, x in enumerate(s) if x], tail
+
+        rem = _product_rows(ctx, flat, eliminate())
         # quotient = (sum_off s / den_off * t^off) * o.den over the last den,
         # a multiple of every earlier one.
-        zero_row = (0,) * ctx.degree
-        quot = [zero_row] * (len(rem) - nb + 1)
+        quot = [(0,) * deg] * (len(self.rows) - nb + 1)
         for off, s, step_den in steps:
             f = den // step_den * o.den
             quot[off] = [x * f for x in s]
         q = LaurentPoly._make(ctx, self.low - o.low, quot, den)
         if inv is not None:
             q = q * inv
-        return q, LaurentPoly._make(ctx, self.low, rem[: nb - 1], den)
+        return q, LaurentPoly._make(ctx, self.low, rem, den)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -768,7 +820,8 @@ class LaurentMatrix(Matrix):
 
     @staticmethod
     def _cross(a, p, f, b):
-        return a * p - f * b if f and b else a * p
+        # a p - f b in one buffer.
+        return _sum_of_products(p.context, ((1, a, p), (-1, f, b))) if f and b else a * p
 
     @staticmethod
     def _divider(prev: LaurentPoly):
@@ -888,10 +941,11 @@ class LaurentMatrix(Matrix):
                     Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
         def add_row(dst, src, factor):
-            # row_dst += factor * row_src; U tracks the same operation.
-            A[dst] = [a + factor * b if b else a for a, b in zip(A[dst], A[src])]
-            if certificates:
-                U[dst] = [a + factor * b for a, b in zip(U[dst], U[src])]
+            # row_dst += factor * row_src, entry by entry; U tracks the same.
+            for X in (A, U) if certificates else (A,):
+                X[dst] = [
+                    _sum_of_products(ctx, ((1, a, None), (1, factor, b))) if b else a for a, b in zip(X[dst], X[src])
+                ]
 
         def normalize_row(k):
             # Scale row k by the unit that makes A[k][k] canonical.

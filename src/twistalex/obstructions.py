@@ -88,9 +88,9 @@ def _a_odd_germ(context: FieldContext, params, weights, values):
     if len(weights) != 2:
         raise ValueError("an A_{2n-1} point lies on two branches")
     branch = values if values is not None else [context.one] * 2
-    if len(branch) < 2:
-        raise ValueError("an A_{2n-1} point needs a scalar per branch")
-    even, odd = branch[:2]
+    if len(branch) != 2:
+        raise ValueError(f"an A_{{2n-1}} point needs 2 branch scalars, got {len(branch)}")
+    even, odd = branch
     pres = a_odd_reduced_presentation(n)
     scalars = [even if i % 2 == 0 else odd for i in range(2 * n)] + [odd * even]
     return pres, a_odd_augmentation(n, *weights), rank_one_representation(context, pres, scalars)

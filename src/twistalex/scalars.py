@@ -472,13 +472,15 @@ class CycloNumber:
         if exponent < 0:
             base = self.inverse()
             exponent = -exponent
-        result = self.context.one
+        # floor(log2 e) squares, none above the top bit, and popcount(e) - 1 products.
+        result = None
         while exponent:
             if exponent & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             exponent >>= 1
-        return result
+            if exponent:
+                base = base * base
+        return self.context.one if result is None else result
 
     def conj(self) -> CycloNumber:
         """Complex conjugation: z maps to z^(n-1) = z^-1."""

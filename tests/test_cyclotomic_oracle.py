@@ -533,3 +533,61 @@ def test_scalar_inverse_edge_cases(n):
     for shape in ((2, 3), (3, 2), (1, 0)):
         with pytest.raises(ValueError):
             ScalarMatrix.zero(ctx, *shape).inverse()
+
+
+# Division with remainder against Poly.div over the algebraic field of
+# exp(2 pi i / n).  With a = t^la A and b = t^lb B, A and B polynomials of
+# nonzero constant term, divmod(a, b) is (t^(la - lb) Q, t^la R) for
+# Poly.div(A, B) = (Q, R).  Seeded pairs cover every path of the division:
+# a non-monic rational top coefficient (the rows below rescale), a
+# non-rational one (the monic associate and the inverse of its unit),
+# negative lows, a dividend shorter than the divisor, a unit divisor and a
+# zero dividend.
+
+DIVISION_CONDUCTORS = (1, 6, 12)
+
+
+def _sympy_poly(field, p: LaurentPoly):
+    """p / t^low as a sympy Poly in t over field."""
+    return sympy.Poly.from_list([_sympy_scalar(field, c) for c in reversed(p.coeffs)], T, domain=field)
+
+
+def _shifted_coords(field, poly, shift: int, degree: int) -> dict[int, tuple[Fraction, ...]]:
+    """{exponent: coordinates} of t^shift * poly, zero coefficients left out."""
+    coeffs = list(reversed(poly.rep.to_list()))
+    coords = {e + shift: _sympy_coords(field, c, degree) for e, c in enumerate(coeffs)}
+    return {e: c for e, c in coords.items() if any(c)}
+
+
+def _division_pairs(n: int) -> list[tuple[str, LaurentPoly, LaurentPoly]]:
+    ctx = FieldContext(n)
+    rng = random.Random(f"division-pairs-{n}")
+    leads = {"rational top 3/2": ctx.from_rational(Fraction(3, 2)), "rational top -5": ctx.from_rational(-5)}
+    if ctx.degree > 1:
+        leads["non-rational top"] = _lead(ctx, "irrational", rng)
+    pairs = []
+    for label, lead in leads.items():
+        for span_a, span_b in ((7, 3), (5, 5), (9, 1)):
+            a = _laurent(ctx, rng, span_a)
+            b = _laurent(ctx, rng, span_b, lead)
+            pairs.append((f"{label} {span_a}/{span_b}", a, b))
+        b = _laurent(ctx, rng, 4, lead)
+        a = LaurentPoly(ctx, _laurent(ctx, rng, 6).coeffs, -5)
+        pairs.append((f"{label} negative lows", a, LaurentPoly(ctx, b.coeffs, -3)))
+        pairs.append((f"{label} shorter dividend", _laurent(ctx, rng, 2), _laurent(ctx, rng, 4, lead)))
+        pairs.append((f"{label} unit divisor", _laurent(ctx, rng, 5), LaurentPoly.t_power(ctx, -2, lead)))
+        pairs.append((f"{label} zero dividend", LaurentPoly.zero(ctx), _laurent(ctx, rng, 3, lead)))
+    return pairs
+
+
+@pytest.mark.parametrize("n", DIVISION_CONDUCTORS)
+def test_divmod_matches_sympy_poly_div(n):
+    field = _sympy_field(n)
+    degree = FieldContext(n).degree
+    for label, a, b in _division_pairs(n):
+        q, r = divmod(a, b)
+        assert q * b + r == a, label
+        assert r.is_zero() or r.span < b.span, label
+        Q, R = _sympy_poly(field, a).div(_sympy_poly(field, b))
+        assert _engine_coords(q) == _shifted_coords(field, Q, a.low - b.low, degree), label
+        assert _engine_coords(r) == _shifted_coords(field, R, a.low, degree), label

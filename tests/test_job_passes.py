@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -360,10 +361,14 @@ def test_smith_form_with_a_unit_corner_walks_no_empty_divisor(monkeypatch):
     product_rows = laurent._product_rows
     empty_tails = []
 
-    def counted(context, a, b):
-        if not b:
-            empty_tails.append(a)
-        return product_rows(context, a, b)
+    def counted(context, flat, terms):
+        def checked():
+            for term in terms:
+                if not term[2]:
+                    empty_tails.append(term)
+                yield term
+
+        return product_rows(context, flat, checked())
 
     monkeypatch.setattr(laurent, "_product_rows", counted)
     for certificates in (True, False):
@@ -473,3 +478,50 @@ def test_the_scalar_rank_of_a_permuted_diagonal_takes_no_cofactor(monkeypatch):
     assert matrix.rank() == n
     assert matrix.det() == (expected if sign > 0 else -expected)
     assert cofactors == []
+
+
+def test_a_division_is_one_pass_of_the_kernel(monkeypatch):
+    # The division subtracts every s * divisor in place in one flat buffer,
+    # so a dense 31-row quotient is one kernel call, not one per row.  A
+    # rational unit factor scales rows: a product by a rational constant and
+    # the normalization of a rational top coefficient convolve nothing.
+    import twistalex.laurent as laurent
+
+    ctx = FieldContext(12)
+    rng = random.Random(15)
+    a = _random_poly(ctx, rng, 40)
+    b = _random_poly(ctx, rng, 10, ctx.from_rational(Fraction(3, 2)))
+    p = _random_poly(ctx, rng, 6, ctx.from_rational(-7))
+    calls = _count_calls(monkeypatch, laurent._product_rows)
+    q, r = divmod(a, b)
+    assert len(calls) <= 1
+    assert q.span == 30 and all(any(row) for row in q.rows)
+    calls.clear()
+    c = Fraction(-2, 5)
+    assert p * c == LaurentPoly(ctx, [x * c for x in p.coeffs], p.low)
+    assert calls == []
+    m = p.normalize()
+    assert m.low == 0 and m.leading_coefficient() == ctx.one
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind", ["laurent", "scalar"])
+def test_a_power_squares_only_below_its_top_bit(monkeypatch, kind):
+    # p ** k makes floor(log2 k) squares and popcount(k) - 1 other products.
+    ctx = FieldContext(12)
+    rng = random.Random(16)
+    if kind == "laurent":
+        cls, base = LaurentPoly, _random_poly(ctx, rng, 2)
+    else:
+        cls, base = CycloNumber, CycloNumber(ctx, [1, -1, 0, 2], 3)
+    expected = [base**0]
+    for _ in range(19):
+        expected.append(expected[-1] * base)
+    products = _count_method(monkeypatch, cls, "__mul__")
+    assert base**0 == ctx.one and products == []
+    for k in range(1, 20):
+        products.clear()
+        assert base**k == expected[k], k
+        squares = sum(1 for x, y in products if x is y)
+        assert squares == k.bit_length() - 1, k
+        assert len(products) - squares == bin(k).count("1") - 1, k

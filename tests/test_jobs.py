@@ -496,6 +496,7 @@ REFUSED_AT_THEIR_LINE = {
     "component weight 0": ("builder cusp\nrho trivial 1\ncomponent degree=2 weight=0\n", 3),
     "local germ that raises": ("builder cusp\nrho trivial 1\nlocal a_odd 0 weights 1 1\n", 3),
     "local germ short of scalars": ("builder cusp\nrho trivial 1\nlocal a_odd 1 weights 1 1 scalars 2\n", 3),
+    "local germ with a scalar too many": ("builder cusp\nrho trivial 1\nlocal a_odd 1 weights 1 1 scalars 2, 3, 5\n", 3),
     "local germ with a zero scalar": ("builder cusp\nrho trivial 1\nlocal torus 2 3 weights 1 scalars 0, 1\n", 3),
 }
 

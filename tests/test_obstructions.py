@@ -221,6 +221,14 @@ def test_local_rejects_bad_input():
         local_polynomial(ctx, "pinch", [1])
 
 
+def test_local_a_odd_takes_exactly_two_branch_scalars():
+    ctx = FieldContext(1)
+    for scalars in ([2], [2, 3, 5]):
+        with pytest.raises(ValueError, match="2 branch scalars"):
+            local_polynomial(ctx, "a_odd", [1, 1], scalars=scalars, params=(1,))
+    assert local_polynomial(ctx, "a_odd", [1, 1], scalars=[2, 3], params=(1,)).kind == "a_odd"
+
+
 def test_alpha_term_smooth_conic():
     # one smooth conic, no singular points: exponent 0 - chi = -2, so
     # alpha = (1 - t)^(-2) for the trivial rank-1 meridian
