@@ -2,7 +2,8 @@
 
 The pipeline: a Presentation with an Augmentation (eps) and a Representation
 (rho) build a twisted chain complex whose torsion orders are the polynomials
-Delta_0, Delta_1, Delta_2; obstruction checks compare them against the
+Delta_i, one per degree of the complex (Delta_0, Delta_1, Delta_2 for a
+presentation 2-complex); obstruction checks compare them against the
 closed forms and divisibility bounds that hold for plane-curve complements.
 """
 

@@ -1,8 +1,12 @@
-"""Twisted chain complexes of presentation 2-complexes and their invariants.
+"""Twisted chain complexes and their invariants.
 
-Given a validated triple (presentation, eps, rho) with r-dimensional rho over
-a field F, the presentation 2-complex gives a free chain complex over
-F[t, t^-1]:
+A twisted chain complex is a tuple of boundaries over R = F[t, t^-1],
+
+    C_k --d_k--> ... --d_2--> C_1 --d_1--> C_0,
+
+and every invariant below is one loop over its degrees.  build_complex makes
+the k = 2 complex of a presentation 2-complex: given a validated triple
+(presentation, eps, rho) with r-dimensional rho over a field F,
 
     C2 = R^(r R) --d2--> C1 = R^(r g) --d1--> C0 = R^r
 
@@ -21,11 +25,14 @@ are relators).  The composite d1 * d2 vanishes identically; build_complex
 checks that and treats a failure as an internal error, not bad input.
 
 Twisted Alexander polynomials are the torsion orders Delta_i of H_i, each
-defined up to a unit c * t^k.  Over the PID R = F[t, t^-1] every image
-im d_i is free, so C_i / im d_(i+1) = H_i + im d_i splits: H_i is free of
-rank c_i - rank d_i - rank d_(i+1) plus the torsion of coker d_(i+1)
-(Munkres, Elements of Algebraic Topology, 11).  homology therefore needs
-only the ranks and divisors of the boundaries, from Smith forms without
+defined up to a unit c * t^m.  Over the PID R every image im d_i is free, so
+C_i / im d_(i+1) = H_i + im d_i splits, and in every degree
+
+    H_i = R^(c_i - rank d_i - rank d_(i+1)) + torsion of coker d_(i+1)
+
+with rank d_0 = rank d_(k+1) = 0 (Munkres, Elements of Algebraic Topology,
+11); the top degree has no torsion.  homology therefore needs only the
+ranks and divisors of the boundaries, one Smith form each without
 certificates, and forms no kernel basis.  The Wada ratio Delta_1 / Delta_0
 has a direct determinant-free-of-homology formula via maximal minors,
 computed by wada_ratio and cross-checked against the homology route,
@@ -34,7 +41,7 @@ homology(complex_).ratio().
 
 from __future__ import annotations
 
-from .scalars import CycloNumber, FieldContext
+from .scalars import CycloNumber, FieldContext, lcm
 from .laurent import (
     LaurentMatrix,
     LaurentPoly,
@@ -66,58 +73,38 @@ class InternalInvariantError(RuntimeError):
 
 
 class TwistedChainComplex:
-    """The twisted chain complex of a presentation 2-complex.
+    """A twisted chain complex: boundaries = (d_1, ..., d_k), d_i : C_i -> C_(i-1).
 
-    boundary1 is r x (r g) with block columns (Phi(x_i) - Id)^T; boundary2 is
-    (r g) x (r R) with blocks Phi(d r_j / d x_i)^T at block position (i, j).
-    fox_matrix and d1_column expose the familiar display orientation (rows
-    indexed by relators / a single block column).
+    Columns are chains, so d_i is c_(i-1) x c_i and the chain ranks
+    (c_0, ..., c_k) are read off the boundary shapes.  fox_matrix and
+    d1_column show d_2 and d_1 of a presentation complex in their familiar
+    display orientation (rows indexed by relators / a single block column).
     """
 
-    __slots__ = (
-        "presentation",
-        "eps",
-        "rho",
-        "context",
-        "dimension",
-        "boundary1",
-        "boundary2",
-    )
+    __slots__ = ("presentation", "eps", "rho", "context", "dimension", "boundaries", "ranks")
 
-    def __init__(self, presentation, eps, rho, boundary1, boundary2):
+    def __init__(self, presentation, eps, rho, boundaries):
         self.presentation = presentation
         self.eps = eps
         self.rho = rho
         self.context = rho.context
         self.dimension = rho.dimension
-        self.boundary1 = boundary1
-        self.boundary2 = boundary2
-
-    @property
-    def rank0(self) -> int:
-        return self.dimension
-
-    @property
-    def rank1(self) -> int:
-        return self.dimension * self.presentation.generator_count
-
-    @property
-    def rank2(self) -> int:
-        return self.dimension * self.presentation.relator_count
+        self.boundaries = tuple(boundaries)
+        self.ranks = (self.boundaries[0].rows, *(d.cols for d in self.boundaries))
 
     @property
     def euler_characteristic(self) -> int:
-        return self.rank0 - self.rank1 + self.rank2
+        return sum((-1) ** i * c for i, c in enumerate(self.ranks))
 
     def fox_matrix(self) -> LaurentMatrix:
         """The Fox Jacobian as displayed: relator-indexed block rows, entry
         (j, i) the block Phi(d r_j / d x_i)."""
-        return self.boundary2.transpose()
+        return self.boundaries[1].transpose()
 
     def d1_column(self) -> LaurentMatrix:
         """The degree-1 boundary as displayed: generator-indexed block rows,
         one block column of Phi(x_i) - Id."""
-        return self.boundary1.transpose()
+        return self.boundaries[0].transpose()
 
 
 def build_complex(
@@ -157,30 +144,25 @@ def build_complex(
 
     if not (boundary1 * boundary2).is_zero():
         raise InternalInvariantError("boundary composite d1 d2 is nonzero")
-    return TwistedChainComplex(presentation, eps, rho, boundary1, boundary2)
+    return TwistedChainComplex(presentation, eps, rho, (boundary1, boundary2))
 
 
 class AlexanderResult:
-    """Homology of the twisted complex: a ModuleShape per degree.
+    """Homology of the twisted complex: shapes[i] is the ModuleShape of H_i.
 
     delta(i) is the torsion order of H_i normalized to lowest exponent zero
     and monic; ratio() is Delta_1 / Delta_0 as a reduced rational function.
     """
 
-    __slots__ = ("h0", "h1", "h2")
+    __slots__ = ("shapes",)
 
-    def __init__(self, h0: ModuleShape, h1: ModuleShape, h2: ModuleShape):
-        self.h0 = h0
-        self.h1 = h1
-        self.h2 = h2
-
-    def shape(self, i: int) -> ModuleShape:
-        return (self.h0, self.h1, self.h2)[i]
+    def __init__(self, shapes):
+        self.shapes = tuple(shapes)
 
     def delta(self, i: int) -> LaurentPoly:
         """Zero when H_i has positive free rank (order of a non-torsion
         module), else the product of the torsion divisors."""
-        shape = self.shape(i)
+        shape = self.shapes[i]
         if shape.free_rank > 0:
             return LaurentPoly.zero(shape.context)
         return shape.torsion_order()
@@ -193,27 +175,29 @@ class AlexanderResult:
         return RationalFunction(d1, d0)
 
     def __repr__(self):
-        return f"AlexanderResult(h0={self.h0!r}, h1={self.h1!r}, h2={self.h2!r})"
+        return f"AlexanderResult(shapes={self.shapes!r})"
+
+
+def _free_ranks(chain_ranks, boundary_ranks) -> tuple[int, ...]:
+    """c_i - rank d_i - rank d_(i+1) in every degree i, with rank d_0 =
+    rank d_(k+1) = 0."""
+    padded = (0, *boundary_ranks, 0)
+    return tuple(c - padded[i] - padded[i + 1] for i, c in enumerate(chain_ranks))
 
 
 def homology(complex_: TwistedChainComplex) -> AlexanderResult:
-    """Homology shapes in all three degrees, exactly, from the ranks and
-    divisors of the two boundaries; no kernel basis is formed.
+    """Homology shapes in every degree, exactly, from one Smith form per
+    boundary without certificates; no kernel basis is formed.
 
-    Over the PID R = F[t, t^-1] the image of d1 is a free submodule, so
-    C1 / im d2 = H1 + im d1 splits (Munkres, Elements of Algebraic Topology,
-    11): H1 is the torsion of coker d2 plus a free part of rank
-    rank1 - rank d1 - rank d2.  H0 is coker d1, and H2 = ker d2 is free of
-    rank rank2 - rank d2 (a submodule of a free module over a PID has zero
-    torsion).  Both Smith forms run without certificates.
+    H_i is free of rank c_i - rank d_i - rank d_(i+1) plus the torsion of
+    coker d_(i+1), its nonunit divisors (module docstring).  The top degree
+    H_k = ker d_k is a submodule of a free module over a PID, so it has no
+    torsion.
     """
-    ctx = complex_.context
-    snf1 = complex_.boundary1.smith_normal_form(certificates=False)
-    snf2 = complex_.boundary2.smith_normal_form(certificates=False)
-    coker2 = snf2.cokernel_shape()
-    h1 = ModuleShape(ctx, coker2.free_rank - snf1.rank, coker2.divisors)
-    h2 = ModuleShape(ctx, complex_.rank2 - snf2.rank, ())
-    return AlexanderResult(snf1.cokernel_shape(), h1, h2)
+    snfs = [d.smith_normal_form(certificates=False) for d in complex_.boundaries]
+    free = _free_ranks(complex_.ranks, [snf.rank for snf in snfs])
+    torsion = [[d for d in snf.divisors if not d.is_one()] for snf in snfs] + [()]
+    return AlexanderResult(ModuleShape(complex_.context, rank, divs) for rank, divs in zip(free, torsion))
 
 
 def wada_ratio(complex_: TwistedChainComplex) -> RationalFunction:
@@ -221,42 +205,30 @@ def wada_ratio(complex_: TwistedChainComplex) -> RationalFunction:
 
     Pick a generator x_g with det(Phi(x_g) - Id) nonzero, delete its block
     column from the Fox matrix, and divide the gcd of the maximal minors of
-    the remainder by that determinant.  Needs deficiency-1 presentations
+    the remainder by that determinant.  The determinant is read off block g
+    of d_1, which is (Phi(x_g) - Id)^T.  Needs deficiency-1 presentations
     (relators = generators - 1) so the remainder is square-able: the gcd runs
     over the (r R) x (r R) minors.  Raises ValueError when no admissible
     generator exists.
     """
     pres = complex_.presentation
-    if pres.relator_count != pres.generator_count - 1:
+    if pres.deficiency != 1:
         raise ValueError("the minor formula needs a deficiency-1 presentation")
-    phi = PhiMap(complex_.eps, complex_.rho)
-    ctx = complex_.context
     r = complex_.dimension
-    eye = LaurentMatrix.identity(ctx, r)
-
-    chosen = None
-    denom = None
+    d1 = complex_.boundaries[0]
     for g in range(pres.generator_count):
-        det = (phi.generator_image(g) - eye).determinant()
-        if not det.is_zero():
-            chosen = g
-            denom = det
-            break
-    if chosen is None:
-        raise ValueError("no generator with det(Phi(x) - Id) nonzero")
-
-    fox = complex_.fox_matrix()
-    cols = list(range(chosen * r, (chosen + 1) * r))
-    reduced = fox.delete_columns(cols)
-    k = r * pres.relator_count
-    numer = reduced.minors_gcd(k)
-    return RationalFunction(numer, denom)
+        cols = range(g * r, (g + 1) * r)
+        denom = d1.submatrix(range(r), cols).determinant()
+        if not denom.is_zero():
+            reduced = complex_.fox_matrix().delete_columns(cols)
+            return RationalFunction(reduced.minors_gcd(r * pres.relator_count), denom)
+    raise ValueError("no generator with det(Phi(x) - Id) nonzero")
 
 
 def euler_rank_check(complex_: TwistedChainComplex, result: AlexanderResult) -> None:
     """Alternating sum of homology free ranks must equal the chain-level
-    Euler characteristic r (1 - g + R); a mismatch is an internal error."""
-    lhs = result.h0.free_rank - result.h1.free_rank + result.h2.free_rank
+    Euler characteristic; a mismatch is an internal error."""
+    lhs = sum((-1) ** i * shape.free_rank for i, shape in enumerate(result.shapes))
     if lhs != complex_.euler_characteristic:
         raise InternalInvariantError(
             f"homology Euler characteristic {lhs} differs from chain value "
@@ -264,30 +236,20 @@ def euler_rank_check(complex_: TwistedChainComplex, result: AlexanderResult) -> 
         )
 
 
-def specialize_homology(complex_: TwistedChainComplex, value) -> tuple[int, int, int]:
+def specialize_homology(complex_: TwistedChainComplex, value) -> tuple[int, ...]:
     """Dimensions of the homology of the scalar complex at t = a (a nonzero).
 
-    Ranks of the specialized boundaries give h_i = dim ker - dim im directly:
-    h0 = r - rank d1(a), h1 = (r g - rank d1(a)) - rank d2(a),
-    h2 = r R - rank d2(a).  A value from a larger cyclotomic context lifts
-    the whole complex into the join context first.
+    Ranks of the specialized boundaries give every h_i = dim ker - dim im
+    directly: h_i = c_i - rank d_i(a) - rank d_(i+1)(a).  A value from a
+    larger cyclotomic context lifts the whole complex into the join context
+    first.
     """
-    from .scalars import lcm as _lcm
-
-    boundary1 = complex_.boundary1
-    boundary2 = complex_.boundary2
+    boundaries = complex_.boundaries
     if isinstance(value, CycloNumber) and value.context.conductor != complex_.context.conductor:
-        big = FieldContext(_lcm([complex_.context.conductor, value.context.conductor]))
-        boundary1 = boundary1.embed(big)
-        boundary2 = boundary2.embed(big)
+        big = FieldContext(lcm([complex_.context.conductor, value.context.conductor]))
+        boundaries = [d.embed(big) for d in boundaries]
         value = value.embed(big)
-    b1 = boundary1.specialize(value)
-    b2 = boundary2.specialize(value)
-    r1 = b1.rank()
-    r2 = b2.rank()
-    h0 = complex_.rank0 - r1
-    h1 = (complex_.rank1 - r1) - r2
-    h2 = complex_.rank2 - r2
-    if h1 < 0:
+    dims = _free_ranks(complex_.ranks, [d.specialize(value).rank() for d in boundaries])
+    if min(dims) < 0:
         raise InternalInvariantError("specialized composite fails to vanish")
-    return (h0, h1, h2)
+    return dims

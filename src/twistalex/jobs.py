@@ -856,6 +856,12 @@ def _local_text(r: dict) -> str:
     return text
 
 
+def _ranks_text(r: dict) -> str:
+    """C_k ... C_0 from the keys c0..c_k, in whatever order they arrive."""
+    keys = sorted((key for key in r if key[0] == "c"), key=lambda key: -int(key[1:]))
+    return f"chain ranks: {' '.join(f'C{key[1:]}={r[key]}' for key in keys)}, euler {r['euler']}"
+
+
 # The text line of each record type; a text report is its records rendered
 # through this table, line for line.
 TEXT_FORMATTERS = {
@@ -864,7 +870,7 @@ TEXT_FORMATTERS = {
         f"field {r['field']}, dimension {r['dimension']}"
     ),
     "validation": lambda r: f"validation: {'ok' if r['ok'] else 'FAILED'} (eps image index {r['eps_image_index']})",
-    "ranks": lambda r: f"chain ranks: C2={r['c2']} C1={r['c1']} C0={r['c0']}, euler {r['euler']}",
+    "ranks": _ranks_text,
     "degree": lambda r: (
         f"degree {r['degree']}: free rank {r['free_rank']}, delta {r['delta']}, divisors [{', '.join(r['divisors'])}]"
     ),
@@ -985,17 +991,9 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
 
         result = homology(complex_)
 
-        out.emit(
-            {
-                "record": "ranks",
-                "c2": complex_.rank2,
-                "c1": complex_.rank1,
-                "c0": complex_.rank0,
-                "euler": complex_.euler_characteristic,
-            }
-        )
-        for i in range(3):
-            shape = result.shape(i)
+        ranks = {f"c{i}": c for i, c in enumerate(complex_.ranks)}
+        out.emit({"record": "ranks", **ranks, "euler": complex_.euler_characteristic})
+        for i, shape in enumerate(result.shapes):
             out.emit(
                 {
                     "record": "degree",
@@ -1016,7 +1014,7 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
                 }
             )
 
-        deficiency_one = pres.relator_count == pres.generator_count - 1
+        deficiency_one = pres.deficiency == 1
         wada = None  # the minor-formula ratio, once computed
 
         for analysis in spec.analyses:
@@ -1088,7 +1086,7 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
         # without it calls specialize_homology here.
         for value_text in spec.specialize_values:
             value = parse_scalar(value_text, context)
-            if result.h0.free_rank == 0 and result.h1.free_rank == 0:
+            if all(shape.is_torsion() for shape in result.shapes[:-1]):
                 bound_report = dimension_bound_check(result, complex_, value)
                 out.emit(
                     {

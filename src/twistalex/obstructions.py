@@ -227,6 +227,8 @@ def infinity_bound(curve: CurveData, rho_at_infinity) -> LaurentPoly:
     """
     mats = list(rho_at_infinity)
     d = curve.degree
+    if d < 2:
+        raise ValueError(f"the bound at infinity needs a curve of degree at least 2, not {d}")
     if len(mats) != d:
         raise ValueError(f"need matrices for x0..x{d-1} ({d} of them)")
     ctx = mats[0].context
@@ -540,32 +542,26 @@ class DimensionBoundReport:
 
 
 def dimension_bound_check(result: AlexanderResult, complex_: TwistedChainComplex, value) -> DimensionBoundReport:
-    """Check dim H_i(t=a) >= N(a,i) + N(a,i-1) for i = 0, 1, 2, where N(a,q)
-    is the multiplicity of (t - a) in the torsion order of H_q.
+    """Check dim H_i(t=a) >= N(a,i) + N(a,i-1) in every degree i, where
+    N(a,q) is the multiplicity of (t - a) in the torsion order of H_q.
 
-    Needs H_0 and H_1 torsion (H_2's torsion part is trivially zero since it
-    is a submodule of a free module).  A violated bound is fatal.
+    Needs every H_i below the top degree torsion (the top one has no
+    torsion, so its N is 0).  A violated bound is fatal.
     """
-    if result.h0.free_rank or result.h1.free_rank:
-        raise ValueError("dimension bound needs torsion H_0 and H_1")
+    if not all(shape.is_torsion() for shape in result.shapes[:-1]):
+        raise ValueError("dimension bound needs torsion homology below the top degree")
     if not isinstance(value, CycloNumber):
         value = complex_.context.from_rational(value)
     if value.is_zero():
         raise ValueError("specialization value must be nonzero")
 
-    n_ctx = lcm([complex_.context.conductor, value.context.conductor])
-    big = FieldContext(n_ctx)
-
-    def mult_at(shape) -> int:
-        return multiplicity(shape.torsion_order().embed(big), value.embed(big))
-
-    n0 = mult_at(result.h0)
-    n1 = mult_at(result.h1)
-    n2 = 0
+    big = FieldContext(lcm([complex_.context.conductor, value.context.conductor]))
+    at = value.embed(big)
+    mults = tuple(multiplicity(shape.torsion_order().embed(big), at) for shape in result.shapes)
     dims = specialize_homology(complex_, value)
-    bounds = (n0, n1 + n0, n2 + n1)
-    ok = all(dims[i] >= bounds[i] for i in range(3))
-    report = DimensionBoundReport(value, dims, (n0, n1, n2), bounds, ok)
+    bounds = tuple(n + below for n, below in zip(mults, (0, *mults)))
+    ok = all(dim >= bound for dim, bound in zip(dims, bounds))
+    report = DimensionBoundReport(value, dims, mults, bounds, ok)
     if not ok:
         raise InternalInvariantError(f"dimension bound violated: {report!r}")
     return report

@@ -224,10 +224,10 @@ def test_criterion_03_a3_matrix_fidelity():
     # boundary d2 has trivial kernel, hence H2 = 0.
     for pres_r, eps_r, rho in _criterion3_triples():
         cx_r = build_complex(pres_r, eps_r, rho)
-        snf = cx_r.boundary2.smith_normal_form()
-        assert snf.rank == cx_r.rank2
+        snf = cx_r.boundaries[1].smith_normal_form()
+        assert snf.rank == cx_r.ranks[2]
         res = homology(cx_r)
-        assert res.h2.free_rank == 0 and not res.h2.divisors
+        assert res.shapes[2].free_rank == 0 and not res.shapes[2].divisors
     print(
         "criterion 3: PASS - printed 5x5 A_3 matrix reproduced entry-for-entry; "
         "20 twisted d2 kernels trivial"
@@ -330,7 +330,7 @@ def test_criterion_05_fox_identity_and_exactness():
     combos.append((union.presentation, union.eps, union.rho))
     for pres, eps, rho in combos:
         cx = build_complex(pres, eps, rho)
-        assert (cx.boundary1 * cx.boundary2).is_zero()
+        assert (cx.boundaries[0] * cx.boundaries[1]).is_zero()
     print(
         f"criterion 5: PASS - Fox identity on 200 words over 50 triples; "
         f"d1 d2 = 0 on {len(combos)} builder x representation combinations"
@@ -399,11 +399,11 @@ def test_criterion_08_euler_rank():
     checked = 0
     for name, _, cx in _criterion1_instances():
         res = homology(cx)
-        assert res.h2.free_rank == cx.euler_characteristic == 0, name
+        assert res.shapes[2].free_rank == cx.euler_characteristic == 0, name
         checked += 1
     for d, r, cx, res in _criterion2_complexes():
-        if res.h0.free_rank == 0 and res.h1.free_rank == 0:
-            assert res.h2.free_rank == cx.euler_characteristic == 0, (d, r)
+        if res.shapes[0].free_rank == 0 and res.shapes[1].free_rank == 0:
+            assert res.shapes[2].free_rank == cx.euler_characteristic == 0, (d, r)
             checked += 1
     # full A_{2n-1} lists carry chi = r redundancy
     for n in (1, 2):
@@ -417,15 +417,15 @@ def test_criterion_08_euler_rank():
                 rho = random_a_odd_representation(Z12, n, dim, rng, "conjugate")
             cx = build_complex(pres, eps, rho)
             res = homology(cx)
-            assert res.h0.free_rank == 0 and res.h1.free_rank == 0
+            assert res.shapes[0].free_rank == 0 and res.shapes[1].free_rank == 0
             assert cx.euler_characteristic == dim
-            assert res.h2.free_rank == dim
+            assert res.shapes[2].free_rank == dim
             checked += 1
     # the transversal union has chi = 3 per representation dimension
     cx = _criterion4_union()
     res = homology(cx)
     assert cx.euler_characteristic == 3
-    assert res.h2.free_rank == 3
+    assert res.shapes[2].free_rank == 3
     checked += 1
     print(f"criterion 8: PASS - free rank H2 = chi * r on {checked} torsion instances")
 

@@ -7,18 +7,21 @@ import random
 import pytest
 
 from twistalex.homology import (
+    TwistedChainComplex,
     build_complex,
     euler_rank_check,
     homology,
     specialize_homology,
     wada_ratio,
 )
-from twistalex.laurent import LaurentPoly
+from twistalex.laurent import LaurentMatrix, LaurentPoly
+from twistalex.obstructions import dimension_bound_check
 from twistalex.presentations import (
     Augmentation,
     InvalidTripleError,
     Presentation,
     Representation,
+    Word,
     a_odd_augmentation,
     a_odd_presentation,
     a_odd_reduced_presentation,
@@ -58,7 +61,7 @@ def test_hopf_untwisted_closed_form():
         expect = (t - one) * (t**d - one) ** (d - 2)
         assert res.delta(1).unit_equal(expect)
         assert res.delta(0).unit_equal(t - one)
-        assert res.h1.free_rank == 0 and res.h2.free_rank == 0
+        assert res.shapes[1].free_rank == 0 and res.shapes[2].free_rank == 0
 
 
 def test_torus_germ_23_untwisted():
@@ -69,7 +72,7 @@ def test_torus_germ_23_untwisted():
     assert res.delta(1) == _t_poly(ctx, [1, -1, 1])
     assert res.delta(0) == _t_poly(ctx, [-1, 1])
     assert str(res.delta(1)) == "1 - t + t^2"
-    assert res.h2.free_rank == 0 and not res.h2.divisors
+    assert res.shapes[2].free_rank == 0 and not res.shapes[2].divisors
 
 
 def test_braid_cusp_untwisted():
@@ -107,9 +110,9 @@ def test_circle_complement():
     res = homology(cx)
     ctx = cx.context
     assert res.delta(0) == _t_poly(ctx, [-1, 1])
-    assert res.h1.free_rank == 0 and not res.h1.divisors
+    assert res.shapes[1].free_rank == 0 and not res.shapes[1].divisors
     assert res.delta(1).is_one()
-    assert cx.rank2 == 0
+    assert cx.ranks[2] == 0
 
 
 def test_free_group_rank_two():
@@ -117,7 +120,7 @@ def test_free_group_rank_two():
     pres = Presentation(["x", "y"], [])
     cx = _untwisted(pres, (1, 1))
     res = homology(cx)
-    assert res.h1.free_rank == 1
+    assert res.shapes[1].free_rank == 1
     assert res.delta(1).is_zero()
     assert res.delta(0).unit_equal(_t_poly(cx.context, [-1, 1]))
 
@@ -134,8 +137,8 @@ def test_twisted_hopf_pair_is_acyclic():
     assert res.delta(0).is_one()
     assert res.delta(1).is_one()
     for i in range(3):
-        assert res.shape(i).free_rank == 0
-        assert not res.shape(i).divisors
+        assert res.shapes[i].free_rank == 0
+        assert not res.shapes[i].divisors
 
 
 def test_boundary_composite_vanishes_across_builders():
@@ -148,7 +151,7 @@ def test_boundary_composite_vanishes_across_builders():
     rho = random_a_odd_representation(ctx, 2, 2, rng, family="conjugate")
     complexes.append(build_complex(a_odd_presentation(2), a_odd_augmentation(2), rho))
     for cx in complexes:
-        assert (cx.boundary1 * cx.boundary2).is_zero()
+        assert (cx.boundaries[0] * cx.boundaries[1]).is_zero()
         euler_rank_check(cx, homology(cx))
 
 
@@ -158,15 +161,45 @@ def test_full_a_odd_has_free_h2():
     cx = _untwisted(a_odd_presentation(2), a_odd_augmentation(2).values)
     assert cx.euler_characteristic == 1
     res = homology(cx)
-    assert res.h0.free_rank == 0 and res.h1.free_rank == 0
-    assert res.h2.free_rank == 1
+    assert res.shapes[0].free_rank == 0 and res.shapes[1].free_rank == 0
+    assert res.shapes[2].free_rank == 1
     # dropping the redundant relator kills H2 entirely
     reduced = _untwisted(a_odd_reduced_presentation(2), a_odd_augmentation(2).values)
     assert reduced.euler_characteristic == 0
     res2 = homology(reduced)
-    assert res2.h2.free_rank == 0 and not res2.h2.divisors
+    assert res2.shapes[2].free_rank == 0 and not res2.shapes[2].divisors
     # both presentations compute the same Delta_1
     assert res.delta(1).unit_equal(res2.delta(1))
+
+
+def test_the_koszul_complex_of_the_three_torus_has_length_three():
+    # The commutator presentation of Z^3 gives d_1 and d_2 of the torus T^3;
+    # its 3-cell adds d_3 = (t - 1) (1, -1, 1)^T.  With trivial rho and eps = 1
+    # this is the Koszul complex of (t - 1, 0, 0), so every H_i is torsion,
+    # (F[t^+-1] / (t - 1))^C(2, i) with C(2, 3) = 0.
+    names = ["x", "y", "z"]
+    relators = [Word.parse(text, names) for text in ("x y x^-1 y^-1", "x z x^-1 z^-1", "y z y^-1 z^-1")]
+    cx2 = _untwisted(Presentation(names, relators), (1, 1, 1))
+    ctx = cx2.context
+    step = _t_poly(ctx, [-1, 1])
+    d3 = LaurentMatrix(ctx, [[step], [-step], [step]])
+    assert (cx2.boundaries[1] * d3).is_zero()
+    cx = TwistedChainComplex(cx2.presentation, cx2.eps, cx2.rho, (*cx2.boundaries, d3))
+    assert cx.ranks == (1, 3, 3, 1)
+    assert cx.euler_characteristic == 0
+
+    res = homology(cx)
+    assert [shape.free_rank for shape in res.shapes] == [0, 0, 0, 0]
+    assert [list(shape.divisors) for shape in res.shapes] == [[step], [step, step], [step], []]
+    euler_rank_check(cx, res)
+
+    assert specialize_homology(cx, ctx.from_rational(1)) == (1, 3, 3, 1)
+    assert specialize_homology(cx, ctx.from_rational(2)) == (0, 0, 0, 0)
+    report = dimension_bound_check(res, cx, 1)
+    assert report.ok
+    assert report.multiplicities == (1, 2, 1, 0)
+    assert report.bounds == (1, 3, 3, 1)
+    assert report.dims == (1, 3, 3, 1)
 
 
 def test_specialize_homology_dimensions():

@@ -220,9 +220,9 @@ def _hopf4_boundaries():
     spec = parse_job((SAMPLES / "hopf4_twisted_z12.job").read_text(encoding="utf-8"))
     ctx = spec.context()
     complex_ = build_complex(spec.presentation(), spec.augmentation(), spec.representation(ctx))
-    snf1 = complex_.boundary1.smith_normal_form()
-    w = snf1.Vinv * complex_.boundary2
-    return complex_.boundary1, w.submatrix(range(snf1.rank, w.rows), range(w.cols))
+    snf1 = complex_.boundaries[0].smith_normal_form()
+    w = snf1.Vinv * complex_.boundaries[1]
+    return complex_.boundaries[0], w.submatrix(range(snf1.rank, w.rows), range(w.cols))
 
 
 @pytest.mark.parametrize("which", ["d1", "Y"])

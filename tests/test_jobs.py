@@ -338,6 +338,23 @@ analyze divisibility
     assert "input error" in report
 
 
+def test_divisibility_on_a_single_line_is_an_input_error_record():
+    text = """
+field rational
+builder circle
+rho trivial 1
+component degree=1 weight=1
+analyze divisibility
+"""
+    report, code = run_job(parse_job(text), mode="compute", fmt="records")
+    assert code == EXIT_INPUT_ERROR
+    assert json.loads(report.splitlines()[-1]) == {
+        "record": "error",
+        "kind": "input",
+        "message": "the bound at infinity needs a curve of degree at least 2, not 1",
+    }
+
+
 def test_run_corpus_over_samples():
     report, code = run_corpus(SAMPLES, fmt="text", seed=0)
     assert code == EXIT_OK

@@ -73,6 +73,13 @@ def test_infinity_bound_twisted_two_lines_frozen():
     assert bound.unit_equal(t + LaurentPoly.from_scalar(ctx, z))
 
 
+def test_infinity_bound_refuses_a_curve_of_degree_one():
+    # the bound carries det0^(d - 2), a negative power for a single line
+    eye = ScalarMatrix.identity(FieldContext(1), 1)
+    with pytest.raises(ValueError, match="degree at least 2, not 1"):
+        infinity_bound(_line_curve(1), [eye])
+
+
 def test_infinity_bound_rejects_noncommuting():
     ctx = FieldContext(1)
     a = ScalarMatrix.from_rows(ctx, [[1, 1], [0, 1]])
