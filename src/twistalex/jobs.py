@@ -347,41 +347,23 @@ def _resolve_builder(name: str, params: dict, lineno: int):
 # parsing
 
 
-def _split_top_level(text: str, sep: str = ",") -> list[str]:
-    """Split on sep at bracket depth zero."""
+def _split_top_level(text: str, sep: str | None = ",") -> list[str]:
+    """Split on sep at bracket depth zero.  With sep None, as in str.split,
+    split on whitespace and drop the empty parts: bracketed groups (and their
+    inner spaces) stay attached to the token they start in."""
     parts, depth, buf = [], 0, []
     for ch in text:
         if ch == "[":
             depth += 1
         elif ch == "]":
             depth -= 1
-        if ch == sep and depth == 0:
+        if depth == 0 and (ch.isspace() if sep is None else ch == sep):
             parts.append("".join(buf))
             buf = []
         else:
             buf.append(ch)
     parts.append("".join(buf))
-    return parts
-
-
-def _tokenize_outside_brackets(text: str) -> list[str]:
-    """Whitespace-split, but keep bracketed groups (and their inner spaces)
-    attached to the token they start in."""
-    tokens, depth, buf = [], 0, []
-    for ch in text:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch.isspace() and depth == 0:
-            if buf:
-                tokens.append("".join(buf))
-                buf = []
-        else:
-            buf.append(ch)
-    if buf:
-        tokens.append("".join(buf))
-    return tokens
+    return [part for part in parts if part] if sep is None else parts
 
 
 def _matrix_text(values) -> tuple:
@@ -461,7 +443,7 @@ def parse_job(text: str) -> JobSpec:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        tokens = _tokenize_outside_brackets(line)
+        tokens = _split_top_level(line, None)
         keyword = tokens[0]
         rest = tokens[1:]
         if keyword == "field":
@@ -891,7 +873,7 @@ TEXT_FORMATTERS = {
     "alpha": lambda r: f"alpha: {_quotient(r['numerator'], r['denominator'])}",
     # A violated dimension bound raises, so a reported bound always holds.
     "specialize": lambda r: f"specialize t={r['at']}: dims {tuple(r['dims'])}" + (
-        " (bound skipped: H0/H1 not torsion)"
+        f" (bound skipped: {'/'.join(f'H{i}' for i in range(len(r['dims']) - 1))} not torsion)"
         if r["bound_ok"] is None
         else f", multiplicities {tuple(r['multiplicities'])}, bounds {tuple(r['bounds'])}, ok"
     ),

@@ -620,11 +620,6 @@ class RationalFunction:
     def is_polynomial(self) -> bool:
         return self.denominator.is_one()
 
-    def as_laurent(self) -> LaurentPoly:
-        if not self.is_polynomial():
-            raise ValueError(f"{self} is not a Laurent polynomial")
-        return self.numerator
-
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
             other = RationalFunction.from_poly(other)

@@ -6,7 +6,7 @@ generalized Hopf link, so Delta_1 of the curve complement divides an explicit
 product built from the representation at infinity.  The roots of Delta_1 for
 unitary representations land in a computable cyclotomic extension.  Local
 polynomials at singular points come from the local link groups with the
-component weights pushed in by t -> t^n substitution.  The alpha term is the
+component weights applied directly as eps.  The alpha term is the
 per-component correction factor in the global torsion equation, and the
 dimension bound relates (t - a)-multiplicities of the Delta's to homology
 dimensions of the rank-1 specialization at t = a.
@@ -15,7 +15,6 @@ dimensions of the rank-1 specialization at t = a.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .scalars import CycloNumber, FieldContext, ScalarMatrix, lcm, totient
 from .laurent import (
@@ -354,43 +353,17 @@ def _matrix_multiplicative_order(m: ScalarMatrix) -> int | None:
     return None
 
 
-def _charpoly_roots_of_unity(m: ScalarMatrix, order: int):
-    """Eigenvalues of a finite-order matrix: roots of det(t Id - m) among the
-    order-th roots of unity, with multiplicity, in the field Q(zeta_N) with N
-    = lcm(ambient conductor, order), as the exponents j of zeta_N^j, and
-    that field."""
-    n = lcm([m.context.conductor, order])
-    big = FieldContext(n)
-    work = m.embed(big)
-    # char(t) = det(t Id - m) as a Laurent polynomial in t.
-    eye = LaurentMatrix.identity(big, work.rows)
-    tm = eye * LaurentPoly.t_power(big, 1) - LaurentMatrix.from_scalar_matrix(work, 0)
-    char = tm.determinant()
-    exponents = []
-    for j in range(n):
-        count, char = _strip_root(char, big.zeta(j))
-        exponents += [j] * count
-    if len(exponents) != m.rows:
-        raise ValueError("eigenvalues not expressible as roots of unity in the ambient field")
-    return exponents, big
-
-
-def extension_degree_formula(d: int, algebraic_orders, transcendental_count: int = 0):
+def extension_degree_formula(d: int, algebraic_orders) -> int:
     """The displayed degree formula for [S:K]:
 
-        d^m * phi(lcm(d, k_1, ..., k_r)) / phi(lcm(k_1, ..., k_r))
+        phi(lcm(d, k_1, ..., k_r)) / phi(lcm(k_1, ..., k_r))
 
-    with m independent transcendental eigenvalues and k_i the orders of the
-    algebraic (root-of-unity) eigenvalues.  With no algebraic eigenvalues the
-    empty lcm is 1 and the value is d^m * phi(d); with no transcendentals it
-    is the pure totient quotient.
+    with k_i the orders of the root-of-unity eigenvalues; with none, the
+    empty lcm is 1 and the value is phi(d).  The quotient is an integer:
+    lcm(k_i) divides lcm(d, k_i), so its totient divides theirs.
     """
-    ks = [int(k) for k in algebraic_orders]
-    base = lcm(ks) if ks else 1
-    value = Fraction(d**transcendental_count) * Fraction(totient(lcm([d, base])), totient(base))
-    if value.denominator != 1:
-        return value
-    return int(value)
+    base = lcm(int(k) for k in algebraic_orders)
+    return totient(lcm([d, base])) // totient(base)
 
 
 def root_field(rho_x0: ScalarMatrix, d: int) -> RootFieldReport:
@@ -398,11 +371,12 @@ def root_field(rho_x0: ScalarMatrix, d: int) -> RootFieldReport:
     transversal at infinity, unitary-type representation).
 
     Exact path: rho(x0) must have multiplicative order at most ORDER_BOUND; the
-    eigenvalues lambda_i of rho(x0)^-1 are then roots of unity read off the
-    characteristic polynomial, every d-th root of each lambda_i is a root of
-    unity of computable exact order, and S is the cyclotomic field generated
-    by all of them together with K.  Without such an order the report is
-    symbolic only (degree formula unavailable without the orders).
+    eigenvalues lambda_i of rho(x0)^-1 are then roots of unity, stripped off
+    the characteristic polynomial by cyclotomic_factors, every d-th root of
+    each lambda_i is a root of unity of computable exact order, and S is the
+    cyclotomic field generated by all of them together with K.  Without such
+    an order the report is symbolic only (degree formula unavailable without
+    the orders).
     """
     if d < 2:
         raise ValueError("degree must be at least 2")
@@ -410,8 +384,19 @@ def root_field(rho_x0: ScalarMatrix, d: int) -> RootFieldReport:
     order = _matrix_multiplicative_order(inv)
     if order is None:
         return RootFieldReport(False, d, (), (), None, None, None, None)
-    exponents, big = _charpoly_roots_of_unity(inv, order)
-    eigenvalues, n = [big.zeta(j) for j in exponents], big.conductor
+    # The eigenvalues are the roots of det(t Id - inv), all of orders dividing
+    # order; each primitive m-th root zeta_m^j is zeta_n^(j n/m) in Q(zeta_n).
+    ctx = inv.context
+    char = (
+        LaurentMatrix.identity(ctx, inv.rows) * LaurentPoly.t_power(ctx, 1) - LaurentMatrix.from_scalar_matrix(inv, 0)
+    ).determinant()
+    found, _ = cyclotomic_factors(char, [m for m in range(1, order + 1) if order % m == 0])
+    n = lcm([ctx.conductor, order])
+    exponents = sorted(j * (n // m) for m, j, count in found for _ in range(count))
+    if len(exponents) != inv.rows:
+        raise ValueError("eigenvalues not expressible as roots of unity in the ambient field")
+    big = FieldContext(n)
+    eigenvalues = [big.zeta(j) for j in exponents]
     # zeta_n^j has order o = n / gcd(n, j) and is zeta_o^b, b = j / gcd(n, j).
     # Its d-th roots are zeta_(d o)^(b + k o), of orders d o / gcd(d o, b + k o).
     orders: list[int] = []

@@ -29,7 +29,6 @@ __all__ = [
     "Presentation",
     "Augmentation",
     "Representation",
-    "GroupRingElement",
     "ValidationReport",
     "InvalidTripleError",
     "fox_derivative",
@@ -125,9 +124,6 @@ class Word:
                 stack.append(letter)
         return Word(stack)
 
-    def is_trivial(self) -> bool:
-        return not self.free_reduce().letters
-
     def max_generator(self) -> int:
         return max((g for g, _ in self.letters), default=-1)
 
@@ -171,17 +167,8 @@ class Presentation:
         return len(self.relators)
 
     @property
-    def euler_characteristic(self) -> int:
-        """Of the presentation 2-complex: one 0-cell, a 1-cell per generator,
-        a 2-cell per relator."""
-        return 1 - self.generator_count + self.relator_count
-
-    @property
     def deficiency(self) -> int:
         return self.generator_count - self.relator_count
-
-    def word(self, text: str) -> Word:
-        return Word.parse(text, self.generator_names)
 
     def __eq__(self, other):
         if not isinstance(other, Presentation):
@@ -313,93 +300,9 @@ class Representation:
         return f"Representation(dim={self.dimension}, generators={len(self.matrices)})"
 
 
-class GroupRingElement:
-    """A finite integer combination of free-group words, keyed by the freely
-    reduced word.  Fox derivatives live here before evaluation."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms: dict[tuple, int] = {}
-        if terms:
-            for word, coeff in terms.items():
-                if isinstance(word, Word):
-                    word = word.free_reduce().letters
-                if coeff:
-                    self.terms[word] = self.terms.get(word, 0) + coeff
-            self.terms = {w: c for w, c in self.terms.items() if c}
-
-    @classmethod
-    def from_word(cls, word: Word, coeff: int = 1) -> GroupRingElement:
-        e = cls()
-        if coeff:
-            e.terms[word.free_reduce().letters] = coeff
-        return e
-
-    @classmethod
-    def zero(cls) -> GroupRingElement:
-        return cls()
-
-    @classmethod
-    def one(cls) -> GroupRingElement:
-        return cls.from_word(Word())
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        if not isinstance(other, GroupRingElement):
-            return NotImplemented
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        e = GroupRingElement()
-        e.terms = {w: c for w, c in out.items() if c}
-        return e
-
-    def __neg__(self):
-        e = GroupRingElement()
-        e.terms = {w: -c for w, c in self.terms.items()}
-        return e
-
-    def __sub__(self, other):
-        if not isinstance(other, GroupRingElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            e = GroupRingElement()
-            if other:
-                e.terms = {w: c * other for w, c in self.terms.items()}
-            return e
-        if not isinstance(other, GroupRingElement):
-            return NotImplemented
-        out: dict[tuple, int] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = (Word(w1) * Word(w2)).free_reduce().letters
-                out[w] = out.get(w, 0) + c1 * c2
-        e = GroupRingElement()
-        e.terms = {w: c for w, c in out.items() if c}
-        return e
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupRingElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "GroupRingElement(0)"
-        parts = [f"{c}*{Word(w)!r}" for w, c in self.terms.items()]
-        return "GroupRingElement(" + " + ".join(parts) + ")"
-
-
-def fox_derivative(word: Word, generator: int) -> GroupRingElement:
-    """The Fox free derivative d(word)/d(x_generator).
+def fox_derivative(word: Word, generator: int) -> dict[tuple, int]:
+    """The Fox free derivative d(word)/d(x_generator), as the dict from each
+    freely reduced word (its letter tuple) to its nonzero integer coefficient.
 
     Satisfies d(x)/d(x) = 1, d(y)/d(x) = 0, d(x^-1)/d(x) = -x^-1, and the
     product rule d(uv)/d(x) = d(u)/d(x) + u * d(v)/d(x).  Closed form used
@@ -425,9 +328,7 @@ def fox_derivative(word: Word, generator: int) -> GroupRingElement:
         if g == generator and s == -1:
             key = tuple(prefix)
             out[key] = out.get(key, 0) - 1
-    e = GroupRingElement()
-    e.terms = {w: c for w, c in out.items() if c}
-    return e
+    return {w: c for w, c in out.items() if c}
 
 
 class PhiMap:
@@ -473,9 +374,10 @@ class PhiMap:
             acc, node = node[letter]
         return acc
 
-    def element_image(self, element: GroupRingElement) -> LaurentMatrix:
+    def element_image(self, element: dict[tuple, int]) -> LaurentMatrix:
+        """Phi of a group-ring element given as {letters: coefficient}."""
         acc = LaurentMatrix.zero(self.context, self.dimension, self.dimension)
-        for letters, coeff in element.terms.items():
+        for letters, coeff in element.items():
             image = self._letters_image(letters)
             if coeff == 1:
                 acc = acc + image
@@ -529,22 +431,12 @@ class PhiMap:
 class ValidationReport:
     """Outcome of checking a (presentation, eps, rho) triple."""
 
-    __slots__ = (
-        "ok",
-        "failures",
-        "eps_nontrivial",
-        "eps_surjective",
-        "eps_image_index",
-        "eps_values",
-    )
+    __slots__ = ("ok", "failures", "eps_image_index")
 
-    def __init__(self, ok, failures, eps_nontrivial, eps_surjective, eps_image_index, eps_values):
+    def __init__(self, ok, failures, eps_image_index):
         self.ok = ok
         self.failures = tuple(failures)
-        self.eps_nontrivial = eps_nontrivial
-        self.eps_surjective = eps_surjective
         self.eps_image_index = eps_image_index
-        self.eps_values = eps_values
 
     def __repr__(self):
         status = "ok" if self.ok else "invalid: " + "; ".join(self.failures)
@@ -563,8 +455,8 @@ def validate(
     pres: Presentation, eps: Augmentation, rho: Representation, *, relator_images=None
 ) -> ValidationReport:
     """Check eps(relator) = 0 and rho(relator) = Id exactly for every relator,
-    plus shape agreement; reports eps nontriviality, surjectivity, and the
-    cokernel order (non-surjective eps is legal but flagged).
+    plus shape agreement and a nontrivial eps; reports the cokernel order of
+    eps, its image index (a non-surjective eps is legal).
 
     The counts and the singular rho(x) are checked first.  Each relator is
     then walked letter by letter, unless relator_images gives its
@@ -591,18 +483,9 @@ def validate(
                 failures.append(f"eps does not kill relator {i} (value {v})")
             if image is not None and not image.is_identity():
                 failures.append(f"rho does not kill relator {i}")
-    nontrivial = eps.is_nontrivial()
-    index = eps.image_index()
-    if not nontrivial:
+    if not eps.is_nontrivial():
         failures.append("eps is trivial")
-    return ValidationReport(
-        ok=not failures,
-        failures=failures,
-        eps_nontrivial=nontrivial,
-        eps_surjective=index == 1,
-        eps_image_index=index,
-        eps_values=eps.values,
-    )
+    return ValidationReport(ok=not failures, failures=failures, eps_image_index=eps.image_index())
 
 
 # ---------------------------------------------------------------------------
@@ -779,8 +662,8 @@ def rank_one_representation(context: FieldContext, pres: Presentation, scalars) 
 
 
 # ---------------------------------------------------------------------------
-# Randomized valid-triple samplers used by the property suites and the CLI
-# fuzz analysis.  All draws go through a caller-supplied random.Random.
+# Randomized valid-triple samplers used by the property suites.  All draws go
+# through a caller-supplied random.Random.
 
 
 def _random_scalar(context: FieldContext, rng: random.Random, *, nonzero=False) -> CycloNumber:

@@ -131,9 +131,7 @@ def test_the_fox_identity_check_fails_when_a_derivative_drops_a_term(monkeypatch
     original = jobs.fox_derivative
 
     def dropping(word, generator):
-        derivative = original(word, generator)
-        derivative.terms = dict(list(derivative.terms.items())[1:])
-        return derivative
+        return dict(list(original(word, generator).items())[1:])
 
     monkeypatch.setattr(jobs, "fox_derivative", dropping)
     report, code = run_job(parse_job(TORUS23), mode="check", fmt="records")

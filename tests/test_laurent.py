@@ -172,11 +172,9 @@ def test_rational_function_reduction():
     one = LaurentPoly.one(ctx)
     f = RationalFunction(t**2 - one, t - one)
     assert f.is_polynomial()
-    assert f.as_laurent() == t + one
+    assert f.numerator == t + one
     g = RationalFunction(t + one, t - one)
     assert not g.is_polynomial()
-    with pytest.raises(ValueError):
-        g.as_laurent()
     # equality is cross-multiplied, insensitive to common factors
     assert RationalFunction((t + one) * (t - one), (t - one) ** 2) == g
     assert (f * g).unit_equal(RationalFunction((t + one) ** 2, t - one))

@@ -10,7 +10,6 @@ import pytest
 from twistalex.laurent import LaurentMatrix
 from twistalex.presentations import (
     Augmentation,
-    GroupRingElement,
     InvalidTripleError,
     PhiMap,
     Representation,
@@ -59,8 +58,8 @@ def test_word_group_operations():
     y = Word.generator(1)
     comm = x * y * x.inverse() * y.inverse()
     assert len(comm) == 4
-    assert not comm.is_trivial()
-    assert (x * x.inverse()).is_trivial()
+    assert comm.free_reduce().letters
+    assert not (x * x.inverse()).free_reduce().letters
     assert (comm * comm.inverse()).free_reduce() == Word()
     assert x**3 == Word([(0, 1)] * 3)
     assert x**-2 == Word([(0, -1)] * 2)
@@ -75,28 +74,22 @@ def test_free_reduce_cancels_adjacent_inverses():
 def test_fox_derivative_base_cases():
     x = Word.generator(0)
     y = Word.generator(1)
-    one = GroupRingElement.one()
-    assert fox_derivative(x, 0) == one
-    assert fox_derivative(x, 1) == GroupRingElement.zero()
+    assert fox_derivative(x, 0) == {(): 1}
+    assert fox_derivative(x, 1) == {}
     # d(x^-1)/dx = -x^-1
-    assert fox_derivative(x.inverse(), 0) == -GroupRingElement.from_word(x.inverse())
+    assert fox_derivative(x.inverse(), 0) == {((0, -1),): -1}
     # d(xy)/dy = x
-    assert fox_derivative(x * y, 1) == GroupRingElement.from_word(x)
+    assert fox_derivative(x * y, 1) == {((0, 1),): 1}
 
 
 def test_fox_derivative_commutator_and_power():
     x = Word.generator(0)
     y = Word.generator(1)
     comm = x * y * x.inverse() * y.inverse()
-    expect = GroupRingElement.one() - GroupRingElement.from_word(x * y * x.inverse())
-    assert fox_derivative(comm, 0) == expect
+    # d[x, y]/dx = 1 - x y x^-1
+    assert fox_derivative(comm, 0) == {(): 1, ((0, 1), (1, 1), (0, -1)): -1}
     # d(x^3)/dx = 1 + x + x^2
-    cube = fox_derivative(x**3, 0)
-    assert cube == (
-        GroupRingElement.one()
-        + GroupRingElement.from_word(x)
-        + GroupRingElement.from_word(x * x)
-    )
+    assert fox_derivative(x**3, 0) == {(): 1, ((0, 1),): 1, ((0, 1), (0, 1)): 1}
 
 
 def test_fox_fundamental_identity_randomized():
@@ -123,14 +116,11 @@ def test_presentation_counts_and_euler_characteristic():
     pres = hopf_presentation(4)
     assert pres.generator_count == 4
     assert pres.relator_count == 3
-    assert pres.euler_characteristic == 0
     assert pres.deficiency == 1
     full = a_odd_presentation(2)
     assert (full.generator_count, full.relator_count) == (5, 5)
-    assert full.euler_characteristic == 1
     reduced = a_odd_reduced_presentation(2)
     assert reduced.relator_count == 4
-    assert reduced.euler_characteristic == 0
 
 
 def test_a_odd_relator_words():
@@ -222,8 +212,7 @@ def test_validate_accepts_valid_triples():
     rho = random_hopf_representation(ctx, 3, 2, random.Random(1), family="diagonal")
     report = validate(pres, eps, rho)
     assert report.ok
-    assert report.eps_nontrivial
-    assert report.eps_surjective
+    assert report.eps_image_index == 1
 
 
 def test_validate_rejects_bad_rho():

@@ -49,3 +49,9 @@ def test_one_formatter_per_emitted_record_type():
     emitted = {json.loads(line)["record"] for _, _, records in PAIRS for line in records.splitlines()}
     assert set(TEXT_FORMATTERS) == emitted
     assert len(emitted) == 16
+
+
+def test_a_skipped_specialize_bound_names_every_degree_below_the_top():
+    # A complex of length 3 gates the bound on H0, H1 and H2 being torsion.
+    record = {"record": "specialize", "at": "1", "dims": [1, 3, 3, 1], "bound_ok": None}
+    assert TEXT_FORMATTERS["specialize"](record) == "specialize t=1: dims (1, 3, 3, 1) (bound skipped: H0/H1/H2 not torsion)"
