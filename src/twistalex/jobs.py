@@ -33,7 +33,6 @@ import json
 import random
 
 from .scalars import FieldContext, ScalarMatrix, parse_scalar
-from .laurent import LaurentMatrix
 from .presentations import (
     Augmentation,
     InvalidTripleError,
@@ -258,35 +257,42 @@ def _check_parameters(integers, what: str, lineno: int):
         raise JobParseError(lineno, f"{what}: the parameters sum to {total}; the limit is {MAX_LETTERS}")
 
 
-# Each builder: its parameter keys, its line in ``twistalex builders``, and
-# the function from its parameters, in key order, to the presentation and
-# its default eps.  Parameters are integers, except union's factors (see
-# presentations._union_factors).
+# Each builder: its parameter keys, its line in ``twistalex builders``, the
+# function from its parameters, in key order, to the presentation and its
+# default eps, and the function from the same parameters to the number of
+# relator letters, which is checked before the build.  Parameters are
+# integers, except union's factors (see presentations._union_factors); a
+# union has at most 14 generators and is counted after its build (None).
 _BUILDERS = {
     "hopf": (
         ("d",),
         "d=<int>         generalized Hopf link group on x0..x(d-1), x0 central",
         lambda d: (hopf_presentation(d), hopf_augmentation([1] * d)),
+        lambda d: 4 * (d - 1),
     ),
     "a_odd": (
         ("n",),
         "n=<int>         A_(2n-1) germ group, full 2n+1 relator presentation",
         lambda n: (a_odd_presentation(n), a_odd_augmentation(n)),
+        lambda n: 8 * n + 3,
     ),
     "a_odd_reduced": (
         ("n",),
         "n=<int>         A_(2n-1) germ group without its redundant relator",
         lambda n: (a_odd_reduced_presentation(n), a_odd_augmentation(n)),
+        lambda n: 8 * n - 1,
     ),
     "torus": (
         ("p", "q"),
         "p=<int> q=<int>  irreducible germ <x, y | x^p = y^q>",
         lambda p, q: (torus_germ_presentation(p, q), torus_germ_augmentation(p, q)),
+        lambda p, q: p + q,
     ),
     "cusp": (
         (),
         "(no parameters) cusp germ in braid form <x, y | xyx = yxy>",
         lambda: (braid_cusp_presentation(), Augmentation([1, 1])),
+        lambda: 6,
     ),
     "union": (
         ("factors",),
@@ -295,11 +301,13 @@ _BUILDERS = {
             transversal_union_presentation(factors),
             transversal_union_augmentation(factors, [1] * len(factors)),
         ),
+        None,
     ),
     "circle": (
         (),
         "(no parameters) one generator, no relators",
         lambda: (Presentation(["x0"], []), Augmentation([1])),
+        lambda: 0,
     ),
 }
 
@@ -325,21 +333,25 @@ def _builder_value(name: str, key: str, params: dict, lineno: int):
 
 def _resolve_builder(name: str, params: dict, lineno: int):
     """Return (presentation, default augmentation, canonical params).  The
-    parameters are bounded before the build and the relator letters counted
-    after it."""
+    parameters and the relator letters they ask for are bounded before the
+    build."""
     if name not in _BUILDERS:
         raise JobParseError(lineno, f"unknown builder {name!r}; available: {', '.join(sorted(_BUILDERS))}")
-    keys, _, build = _BUILDERS[name]
+    keys, _, build, letters = _BUILDERS[name]
     extra = set(params) - set(keys)
     if extra:
         raise JobParseError(lineno, f"builder {name}: unexpected parameters {', '.join(sorted(extra))}")
     parsed = [_builder_value(name, key, params, lineno) for key in keys]
     _check_parameters([x for _, _, integers in parsed for x in integers], f"builder {name}", lineno)
+    values = [value for value, _, _ in parsed]
+    if letters is not None:
+        _check_letters(letters(*values), lineno)
     try:
-        pres, eps = build(*(value for value, _, _ in parsed))
+        pres, eps = build(*values)
     except ValueError as exc:
         raise JobParseError(lineno, str(exc))
-    _check_letters(sum(len(r) for r in pres.relators), lineno)
+    if letters is None:
+        _check_letters(sum(len(r) for r in pres.relators), lineno)
     return pres, eps, tuple((key, text) for key, (_, text, _) in zip(keys, parsed))
 
 
@@ -470,7 +482,7 @@ def parse_job(text: str) -> JobSpec:
                 raise JobParseError(lineno, f"builder line needs a name; available: {', '.join(sorted(_BUILDERS))}")
             builder_line = lineno
             builder_name = rest[0]
-            allowed = {key for keys, _, _ in _BUILDERS.values() for key in keys}
+            allowed = {key for keys, *_ in _BUILDERS.values() for key in keys}
             builder_params = _parse_kv(rest[1:], lineno, allowed, f"builder {builder_name}")
         elif keyword == "generators":
             if builder_line is not None or inline_line is not None:
@@ -675,6 +687,7 @@ def parse_job(text: str) -> JobSpec:
                 raise JobParseError(lineno, f"local {kind}: weights must be integers, got {rest[i]!r}")
             i += 1
         _check_parameters(params, f"local {kind}", lineno)
+        _check_letters(_LOCAL_KINDS[kind][2](*params), lineno)
         texts = None
         if i < len(rest):
             scalar_text = " ".join(rest[i + 1 :])
@@ -686,7 +699,6 @@ def parse_job(text: str) -> JobSpec:
             germ, germ_eps, _ = _local_germ(context, kind, params, weights, scalars)
         except ValueError as exc:
             raise JobParseError(lineno, f"local {kind}: {exc}")
-        _check_letters(sum(len(r) for r in germ.relators), lineno)
         for relator in germ.relators:
             _check_span(relator, germ_eps.values, f"local {kind}", lineno)
         scalar_texts = None if scalars is None else tuple(str(v) for v in scalars)
@@ -934,6 +946,23 @@ def _hopf_curve(spec: JobSpec, lineno_hint: str):
     return None
 
 
+def _poly_texts():
+    """str for the Laurent polynomials of one report, each distinct one
+    rendered once: a degree record's delta is often its one divisor, and the
+    ratio and wada records print the same polynomials again.  The memo is
+    keyed by the canonical fields, which equal polynomials share."""
+    memo = {}
+
+    def text(p) -> str:
+        key = (p.context, p.low, p.rows, p.den)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = str(p)
+        return out
+
+    return text
+
+
 def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: int = 0) -> tuple[str, int]:
     """Run one job and return (report text, exit code).
 
@@ -946,6 +975,7 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
     out = _Report(fmt)
     if mode not in ("compute", "check"):
         raise ValueError(f"unknown mode {mode!r}")
+    text = _poly_texts()
 
     try:
         out.emit(
@@ -981,8 +1011,8 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
                     "record": "degree",
                     "degree": i,
                     "free_rank": shape.free_rank,
-                    "delta": str(result.delta(i)),
-                    "divisors": [str(d) for d in shape.divisors],
+                    "delta": text(result.delta(i)),
+                    "divisors": [text(d) for d in shape.divisors],
                 }
             )
         ratio = result.ratio() if not result.delta(0).is_zero() else None
@@ -990,8 +1020,8 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
             out.emit(
                 {
                     "record": "ratio",
-                    "numerator": str(ratio.numerator),
-                    "denominator": str(ratio.denominator),
+                    "numerator": text(ratio.numerator),
+                    "denominator": text(ratio.denominator),
                     "polynomial": ratio.is_polynomial(),
                 }
             )
@@ -1013,8 +1043,8 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
                     {
                         "record": "wada",
                         "applicable": True,
-                        "numerator": str(wada.numerator),
-                        "denominator": str(wada.denominator),
+                        "numerator": text(wada.numerator),
+                        "denominator": text(wada.denominator),
                         "agrees": agrees,
                     }
                 )
@@ -1032,10 +1062,10 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
                     {
                         "record": "divisibility",
                         "divides": div.divides,
-                        "delta": str(div.candidate),
-                        "bound": str(div.bound),
-                        "quotient": str(div.quotient) if div.quotient is not None else None,
-                        "witness": str(div.witness) if div.witness is not None else None,
+                        "delta": text(div.candidate),
+                        "bound": text(div.bound),
+                        "quotient": text(div.quotient) if div.quotient is not None else None,
+                        "witness": text(div.witness) if div.witness is not None else None,
                     }
                 )
                 if not div.divides:
@@ -1062,7 +1092,7 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
                 if curve is None:
                     raise ValueError("alpha needs component lines with euler= and meridian=")
                 alpha = alpha_term(curve)
-                out.emit({"record": "alpha", "numerator": str(alpha.numerator), "denominator": str(alpha.denominator)})
+                out.emit({"record": "alpha", "numerator": text(alpha.numerator), "denominator": text(alpha.denominator)})
 
         # The dimension bound specializes the complex itself; only a job
         # without it calls specialize_homology here.
@@ -1095,10 +1125,10 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
                     "kind": kind,
                     "params": list(params),
                     "weights": list(weights),
-                    "delta0": str(loc.delta0),
-                    "delta1": str(loc.delta1),
-                    "ratio_numerator": str(loc.ratio.numerator) if loc.ratio is not None else None,
-                    "ratio_denominator": str(loc.ratio.denominator) if loc.ratio is not None else None,
+                    "delta0": text(loc.delta0),
+                    "delta1": text(loc.delta1),
+                    "ratio_numerator": text(loc.ratio.numerator) if loc.ratio is not None else None,
+                    "ratio_denominator": text(loc.ratio.denominator) if loc.ratio is not None else None,
                     "printed_matches": loc.printed_matches,
                 }
             )
@@ -1146,22 +1176,24 @@ def _check_battery(out, complex_, result, ratio, wada, deficiency_one, seed):
         check("wada-agreement", None, "not deficiency 1")
 
     # Fox fundamental identity on random words: Phi(w) - Id equals
-    # sum_g Phi(dw/dg) (Phi(g) - Id).
+    # sum_g Phi(dw/dg) (Phi(g) - Id).  The difference of the two sides is one
+    # {exponent: rows} map over integer power-basis rows, so a word passes
+    # exactly when every row in it is zero.
     rng = random.Random(seed)
-    pres = complex_.presentation
+    count = complex_.presentation.generator_count
     phi = PhiMap(complex_.eps, complex_.rho)
-    eye = LaurentMatrix.identity(complex_.context, complex_.rho.dimension)
-    steps = [phi.generator_image(g) - eye for g in range(pres.generator_count)]
+    add = complex_.context._matrix_sum
     passed = 0
     trials = 5
     for _ in range(trials):
-        w = random_word(pres.generator_count, 10, rng)
-        lhs = phi.word_image(w) - eye
-        total = None
-        for g, step in enumerate(steps):
-            term = phi.element_image(fox_derivative(w, g)) * step
-            total = term if total is None else total + term
-        if total is not None and (lhs - total).is_zero():
+        w = random_word(count, 10, rng)
+        e, rows = phi._prefix_rows(w.letters)
+        diff = {e: rows}
+        diff[0] = add(diff.get(0), complex_.rho._identity, -1)
+        for g in range(count):
+            for e, rows in phi._term_rows(fox_derivative(w, g), g).items():
+                diff[e] = add(diff.get(e), rows, -1)
+        if count and not any(x for rows, _ in diff.values() for row in rows for entry in row for x in entry):
             passed += 1
     check("fox-identity", passed == trials, f"{passed}/{trials} words, seed {seed}")
 

@@ -807,6 +807,14 @@ class LaurentMatrix(Matrix):
             out.append(new)
         return cls._make(context, out)
 
+    @staticmethod
+    def _dot(pairs):
+        # One buffer and one fold for the whole entry.
+        if len(pairs) == 1:
+            a, b = pairs[0]
+            return a * b
+        return _sum_of_products(pairs[0][0].context, [(1, a, b) for a, b in pairs])
+
     # The hooks of Matrix._bareiss; the size of an entry is its span + 1.
 
     @staticmethod

@@ -116,16 +116,18 @@ def _cusp_germ(context: FieldContext, params, weights, values):
     return pres, Augmentation(weights * 2), rank_one_representation(context, pres, scalars)
 
 
-# Each local kind: its number of integer parameters, and its germ
-# constructor (context, params, weights, values) -> the rank-1 triple
-# (presentation, eps, rho) of the local link group, with values the given
-# scalars as field elements, or None for the default of all ones.
+# Each local kind: its number of integer parameters, its germ constructor
+# (context, params, weights, values) -> the rank-1 triple (presentation, eps,
+# rho) of the local link group, with values the given scalars as field
+# elements, or None for the default of all ones, and the number of relator
+# letters of the germ as a function of the parameters, which the job parser
+# bounds before anything is built.
 _LOCAL_KINDS = {
-    "node": (0, lambda context, params, weights, values: _ordinary_germ(context, (2,), weights, values)),
-    "ordinary": (1, _ordinary_germ),
-    "a_odd": (1, _a_odd_germ),
-    "torus": (2, _torus_germ),
-    "cusp": (0, _cusp_germ),
+    "node": (0, lambda context, params, weights, values: _ordinary_germ(context, (2,), weights, values), lambda: 4),
+    "ordinary": (1, _ordinary_germ, lambda k: 4 * (k - 1)),
+    "a_odd": (1, _a_odd_germ, lambda n: 8 * n - 1),
+    "torus": (2, _torus_germ, lambda p, q: p + q),
+    "cusp": (0, _cusp_germ, lambda: 6),
 }
 
 
@@ -134,7 +136,7 @@ def _local_germ(context: FieldContext, kind: str, params, weights, scalars=None)
     table does not accept raises ValueError."""
     if kind not in _LOCAL_KINDS:
         raise ValueError(f"unsupported singularity kind {kind!r}")
-    count, germ = _LOCAL_KINDS[kind]
+    count, germ, _ = _LOCAL_KINDS[kind]
     if len(params) != count:
         raise ValueError(f"local {kind} takes {count} integer parameter(s)")
     values = None if scalars is None else [context.from_rational(s) for s in scalars]

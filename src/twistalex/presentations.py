@@ -334,7 +334,13 @@ def fox_derivative(word: Word, generator: int) -> dict[tuple, int]:
 class PhiMap:
     """The ring map Phi(x) = t^eps(x) * rho(x) from the group ring into
     r x r Laurent matrices.  Generator images are formed on first use, and
-    so are the images of word prefixes, which are then kept."""
+    so are the images of word prefixes, which are then kept.
+
+    Inside, Phi(prefix) = t^e * rho(prefix) is carried as the pair (e, rows),
+    rows the integer row form of FieldContext._matrix_product, and a
+    group-ring element as the map {e: rows} of its sum of t^e * rows; a
+    LaurentMatrix is built only for what word_image and element_image
+    return."""
 
     __slots__ = ("context", "dimension", "eps", "rho", "_images", "_inv_images", "_prefixes")
 
@@ -358,34 +364,53 @@ class PhiMap:
         return img
 
     def word_image(self, word: Word) -> LaurentMatrix:
-        return self._letters_image(word.letters)
+        e, rows = self._prefix_rows(word.letters)
+        return LaurentMatrix._from_row_terms(self.context, {e: rows})
 
-    def _letters_image(self, letters: tuple) -> LaurentMatrix:
-        """Phi of a letter tuple.  The image of every prefix met is kept in a
-        trie, letter by letter, so a word extends its longest kept prefix by
-        one product a letter.  Every term of a Fox derivative of w is a
-        reduced prefix of w, so Phi(w) and all its derivatives cost at most
-        two products a letter."""
-        acc = LaurentMatrix.identity(self.context, self.dimension)
+    def _prefix_rows(self, letters: tuple):
+        """The pair (e, rows) of Phi of a letter tuple.  The pair of every
+        prefix met is kept in a trie, letter by letter, so a word extends its
+        longest kept prefix by one row-form product a letter.  Every term of
+        a Fox derivative of w is a reduced prefix of w, so Phi(w) and all its
+        derivatives cost at most two products a letter."""
+        acc = (0, self.rho._identity)
         node = self._prefixes
         for letter in letters:
-            if letter not in node:
-                node[letter] = (acc * self.generator_image(*letter), {})
-            acc, node = node[letter]
+            kept = node.get(letter)
+            if kept is None:
+                e, rows = acc
+                g, s = letter
+                step = self.rho._letter_rows((letter,))[letter]
+                kept = node[letter] = ((e + s * self.eps.values[g], self.context._matrix_product(rows, step)), {})
+            acc, node = kept
         return acc
+
+    def _term_rows(self, element: dict[tuple, int], generator: int | None = None) -> dict:
+        """The {e: rows} map of Phi(element) for a group-ring element given
+        as {letters: coefficient}, or, given a generator g, of
+        Phi(element) * (Phi(x_g) - Id): each sum of kept prefix rows is then
+        right-multiplied by rho(x_g) and shifted by eps(x_g), and subtracted
+        unshifted.  Rows that cancel stay in the map as zero rows."""
+        add = self.context._matrix_sum
+        terms: dict = {}
+        for letters, coeff in element.items():
+            e, rows = self._prefix_rows(letters)
+            terms[e] = add(terms.get(e), rows, coeff)
+        if generator is None:
+            return terms
+        product, step = self.context._matrix_product, self.rho._letter_rows(((generator, 1),))[generator, 1]
+        shift = self.eps.values[generator]
+        out = {e: add(None, rows, -1) for e, rows in terms.items()}
+        for e, rows in terms.items():
+            out[e + shift] = add(out.get(e + shift), product(rows, step), 1)
+        return out
 
     def element_image(self, element: dict[tuple, int]) -> LaurentMatrix:
         """Phi of a group-ring element given as {letters: coefficient}."""
-        acc = LaurentMatrix.zero(self.context, self.dimension, self.dimension)
-        for letters, coeff in element.items():
-            image = self._letters_image(letters)
-            if coeff == 1:
-                acc = acc + image
-            elif coeff == -1:
-                acc = acc - image
-            else:
-                acc = acc + image * coeff
-        return acc
+        terms = self._term_rows(element)
+        if not terms:
+            return LaurentMatrix.zero(self.context, self.dimension, self.dimension)
+        return LaurentMatrix._from_row_terms(self.context, terms)
 
     def fox_row(self, word: Word, *, images: list | None = None) -> list[LaurentMatrix]:
         """Phi(d word / d x_g) for every generator g, in one left-to-right pass.

@@ -284,11 +284,14 @@ class FieldContext:
         return _reduced_rows(out, da * db)
 
     def _matrix_sum(self, a, b, sign: int):
-        """The (entries, den) of a + sign * b; a is None for the zero
-        matrix."""
+        """The (entries, den) of a + sign * b for a nonzero integer sign; a
+        is None for the zero matrix."""
         eb, db = b
         if a is None:
-            return ([[[-x for x in e] for e in row] for row in eb], db) if sign < 0 else b
+            if sign == 1:
+                return b
+            out = [[[x * sign for x in e] for e in row] for row in eb]
+            return (out, db) if sign == -1 else _reduced_rows(out, db)
         ea, da = a
         if da == db:
             den, fa, fb = da, 1, sign
@@ -625,8 +628,10 @@ class Matrix:
 
     Storage and every operation that reads the same in any ring live here.
     A subclass fixes the ring by supplying ``_entry`` (coerce one value into
-    the ring, raising for anything else), ``_ring_zero``, ``_ring_one`` and
-    the hooks of ``_bareiss``: ``_size``, ``_cross`` and ``_divider``.
+    the ring, raising for anything else), ``_ring_zero``, ``_ring_one``,
+    ``_dot`` (the sum of a * b over a list of pairs of nonzero entries, one
+    entry of a product) and the hooks of ``_bareiss``: ``_size``, ``_cross``
+    and ``_divider``.
     Results of ring operations are built with ``_make``, which skips the
     per-entry coercion of the public constructor.  Matrices of different
     subclasses never mix.
@@ -713,23 +718,19 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")
         zero = None  # built on first use: most products never need it
-        bt = other.entries
+        dot = self._dot
+        cols = tuple(zip(*other.entries))
         out = []
         for row in self.entries:
             new_row = []
-            for j in range(other.cols):
-                acc = None
-                for k, a in enumerate(row):
-                    if a:
-                        b = bt[k][j]
-                        if b:
-                            p = a * b
-                            acc = p if acc is None else acc + p
-                if acc is None:
+            for col in cols:
+                pairs = [(a, b) for a, b in zip(row, col) if a and b]
+                if pairs:
+                    new_row.append(dot(pairs))
+                else:
                     if zero is None:
                         zero = self._ring_zero(self.context)
-                    acc = zero
-                new_row.append(acc)
+                    new_row.append(zero)
             out.append(new_row)
         return self._make(self.context, out)
 
@@ -900,6 +901,14 @@ class ScalarMatrix(Matrix):
     @classmethod
     def _from_rows(cls, context: FieldContext, entries, den: int) -> ScalarMatrix:
         return cls._make(context, [[CycloNumber(context, e, den) for e in row] for row in entries])
+
+    @staticmethod
+    def _dot(pairs):
+        acc = None
+        for a, b in pairs:
+            p = a * b
+            acc = p if acc is None else acc + p
+        return acc
 
     # The hooks of Matrix._bareiss, on the rows of Z[z] of _integral_rows.
 

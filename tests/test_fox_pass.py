@@ -247,16 +247,40 @@ def test_the_fox_identity_terms_cost_a_linear_number_of_products(monkeypatch):
     rng = random.Random(5)
     w = Word([(rng.randrange(GENERATORS), rng.choice((1, -1))) for _ in range(40)])
     phi = _phi(6, 2, rng)
-    original = LaurentMatrix.__mul__
+    original = FieldContext._matrix_product
     products = []
 
-    def counted(a, b):
-        if isinstance(b, LaurentMatrix):
-            products.append(b)
-        return original(a, b)
+    def counted(ctx, a, b):
+        products.append(b)
+        return original(ctx, a, b)
 
-    monkeypatch.setattr(LaurentMatrix, "__mul__", counted)
+    monkeypatch.setattr(FieldContext, "_matrix_product", counted)
     phi.word_image(w)
     for g in range(GENERATORS):
         phi.element_image(fox_derivative(w, g))
     assert 0 < len(products) <= 2 * len(w.letters) + GENERATORS
+
+
+@pytest.mark.parametrize("conductor", [1, 6, 12])
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_the_row_form_term_map_matches_the_laurent_product_route(conductor, dimension):
+    # The check battery's route: the {exponent: rows} map of Phi(dw/dg),
+    # alone and times Phi(x_g) - Id, against Laurent-matrix products of the
+    # generator images summed over the terms.
+    rng = random.Random(1000 * conductor + dimension)
+    phi = _phi(conductor, dimension, rng)
+    ctx = phi.context
+    eye = LaurentMatrix.identity(ctx, dimension)
+    zero = LaurentMatrix.zero(ctx, dimension, dimension)
+    for _ in range(40):
+        w = random_word(GENERATORS, 12, rng)
+        for g in range(GENERATORS):
+            derivative = fox_derivative(w, g)
+            expected = zero
+            for letters, coeff in derivative.items():
+                expected = expected + _uncached_image(phi, Word(letters)) * coeff
+            terms = phi._term_rows(derivative)
+            assert (LaurentMatrix._from_row_terms(ctx, terms) if terms else zero) == expected, (w.letters, g)
+            step = phi._term_rows(derivative, g)
+            stepped = LaurentMatrix._from_row_terms(ctx, step) if step else zero
+            assert stepped == expected * (phi.generator_image(g) - eye), (w.letters, g)

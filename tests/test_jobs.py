@@ -12,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from twistalex import jobs
+from twistalex import jobs, obstructions, presentations
 from twistalex.cli import main
 from twistalex.laurent import LaurentMatrix
+from twistalex.scalars import FieldContext
 from twistalex.jobs import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT_ERROR,
@@ -141,6 +142,29 @@ def test_the_fox_identity_check_fails_when_a_derivative_drops_a_term(monkeypatch
     passed = re.fullmatch(r"(\d)/5 words, seed 0", fox["detail"])
     assert passed and int(passed.group(1)) < 5
     assert code == EXIT_CHECK_FAILED == 1
+    assert records[-1]["failures"] == ["check fox-identity"]
+
+
+def test_the_fox_identity_check_fails_when_a_generator_image_is_wrong(monkeypatch):
+    # Negative control on the other side: the battery's PhiMap gets a halved
+    # rho(x) in row form while rho(x)^-1 stays, so Phi is no longer a map of
+    # the free group and the identity must fail on a word with x^-1.
+    original = jobs.PhiMap
+
+    def skewed(eps, rho):
+        rho = jobs.Representation(rho.context, rho.matrices)
+        entries, den = rho._letter_rows([(0, 1)])[0, 1]
+        rho._letters[0, 1] = (entries, 2 * den)
+        return original(eps, rho)
+
+    monkeypatch.setattr(jobs, "PhiMap", skewed)
+    report, code = run_job(parse_job(TORUS23), mode="check", fmt="records")
+    records = [json.loads(line) for line in report.splitlines()]
+    fox = next(r for r in records if r.get("name") == "fox-identity")
+    assert fox["ok"] is False
+    passed = re.fullmatch(r"(\d)/5 words, seed 0", fox["detail"])
+    assert passed and int(passed.group(1)) < 5
+    assert code == EXIT_CHECK_FAILED
     assert records[-1]["failures"] == ["check fox-identity"]
 
 
@@ -462,6 +486,8 @@ OVER_BUDGET = {
     "degree span": ("builder torus p=9001 q=9002\nrho trivial 1\n", 1),
     "dimension": ("builder cusp\nrho trivial 1000000000\n", 2),
     "local germ": ("builder cusp\nrho trivial 1\nlocal torus 100000 100001 weights 1\n", 3),
+    "a_odd builder": ("builder a_odd n=20000\nrho trivial 1\n", 1),
+    "a_odd germ": ("builder cusp\nrho trivial 1\nlocal a_odd 20000 weights 1 1\n", 3),
 }
 
 
@@ -476,6 +502,45 @@ def test_inputs_over_a_budget_exit_2_at_their_line(tmp_path, capsys, name):
     assert code == EXIT_INPUT_ERROR
     err = capsys.readouterr().err
     assert f"line {line}:" in err and "limit" in err
+
+
+@pytest.mark.parametrize("name", ["a_odd builder", "a_odd germ"])
+def test_an_oversized_a_odd_is_refused_before_its_presentation_is_built(monkeypatch, name):
+    # The letter count comes from the parameter: 8n + 3 for the builder,
+    # 8n - 1 for the reduced germ of a local line.
+    built = []
+
+    def recorded(n):
+        built.append(n)
+        raise AssertionError("a_odd presentation built")
+
+    monkeypatch.setattr(jobs, "a_odd_presentation", recorded)
+    monkeypatch.setattr(presentations, "a_odd_presentation", recorded)
+    text, line = OVER_BUDGET[name]
+    with pytest.raises(JobParseError) as err:
+        parse_job(text)
+    assert err.value.line == line
+    assert err.value.message == f"the relators have {159_999 if 'germ' in name else 160_003} letters; the limit is 20000"
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [("hopf", (5,)), ("a_odd", (3,)), ("a_odd_reduced", (3,)), ("torus", (3, 5)), ("cusp", ()), ("circle", ())],
+)
+def test_builder_letter_counts_match_the_built_relators(name, params):
+    _, _, build, letters = jobs._BUILDERS[name]
+    pres, _ = build(*params)
+    assert letters(*params) == sum(len(r) for r in pres.relators)
+
+
+@pytest.mark.parametrize(
+    "kind,params,weights",
+    [("node", (), (1, 1)), ("ordinary", (4,), (1, 1, 1, 1)), ("a_odd", (3,), (1, 1)), ("torus", (3, 5), (1,)), ("cusp", (), (1,))],
+)
+def test_local_letter_counts_match_the_built_germs(kind, params, weights):
+    germ, _, _ = obstructions._local_germ(FieldContext(1), kind, params, weights)
+    assert obstructions._LOCAL_KINDS[kind][2](*params) == sum(len(r) for r in germ.relators)
 
 
 BUILDERS_LISTING = """\
