@@ -240,16 +240,18 @@ def specialize_homology(complex_: TwistedChainComplex, value) -> tuple[int, ...]
     """Dimensions of the homology of the scalar complex at t = a (a nonzero).
 
     Ranks of the specialized boundaries give every h_i = dim ker - dim im
-    directly: h_i = c_i - rank d_i(a) - rank d_(i+1)(a).  A value from a
-    larger cyclotomic context lifts the whole complex into the join context
-    first.
+    directly: h_i = c_i - rank d_i(a) - rank d_(i+1)(a).  A full rank
+    modulo the split prime of the context proves a rank without the exact
+    specialization (LaurentMatrix._rank_at); a deficiency is always decided
+    exactly.  A value from a larger cyclotomic context lifts the whole
+    complex into the join context first.
     """
     boundaries = complex_.boundaries
     if isinstance(value, CycloNumber) and value.context.conductor != complex_.context.conductor:
         big = FieldContext(lcm([complex_.context.conductor, value.context.conductor]))
         boundaries = [d.embed(big) for d in boundaries]
         value = value.embed(big)
-    dims = _free_ranks(complex_.ranks, [d.specialize(value).rank() for d in boundaries])
+    dims = _free_ranks(complex_.ranks, [d._rank_at(value) for d in boundaries])
     if min(dims) < 0:
         raise InternalInvariantError("specialized composite fails to vanish")
     return dims

@@ -25,7 +25,10 @@ determinant peels singleton rows and columns and runs the Bareiss loop of
 Matrix, shared with the scalar rank, det and inverse, on the core alone.
 The Smith form breaks span ties between pivots by the Markowitz count, so
 units whose row or column holds nothing else leave without fill, and it
-orders the divisors in one pass at the end, not by a scan per corner.
+orders the divisors in one pass at the end, not by a scan per corner.  The
+rank at a point t = a is read modulo the split prime of the context first
+(_rank_at): a full rank there proves the exact rank, and only a deficiency
+needs the exact specialization.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .scalars import (
     FieldContext,
     Matrix,
     ScalarMatrix,
+    _Residues,
     _scalar_text,
     embed as embed_scalar,
     lcm,
@@ -509,6 +513,18 @@ class LaurentPoly:
             den *= d
         return CycloNumber(ctx, acc, den)
 
+    def _residue_at(self, alpha: int) -> int:
+        """The residue of den * self(a) mod the split prime p of the context,
+        for a point a of nonzero residue alpha (FieldContext._point_residue).
+        den * self(a) lies in the valuation ring of the prime over p, so a
+        nonzero residue proves self(a) nonzero."""
+        ctx = self.context
+        p, residue = ctx._split[0], ctx._residue
+        acc = 0
+        for row in reversed(self.rows):
+            acc = (acc * alpha + residue(row)) % p
+        return acc * pow(alpha, self.low, p) % p
+
     def embed(self, target: FieldContext) -> LaurentPoly:
         if target is self.context:
             return self
@@ -554,15 +570,26 @@ def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 
 
 def gcd_many(polys) -> LaurentPoly:
-    it = iter(polys)
-    try:
-        acc = next(it).normalize()
-    except StopIteration:
+    """GCD of a nonempty collection, in canonical unit form: 1 at once when
+    an input is a unit, else a fold from the shortest input up, so every
+    Euclid starts on the least span there is.  Each input is first reduced
+    by the monic gcd so far, which needs no field inverse, and an input
+    that it divides costs that one division."""
+    polys = list(polys)
+    if not polys:
         raise ValueError("gcd of an empty collection")
-    for p in it:
+    nonzero = sorted((p for p in polys if p.rows), key=lambda p: len(p.rows))
+    if not nonzero:
+        return polys[0]
+    if nonzero[0].is_unit():
+        return LaurentPoly.one(nonzero[0].context)
+    acc = nonzero[0].normalize()
+    for p in nonzero[1:]:
         if acc.is_one():
-            return acc
-        acc = laurent_gcd(acc, p)
+            break
+        r = p % acc
+        if r:
+            acc = laurent_gcd(acc, r)
     return acc
 
 
@@ -578,8 +605,10 @@ def _strip_root(p: LaurentPoly, a: CycloNumber) -> tuple[int, LaurentPoly]:
     if p.is_zero():
         raise ValueError("every (t - a) power divides the zero polynomial")
     linear = LaurentPoly(p.context, (-a, p.context.one))
+    # A nonzero residue at a proves p(a) nonzero; a zero one decides nothing.
+    alpha = p.context._point_residue(a)
     count = 0
-    while p.evaluate(a).is_zero():
+    while not (alpha and p._residue_at(alpha)) and p.evaluate(a).is_zero():
         p = p.exact_div(linear)
         count += 1
     return count, p
@@ -885,6 +914,26 @@ class LaurentMatrix(Matrix):
         a = _coerce_scalar(self.context, value)
         return self._map(lambda e: e.evaluate(a), cls=ScalarMatrix)
 
+    def _rank_at(self, value) -> int:
+        """The rank of specialize(value).  The residues mod the split prime
+        p of the context come straight from the rows (each matrix row scaled
+        by the lcm of its denominators, which keeps the rank), and a rank of
+        min(rows, cols) mod p proves full rank.  A lower rank mod p, or a
+        point whose residue is 0 or undefined, leaves the answer to the exact
+        rank of specialize(value)."""
+        ctx = self.context
+        a = _coerce_scalar(ctx, value)
+        alpha = ctx._point_residue(a)
+        if alpha:
+            p = ctx._split[0]
+            rows = []
+            for row in self.entries:
+                den = lcm(e.den for e in row)
+                rows.append([e._residue_at(alpha) * (den // e.den) % p for e in row])
+            if _Residues._make(ctx, rows).is_full_rank():
+                return min(self.rows, self.cols)
+        return self.specialize(a).rank()
+
     def substitute_power(self, n: int) -> LaurentMatrix:
         return self._map(lambda e: e.substitute_power(n))
 
@@ -917,14 +966,19 @@ class LaurentMatrix(Matrix):
         normalized divisors d_1 | d_2 | ....
 
         With certificates (the default) it returns unimodular U, V such that
-        U*M*V is diagonal, and Vinv = V^-1.  With certificates=False the
-        same operations skip every update of U, V and Vinv and return None
-        for all three: the divisors and the rank, which are all a homology
-        computation reads, come out the same.
+        U*M*V is diagonal, and Vinv = V^-1.  With certificates=False it
+        skips every update of U, V and Vinv and returns None for all three,
+        and two steps whose result only they would show.  A unit corner u is
+        not scaled: row_i -= (e u^-1) row_corner clears its column, its row
+        is then zeroed, and it becomes 1.  A block of one row or one column
+        ends with the gcd of its entries (gcd_many).  The divisors and the
+        rank, which are all a homology computation reads, come out the
+        same.
         """
         ctx = self.context
         m, n = self.rows, self.cols
         A = [list(row) for row in self.entries]
+        zero = LaurentPoly.zero(ctx)
         if certificates:
             U, V, Vinv = ([list(row) for row in LaurentMatrix.identity(ctx, k).entries] for k in (m, n, n))
 
@@ -943,11 +997,19 @@ class LaurentMatrix(Matrix):
                         row[i], row[j] = row[j], row[i]
                     Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
-        def add_row(dst, src, factor):
+        def add_row(dst, src, factor, col=None, value=None):
             # row_dst += factor * row_src, entry by entry; U tracks the same.
-            for X in (A, U) if certificates else (A,):
-                X[dst] = [
-                    _sum_of_products(ctx, ((1, a, None), (1, factor, b))) if b else a for a, b in zip(X[dst], X[src])
+            # A caller that holds the new entry of column col (a remainder
+            # of divmod) passes it as value, and no product recomputes it.
+            A[dst] = [
+                _sum_of_products(ctx, ((1, a, None), (1, factor, b))) if b and j != col else a
+                for j, (a, b) in enumerate(zip(A[dst], A[src]))
+            ]
+            if col is not None:
+                A[dst][col] = value
+            if certificates:
+                U[dst] = [
+                    _sum_of_products(ctx, ((1, a, None), (1, factor, b))) if b else a for a, b in zip(U[dst], U[src])
                 ]
 
         def normalize_row(k):
@@ -961,13 +1023,31 @@ class LaurentMatrix(Matrix):
 
         def enter_corner(corner, i, j):
             # Move entry (i, j) into the corner and scale its row monic.
+            # Without certificates a unit stays as it is, for clear_by_unit.
             swap_rows(corner, i)
             swap_cols(corner, j)
-            normalize_row(corner)
+            if certificates or not A[corner][corner].is_unit():
+                normalize_row(corner)
+
+        def clear_by_unit(corner, rows, cols):
+            # row_i -= (e u^-1) row_corner for the entries e of the unit
+            # corner u; the column operations then clear the corner's row
+            # and change nothing else, and the corner becomes 1.
+            inv = A[corner][corner]._normalizer()
+            for i in rows:
+                e = A[i][corner]
+                if e:
+                    add_row(i, corner, -(e * inv), corner, zero)
+            for j in cols:
+                A[corner][j] = zero
+            A[corner][corner] = LaurentPoly.one(ctx)
 
         def settle(corner, rows, cols):
             # Clear the corner's column over rows and its row over cols.
             while True:
+                if not certificates and A[corner][corner].is_unit():
+                    clear_by_unit(corner, rows, cols)
+                    return
                 dirty = False
                 for i in rows:
                     e = A[i][corner]
@@ -975,7 +1055,7 @@ class LaurentMatrix(Matrix):
                         continue
                     q, r = divmod(e, A[corner][corner])
                     if q:
-                        add_row(i, corner, -q)
+                        add_row(i, corner, -q, corner, r)
                     if r:
                         enter_corner(corner, i, corner)
                         dirty = True
@@ -1006,6 +1086,17 @@ class LaurentMatrix(Matrix):
         corner = 0
         limit = min(m, n)
         while corner < limit:
+            if not certificates and (m - corner == 1 or n - corner == 1):
+                # A block of one row or one column has the gcd of its
+                # entries as its one divisor.
+                line = [(i, j) for i in range(corner, m) for j in range(corner, n) if A[i][j]]
+                if line:
+                    g = gcd_many([A[i][j] for i, j in line])
+                    for i, j in line:
+                        A[i][j] = zero
+                    A[corner][corner] = g
+                    corner += 1
+                break
             # A pivot of minimal span in the active block, the least
             # Markowitz count among those, then the first.  A block of one
             # row or one column gives every entry the count 0.

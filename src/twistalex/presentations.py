@@ -266,9 +266,12 @@ class Representation:
 
     def singular_generators(self) -> tuple[int, ...]:
         """The generators whose matrix is singular, found once per
-        representation."""
+        representation.  A full rank modulo the split prime of the context
+        proves a matrix nonsingular; the others get the exact determinant."""
         if self._singular is None:
-            self._singular = tuple(g for g, m in enumerate(self.matrices) if m.det().is_zero())
+            self._singular = tuple(
+                g for g, m in enumerate(self.matrices) if not m._full_rank_mod_p() and m.det().is_zero()
+            )
         return self._singular
 
     def inverse_of_generator(self, g: int) -> ScalarMatrix:

@@ -12,6 +12,9 @@ norm: with c the product of sigma_k(a) over the units k != 1 mod n, a * c =
 N(a) is rational, so a^-1 = c / N(a).  The context computes products,
 substitutions and that cofactor c on integer rows of Z[z]
 (FieldContext._product, _substitute, _cofactor); CycloNumber wraps them.
+Each context also keeps a split prime p = 1 mod n and a root w of Phi_n
+mod p; z -> w maps Z[z] onto F_p, and a full rank or a nonzero value mod p
+proves the same of the exact matrix or element (_split_prime, _Residues).
 Square matrices get the same treatment where a loop multiplies one per
 letter of a word: rows over one shared denominator, multiplied and summed
 without field elements (FieldContext._matrix_product, _matrix_sum).
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from fractions import Fraction
 
 __all__ = [
@@ -134,7 +138,7 @@ class FieldContext:
     reference to their context and refuse arithmetic across distinct ones.
     """
 
-    __slots__ = ("conductor", "degree", "modulus", "_powers", "_fold", "zero", "one")
+    __slots__ = ("conductor", "degree", "modulus", "_powers", "_fold", "_split", "zero", "one")
 
     def __new__(cls, conductor: int = 1):
         if conductor < 1:
@@ -170,6 +174,7 @@ class FieldContext:
         self._fold = tuple(
             tuple((j, r) for j, r in enumerate(powers[e % conductor]) if r) for e in range(deg, 2 * deg - 1)
         )
+        self._split = _split_prime(conductor, self.modulus)
         self.zero = CycloNumber(self, (0,) * deg, 1, _normalized=True)
         self.one = CycloNumber(self, (1,) + (0,) * (deg - 1), 1, _normalized=True)
         _CONTEXT_CACHE[conductor] = self
@@ -234,19 +239,42 @@ class FieldContext:
         nonzero integer.  For non-rational a, c is the product of the
         conjugates sigma_k(a) over the units k != 1 mod n and N is the norm of
         a (Cohen, A Course in Computational Algebraic Number Theory, 4.3); a
-        rational a is its own N, with c = 1."""
+        rational a is its own N, with c = 1.
+
+        The product runs through the real subfield: with b = a * conj(a),
+        c = conj(a) * prod sigma_k(b) over the units 1 < k < n/2, one
+        representative of each class of units mod +-1.  That is phi(n)/2
+        products where the conjugates one by one take phi(n) - 2, and none
+        for phi(n) = 2, where c = conj(a)."""
         if not any(a[1:]):
             return [1] + [0] * (self.degree - 1), a[0]
         n = self.conductor
-        c = None
-        for k in range(2, n):
-            if math.gcd(k, n) == 1:
-                s = self._substitute(a, k)
-                c = s if c is None else self._product(c, s)
+        c = self._substitute(a, -1)
+        units = [k for k in range(2, (n + 1) // 2) if math.gcd(k, n) == 1]
+        if units:
+            real = self._product(a, c)
+            for k in units:
+                c = self._product(c, self._substitute(real, k))
         norm = self._product(a, c)
         if any(norm[1:]):
             raise AssertionError("a times its other conjugates must be rational")
         return c, norm[0]
+
+    # The split prime: a ring map from Z[z] onto F_p, for certificates that
+    # an exact answer is nonzero or of full rank.
+
+    def _residue(self, nums) -> int:
+        """The image of a row of Z[z] in F_p under z -> w (_split_prime)."""
+        p, powers = self._split
+        return sum(map(operator.mul, nums, powers)) % p
+
+    def _point_residue(self, a: CycloNumber) -> int:
+        """The image of a in F_p, or 0 when p divides its denominator: a
+        point with residue 0 gets no certificate."""
+        p = self._split[0]
+        if a.den % p == 0:
+            return 0
+        return self._residue(a.nums) * pow(a.den, -1, p) % p
 
     # Square matrices over the field as integer rows: a pair (entries, den)
     # with entries[i][j] the power-basis row of den times the (i, j) entry,
@@ -305,6 +333,57 @@ class FieldContext:
         if self.conductor == 1:
             return "FieldContext(rational)"
         return f"FieldContext(cyclotomic {self.conductor})"
+
+
+def _is_prime(p: int) -> bool:
+    """Miller-Rabin to the bases 2, 3, 5 and 7, which is exact below
+    3215031751 (Pomerance, Selfridge and Wagstaff, Math. Comp. 1980)."""
+    bases = (2, 3, 5, 7)
+    if p < 2 or any(p % q == 0 for q in bases):
+        return p in bases
+    d, s = p - 1, 0
+    while not d % 2:
+        d, s = d // 2, s + 1
+    for q in bases:
+        x = pow(q, d, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
+            return False
+    return True
+
+
+def _split_prime(n: int, modulus) -> tuple[int, tuple[int, ...]]:
+    """(p, (1, w, ..., w^(phi(n)-1)) mod p) for the largest prime p < 2^30
+    with p = 1 mod n and w of multiplicative order n mod p.
+
+    Then Phi_n(w) = 0 mod p, so z -> w is a ring map from Z[z] onto F_p.  It
+    extends to the valuation ring of the prime (p, z - w), which holds every
+    field element whose denominator is prime to p, and it can only lower a
+    rank: a minor that is nonzero mod p is nonzero.  So a rank mod p of
+    min(rows, cols) proves full rank, and a nonzero residue proves an
+    element nonzero; a deficiency or a zero mod p proves nothing (reduction
+    modulo a split prime, Cohen, A Course in Computational Algebraic Number
+    Theory)."""
+    for p in range(((1 << 30) - 2) // n * n + 1, n, -n):
+        if _is_prime(p):
+            break
+    else:
+        raise ValueError(f"no prime below 2^30 splits in Q(zeta_{n})")
+    factors = [q for q in range(2, n + 1) if not n % q and _is_prime(q)]
+    w = next(
+        w
+        for w in (pow(g, (p - 1) // n, p) for g in range(2, p))
+        if all(pow(w, n // q, p) != 1 for q in factors)
+    )
+    powers = [pow(w, j, p) for j in range(len(modulus))]
+    if sum(map(operator.mul, modulus, powers)) % p:
+        raise AssertionError("the root mod p must be a root of the cyclotomic polynomial")
+    return p, tuple(powers[:-1])
 
 
 def _reduced_rows(entries, den: int):
@@ -541,6 +620,9 @@ def embed(value: CycloNumber, target: FieldContext) -> CycloNumber:
     return CycloNumber(target, target._substitute(value.nums, target.conductor // src.conductor), value.den)
 
 
+_SIGN = re.compile("[+-]")
+
+
 def parse_scalar(text: str, context: FieldContext) -> CycloNumber:
     """Parse the scalar grammar: a sum of terms, each a rational or
     rational*z^k, e.g. ``1/2 + 3*z^2 - z^5``."""
@@ -548,34 +630,26 @@ def parse_scalar(text: str, context: FieldContext) -> CycloNumber:
     if not s:
         raise ValueError("empty scalar")
     # Split into signed terms at top level (no parentheses in the grammar).
+    # A sign ends a term and gives the next one its sign, except a sign right
+    # after such a separator, which belongs to the next term's text.
     terms: list[tuple[int, str]] = []
-    sign, buf = 1, []
-    i = 0
-    first = True
-    while i < len(s):
-        ch = s[i]
-        if ch in "+-" and (first or buf):
-            if buf:
-                terms.append((sign, "".join(buf).strip()))
-                buf = []
-            sign = 1 if ch == "+" else -1
-            if first and not terms:
-                pass
-            i += 1
-            first = False
-            continue
-        buf.append(ch)
-        i += 1
-        first = False
-    if buf:
-        terms.append((sign, "".join(buf).strip()))
+    sign, pos = 1, 0
+    if s[0] in "+-":
+        sign, pos = (1 if s[0] == "+" else -1), 1
+    while pos < len(s):
+        m = _SIGN.search(s, pos + 1)
+        end = m.start() if m else len(s)
+        terms.append((sign, s[pos:end].strip()))
+        sign, pos = (1 if m and m.group() == "+" else -1), end + 1
     if not terms:
         raise ValueError(f"cannot parse scalar {text!r}")
-    total = context.zero
+    # Each term is (numerator, denominator, exponent of z); the sum is one
+    # integer row over the lcm of the denominators, normalized once.
+    parsed = []
     for sgn, term in terms:
         if not term:
             raise ValueError(f"cannot parse scalar {text!r}")
-        coeff = Fraction(1)
+        num, den = sgn, 1
         zpow = None
         for factor in term.split("*"):
             f = factor.strip()
@@ -595,16 +669,21 @@ def parse_scalar(text: str, context: FieldContext) -> CycloNumber:
                     raise ValueError(f"cannot parse scalar factor {f!r}")
             else:
                 try:
-                    coeff *= Fraction(f)
+                    value = Fraction(f)
                 except (ValueError, ZeroDivisionError):
                     raise ValueError(f"cannot parse scalar factor {f!r}")
-        value = context.from_rational(sgn * coeff)
-        if zpow is not None:
-            if context.conductor == 1:
-                raise ValueError("z is not available in the rational context")
-            value = value * context.zeta(zpow)
-        total = total + value
-    return total
+                num, den = num * value.numerator, den * value.denominator
+        if zpow is not None and context.conductor == 1:
+            raise ValueError("z is not available in the rational context")
+        parsed.append((num, den, zpow or 0))
+    den = lcm(d for _, d, _ in parsed)
+    nums = [0] * context.degree
+    for num, d, zpow in parsed:
+        c = num * (den // d)
+        for i, r in enumerate(context._powers[zpow % context.conductor]):
+            if r:
+                nums[i] += c * r
+    return CycloNumber(context, nums, den)
 
 
 def _permutation_sign(order) -> int:
@@ -936,6 +1015,16 @@ class ScalarMatrix(Matrix):
             row[:] = [e.nums if e.den == d else [x * (d // e.den) for x in e.nums] for e in row]
         return work, scales
 
+    def _full_rank_mod_p(self) -> bool:
+        """True when this matrix has full rank modulo the split prime p of
+        the context (_split_prime), which proves that it has full rank;
+        False decides nothing.  Each row is scaled by the lcm of its
+        denominators into Z[z], which keeps the rank, before the residues
+        are taken."""
+        residue = self.context._residue
+        work, _ = self._integral_rows(range(self.rows), range(self.cols))
+        return _Residues._make(self.context, [[residue(v) for v in row] for row in work]).is_full_rank()
+
     def rank(self) -> int:
         """One per peeled singleton (Matrix._peel_singletons) plus the
         Bareiss rank of the core."""
@@ -985,3 +1074,26 @@ class ScalarMatrix(Matrix):
             raise ZeroDivisionError("matrix is singular")
         c, norm = ctx._cofactor(pivot)
         return self._make(ctx, [[CycloNumber(ctx, ctx._product(v, c), norm) for v in row[n:]] for row in work])
+
+
+class _Residues(Matrix):
+    """A matrix of residues mod the split prime p of the context
+    (_split_prime), entries in range(p), with the hooks of Matrix._bareiss
+    over F_p; it serves the full-rank certificates alone."""
+
+    __slots__ = ()
+
+    _size = staticmethod(bool)
+
+    def _cross(self, a, p, f, b):
+        return (a * p - f * b) % self.context._split[0]
+
+    @staticmethod
+    def _divider(prev):
+        # Over a field the division by the previous pivot can be left out:
+        # without it a step scales each target row by the nonzero pivot,
+        # which keeps the rank, and the entries stay in range(p).
+        return None
+
+    def is_full_rank(self) -> bool:
+        return self._bareiss([list(row) for row in self.entries], self.cols)[0] == min(self.rows, self.cols)

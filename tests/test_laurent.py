@@ -487,3 +487,85 @@ def test_polynomial_rational_functions_hash_like_their_numerator():
             assert {rf: "r"}[p] == "r" and {p: "p"}[rf] == "p"
         ratio = RationalFunction(LaurentPoly(ctx, [1, 2, 3]), LaurentPoly(ctx, [1, 1]))
         assert ratio in {ratio} and ratio not in {LaurentPoly(ctx, [1, 2, 3])}
+
+
+def test_gcd_many_stops_at_a_unit_and_folds_shortest_first(monkeypatch):
+    import twistalex.laurent as laurent
+
+    ctx = FieldContext(5)
+    t = LaurentPoly.t_power(ctx, 1)
+    one = LaurentPoly.one(ctx)
+    zero = LaurentPoly.zero(ctx)
+    calls = []
+    fold = laurent.laurent_gcd
+    monkeypatch.setattr(laurent, "laurent_gcd", lambda a, b: calls.append((len(a.rows), len(b.rows))) or fold(a, b))
+    # A unit anywhere gives 1 without one Euclid.
+    assert gcd_many([(t - one) ** 3, t**2 + one, LaurentPoly.t_power(ctx, -2, ctx.zeta(1))]).is_one()
+    assert calls == []
+    # The fold starts on the shortest input, and an input that the gcd so
+    # far divides runs no Euclid.
+    g = gcd_many([(t - one) ** 4 * (t + one), (t - one) ** 2, (t - one) ** 3 * (t**2 + one), zero])
+    assert g == ((t - one) ** 2).normalize()
+    assert calls == []
+    g = gcd_many([(t - one) ** 3 * (t + one), (t - one) ** 2 * (t - 2 * one)])
+    assert g == ((t - one) ** 2).normalize()
+    assert len(calls) == 1 and calls[0][0] == 4
+    assert gcd_many([zero, zero]).is_zero()
+    with pytest.raises(ValueError):
+        gcd_many([])
+
+
+def test_gcd_many_matches_the_left_fold_randomized():
+    rng = random.Random(31)
+    for n in (1, 12):
+        ctx = FieldContext(n)
+        for _ in range(30):
+            polys = [_random_poly(rng, ctx) for _ in range(rng.randint(1, 5))]
+            common = _random_poly(rng, ctx, 3)
+            polys = [p * common if rng.random() < 0.7 else p for p in polys]
+            acc = polys[0].normalize()
+            for p in polys[1:]:
+                acc = laurent_gcd(acc, p)
+            assert gcd_many(polys) == acc
+
+
+def _random_entry(rng, ctx, units):
+    # Zeros, units c * t^k and short polynomials, with cyclotomic
+    # coefficients in a cyclotomic context.
+    roll = rng.random()
+    if roll < 0.3:
+        return LaurentPoly.zero(ctx)
+    coeff = ctx.zeta(rng.randrange(ctx.conductor)) * rng.choice([1, -2, Fraction(1, 3)])
+    if roll < 0.3 + units:
+        return LaurentPoly.t_power(ctx, rng.randint(-2, 2), coeff)
+    return _random_poly(rng, ctx, 3) * LaurentPoly.from_scalar(ctx, coeff)
+
+
+@pytest.mark.parametrize("n", [1, 5, 12])
+def test_smith_form_without_certificates_matches_the_certified_one(n):
+    # Every shortcut of the certificate-free form: unit corners, vector
+    # blocks (1 x n, m x 1 and blocks that end in one row or column), zero
+    # lines.  The certified form still satisfies U M V = D.
+    ctx = FieldContext(n)
+    rng = random.Random(f"bare-smith-{n}")
+    zero = LaurentPoly.zero(ctx)
+    shapes = [(1, 1), (1, 4), (4, 1), (2, 5), (5, 2), (3, 3), (4, 3), (3, 5)]
+    for rows, cols in shapes * 3:
+        units = rng.choice([0.0, 0.3, 0.6])
+        entries = [[_random_entry(rng, ctx, units) for _ in range(cols)] for _ in range(rows)]
+        if rng.random() < 0.3:
+            entries[rng.randrange(rows)] = [zero] * cols
+        if rng.random() < 0.3:
+            j = rng.randrange(cols)
+            for row in entries:
+                row[j] = zero
+        m = LaurentMatrix(ctx, entries)
+        snf = m.smith_normal_form()
+        assert snf.U * m * snf.V == snf.diagonal()
+        assert snf.Vinv * snf.V == LaurentMatrix.identity(ctx, cols)
+        bare = m.smith_normal_form(certificates=False)
+        assert (bare.divisors, bare.rank) == (snf.divisors, snf.rank)
+        prod = LaurentPoly.one(ctx)
+        for k, d in enumerate(snf.divisors, start=1):
+            prod = prod * d
+            assert prod.unit_equal(m.minors_gcd(k))

@@ -193,3 +193,82 @@ def test_scalar_matrix_rank():
     ctx = FieldContext(1)
     m = ScalarMatrix.from_rows(ctx, [[1, 2, 3], [2, 4, 6], [0, 1, 0]])
     assert m.rank() == 2
+
+
+def test_scalar_parse_sums_terms_like_field_arithmetic():
+    # One row over one denominator gives the element that the term-by-term
+    # field sum gives, for exponents past the conductor too.
+    rng = random.Random(17)
+    for n in (1, 5, 12, 60):
+        ctx = FieldContext(n)
+        for _ in range(40):
+            terms = [(rng.randint(1, 9), rng.randint(1, 6), rng.randint(0, 2 * n)) for _ in range(rng.randint(1, 10))]
+            signs = [rng.choice("+-") for _ in terms]
+            if n == 1:
+                text = "".join(f" {s} {a}/{b}" for s, (a, b, _) in zip(signs, terms))
+                expected = sum(((-1 if s == "-" else 1) * Fraction(a, b) for s, (a, b, _) in zip(signs, terms)), ctx.zero)
+            else:
+                text = "".join(f" {s} {a}/{b}*z^{k}" for s, (a, b, k) in zip(signs, terms))
+                expected = sum(
+                    (ctx.zeta(k) * ((-1 if s == "-" else 1) * Fraction(a, b)) for s, (a, b, k) in zip(signs, terms)),
+                    ctx.zero,
+                )
+            value = parse_scalar(text, ctx)
+            assert value == expected
+            assert (value.nums, value.den) == (expected.nums, expected.den)
+
+
+@pytest.mark.parametrize(
+    "text, conductor, message",
+    [
+        ("", 12, "empty scalar"),
+        ("+", 12, "cannot parse scalar '+'"),
+        ("1 + + 2", 12, "cannot parse scalar '1 + + 2'"),
+        ("z^", 12, "cannot parse scalar factor 'z^'"),
+        ("zz", 12, "cannot parse scalar factor 'zz'"),
+        ("z*z", 12, "repeated z factor in 'z*z'"),
+        ("2**z", 12, "cannot parse scalar term '2**z'"),
+        ("3/0", 12, "cannot parse scalar factor '3/0'"),
+        ("1e-5", 12, "cannot parse scalar factor '1e'"),
+        ("z", 1, "z is not available in the rational context"),
+        ("1 + z^0 - q", 1, "z is not available in the rational context"),
+    ],
+)
+def test_scalar_parse_error_texts(text, conductor, message):
+    with pytest.raises(ValueError) as info:
+        parse_scalar(text, FieldContext(conductor))
+    assert str(info.value) == message
+
+
+def test_scalar_parse_keeps_the_quirks_of_the_grammar():
+    # A sign right after a separator belongs to the term, and Fraction reads
+    # decimals and underscores.
+    ctx = FieldContext(12)
+    assert parse_scalar("1+-2*z", ctx) == 1 - 2 * ctx.zeta(1)
+    assert parse_scalar("0.5*z^13", ctx) == ctx.zeta(1) * Fraction(1, 2)
+    assert parse_scalar("1_000", ctx) == ctx.from_rational(1000)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 12, 15, 60])
+def test_cofactor_through_the_real_subfield_is_the_product_of_conjugates(n, monkeypatch):
+    # c = conj(a) * prod sigma_k(a conj(a)) over 1 < k < n/2 is the product
+    # of all conjugates sigma_k(a), k != 1; it takes phi(n)/2 + 1 products
+    # with the norm check, and the check alone when phi(n) = 2.
+    ctx = FieldContext(n)
+    rng = random.Random(n)
+    units = [k for k in range(2, n) if math.gcd(k, n) == 1]
+    for _ in range(5):
+        a = [rng.randint(-4, 4) for _ in range(ctx.degree)]
+        if not any(a[1:]):
+            a[1] = 1
+        expected = ctx.one
+        for k in units:
+            expected = expected * CycloNumber(ctx, ctx._substitute(a, k))
+        calls = []
+        product = ctx._product
+        monkeypatch.setattr(FieldContext, "_product", lambda self, x, y: calls.append(1) or product(x, y))
+        c, norm = ctx._cofactor(a)
+        monkeypatch.undo()
+        assert CycloNumber(ctx, c) == expected
+        assert (CycloNumber(ctx, a) * CycloNumber(ctx, c)).as_rational() == norm
+        assert len(calls) == (totient(n) // 2 + 1 if totient(n) > 2 else 1)
