@@ -235,6 +235,14 @@ def _letter_count(text: str) -> int:
     return count
 
 
+def _integer(text: str, lineno: int, what: str) -> int:
+    """int(text), or a JobParseError at lineno: '<what>, got <text>'."""
+    try:
+        return int(text)
+    except ValueError:
+        raise JobParseError(lineno, f"{what}, got {text!r}")
+
+
 def _check_letters(count: int, lineno: int):
     if count > MAX_LETTERS:
         raise JobParseError(lineno, f"the relators have {count} letters; the limit is {MAX_LETTERS}")
@@ -324,10 +332,7 @@ def _builder_value(name: str, key: str, params: dict, lineno: int):
         except ValueError as exc:
             raise JobParseError(lineno, str(exc))
         return factors, ",".join(":".join(map(str, f)) for f in factors), [x for f in factors for x in f[1:]]
-    try:
-        value = int(text)
-    except ValueError:
-        raise JobParseError(lineno, f"builder {name}: {key} must be an integer, got {text!r}")
+    value = _integer(text, lineno, f"builder {name}: {key} must be an integer")
     return value, str(value), [value]
 
 
@@ -465,10 +470,7 @@ def parse_job(text: str) -> JobSpec:
             if rest == ["rational"]:
                 conductor = 1
             elif len(rest) == 2 and rest[0] == "cyclotomic":
-                try:
-                    conductor = int(rest[1])
-                except ValueError:
-                    raise JobParseError(lineno, f"conductor must be an integer, got {rest[1]!r}")
+                conductor = _integer(rest[1], lineno, "conductor must be an integer")
                 if conductor < 1:
                     raise JobParseError(lineno, "conductor must be positive")
                 if conductor > MAX_CONDUCTOR:
@@ -506,10 +508,7 @@ def parse_job(text: str) -> JobSpec:
                     raise JobParseError(lineno, "rho trivial cannot be combined with other rho lines")
                 if len(rest) != 2:
                     raise JobParseError(lineno, "rho trivial needs a dimension: rho trivial <dim>")
-                try:
-                    dim = int(rest[1])
-                except ValueError:
-                    raise JobParseError(lineno, f"rho trivial dimension must be an integer, got {rest[1]!r}")
+                dim = _integer(rest[1], lineno, "rho trivial dimension must be an integer")
                 if dim < 1:
                     raise JobParseError(lineno, "rho trivial dimension must be >= 1")
                 if dim > MAX_DIMENSION:
@@ -599,10 +598,7 @@ def parse_job(text: str) -> JobSpec:
                 raise JobParseError(eps_line, f"eps names unknown generator {name!r}")
             if index[name] in assigned:
                 raise JobParseError(eps_line, f"eps assigns {name!r} twice")
-            try:
-                assigned[index[name]] = int(val)
-            except ValueError:
-                raise JobParseError(eps_line, f"eps value for {name!r} must be an integer, got {val!r}")
+            assigned[index[name]] = _integer(val, eps_line, f"eps value for {name!r} must be an integer")
             if abs(assigned[index[name]]) > MAX_EPS:
                 raise JobParseError(eps_line, f"eps value for {name!r} is over the limit of {MAX_EPS} in size")
         missing = [names[i] for i in range(len(names)) if i not in assigned]
@@ -668,10 +664,7 @@ def parse_job(text: str) -> JobSpec:
         params = []
         i = 0
         while i < len(rest) and rest[i] not in ("weights", "scalars"):
-            try:
-                params.append(int(rest[i]))
-            except ValueError:
-                raise JobParseError(lineno, f"local {kind}: expected integer parameter, got {rest[i]!r}")
+            params.append(_integer(rest[i], lineno, f"local {kind}: expected integer parameter"))
             i += 1
         count = _LOCAL_KINDS[kind][0]
         if len(params) != count:
@@ -681,10 +674,7 @@ def parse_job(text: str) -> JobSpec:
         i += 1
         weights = []
         while i < len(rest) and rest[i] != "scalars":
-            try:
-                weights.append(int(rest[i]))
-            except ValueError:
-                raise JobParseError(lineno, f"local {kind}: weights must be integers, got {rest[i]!r}")
+            weights.append(_integer(rest[i], lineno, f"local {kind}: weights must be integers"))
             i += 1
         _check_parameters(params, f"local {kind}", lineno)
         _check_letters(_LOCAL_KINDS[kind][2](*params), lineno)

@@ -947,11 +947,13 @@ class LaurentMatrix(Matrix):
         Management Sci. 1957), then to the first in row order.  A unit whose
         row or column holds nothing else thus leaves without fill.
         Remainders swap into the pivot, so spans strictly decrease and the
-        clearing of a corner's row and column terminates.  Whenever an entry
-        enters the corner its row is scaled by the unit that puts it in
-        canonical form (monic, lowest exponent 0), a unit row operation that
-        only U records; every division by the corner is then by a monic
-        divisor and needs no field inverse.
+        clearing of a corner's row and column terminates.  A unit corner u
+        is cleared at once: row_i -= (e u^-1) row_corner clears its column,
+        col_j -= (e u^-1) col_corner its row, and the row is scaled by u^-1,
+        so the corner becomes 1.  A nonunit entering the corner has its row
+        scaled by the unit that puts it in canonical form (monic, lowest
+        exponent 0); every division by the corner is then by a monic divisor
+        and needs no field inverse.
 
         The diagonal d_0, ..., d_(k-1) that the clearing leaves need not be
         a divisibility chain.  One pass over the pairs i < j mends it: when
@@ -966,39 +968,27 @@ class LaurentMatrix(Matrix):
         normalized divisors d_1 | d_2 | ....
 
         With certificates (the default) it returns unimodular U, V such that
-        U*M*V is diagonal, and Vinv = V^-1.  With certificates=False it
-        skips every update of U, V and Vinv and returns None for all three,
-        and two steps whose result only they would show.  A unit corner u is
-        not scaled: row_i -= (e u^-1) row_corner clears its column, its row
-        is then zeroed, and it becomes 1.  A block of one row or one column
-        ends with the gcd of its entries (gcd_many).  The divisors and the
-        rank, which are all a homology computation reads, come out the
-        same.
+        U*M*V is diagonal, and Vinv = V^-1.  Row i of the working matrix
+        then carries row i of U after its n entries, so every row operation
+        updates U as it updates M (Cohen, A Course in Computational
+        Algebraic Number Theory, 2.4); V and Vinv record the column
+        operations.  With certificates=False U, V and Vinv are None, and a
+        block of one row or one column ends with the gcd of its entries
+        (gcd_many), a step whose transforms only they would show.  The
+        divisors and the rank, which are all a homology computation reads,
+        come out the same.
         """
         ctx = self.context
         m, n = self.rows, self.cols
         A = [list(row) for row in self.entries]
         zero = LaurentPoly.zero(ctx)
         if certificates:
-            U, V, Vinv = ([list(row) for row in LaurentMatrix.identity(ctx, k).entries] for k in (m, n, n))
-
-        def swap_rows(i, j):
-            if i != j:
-                A[i], A[j] = A[j], A[i]
-                if certificates:
-                    U[i], U[j] = U[j], U[i]
-
-        def swap_cols(i, j):
-            if i != j:
-                for row in A:
-                    row[i], row[j] = row[j], row[i]
-                if certificates:
-                    for row in V:
-                        row[i], row[j] = row[j], row[i]
-                    Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+            for i, row in enumerate(A):
+                row.extend(LaurentPoly.one(ctx) if k == i else zero for k in range(m))
+            V, Vinv = ([list(row) for row in LaurentMatrix.identity(ctx, n).entries] for _ in range(2))
 
         def add_row(dst, src, factor, col=None, value=None):
-            # row_dst += factor * row_src, entry by entry; U tracks the same.
+            # row_dst += factor * row_src, entry by entry, U's part too.
             # A caller that holds the new entry of column col (a remainder
             # of divmod) passes it as value, and no product recomputes it.
             A[dst] = [
@@ -1007,10 +997,6 @@ class LaurentMatrix(Matrix):
             ]
             if col is not None:
                 A[dst][col] = value
-            if certificates:
-                U[dst] = [
-                    _sum_of_products(ctx, ((1, a, None), (1, factor, b))) if b else a for a, b in zip(U[dst], U[src])
-                ]
 
         def normalize_row(k):
             # Scale row k by the unit that makes A[k][k] canonical.
@@ -1018,34 +1004,56 @@ class LaurentMatrix(Matrix):
             if not d._is_normal():
                 unit = d._normalizer()
                 A[k] = [unit * a if a else a for a in A[k]]
-                if certificates:
-                    U[k] = [unit * a for a in U[k]]
+
+        def record_column_op(j, corner, q, unit=None):
+            # Record col_j -= q * col_corner (q * unit, given a unit): V
+            # tracks it, Vinv the inverse one on rows, row_corner += q * row_j.
+            # The corner's column is clear, so in A it changes A[corner][j]
+            # alone, which the caller writes.
+            if certificates:
+                if unit is not None:
+                    q = q * unit
+                for row in V:
+                    row[j] = row[j] - q * row[corner]
+                Vinv[corner] = [a + q * b for a, b in zip(Vinv[corner], Vinv[j])]
 
         def enter_corner(corner, i, j):
-            # Move entry (i, j) into the corner and scale its row monic.
-            # Without certificates a unit stays as it is, for clear_by_unit.
-            swap_rows(corner, i)
-            swap_cols(corner, j)
-            if certificates or not A[corner][corner].is_unit():
+            # Move entry (i, j) into the corner and scale its row monic; a
+            # unit stays as it is, for clear_by_unit.
+            A[corner], A[i] = A[i], A[corner]
+            if j != corner:
+                for row in A:
+                    row[corner], row[j] = row[j], row[corner]
+                if certificates:
+                    for row in V:
+                        row[corner], row[j] = row[j], row[corner]
+                    Vinv[corner], Vinv[j] = Vinv[j], Vinv[corner]
+            if not A[corner][corner].is_unit():
                 normalize_row(corner)
 
         def clear_by_unit(corner, rows, cols):
             # row_i -= (e u^-1) row_corner for the entries e of the unit
-            # corner u; the column operations then clear the corner's row
-            # and change nothing else, and the corner becomes 1.
+            # corner u's column, then col_j -= (e u^-1) col_corner for those
+            # of its row; last the row is scaled by u^-1, which leaves the
+            # corner 1 and changes only U's part of the row besides.
             inv = A[corner][corner]._normalizer()
             for i in rows:
                 e = A[i][corner]
                 if e:
                     add_row(i, corner, -(e * inv), corner, zero)
+            row = A[corner]
             for j in cols:
-                A[corner][j] = zero
-            A[corner][corner] = LaurentPoly.one(ctx)
+                e = row[j]
+                if e:
+                    record_column_op(j, corner, e, inv)
+                    row[j] = zero
+            row[corner] = LaurentPoly.one(ctx)
+            row[n:] = [inv * a if a else a for a in row[n:]]
 
         def settle(corner, rows, cols):
             # Clear the corner's column over rows and its row over cols.
             while True:
-                if not certificates and A[corner][corner].is_unit():
+                if A[corner][corner].is_unit():
                     clear_by_unit(corner, rows, cols)
                     return
                 dirty = False
@@ -1062,20 +1070,14 @@ class LaurentMatrix(Matrix):
                         break
                 if dirty:
                     continue
-                # The corner's column is clear now, so a column operation
-                # col_j -= q * col_corner changes only A[corner][j], to r.
                 for j in cols:
                     e = A[corner][j]
                     if not e:
                         continue
                     q, r = divmod(e, A[corner][corner])
                     A[corner][j] = r
-                    if certificates and q:
-                        # V tracks the column operation; Vinv the inverse
-                        # one on rows, row_corner += q * row_j.
-                        for row in V:
-                            row[j] = row[j] - q * row[corner]
-                        Vinv[corner] = [a + q * b for a, b in zip(Vinv[corner], Vinv[j])]
+                    if q:
+                        record_column_op(j, corner, q)
                     if r:
                         enter_corner(corner, corner, j)
                         dirty = True
@@ -1116,15 +1118,15 @@ class LaurentMatrix(Matrix):
             pivot = tied[0]
             if len(tied) > 1 and m - corner > 1 and n - corner > 1:
                 block = A[corner:]
-                row_nnz = {i: sum(1 for e in A[i][corner:] if e.rows) for i in {i for i, _ in tied}}
+                row_nnz = {i: sum(1 for e in A[i][corner:n] if e.rows) for i in {i for i, _ in tied}}
                 col_nnz = {j: sum(1 for row in block if row[j].rows) for j in {j for _, j in tied}}
                 pivot = min(tied, key=lambda ij: (row_nnz[ij[0]] - 1) * (col_nnz[ij[1]] - 1))
             enter_corner(corner, *pivot)
             settle(corner, range(corner + 1, m), range(corner + 1, n))
             corner += 1
 
-        # The divisibility pass.  A corner entered monic is 1 when it is a
-        # unit, and 1 divides everything.  One clearing of the pair need not
+        # The divisibility pass.  A unit corner leaves its clearing as 1,
+        # and 1 divides everything.  One clearing of the pair need not
         # leave a corner that divides the other entry, so it repeats; each
         # repeat swaps a remainder into the corner, of strictly smaller span.
         for i in range(corner):
@@ -1141,5 +1143,5 @@ class LaurentMatrix(Matrix):
         divisors = tuple(A[i][i] for i in range(corner))
         if not certificates:
             return SmithNormalForm(self, divisors, corner, None, None, None)
-        U, V, Vinv = (LaurentMatrix._make(ctx, X) for X in (U, V, Vinv))
+        U, V, Vinv = (LaurentMatrix._make(ctx, X) for X in ([row[n:] for row in A], V, Vinv))
         return SmithNormalForm(self, divisors, corner, U, V, Vinv)

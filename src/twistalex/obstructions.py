@@ -168,10 +168,8 @@ class Singularity:
 
     __slots__ = ("kind", "components", "params")
 
-    KINDS = tuple(_LOCAL_KINDS)
-
     def __init__(self, kind: str, components, params=()):
-        if kind not in self.KINDS:
+        if kind not in _LOCAL_KINDS:
             raise ValueError(f"unknown singularity kind {kind!r}")
         self.kind = kind
         self.components = tuple(int(c) for c in components)
@@ -245,13 +243,8 @@ def infinity_bound(curve: CurveData, rho_at_infinity) -> LaurentPoly:
     e0 = curve.total_weight
     weights = curve.line_weights()
 
-    det0 = (LaurentMatrix.from_scalar_matrix(mats[0], e0) - eye).determinant()
-    dets = [det0]
-    for i in range(1, d):
-        dets.append(
-            (LaurentMatrix.from_scalar_matrix(mats[i], weights[i - 1]) - eye).determinant()
-        )
-    bound = gcd_many(dets) * det0 ** (d - 2)
+    dets = [(LaurentMatrix.from_scalar_matrix(m, e) - eye).determinant() for m, e in zip(mats, [e0] + weights)]
+    bound = gcd_many(dets) * dets[0] ** (d - 2)
     return bound.normalize()
 
 

@@ -18,6 +18,7 @@ factors with all cross-component commutators.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -192,9 +193,6 @@ class Augmentation:
     def __init__(self, values):
         self.values = tuple(int(v) for v in values)
 
-    def of_generator(self, g: int) -> int:
-        return self.values[g]
-
     def of_word(self, word: Word) -> int:
         return sum(s * self.values[g] for g, s in word.letters)
 
@@ -204,12 +202,7 @@ class Augmentation:
     def image_index(self) -> int:
         """Index of the image subgroup in Z: gcd of the values (0 if trivial).
         Surjective iff 1; the cokernel is cyclic of this order."""
-        import math
-
-        g = 0
-        for v in self.values:
-            g = math.gcd(g, v)
-        return g
+        return math.gcd(*self.values)
 
     def __eq__(self, other):
         if not isinstance(other, Augmentation):
@@ -223,7 +216,7 @@ class Augmentation:
 class Representation:
     """An invertible matrix over the field context per generator."""
 
-    __slots__ = ("context", "dimension", "matrices", "_inverses", "_singular", "_letters", "_identity")
+    __slots__ = ("context", "dimension", "matrices", "_singular", "_letters", "_identity")
 
     def __init__(self, context: FieldContext, matrices):
         self.context = context
@@ -241,7 +234,6 @@ class Representation:
             if m.rows != self.dimension:
                 raise ValueError("representation matrices must share one dimension")
         self.matrices = tuple(mats)
-        self._inverses = [None] * len(mats)
         self._singular = None
         self._letters = {}
         self._identity = ScalarMatrix.identity(context, self.dimension)._rows()
@@ -261,9 +253,6 @@ class Representation:
             mats.append(ScalarMatrix(context, [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]))
         return cls(context, mats)
 
-    def of_generator(self, g: int) -> ScalarMatrix:
-        return self.matrices[g]
-
     def singular_generators(self) -> tuple[int, ...]:
         """The generators whose matrix is singular, found once per
         representation.  A full rank modulo the split prime of the context
@@ -275,11 +264,7 @@ class Representation:
         return self._singular
 
     def inverse_of_generator(self, g: int) -> ScalarMatrix:
-        inv = self._inverses[g]
-        if inv is None:
-            inv = self.matrices[g].inverse()
-            self._inverses[g] = inv
-        return inv
+        return self.matrices[g].inverse()
 
     def _letter_rows(self, letters) -> dict:
         """The dict from each letter (g, sign) of letters, and the letters
@@ -336,35 +321,27 @@ def fox_derivative(word: Word, generator: int) -> dict[tuple, int]:
 
 class PhiMap:
     """The ring map Phi(x) = t^eps(x) * rho(x) from the group ring into
-    r x r Laurent matrices.  Generator images are formed on first use, and
-    so are the images of word prefixes, which are then kept.
+    r x r Laurent matrices.  Generator images come from the letter table of
+    rho (Representation._letter_rows), and the images of word prefixes are
+    formed on first use and kept.
 
     Inside, Phi(prefix) = t^e * rho(prefix) is carried as the pair (e, rows),
     rows the integer row form of FieldContext._matrix_product, and a
     group-ring element as the map {e: rows} of its sum of t^e * rows; a
-    LaurentMatrix is built only for what word_image and element_image
-    return."""
+    LaurentMatrix is built only for what the public methods return."""
 
-    __slots__ = ("context", "dimension", "eps", "rho", "_images", "_inv_images", "_prefixes")
+    __slots__ = ("context", "dimension", "eps", "rho", "_prefixes")
 
     def __init__(self, eps: Augmentation, rho: Representation):
         self.context = rho.context
         self.dimension = rho.dimension
         self.eps = eps
         self.rho = rho
-        self._images = {}
-        self._inv_images = {}
         self._prefixes = {}
 
     def generator_image(self, g: int, sign: int = 1) -> LaurentMatrix:
-        cache = self._images if sign == 1 else self._inv_images
-        img = cache.get(g)
-        if img is None:
-            e = self.eps.of_generator(g) * sign
-            m = self.rho.of_generator(g) if sign == 1 else self.rho.inverse_of_generator(g)
-            img = LaurentMatrix.from_scalar_matrix(m, e)
-            cache[g] = img
-        return img
+        rows = self.rho._letter_rows(((g, sign),))[g, sign]
+        return LaurentMatrix._from_row_terms(self.context, {sign * self.eps.values[g]: rows})
 
     def word_image(self, word: Word) -> LaurentMatrix:
         e, rows = self._prefix_rows(word.letters)
@@ -591,8 +568,6 @@ def a_odd_augmentation(n: int, even_weight: int = 1, odd_weight: int = 1) -> Aug
 def torus_germ_presentation(p: int, q: int) -> Presentation:
     """The germ group <x, y | x^p = y^q> of the irreducible singularity
     x^p - y^q (gcd(p, q) = 1)."""
-    import math
-
     if p < 2 or q < 2 or math.gcd(p, q) != 1:
         raise ValueError("torus germ parameters need p, q >= 2 coprime")
     relator = Word([(0, 1)] * p + [(1, -1)] * q)

@@ -77,10 +77,7 @@ def totient(n: int) -> int:
 
 def lcm(values) -> int:
     """Least common multiple of an iterable of positive integers."""
-    out = 1
-    for v in values:
-        out = math.lcm(out, v)
-    return out
+    return math.lcm(*values)
 
 
 def _int_poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -620,7 +617,8 @@ def embed(value: CycloNumber, target: FieldContext) -> CycloNumber:
     return CycloNumber(target, target._substitute(value.nums, target.conductor // src.conductor), value.den)
 
 
-_SIGN = re.compile("[+-]")
+# A sign right after ^, e or E belongs to its factor (z^-1, 1e-5).
+_SIGN = re.compile(r"(?<![\^eE])[+-]")
 
 
 def parse_scalar(text: str, context: FieldContext) -> CycloNumber:

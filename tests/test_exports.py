@@ -1,12 +1,14 @@
 """Every exported name resolves: a deletion may not leave an __all__ entry
-behind.  Every name a submodule exports is also used by the package itself,
-unless it is listed below with the test that uses it."""
+behind.  Every name a submodule exports, and every public method or property
+of a package class, is also used by the package itself, unless it is listed
+below with the test that uses it."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,36 @@ USED_ONLY_BY_TESTS = {
     "random_hopf_representation": "test_acceptance.py",
     "random_a_odd_representation": "test_acceptance.py",
 }
+
+# Public methods and properties that the tests alone call, by name, each
+# with a test file that calls it.  word_image and element_image are also
+# traced by bench/spans.py.
+METHODS_USED_ONLY_BY_TESTS = {
+    "d1_column": "test_acceptance.py",
+    "cokernel_shape": "test_homology_oracle.py",
+    "free_reduce": "test_presentations.py",
+    "word_image": "test_fox_pass.py",
+    "element_image": "test_presentations.py",
+    "coords": "test_scalars.py",
+    "as_rational": "test_scalars.py",
+    "multiplicative_order": "test_scalars.py",
+}
+
+
+def _package_trees():
+    package = Path(twistalex.__file__).parent
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))]
+
+
+def _names_used(trees) -> set:
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
 
 
 @pytest.mark.parametrize("module_name", MODULES)
@@ -39,14 +71,7 @@ def test_package_exports_resolve_to_objects():
 
 
 def test_every_submodule_export_has_a_use():
-    package = Path(twistalex.__file__).parent
-    used = set()
-    for path in package.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+    used = _names_used(_package_trees())
     unused = [
         f"{module_name}.{name}"
         for module_name in MODULES[1:]
@@ -58,3 +83,25 @@ def test_every_submodule_export_has_a_use():
     for name, test_file in USED_ONLY_BY_TESTS.items():
         assert name not in used, f"{name} has a use in the package; drop it from the list"
         assert name in (tests / test_file).read_text(encoding="utf-8"), (name, test_file)
+
+
+def test_every_public_method_has_a_use():
+    # A method or property counts as used when its name is read somewhere
+    # in the package (as obj.name, or as a bare name); its own definition
+    # does not count.
+    trees = _package_trees()
+    used = _names_used(trees)
+    methods = {
+        f"{cls.name}.{node.name}"
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+    }
+    unused = sorted(m for m in methods if m.split(".")[1] not in used | METHODS_USED_ONLY_BY_TESTS.keys())
+    assert not unused, f"public methods that nothing in the package uses: {unused}"
+    tests = Path(__file__).parent
+    for name, test_file in METHODS_USED_ONLY_BY_TESTS.items():
+        assert name not in used, f"{name} has a use in the package; drop it from the list"
+        assert re.search(rf"\.{name}\b", (tests / test_file).read_text(encoding="utf-8")), (name, test_file)

@@ -225,11 +225,13 @@ def test_scalar_parse_sums_terms_like_field_arithmetic():
         ("+", 12, "cannot parse scalar '+'"),
         ("1 + + 2", 12, "cannot parse scalar '1 + + 2'"),
         ("z^", 12, "cannot parse scalar factor 'z^'"),
+        ("z^-", 12, "cannot parse scalar factor 'z^-'"),
+        ("z^-x", 12, "cannot parse scalar factor 'z^-x'"),
+        ("1e", 12, "cannot parse scalar factor '1e'"),
         ("zz", 12, "cannot parse scalar factor 'zz'"),
         ("z*z", 12, "repeated z factor in 'z*z'"),
         ("2**z", 12, "cannot parse scalar term '2**z'"),
         ("3/0", 12, "cannot parse scalar factor '3/0'"),
-        ("1e-5", 12, "cannot parse scalar factor '1e'"),
         ("z", 1, "z is not available in the rational context"),
         ("1 + z^0 - q", 1, "z is not available in the rational context"),
     ],
@@ -238,6 +240,16 @@ def test_scalar_parse_error_texts(text, conductor, message):
     with pytest.raises(ValueError) as info:
         parse_scalar(text, FieldContext(conductor))
     assert str(info.value) == message
+
+
+def test_a_sign_after_a_caret_or_an_exponent_mark_belongs_to_its_factor():
+    # z^k takes any integer k, and a decimal exponent may carry a sign.
+    ctx = FieldContext(12)
+    assert parse_scalar("z^-1", ctx) == ctx.zeta(11)
+    assert parse_scalar("1/2*z^-3", ctx) == ctx.zeta(9) * Fraction(1, 2)
+    assert parse_scalar("z^+2", ctx) == ctx.zeta(2)
+    assert parse_scalar("2 - z^-1", ctx) == 2 - ctx.zeta(11)
+    assert parse_scalar("1e-5", ctx) == ctx.from_rational(Fraction(1, 100000))
 
 
 def test_scalar_parse_keeps_the_quirks_of_the_grammar():
