@@ -18,17 +18,17 @@ pass over flat rows.  A rational unit scales the rows and convolves nothing.
 LaurentMatrix shares its storage and ring-independent operations with
 ScalarMatrix through scalars.Matrix.  It adds only the promotion of scalar
 entries to constant polynomials, the maps into and out of the field
-(from_scalar_matrix, specialize, substitute_power) and
-the elimination over F[t, t^-1]: determinants, minor gcds and Smith
-normal form.  The eliminations follow the sparsity of their input.  A
-determinant peels singleton rows and columns and runs the Bareiss loop of
-Matrix, shared with the scalar rank, det and inverse, on the core alone.
-The Smith form breaks span ties between pivots by the Markowitz count, so
-units whose row or column holds nothing else leave without fill, and it
-orders the divisors in one pass at the end, not by a scan per corner.  The
-rank at a point t = a is read modulo the split prime of the context first
-(_rank_at): a full rank there proves the exact rank, and only a deficiency
-needs the exact specialization.
+(from_scalar_matrix, specialize, substitute_power) and the elimination over
+F[t, t^-1]: determinants, minor gcds and Smith normal form, each following
+the sparsity of its input.  A determinant peels singleton rows and columns,
+clears the units of the core by Schur steps that divide by nothing, and
+hands a rest of more than two rows to the Bareiss loop of Matrix, shared
+with the scalar rank, det and inverse.  The Smith form breaks span ties
+between pivots by the Markowitz count, so units whose row or column holds
+nothing else leave without fill, and it orders the divisors in one pass at
+the end, not by a scan per corner.  The rank at a point t = a is read modulo
+the split prime of the context first (_rank_at): a full rank there proves
+the exact rank, and only a deficiency needs the exact specialization.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 
 from .scalars import (
     ContextMismatchError,
@@ -137,6 +137,18 @@ def _sum_of_products(context: FieldContext, terms) -> LaurentPoly:
         return LaurentPoly.zero(context)
     products = [((lo - low) * width, _flat(rows, width, sign * (den // d)), fb) for lo, d, sign, rows, fb in parts]
     return LaurentPoly._make(context, low, _product_rows(context, [0] * ((high - low) * width), products), den)
+
+
+def _add_multiple(context: FieldContext, row, factor: LaurentPoly, src, col=None, value=None) -> list:
+    """row + factor * src, one kernel call per nonzero entry of src; a caller
+    that already holds the new entry of column col passes it as value."""
+    out = [
+        _sum_of_products(context, ((1, a, None), (1, factor, b))) if b and j != col else a
+        for j, (a, b) in enumerate(zip(row, src))
+    ]
+    if col is not None:
+        out[col] = value
+    return out
 
 
 class LaurentPoly:
@@ -783,8 +795,8 @@ class SmithNormalForm:
 
 
 class LaurentMatrix(Matrix):
-    """A matrix over F[t, t^-1]: determinants by the Bareiss loop of
-    Matrix, minor gcds and Smith normal form."""
+    """A matrix over F[t, t^-1]: determinants by unit pivots and the Bareiss
+    loop of Matrix, minor gcds and Smith normal form."""
 
     __slots__ = ()
 
@@ -864,10 +876,15 @@ class LaurentMatrix(Matrix):
         return lambda v: v.exact_div(monic) * unit if v else v
 
     def determinant(self) -> LaurentPoly:
-        """The signed product of the peeled singletons and the Bareiss
-        determinant of the core, each pivot of least span in its column.  A
-        permuted triangular matrix has an empty core and makes no division,
-        and a 1 x 1 matrix is its entry, with no product by 1."""
+        """The signed product of the peeled singletons, the unit pivots of
+        the core and the determinant of the rest.  While more than two rows
+        are left and one holds a unit u, the unit of least Markowitz count
+        (r - 1)(c - 1), then the first in row order, leaves by a Schur step:
+        each row with an entry e in u's column becomes row - (e u^-1) pivot
+        row, and det = (-1)^(i+j) u det(rest).  It divides by nothing and
+        forms u^-1 only for such a row.  Two rows left are a d - b c; more
+        go to the Bareiss loop of Matrix.  A permuted triangular matrix has
+        an empty core and makes no division."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         if self.rows < 2:
@@ -876,22 +893,56 @@ class LaurentMatrix(Matrix):
         peeled, rows, cols, sign = self._peel_singletons()
         if not sign:
             return zero
-        det = None
-        for i, j in peeled:
-            e = self.entries[i][j]
-            det = e if det is None else det * e
-        if rows:
-            rank, core, swaps = self._bareiss([[self.entries[i][j] for j in cols] for i in rows], len(cols))
-            if rank < len(rows):
+        factors = [self.entries[i][j] for i, j in peeled]
+        work = [[self.entries[i][j] for j in cols] for i in rows]
+        n = live = len(work)
+        # Nonzeros per live row and column of the core, kept under each step
+        # for the search; a line that leaves gets 0, a live one at 0 makes det 0.
+        row_count = [sum(1 for e in row if e) for row in work]
+        col_count = [sum(1 for row in work if row[j]) for j in range(n)]
+        units = {(i, j) for i, row in enumerate(work) for j, e in enumerate(row) if e.is_unit()}
+        while units and live > 2:
+            i, j = min(units, key=lambda ij: ((row_count[ij[0]] - 1) * (col_count[ij[1]] - 1), ij))
+            pivot, live = work[i], live - 1
+            factors.append(pivot[j])
+            sign *= -1 if (sum(1 for c in row_count[:i] if c) + sum(1 for c in col_count[:j] if c)) % 2 else 1
+            row_count[i] = col_count[j] = 0
+            units = {(a, b) for a, b in units if a != i and b != j}
+            # Live rows are zero in earlier pivot columns; a step changes span alone.
+            span = [k for k in range(n) if pivot[k] and col_count[k]]
+            targets = [k for k in range(n) if row_count[k] and work[k][j]]
+            inv = pivot[j]._normalizer() if targets else None
+            for c in span:
+                col_count[c] -= 1
+            for k in targets:
+                old = work[k]
+                work[k] = row = _add_multiple(self.context, old, -(old[j] * inv), pivot, j, zero)
+                row_count[k] -= 1
+                for c in span:
+                    units.discard((k, c))
+                    if row[c].is_unit():
+                        units.add((k, c))
+                    change = bool(row[c]) - bool(old[c])
+                    col_count[c] += change
+                    row_count[k] += change
+                if not row_count[k]:
+                    return zero
+            if not all(col_count[c] for c in span):
+                return zero
+        rest = [[work[i][j] for j in range(n) if col_count[j]] for i in range(n) if row_count[i]]
+        if len(rest) == 2:
+            factors.append(self._cross(rest[0][0], rest[1][1], rest[1][0], rest[0][1]))
+        elif rest:
+            rank, core, swaps = self._bareiss(rest, len(rest))
+            if rank < len(rest):
                 return zero
             sign *= swaps
-            det = core if det is None else det * core
+            factors.append(core)
+        det = math.prod(factors[1:], start=factors[0])
         return -det if sign < 0 else det
 
     def minors_gcd(self, k: int) -> LaurentPoly:
         """GCD of all k x k minors, canonical form; zero if all minors vanish."""
-        from itertools import combinations
-
         if k == 0:
             # det of the empty matrix is 1; keeps the k = relator_count
             # callers uniform for presentations with no relators.
@@ -988,15 +1039,9 @@ class LaurentMatrix(Matrix):
             V, Vinv = ([list(row) for row in LaurentMatrix.identity(ctx, n).entries] for _ in range(2))
 
         def add_row(dst, src, factor, col=None, value=None):
-            # row_dst += factor * row_src, entry by entry, U's part too.
-            # A caller that holds the new entry of column col (a remainder
-            # of divmod) passes it as value, and no product recomputes it.
-            A[dst] = [
-                _sum_of_products(ctx, ((1, a, None), (1, factor, b))) if b and j != col else a
-                for j, (a, b) in enumerate(zip(A[dst], A[src]))
-            ]
-            if col is not None:
-                A[dst][col] = value
+            # row_dst += factor * row_src, U's part too; value is the new
+            # entry of column col (a remainder of divmod) if the caller has it.
+            A[dst] = _add_multiple(ctx, A[dst], factor, A[src], col, value)
 
         def normalize_row(k):
             # Scale row k by the unit that makes A[k][k] canonical.

@@ -5,7 +5,8 @@ differences, division with remainder, exact division, normalization, gcds,
 Bareiss determinants and evaluation at a point; and the rank, determinant
 and inverse of scalar matrices against sympy's matrices over the algebraic
 field Q(zeta_n).  Sparse matrices under row and column permutations check the
-singleton peeling in front of both eliminations."""
+singleton peeling in front of both eliminations, and unit-rich ones the unit
+pivots of the Laurent determinant."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -447,6 +448,96 @@ def test_sparse_laurent_determinant_matches_sympy(n, kind):
     assert _engine_coords(m.determinant()) == expected
     if kind in ("zero row", "zero column", "dependent rows"):
         assert m.determinant().is_zero()
+
+
+# Unit-rich matrices: the determinant clears each unit entry c t^k of the
+# core by a Schur step before Bareiss.  "all units" fills the core at the
+# first step; in "units exhaust", 2 x 2 blocks [[a, b], [c, 2 c b / a]] of
+# units, every Schur complement keeps a unit pivot; "odd" permutes a
+# unit-rich matrix by an odd permutation of rows times columns; in
+# "dependent units" one row is the sum of two rows of units, so a Schur step
+# leaves a zero row and the determinant is 0; "mixed" sets units beside
+# nonunits, so Bareiss still gets a core.  The oracle shares no pivot and no
+# division with the engine.
+
+UNIT_KINDS = ("all units", "units exhaust", "odd", "dependent units", "mixed")
+
+
+def _unit(ctx: FieldContext, rng: random.Random, low: int | None = None) -> LaurentPoly:
+    c = _scalar(ctx, rng)
+    while not c:
+        c = _scalar(ctx, rng)
+    return LaurentPoly(ctx, [c], rng.randint(-2, 2) if low is None else low)
+
+
+def _unit_rich(ctx: FieldContext, rng: random.Random, kind: str, size: int) -> list[list]:
+    zero = LaurentPoly.zero(ctx)
+    if kind == "units exhaust":
+        m = [[zero] * size for _ in range(size)]
+        for k in range(0, size, 2):
+            a, b, c = (_unit(ctx, rng) for _ in range(3))
+            m[k][k], m[k][k + 1], m[k + 1][k] = a, b, c
+            m[k + 1][k + 1] = (c * b * 2).exact_div(a)
+    elif kind == "mixed":
+        m = [
+            [_laurent(ctx, rng, rng.randint(1, 2)) if rng.random() < 0.3 else _unit(ctx, rng) for _ in range(size)]
+            for _ in range(size)
+        ]
+    elif kind == "dependent units":
+        # Rows a and b of units with equal exponents, k = a + b, and the
+        # other rows nonunits: the first Schur step leaves rows b and k
+        # equal, and the second leaves a zero row.
+        m = [[_laurent(ctx, rng, rng.randint(1, 2)) for _ in range(size)] for _ in range(size)]
+        a, b, k = rng.sample(range(size), 3)
+        m[a] = [_unit(ctx, rng) for _ in range(size)]
+        m[b] = [_unit(ctx, rng, x.low) for x in m[a]]
+        m[k] = [x + y for x, y in zip(m[a], m[b])]
+    else:
+        m = [[_unit(ctx, rng) for _ in range(size)] for _ in range(size)]
+        if kind == "odd":
+            for i, j in rng.sample([(i, j) for i in range(size) for j in range(size) if i != j], size * 2):
+                m[i][j] = zero
+    row_order, col_order = list(range(size)), list(range(size))
+    rng.shuffle(row_order)
+    rng.shuffle(col_order)
+    if kind == "odd" and _parity(row_order) == _parity(col_order):
+        row_order[0], row_order[1] = row_order[1], row_order[0]
+    return [[m[i][j] for j in col_order] for i in row_order]
+
+
+def _leibniz(m: LaurentMatrix, n: int):
+    """The Leibniz sum of m as an expression in z and t, over sympy's
+    polynomial ring QQ[z, t] with each entry shifted to nonnegative
+    exponents of t.  Its terms are grouped by the columns of their first k
+    rows: minors[S], S those columns, expands along row k - 1, and every
+    product is reduced modulo Phi_n."""
+    size = m.rows
+    shift = -min(m[i, j].low for i in range(size) for j in range(size))
+    ring, _, _ = sympy.ring([Z, T], sympy.QQ)
+    modulus = ring.from_expr(sympy.cyclotomic_poly(n, Z))
+    entries = [[ring.from_expr(sympy.expand(_laurent_expr(e) * T**shift)) for e in row] for row in m.entries]
+    minors = {(): ring.one}
+    for k in range(1, size + 1):
+        for cols in combinations(range(size), k):
+            total = ring.zero
+            for place, j in enumerate(cols):
+                if m[k - 1, j]:
+                    term = (entries[k - 1][j] * minors[cols[:place] + cols[place + 1 :]]).rem(modulus)
+                    total = total - term if (k - 1 + place) % 2 else total + term
+            minors[cols] = total
+    return minors[tuple(range(size))].as_expr() / T ** (shift * size)
+
+
+@pytest.mark.parametrize("kind", UNIT_KINDS)
+@pytest.mark.parametrize("n", (1, 5, 12))
+def test_unit_rich_laurent_determinant_matches_sympy(n, kind):
+    ctx = FieldContext(n)
+    rng = random.Random(f"unit-laurent-det-{n}-{kind}")
+    m = LaurentMatrix(ctx, _unit_rich(ctx, rng, kind, 6))
+    expected = {e: c for e, c in _laurent_coords(_leibniz(m, n), n).items() if any(c)}
+    det = m.determinant()
+    assert _engine_coords(det) == expected
+    assert det.is_zero() == (kind == "dependent units")
 
 
 @pytest.mark.parametrize("kind", SPARSE_KINDS)

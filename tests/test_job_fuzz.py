@@ -1,0 +1,61 @@
+"""Seeded mutants of the sample corpus: every job file gets an exact answer
+or exit 2, never a raise and never the invariant exit 3.
+
+Each mutant deletes or duplicates a line, moves a number by +-1 or +-2,
+drops a minus sign, or inserts one character of `` -^*/,[]z0-9``.  The
+mutants run through parse_job and run_job(mode="check"), the path of
+``twistalex check``; malformed input there reaches singular and zero-row
+minors in the determinant and the Smith form."""
+
+from __future__ import annotations
+
+import random
+import re
+from pathlib import Path
+
+import pytest
+
+from twistalex.jobs import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, JobParseError, parse_job, run_job
+
+SAMPLES = sorted((Path(__file__).resolve().parent.parent / "sample_jobs").glob("*.job"))
+MUTANTS_PER_FILE = 40
+INSERTED = " -^*/,[]z0123456789"
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    lines = text.splitlines(keepends=True)
+    kind = rng.randrange(5)
+    if kind < 2:
+        i = rng.randrange(len(lines))
+        lines[i : i + 1] = [] if kind == 0 else [lines[i]] * 2
+        return "".join(lines)
+    if kind == 2:
+        numbers = list(re.finditer(r"\d+", text))
+        if numbers:
+            m = rng.choice(numbers)
+            value = max(0, int(m.group()) + rng.choice((-2, -1, 1, 2)))
+            return text[: m.start()] + str(value) + text[m.end() :]
+    if kind == 3:
+        minuses = [m.start() for m in re.finditer("-", text)]
+        if minuses:
+            i = rng.choice(minuses)
+            return text[:i] + text[i + 1 :]
+    i = rng.randrange(len(text) + 1)
+    return text[:i] + rng.choice(INSERTED) + text[i:]
+
+
+def _exit_code(text: str) -> int:
+    try:
+        spec = parse_job(text)
+    except JobParseError:
+        return EXIT_INPUT_ERROR
+    return run_job(spec, mode="check")[1]
+
+
+@pytest.mark.parametrize("path", SAMPLES, ids=lambda p: p.stem)
+def test_mutants_of_a_sample_job_exit_0_1_or_2(path):
+    rng = random.Random(f"fuzz-{path.stem}")
+    text = path.read_text(encoding="utf-8")
+    for _ in range(MUTANTS_PER_FILE):
+        mutant = _mutate(text, rng)
+        assert _exit_code(mutant) in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_INPUT_ERROR), mutant

@@ -456,6 +456,145 @@ def test_the_hopf_wada_ratio_makes_a_linear_number_of_divisions(monkeypatch, d):
     assert ratio.unit_equal(t_d_minus_1 ** (d - 2))
 
 
+# Unit pivots in front of Bareiss: a unit u = c t^k of the determinant's
+# core leaves with its row and column by a Schur step that divides by
+# nothing, and forms u^-1 only when another row has an entry in its column.
+
+
+def _unit_blocks(ctx, rng, blocks):
+    """Blocks [[a, b], [c, 2 c b / a]] of units on the diagonal, rows and
+    columns shuffled, and the product of the block determinants b c with
+    the sign of the shuffle.  Every Schur complement of a unit in a block is
+    a unit."""
+    n = 2 * blocks
+    zero = LaurentPoly.zero(ctx)
+    entries = [[zero] * n for _ in range(n)]
+    expected = LaurentPoly.one(ctx)
+    for k in range(0, n, 2):
+        a, b, c = (_random_poly(ctx, rng, 0) for _ in range(3))
+        entries[k][k], entries[k][k + 1], entries[k + 1][k] = a, b, c
+        entries[k + 1][k + 1] = (c * b * 2).exact_div(a)
+        expected = expected * b * c
+    rows, cols = list(range(n)), list(range(n))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    sign = _inversion_sign(rows) * _inversion_sign(cols)
+    return LaurentMatrix(ctx, _permuted(entries, rows, cols)), -expected if sign < 0 else expected
+
+
+@pytest.mark.parametrize("blocks", [2, 3, 6])
+def test_a_matrix_whose_units_exhaust_it_runs_no_bareiss(monkeypatch, blocks):
+    # Unit pivots clear the core down to two rows, a d - b c: no Bareiss
+    # loop and no division.  The first pivot of a block updates the other
+    # row of its block and inverts once; the unit it leaves, alone in its
+    # row and column, goes next and inverts nothing.
+    ctx = FieldContext(12)
+    matrix, expected = _unit_blocks(ctx, random.Random(f"unit-blocks-{blocks}"), blocks)
+    calls = _count_method(monkeypatch, Matrix, "_bareiss")
+    divisions = _count_method(monkeypatch, LaurentPoly, "__divmod__")
+    inverses = _count_method(monkeypatch, CycloNumber, "inverse")
+    assert matrix.determinant() == expected
+    assert calls == [] and divisions == []
+    assert len(inverses) <= blocks - 1
+
+
+@pytest.mark.parametrize("line", ["row", "column"])
+def test_a_schur_step_that_leaves_a_zero_line_ends_the_determinant(monkeypatch, line):
+    # Rows a and b of units with equal exponents and k = a + b, the other
+    # rows nonunits: the first unit pivot leaves rows b and k equal, the
+    # second leaves a zero row, and the determinant returns 0 there, with
+    # no Bareiss loop and no closing a d - b c.  The transpose does the
+    # same with columns.
+    ctx = FieldContext(12)
+    rng = random.Random("zero-row")
+    n = 6
+    entries = [[_random_poly(ctx, rng, 1) for _ in range(n)] for _ in range(n)]
+    entries[0] = [_random_poly(ctx, rng, 0) for _ in range(n)]
+    entries[1] = [LaurentPoly(ctx, [ctx.zeta(rng.randrange(12)) * rng.randint(1, 5)], x.low) for x in entries[0]]
+    entries[2] = [x + y for x, y in zip(entries[0], entries[1])]
+    matrix = LaurentMatrix(ctx, entries if line == "row" else [list(col) for col in zip(*entries)])
+    calls = _count_method(monkeypatch, Matrix, "_bareiss")
+    crosses = _count_method(monkeypatch, LaurentMatrix, "_cross")
+    assert matrix.determinant().is_zero()
+    assert calls == [] and crosses == []
+
+
+A5_RANK2_JOB = """
+field cyclotomic 12
+builder a_odd_reduced n=3
+rho a0 = [[z^7, -z^9], [z^9, 0]]
+rho a1 = [[-z + z^9, z^3 - z^7 + z^11], [-z^11, z^9]]
+rho a2 = [[2*z^7 - z^11, -2*z + 2*z^5 - z^9], [z, -z^7 + z^11]]
+rho a3 = [[0, z^11], [-z^3, -z + 2*z^9]]
+rho a4 = [[-z^3 + 2*z^7, -2*z + 3*z^5 - 2*z^9], [z^5, z^3 - z^7]]
+rho a5 = [[-z + z^5, 3*z^3 - z^7 - z^11], [-z^7, -z^5 + 2*z^9]]
+rho b = [[1, -z^6 + z^10], [0, z^8]]
+analyze delta wada
+"""
+
+
+def test_the_a5_wada_minors_invert_once_per_unit_pivot_that_updates_a_row(monkeypatch):
+    # The rank-2 A_5 Fox matrix is mostly units: its Wada minors leave no
+    # core for Bareiss, and each unit pivot row that updates another row
+    # (the src of laurent._add_multiple) costs at most one inverse.
+    import twistalex.laurent as laurent
+
+    complex_ = parse_job(A5_RANK2_JOB).chain_complex()
+    inverses = _count_method(monkeypatch, CycloNumber, "inverse")
+    bareiss = _count_method(monkeypatch, Matrix, "_bareiss")
+    add_multiple = laurent._add_multiple
+    pivot_rows = []
+
+    def counted_add_multiple(context, row, factor, src, *args):
+        if not any(src is p for p in pivot_rows):
+            pivot_rows.append(src)
+        return add_multiple(context, row, factor, src, *args)
+
+    monkeypatch.setattr(laurent, "_add_multiple", counted_add_multiple)
+    determinant = LaurentMatrix.determinant
+    per_call = []
+
+    def counted_determinant(self):
+        pivot_rows.clear()
+        before = len(inverses)
+        det = determinant(self)
+        per_call.append((self.rows, len(pivot_rows), len(inverses) - before))
+        return det
+
+    monkeypatch.setattr(LaurentMatrix, "determinant", counted_determinant)
+    wada_ratio(complex_)
+    assert bareiss == []
+    assert max(n for n, _, _ in per_call) == 12 and sum(p for _, p, _ in per_call) > 0
+    for n, pivots, count in per_call:
+        assert count <= pivots, (n, pivots, count)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_unit_rich_determinant_is_the_product_of_the_smith_divisors(seed):
+    # The Smith form chooses its pivots and clears its corners its own way;
+    # both must agree up to a unit, and on 0 for a dependent row.
+    ctx = FieldContext(12)
+    rng = random.Random(f"unit-rich-smith-{seed}")
+    n = 5
+    zero = LaurentPoly.zero(ctx)
+    entries = [
+        [rng.choice([zero, _random_poly(ctx, rng, 1)] + [_random_poly(ctx, rng, 0)] * 3) for _ in range(n)]
+        for _ in range(n)
+    ]
+    dependent = seed % 3 == 2
+    if dependent:
+        a, b, k = rng.sample(range(n), 3)
+        entries[k] = [x + y for x, y in zip(entries[a], entries[b])]
+    matrix = LaurentMatrix(ctx, entries)
+    snf = matrix.smith_normal_form(certificates=False)
+    det = matrix.determinant()
+    assert (snf.rank < n) == dependent
+    if dependent:
+        assert det.is_zero()
+    else:
+        assert det.unit_equal(math.prod(snf.divisors[1:], start=snf.divisors[0]))
+
+
 def test_the_scalar_rank_of_a_permuted_diagonal_takes_no_cofactor(monkeypatch):
     # Peeling leaves no core for Bareiss, whose exact divisions by
     # non-rational pivots each take a cofactor.
