@@ -40,19 +40,13 @@ from .presentations import (
     Presentation,
     Representation,
     Word,
+    _FAMILIES,
     _union_factors,
-    a_odd_augmentation,
-    a_odd_presentation,
-    a_odd_reduced_presentation,
-    braid_cusp_presentation,
     fox_derivative,
-    hopf_augmentation,
-    hopf_presentation,
     random_word,
-    torus_germ_augmentation,
-    torus_germ_presentation,
     transversal_union_augmentation,
     transversal_union_presentation,
+    validate,
 )
 from .homology import (
     InternalInvariantError,
@@ -68,6 +62,7 @@ from .obstructions import (
     CurveData,
     Singularity,
     _LOCAL_KINDS,
+    _germ_family,
     _local_germ,
     alpha_term,
     check_divides,
@@ -256,52 +251,28 @@ def _check_span(relator: Word, eps_values, what: str, lineno: int):
         raise JobParseError(lineno, f"{what} spans {span} powers of t under eps; the limit is {MAX_DEGREE_SPAN}")
 
 
-def _check_parameters(integers, what: str, lineno: int):
-    """Refuse a builder or germ whose integer parameters sum past
-    MAX_LETTERS, before it is built.  None has fewer relator letters than
-    that sum, so the letter count would refuse it too."""
+def _bounded_build(what: str, integers, letters, build, lineno: int, prefix: str = ""):
+    """build() of a builder or local germ, once its integer parameters sum to
+    at most MAX_LETTERS (no family has fewer letters than that sum) and its
+    relator letters, if known before the build, are within the limit.  A
+    ValueError of the build is refused at lineno, after prefix."""
     total = sum(abs(v) for v in integers)
     if total > MAX_LETTERS:
         raise JobParseError(lineno, f"{what}: the parameters sum to {total}; the limit is {MAX_LETTERS}")
+    if letters is not None:
+        _check_letters(letters, lineno)
+    try:
+        return build()
+    except ValueError as exc:
+        raise JobParseError(lineno, prefix + str(exc))
 
 
-# Each builder: its parameter keys, its line in ``twistalex builders``, the
-# function from its parameters, in key order, to the presentation and its
-# default eps, and the function from the same parameters to the number of
-# relator letters, which is checked before the build.  Parameters are
-# integers, except union's factors (see presentations._union_factors); a
-# union has at most 14 generators and is counted after its build (None).
+# The builders: the presentation families (presentations._FAMILIES), built
+# at unit weights, plus union, whose factors are not integers (see
+# presentations._union_factors).  A union has at most 14 generators, and its
+# letters are counted after its build (None).
 _BUILDERS = {
-    "hopf": (
-        ("d",),
-        "d=<int>         generalized Hopf link group on x0..x(d-1), x0 central",
-        lambda d: (hopf_presentation(d), hopf_augmentation([1] * d)),
-        lambda d: 4 * (d - 1),
-    ),
-    "a_odd": (
-        ("n",),
-        "n=<int>         A_(2n-1) germ group, full 2n+1 relator presentation",
-        lambda n: (a_odd_presentation(n), a_odd_augmentation(n)),
-        lambda n: 8 * n + 3,
-    ),
-    "a_odd_reduced": (
-        ("n",),
-        "n=<int>         A_(2n-1) germ group without its redundant relator",
-        lambda n: (a_odd_reduced_presentation(n), a_odd_augmentation(n)),
-        lambda n: 8 * n - 1,
-    ),
-    "torus": (
-        ("p", "q"),
-        "p=<int> q=<int>  irreducible germ <x, y | x^p = y^q>",
-        lambda p, q: (torus_germ_presentation(p, q), torus_germ_augmentation(p, q)),
-        lambda p, q: p + q,
-    ),
-    "cusp": (
-        (),
-        "(no parameters) cusp germ in braid form <x, y | xyx = yxy>",
-        lambda: (braid_cusp_presentation(), Augmentation([1, 1])),
-        lambda: 6,
-    ),
+    **_FAMILIES,
     "union": (
         ("factors",),
         "factors=f1,f2   transversal union; factor = torus:p:q | cusp | line",
@@ -310,12 +281,6 @@ _BUILDERS = {
             transversal_union_augmentation(factors, [1] * len(factors)),
         ),
         None,
-    ),
-    "circle": (
-        (),
-        "(no parameters) one generator, no relators",
-        lambda: (Presentation(["x0"], []), Augmentation([1])),
-        lambda: 0,
     ),
 }
 
@@ -347,14 +312,10 @@ def _resolve_builder(name: str, params: dict, lineno: int):
     if extra:
         raise JobParseError(lineno, f"builder {name}: unexpected parameters {', '.join(sorted(extra))}")
     parsed = [_builder_value(name, key, params, lineno) for key in keys]
-    _check_parameters([x for _, _, integers in parsed for x in integers], f"builder {name}", lineno)
     values = [value for value, _, _ in parsed]
-    if letters is not None:
-        _check_letters(letters(*values), lineno)
-    try:
-        pres, eps = build(*values)
-    except ValueError as exc:
-        raise JobParseError(lineno, str(exc))
+    integers = [x for _, _, xs in parsed for x in xs]
+    count = None if letters is None else letters(*values)
+    pres, eps = _bounded_build(f"builder {name}", integers, count, lambda: build(*values), lineno)
     if letters is None:
         _check_letters(sum(len(r) for r in pres.relators), lineno)
     return pres, eps, tuple((key, text) for key, (_, text, _) in zip(keys, parsed))
@@ -653,7 +614,7 @@ def parse_job(text: str) -> JobSpec:
             raise JobParseError(specialize_line, "specialization at 0 is undefined")
         specialize_values.append(str(value))
 
-    # local lines: each germ is built here and measured as a job is
+    # local lines: each germ is built, measured and validated here
     local_requests = []
     for lineno, tokens in local_lines:
         if not tokens or tokens[0] not in _LOCAL_KINDS:
@@ -666,9 +627,10 @@ def parse_job(text: str) -> JobSpec:
         while i < len(rest) and rest[i] not in ("weights", "scalars"):
             params.append(_integer(rest[i], lineno, f"local {kind}: expected integer parameter"))
             i += 1
-        count = _LOCAL_KINDS[kind][0]
-        if len(params) != count:
-            raise JobParseError(lineno, f"local {kind} takes {count} integer parameter(s)")
+        try:
+            (_, _, _, letters), family_params = _germ_family(kind, params)
+        except ValueError as exc:
+            raise JobParseError(lineno, str(exc))
         if i >= len(rest) or rest[i] != "weights":
             raise JobParseError(lineno, f"local {kind}: missing 'weights' section")
         i += 1
@@ -676,21 +638,24 @@ def parse_job(text: str) -> JobSpec:
         while i < len(rest) and rest[i] != "scalars":
             weights.append(_integer(rest[i], lineno, f"local {kind}: weights must be integers"))
             i += 1
-        _check_parameters(params, f"local {kind}", lineno)
-        _check_letters(_LOCAL_KINDS[kind][2](*params), lineno)
-        texts = None
-        if i < len(rest):
-            scalar_text = " ".join(rest[i + 1 :])
-            if not scalar_text:
-                raise JobParseError(lineno, f"local {kind}: scalars section is empty")
-            texts = _split_top_level(scalar_text)
-        try:
-            scalars = None if texts is None else [parse_scalar(text, context) for text in texts]
-            germ, germ_eps, _ = _local_germ(context, kind, params, weights, scalars)
-        except ValueError as exc:
-            raise JobParseError(lineno, f"local {kind}: {exc}")
-        for relator in germ.relators:
+
+        def germ():
+            scalars = None
+            if i < len(rest):
+                scalar_text = " ".join(rest[i + 1 :])
+                if not scalar_text:
+                    raise ValueError("scalars section is empty")
+                scalars = [parse_scalar(text, context) for text in _split_top_level(scalar_text)]
+            return scalars, _local_germ(context, kind, params, weights, scalars)
+
+        scalars, (germ_pres, germ_eps, germ_rho) = _bounded_build(
+            f"local {kind}", params, letters(*family_params), germ, lineno, f"local {kind}: "
+        )
+        for relator in germ_pres.relators:
             _check_span(relator, germ_eps.values, f"local {kind}", lineno)
+        report = validate(germ_pres, germ_eps, germ_rho)
+        if not report.ok:
+            raise JobParseError(lineno, f"local {kind}: invalid triple: {'; '.join(report.failures)}")
         scalar_texts = None if scalars is None else tuple(str(v) for v in scalars)
         local_requests.append((kind, tuple(params), tuple(weights), scalar_texts))
 
@@ -708,7 +673,13 @@ def parse_job(text: str) -> JobSpec:
             raise JobParseError(lineno, f"component: {exc}")
         meridian = None
         if "meridian" in kv:
-            meridian = _matrix_text(_parse_matrix_text(kv["meridian"], context, lineno, "component meridian"))
+            rows = _parse_matrix_text(kv["meridian"], context, lineno, "component meridian")
+            shape, dim = (len(rows), len(rows[0])), rho.dimension
+            if shape != (dim, dim):
+                raise JobParseError(lineno, f"component meridian: must be {dim}x{dim} like rho, got {shape[0]}x{shape[1]}")
+            if ScalarMatrix(context, rows).det().is_zero():
+                raise JobParseError(lineno, "component meridian: matrix is singular")
+            meridian = _matrix_text(rows)
         components.append((degree, weight, euler, meridian))
 
     # singularity lines

@@ -26,17 +26,7 @@ from .laurent import (
     laurent_gcd,
     multiplicity,
 )
-from .presentations import (
-    Augmentation,
-    a_odd_augmentation,
-    a_odd_reduced_presentation,
-    braid_cusp_presentation,
-    hopf_augmentation,
-    hopf_presentation,
-    rank_one_representation,
-    torus_germ_augmentation,
-    torus_germ_presentation,
-)
+from .presentations import _FAMILIES, rank_one_representation
 from .homology import (
     AlexanderResult,
     InternalInvariantError,
@@ -68,21 +58,20 @@ __all__ = [
 ]
 
 
-def _ordinary_germ(context: FieldContext, params, weights, values):
+def _ordinary_values(context: FieldContext, params, weights, values):
     (k,) = params
     if len(weights) != k:
         raise ValueError(f"ordinary {k}-point needs {k} branch weights")
     branch = values if values is not None else [context.one] * k
     if len(branch) != k:
         raise ValueError(f"ordinary {k}-point needs {k} branch scalars")
-    pres = hopf_presentation(k)
     x0 = context.one
     for s in branch:
         x0 = x0 * s
-    return pres, hopf_augmentation(weights), rank_one_representation(context, pres, [x0] + branch[: k - 1])
+    return [x0] + branch[: k - 1]
 
 
-def _a_odd_germ(context: FieldContext, params, weights, values):
+def _a_odd_values(context: FieldContext, params, weights, values):
     (n,) = params
     if len(weights) != 2:
         raise ValueError("an A_{2n-1} point lies on two branches")
@@ -90,57 +79,61 @@ def _a_odd_germ(context: FieldContext, params, weights, values):
     if len(branch) != 2:
         raise ValueError(f"an A_{{2n-1}} point needs 2 branch scalars, got {len(branch)}")
     even, odd = branch
-    pres = a_odd_reduced_presentation(n)
-    scalars = [even if i % 2 == 0 else odd for i in range(2 * n)] + [odd * even]
-    return pres, a_odd_augmentation(n, *weights), rank_one_representation(context, pres, scalars)
+    return [even if i % 2 == 0 else odd for i in range(2 * n)] + [odd * even]
 
 
-def _torus_germ(context: FieldContext, params, weights, values):
-    p, q = params
+def _torus_values(context: FieldContext, params, weights, values):
     if len(weights) != 1:
         raise ValueError("a torus germ has a single branch")
-    pres = torus_germ_presentation(p, q)
-    scalars = values if values is not None else [context.one] * 2
-    return pres, torus_germ_augmentation(p, q, weights[0]), rank_one_representation(context, pres, scalars)
+    return values if values is not None else [context.one] * 2
 
 
-def _cusp_germ(context: FieldContext, params, weights, values):
+def _cusp_values(context: FieldContext, params, weights, values):
     if len(weights) != 1:
         raise ValueError("a cusp has a single branch")
-    pres = braid_cusp_presentation()
     # Both generators are meridians of the one branch, hence conjugate: a
     # rank-1 representation must give them the same value.
     scalars = values if values is not None else [context.one]
-    if len(scalars) == 1:
-        scalars = scalars * 2
-    return pres, Augmentation(weights * 2), rank_one_representation(context, pres, scalars)
+    return scalars * 2 if len(scalars) == 1 else scalars
 
 
-# Each local kind: its number of integer parameters, its germ constructor
-# (context, params, weights, values) -> the rank-1 triple (presentation, eps,
-# rho) of the local link group, with values the given scalars as field
-# elements, or None for the default of all ones, and the number of relator
-# letters of the germ as a function of the parameters, which the job parser
-# bounds before anything is built.
+# Each local kind: the presentation family of its germ (a _FAMILIES key),
+# the family parameters the kind fixes, or None when the local line gives
+# them, and its rank-1 values (context, params, weights, values) -> one
+# scalar per generator, with values the given scalars as field elements, or
+# None for the default of all ones.  The weights are the eps of the germ's
+# branches; the family's letter count is what the job parser bounds.
 _LOCAL_KINDS = {
-    "node": (0, lambda context, params, weights, values: _ordinary_germ(context, (2,), weights, values), lambda: 4),
-    "ordinary": (1, _ordinary_germ, lambda k: 4 * (k - 1)),
-    "a_odd": (1, _a_odd_germ, lambda n: 8 * n - 1),
-    "torus": (2, _torus_germ, lambda p, q: p + q),
-    "cusp": (0, _cusp_germ, lambda: 6),
+    "node": ("hopf", (2,), _ordinary_values),
+    "ordinary": ("hopf", None, _ordinary_values),
+    "a_odd": ("a_odd_reduced", None, _a_odd_values),
+    "torus": ("torus", None, _torus_values),
+    "cusp": ("cusp", None, _cusp_values),
 }
 
 
-def _local_germ(context: FieldContext, kind: str, params, weights, scalars=None):
-    """The germ triple of a local kind; a kind, parameter count or germ the
-    table does not accept raises ValueError."""
+def _germ_family(kind: str, params):
+    """(family entry, family parameters) of a local kind: the parameters the
+    kind fixes, or the given ones when they are as many as the family's
+    keys.  An unknown kind or another parameter count raises ValueError."""
     if kind not in _LOCAL_KINDS:
         raise ValueError(f"unsupported singularity kind {kind!r}")
-    count, germ, _ = _LOCAL_KINDS[kind]
+    family, fixed, _ = _LOCAL_KINDS[kind]
+    count = len(_FAMILIES[family][0]) if fixed is None else 0
     if len(params) != count:
         raise ValueError(f"local {kind} takes {count} integer parameter(s)")
+    return _FAMILIES[family], (tuple(params) if fixed is None else fixed)
+
+
+def _local_germ(context: FieldContext, kind: str, params, weights, scalars=None):
+    """The germ triple of a local kind, built by its family at the branch
+    weights; a kind, parameter count or germ the tables do not accept raises
+    ValueError."""
+    (_, _, build, _), params = _germ_family(kind, params)
     values = None if scalars is None else [context.from_rational(s) for s in scalars]
-    return germ(context, params, weights, values)
+    rank_one = _LOCAL_KINDS[kind][2](context, params, weights, values)
+    pres, eps = build(*params, weights=weights)
+    return pres, eps, rank_one_representation(context, pres, rank_one)
 
 
 class CurveComponent:

@@ -13,7 +13,9 @@ assembled through Phi are the boundary data of the twisted chain complex.
 Builders for the plane-curve families live here too: the generalized Hopf
 link group (central generator commuting with all meridians), the A_{2n-1}
 singularity link group, torus germ groups, and transversal unions of germ
-factors with all cross-component commutators.
+factors with all cross-component commutators.  One table, _FAMILIES, says
+what each family is; job builders, union factors and local germs all build
+from it.
 """
 
 from __future__ import annotations
@@ -586,6 +588,54 @@ def braid_cusp_presentation() -> Presentation:
     return Presentation(["x", "y"], [relator])
 
 
+# Each presentation family: its parameter keys, its line in ``twistalex
+# builders``, the function from its parameters, in key order, and its
+# meridian weights (one per branch; unit weights when omitted) to the
+# presentation and its eps, and the number of relator letters as a function
+# of the same parameters, which a job bounds before anything is built.  Job
+# builders, union factors and local germs are all built from this table.
+_FAMILIES = {
+    "hopf": (
+        ("d",),
+        "d=<int>         generalized Hopf link group on x0..x(d-1), x0 central",
+        lambda d, weights=None: (hopf_presentation(d), hopf_augmentation([1] * d if weights is None else weights)),
+        lambda d: 4 * (d - 1),
+    ),
+    "a_odd": (
+        ("n",),
+        "n=<int>         A_(2n-1) germ group, full 2n+1 relator presentation",
+        lambda n, weights=(1, 1): (a_odd_presentation(n), a_odd_augmentation(n, *weights)),
+        lambda n: 8 * n + 3,
+    ),
+    "a_odd_reduced": (
+        ("n",),
+        "n=<int>         A_(2n-1) germ group without its redundant relator",
+        lambda n, weights=(1, 1): (a_odd_reduced_presentation(n), a_odd_augmentation(n, *weights)),
+        lambda n: 8 * n - 1,
+    ),
+    "torus": (
+        ("p", "q"),
+        "p=<int> q=<int>  irreducible germ <x, y | x^p = y^q>",
+        lambda p, q, weights=(1,): (torus_germ_presentation(p, q), torus_germ_augmentation(p, q, *weights)),
+        lambda p, q: p + q,
+    ),
+    "cusp": (
+        (),
+        "(no parameters) cusp germ in braid form <x, y | xyx = yxy>",
+        lambda weights=(1,): (braid_cusp_presentation(), Augmentation(weights * 2)),
+        lambda: 6,
+    ),
+    "circle": (
+        (),
+        "(no parameters) one generator, no relators",
+        lambda weights=(1,): (Presentation(["x0"], []), Augmentation(weights)),
+        lambda: 0,
+    ),
+}
+
+# The family each union factor kind is built from, at the factor's weight.
+_UNION_FAMILIES = {"torus": "torus", "cusp": "cusp", "line": "circle"}
+
 _UNION_NAME_POOL = "xyzwuvabcdefgh"
 
 
@@ -597,12 +647,9 @@ def _union_factors(factors):
     parsed = []
     for f in factors:
         kind, *params = f
-        if kind == "torus" and len(params) == 2:
-            parsed.append(("torus", int(params[0]), int(params[1])))
-        elif kind in ("cusp", "line") and not params:
-            parsed.append((kind,))
-        else:
+        if kind not in _UNION_FAMILIES or len(params) != len(_FAMILIES[_UNION_FAMILIES[kind]][0]):
             raise ValueError(f"bad union factor {':'.join(map(str, f))!r} (torus:p:q, cusp, or line)")
+        parsed.append((kind, *map(int, params)))
     if len(parsed) < 2:
         raise ValueError("a transversal union needs at least two factors")
     return parsed
@@ -610,12 +657,8 @@ def _union_factors(factors):
 
 def _union_factor(factor, weight: int) -> tuple[Presentation, Augmentation]:
     """One factor's own presentation, and its eps at its component weight."""
-    if factor[0] == "torus":
-        _, p, q = factor
-        return torus_germ_presentation(p, q), torus_germ_augmentation(p, q, weight)
-    if factor[0] == "cusp":
-        return braid_cusp_presentation(), Augmentation([weight, weight])
-    return Presentation(["x"], []), Augmentation([weight])
+    kind, *params = factor
+    return _FAMILIES[_UNION_FAMILIES[kind]][2](*params, weights=(weight,))
 
 
 def transversal_union_presentation(factors) -> Presentation:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from twistalex import jobs
+from twistalex import jobs, obstructions
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -20,6 +20,11 @@ def _table_rows(heading: str) -> list[list[str]]:
 def test_readme_builders_table_lists_the_builder_table():
     names = [row[0].strip("`") for row in _table_rows("Builders")]
     assert sorted(names) == sorted(jobs._BUILDERS)
+
+
+def test_readme_local_kinds_table_lists_the_local_kind_table():
+    families = {row[0].strip("`"): row[2].split(",")[0].strip("`") for row in _table_rows("Local kinds")}
+    assert families == {kind: entry[0] for kind, entry in obstructions._LOCAL_KINDS.items()}
 
 
 def test_readme_input_limits_show_the_limits():

@@ -514,7 +514,6 @@ def test_an_oversized_a_odd_is_refused_before_its_presentation_is_built(monkeypa
         built.append(n)
         raise AssertionError("a_odd presentation built")
 
-    monkeypatch.setattr(jobs, "a_odd_presentation", recorded)
     monkeypatch.setattr(presentations, "a_odd_presentation", recorded)
     text, line = OVER_BUDGET[name]
     with pytest.raises(JobParseError) as err:
@@ -524,23 +523,28 @@ def test_an_oversized_a_odd_is_refused_before_its_presentation_is_built(monkeypa
     assert built == []
 
 
+# Sample parameters for each presentation family, and the parameters and
+# weights of each local kind.
+FAMILY_PARAMS = {"hopf": (5,), "a_odd": (3,), "a_odd_reduced": (3,), "torus": (3, 5), "cusp": (), "circle": ()}
+LOCAL_PARAMS = {"node": ((), (1, 1)), "ordinary": ((4,), (1,) * 4), "a_odd": ((3,), (1, 1)), "torus": ((3, 5), (1,)), "cusp": ((), (1,))}
+
+
 @pytest.mark.parametrize(
     "name,params",
-    [("hopf", (5,)), ("a_odd", (3,)), ("a_odd_reduced", (3,)), ("torus", (3, 5)), ("cusp", ()), ("circle", ())],
+    [(name, FAMILY_PARAMS[name]) for name in presentations._FAMILIES]
+    + [(f"local {kind}", LOCAL_PARAMS[kind]) for kind in obstructions._LOCAL_KINDS],
 )
 def test_builder_letter_counts_match_the_built_relators(name, params):
-    _, _, build, letters = jobs._BUILDERS[name]
-    pres, _ = build(*params)
+    # The letter count a job is bounded by, the family's formula, equals the
+    # letters built, for every family and for every local kind's germ.
+    if name.startswith("local "):
+        kind, (given, weights) = name.removeprefix("local "), params
+        (_, _, _, letters), params = obstructions._germ_family(kind, given)
+        pres, _, _ = obstructions._local_germ(FieldContext(1), kind, given, weights)
+    else:
+        _, _, build, letters = presentations._FAMILIES[name]
+        pres, _ = build(*params)
     assert letters(*params) == sum(len(r) for r in pres.relators)
-
-
-@pytest.mark.parametrize(
-    "kind,params,weights",
-    [("node", (), (1, 1)), ("ordinary", (4,), (1, 1, 1, 1)), ("a_odd", (3,), (1, 1)), ("torus", (3, 5), (1,)), ("cusp", (), (1,))],
-)
-def test_local_letter_counts_match_the_built_germs(kind, params, weights):
-    germ, _, _ = obstructions._local_germ(FieldContext(1), kind, params, weights)
-    assert obstructions._LOCAL_KINDS[kind][2](*params) == sum(len(r) for r in germ.relators)
 
 
 BUILDERS_LISTING = """\
@@ -578,6 +582,11 @@ REFUSED_AT_THEIR_LINE = {
     "local germ short of scalars": ("builder cusp\nrho trivial 1\nlocal a_odd 1 weights 1 1 scalars 2\n", 3),
     "local germ with a scalar too many": ("builder cusp\nrho trivial 1\nlocal a_odd 1 weights 1 1 scalars 2, 3, 5\n", 3),
     "local germ with a zero scalar": ("builder cusp\nrho trivial 1\nlocal torus 2 3 weights 1 scalars 0, 1\n", 3),
+    "local germ that rho does not kill": ("builder cusp\nrho trivial 1\nlocal torus 2 3 weights 1 scalars 2, 3\n", 3),
+    "local germ with zero weights": ("builder cusp\nrho trivial 1\nlocal node weights 0 0\n", 3),
+    "meridian not square": ("builder cusp\nrho trivial 1\ncomponent degree=1 weight=1 meridian=[[1, 2]]\n", 3),
+    "meridian larger than rho": ("builder cusp\nrho trivial 1\ncomponent degree=1 weight=1 meridian=[[1, 0], [0, 1]]\n", 3),
+    "singular meridian": ("builder cusp\nrho trivial 2\ncomponent degree=1 weight=1 meridian=[[1, 1], [1, 1]]\n", 3),
 }
 
 
@@ -590,6 +599,22 @@ def test_bad_lines_exit_2_at_their_line(tmp_path, capsys, name):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"line {line}:" in captured.err
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("local torus 2 3 weights 1 scalars 2, 3", "local torus: invalid triple: rho does not kill relator 0"),
+        ("local node weights 0 0", "local node: invalid triple: eps is trivial"),
+        ("component degree=1 weight=1 meridian=[[1, 2]]", "component meridian: must be 1x1 like rho, got 1x2"),
+        ("component degree=1 weight=1 meridian=[[0]]", "component meridian: matrix is singular"),
+    ],
+)
+def test_an_invalid_germ_or_meridian_is_refused_with_its_reason(line, message):
+    # Both used to parse, and failed only when run, with no line named.
+    with pytest.raises(JobParseError) as err:
+        parse_job(f"builder cusp\nrho trivial 1\n{line}\n")
+    assert (err.value.line, err.value.message) == (3, message)
 
 
 def test_union_of_14_generators_still_builds():
