@@ -32,10 +32,18 @@ C_i / im d_(i+1) = H_i + im d_i splits, and in every degree
 
 with rank d_0 = rank d_(k+1) = 0 (Munkres, Elements of Algebraic Topology,
 11); the top degree has no torsion.  homology therefore needs only the
-ranks and divisors of the boundaries, one Smith form each without
-certificates, and forms no kernel basis.  The Wada ratio Delta_1 / Delta_0
-has a direct determinant-free-of-homology formula via maximal minors,
-computed by wada_ratio and cross-checked against the homology route,
+ranks and divisors of the boundaries, and forms no kernel basis.  Before
+any Smith form the complex cancels its unit pairs once
+(TwistedChainComplex.reduced): many entries t^e rho(x)_ab of Phi(x) - Id
+and of the Fox blocks are units, and each cancelled pair takes a row and a
+column off one boundary with no change to homology over R or at any
+t = a != 0.  homology then runs one Smith form per reduced boundary,
+without certificates, and specialize_homology reads the ranks of the
+reduced boundaries at t = a.  The ranks record, the Euler characteristic,
+the Fox matrix, the d1 d2 = 0 check and wada_ratio keep the complex as
+built.  The Wada ratio Delta_1 / Delta_0 has a direct
+determinant-free-of-homology formula via maximal minors, computed by
+wada_ratio and cross-checked against the homology route,
 homology(complex_).ratio().
 """
 
@@ -47,6 +55,7 @@ from .laurent import (
     LaurentPoly,
     ModuleShape,
     RationalFunction,
+    _UnitSchur,
 )
 from .presentations import (
     Augmentation,
@@ -79,9 +88,12 @@ class TwistedChainComplex:
     (c_0, ..., c_k) are read off the boundary shapes.  fox_matrix and
     d1_column show d_2 and d_1 of a presentation complex in their familiar
     display orientation (rows indexed by relators / a single block column).
+    reduced() is the complex with its unit pairs cancelled, formed on first
+    use; homology and specialize_homology read it, everything else here
+    reads the complex as built.
     """
 
-    __slots__ = ("presentation", "eps", "rho", "context", "dimension", "boundaries", "ranks")
+    __slots__ = ("presentation", "eps", "rho", "context", "dimension", "boundaries", "ranks", "_reduced")
 
     def __init__(self, presentation, eps, rho, boundaries):
         self.presentation = presentation
@@ -91,6 +103,7 @@ class TwistedChainComplex:
         self.dimension = rho.dimension
         self.boundaries = tuple(boundaries)
         self.ranks = (self.boundaries[0].rows, *(d.cols for d in self.boundaries))
+        self._reduced = None
 
     @property
     def euler_characteristic(self) -> int:
@@ -105,6 +118,48 @@ class TwistedChainComplex:
         """The degree-1 boundary as displayed: generator-indexed block rows,
         one block column of Phi(x_i) - Id."""
         return self.boundaries[0].transpose()
+
+    def reduced(self) -> tuple[tuple[LaurentMatrix, ...], tuple[int, ...]]:
+        """(boundaries, chain ranks) of the complex with its unit pairs
+        cancelled (Gaussian elimination of a chain complex; Skoldberg,
+        Trans. AMS 2006).  From the top boundary down, each d_i loses its
+        units one by one, the least Markowitz count first, by the Schur step
+        of the determinant (laurent._UnitSchur): a unit u = d_i[a][b] takes
+        every other row with an entry e in column b to row - (e u^-1) row_a,
+        and row a and column b leave d_i, column a leaves d_(i-1) and row b
+        leaves d_(i+1), restricted with no arithmetic.  Each pair leaves c_i
+        and c_(i-1) one lower.  The reduced complex is chain homotopy
+        equivalent to this one over F[t, t^-1], and so is its value at any
+        t = a != 0, where a unit stays a unit: homology, divisors and the
+        ranks at a point are the same.  Lower boundaries only lose lines, so
+        one pass leaves no unit anywhere."""
+        if self._reduced is None:
+            work = [list(d.entries) for d in self.boundaries]
+            ranks = list(self.ranks)
+            # work[i] is d_(i+1), from C_(i+1) to C_i.
+            for i in reversed(range(len(work))):
+                units = _UnitSchur(self.context, work[i])
+                pivots = []
+                while (pivot := units.pivot()) is not None:
+                    units.eliminate(*pivot)
+                    pivots.append(pivot)
+                if not pivots:
+                    continue
+                rows, cols = {a for a, _ in pivots}, {b for _, b in pivots}
+                work[i] = [
+                    [e for b, e in enumerate(row) if b not in cols] for a, row in enumerate(work[i]) if a not in rows
+                ]
+                if i > 0:
+                    work[i - 1] = [[e for a, e in enumerate(row) if a not in rows] for row in work[i - 1]]
+                if i + 1 < len(work):
+                    work[i + 1] = [row for b, row in enumerate(work[i + 1]) if b not in cols]
+                ranks[i] -= len(pivots)
+                ranks[i + 1] -= len(pivots)
+            boundaries = self.boundaries
+            if ranks != list(self.ranks):
+                boundaries = tuple(LaurentMatrix._make(self.context, d) for d in work)
+            self._reduced = (boundaries, tuple(ranks))
+        return self._reduced
 
 
 def build_complex(
@@ -187,15 +242,18 @@ def _free_ranks(chain_ranks, boundary_ranks) -> tuple[int, ...]:
 
 def homology(complex_: TwistedChainComplex) -> AlexanderResult:
     """Homology shapes in every degree, exactly, from one Smith form per
-    boundary without certificates; no kernel basis is formed.
+    boundary of the reduced complex, without certificates; no kernel basis
+    is formed.
 
     H_i is free of rank c_i - rank d_i - rank d_(i+1) plus the torsion of
-    coker d_(i+1), its nonunit divisors (module docstring).  The top degree
-    H_k = ker d_k is a submodule of a free module over a PID, so it has no
-    torsion.
+    coker d_(i+1), its nonunit divisors (module docstring), all read on
+    complex_.reduced(): a cancelled unit pair only took a divisor 1 and one
+    from each of c_i and c_(i-1).  The top degree H_k = ker d_k is a
+    submodule of a free module over a PID, so it has no torsion.
     """
-    snfs = [d.smith_normal_form(certificates=False) for d in complex_.boundaries]
-    free = _free_ranks(complex_.ranks, [snf.rank for snf in snfs])
+    boundaries, ranks = complex_.reduced()
+    snfs = [d.smith_normal_form(certificates=False) for d in boundaries]
+    free = _free_ranks(ranks, [snf.rank for snf in snfs])
     torsion = [[d for d in snf.divisors if not d.is_one()] for snf in snfs] + [()]
     return AlexanderResult(ModuleShape(complex_.context, rank, divs) for rank, divs in zip(free, torsion))
 
@@ -240,18 +298,19 @@ def specialize_homology(complex_: TwistedChainComplex, value) -> tuple[int, ...]
     """Dimensions of the homology of the scalar complex at t = a (a nonzero).
 
     Ranks of the specialized boundaries give every h_i = dim ker - dim im
-    directly: h_i = c_i - rank d_i(a) - rank d_(i+1)(a).  A full rank
+    directly: h_i = c_i - rank d_i(a) - rank d_(i+1)(a), read on the
+    reduced complex, whose units stay units at a != 0.  A full rank
     modulo the split prime of the context proves a rank without the exact
     specialization (LaurentMatrix._rank_at); a deficiency is always decided
     exactly.  A value from a larger cyclotomic context lifts the whole
     complex into the join context first.
     """
-    boundaries = complex_.boundaries
+    boundaries, ranks = complex_.reduced()
     if isinstance(value, CycloNumber) and value.context.conductor != complex_.context.conductor:
         big = FieldContext(lcm([complex_.context.conductor, value.context.conductor]))
         boundaries = [d.embed(big) for d in boundaries]
         value = value.embed(big)
-    dims = _free_ranks(complex_.ranks, [d._rank_at(value) for d in boundaries])
+    dims = _free_ranks(ranks, [d._rank_at(value) for d in boundaries])
     if min(dims) < 0:
         raise InternalInvariantError("specialized composite fails to vanish")
     return dims

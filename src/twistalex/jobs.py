@@ -46,7 +46,6 @@ from .presentations import (
     random_word,
     transversal_union_augmentation,
     transversal_union_presentation,
-    validate,
 )
 from .homology import (
     InternalInvariantError,
@@ -63,12 +62,12 @@ from .obstructions import (
     Singularity,
     _LOCAL_KINDS,
     _germ_family,
+    _germ_polynomial,
     _local_germ,
     alpha_term,
     check_divides,
     dimension_bound_check,
     infinity_bound,
-    local_polynomial,
     root_field,
 )
 
@@ -129,6 +128,7 @@ class JobSpec:
         "components",
         "singularities",
         "_complex",
+        "_germs",
     )
 
     def __init__(
@@ -158,6 +158,9 @@ class JobSpec:
         self.singularities = tuple(singularities)
         # (triple fields, TwistedChainComplex): see chain_complex.
         self._complex = None
+        # ((conductor, local_requests), one complex or None per request):
+        # see germ_complex.
+        self._germs = None
 
     def context(self) -> FieldContext:
         return FieldContext(self.conductor)
@@ -186,6 +189,21 @@ class JobSpec:
             self._complex = (triple, build_complex(self.presentation(), self.augmentation(), rho))
         return self._complex[1]
 
+    def germ_complex(self, index: int) -> TwistedChainComplex:
+        """The chain complex of the germ of local request index.  parse_job
+        stores the ones it built; other specs build each on first use, keyed
+        on conductor and local_requests by ==."""
+        key = (self.conductor, self.local_requests)
+        if self._germs is None or self._germs[0] != key:
+            self._germs = (key, [None] * len(self.local_requests))
+        germs = self._germs[1]
+        if germs[index] is None:
+            kind, params, weights, scalar_texts = self.local_requests[index]
+            context = self.context()
+            scalars = None if scalar_texts is None else [parse_scalar(s, context) for s in scalar_texts]
+            germs[index] = build_complex(*_local_germ(context, kind, params, weights, scalars))
+        return germs[index]
+
     def curve(self, context: FieldContext) -> CurveData | None:
         if not self.components:
             return None
@@ -197,8 +215,8 @@ class JobSpec:
         return CurveData(comps, sings)
 
     def _key(self):
-        # Every field but the cached complex, in slot order.
-        return tuple(getattr(self, name) for name in self.__slots__ if name != "_complex")
+        # Every field but the cached complexes, in slot order.
+        return tuple(getattr(self, name) for name in self.__slots__ if name not in ("_complex", "_germs"))
 
     def __eq__(self, other):
         if not isinstance(other, JobSpec):
@@ -616,6 +634,7 @@ def parse_job(text: str) -> JobSpec:
 
     # local lines: each germ is built, measured and validated here
     local_requests = []
+    germs = []
     for lineno, tokens in local_lines:
         if not tokens or tokens[0] not in _LOCAL_KINDS:
             what = f"unknown local kind {tokens[0]!r}" if tokens else "local line needs a kind"
@@ -653,9 +672,15 @@ def parse_job(text: str) -> JobSpec:
         )
         for relator in germ_pres.relators:
             _check_span(relator, germ_eps.values, f"local {kind}", lineno)
-        report = validate(germ_pres, germ_eps, germ_rho)
-        if not report.ok:
-            raise JobParseError(lineno, f"local {kind}: invalid triple: {'; '.join(report.failures)}")
+        # As for the job's own triple, building the germ's complex validates
+        # it; run_job reads the complex, and builds again one that failed its
+        # d1 d2 = 0 check, to report that.
+        try:
+            germs.append(build_complex(germ_pres, germ_eps, germ_rho))
+        except InvalidTripleError as exc:
+            raise JobParseError(lineno, f"local {kind}: invalid triple: {'; '.join(exc.report.failures)}")
+        except InternalInvariantError:
+            germs.append(None)
         scalar_texts = None if scalars is None else tuple(str(v) for v in scalars)
         local_requests.append((kind, tuple(params), tuple(weights), scalar_texts))
 
@@ -697,6 +722,14 @@ def parse_job(text: str) -> JobSpec:
             Singularity(kind, comps_idx, params)  # as JobSpec.curve will
         except ValueError as exc:
             raise JobParseError(lineno, f"singularity: {exc}")
+        # The parameters follow the rules of a local line of the same kind:
+        # the count of _germ_family, then the budget and bounds of its family.
+        try:
+            (_, _, build, letters), family_params = _germ_family(kind, params, "singularity")
+        except ValueError as exc:
+            raise JobParseError(lineno, str(exc))
+        what = f"singularity {kind}"
+        _bounded_build(what, params, letters(*family_params), lambda: build(*family_params), lineno, f"{what}: ")
         for c in comps_idx:
             if not 0 <= c < len(components):
                 raise JobParseError(lineno, f"singularity references component {c}, but only {len(components)} declared")
@@ -715,6 +748,7 @@ def parse_job(text: str) -> JobSpec:
         tuple(components),
         tuple(singularities),
     )
+    spec._germs = ((spec.conductor, spec.local_requests), germs)
 
     # Building the complex is the validation of the triple, and the line that
     # supplied the data of its first failure is reported.  A failed d1 d2 = 0
@@ -1075,11 +1109,8 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
                 dims = specialize_homology(complex_, value)
                 out.emit({"record": "specialize", "at": value_text, "dims": list(dims), "bound_ok": None})
 
-        for kind, params, weights, scalar_texts in spec.local_requests:
-            scalars = None
-            if scalar_texts is not None:
-                scalars = [parse_scalar(s, context) for s in scalar_texts]
-            loc = local_polynomial(context, kind, weights, scalars=scalars, params=params)
+        for index, (kind, params, weights, _) in enumerate(spec.local_requests):
+            loc = _germ_polynomial(kind, params, weights, spec.germ_complex(index))
             out.emit(
                 {
                     "record": "local",

@@ -23,12 +23,15 @@ F[t, t^-1]: determinants, minor gcds and Smith normal form, each following
 the sparsity of its input.  A determinant peels singleton rows and columns,
 clears the units of the core by Schur steps that divide by nothing, and
 hands a rest of more than two rows to the Bareiss loop of Matrix, shared
-with the scalar rank, det and inverse.  The Smith form breaks span ties
-between pivots by the Markowitz count, so units whose row or column holds
-nothing else leave without fill, and it orders the divisors in one pass at
-the end, not by a scan per corner.  The rank at a point t = a is read modulo
-the split prime of the context first (_rank_at): a full rank there proves
-the exact rank, and only a deficiency needs the exact specialization.
+with the scalar rank, det and inverse.  The Schur step and its choice of
+unit (_UnitSchur) are the same ones that cancel the unit pairs of a chain
+complex before its Smith forms (homology.TwistedChainComplex.reduced).  The
+Smith form breaks span ties between pivots by the Markowitz count, so units
+whose row or column holds nothing else leave without fill, and it orders the
+divisors in one pass at the end, not by a scan per corner.  The rank at a
+point t = a is read modulo the split prime of the context first (_rank_at):
+a full rank there proves the exact rank, and only a deficiency needs the
+exact specialization.
 """
 
 from __future__ import annotations
@@ -149,6 +152,73 @@ def _add_multiple(context: FieldContext, row, factor: LaurentPoly, src, col=None
     if col is not None:
         out[col] = value
     return out
+
+
+class _UnitSchur:
+    """Schur steps on the units c t^k of a matrix over F[t, t^-1], a list of
+    rows changed in place: the one unit elimination, shared by
+    LaurentMatrix.determinant and the reduced form of a chain complex.
+
+    pivot() is the unit of least Markowitz count (r - 1)(c - 1), r and c the
+    nonzeros of its row and column among the live lines, then the first in
+    row order; None when no unit is left.  eliminate(i, j) takes each live
+    row with an entry e in column j to row - (e u^-1) row_i, u = work[i][j],
+    and row i and column j leave, so the live block becomes the Schur
+    complement of u.  It divides by nothing, and forms u^-1 only when such a
+    row exists and row i holds more than u.  row_count and col_count hold the
+    nonzeros of each live line, kept under every step; a line that left
+    counts 0.
+    """
+
+    __slots__ = ("context", "work", "row_count", "col_count", "units")
+
+    def __init__(self, context: FieldContext, work):
+        self.context = context
+        self.work = work
+        width = len(work[0]) if work else 0
+        self.row_count = [sum(1 for e in row if e) for row in work]
+        self.col_count = [sum(1 for row in work if row[j]) for j in range(width)]
+        self.units = {(i, j) for i, row in enumerate(work) for j, e in enumerate(row) if e.is_unit()}
+
+    def pivot(self):
+        if not self.units:
+            return None
+        row_count, col_count = self.row_count, self.col_count
+        return min(self.units, key=lambda ij: ((row_count[ij[0]] - 1) * (col_count[ij[1]] - 1), ij))
+
+    def eliminate(self, i: int, j: int) -> bool:
+        """The Schur step at the unit (i, j); False when it leaves a live row
+        or column it touched with no nonzero."""
+        work, row_count, col_count = self.work, self.row_count, self.col_count
+        pivot = work[i]
+        row_count[i] = col_count[j] = 0
+        units = {(a, b) for a, b in self.units if a != i and b != j}
+        # Live rows are zero in earlier pivot columns; a step changes span alone.
+        span = [c for c in range(len(pivot)) if pivot[c] and col_count[c]]
+        targets = [k for k in range(len(work)) if row_count[k] and work[k][j]]
+        # A pivot alone in its row only clears its column.
+        minus_inv = -pivot[j]._normalizer() if targets and span else None
+        zero = LaurentPoly.zero(self.context)
+        for c in span:
+            col_count[c] -= 1
+        emptied = False
+        for k in targets:
+            old = work[k]
+            if minus_inv is None:
+                work[k] = row = [*old[:j], zero, *old[j + 1 :]]
+            else:
+                work[k] = row = _add_multiple(self.context, old, old[j] * minus_inv, pivot, j, zero)
+            row_count[k] -= 1
+            for c in span:
+                units.discard((k, c))
+                if row[c].is_unit():
+                    units.add((k, c))
+                change = bool(row[c]) - bool(old[c])
+                col_count[c] += change
+                row_count[k] += change
+            emptied = emptied or not row_count[k]
+        self.units = units
+        return not emptied and all(col_count[c] for c in span)
 
 
 class LaurentPoly:
@@ -879,12 +949,12 @@ class LaurentMatrix(Matrix):
         """The signed product of the peeled singletons, the unit pivots of
         the core and the determinant of the rest.  While more than two rows
         are left and one holds a unit u, the unit of least Markowitz count
-        (r - 1)(c - 1), then the first in row order, leaves by a Schur step:
-        each row with an entry e in u's column becomes row - (e u^-1) pivot
-        row, and det = (-1)^(i+j) u det(rest).  It divides by nothing and
-        forms u^-1 only for such a row.  Two rows left are a d - b c; more
-        go to the Bareiss loop of Matrix.  A permuted triangular matrix has
-        an empty core and makes no division."""
+        (r - 1)(c - 1), then the first in row order, leaves by a Schur step
+        of _UnitSchur: each row with an entry e in u's column becomes
+        row - (e u^-1) pivot row, and det = (-1)^(i+j) u det(rest).  Two
+        rows left are a d - b c; more go to the Bareiss loop of Matrix.  A
+        permuted triangular matrix has an empty core and makes no
+        division."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         if self.rows < 2:
@@ -896,38 +966,15 @@ class LaurentMatrix(Matrix):
         factors = [self.entries[i][j] for i, j in peeled]
         work = [[self.entries[i][j] for j in cols] for i in rows]
         n = live = len(work)
-        # Nonzeros per live row and column of the core, kept under each step
-        # for the search; a line that leaves gets 0, a live one at 0 makes det 0.
-        row_count = [sum(1 for e in row if e) for row in work]
-        col_count = [sum(1 for row in work if row[j]) for j in range(n)]
-        units = {(i, j) for i, row in enumerate(work) for j, e in enumerate(row) if e.is_unit()}
-        while units and live > 2:
-            i, j = min(units, key=lambda ij: ((row_count[ij[0]] - 1) * (col_count[ij[1]] - 1), ij))
-            pivot, live = work[i], live - 1
-            factors.append(pivot[j])
+        units = _UnitSchur(self.context, work)
+        row_count, col_count = units.row_count, units.col_count
+        while live > 2 and (pivot := units.pivot()) is not None:
+            i, j = pivot
+            live -= 1
+            factors.append(work[i][j])
             sign *= -1 if (sum(1 for c in row_count[:i] if c) + sum(1 for c in col_count[:j] if c)) % 2 else 1
-            row_count[i] = col_count[j] = 0
-            units = {(a, b) for a, b in units if a != i and b != j}
-            # Live rows are zero in earlier pivot columns; a step changes span alone.
-            span = [k for k in range(n) if pivot[k] and col_count[k]]
-            targets = [k for k in range(n) if row_count[k] and work[k][j]]
-            inv = pivot[j]._normalizer() if targets else None
-            for c in span:
-                col_count[c] -= 1
-            for k in targets:
-                old = work[k]
-                work[k] = row = _add_multiple(self.context, old, -(old[j] * inv), pivot, j, zero)
-                row_count[k] -= 1
-                for c in span:
-                    units.discard((k, c))
-                    if row[c].is_unit():
-                        units.add((k, c))
-                    change = bool(row[c]) - bool(old[c])
-                    col_count[c] += change
-                    row_count[k] += change
-                if not row_count[k]:
-                    return zero
-            if not all(col_count[c] for c in span):
+            # A live line at 0 makes det 0.
+            if not units.eliminate(i, j):
                 return zero
         rest = [[work[i][j] for j in range(n) if col_count[j]] for i in range(n) if row_count[i]]
         if len(rest) == 2:

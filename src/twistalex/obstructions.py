@@ -112,16 +112,17 @@ _LOCAL_KINDS = {
 }
 
 
-def _germ_family(kind: str, params):
+def _germ_family(kind: str, params, what: str = "local"):
     """(family entry, family parameters) of a local kind: the parameters the
     kind fixes, or the given ones when they are as many as the family's
-    keys.  An unknown kind or another parameter count raises ValueError."""
+    keys.  An unknown kind or another parameter count raises ValueError,
+    whose text names the kind after what (a local or a singularity line)."""
     if kind not in _LOCAL_KINDS:
         raise ValueError(f"unsupported singularity kind {kind!r}")
     family, fixed, _ = _LOCAL_KINDS[kind]
     count = len(_FAMILIES[family][0]) if fixed is None else 0
     if len(params) != count:
-        raise ValueError(f"local {kind} takes {count} integer parameter(s)")
+        raise ValueError(f"{what} {kind} takes {count} integer parameter(s)")
     return _FAMILIES[family], (tuple(params) if fixed is None else fixed)
 
 
@@ -452,18 +453,24 @@ def local_polynomial(context: FieldContext, kind: str, weights, scalars=None, pa
     """
     params = tuple(int(p) for p in params)
     weights = tuple(int(w) for w in weights)
-    pres, eps, rho = _local_germ(context, kind, params, weights, scalars)
+    germ = build_complex(*_local_germ(context, kind, params, weights, scalars))
+    return _germ_polynomial(kind, params, weights, germ)
+
+
+def _germ_polynomial(kind: str, params, weights, germ: TwistedChainComplex) -> LocalPolynomial:
+    """The LocalPolynomial of a local kind read off the chain complex of its
+    germ, as built from _local_germ."""
     if kind == "node":
         kind, params = "ordinary", (2,)
-    res = homology(build_complex(pres, eps, rho))
+    res = homology(germ)
     delta0 = res.delta(0)
     delta1 = res.delta(1)
     ratio = res.ratio() if not delta0.is_zero() else None
     printed = None
     matches = None
     if kind == "cusp":
-        n = eps.values[0]
-        printed = cusp_printed_formula(rho.matrices[0][0, 0], rho.matrices[1][0, 0], n, n)
+        n = germ.eps.values[0]
+        printed = cusp_printed_formula(germ.rho.matrices[0][0, 0], germ.rho.matrices[1][0, 0], n, n)
         matches = ratio is not None and printed.unit_equal(ratio)
     return LocalPolynomial(kind, params, weights, delta0, delta1, ratio, printed, matches)
 

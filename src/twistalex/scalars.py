@@ -38,6 +38,7 @@ import math
 import operator
 import re
 from fractions import Fraction
+from itertools import compress
 
 __all__ = [
     "ContextMismatchError",
@@ -794,21 +795,18 @@ class Matrix:
             raise ContextMismatchError("matrix contexts differ")
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")
-        zero = None  # built on first use: most products never need it
-        dot = self._dot
-        cols = tuple(zip(*other.entries))
+        # Only nonzero pairs are read: the nonzeros of each row of other are
+        # listed once, and a nonzero a = self[i][k] sends (a, b) to entry
+        # (i, j) for each nonzero b = other[k][j].
+        dot, zero = self._dot, self._ring_zero(self.context)
+        nonzeros = [list(compress(enumerate(row), row)) for row in other.entries]
         out = []
         for row in self.entries:
-            new_row = []
-            for col in cols:
-                pairs = [(a, b) for a, b in zip(row, col) if a and b]
-                if pairs:
-                    new_row.append(dot(pairs))
-                else:
-                    if zero is None:
-                        zero = self._ring_zero(self.context)
-                    new_row.append(zero)
-            out.append(new_row)
+            pairs = [[] for _ in range(other.cols)]
+            for a, nz in compress(zip(row, nonzeros), row):
+                for j, b in nz:
+                    pairs[j].append((a, b))
+            out.append([dot(p) if p else zero for p in pairs])
         return self._make(self.context, out)
 
     __rmul__ = __mul__

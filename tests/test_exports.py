@@ -22,6 +22,8 @@ USED_ONLY_BY_TESTS = {
     "hopf_extra_meridian_word": "test_acceptance.py",
     "random_hopf_representation": "test_acceptance.py",
     "random_a_odd_representation": "test_acceptance.py",
+    # Jobs read the germ complexes parse_job built (JobSpec.germ_complex).
+    "local_polynomial": "test_obstructions.py",
 }
 
 # Public methods and properties that the tests alone call, by name, each

@@ -617,6 +617,50 @@ def test_an_invalid_germ_or_meridian_is_refused_with_its_reason(line, message):
     assert (err.value.line, err.value.message) == (3, message)
 
 
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("singularity torus components=0 params=1,2,3", "singularity torus takes 2 integer parameter(s)"),
+        ("singularity node components=0 params=2", "singularity node takes 0 integer parameter(s)"),
+        ("singularity torus components=0 params=2,4", "singularity torus: torus germ parameters need p, q >= 2 coprime"),
+        ("singularity a_odd components=0 params=0", "singularity a_odd: the A family needs n >= 1"),
+        ("singularity ordinary components=0 params=100000", "singularity ordinary: the parameters sum to 100000; the limit is 20000"),
+    ],
+)
+def test_a_singularity_is_refused_by_the_rules_of_a_local_line_of_its_kind(line, message):
+    # These parsed, and analyze alpha ran on them with exit 0; a local line
+    # of the same kind and parameters is refused.
+    with pytest.raises(JobParseError) as err:
+        parse_job(f"builder cusp\nrho trivial 1\ncomponent degree=1 weight=1\n{line}\nanalyze alpha\n")
+    assert (err.value.line, err.value.message) == (4, message)
+
+
+def test_a_singularity_within_the_rules_still_parses():
+    for line in ("singularity torus components=0 params=2,3", "singularity node components=0", "singularity cusp components=0"):
+        spec = parse_job(f"builder cusp\nrho trivial 1\ncomponent degree=1 weight=1\n{line}\n")
+        assert len(spec.singularities) == 1
+
+
+def test_a_local_germ_is_built_once_at_parse_time(monkeypatch):
+    # parse_job builds and validates each germ's complex; run_job reads it
+    # and builds nothing.  A spec made directly builds its germs when run.
+    text = "builder cusp\nrho trivial 1\nlocal torus 2 3 weights 2\nlocal cusp weights 1\n"
+    spec = parse_job(text)
+    expected, _ = run_job(spec)
+
+    def refused(*args):
+        raise AssertionError("a complex was built by run_job")
+
+    monkeypatch.setattr(jobs, "build_complex", refused)
+    monkeypatch.setattr(obstructions, "build_complex", refused)
+    assert run_job(spec) == (expected, EXIT_OK)
+    monkeypatch.undo()
+    direct = JobSpec(*(getattr(spec, name) for name in JobSpec.__slots__ if not name.startswith("_")))
+    assert direct == spec and direct._germs is None
+    assert run_job(direct) == (expected, EXIT_OK)
+    assert "local torus(2, 3) weights (2,)" in expected
+
+
 def test_union_of_14_generators_still_builds():
     spec = parse_job("builder union factors=" + ",".join(["cusp"] * 7) + "\nrho trivial 1\n")
     assert "".join(spec.generator_names) == "xyzwuvabcdefgh"
