@@ -21,8 +21,9 @@ to validate, so the letters are walked once here, not once for validation
 and once for d2; parse_job validates a job by this build alone.  Columns
 are chains: the block orientation is fixed by exactness, which forces the
 transpose of each block as it is usually displayed (rows of the Wada matrix
-are relators).  The composite d1 * d2 vanishes identically; build_complex
-checks that and treats a failure as an internal error, not bad input.
+are relators).  Every composite d_i d_(i+1) vanishes identically; a
+TwistedChainComplex checks each one as it is made, whoever built its
+boundaries, and treats a failure as an internal error, not bad input.
 
 Twisted Alexander polynomials are the torsion orders Delta_i of H_i, each
 defined up to a unit c * t^m.  Over the PID R every image im d_i is free, so
@@ -40,11 +41,10 @@ column off one boundary with no change to homology over R or at any
 t = a != 0.  homology then runs one Smith form per reduced boundary,
 without certificates, and specialize_homology reads the ranks of the
 reduced boundaries at t = a.  The ranks record, the Euler characteristic,
-the Fox matrix, the d1 d2 = 0 check and wada_ratio keep the complex as
-built.  The Wada ratio Delta_1 / Delta_0 has a direct
-determinant-free-of-homology formula via maximal minors, computed by
-wada_ratio and cross-checked against the homology route,
-homology(complex_).ratio().
+the d_i d_(i+1) = 0 check and wada_ratio read the complex as built.  The
+Wada ratio Delta_1 / Delta_0 has a direct determinant-free-of-homology
+formula via maximal minors, computed by wada_ratio on d1 and d2 as they are
+and cross-checked against the homology route, homology(complex_).ratio().
 """
 
 from __future__ import annotations
@@ -85,12 +85,12 @@ class TwistedChainComplex:
     """A twisted chain complex: boundaries = (d_1, ..., d_k), d_i : C_i -> C_(i-1).
 
     Columns are chains, so d_i is c_(i-1) x c_i and the chain ranks
-    (c_0, ..., c_k) are read off the boundary shapes.  fox_matrix and
-    d1_column show d_2 and d_1 of a presentation complex in their familiar
-    display orientation (rows indexed by relators / a single block column).
-    reduced() is the complex with its unit pairs cancelled, formed on first
-    use; homology and specialize_homology read it, everything else here
-    reads the complex as built.
+    (c_0, ..., c_k) are read off the boundary shapes.  The constructor
+    checks every composite d_i d_(i+1), whoever built the boundaries, and
+    raises InternalInvariantError on the first that is nonzero.  reduced()
+    is the complex with its unit pairs cancelled, formed on first use;
+    homology and specialize_homology read it, everything else here reads
+    the complex as built.
     """
 
     __slots__ = ("presentation", "eps", "rho", "context", "dimension", "boundaries", "ranks", "_reduced")
@@ -102,22 +102,15 @@ class TwistedChainComplex:
         self.context = rho.context
         self.dimension = rho.dimension
         self.boundaries = tuple(boundaries)
+        for i, (d, e) in enumerate(zip(self.boundaries, self.boundaries[1:]), 1):
+            if not (d * e).is_zero():
+                raise InternalInvariantError(f"boundary composite d{i} d{i + 1} is nonzero")
         self.ranks = (self.boundaries[0].rows, *(d.cols for d in self.boundaries))
         self._reduced = None
 
     @property
     def euler_characteristic(self) -> int:
         return sum((-1) ** i * c for i, c in enumerate(self.ranks))
-
-    def fox_matrix(self) -> LaurentMatrix:
-        """The Fox Jacobian as displayed: relator-indexed block rows, entry
-        (j, i) the block Phi(d r_j / d x_i)."""
-        return self.boundaries[1].transpose()
-
-    def d1_column(self) -> LaurentMatrix:
-        """The degree-1 boundary as displayed: generator-indexed block rows,
-        one block column of Phi(x_i) - Id."""
-        return self.boundaries[0].transpose()
 
     def reduced(self) -> tuple[tuple[LaurentMatrix, ...], tuple[int, ...]]:
         """(boundaries, chain ranks) of the complex with its unit pairs
@@ -165,16 +158,17 @@ class TwistedChainComplex:
 def build_complex(
     presentation: Presentation, eps: Augmentation, rho: Representation
 ) -> TwistedChainComplex:
-    """Validate the triple, assemble both boundaries, and verify d1 d2 = 0.
+    """Validate the triple and assemble both boundaries into a complex.
 
     The relators are walked once: the Fox pass of each relator gives its d2
     blocks and ends on (eps(r), rho(r)), and validate reads the relator
     verdicts from those ends instead of walking the letters again.  The pass
     runs only when the counts agree and no rho(x) is singular; otherwise
     validate judges the triple on its own, with the same failure texts.
-    Invalid triples raise InvalidTripleError (bad input); a nonzero composite
-    raises InternalInvariantError since the fundamental identity of Fox
-    calculus makes it impossible for validated input.
+    Invalid triples raise InvalidTripleError (bad input).  The complex checks
+    d1 d2 = 0 as it is made and raises InternalInvariantError otherwise,
+    since the fundamental identity of Fox calculus makes a nonzero composite
+    impossible for validated input.
     """
     phi = PhiMap(eps, rho)
     g = presentation.generator_count
@@ -196,9 +190,6 @@ def build_complex(
     boundary2 = LaurentMatrix._make(
         ctx, [[row[i].entries[b][a] for row in fox_rows for b in range(r)] for i in range(g) for a in range(r)]
     )
-
-    if not (boundary1 * boundary2).is_zero():
-        raise InternalInvariantError("boundary composite d1 d2 is nonzero")
     return TwistedChainComplex(presentation, eps, rho, (boundary1, boundary2))
 
 
@@ -263,23 +254,25 @@ def wada_ratio(complex_: TwistedChainComplex) -> RationalFunction:
 
     Pick a generator x_g with det(Phi(x_g) - Id) nonzero, delete its block
     column from the Fox matrix, and divide the gcd of the maximal minors of
-    the remainder by that determinant.  The determinant is read off block g
-    of d_1, which is (Phi(x_g) - Id)^T.  Needs deficiency-1 presentations
-    (relators = generators - 1) so the remainder is square-able: the gcd runs
-    over the (r R) x (r R) minors.  Raises ValueError when no admissible
-    generator exists.
+    the remainder by that determinant.  Both are read off the complex as
+    built: the determinant off block g of d_1, which is (Phi(x_g) - Id)^T,
+    and the minors off d_2 without block row g, which is the transpose of
+    the Fox matrix without block column g and has the same minors.  Needs
+    deficiency-1 presentations (relators = generators - 1) so the remainder
+    is square-able: the gcd runs over the (r R) x (r R) minors.  Raises
+    ValueError when no admissible generator exists.
     """
     pres = complex_.presentation
     if pres.deficiency != 1:
         raise ValueError("the minor formula needs a deficiency-1 presentation")
     r = complex_.dimension
-    d1 = complex_.boundaries[0]
+    d1, d2 = complex_.boundaries[:2]
     for g in range(pres.generator_count):
-        cols = range(g * r, (g + 1) * r)
-        denom = d1.submatrix(range(r), cols).determinant()
+        block = range(g * r, (g + 1) * r)
+        denom = d1.submatrix(range(r), block).determinant()
         if not denom.is_zero():
-            reduced = complex_.fox_matrix().delete_columns(cols)
-            return RationalFunction(reduced.minors_gcd(r * pres.relator_count), denom)
+            rest = d2.submatrix([i for i in range(d2.rows) if i not in block], range(d2.cols))
+            return RationalFunction(rest.minors_gcd(r * pres.relator_count), denom)
     raise ValueError("no generator with det(Phi(x) - Id) nonzero")
 
 

@@ -756,16 +756,15 @@ def parse_job(text: str) -> JobSpec:
     try:
         spec._complex = (spec._triple(), build_complex(pres, spec.augmentation(), rho))
     except InvalidTripleError as exc:
-        first = exc.report.failures[0]
-        if first.endswith(") is singular"):  # rho(<gen>) is singular
-            singular = first[len("rho(") : -len(") is singular")]
-            line = next(lineno for lineno, name, _ in rho_lines if name == singular)
-        elif first.startswith("rho"):  # rho does not kill relator <i>; rho trivial kills all
-            line = rho_lines[0][0]
-        elif eps_line is None and first.startswith("eps does not kill") and relator_lines:
-            line = relator_lines[int(first.split()[5])][0]  # inline relators under the default eps
-        else:
-            line = eps_line or builder_line or inline_line
+        # The line of each subject a failure can blame; the rest fall to the
+        # eps, builder or inline line.  rho trivial kills every relator.
+        blame = {("singular", index[name]): lineno for lineno, name, _ in rho_lines}
+        for i in range(len(pres.relators)):
+            if rho_lines:
+                blame["rho", i] = rho_lines[0][0]
+            if eps_line is None and relator_lines:  # inline relators under the default eps
+                blame["eps", i] = relator_lines[i][0]
+        line = blame.get(exc.report.subjects[0], eps_line or builder_line or inline_line)
         raise JobParseError(line, f"invalid triple: {exc}")
     except InternalInvariantError:
         pass

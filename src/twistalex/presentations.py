@@ -436,13 +436,19 @@ class PhiMap:
 
 
 class ValidationReport:
-    """Outcome of checking a (presentation, eps, rho) triple."""
+    """Outcome of checking a (presentation, eps, rho) triple.
 
-    __slots__ = ("ok", "failures", "eps_image_index")
+    subjects[k] names what failures[k] blames: ("counts", None) for a count
+    that differs from the generator count, ("singular", g) for a singular
+    rho(x_g), ("eps", i) or ("rho", i) for a relator i that eps or rho does
+    not kill, and ("eps", None) for a trivial eps."""
 
-    def __init__(self, ok, failures, eps_image_index):
+    __slots__ = ("ok", "failures", "subjects", "eps_image_index")
+
+    def __init__(self, ok, failures, eps_image_index, subjects):
         self.ok = ok
         self.failures = tuple(failures)
+        self.subjects = tuple(subjects)
         self.eps_image_index = eps_image_index
 
     def __repr__(self):
@@ -471,14 +477,14 @@ def validate(
     values its Fox pass ends on (PhiMap.fox_row).  They are read only when
     the counts agree and no rho(x) is singular, the condition under which
     that pass can run."""
-    failures = []
+    failures = []  # (subject, text)
     if len(eps.values) != pres.generator_count:
-        failures.append("eps value count differs from generator count")
+        failures.append((("counts", None), "eps value count differs from generator count"))
     if len(rho.matrices) != pres.generator_count:
-        failures.append("representation matrix count differs from generator count")
+        failures.append((("counts", None), "representation matrix count differs from generator count"))
     if not failures:
         singular = rho.singular_generators()
-        failures += [f"rho({pres.generator_names[g]}) is singular" for g in singular]
+        failures += [(("singular", g), f"rho({pres.generator_names[g]}) is singular") for g in singular]
         for i, rel in enumerate(pres.relators):
             if relator_images is not None and not singular:
                 v, image = relator_images[i]
@@ -487,12 +493,13 @@ def validate(
                 # rho(relator) needs inverses, which a singular matrix lacks.
                 image = None if singular else rho.of_word(rel)
             if v != 0:
-                failures.append(f"eps does not kill relator {i} (value {v})")
+                failures.append((("eps", i), f"eps does not kill relator {i} (value {v})"))
             if image is not None and not image.is_identity():
-                failures.append(f"rho does not kill relator {i}")
+                failures.append((("rho", i), f"rho does not kill relator {i}"))
     if not eps.is_nontrivial():
-        failures.append("eps is trivial")
-    return ValidationReport(ok=not failures, failures=failures, eps_image_index=eps.image_index())
+        failures.append((("eps", None), "eps is trivial"))
+    subjects, texts = zip(*failures) if failures else ((), ())
+    return ValidationReport(not failures, texts, eps.image_index(), subjects)
 
 
 # ---------------------------------------------------------------------------

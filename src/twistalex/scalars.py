@@ -817,11 +817,6 @@ class Matrix:
     def submatrix(self, row_indices, col_indices):
         return self._make(self.context, [[self.entries[i][j] for j in col_indices] for i in row_indices])
 
-    def delete_columns(self, cols):
-        dropped = set(cols)
-        keep = [j for j in range(self.cols) if j not in dropped]
-        return self.submatrix(range(self.rows), keep)
-
     def _peel_singletons(self):
         """Singleton peeling in front of Bareiss for rank and determinant.
 

@@ -167,7 +167,7 @@ def test_criterion_01_hopf_infinity_formula():
 def test_criterion_02_twisted_hopf_suite():
     # 112 randomized valid representations over Q(zeta_12): the ratio equals
     # det(Phi(x0) - Id)^(d-2) and Delta_0 is the gcd of the r x r minors of
-    # the d1 column.
+    # d1.
     checked = 0
     for d, r, cx, res in _criterion2_complexes():
         ctx = cx.context
@@ -176,7 +176,7 @@ def test_criterion_02_twisted_hopf_suite():
         det0 = (phi.generator_image(0) - eye).determinant()
         expect = RationalFunction(det0 ** (d - 2), _one(ctx))
         assert res.ratio().unit_equal(expect), (d, r)
-        assert res.delta(0).unit_equal(cx.d1_column().minors_gcd(r)), (d, r)
+        assert res.delta(0).unit_equal(cx.boundaries[0].minors_gcd(r)), (d, r)
         checked += 1
     assert checked == 112
     print(
@@ -195,7 +195,7 @@ def test_criterion_03_a3_matrix_fidelity():
     pres = a_odd_presentation(2)
     eps = a_odd_augmentation(2)
     cx = build_complex(pres, eps, Representation.trivial(ctx, 5, 1))
-    fox = cx.fox_matrix()
+    fox = cx.boundaries[1].transpose()
 
     def p(*coeffs_low):
         coeffs, low = coeffs_low

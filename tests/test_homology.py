@@ -7,6 +7,7 @@ import random
 import pytest
 
 from twistalex.homology import (
+    InternalInvariantError,
     TwistedChainComplex,
     build_complex,
     euler_rank_check,
@@ -172,19 +173,25 @@ def test_full_a_odd_has_free_h2():
     assert res.delta(1).unit_equal(res2.delta(1))
 
 
-def test_the_koszul_complex_of_the_three_torus_has_length_three():
-    # The commutator presentation of Z^3 gives d_1 and d_2 of the torus T^3;
-    # its 3-cell adds d_3 = (t - 1) (1, -1, 1)^T.  With trivial rho and eps = 1
-    # this is the Koszul complex of (t - 1, 0, 0), so every H_i is torsion,
-    # (F[t^+-1] / (t - 1))^C(2, i) with C(2, 3) = 0.
+def _three_torus():
+    """The commutator presentation of Z^3 gives d_1 and d_2 of the torus T^3;
+    its 3-cell adds d_3 = (t - 1) (1, -1, 1)^T.  Returns the 2-complex and
+    (d_1, d_2, d_3), under trivial rho and eps = 1."""
     names = ["x", "y", "z"]
     relators = [Word.parse(text, names) for text in ("x y x^-1 y^-1", "x z x^-1 z^-1", "y z y^-1 z^-1")]
     cx2 = _untwisted(Presentation(names, relators), (1, 1, 1))
+    step = _t_poly(cx2.context, [-1, 1])
+    return cx2, (*cx2.boundaries, LaurentMatrix(cx2.context, [[step], [-step], [step]]))
+
+
+def test_the_koszul_complex_of_the_three_torus_has_length_three():
+    # With trivial rho and eps = 1 the complex of T^3 is the Koszul complex
+    # of (t - 1, 0, 0), so every H_i is torsion, (F[t^+-1] / (t - 1))^C(2, i)
+    # with C(2, 3) = 0.
+    cx2, boundaries = _three_torus()
     ctx = cx2.context
     step = _t_poly(ctx, [-1, 1])
-    d3 = LaurentMatrix(ctx, [[step], [-step], [step]])
-    assert (cx2.boundaries[1] * d3).is_zero()
-    cx = TwistedChainComplex(cx2.presentation, cx2.eps, cx2.rho, (*cx2.boundaries, d3))
+    cx = TwistedChainComplex(cx2.presentation, cx2.eps, cx2.rho, boundaries)
     assert cx.ranks == (1, 3, 3, 1)
     assert cx.euler_characteristic == 0
 
@@ -200,6 +207,21 @@ def test_the_koszul_complex_of_the_three_torus_has_length_three():
     assert report.multiplicities == (1, 2, 1, 0)
     assert report.bounds == (1, 3, 3, 1)
     assert report.dims == (1, 3, 3, 1)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_a_complex_checks_every_boundary_composite(k):
+    # Negating one (1 x 1) block of d_k leaves d_(k-1) d_k nonzero: the
+    # complex refuses itself, whoever built it, and names the first
+    # composite that fails, d2 d3 for k = 3 with d1 d2 = 0 intact.
+    cx2, boundaries = _three_torus()
+    entries = [list(row) for row in boundaries[k - 1].entries]
+    entries[0][0] = -entries[0][0]
+    broken = list(boundaries)
+    broken[k - 1] = LaurentMatrix(cx2.context, entries)
+    with pytest.raises(InternalInvariantError) as raised:
+        TwistedChainComplex(cx2.presentation, cx2.eps, cx2.rho, broken)
+    assert str(raised.value) == f"boundary composite d{k - 1} d{k} is nonzero"
 
 
 def test_specialize_homology_dimensions():
@@ -286,19 +308,20 @@ def test_build_complex_gives_the_verdict_of_validate(case):
         build_complex(pres, eps, Representation(FieldContext(6), matrices))
     report = raised.value.report
     assert report.failures == expected.failures
+    assert report.subjects == expected.subjects
     assert report.eps_image_index == expected.eps_image_index
     assert report.ok == expected.ok
 
 
 def test_fox_matrix_shape_and_d1_column():
     cx = _untwisted(torus_germ_presentation(2, 3), (3, 2))
-    fox = cx.fox_matrix()
+    fox = cx.boundaries[1].transpose()
     assert (fox.rows, fox.cols) == (1, 2)
     ctx = cx.context
     # d(x^2 y^-3)/dx = 1 + t^3 and d/dy = -(1 + t^2 + t^4)
     assert fox[0, 0] == _t_poly(ctx, [1, 0, 0, 1])
     assert fox[0, 1] == _t_poly(ctx, [-1, 0, -1, 0, -1])
-    col = cx.d1_column()
+    col = cx.boundaries[0].transpose()
     assert (col.rows, col.cols) == (2, 1)
     assert col[0, 0] == _t_poly(ctx, [-1, 0, 0, 1])
     assert col[1, 0] == _t_poly(ctx, [-1, 0, 1])

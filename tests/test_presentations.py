@@ -266,6 +266,31 @@ def test_validate_rejects_trivial_eps():
     assert not report.ok
 
 
+def test_validate_names_the_subject_of_each_failure():
+    # One subject per failure, in order: what the failure blames, with the
+    # generator or relator index it names.  parse_job reads a line off it.
+    ctx = FieldContext(1)
+    hopf, torus = hopf_presentation(3), torus_germ_presentation(2, 3)
+    one, zero = ScalarMatrix.from_rows(ctx, [[1]]), ScalarMatrix.from_rows(ctx, [[0]])
+    shear_x = ScalarMatrix.from_rows(ctx, [[1, 1], [0, 1]])
+    shear_y = ScalarMatrix.from_rows(ctx, [[1, 0], [1, 1]])
+    eye = ScalarMatrix.from_rows(ctx, [[1, 0], [0, 1]])
+    cases = [
+        (hopf, [1, 1, 1], [one, zero, zero], [("singular", 1), ("singular", 2)]),
+        (hopf, [1, 1, 1], [eye, shear_x, shear_y], []),
+        (hopf, [1, 1, 1], [shear_x, shear_y, eye], [("rho", 0)]),
+        (hopf, [1, 1, 1], [shear_x, eye, shear_y], [("rho", 1)]),
+        (torus, [1, 1], [one, one], [("eps", 0)]),
+        (torus, [1, 1], [shear_x, shear_y], [("eps", 0), ("rho", 0)]),
+        (torus, [0, 0], [one, one, one], [("counts", None), ("eps", None)]),
+        (torus, [1], [one, one], [("counts", None)]),
+    ]
+    for pres, eps_values, matrices, subjects in cases:
+        report = validate(pres, Augmentation(eps_values), Representation(ctx, matrices))
+        assert list(report.subjects) == subjects, report
+        assert len(report.failures) == len(report.subjects)
+
+
 def test_random_samplers_produce_valid_triples():
     rng = random.Random(31)
     ctx = FieldContext(12)
