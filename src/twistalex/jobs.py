@@ -347,6 +347,8 @@ def _split_top_level(text: str, sep: str | None = ",") -> list[str]:
     """Split on sep at bracket depth zero.  With sep None, as in str.split,
     split on whitespace and drop the empty parts: bracketed groups (and their
     inner spaces) stay attached to the token they start in."""
+    if "[" not in text and "]" not in text:
+        return text.split(sep)
     parts, depth, buf = [], 0, []
     for ch in text:
         if ch == "[":

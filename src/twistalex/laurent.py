@@ -11,9 +11,19 @@ denominator (Cohen, A Course in Computational Algebraic Number Theory,
 4.2), and field elements are built only when a caller reads a coefficient.
 Every product goes through one kernel, _product_rows: an integer
 convolution in t and z into a flat row buffer, each row then folded once
-through the power table of the context.  A product, a fused update a + f*b
-or a*p - f*b, and a whole division are one call each; the division is one
-pass over flat rows.  A rational unit scales the rows and convolves nothing.
+through the power table of the context.  An operand enters the kernel as
+the nonzero (position, value) pairs of its rows in that buffer, which a
+polynomial forms on first use and keeps (_flat_form), so no operand is
+flattened twice.  A product, a cross a*p - f*b and a whole division are one
+call each; the division is one pass over flat rows.  Many sums share one
+call, each in its own band of the buffer (_sums_of_products): a whole row
+update row + f*src (_add_multiple) is one call, whether the Smith form, a
+Schur step of the determinant or the reduction of a chain complex runs it.
+A product of two matrices stays one call per entry: a call per product row
+holds the bands of all its entries until the fold, and for the d1*d2 check
+of builder hopf d=2000, whose entries are all zero, that raised the peak
+memory of parse_job from 145 to 392 MB.  A rational unit scales the rows
+and convolves nothing.
 
 LaurentMatrix shares its storage and ring-independent operations with
 ScalarMatrix through scalars.Matrix.  It adds only the promotion of scalar
@@ -73,10 +83,10 @@ def _coerce_scalar(context: FieldContext, value) -> CycloNumber:
     return context.from_rational(value)
 
 
-def _flat(rows, width: int, scale: int = 1) -> list[tuple[int, int]]:
+def _flat(rows, width: int) -> list[tuple[int, int]]:
     """The nonzero coordinates of a sequence of power-basis rows as (position,
-    scale * value) pairs, row i starting at position i * width."""
-    return [(i * width + p, x * scale) for i, row in enumerate(rows) for p, x in enumerate(row) if x]
+    value) pairs, row i starting at position i * width."""
+    return [(i * width + p, x) for i, row in enumerate(rows) for p, x in enumerate(row) if x]
 
 
 def _fold(context: FieldContext, flat, base: int) -> list[int]:
@@ -122,33 +132,54 @@ def _product_rows(context: FieldContext, flat, terms) -> list:
     return list(zip(*cols))
 
 
-def _sum_of_products(context: FieldContext, terms) -> LaurentPoly:
-    """The sum of sign * a * b over the terms (sign, a, b), b None for 1: one
-    buffer over the lcm of the denominators, one kernel call."""
+def _sums_of_products(context: FieldContext, sums) -> list:
+    """For each sum, a list of terms (sign, a, b), b None for 1, the
+    polynomial sum of sign * a * b: one kernel call for all of them.
+
+    Each sum gets its own band of rows in one flat buffer, over the lcm of
+    its denominators (an empty sum an empty band), and the folded buffer is
+    split back into the bands.
+    The operands are the kept flat forms (LaurentPoly._flat_form); a term
+    whose scale is not 1 scales a copy of its shorter operand."""
     width = 2 * context.degree - 1
-    parts, low, high, den = [], math.inf, -math.inf, 1
-    for sign, a, b in terms:
-        if a.rows and (b is None or b.rows):
-            lo, d, hi, fb = a.low, a.den, a.low + len(a.rows), ((0, 1),)
-            if b is not None:
-                lo, d, hi, fb = lo + b.low, d * b.den, hi + b.low + len(b.rows) - 1, _flat(b.rows, width)
-            parts.append((lo, d, sign, a.rows, fb))
-            low = lo if lo < low else low
-            high = hi if hi > high else high
-            den = den if den % d == 0 else math.lcm(den, d)
-    if not parts:
-        return LaurentPoly.zero(context)
-    products = [((lo - low) * width, _flat(rows, width, sign * (den // d)), fb) for lo, d, sign, rows, fb in parts]
-    return LaurentPoly._make(context, low, _product_rows(context, [0] * ((high - low) * width), products), den)
+    bands, products, size = [], [], 0
+    for terms in sums:
+        parts, low, high, den = [], math.inf, -math.inf, 1
+        for sign, a, b in terms:
+            if a.rows and (b is None or b.rows):
+                lo, d, hi, fb = a.low, a.den, a.low + len(a.rows), ((0, 1),)
+                if b is not None:
+                    lo, d, hi, fb = lo + b.low, d * b.den, hi + b.low + len(b.rows) - 1, b._flat_form()
+                parts.append((lo, d, sign, a._flat_form(), fb))
+                low = lo if lo < low else low
+                high = hi if hi > high else high
+                den = den if den % d == 0 else math.lcm(den, d)
+        if not parts:
+            low = high = 0
+        base = size * width
+        for lo, d, sign, fa, fb in parts:
+            scale = sign * (den // d)
+            if scale != 1:
+                if len(fb) <= len(fa):
+                    fb = [(p, x * scale) for p, x in fb]
+                else:
+                    fa = [(p, x * scale) for p, x in fa]
+            products.append((base + (lo - low) * width, fa, fb))
+        bands.append((low, size, size + high - low, den))
+        size += high - low
+    rows = _product_rows(context, [0] * (size * width), products) if products else ()
+    return [LaurentPoly._make(context, low, rows[start:end], den) for low, start, end, den in bands]
 
 
 def _add_multiple(context: FieldContext, row, factor: LaurentPoly, src, col=None, value=None) -> list:
-    """row + factor * src, one kernel call per nonzero entry of src; a caller
-    that already holds the new entry of column col passes it as value."""
-    out = [
-        _sum_of_products(context, ((1, a, None), (1, factor, b))) if b and j != col else a
-        for j, (a, b) in enumerate(zip(row, src))
-    ]
+    """row + factor * src as one kernel call, the sum of each nonzero entry
+    of src its own band (_sums_of_products); a caller that already holds the
+    new entry of column col passes it as value."""
+    cols = [j for j, b in enumerate(src) if b and j != col]
+    new = _sums_of_products(context, [((1, row[j], None), (1, factor, src[j])) for j in cols])
+    out = list(row)
+    for j, e in zip(cols, new):
+        out[j] = e
     if col is not None:
         out[col] = value
     return out
@@ -165,7 +196,8 @@ class _UnitSchur:
     row with an entry e in column j to row - (e u^-1) row_i, u = work[i][j],
     and row i and column j leave, so the live block becomes the Schur
     complement of u.  It divides by nothing, and forms u^-1 only when such a
-    row exists and row i holds more than u.  row_count and col_count hold the
+    row exists and row i holds more than u; each such row is one row update,
+    one kernel call (_add_multiple).  row_count and col_count hold the
     nonzeros of each live line, kept under every step; a line that left
     counts 0.
     """
@@ -236,7 +268,7 @@ class LaurentPoly:
     leading_coefficient, the result of evaluate, bar and embed.
     """
 
-    __slots__ = ("context", "low", "rows", "den")
+    __slots__ = ("context", "low", "rows", "den", "_flat_rows")
 
     def __init__(self, context: FieldContext, coeffs, low: int = 0):
         cs = [_coerce_scalar(context, c) for c in coeffs]
@@ -255,7 +287,7 @@ class LaurentPoly:
     def _raw(cls, context: FieldContext, low: int, rows: tuple, den: int) -> LaurentPoly:
         # Fields already in canonical form.
         p = object.__new__(cls)
-        p.context, p.low, p.rows, p.den = context, low, rows, den
+        p.context, p.low, p.rows, p.den, p._flat_rows = context, low, rows, den, None
         return p
 
     def _set(self, context: FieldContext, low: int, rows, den: int):
@@ -265,6 +297,7 @@ class LaurentPoly:
         while end > start and not any(rows[end - 1]):
             end -= 1
         self.context = context
+        self._flat_rows = None
         if start == end:
             self.low, self.rows, self.den = 0, (), 1
             return
@@ -280,6 +313,15 @@ class LaurentPoly:
         self.low = low + start
         self.rows = tuple(map(tuple, rows))
         self.den = den
+
+    def _flat_form(self) -> list[tuple[int, int]]:
+        """_flat(rows, 2*phi(n) - 1), the operand form of the kernel, formed
+        on first use and kept: the polynomial is immutable, and the kernel
+        never writes to it."""
+        flat = self._flat_rows
+        if flat is None:
+            flat = self._flat_rows = _flat(self.rows, 2 * self.context.degree - 1)
+        return flat
 
     @classmethod
     def zero(cls, context: FieldContext) -> LaurentPoly:
@@ -430,9 +472,8 @@ class LaurentPoly:
             # b = c * t^k, c rational (a sign, a constant, a normalizer).
             rows = [[x * b.rows[0][0] for x in row] for row in a.rows]
             return LaurentPoly._make(self.context, a.low + b.low, rows, a.den * b.den)
-        width = 2 * self.context.degree - 1
-        flat = [0] * ((len(self.rows) + len(o.rows) - 1) * width)
-        rows = _product_rows(self.context, flat, ((0, _flat(self.rows, width), _flat(o.rows, width)),))
+        flat = [0] * ((len(self.rows) + len(o.rows) - 1) * (2 * self.context.degree - 1))
+        rows = _product_rows(self.context, flat, ((0, self._flat_form(), o._flat_form()),))
         return LaurentPoly._make(self.context, self.low + o.low, rows, self.den * o.den)
 
     __rmul__ = __mul__
@@ -478,7 +519,8 @@ class LaurentPoly:
         deg = ctx.degree
         width = 2 * deg - 1
         flat = list(chain.from_iterable(row + (0,) * (deg - 1) for row in self.rows))
-        lead, tail, den, steps = o.rows[-1][0], _flat(o.rows[:-1], width), self.den, []
+        # The divisor's flat form without its top row, of one nonzero.
+        lead, tail, den, steps = o.rows[-1][0], o._flat_form()[:-1], self.den, []
 
         def eliminate():
             # Invariant: the remainder is flat / den, den > 0, flat ending at
@@ -616,12 +658,16 @@ class LaurentPoly:
         if self.is_zero():
             return "0"
         parts: list[str] = []
+        # Each distinct coefficient row is formatted once.
+        texts = {}
         for e, row in enumerate(self.rows, self.low):
             if not any(row):
                 continue
-            negated, cs, composite = _scalar_text(row, self.den)
-            if composite:
-                cs = f"({cs})"
+            text = texts.get(row)
+            if text is None:
+                negated, cs, composite = _scalar_text(row, self.den)
+                text = texts[row] = negated, f"({cs})" if composite else cs
+            negated, cs = text
             if e == 0:
                 body = cs
             else:
@@ -924,7 +970,7 @@ class LaurentMatrix(Matrix):
         if len(pairs) == 1:
             a, b = pairs[0]
             return a * b
-        return _sum_of_products(pairs[0][0].context, [(1, a, b) for a, b in pairs])
+        return _sums_of_products(pairs[0][0].context, ([(1, a, b) for a, b in pairs],))[0]
 
     # The hooks of Matrix._bareiss; the size of an entry is its span + 1.
 
@@ -935,7 +981,7 @@ class LaurentMatrix(Matrix):
     @staticmethod
     def _cross(a, p, f, b):
         # a p - f b in one buffer.
-        return _sum_of_products(p.context, ((1, a, p), (-1, f, b))) if f and b else a * p
+        return _sums_of_products(p.context, (((1, a, p), (-1, f, b)),))[0] if f and b else a * p
 
     @staticmethod
     def _divider(prev: LaurentPoly):
@@ -1107,7 +1153,7 @@ class LaurentMatrix(Matrix):
                     q = q * unit
                 for row in V:
                     row[j] = row[j] - q * row[corner]
-                Vinv[corner] = [a + q * b for a, b in zip(Vinv[corner], Vinv[j])]
+                Vinv[corner] = _add_multiple(ctx, Vinv[corner], q, Vinv[j])
 
         def enter_corner(corner, i, j):
             # Move entry (i, j) into the corner and scale its row monic; a

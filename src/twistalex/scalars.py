@@ -9,7 +9,8 @@ The Galois maps z -> z^k (k a unit mod n), complex conjugation (k = -1) and
 the embedding Q(zeta_m) -> Q(zeta_N) (z -> w^(N/m)) are one substitution of
 powers through the integer power table.  Inversion uses them through the
 norm: with c the product of sigma_k(a) over the units k != 1 mod n, a * c =
-N(a) is rational, so a^-1 = c / N(a).  The context computes products,
+N(a) is rational, so a^-1 = c / N(a); for a root of unity +-z^k, c is
++-z^(-k), read off a table of the context.  The context computes products,
 substitutions and that cofactor c on integer rows of Z[z]
 (FieldContext._product, _substitute, _cofactor); CycloNumber wraps them.
 Each context also keeps a split prime p = 1 mod n and a root w of Phi_n
@@ -136,7 +137,7 @@ class FieldContext:
     reference to their context and refuse arithmetic across distinct ones.
     """
 
-    __slots__ = ("conductor", "degree", "modulus", "_powers", "_fold", "_split", "zero", "one")
+    __slots__ = ("conductor", "degree", "modulus", "_powers", "_fold", "_roots", "_split", "zero", "one")
 
     def __new__(cls, conductor: int = 1):
         if conductor < 1:
@@ -166,6 +167,9 @@ class FieldContext:
             powers.append(tuple(nxt))
             cur = nxt
         self._powers = tuple(powers)
+        # The row of each root of unity +-z^k -> (k, +-1), for _cofactor:
+        # n rows for even n, where -z^k = z^(k + n/2) is kept as a power.
+        self._roots = {tuple(s * x for x in row): (k, s) for s in (-1, 1) for k, row in enumerate(powers)}
         # The nonzero (coordinate, value) pairs of z^e for the exponents
         # deg..2*deg-2 that a product of two power-basis rows reaches; z^n = 1
         # folds the exponent mod the conductor first.
@@ -243,10 +247,18 @@ class FieldContext:
         c = conj(a) * prod sigma_k(b) over the units 1 < k < n/2, one
         representative of each class of units mod +-1.  That is phi(n)/2
         products where the conjugates one by one take phi(n) - 2, and none
-        for phi(n) = 2, where c = conj(a)."""
+        for phi(n) = 2, where c = conj(a).
+
+        A root of unity a = +-z^k, found in the table of the context, has
+        norm 1 (n >= 3) and c = a^-1 = +-z^(-k), read off the power table
+        with no product; the rational +-1 take the rational branch."""
         if not any(a[1:]):
             return [1] + [0] * (self.degree - 1), a[0]
         n = self.conductor
+        root = self._roots.get(tuple(a))
+        if root is not None:
+            k, sign = root
+            return [sign * x for x in self._powers[-k % n]], 1
         c = self._substitute(a, -1)
         units = [k for k in range(2, (n + 1) // 2) if math.gcd(k, n) == 1]
         if units:
@@ -668,7 +680,7 @@ def parse_scalar(text: str, context: FieldContext) -> CycloNumber:
                     raise ValueError(f"cannot parse scalar factor {f!r}")
             else:
                 try:
-                    value = Fraction(f)
+                    value = int(f) if f.isascii() and f.isdigit() else Fraction(f)
                 except (ValueError, ZeroDivisionError):
                     raise ValueError(f"cannot parse scalar factor {f!r}")
                 num, den = num * value.numerator, den * value.denominator

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from twistalex import laurent
 from twistalex.laurent import (
     LaurentMatrix,
     LaurentPoly,
@@ -569,3 +570,76 @@ def test_smith_form_without_certificates_matches_the_certified_one(n):
         for k, d in enumerate(snf.divisors, start=1):
             prod = prod * d
             assert prod.unit_equal(m.minors_gcd(k))
+
+
+def _mixed_poly(rng, ctx, max_span=4):
+    # Coefficients with denominators 1..6 and a z part, so the terms of a
+    # sum bring different denominators.
+    z = ctx.zeta()
+    coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 6)) + rng.randint(-1, 1) * z for _ in range(rng.randint(1, max_span))]
+    if not any(coeffs):
+        coeffs[0] = Fraction(1, rng.randint(1, 6))
+    return LaurentPoly(ctx, coeffs, rng.randint(-2, 2))
+
+
+@pytest.mark.parametrize("n", [1, 5, 12, 60])
+def test_sums_of_products_equal_each_sum_formed_with_plus_and_times(n):
+    # One kernel call for many sums: mixed denominators, a term with b None
+    # (the 1 of a row update), signs -1, an empty sum and a sum cancelling
+    # to zero, each against the same sum formed with + and *.
+    ctx = FieldContext(n)
+    rng = random.Random(f"sums-{n}")
+    zero = LaurentPoly.zero(ctx)
+    for _ in range(6):
+        a, b, c, d = (_mixed_poly(rng, ctx) for _ in range(4))
+        sums = [
+            [(1, a, b), (-1, c, d)],
+            [(1, a, None), (1, b, c)],
+            [(-1, a, None), (-1, d, None), (1, zero, b)],
+            [],
+            [(1, a, b), (-1, b, a)],
+            [(1, c, d), (1, a, None), (-1, b, c), (1, d, zero)],
+        ]
+        got = laurent._sums_of_products(ctx, sums)
+        expected = []
+        for terms in sums:
+            total = zero
+            for sign, x, y in terms:
+                product = x if y is None else x * y
+                total = total + product if sign > 0 else total - product
+            expected.append(total)
+        assert got == expected
+        assert got[3] == zero and got[4] == zero
+
+
+@pytest.mark.parametrize("n", [1, 5, 12, 60])
+def test_an_operand_scaled_by_the_kernel_keeps_its_flat_form(n):
+    # The kept flat form is shared by every use; a term with scale != 1
+    # (a sign -1, a denominator below the lcm) must scale a copy.
+    ctx = FieldContext(n)
+    rng = random.Random(f"scaled-{n}")
+    width = 2 * ctx.degree - 1
+    for _ in range(6):
+        polys = [_mixed_poly(rng, ctx, 5) for _ in range(4)]
+        for p in polys:
+            p._flat_form()
+        a, b, c, d = polys
+        laurent._sums_of_products(ctx, [[(-1, a, b), (1, c, None)], [(-1, d, None), (1, b, d)], [(-1, c, a)]])
+        for p in polys:
+            assert p._flat_form() == laurent._flat(p.rows, width)
+
+
+@pytest.mark.parametrize("n", [1, 12])
+def test_a_row_update_is_one_kernel_call(n, monkeypatch):
+    ctx = FieldContext(n)
+    rng = random.Random(f"row-update-{n}")
+    zero = LaurentPoly.zero(ctx)
+    row = [_mixed_poly(rng, ctx) for _ in range(5)] + [zero]
+    src = [_mixed_poly(rng, ctx), zero, _mixed_poly(rng, ctx), _mixed_poly(rng, ctx), zero, _mixed_poly(rng, ctx)]
+    factor = _mixed_poly(rng, ctx)
+    calls = []
+    kernel = laurent._product_rows
+    monkeypatch.setattr(laurent, "_product_rows", lambda *args: calls.append(1) or kernel(*args))
+    out = laurent._add_multiple(ctx, row, factor, src, 3, zero)
+    assert len(calls) == 1
+    assert out == [a + factor * b if j != 3 else zero for j, (a, b) in enumerate(zip(row, src))]

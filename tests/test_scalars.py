@@ -261,6 +261,17 @@ def test_scalar_parse_keeps_the_quirks_of_the_grammar():
     assert parse_scalar("1_000", ctx) == ctx.from_rational(1000)
 
 
+def test_an_all_digit_factor_reads_as_its_integer():
+    # The int fast path keeps Fraction's value, and its refusal of a factor
+    # past Python's 4300-digit string limit keeps the factor text.
+    ctx = FieldContext(12)
+    assert parse_scalar("007*z - 3", ctx) == 7 * ctx.zeta(1) - 3
+    digits = "1" * 5000
+    with pytest.raises(ValueError) as info:
+        parse_scalar(digits, ctx)
+    assert str(info.value) == f"cannot parse scalar factor {digits!r}"
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 12, 15, 60])
 def test_cofactor_through_the_real_subfield_is_the_product_of_conjugates(n, monkeypatch):
     # c = conj(a) * prod sigma_k(a conj(a)) over 1 < k < n/2 is the product
@@ -284,3 +295,26 @@ def test_cofactor_through_the_real_subfield_is_the_product_of_conjugates(n, monk
         assert CycloNumber(ctx, c) == expected
         assert (CycloNumber(ctx, a) * CycloNumber(ctx, c)).as_rational() == norm
         assert len(calls) == (totient(n) // 2 + 1 if totient(n) > 2 else 1)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 9, 12, 15, 60])
+def test_cofactor_of_a_root_of_unity_is_read_off_the_table(n, monkeypatch):
+    # Every non-rational +-z^k: c is the product of the other conjugates,
+    # the norm is 1, and no product is formed.
+    ctx = FieldContext(n)
+    units = [k for k in range(2, n) if math.gcd(k, n) == 1]
+    roots = {tuple(s * x for x in ctx.zeta(k).nums) for k in range(n) for s in (1, -1)}
+    roots = [a for a in roots if any(a[1:])]
+    assert len(roots) == (n if n % 2 == 0 else 2 * n) - 2
+    calls = []
+    product = ctx._product
+    for a in roots:
+        expected = ctx.one
+        for k in units:
+            expected = expected * CycloNumber(ctx, ctx._substitute(a, k))
+        monkeypatch.setattr(FieldContext, "_product", lambda self, x, y: calls.append(1) or product(x, y))
+        c, norm = ctx._cofactor(a)
+        monkeypatch.undo()
+        assert CycloNumber(ctx, c) == expected
+        assert norm == 1
+    assert calls == []
