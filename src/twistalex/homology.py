@@ -4,9 +4,11 @@ A twisted chain complex is a tuple of boundaries over R = F[t, t^-1],
 
     C_k --d_k--> ... --d_2--> C_1 --d_1--> C_0,
 
-and every invariant below is one loop over its degrees.  build_complex makes
-the k = 2 complex of a presentation 2-complex: given a validated triple
-(presentation, eps, rho) with r-dimensional rho over a field F,
+and every invariant below is one loop over its degrees.  A complex carries
+the triple (presentation, eps, rho) when d_1 and d_2 are its presentation
+complex, and None when no presentation describes its cells.  build_complex
+makes the k = 2 complex of a presentation 2-complex: given a validated
+triple with r-dimensional rho over a field F,
 
     C2 = R^(r R) --d2--> C1 = R^(r g) --d1--> C0 = R^r
 
@@ -85,7 +87,9 @@ class TwistedChainComplex:
     """A twisted chain complex: boundaries = (d_1, ..., d_k), d_i : C_i -> C_(i-1).
 
     Columns are chains, so d_i is c_(i-1) x c_i and the chain ranks
-    (c_0, ..., c_k) are read off the boundary shapes.  The constructor
+    (c_0, ..., c_k) are read off the boundary shapes.  triple is
+    (presentation, eps, rho) exactly when d_1 and d_2 are the presentation
+    complex of that triple (build_complex), else None.  The constructor
     checks every composite d_i d_(i+1), whoever built the boundaries, and
     raises InternalInvariantError on the first that is nonzero.  reduced()
     is the complex with its unit pairs cancelled, formed on first use;
@@ -93,15 +97,12 @@ class TwistedChainComplex:
     the complex as built.
     """
 
-    __slots__ = ("presentation", "eps", "rho", "context", "dimension", "boundaries", "ranks", "_reduced")
+    __slots__ = ("triple", "context", "boundaries", "ranks", "_reduced")
 
-    def __init__(self, presentation, eps, rho, boundaries):
-        self.presentation = presentation
-        self.eps = eps
-        self.rho = rho
-        self.context = rho.context
-        self.dimension = rho.dimension
+    def __init__(self, boundaries, triple=None):
+        self.triple = triple
         self.boundaries = tuple(boundaries)
+        self.context = self.boundaries[0].context
         for i, (d, e) in enumerate(zip(self.boundaries, self.boundaries[1:]), 1):
             if not (d * e).is_zero():
                 raise InternalInvariantError(f"boundary composite d{i} d{i + 1} is nonzero")
@@ -190,7 +191,7 @@ def build_complex(
     boundary2 = LaurentMatrix._make(
         ctx, [[row[i].entries[b][a] for row in fox_rows for b in range(r)] for i in range(g) for a in range(r)]
     )
-    return TwistedChainComplex(presentation, eps, rho, (boundary1, boundary2))
+    return TwistedChainComplex((boundary1, boundary2), (presentation, eps, rho))
 
 
 class AlexanderResult:
@@ -259,13 +260,13 @@ def wada_ratio(complex_: TwistedChainComplex) -> RationalFunction:
     and the minors off d_2 without block row g, which is the transpose of
     the Fox matrix without block column g and has the same minors.  Needs
     deficiency-1 presentations (relators = generators - 1) so the remainder
-    is square-able: the gcd runs over the (r R) x (r R) minors.  Raises
-    ValueError when no admissible generator exists.
+    is square-able: the gcd runs over the (r R) x (r R) minors, r = c_0.
+    Raises ValueError without a deficiency-1 triple or admissible generator.
     """
-    pres = complex_.presentation
-    if pres.deficiency != 1:
+    if complex_.triple is None or complex_.triple[0].deficiency != 1:
         raise ValueError("the minor formula needs a deficiency-1 presentation")
-    r = complex_.dimension
+    pres = complex_.triple[0]
+    r = complex_.ranks[0]
     d1, d2 = complex_.boundaries[:2]
     for g in range(pres.generator_count):
         block = range(g * r, (g + 1) * r)

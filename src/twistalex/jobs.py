@@ -127,8 +127,7 @@ class JobSpec:
         "local_requests",
         "components",
         "singularities",
-        "_complex",
-        "_germs",
+        "_complexes",
     )
 
     def __init__(
@@ -156,11 +155,8 @@ class JobSpec:
         self.local_requests = tuple(local_requests)
         self.components = tuple(components)
         self.singularities = tuple(singularities)
-        # (triple fields, TwistedChainComplex): see chain_complex.
-        self._complex = None
-        # ((conductor, local_requests), one complex or None per request):
-        # see germ_complex.
-        self._germs = None
+        # (_complex_key(), {None or germ index: complex}): see chain_complex.
+        self._complexes = None
 
     def context(self) -> FieldContext:
         return FieldContext(self.conductor)
@@ -175,34 +171,30 @@ class JobSpec:
     def representation(self, context: FieldContext) -> Representation:
         return Representation(context, [_scalar_matrix(context, rows) for rows in self.rho_rows])
 
-    def _triple(self):
-        """The fields the twisted triple (presentation, eps, rho) is made of."""
-        return (self.conductor, self.generator_names, self.relator_texts, self.eps_values, self.rho_rows)
+    def _complex_key(self):
+        # The fields of the triple, source (the builder step) and local requests.
+        triple = (self.conductor, self.generator_names, self.relator_texts, self.eps_values, self.rho_rows)
+        return (*triple, self.source, self.local_requests)
 
-    def chain_complex(self) -> TwistedChainComplex:
-        """The chain complex of the triple, whose build validates it (an
-        invalid triple raises InvalidTripleError).  parse_job stores the one it
-        built; other specs build it on first use, keyed on _triple by ==."""
-        triple = self._triple()
-        if self._complex is None or self._complex[0] != triple:
-            rho = self.representation(self.context())
-            self._complex = (triple, build_complex(self.presentation(), self.augmentation(), rho))
-        return self._complex[1]
-
-    def germ_complex(self, index: int) -> TwistedChainComplex:
-        """The chain complex of the germ of local request index.  parse_job
-        stores the ones it built; other specs build each on first use, keyed
-        on conductor and local_requests by ==."""
-        key = (self.conductor, self.local_requests)
-        if self._germs is None or self._germs[0] != key:
-            self._germs = (key, [None] * len(self.local_requests))
-        germs = self._germs[1]
-        if germs[index] is None:
-            kind, params, weights, scalar_texts = self.local_requests[index]
+    def chain_complex(self, germ: int | None = None) -> TwistedChainComplex:
+        """The job's complex (_job_complex), or the complex of the germ of
+        local request germ; each build validates its triple.  parse_job stores
+        the ones it built, and others are built on first use, in one table
+        keyed on _complex_key by ==."""
+        key = self._complex_key()
+        if self._complexes is None or self._complexes[0] != key:
+            self._complexes = (key, {})
+        table = self._complexes[1]
+        if germ not in table:
             context = self.context()
-            scalars = None if scalar_texts is None else [parse_scalar(s, context) for s in scalar_texts]
-            germs[index] = build_complex(*_local_germ(context, kind, params, weights, scalars))
-        return germs[index]
+            if germ is None:
+                triple = self.presentation(), self.augmentation(), self.representation(context)
+                table[None] = _job_complex(self.source, *triple)
+            else:
+                kind, params, weights, scalar_texts = self.local_requests[germ]
+                scalars = None if scalar_texts is None else [parse_scalar(s, context) for s in scalar_texts]
+                table[germ] = build_complex(*_local_germ(context, kind, params, weights, scalars))
+        return table[germ]
 
     def curve(self, context: FieldContext) -> CurveData | None:
         if not self.components:
@@ -216,7 +208,7 @@ class JobSpec:
 
     def _key(self):
         # Every field but the cached complexes, in slot order.
-        return tuple(getattr(self, name) for name in self.__slots__ if name not in ("_complex", "_germs"))
+        return tuple(getattr(self, name) for name in self.__slots__ if name != "_complexes")
 
     def __eq__(self, other):
         if not isinstance(other, JobSpec):
@@ -288,9 +280,11 @@ def _bounded_build(what: str, integers, letters, build, lineno: int, prefix: str
 # The builders: the presentation families (presentations._FAMILIES), built
 # at unit weights, plus union, whose factors are not integers (see
 # presentations._union_factors).  A union has at most 14 generators, and its
-# letters are counted after its build (None).
+# letters are counted after its build (None).  The last field, the step, is
+# None (as in every shipped builder) or a function from the validated
+# 2-complex to the job's complex, with or without its triple (_job_complex).
 _BUILDERS = {
-    **_FAMILIES,
+    **{name: (*entry, None) for name, entry in _FAMILIES.items()},
     "union": (
         ("factors",),
         "factors=f1,f2   transversal union; factor = torus:p:q | cusp | line",
@@ -299,8 +293,16 @@ _BUILDERS = {
             transversal_union_augmentation(factors, [1] * len(factors)),
         ),
         None,
+        None,
     ),
 }
+
+
+def _job_complex(source, pres, eps, rho) -> TwistedChainComplex:
+    """build_complex, which validates the triple, then the builder's step."""
+    complex_ = build_complex(pres, eps, rho)
+    step = _BUILDERS[source[1]][4] if source[0] == "builder" else None
+    return complex_ if step is None else step(complex_)
 
 
 def _builder_value(name: str, key: str, params: dict, lineno: int):
@@ -325,7 +327,7 @@ def _resolve_builder(name: str, params: dict, lineno: int):
     build."""
     if name not in _BUILDERS:
         raise JobParseError(lineno, f"unknown builder {name!r}; available: {', '.join(sorted(_BUILDERS))}")
-    keys, _, build, letters = _BUILDERS[name]
+    keys, _, build, letters, _ = _BUILDERS[name]
     extra = set(params) - set(keys)
     if extra:
         raise JobParseError(lineno, f"builder {name}: unexpected parameters {', '.join(sorted(extra))}")
@@ -636,7 +638,7 @@ def parse_job(text: str) -> JobSpec:
 
     # local lines: each germ is built, measured and validated here
     local_requests = []
-    germs = []
+    complexes = {}  # the table of JobSpec.chain_complex
     for lineno, tokens in local_lines:
         if not tokens or tokens[0] not in _LOCAL_KINDS:
             what = f"unknown local kind {tokens[0]!r}" if tokens else "local line needs a kind"
@@ -678,11 +680,11 @@ def parse_job(text: str) -> JobSpec:
         # it; run_job reads the complex, and builds again one that failed its
         # d1 d2 = 0 check, to report that.
         try:
-            germs.append(build_complex(germ_pres, germ_eps, germ_rho))
+            complexes[len(local_requests)] = build_complex(germ_pres, germ_eps, germ_rho)
         except InvalidTripleError as exc:
             raise JobParseError(lineno, f"local {kind}: invalid triple: {'; '.join(exc.report.failures)}")
         except InternalInvariantError:
-            germs.append(None)
+            pass
         scalar_texts = None if scalars is None else tuple(str(v) for v in scalars)
         local_requests.append((kind, tuple(params), tuple(weights), scalar_texts))
 
@@ -750,13 +752,13 @@ def parse_job(text: str) -> JobSpec:
         tuple(components),
         tuple(singularities),
     )
-    spec._germs = ((spec.conductor, spec.local_requests), germs)
+    spec._complexes = (spec._complex_key(), complexes)
 
     # Building the complex is the validation of the triple, and the line that
-    # supplied the data of its first failure is reported.  A failed d1 d2 = 0
-    # check leaves no complex: run_job builds it again and reports that.
+    # supplied the data of its first failure is reported.  A complex that
+    # fails its d_i d_(i+1) = 0 check is not kept: run_job builds it again.
     try:
-        spec._complex = (spec._triple(), build_complex(pres, spec.augmentation(), rho))
+        complexes[None] = _job_complex(source, pres, spec.augmentation(), rho)
     except InvalidTripleError as exc:
         # The line of each subject a failure can blame; the rest fall to the
         # eps, builder or inline line.  rho trivial kills every relator.
@@ -966,7 +968,10 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
     (validation, boundary exactness, Euler rank pinning, Wada agreement where
     defined, a seeded Fox identity spot check) and fails on any mismatch.
     Output is deterministic: equal spec, mode, format, and seed give
-    byte-identical reports.
+    byte-identical reports.  On a complex without a triple, analyze wada,
+    divisibility and root-field are input errors ('<analysis> needs a
+    presentation complex'), and the checks that read the triple are skipped
+    with detail 'no presentation'.
     """
     out = _Report(fmt)
     if mode not in ("compute", "check"):
@@ -989,13 +994,13 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
         # validation record.  A parsed job reuses the complex of parse_job.
         try:
             complex_ = spec.chain_complex()
-            failures, index = [], complex_.eps.image_index()
+            failures, index = [], spec.augmentation().image_index()
         except InvalidTripleError as exc:
             failures, index = list(exc.report.failures), exc.report.eps_image_index
         out.emit({"record": "validation", "ok": not failures, "eps_image_index": index, "failures": failures})
         if failures:
             return out.render(), EXIT_INPUT_ERROR
-        context, pres, rho = complex_.context, complex_.presentation, complex_.rho
+        context, triple = complex_.context, complex_.triple
 
         result = homology(complex_)
 
@@ -1022,12 +1027,14 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
                 }
             )
 
-        deficiency_one = pres.deficiency == 1
+        deficiency_one = triple is not None and triple[0].deficiency == 1
         wada = None  # the minor-formula ratio, once computed
 
         for analysis in spec.analyses:
             if analysis == "delta":
                 continue  # the per-degree records above are the delta output
+            if triple is None and analysis in ("wada", "divisibility", "root-field"):
+                raise ValueError(f"{analysis} needs a presentation complex")
             if analysis == "wada":
                 if not deficiency_one:
                     out.emit({"record": "wada", "applicable": False})
@@ -1052,7 +1059,7 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
                     raise ValueError(
                         "divisibility needs the hopf builder or component lines describing the curve"
                     )
-                bound = infinity_bound(curve, list(rho.matrices))
+                bound = infinity_bound(curve, list(triple[2].matrices))
                 div = check_divides(result.delta(1), bound)
                 out.emit(
                     {
@@ -1070,7 +1077,7 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
                 curve = spec.curve(context) or _hopf_curve(spec, "root-field")
                 if curve is None:
                     raise ValueError("root-field needs the hopf builder or component lines for the degree")
-                rf = root_field(rho.matrices[0], curve.degree)
+                rf = root_field(triple[2].matrices[0], curve.degree)
                 out.emit(
                     {
                         "record": "root-field",
@@ -1111,7 +1118,7 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
                 out.emit({"record": "specialize", "at": value_text, "dims": list(dims), "bound_ok": None})
 
         for index, (kind, params, weights, _) in enumerate(spec.local_requests):
-            loc = _germ_polynomial(kind, params, weights, spec.germ_complex(index))
+            loc = _germ_polynomial(kind, params, weights, spec.chain_complex(index))
             out.emit(
                 {
                     "record": "local",
@@ -1161,6 +1168,10 @@ def _check_battery(out, complex_, result, ratio, wada, deficiency_one, seed):
     except InternalInvariantError as exc:
         check("euler-ranks", False, str(exc))
 
+    if complex_.triple is None:
+        check("wada-agreement", None, "no presentation")
+        check("fox-identity", None, "no presentation")
+        return
     if deficiency_one:
         w = wada if wada is not None else wada_ratio(complex_)
         agrees = ratio is not None and w.unit_equal(ratio)
@@ -1173,8 +1184,8 @@ def _check_battery(out, complex_, result, ratio, wada, deficiency_one, seed):
     # {exponent: rows} map over integer power-basis rows, so a word passes
     # exactly when every row in it is zero.
     rng = random.Random(seed)
-    count = complex_.presentation.generator_count
-    phi = PhiMap(complex_.eps, complex_.rho)
+    pres, eps, rho = complex_.triple
+    count, phi = pres.generator_count, PhiMap(eps, rho)
     add = complex_.context._matrix_sum
     passed = 0
     trials = 5
@@ -1182,7 +1193,7 @@ def _check_battery(out, complex_, result, ratio, wada, deficiency_one, seed):
         w = random_word(count, 10, rng)
         e, rows = phi._prefix_rows(w.letters)
         diff = {e: rows}
-        diff[0] = add(diff.get(0), complex_.rho._identity, -1)
+        diff[0] = add(diff.get(0), rho._identity, -1)
         for g in range(count):
             for e, rows in phi._term_rows(fox_derivative(w, g), g).items():
                 diff[e] = add(diff.get(e), rows, -1)

@@ -469,8 +469,8 @@ def _germ_polynomial(kind: str, params, weights, germ: TwistedChainComplex) -> L
     printed = None
     matches = None
     if kind == "cusp":
-        n = germ.eps.values[0]
-        printed = cusp_printed_formula(germ.rho.matrices[0][0, 0], germ.rho.matrices[1][0, 0], n, n)
+        _, eps, rho = germ.triple
+        printed = cusp_printed_formula(rho.matrices[0][0, 0], rho.matrices[1][0, 0], *eps.values)
         matches = ratio is not None and printed.unit_equal(ratio)
     return LocalPolynomial(kind, params, weights, delta0, delta1, ratio, printed, matches)
 

@@ -632,11 +632,26 @@ def embed(value: CycloNumber, target: FieldContext) -> CycloNumber:
 
 # A sign right after ^, e or E belongs to its factor (z^-1, 1e-5).
 _SIGN = re.compile(r"(?<![\^eE])[+-]")
+# The exponent of a factor in exponent notation, which Fraction expands.
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
+# Python's default limit on the digits of an int printed as text.  A parsed
+# scalar must print, so no numerator or denominator may pass it, and no
+# factor's exponent either: 1e9999999999 would cost 10^(10^10).
+_MAX_DIGITS = 4300
+_DIGITS_BOUND = 10**_MAX_DIGITS
+
+
+def _too_many_digits(text: str) -> ValueError:
+    return ValueError(f"scalar {text!r} has a coefficient of more than {_MAX_DIGITS} digits")
 
 
 def parse_scalar(text: str, context: FieldContext) -> CycloNumber:
     """Parse the scalar grammar: a sum of terms, each a rational or
-    rational*z^k, e.g. ``1/2 + 3*z^2 - z^5``."""
+    rational*z^k, e.g. ``1/2 + 3*z^2 - z^5``.  A factor whose exponent is
+    past _MAX_DIGITS, and an element whose numerator or denominator, or that
+    of a product or sum on the way to it, has more than _MAX_DIGITS digits,
+    are refused (ValueError): every parsed scalar prints, and a long text
+    costs no more than its length."""
     s = text.strip()
     if not s:
         raise ValueError("empty scalar")
@@ -679,22 +694,34 @@ def parse_scalar(text: str, context: FieldContext) -> CycloNumber:
                 else:
                     raise ValueError(f"cannot parse scalar factor {f!r}")
             else:
+                exponent = ("e" in f or "E" in f) and _EXPONENT.search(f)
+                if exponent and (len(exponent[1]) > _MAX_DIGITS or abs(int(exponent[1])) > _MAX_DIGITS):
+                    raise ValueError(f"scalar factor {f!r} has an exponent past {_MAX_DIGITS}")
                 try:
                     value = int(f) if f.isascii() and f.isdigit() else Fraction(f)
                 except (ValueError, ZeroDivisionError):
                     raise ValueError(f"cannot parse scalar factor {f!r}")
                 num, den = num * value.numerator, den * value.denominator
+                if not -_DIGITS_BOUND < num < _DIGITS_BOUND or den >= _DIGITS_BOUND:
+                    raise _too_many_digits(text)
         if zpow is not None and context.conductor == 1:
             raise ValueError("z is not available in the rational context")
         parsed.append((num, den, zpow or 0))
-    den = lcm(d for _, d, _ in parsed)
+    den = 1
+    for _, d, _ in parsed:
+        den = math.lcm(den, d)
+        if den >= _DIGITS_BOUND:
+            raise _too_many_digits(text)
     nums = [0] * context.degree
     for num, d, zpow in parsed:
         c = num * (den // d)
         for i, r in enumerate(context._powers[zpow % context.conductor]):
             if r:
                 nums[i] += c * r
-    return CycloNumber(context, nums, den)
+    value = CycloNumber(context, nums, den)
+    if value.den >= _DIGITS_BOUND or not -_DIGITS_BOUND < min(value.nums) <= max(value.nums) < _DIGITS_BOUND:
+        raise _too_many_digits(text)
+    return value
 
 
 def _permutation_sign(order) -> int:

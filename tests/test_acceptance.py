@@ -171,7 +171,7 @@ def test_criterion_02_twisted_hopf_suite():
     checked = 0
     for d, r, cx, res in _criterion2_complexes():
         ctx = cx.context
-        phi = PhiMap(cx.eps, cx.rho)
+        phi = PhiMap(*cx.triple[1:])
         eye = LaurentMatrix.identity(ctx, r)
         det0 = (phi.generator_image(0) - eye).determinant()
         expect = RationalFunction(det0 ** (d - 2), _one(ctx))
@@ -250,8 +250,8 @@ def test_criterion_04_union_and_smooth_pair_regressions():
         res2 = homology(cx2)
         ctx2 = cx2.context
         assert res2.ratio().unit_equal(RationalFunction(_one(ctx2), _one(ctx2)))
-        phi = PhiMap(cx2.eps, cx2.rho)
-        eye = LaurentMatrix.identity(ctx2, cx2.dimension)
+        phi = PhiMap(*cx2.triple[1:])
+        eye = LaurentMatrix.identity(ctx2, cx2.ranks[0])
         det1 = (phi.generator_image(1) - eye).determinant()
         det2 = (phi.word_image(hopf_extra_meridian_word(2)) - eye).determinant()
         from twistalex.laurent import laurent_gcd
@@ -327,7 +327,7 @@ def test_criterion_05_fox_identity_and_exactness():
         (Presentation(["x"], []), Augmentation([1]), Representation.trivial(FieldContext(1), 1, 2))
     )
     union = _criterion4_union()
-    combos.append((union.presentation, union.eps, union.rho))
+    combos.append(union.triple)
     for pres, eps, rho in combos:
         cx = build_complex(pres, eps, rho)
         assert (cx.boundaries[0] * cx.boundaries[1]).is_zero()
@@ -389,7 +389,7 @@ def test_criterion_07_wada_cross_check():
         assert wada_ratio(cx).unit_equal(homology(cx).ratio())
         count += 1
     # the union presentation has deficiency -2, so it is rightly excluded
-    assert _criterion4_union().presentation.deficiency != 1
+    assert _criterion4_union().triple[0].deficiency != 1
     print(f"criterion 7: PASS - minor formula = homology ratio on {count} deficiency-1 instances")
 
 

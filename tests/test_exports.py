@@ -1,7 +1,8 @@
 """Every exported name resolves: a deletion may not leave an __all__ entry
 behind.  Every name a submodule exports, and every public method or property
 of a package class, is also used by the package itself, unless it is listed
-below with the test that uses it."""
+below with the test that uses it.  The package imports nothing outside the
+standard library."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import ast
 import importlib
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,7 +24,7 @@ USED_ONLY_BY_TESTS = {
     "hopf_extra_meridian_word": "test_acceptance.py",
     "random_hopf_representation": "test_acceptance.py",
     "random_a_odd_representation": "test_acceptance.py",
-    # Jobs read the germ complexes parse_job built (JobSpec.germ_complex).
+    # Jobs read the germ complexes parse_job built (JobSpec.chain_complex).
     "local_polynomial": "test_obstructions.py",
 }
 
@@ -123,3 +125,21 @@ def test_every_public_method_has_a_use():
     for name, test_file in METHODS_USED_ONLY_BY_TESTS.items():
         assert name not in used, f"{name} has a use in the package; drop it from the list"
         assert re.search(rf"\.{name}\b", (tests / test_file).read_text(encoding="utf-8")), (name, test_file)
+
+
+def test_the_runtime_imports_only_the_standard_library():
+    # Every absolute import of a package module names a standard library
+    # module; relative imports stay inside the package.
+    imported = {}
+    for path in sorted(Path(twistalex.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                imported.setdefault(name.split(".")[0], path.name)
+    assert "fractions" in imported
+    assert {name: where for name, where in imported.items() if name not in sys.stdlib_module_names} == {}

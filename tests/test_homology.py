@@ -191,7 +191,7 @@ def test_the_koszul_complex_of_the_three_torus_has_length_three():
     cx2, boundaries = _three_torus()
     ctx = cx2.context
     step = _t_poly(ctx, [-1, 1])
-    cx = TwistedChainComplex(cx2.presentation, cx2.eps, cx2.rho, boundaries)
+    cx = TwistedChainComplex(boundaries, cx2.triple)
     assert cx.ranks == (1, 3, 3, 1)
     assert cx.euler_characteristic == 0
 
@@ -220,7 +220,7 @@ def test_a_complex_checks_every_boundary_composite(k):
     broken = list(boundaries)
     broken[k - 1] = LaurentMatrix(cx2.context, entries)
     with pytest.raises(InternalInvariantError) as raised:
-        TwistedChainComplex(cx2.presentation, cx2.eps, cx2.rho, broken)
+        TwistedChainComplex(broken, cx2.triple)
     assert str(raised.value) == f"boundary composite d{k - 1} d{k} is nonzero"
 
 

@@ -14,7 +14,8 @@ import pytest
 
 from twistalex import jobs, obstructions, presentations
 from twistalex.cli import main
-from twistalex.laurent import LaurentMatrix
+from twistalex.homology import TwistedChainComplex
+from twistalex.laurent import LaurentMatrix, LaurentPoly
 from twistalex.scalars import FieldContext
 from twistalex.jobs import (
     EXIT_CHECK_FAILED,
@@ -656,7 +657,7 @@ def test_a_local_germ_is_built_once_at_parse_time(monkeypatch):
     assert run_job(spec) == (expected, EXIT_OK)
     monkeypatch.undo()
     direct = JobSpec(*(getattr(spec, name) for name in JobSpec.__slots__ if not name.startswith("_")))
-    assert direct == spec and direct._germs is None
+    assert direct == spec and direct._complexes is None
     assert run_job(direct) == (expected, EXIT_OK)
     assert "local torus(2, 3) weights (2,)" in expected
 
@@ -664,3 +665,96 @@ def test_a_local_germ_is_built_once_at_parse_time(monkeypatch):
 def test_union_of_14_generators_still_builds():
     spec = parse_job("builder union factors=" + ",".join(["cusp"] * 7) + "\nrho trivial 1\n")
     assert "".join(spec.generator_names) == "xyzwuvabcdefgh"
+
+
+# Two builders that exist only in these tests, each with a step (the last
+# field of a _BUILDERS entry): T^3, the commutator presentation of Z^3 plus
+# its 3-cell, keeps its triple; the mapping torus of the swap of two points
+# has a complex with no presentation behind it, so its step drops the triple.
+
+
+def _three_torus():
+    names = ["x", "y", "z"]
+    relators = [presentations.Word.parse(t, names) for t in ("x y x^-1 y^-1", "x z x^-1 z^-1", "y z y^-1 z^-1")]
+    return presentations.Presentation(names, relators), presentations.Augmentation([1, 1, 1])
+
+
+def _koszul_cell(cx2):
+    # Under a rank-1 rho, d1 = (u_x, u_y, u_z) with u = Phi(g) - 1, and the
+    # 3-cell of T^3 has d3 = (u_z, -u_y, u_x)^T.
+    ((ux, uy, uz),) = cx2.boundaries[0].entries
+    return TwistedChainComplex((*cx2.boundaries, LaurentMatrix(cx2.context, [[uz], [-uy], [ux]])), cx2.triple)
+
+
+def _swap_of_two_points(cx2):
+    # C1 = C0 = R^2 and d1 = t h - Id with h the swap of the two points.
+    ctx = cx2.context
+    t, one = LaurentPoly(ctx, [1], 1), LaurentPoly.one(ctx)
+    return TwistedChainComplex((LaurentMatrix(ctx, [[-one, t], [t, -one]]),))
+
+
+@pytest.fixture
+def stepped_builders(monkeypatch):
+    circle = presentations._FAMILIES["circle"]
+    monkeypatch.setitem(jobs._BUILDERS, "three_torus", ((), "T^3", _three_torus, lambda: 12, _koszul_cell))
+    monkeypatch.setitem(jobs._BUILDERS, "two_points", (*circle, _swap_of_two_points))
+
+
+def test_a_builder_step_adds_a_three_cell(stepped_builders):
+    spec = parse_job("builder three_torus\nrho trivial 1\nspecialize 1\n")
+    assert spec.chain_complex().ranks == (1, 3, 3, 1)
+    assert spec.chain_complex().triple is not None
+    for mode in ("compute", "check"):
+        out, code = run_job(spec, mode=mode)
+        assert code == EXIT_OK, out
+        lines = out.splitlines()
+        assert "chain ranks: C3=1 C2=3 C1=3 C0=1, euler 0" in lines
+        assert [line.split("divisors ")[1] for line in lines if line.startswith("degree ")] == [
+            "[-1 + t]",
+            "[-1 + t, -1 + t]",
+            "[-1 + t]",
+            "[]",
+        ]
+        assert "specialize t=1: dims (1, 3, 3, 1), multiplicities (1, 2, 1, 0), bounds (1, 3, 3, 1), ok" in lines
+    assert "check fox-identity: ok (5/5 words, seed 0)" in lines
+    assert "check wada-agreement: skipped (not deficiency 1)" in lines
+
+
+def test_a_complex_without_a_presentation_runs_and_skips_its_readers(stepped_builders):
+    spec = parse_job("builder two_points\nrho trivial 1\nspecialize 1\n")
+    assert spec.chain_complex().triple is None
+    assert run_job(spec)[1] == EXIT_OK
+    out, code = run_job(spec, mode="check")
+    assert code == EXIT_OK, out
+    lines = out.splitlines()
+    assert "degree 0: free rank 0, delta -1 + t^2, divisors [-1 + t^2]" in lines
+    assert "validation: ok (eps image index 1)" in lines
+    assert "check wada-agreement: skipped (no presentation)" in lines
+    assert "check fox-identity: skipped (no presentation)" in lines
+
+
+@pytest.mark.parametrize("analysis", ["wada", "divisibility", "root-field"])
+def test_the_readers_of_a_triple_refuse_a_complex_without_one(stepped_builders, analysis):
+    spec = parse_job(f"builder two_points\nrho trivial 1\nanalyze {analysis}\ncomponent degree=2 weight=1\n")
+    for mode in ("compute", "check"):
+        out, code = run_job(spec, mode=mode, fmt="records")
+        assert code == EXIT_INPUT_ERROR
+        last = json.loads(out.splitlines()[-1])
+        assert last == {"record": "error", "kind": "input", "message": f"{analysis} needs a presentation complex"}
+
+
+def test_editing_the_source_of_a_parsed_spec_rebuilds_its_complex(stepped_builders):
+    spec = parse_job("builder circle\nrho trivial 1\n")
+    parsed = spec.chain_complex()
+    assert parsed.triple is not None and spec.chain_complex() is parsed
+    spec.source = ("builder", "two_points")
+    assert spec.chain_complex().triple is None
+    assert spec.chain_complex().ranks == (2, 2)
+
+
+def test_a_rho_entry_that_would_not_print_is_refused_at_its_line():
+    # 1e5000 parsed, and then printing rho in the job record ended the CLI in
+    # a traceback.
+    with pytest.raises(JobParseError) as err:
+        parse_job("builder hopf d=2\nrho x0 = [[1e5000]]\nrho x1 = [[1]]\n")
+    assert (err.value.line, err.value.message) == (2, "rho x0: scalar factor '1e5000' has an exponent past 4300")

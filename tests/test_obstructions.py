@@ -328,7 +328,7 @@ def _root_field_cases():
     for path in sorted((Path(__file__).resolve().parent.parent / "sample_jobs").glob("*.job")):
         spec = parse_job(path.read_text(encoding="utf-8"))
         if "root-field" in spec.analyses:
-            yield spec.chain_complex().rho.matrices[0], len(spec.generator_names)
+            yield spec.chain_complex().triple[2].matrices[0], len(spec.generator_names)
     rng = random.Random(14)
     for conductor in (1, 3, 4, 5, 6, 8, 12, 15):
         ctx = FieldContext(conductor)

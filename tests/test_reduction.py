@@ -67,7 +67,7 @@ def _koszul_complex(values, eps_values):
     u = [LaurentPoly(ctx, [v], e) - LaurentPoly.one(ctx) for v, e in zip(values, eps_values)]
     d3 = LaurentMatrix(ctx, [[u[2]], [-u[1]], [u[0]]])
     assert (cx2.boundaries[1] * d3).is_zero()
-    return TwistedChainComplex(pres, cx2.eps, cx2.rho, (*cx2.boundaries, d3))
+    return TwistedChainComplex((*cx2.boundaries, d3), cx2.triple)
 
 
 def _unreduced_shapes(cx):

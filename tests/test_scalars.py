@@ -261,6 +261,41 @@ def test_scalar_parse_keeps_the_quirks_of_the_grammar():
     assert parse_scalar("1_000", ctx) == ctx.from_rational(1000)
 
 
+def test_every_accepted_quirk_of_the_grammar_prints():
+    # The strings the test above accepts, and the largest exponents a factor
+    # may have, print and read back as themselves.
+    ctx = FieldContext(12)
+    for text in ("1+-2*z", "0.5*z^13", "1_000", "1e4299", "1e-4299", "1e4299*1e-4299"):
+        value = parse_scalar(text, ctx)
+        assert parse_scalar(str(value), ctx) == value
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1e5000", "scalar factor '1e5000' has an exponent past 4300"),
+        ("1e-5000", "scalar factor '1e-5000' has an exponent past 4300"),
+        ("1e9999999999", "scalar factor '1e9999999999' has an exponent past 4300"),
+        ("1e4000*1e4000", "scalar '1e4000*1e4000' has a coefficient of more than 4300 digits"),
+    ],
+)
+def test_a_scalar_that_would_not_print_is_refused(text, message):
+    # Python prints no integer of more than 4300 digits, so such a scalar is
+    # refused as it is parsed; the exponent is bounded before Fraction would
+    # expand it (1e9999999999 is 10^(10^10)).
+    with pytest.raises(ValueError) as info:
+        parse_scalar(text, FieldContext(12))
+    assert str(info.value) == message
+
+
+def test_a_long_product_of_large_factors_is_refused_early():
+    # The bound applies on the way: 10000 factors of 4300 digits are refused
+    # at the second, not multiplied out.
+    text = "*".join(["1e4300"] * 10_000)
+    with pytest.raises(ValueError, match="more than 4300 digits"):
+        parse_scalar(text, FieldContext(1))
+
+
 def test_an_all_digit_factor_reads_as_its_integer():
     # The int fast path keeps Fraction's value, and its refusal of a factor
     # past Python's 4300-digit string limit keeps the factor text.
