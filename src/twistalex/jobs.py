@@ -42,7 +42,6 @@ from .presentations import (
     Word,
     _FAMILIES,
     _union_factors,
-    fox_derivative,
     random_word,
     transversal_union_augmentation,
     transversal_union_presentation,
@@ -966,7 +965,10 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
 
     compute mode reports; check mode additionally runs the assertion battery
     (validation, boundary exactness, Euler rank pinning, Wada agreement where
-    defined, a seeded Fox identity spot check) and fails on any mismatch.
+    defined, a seeded Fox identity spot check on the Fox pass that builds
+    d2) and fails on any mismatch.  In both modes a specialization whose
+    dimensions break the universal coefficient theorem
+    (dimension_bound_check) is an internal invariant error, exit 3.
     Output is deterministic: equal spec, mode, format, and seed give
     byte-identical reports.  On a complex without a triple, analyze wada,
     divisibility and root-field are input errors ('<analysis> needs a
@@ -1179,24 +1181,27 @@ def _check_battery(out, complex_, result, ratio, wada, deficiency_one, seed):
     else:
         check("wada-agreement", None, "not deficiency 1")
 
-    # Fox fundamental identity on random words: Phi(w) - Id equals
-    # sum_g Phi(dw/dg) (Phi(g) - Id).  The difference of the two sides is one
-    # {exponent: rows} map over integer power-basis rows, so a word passes
-    # exactly when every row in it is zero.
+    # Fox fundamental identity on random words, on the engine's own pass
+    # (PhiMap._fox_pass): Phi(w) - Id equals sum_g Phi(dw/dg) (Phi(g) - Id).
+    # For a relator this is d1 d2 = 0; here w need not be one.  The
+    # difference of the two sides is one {exponent: rows} map over integer
+    # power-basis rows, so a word passes exactly when every row in it is zero.
     rng = random.Random(seed)
     pres, eps, rho = complex_.triple
     count, phi = pres.generator_count, PhiMap(eps, rho)
-    add = complex_.context._matrix_sum
+    product, add = complex_.context._matrix_product, complex_.context._matrix_sum
+    steps = rho._letter_rows([(g, 1) for g in range(count)])
     passed = 0
     trials = 5
     for _ in range(trials):
-        w = random_word(count, 10, rng)
-        e, rows = phi._prefix_rows(w.letters)
+        sums, e, rows = phi._fox_pass(random_word(count, 10, rng))
         diff = {e: rows}
         diff[0] = add(diff.get(0), rho._identity, -1)
-        for g in range(count):
-            for e, rows in phi._term_rows(fox_derivative(w, g), g).items():
-                diff[e] = add(diff.get(e), rows, -1)
+        for g, terms in enumerate(sums):
+            shift = eps.values[g]
+            for e, rows in terms.items():
+                diff[e] = add(diff.get(e), rows, 1)
+                diff[e + shift] = add(diff.get(e + shift), product(rows, steps[g, 1]), -1)
         if count and not any(x for rows, _ in diff.values() for row in rows for entry in row for x in entry):
             passed += 1
     check("fox-identity", passed == trials, f"{passed}/{trials} words, seed {seed}")

@@ -505,8 +505,9 @@ def alpha_term(curve: CurveData) -> RationalFunction:
 
 
 class DimensionBoundReport:
-    """Specialization dimensions at t = a against the (t - a)-multiplicities
-    of the Delta's: dim H_i(a) >= N(a, i) + N(a, i-1)."""
+    """Specialization dimensions at t = a against the divisors of the H_q
+    that vanish at a: dim H_i(a) = free rank of H_i + n(a, i) + n(a, i-1),
+    and bounds[i] = n(a, i) + n(a, i-1).  multiplicities[q] is n(a, q)."""
 
     __slots__ = ("value", "dims", "multiplicities", "bounds", "ok")
 
@@ -522,11 +523,16 @@ class DimensionBoundReport:
 
 
 def dimension_bound_check(result: AlexanderResult, complex_: TwistedChainComplex, value) -> DimensionBoundReport:
-    """Check dim H_i(t=a) >= N(a,i) + N(a,i-1) in every degree i, where
-    N(a,q) is the multiplicity of (t - a) in the torsion order of H_q.
+    """Check dim H_i(t=a) = free rank of H_i + n(a,i) + n(a,i-1) in every
+    degree i, where n(a,q) is the number of elementary divisors of H_q that
+    vanish at a.  This is the universal coefficient theorem for the free
+    complex over the PID R: H_i(a) = H_i / (t - a) + Tor(H_(i-1), R/(t - a)),
+    and each divisor d with d(a) = 0 gives one dimension to either side,
+    whatever the multiplicity of the root (R/(t - 1)^2 gives one, not two).
+    So dim H_i(a) >= n(a,i) + n(a,i-1), the reported bound.
 
     Needs every H_i below the top degree torsion (the top one has no
-    torsion, so its N is 0).  A violated bound is fatal.
+    torsion, so its n is 0).  A violated equality is fatal.
     """
     if not all(shape.is_torsion() for shape in result.shapes[:-1]):
         raise ValueError("dimension bound needs torsion homology below the top degree")
@@ -537,12 +543,12 @@ def dimension_bound_check(result: AlexanderResult, complex_: TwistedChainComplex
 
     big = FieldContext(lcm([complex_.context.conductor, value.context.conductor]))
     at = value.embed(big)
-    mults = tuple(multiplicity(shape.torsion_order().embed(big), at) for shape in result.shapes)
+    counts = tuple(sum(multiplicity(d.embed(big), at) > 0 for d in shape.divisors) for shape in result.shapes)
     dims = specialize_homology(complex_, value)
-    bounds = tuple(n + below for n, below in zip(mults, (0, *mults)))
+    bounds = tuple(n + below for n, below in zip(counts, (0, *counts)))
     ok = all(dim >= bound for dim, bound in zip(dims, bounds))
-    report = DimensionBoundReport(value, dims, mults, bounds, ok)
-    if not ok:
+    report = DimensionBoundReport(value, dims, counts, bounds, ok)
+    if any(dim != shape.free_rank + bound for dim, shape, bound in zip(dims, result.shapes, bounds)):
         raise InternalInvariantError(f"dimension bound violated: {report!r}")
     return report
 

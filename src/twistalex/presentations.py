@@ -301,9 +301,9 @@ def fox_derivative(word: Word, generator: int) -> dict[tuple, int]:
     One pass keeps the freely reduced prefix as a stack, so every term is
     keyed by a reduced word without a reduction of its own.
 
-    This symbolic form is the oracle: the check battery's fox-identity check
-    and the tests use it.  The engine does not call it; build_complex
-    evaluates the same formula under Phi in one pass (PhiMap.fox_row).
+    This symbolic form is the tests' oracle.  The package does not call it:
+    build_complex and the check battery's fox-identity check evaluate the
+    same formula under Phi in one pass (PhiMap._fox_pass).
     """
     out: dict[tuple, int] = {}
     prefix: list[tuple[int, int]] = []  # the reduced prefix, as a stack
@@ -324,78 +324,50 @@ def fox_derivative(word: Word, generator: int) -> dict[tuple, int]:
 class PhiMap:
     """The ring map Phi(x) = t^eps(x) * rho(x) from the group ring into
     r x r Laurent matrices.  Generator images come from the letter table of
-    rho (Representation._letter_rows), and the images of word prefixes are
-    formed on first use and kept.
+    rho (Representation._letter_rows).  _fox_pass is the one evaluator of
+    Fox derivatives under Phi: fox_row builds d2 from it, and the check
+    battery's fox-identity check reads it.  word_image and element_image
+    walk each word through eps.of_word and rho.of_word, for the tests'
+    symbolic oracle (fox_derivative).
 
-    Inside, Phi(prefix) = t^e * rho(prefix) is carried as the pair (e, rows),
-    rows the integer row form of FieldContext._matrix_product, and a
-    group-ring element as the map {e: rows} of its sum of t^e * rows; a
-    LaurentMatrix is built only for what the public methods return."""
+    Inside, Phi of a word is carried as the pair (e, rows), rows the integer
+    row form of FieldContext._matrix_product, and a group-ring element as
+    the map {e: rows} of its sum of t^e * rows; a LaurentMatrix is built
+    only for what the public methods return."""
 
-    __slots__ = ("context", "dimension", "eps", "rho", "_prefixes")
+    __slots__ = ("context", "dimension", "eps", "rho")
 
     def __init__(self, eps: Augmentation, rho: Representation):
         self.context = rho.context
         self.dimension = rho.dimension
         self.eps = eps
         self.rho = rho
-        self._prefixes = {}
 
     def generator_image(self, g: int, sign: int = 1) -> LaurentMatrix:
         rows = self.rho._letter_rows(((g, sign),))[g, sign]
         return LaurentMatrix._from_row_terms(self.context, {sign * self.eps.values[g]: rows})
 
     def word_image(self, word: Word) -> LaurentMatrix:
-        e, rows = self._prefix_rows(word.letters)
-        return LaurentMatrix._from_row_terms(self.context, {e: rows})
+        """Phi(word) = t^eps(word) * rho(word)."""
+        return LaurentMatrix.from_scalar_matrix(self.rho.of_word(word), self.eps.of_word(word))
 
-    def _prefix_rows(self, letters: tuple):
-        """The pair (e, rows) of Phi of a letter tuple.  The pair of every
-        prefix met is kept in a trie, letter by letter, so a word extends its
-        longest kept prefix by one row-form product a letter.  Every term of
-        a Fox derivative of w is a reduced prefix of w, so Phi(w) and all its
-        derivatives cost at most two products a letter."""
-        acc = (0, self.rho._identity)
-        node = self._prefixes
-        for letter in letters:
-            kept = node.get(letter)
-            if kept is None:
-                e, rows = acc
-                g, s = letter
-                step = self.rho._letter_rows((letter,))[letter]
-                kept = node[letter] = ((e + s * self.eps.values[g], self.context._matrix_product(rows, step)), {})
-            acc, node = kept
-        return acc
-
-    def _term_rows(self, element: dict[tuple, int], generator: int | None = None) -> dict:
-        """The {e: rows} map of Phi(element) for a group-ring element given
-        as {letters: coefficient}, or, given a generator g, of
-        Phi(element) * (Phi(x_g) - Id): each sum of kept prefix rows is then
-        right-multiplied by rho(x_g) and shifted by eps(x_g), and subtracted
-        unshifted.  Rows that cancel stay in the map as zero rows."""
+    def element_image(self, element: dict[tuple, int]) -> LaurentMatrix:
+        """Phi of a group-ring element given as {letters: coefficient}: the
+        sum of its word images, collected by exponent in row form."""
         add = self.context._matrix_sum
         terms: dict = {}
         for letters, coeff in element.items():
-            e, rows = self._prefix_rows(letters)
-            terms[e] = add(terms.get(e), rows, coeff)
-        if generator is None:
-            return terms
-        product, step = self.context._matrix_product, self.rho._letter_rows(((generator, 1),))[generator, 1]
-        shift = self.eps.values[generator]
-        out = {e: add(None, rows, -1) for e, rows in terms.items()}
-        for e, rows in terms.items():
-            out[e + shift] = add(out.get(e + shift), product(rows, step), 1)
-        return out
-
-    def element_image(self, element: dict[tuple, int]) -> LaurentMatrix:
-        """Phi of a group-ring element given as {letters: coefficient}."""
-        terms = self._term_rows(element)
+            word = Word(letters)
+            e = self.eps.of_word(word)
+            terms[e] = add(terms.get(e), self.rho.of_word(word)._rows(), coeff)
         if not terms:
             return LaurentMatrix.zero(self.context, self.dimension, self.dimension)
         return LaurentMatrix._from_row_terms(self.context, terms)
 
-    def fox_row(self, word: Word, *, images: list | None = None) -> list[LaurentMatrix]:
-        """Phi(d word / d x_g) for every generator g, in one left-to-right pass.
+    def _fox_pass(self, word: Word):
+        """(sums, e, rows): sums[g] the {exponent: rows} map of
+        Phi(d word / d x_g) for every generator g, and (e, rows) Phi(word),
+        in one left-to-right pass.
 
         Phi(prefix) = t^e * rho(prefix) is carried as the integer e and
         rho(prefix) in the integer row form of FieldContext._matrix_product.
@@ -404,13 +376,7 @@ class PhiMap:
         advances the prefix and then adds -Phi(prefix x_g^-1).  Each
         derivative collects its scalar matrices by exponent, so a letter
         costs one r x r row-form product and one signed sum, and builds no
-        field element; the Laurent blocks are assembled from the rows once at
-        the end, and a generator that does not occur gets the zero block.
-
-        The pass ends on Phi(word): when images is a list, the pair
-        (eps(word), rho(word)) is appended to it, rho(word) a ScalarMatrix,
-        for validate to judge the word without a walk of its own.
-        """
+        field element.  Rows that cancel stay in the map as zero rows."""
         ctx = self.context
         product, add, table = ctx._matrix_product, ctx._matrix_sum, self.rho._letter_rows(word.letters)
         values = self.eps.values
@@ -429,8 +395,21 @@ class PhiMap:
                 prefix = product(prefix, table[letter])
                 e -= values[g]
                 terms[e] = add(terms.get(e), prefix, -1)
+        return sums, e, prefix
+
+    def fox_row(self, word: Word, *, images: list | None = None) -> list[LaurentMatrix]:
+        """Phi(d word / d x_g) for every generator g, from one pass
+        (_fox_pass).  The Laurent blocks are assembled from the rows once at
+        the end, and a generator that does not occur gets the zero block.
+
+        The pass ends on Phi(word): when images is a list, the pair
+        (eps(word), rho(word)) is appended to it, rho(word) a ScalarMatrix,
+        for validate to judge the word without a walk of its own.
+        """
+        ctx = self.context
+        sums, e, rows = self._fox_pass(word)
         if images is not None:
-            images.append((e, ScalarMatrix._from_rows(ctx, *prefix)))
+            images.append((e, ScalarMatrix._from_rows(ctx, *rows)))
         zero = LaurentMatrix.zero(ctx, self.dimension, self.dimension)
         return [LaurentMatrix._from_row_terms(ctx, terms) if terms else zero for terms in sums]
 

@@ -417,7 +417,10 @@ def _scalar_text(nums, den: int) -> tuple[bool, str, bool]:
     for k, a in enumerate(nums):
         if a:
             g = math.gcd(a, den)
-            mag = str(abs(a) // g) if g == den else f"{abs(a) // g}/{den // g}"
+            try:
+                mag = str(abs(a) // g) if g == den else f"{abs(a) // g}/{den // g}"
+            except ValueError:  # an int past Python's limit on printed digits
+                mag = _digits(abs(a) // g) + ("" if g == den else "/" + _digits(den // g))
             if k:
                 z = "z" if k == 1 else f"z^{k}"
                 mag = z if mag == "1" else f"{mag}*{z}"
@@ -430,6 +433,16 @@ def _scalar_text(nums, den: int) -> tuple[bool, str, bool]:
     for negated, mag in terms[1:]:
         out += (" - " if negated else " + ") + mag
     return False, out, True
+
+
+def _digits(n: int) -> str:
+    """The decimal text of n >= 0 in chunks of _MAX_DIGITS digits, since
+    str() refuses an int past _DIGITS_BOUND."""
+    chunks = []
+    while n >= _DIGITS_BOUND:
+        n, low = divmod(n, _DIGITS_BOUND)
+        chunks.append(str(low).zfill(_MAX_DIGITS))
+    return str(n) + "".join(reversed(chunks))
 
 
 def _normalize_coords(nums, den: int):

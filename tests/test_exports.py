@@ -26,6 +26,8 @@ USED_ONLY_BY_TESTS = {
     "random_a_odd_representation": "test_acceptance.py",
     # Jobs read the germ complexes parse_job built (JobSpec.chain_complex).
     "local_polynomial": "test_obstructions.py",
+    # The symbolic oracle of the engine's Fox pass (PhiMap._fox_pass).
+    "fox_derivative": "test_fox_pass.py",
 }
 
 # Public methods and properties that the tests alone call, by name, each
@@ -125,6 +127,23 @@ def test_every_public_method_has_a_use():
     for name, test_file in METHODS_USED_ONLY_BY_TESTS.items():
         assert name not in used, f"{name} has a use in the package; drop it from the list"
         assert re.search(rf"\.{name}\b", (tests / test_file).read_text(encoding="utf-8")), (name, test_file)
+
+
+def test_every_method_the_bench_tracer_wraps_exists():
+    # bench/spans.py wraps each METHODS entry through vars(cls)[name], so a
+    # deleted or renamed method would end every traced run in a KeyError.
+    # The file is parsed, not run.
+    spans = Path(__file__).parent.parent / "bench" / "spans.py"
+    tree = ast.parse(spans.read_text(encoding="utf-8"))
+    methods = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["METHODS"]
+    )
+    assert methods
+    for module, cls, name, _ in methods:
+        owner = getattr(importlib.import_module(f"twistalex.{module}"), cls)
+        assert name in vars(owner), f"bench/spans.py wraps {cls}.{name}, which {module} does not define"
 
 
 def test_the_runtime_imports_only_the_standard_library():

@@ -1,7 +1,8 @@
 """The one-pass Fox Jacobian row PhiMap.fox_row against the symbolic oracle
 phi.element_image(fox_derivative(w, g)), and Representation.of_word against
 a fold of ScalarMatrix products; the oracle's own one-pass derivative and
-kept prefix images against their plain definitions, and its product count."""
+word images against their plain definitions, and the check battery's
+row-form route through the pass against Laurent-matrix products."""
 
 from __future__ import annotations
 
@@ -187,8 +188,8 @@ def test_of_word_matches_a_fold_of_scalar_products(conductor, dimension):
     assert rho.of_word(w * w.inverse()).is_identity()
 
 
-# The oracle itself: fox_derivative keeps the reduced prefix as a stack and
-# PhiMap.word_image keeps the image of every prefix it meets.
+# The oracle itself: fox_derivative keeps the reduced prefix as a stack, and
+# PhiMap.word_image is t^eps(w) rho(w).
 
 
 def _prefix_fox_derivative(word: Word, generator: int) -> dict:
@@ -240,47 +241,30 @@ def test_kept_prefix_images_match_the_uncached_product(conductor, dimension):
         assert phi.word_image(w) == _uncached_image(phi, w), w.letters
 
 
-def test_the_fox_identity_terms_cost_a_linear_number_of_products(monkeypatch):
-    # Phi(w) and Phi(dw/dg) for every g: with the prefix images kept, every
-    # term is a reduced prefix of w, so each letter adds at most two
-    # products (one for its raw prefix, one for its reduced prefix).
-    rng = random.Random(5)
-    w = Word([(rng.randrange(GENERATORS), rng.choice((1, -1))) for _ in range(40)])
-    phi = _phi(6, 2, rng)
-    original = FieldContext._matrix_product
-    products = []
-
-    def counted(ctx, a, b):
-        products.append(b)
-        return original(ctx, a, b)
-
-    monkeypatch.setattr(FieldContext, "_matrix_product", counted)
-    phi.word_image(w)
-    for g in range(GENERATORS):
-        phi.element_image(fox_derivative(w, g))
-    assert 0 < len(products) <= 2 * len(w.letters) + GENERATORS
-
-
 @pytest.mark.parametrize("conductor", [1, 6, 12])
 @pytest.mark.parametrize("dimension", [1, 2, 3])
 def test_the_row_form_term_map_matches_the_laurent_product_route(conductor, dimension):
-    # The check battery's route: the {exponent: rows} map of Phi(dw/dg),
-    # alone and times Phi(x_g) - Id, against Laurent-matrix products of the
-    # generator images summed over the terms.
+    # The check battery's route: the {exponent: rows} map sums[g] of
+    # Phi(dw/dg) from the engine's pass, alone and times rho(x_g) shifted by
+    # eps(x_g), against Laurent-matrix products of the generator images
+    # summed over the terms of the symbolic derivative.
     rng = random.Random(1000 * conductor + dimension)
     phi = _phi(conductor, dimension, rng)
     ctx = phi.context
-    eye = LaurentMatrix.identity(ctx, dimension)
     zero = LaurentMatrix.zero(ctx, dimension, dimension)
+
+    def laurent(terms):
+        return LaurentMatrix._from_row_terms(ctx, terms) if terms else zero
+
     for _ in range(40):
         w = random_word(GENERATORS, 12, rng)
-        for g in range(GENERATORS):
-            derivative = fox_derivative(w, g)
+        sums, e, rows = phi._fox_pass(w)
+        assert laurent({e: rows}) == _uncached_image(phi, w), w.letters
+        for g, terms in enumerate(sums):
             expected = zero
-            for letters, coeff in derivative.items():
+            for letters, coeff in fox_derivative(w, g).items():
                 expected = expected + _uncached_image(phi, Word(letters)) * coeff
-            terms = phi._term_rows(derivative)
-            assert (LaurentMatrix._from_row_terms(ctx, terms) if terms else zero) == expected, (w.letters, g)
-            step = phi._term_rows(derivative, g)
-            stepped = LaurentMatrix._from_row_terms(ctx, step) if step else zero
-            assert stepped == expected * (phi.generator_image(g) - eye), (w.letters, g)
+            assert laurent(terms) == expected, (w.letters, g)
+            step = phi.rho._letter_rows(((g, 1),))[g, 1]
+            shifted = {e + phi.eps.values[g]: ctx._matrix_product(rows, step) for e, rows in terms.items()}
+            assert laurent(shifted) == expected * phi.generator_image(g), (w.letters, g)

@@ -110,10 +110,10 @@ analyze delta wada
     ids=["hopf4_twisted_z12", "long_relator"],
 )
 def test_the_engine_does_not_call_the_symbolic_fox_derivative(monkeypatch, text):
-    # fox_derivative is the oracle of the check battery's fox-identity check;
-    # compute mode builds the Fox Jacobian without it.
+    # fox_derivative is the tests' symbolic oracle: check mode builds the Fox
+    # Jacobian and runs the fox-identity check without it.
     calls = _count_calls(monkeypatch, fox_derivative)
-    _, code = run_job(parse_job(text), mode="compute")
+    _, code = run_job(parse_job(text), mode="check")
     assert code == 0
     assert calls == []
 

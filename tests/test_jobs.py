@@ -129,13 +129,20 @@ def test_check_mode_emits_battery_lines():
 
 
 def test_the_fox_identity_check_fails_when_a_derivative_drops_a_term(monkeypatch):
-    # Negative control: the check must notice a wrong derivative.
-    original = jobs.fox_derivative
+    # Negative control: the check must notice a wrong derivative of the
+    # engine's own pass.  The battery's PhiMap drops the first term of the
+    # first derivative that has one; the complex keeps the true pass.
+    class Dropping(jobs.PhiMap):
+        __slots__ = ()
 
-    def dropping(word, generator):
-        return dict(list(original(word, generator).items())[1:])
+        def _fox_pass(self, word):
+            sums, e, rows = super()._fox_pass(word)
+            terms = next((terms for terms in sums if terms), {})
+            for key in list(terms)[:1]:
+                del terms[key]
+            return sums, e, rows
 
-    monkeypatch.setattr(jobs, "fox_derivative", dropping)
+    monkeypatch.setattr(jobs, "PhiMap", Dropping)
     report, code = run_job(parse_job(TORUS23), mode="check", fmt="records")
     records = [json.loads(line) for line in report.splitlines()]
     fox = next(r for r in records if r.get("name") == "fox-identity")
@@ -144,6 +151,25 @@ def test_the_fox_identity_check_fails_when_a_derivative_drops_a_term(monkeypatch
     assert passed and int(passed.group(1)) < 5
     assert code == EXIT_CHECK_FAILED == 1
     assert records[-1]["failures"] == ["check fox-identity"]
+
+
+@pytest.mark.parametrize("path", SAMPLES, ids=lambda p: p.stem)
+def test_the_fox_identity_check_fails_when_every_derivative_is_negated(monkeypatch, path):
+    # The check reads the pass that builds d2.  With every derivative
+    # negated the jobs still build, since d1 (-d2) = 0, and every one of them
+    # must fail the identity.
+    original = presentations.PhiMap._fox_pass
+
+    def negated(phi, word):
+        sums, e, rows = original(phi, word)
+        add = phi.context._matrix_sum
+        return [{k: add(None, v, -1) for k, v in terms.items()} for terms in sums], e, rows
+
+    monkeypatch.setattr(presentations.PhiMap, "_fox_pass", negated)
+    report, code = run_job(parse_job(path.read_text(encoding="utf-8")), mode="check")
+    assert code == EXIT_CHECK_FAILED, report
+    fox = next(line for line in report.splitlines() if line.startswith("check fox-identity: "))
+    assert re.fullmatch(r"check fox-identity: FAIL \([01]/5 words, seed 0\)", fox), fox
 
 
 def test_the_fox_identity_check_fails_when_a_generator_image_is_wrong(monkeypatch):
@@ -758,3 +784,25 @@ def test_a_rho_entry_that_would_not_print_is_refused_at_its_line():
     with pytest.raises(JobParseError) as err:
         parse_job("builder hopf d=2\nrho x0 = [[1e5000]]\nrho x1 = [[1]]\n")
     assert (err.value.line, err.value.message) == (2, "rho x0: scalar factor '1e5000' has an exponent past 4300")
+
+
+def test_the_specialization_bound_counts_divisors_not_root_multiplicities():
+    # H0 = R/(t - 1)^2 from a Jordan block: its specialization at t = 1 has
+    # dimension 1, one divisor vanishing there, not the root's multiplicity 2.
+    spec = parse_job("field rational\ngenerators x\nrho x = [[1, 1], [0, 1]]\nspecialize 1\n")
+    out, code = run_job(spec)
+    assert code == EXIT_OK, out
+    lines = out.splitlines()
+    assert "degree 0: free rank 0, delta 1 - 2*t + t^2, divisors [1 - 2*t + t^2]" in lines
+    assert "specialize t=1: dims (1, 1, 0), multiplicities (1, 0, 0), bounds (1, 1, 0), ok" in lines
+
+
+def test_a_result_past_the_printed_digit_limit_prints():
+    # rho(x0) = 10^4000 gives a delta1 coefficient of 8001 digits, past
+    # Python's default limit on the digits of an int printed as text.
+    rho = "rho x0 = [[1e4000]]\n" + "".join(f"rho x{i} = [[1]]\n" for i in (1, 2, 3))
+    out, code = run_job(parse_job("field rational\nbuilder hopf d=4\n" + rho + "analyze delta\n"))
+    assert code == EXIT_OK, out[:300]
+    delta = f"1/1{'0' * 8000} - 1/5{'0' * 3999}*t^4 + t^8"
+    divisor = f"-1/1{'0' * 4000} + t^4"
+    assert f"degree 1: free rank 0, delta {delta}, divisors [{divisor}, {divisor}]" in out.splitlines()

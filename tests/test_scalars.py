@@ -296,6 +296,25 @@ def test_a_long_product_of_large_factors_is_refused_early():
         parse_scalar(text, FieldContext(1))
 
 
+def test_an_element_past_the_printed_digit_limit_prints_in_full():
+    # Products of parsed scalars may pass 4300 digits; their text is cut into
+    # chunks, never refused.  The chunks are read back a few digits at a time.
+    ctx = FieldContext(5)
+    big, den = 3**20000 - 1, 7**6000
+    text = str(CycloNumber(ctx, [0, big, 0, 0], den))
+    num_text, den_text = text.removesuffix("*z").split("/")
+
+    def value(digits):
+        out = 0
+        for i in range(0, len(digits), 1000):
+            chunk = digits[i : i + 1000]
+            out = out * 10 ** len(chunk) + int(chunk)
+        return out
+
+    assert text.endswith("*z") and not num_text.startswith("0")
+    assert (value(num_text), value(den_text)) == (big, den)
+
+
 def test_an_all_digit_factor_reads_as_its_integer():
     # The int fast path keeps Fraction's value, and its refusal of a factor
     # past Python's 4300-digit string limit keeps the factor text.
