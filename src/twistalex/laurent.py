@@ -733,13 +733,19 @@ def _strip_root(p: LaurentPoly, a: CycloNumber) -> tuple[int, LaurentPoly]:
     if p.is_zero():
         raise ValueError("every (t - a) power divides the zero polynomial")
     linear = LaurentPoly(p.context, (-a, p.context.one))
-    # A nonzero residue at a proves p(a) nonzero; a zero one decides nothing.
     alpha = p.context._point_residue(a)
     count = 0
-    while not (alpha and p._residue_at(alpha)) and p.evaluate(a).is_zero():
+    while _vanishes(p, a, alpha):
         p = p.exact_div(linear)
         count += 1
     return count, p
+
+
+def _vanishes(p: LaurentPoly, a: CycloNumber, alpha: int) -> bool:
+    """Whether p(a) = 0, alpha the residue of a (FieldContext._point_residue).
+    A nonzero residue of p at alpha proves p(a) nonzero; a zero one decides
+    nothing, so p(a) is then evaluated."""
+    return not (alpha and p._residue_at(alpha)) and p.evaluate(a).is_zero()
 
 
 class RationalFunction:

@@ -22,9 +22,9 @@ from .laurent import (
     LaurentPoly,
     RationalFunction,
     _strip_root,
+    _vanishes,
     gcd_many,
     laurent_gcd,
-    multiplicity,
 )
 from .presentations import _FAMILIES, rank_one_representation
 from .homology import (
@@ -543,12 +543,13 @@ def dimension_bound_check(result: AlexanderResult, complex_: TwistedChainComplex
 
     big = FieldContext(lcm([complex_.context.conductor, value.context.conductor]))
     at = value.embed(big)
-    counts = tuple(sum(multiplicity(d.embed(big), at) > 0 for d in shape.divisors) for shape in result.shapes)
+    alpha = big._point_residue(at)
+    counts = tuple(sum(_vanishes(d.embed(big), at, alpha) for d in shape.divisors) for shape in result.shapes)
     dims = specialize_homology(complex_, value)
     bounds = tuple(n + below for n, below in zip(counts, (0, *counts)))
-    ok = all(dim >= bound for dim, bound in zip(dims, bounds))
+    ok = all(dim == shape.free_rank + bound for dim, shape, bound in zip(dims, result.shapes, bounds))
     report = DimensionBoundReport(value, dims, counts, bounds, ok)
-    if any(dim != shape.free_rank + bound for dim, shape, bound in zip(dims, result.shapes, bounds)):
+    if not ok:
         raise InternalInvariantError(f"dimension bound violated: {report!r}")
     return report
 

@@ -417,10 +417,7 @@ def _scalar_text(nums, den: int) -> tuple[bool, str, bool]:
     for k, a in enumerate(nums):
         if a:
             g = math.gcd(a, den)
-            try:
-                mag = str(abs(a) // g) if g == den else f"{abs(a) // g}/{den // g}"
-            except ValueError:  # an int past Python's limit on printed digits
-                mag = _digits(abs(a) // g) + ("" if g == den else "/" + _digits(den // g))
+            mag = _digits(abs(a) // g) if g == den else f"{_digits(abs(a) // g)}/{_digits(den // g)}"
             if k:
                 z = "z" if k == 1 else f"z^{k}"
                 mag = z if mag == "1" else f"{mag}*{z}"
@@ -438,6 +435,8 @@ def _scalar_text(nums, den: int) -> tuple[bool, str, bool]:
 def _digits(n: int) -> str:
     """The decimal text of n >= 0 in chunks of _MAX_DIGITS digits, since
     str() refuses an int past _DIGITS_BOUND."""
+    if n < _DIGITS_BOUND:
+        return str(n)
     chunks = []
     while n >= _DIGITS_BOUND:
         n, low = divmod(n, _DIGITS_BOUND)

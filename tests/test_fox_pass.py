@@ -244,27 +244,11 @@ def test_kept_prefix_images_match_the_uncached_product(conductor, dimension):
 @pytest.mark.parametrize("conductor", [1, 6, 12])
 @pytest.mark.parametrize("dimension", [1, 2, 3])
 def test_the_row_form_term_map_matches_the_laurent_product_route(conductor, dimension):
-    # The check battery's route: the {exponent: rows} map sums[g] of
-    # Phi(dw/dg) from the engine's pass, alone and times rho(x_g) shifted by
-    # eps(x_g), against Laurent-matrix products of the generator images
-    # summed over the terms of the symbolic derivative.
+    # The pass ends on Phi(w) as the row-form term {eps(w): rows of rho(w)};
+    # its derivatives are pinned against the oracle by the fox_row tests.
     rng = random.Random(1000 * conductor + dimension)
     phi = _phi(conductor, dimension, rng)
-    ctx = phi.context
-    zero = LaurentMatrix.zero(ctx, dimension, dimension)
-
-    def laurent(terms):
-        return LaurentMatrix._from_row_terms(ctx, terms) if terms else zero
-
     for _ in range(40):
         w = random_word(GENERATORS, 12, rng)
-        sums, e, rows = phi._fox_pass(w)
-        assert laurent({e: rows}) == _uncached_image(phi, w), w.letters
-        for g, terms in enumerate(sums):
-            expected = zero
-            for letters, coeff in fox_derivative(w, g).items():
-                expected = expected + _uncached_image(phi, Word(letters)) * coeff
-            assert laurent(terms) == expected, (w.letters, g)
-            step = phi.rho._letter_rows(((g, 1),))[g, 1]
-            shifted = {e + phi.eps.values[g]: ctx._matrix_product(rows, step) for e, rows in terms.items()}
-            assert laurent(shifted) == expected * phi.generator_image(g), (w.letters, g)
+        _, e, rows = phi._fox_pass(w)
+        assert LaurentMatrix._from_row_terms(phi.context, {e: rows}) == _uncached_image(phi, w), w.letters
