@@ -17,9 +17,9 @@ derivative blocks Phi(d r_j / d x_i).  The blocks of one relator come from a
 single left-to-right pass over its letters (PhiMap.fox_row), which carries
 Phi(prefix) as a t-exponent and a scalar matrix, so a relator of length L
 costs L scalar r x r products; the symbolic fox_derivative is left to the
-oracles that check the engine.  The pass ends on Phi(r) = t^eps(r) rho(r),
-which is the validity verdict of the relator: build_complex hands those ends
-to validate, so the letters are walked once here, not once for validation
+oracles that check the engine.  The pass ends on rho(r), the relator's
+verdict, so validate runs it and keeps its blocks, and build_complex writes
+d2 from the report: the letters are walked once, not once for validation
 and once for d2; parse_job validates a job by this build alone.  Columns
 are chains: the block orientation is fixed by exactness, which forces the
 transpose of each block as it is usually displayed (rows of the Wada matrix
@@ -161,35 +161,28 @@ def build_complex(
 ) -> TwistedChainComplex:
     """Validate the triple and assemble both boundaries into a complex.
 
-    The relators are walked once: the Fox pass of each relator gives its d2
-    blocks and ends on (eps(r), rho(r)), and validate reads the relator
-    verdicts from those ends instead of walking the letters again.  The pass
-    runs only when the counts agree and no rho(x) is singular; otherwise
-    validate judges the triple on its own, with the same failure texts.
-    Invalid triples raise InvalidTripleError (bad input).  The complex checks
+    validate walks each relator once: its Fox pass gives the relator's
+    verdict and its d2 blocks, which the report keeps as fox_rows.  Invalid
+    triples raise InvalidTripleError (bad input).  The complex checks
     d1 d2 = 0 as it is made and raises InternalInvariantError otherwise,
     since the fundamental identity of Fox calculus makes a nonzero composite
     impossible for validated input.
     """
-    phi = PhiMap(eps, rho)
-    g = presentation.generator_count
-    # fox_rows[j][i] = Phi(d r_j / d x_i), placed transposed at (i, j).
-    fox_rows, images = [], None
-    if len(eps.values) == g == len(rho.matrices) and not rho.singular_generators():
-        images = []
-        fox_rows = [phi.fox_row(rel, images=images) for rel in presentation.relators]
-    report = validate(presentation, eps, rho, relator_images=images)
+    report = validate(presentation, eps, rho)
     if not report.ok:
         raise InvalidTripleError(report)
+    phi = PhiMap(eps, rho)
+    g = presentation.generator_count
     ctx = rho.context
     r = rho.dimension
     eye = LaurentMatrix.identity(ctx, r)
     # Row a of d1, and row (i, a) of d2, read column a of every block in
-    # their block row: the blocks are placed transposed.
+    # their block row: the blocks are placed transposed, as
+    # report.fox_rows[j][i] = Phi(d r_j / d x_i) goes to block (i, j).
     d1_blocks = [(phi.generator_image(i) - eye).entries for i in range(g)]
     boundary1 = LaurentMatrix._make(ctx, [[block[b][a] for block in d1_blocks for b in range(r)] for a in range(r)])
     boundary2 = LaurentMatrix._make(
-        ctx, [[row[i].entries[b][a] for row in fox_rows for b in range(r)] for i in range(g) for a in range(r)]
+        ctx, [[row[i].entries[b][a] for row in report.fox_rows for b in range(r)] for i in range(g) for a in range(r)]
     )
     return TwistedChainComplex((boundary1, boundary2), (presentation, eps, rho))
 

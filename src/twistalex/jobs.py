@@ -5,8 +5,8 @@ line each.  Blank lines and lines starting with ``#`` are ignored.
 
     field rational | field cyclotomic <n>
     builder <name> [key=value ...]
-    generators <name> ...                 (inline alternative to builder)
-    relator <word>                        (inline only; repeatable)
+    generators <name> ...                 (inline alternative to builder; names are identifiers)
+    relator <word>                        (inline only; repeatable; 1 is the empty word)
     eps <gen>=<int> ...                   (defaults to the builder's weights)
     rho <gen> = [[<scalar>, ...], ...]    (one line per generator)
     rho trivial <dim>                     (identity matrices everywhere)
@@ -473,6 +473,9 @@ def parse_job(text: str) -> JobSpec:
                 raise JobParseError(lineno, "only one builder/generators line per job")
             if not rest:
                 raise JobParseError(lineno, "generators line needs at least one name")
+            bad = next((name for name in rest if not name.isidentifier()), None)
+            if bad is not None:
+                raise JobParseError(lineno, f"generator name {bad!r} is not an identifier")
             if len(set(rest)) != len(rest):
                 raise JobParseError(lineno, "duplicate generator names")
             inline_line = lineno
@@ -485,7 +488,8 @@ def parse_job(text: str) -> JobSpec:
             eps_line = lineno
             eps_tokens = rest
         elif keyword == "rho":
-            if rest and rest[0] == "trivial":
+            # rho trivial <dim>, unless trivial is a generator given a matrix
+            if rest and rest[0] == "trivial" and "=" not in line:
                 if rho_trivial is not None or rho_lines:
                     raise JobParseError(lineno, "rho trivial cannot be combined with other rho lines")
                 if len(rest) != 2:
@@ -692,10 +696,10 @@ def parse_job(text: str) -> JobSpec:
     for lineno, kv in component_lines:
         if "degree" not in kv or "weight" not in kv:
             raise JobParseError(lineno, "component line needs degree= and weight=")
+        degree = _integer(kv["degree"], lineno, "component: degree must be an integer")
+        weight = _integer(kv["weight"], lineno, "component: weight must be an integer")
+        euler = _integer(kv["euler"], lineno, "component: euler must be an integer") if "euler" in kv else None
         try:
-            degree = int(kv["degree"])
-            weight = int(kv["weight"])
-            euler = int(kv["euler"]) if "euler" in kv else None
             CurveComponent(degree, weight, euler=euler)  # as JobSpec.curve will
         except ValueError as exc:
             raise JobParseError(lineno, f"component: {exc}")
@@ -719,9 +723,14 @@ def parse_job(text: str) -> JobSpec:
         kv = _parse_kv(tokens[1:], lineno, {"components", "params"}, f"singularity {kind}")
         if "components" not in kv:
             raise JobParseError(lineno, "singularity line needs components=i,j,...")
+        what = f"singularity {kind}"
+
+        def integers(key):
+            return tuple(_integer(x, lineno, f"{what}: {key} must be integers") for x in kv[key].split(","))
+
+        comps_idx = integers("components")
+        params = integers("params") if "params" in kv else ()
         try:
-            comps_idx = tuple(int(c) for c in kv["components"].split(","))
-            params = tuple(int(p) for p in kv["params"].split(",")) if "params" in kv else ()
             Singularity(kind, comps_idx, params)  # as JobSpec.curve will
         except ValueError as exc:
             raise JobParseError(lineno, f"singularity: {exc}")
@@ -731,7 +740,6 @@ def parse_job(text: str) -> JobSpec:
             (_, _, build, letters), family_params = _germ_family(kind, params, "singularity")
         except ValueError as exc:
             raise JobParseError(lineno, str(exc))
-        what = f"singularity {kind}"
         _bounded_build(what, params, letters(*family_params), lambda: build(*family_params), lineno, f"{what}: ")
         for c in comps_idx:
             if not 0 <= c < len(components):
@@ -1181,29 +1189,13 @@ def _check_battery(out, complex_, result, ratio, wada, deficiency_one, seed):
     else:
         check("wada-agreement", None, "not deficiency 1")
 
-    # Fox fundamental identity on random words, on the engine's own pass
-    # (PhiMap._fox_pass): Phi(w) - Id equals sum_g Phi(dw/dg) (Phi(g) - Id).
-    # For a relator this is d1 d2 = 0; here w need not be one.  The
-    # difference of the two sides is one {exponent: rows} map over integer
-    # power-basis rows, so a word passes exactly when every row in it is zero.
+    # Fox's fundamental identity on random words, on the engine's own pass
+    # (PhiMap.fox_identity).
     rng = random.Random(seed)
     pres, eps, rho = complex_.triple
     count, phi = pres.generator_count, PhiMap(eps, rho)
-    product, add = complex_.context._matrix_product, complex_.context._matrix_sum
-    steps = rho._letter_rows([(g, 1) for g in range(count)])
-    passed = 0
     trials = 5
-    for _ in range(trials):
-        sums, e, rows = phi._fox_pass(random_word(count, 10, rng))
-        diff = {e: rows}
-        diff[0] = add(diff.get(0), rho._identity, -1)
-        for g, terms in enumerate(sums):
-            shift = eps.values[g]
-            for e, rows in terms.items():
-                diff[e] = add(diff.get(e), rows, 1)
-                diff[e + shift] = add(diff.get(e + shift), product(rows, steps[g, 1]), -1)
-        if count and not any(x for rows, _ in diff.values() for row in rows for entry in row for x in entry):
-            passed += 1
+    passed = sum(phi.fox_identity(random_word(count, 10, rng)) for _ in range(trials))
     check("fox-identity", passed == trials, f"{passed}/{trials} words, seed {seed}")
 
 

@@ -80,13 +80,19 @@ class Word:
     @classmethod
     def parse(cls, text: str, generator_names) -> Word:
         """Parse the word grammar: whitespace-separated letters ``name`` or
-        ``name^-1`` (any nonzero integer exponent is accepted)."""
+        ``name^-1`` (any nonzero integer exponent is accepted).  The token
+        ``1``, as to_text writes the empty word, adds no letter."""
         index = {name: i for i, name in enumerate(generator_names)}
         letters: list[tuple[int, int]] = []
         for token in text.split():
+            if token == "1":
+                continue
             if "^" in token:
                 name, _, exp_s = token.partition("^")
-                exp = int(exp_s)
+                try:
+                    exp = int(exp_s)
+                except ValueError:
+                    raise ValueError(f"bad exponent in {token!r}") from None
             else:
                 name, exp = token, 1
             if name not in index:
@@ -218,7 +224,7 @@ class Augmentation:
 class Representation:
     """An invertible matrix over the field context per generator."""
 
-    __slots__ = ("context", "dimension", "matrices", "_singular", "_letters", "_identity")
+    __slots__ = ("context", "dimension", "matrices", "_letters", "_identity")
 
     def __init__(self, context: FieldContext, matrices):
         self.context = context
@@ -236,7 +242,6 @@ class Representation:
             if m.rows != self.dimension:
                 raise ValueError("representation matrices must share one dimension")
         self.matrices = tuple(mats)
-        self._singular = None
         self._letters = {}
         self._identity = ScalarMatrix.identity(context, self.dimension)._rows()
 
@@ -256,14 +261,10 @@ class Representation:
         return cls(context, mats)
 
     def singular_generators(self) -> tuple[int, ...]:
-        """The generators whose matrix is singular, found once per
-        representation.  A full rank modulo the split prime of the context
-        proves a matrix nonsingular; the others get the exact determinant."""
-        if self._singular is None:
-            self._singular = tuple(
-                g for g, m in enumerate(self.matrices) if not m._full_rank_mod_p() and m.det().is_zero()
-            )
-        return self._singular
+        """The generators whose matrix is singular.  A full rank modulo the
+        split prime of the context proves a matrix nonsingular; the others
+        get the exact determinant."""
+        return tuple(g for g, m in enumerate(self.matrices) if not m._full_rank_mod_p() and m.det().is_zero())
 
     def inverse_of_generator(self, g: int) -> ScalarMatrix:
         return self.matrices[g].inverse()
@@ -302,8 +303,9 @@ def fox_derivative(word: Word, generator: int) -> dict[tuple, int]:
     keyed by a reduced word without a reduction of its own.
 
     This symbolic form is the tests' oracle.  The package does not call it:
-    build_complex and the check battery's fox-identity check evaluate the
-    same formula under Phi in one pass (PhiMap._fox_pass).
+    validate, which writes the rows of d2, and the check battery's
+    fox-identity check evaluate the same formula under Phi in one pass
+    (PhiMap._fox_pass).
     """
     out: dict[tuple, int] = {}
     prefix: list[tuple[int, int]] = []  # the reduced prefix, as a stack
@@ -325,8 +327,9 @@ class PhiMap:
     """The ring map Phi(x) = t^eps(x) * rho(x) from the group ring into
     r x r Laurent matrices.  Generator images come from the letter table of
     rho (Representation._letter_rows).  _fox_pass is the one evaluator of
-    Fox derivatives under Phi: fox_row builds d2 from it, and the check
-    battery's fox-identity check reads it.  word_image and element_image
+    Fox derivatives under Phi: validate reads the rows of d2 and the
+    relator verdicts off it through fox_row, and the check battery's
+    fox-identity check through fox_identity.  word_image and element_image
     walk each word through eps.of_word and rho.of_word, for the tests'
     symbolic oracle (fox_derivative).
 
@@ -397,21 +400,34 @@ class PhiMap:
                 terms[e] = add(terms.get(e), prefix, -1)
         return sums, e, prefix
 
-    def fox_row(self, word: Word, *, images: list | None = None) -> list[LaurentMatrix]:
-        """Phi(d word / d x_g) for every generator g, from one pass
-        (_fox_pass).  The Laurent blocks are assembled from the rows once at
-        the end, and a generator that does not occur gets the zero block.
-
-        The pass ends on Phi(word): when images is a list, the pair
-        (eps(word), rho(word)) is appended to it, rho(word) a ScalarMatrix,
-        for validate to judge the word without a walk of its own.
-        """
+    def fox_row(self, word: Word) -> tuple[list[LaurentMatrix], ScalarMatrix]:
+        """(blocks, image) from one pass (_fox_pass): blocks[g] is
+        Phi(d word / d x_g) for every generator g, assembled from the rows
+        once at the end (the zero block for a generator that does not
+        occur), and image is rho(word), where the pass ends."""
         ctx = self.context
-        sums, e, rows = self._fox_pass(word)
-        if images is not None:
-            images.append((e, ScalarMatrix._from_rows(ctx, *rows)))
+        sums, _, rows = self._fox_pass(word)
         zero = LaurentMatrix.zero(ctx, self.dimension, self.dimension)
-        return [LaurentMatrix._from_row_terms(ctx, terms) if terms else zero for terms in sums]
+        blocks = [LaurentMatrix._from_row_terms(ctx, terms) if terms else zero for terms in sums]
+        return blocks, ScalarMatrix._from_rows(ctx, *rows)
+
+    def fox_identity(self, word: Word) -> bool:
+        """Whether Phi(w) - Id = sum_g Phi(dw/dg) (Phi(g) - Id), Fox's
+        fundamental identity, holds on the pass of word (_fox_pass); for a
+        relator it is d1 d2 = 0.  The difference of the two sides is one
+        {exponent: rows} map, zero exactly when every row in it is."""
+        ctx, values = self.context, self.eps.values
+        product, add = ctx._matrix_product, ctx._matrix_sum
+        steps = self.rho._letter_rows([(g, 1) for g in range(len(values))])
+        sums, e, rows = self._fox_pass(word)
+        diff = {e: rows}
+        diff[0] = add(diff.get(0), self.rho._identity, -1)
+        for g, terms in enumerate(sums):
+            shift = values[g]
+            for e, rows in terms.items():
+                diff[e] = add(diff.get(e), rows, 1)
+                diff[e + shift] = add(diff.get(e + shift), product(rows, steps[g, 1]), -1)
+        return not any(x for rows, _ in diff.values() for row in rows for entry in row for x in entry)
 
 
 class ValidationReport:
@@ -420,15 +436,18 @@ class ValidationReport:
     subjects[k] names what failures[k] blames: ("counts", None) for a count
     that differs from the generator count, ("singular", g) for a singular
     rho(x_g), ("eps", i) or ("rho", i) for a relator i that eps or rho does
-    not kill, and ("eps", None) for a trivial eps."""
+    not kill, and ("eps", None) for a trivial eps.  fox_rows[j] is the
+    fox_row blocks of relator j, the rows of d2, or None when the pass could
+    not run (a count differs or some rho(x) is singular)."""
 
-    __slots__ = ("ok", "failures", "subjects", "eps_image_index")
+    __slots__ = ("ok", "failures", "subjects", "eps_image_index", "fox_rows")
 
-    def __init__(self, ok, failures, eps_image_index, subjects):
+    def __init__(self, ok, failures, eps_image_index, subjects, fox_rows):
         self.ok = ok
         self.failures = tuple(failures)
         self.subjects = tuple(subjects)
         self.eps_image_index = eps_image_index
+        self.fox_rows = fox_rows
 
     def __repr__(self):
         status = "ok" if self.ok else "invalid: " + "; ".join(self.failures)
@@ -443,20 +462,17 @@ class InvalidTripleError(ValueError):
         self.report = report
 
 
-def validate(
-    pres: Presentation, eps: Augmentation, rho: Representation, *, relator_images=None
-) -> ValidationReport:
+def validate(pres: Presentation, eps: Augmentation, rho: Representation) -> ValidationReport:
     """Check eps(relator) = 0 and rho(relator) = Id exactly for every relator,
     plus shape agreement and a nontrivial eps; reports the cokernel order of
     eps, its image index (a non-surjective eps is legal).
 
-    The counts and the singular rho(x) are checked first.  Each relator is
-    then walked letter by letter, unless relator_images gives its
-    (eps(r), rho(r)) already, in relator order: build_complex passes the
-    values its Fox pass ends on (PhiMap.fox_row).  They are read only when
-    the counts agree and no rho(x) is singular, the condition under which
-    that pass can run."""
+    The counts and the singular rho(x) are checked first, and eps(r) is the
+    letter sum of each relator.  When no rho(x) is singular (a singular one
+    has no inverse), one Fox pass per relator (PhiMap.fox_row) gives rho(r),
+    judged here, and the relator's d2 blocks, kept as the report's fox_rows."""
     failures = []  # (subject, text)
+    fox_rows = None
     if len(eps.values) != pres.generator_count:
         failures.append((("counts", None), "eps value count differs from generator count"))
     if len(rho.matrices) != pres.generator_count:
@@ -464,21 +480,21 @@ def validate(
     if not failures:
         singular = rho.singular_generators()
         failures += [(("singular", g), f"rho({pres.generator_names[g]}) is singular") for g in singular]
+        if not singular:
+            phi, fox_rows = PhiMap(eps, rho), []
         for i, rel in enumerate(pres.relators):
-            if relator_images is not None and not singular:
-                v, image = relator_images[i]
-            else:
-                v = eps.of_word(rel)
-                # rho(relator) needs inverses, which a singular matrix lacks.
-                image = None if singular else rho.of_word(rel)
+            v = eps.of_word(rel)
             if v != 0:
                 failures.append((("eps", i), f"eps does not kill relator {i} (value {v})"))
-            if image is not None and not image.is_identity():
-                failures.append((("rho", i), f"rho does not kill relator {i}"))
+            if fox_rows is not None:
+                blocks, image = phi.fox_row(rel)
+                fox_rows.append(blocks)
+                if not image.is_identity():
+                    failures.append((("rho", i), f"rho does not kill relator {i}"))
     if not eps.is_nontrivial():
         failures.append((("eps", None), "eps is trivial"))
     subjects, texts = zip(*failures) if failures else ((), ())
-    return ValidationReport(not failures, texts, eps.image_index(), subjects)
+    return ValidationReport(not failures, texts, eps.image_index(), subjects, fox_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -633,9 +649,12 @@ def _union_factors(factors):
     parsed = []
     for f in factors:
         kind, *params = f
-        if kind not in _UNION_FAMILIES or len(params) != len(_FAMILIES[_UNION_FAMILIES[kind]][0]):
-            raise ValueError(f"bad union factor {':'.join(map(str, f))!r} (torus:p:q, cusp, or line)")
-        parsed.append((kind, *map(int, params)))
+        try:
+            if kind not in _UNION_FAMILIES or len(params) != len(_FAMILIES[_UNION_FAMILIES[kind]][0]):
+                raise ValueError
+            parsed.append((kind, *map(int, params)))
+        except ValueError:
+            raise ValueError(f"bad union factor {':'.join(map(str, f))!r} (torus:p:q, cusp, or line)") from None
     if len(parsed) < 2:
         raise ValueError("a transversal union needs at least two factors")
     return parsed

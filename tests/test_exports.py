@@ -1,8 +1,8 @@
 """Every exported name resolves: a deletion may not leave an __all__ entry
 behind.  Every name a submodule exports, and every public method or property
 of a package class, is also used by the package itself, unless it is listed
-below with the test that uses it.  The package imports nothing outside the
-standard library."""
+below with the test that uses it.  Phi's integer row form stays in
+presentations.  The package imports nothing outside the standard library."""
 
 from __future__ import annotations
 
@@ -129,6 +129,31 @@ def test_every_public_method_has_a_use():
     for name, test_file in METHODS_USED_ONLY_BY_TESTS.items():
         assert name not in used, f"{name} has a use in the package; drop it from the list"
         assert re.search(rf"\.{name}\b", (tests / test_file).read_text(encoding="utf-8")), (name, test_file)
+
+
+# Phi's integer row form: the one Fox pass, the letter table and identity
+# rows of Representation, and the row arithmetic of FieldContext.  Only
+# presentations, which evaluates Phi, and scalars, which defines the
+# arithmetic, name them; the rest reads fox_row and fox_identity.
+ROW_FORM_INTERNALS = {"_fox_pass", "_letter_rows", "_identity", "_matrix_product", "_matrix_sum"}
+ROW_FORM_OWNERS = {"presentations.py", "scalars.py"}
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(Path(twistalex.__file__).parent.glob("*.py")) if p.name not in ROW_FORM_OWNERS],
+    ids=lambda p: p.name,
+)
+def test_phi_row_form_stays_in_presentations(path):
+    named = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.ImportFrom):
+            named.update(alias.name for alias in node.names)
+    assert not named & ROW_FORM_INTERNALS, f"{path.name} names {sorted(named & ROW_FORM_INTERNALS)}"
 
 
 def test_every_method_the_bench_tracer_wraps_exists():

@@ -36,7 +36,8 @@ def _phi(conductor: int, dimension: int, rng: random.Random) -> PhiMap:
 
 
 def _assert_matches_oracle(phi: PhiMap, word: Word):
-    row = phi.fox_row(word)
+    row, image = phi.fox_row(word)
+    assert image == phi.rho.of_word(word), word
     assert len(row) == GENERATORS
     for g, block in enumerate(row):
         assert block == phi.element_image(fox_derivative(word, g)), (word, g)
@@ -71,7 +72,7 @@ def test_fox_row_matches_the_oracle_on_random_words(conductor, dimension):
 
 def test_absent_generators_get_the_zero_block():
     phi = _phi(12, 2, random.Random(7))
-    row = phi.fox_row(SPECIAL_WORDS["absent generators"])
+    row, _ = phi.fox_row(SPECIAL_WORDS["absent generators"])
     zero = LaurentMatrix.zero(phi.context, 2, 2)
     assert row[1] == zero and row[2] == zero
     assert row[0] != zero
@@ -80,8 +81,9 @@ def test_absent_generators_get_the_zero_block():
 def test_fox_row_of_a_cancelling_word_is_zero():
     # x y y^-1 x^-1 is trivial in the free group, so every derivative is 0.
     phi = _phi(6, 3, random.Random(11))
-    row = phi.fox_row(Word([(0, 1), (1, 1), (1, -1), (0, -1)]))
+    row, image = phi.fox_row(Word([(0, 1), (1, 1), (1, -1), (0, -1)]))
     assert all(block.is_zero() for block in row)
+    assert image.is_identity()
 
 
 @pytest.mark.parametrize("conductor,dimension", [(1, 2), (6, 3), (12, 1), (12, 2)])
@@ -94,9 +96,10 @@ def test_fundamental_identity_through_the_pass(conductor, dimension):
     words = [random_word(GENERATORS, 16, rng) for _ in range(6)] + list(SPECIAL_WORDS.values())
     for w in words:
         rhs = LaurentMatrix.zero(phi.context, dimension, dimension)
-        for g, block in enumerate(phi.fox_row(w)):
+        for g, block in enumerate(phi.fox_row(w)[0]):
             rhs = rhs + block * (phi.generator_image(g) - eye)
         assert phi.word_image(w) - eye == rhs, w
+        assert phi.fox_identity(w), w
 
 
 # Long words and representations with denominators: the pass keeps rho(prefix)

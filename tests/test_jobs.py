@@ -806,3 +806,62 @@ def test_a_result_past_the_printed_digit_limit_prints():
     delta = f"1/1{'0' * 8000} - 1/5{'0' * 3999}*t^4 + t^8"
     divisor = f"-1/1{'0' * 4000} + t^4"
     assert f"degree 1: free rank 0, delta {delta}, divisors [{divisor}, {divisor}]" in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "generators 1 x\nrelator\neps 1=1 x=1\nrho trivial 1\n",
+        "generators a=b\nrho a=b = [[1]]\n",
+    ],
+)
+def test_a_generator_name_that_would_not_read_back_is_refused_at_its_line(text):
+    # Both parsed, and their canonical text read back as another job or
+    # none: relator 1 as the generator 1, and eps a=b=1 as eps of a.
+    with pytest.raises(JobParseError) as err:
+        parse_job(text)
+    name = text.split()[1]
+    assert (err.value.line, err.value.message) == (1, f"generator name {name!r} is not an identifier")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "generators trivial x\nrelator trivial x trivial^-1 x^-1\nrho trivial 1\n",
+        "generators trivial\nrho trivial = [[1]]\n",
+        "generators x y\nrelator\nrelator x 1 x^-1 1\nrho trivial 1\n",
+    ],
+)
+def test_a_job_with_a_generator_named_trivial_or_an_empty_relator_round_trips(text):
+    spec = parse_job(text)
+    dumped = serialize_job(spec)
+    assert parse_job(dumped) == spec
+    assert serialize_job(parse_job(dumped)) == dumped
+
+
+@pytest.mark.parametrize(
+    "text,line,message",
+    [
+        (
+            "builder cusp\nrho trivial 1\ncomponent degree=1 weight=1 euler=x\n",
+            3,
+            "component: euler must be an integer, got 'x'",
+        ),
+        (
+            "builder cusp\nrho trivial 1\ncomponent degree=1 weight=1\nsingularity node components=x\n",
+            4,
+            "singularity node: components must be integers, got 'x'",
+        ),
+        ("generators x\nrelator x^a\nrho trivial 1\n", 2, "bad exponent in 'x^a'"),
+        (
+            "builder union factors=torus:a:b,line\nrho trivial 1\n",
+            1,
+            "bad union factor 'torus:a:b' (torus:p:q, cusp, or line)",
+        ),
+    ],
+)
+def test_a_non_integer_is_refused_in_the_words_of_the_job(text, line, message):
+    # Each was refused at its line, with Python's int() text as the reason.
+    with pytest.raises(JobParseError) as err:
+        parse_job(text)
+    assert (err.value.line, err.value.message) == (line, message)

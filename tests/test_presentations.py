@@ -43,6 +43,7 @@ def test_word_parse_and_to_text():
     # powers are stored expanded, so the round trip spells them out
     assert w.to_text(NAMES) == "x y^-1 x x"
     assert Word().to_text(NAMES) == "1"
+    assert Word.parse("1", NAMES) == Word() and Word.parse("x 1 y", NAMES).letters == ((0, 1), (1, 1))
     assert Word.parse("y^-3", NAMES).letters == ((1, -1),) * 3
 
 
@@ -51,6 +52,8 @@ def test_word_parse_rejects_bad_tokens():
         Word.parse("q", NAMES)
     with pytest.raises(ValueError):
         Word.parse("x^0", NAMES)
+    with pytest.raises(ValueError, match=r"^bad exponent in 'x\^a'$"):
+        Word.parse("x^a", NAMES)
 
 
 def test_word_group_operations():
