@@ -72,10 +72,8 @@ def _run_file(path: Path, mode: str, fmt: str, seed: int) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "compute":
-        return _run_file(args.job, "compute", args.format, args.seed)
-    if args.command == "check":
-        return _run_file(args.job, "check", args.format, args.seed)
+    if args.command in ("compute", "check"):
+        return _run_file(args.job, args.command, args.format, args.seed)
     if args.command == "builders":
         width = max(map(len, _BUILDERS))
         for name in sorted(_BUILDERS):

@@ -52,7 +52,6 @@ from .homology import (
     build_complex,
     euler_rank_check,
     homology,
-    specialize_homology,
     wada_ratio,
 )
 from .obstructions import (
@@ -368,6 +367,11 @@ def _split_top_level(text: str, sep: str | None = ",") -> list[str]:
 def _matrix_text(values) -> tuple:
     """Rows of field elements as rows of canonical scalar text."""
     return tuple(tuple(str(e) for e in row) for row in values)
+
+
+def _bracketed(rows) -> str:
+    """Rows of scalar text as the matrix text [[s, s], [s, s]]."""
+    return "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
 
 
 def _parse_matrix_text(text: str, context: FieldContext, lineno: int, what: str):
@@ -802,8 +806,7 @@ def serialize_job(spec: JobSpec) -> str:
             lines.append(f"relator {text}")
     lines.append("eps " + " ".join(f"{n}={v}" for n, v in zip(spec.generator_names, spec.eps_values)))
     for name, rows in zip(spec.generator_names, spec.rho_rows):
-        body = ", ".join("[" + ", ".join(row) + "]" for row in rows)
-        lines.append(f"rho {name} = [{body}]")
+        lines.append(f"rho {name} = {_bracketed(rows)}")
     if spec.analyses:
         lines.append("analyze " + " ".join(spec.analyses))
     if spec.specialize_values:
@@ -822,8 +825,7 @@ def serialize_job(spec: JobSpec) -> str:
         if euler is not None:
             parts.append(f"euler={euler}")
         if meridian is not None:
-            body = ", ".join("[" + ", ".join(row) + "]" for row in meridian)
-            parts.append(f"meridian=[{body}]")
+            parts.append(f"meridian={_bracketed(meridian)}")
         lines.append(" ".join(parts))
     for kind, comps_idx, params in spec.singularities:
         line = f"singularity {kind} components=" + ",".join(str(c) for c in comps_idx)
@@ -1107,25 +1109,17 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
                 alpha = alpha_term(curve)
                 out.emit({"record": "alpha", "numerator": text(alpha.numerator), "denominator": text(alpha.denominator)})
 
-        # The dimension bound specializes the complex itself; only a job
-        # without it calls specialize_homology here.
+        # The dimension bound specializes the complex itself, and its
+        # divisor counts are reported when H_i is torsion below the top.
+        torsion = all(shape.is_torsion() for shape in result.shapes[:-1])
         for value_text in spec.specialize_values:
-            value = parse_scalar(value_text, context)
-            if all(shape.is_torsion() for shape in result.shapes[:-1]):
-                bound_report = dimension_bound_check(result, complex_, value)
-                out.emit(
-                    {
-                        "record": "specialize",
-                        "at": value_text,
-                        "dims": list(bound_report.dims),
-                        "multiplicities": list(bound_report.multiplicities),
-                        "bounds": list(bound_report.bounds),
-                        "bound_ok": bound_report.ok,
-                    }
-                )
-            else:
-                dims = specialize_homology(complex_, value)
-                out.emit({"record": "specialize", "at": value_text, "dims": list(dims), "bound_ok": None})
+            bound_report = dimension_bound_check(result, complex_, parse_scalar(value_text, context))
+            record = {"record": "specialize", "at": value_text, "dims": list(bound_report.dims)}
+            if torsion:
+                record["multiplicities"] = list(bound_report.multiplicities)
+                record["bounds"] = list(bound_report.bounds)
+            record["bound_ok"] = bound_report.ok if torsion else None
+            out.emit(record)
 
         for index, (kind, params, weights, _) in enumerate(spec.local_requests):
             loc = _germ_polynomial(kind, params, weights, spec.chain_complex(index))

@@ -75,14 +75,6 @@ __all__ = [
 ]
 
 
-def _coerce_scalar(context: FieldContext, value) -> CycloNumber:
-    if isinstance(value, CycloNumber):
-        if value.context is not context:
-            raise ContextMismatchError("scalar from a different field context")
-        return value
-    return context.from_rational(value)
-
-
 def _flat(rows, width: int) -> list[tuple[int, int]]:
     """The nonzero coordinates of a sequence of power-basis rows as (position,
     value) pairs, row i starting at position i * width."""
@@ -271,7 +263,7 @@ class LaurentPoly:
     __slots__ = ("context", "low", "rows", "den", "_flat_rows")
 
     def __init__(self, context: FieldContext, coeffs, low: int = 0):
-        cs = [_coerce_scalar(context, c) for c in coeffs]
+        cs = [context.from_rational(c) for c in coeffs]
         den = lcm(c.den for c in cs)
         self._set(context, low, [c.nums if c.den == den else [x * (den // c.den) for x in c.nums] for c in cs], den)
 
@@ -614,7 +606,7 @@ class LaurentPoly:
         d: sum_i rows[i] u^i d^(span - i).  t^low is u^low / d^low, or for
         low < 0 (d c)^-low / N^-low with u c = N the cofactor of u.  Only the
         result is a field element."""
-        a = _coerce_scalar(self.context, value)
+        a = self.context.from_rational(value)
         if a.is_zero():
             raise ZeroDivisionError("cannot specialize t to 0 in a Laurent ring")
         ctx = self.context
@@ -724,7 +716,7 @@ def gcd_many(polys) -> LaurentPoly:
 def multiplicity(p: LaurentPoly, a) -> int:
     """Multiplicity of the root t = a (a nonzero scalar) in p.  p = 0 is
     refused with ValueError, since every power of (t - a) divides 0."""
-    return _strip_root(p, _coerce_scalar(p.context, a))[0]
+    return _strip_root(p, p.context.from_rational(a))[0]
 
 
 def _strip_root(p: LaurentPoly, a: CycloNumber) -> tuple[int, LaurentPoly]:
@@ -1061,7 +1053,7 @@ class LaurentMatrix(Matrix):
 
     def specialize(self, value) -> ScalarMatrix:
         """Evaluate every entry at t = value (a nonzero scalar)."""
-        a = _coerce_scalar(self.context, value)
+        a = self.context.from_rational(value)
         return self._map(lambda e: e.evaluate(a), cls=ScalarMatrix)
 
     def _rank_at(self, value) -> int:
@@ -1072,7 +1064,7 @@ class LaurentMatrix(Matrix):
         point whose residue is 0 or undefined, leaves the answer to the exact
         rank of specialize(value)."""
         ctx = self.context
-        a = _coerce_scalar(ctx, value)
+        a = ctx.from_rational(value)
         alpha = ctx._point_residue(a)
         if alpha:
             p = ctx._split[0]

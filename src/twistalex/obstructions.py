@@ -529,13 +529,9 @@ def dimension_bound_check(result: AlexanderResult, complex_: TwistedChainComplex
     complex over the PID R: H_i(a) = H_i / (t - a) + Tor(H_(i-1), R/(t - a)),
     and each divisor d with d(a) = 0 gives one dimension to either side,
     whatever the multiplicity of the root (R/(t - 1)^2 gives one, not two).
-    So dim H_i(a) >= n(a,i) + n(a,i-1), the reported bound.
-
-    Needs every H_i below the top degree torsion (the top one has no
-    torsion, so its n is 0).  A violated equality is fatal.
+    So dim H_i(a) >= n(a,i) + n(a,i-1), the reported bound.  The equality
+    holds for every complex, torsion or not; a violation is fatal.
     """
-    if not all(shape.is_torsion() for shape in result.shapes[:-1]):
-        raise ValueError("dimension bound needs torsion homology below the top degree")
     if not isinstance(value, CycloNumber):
         value = complex_.context.from_rational(value)
     if value.is_zero():

@@ -242,7 +242,7 @@ class Representation:
             if m.rows != self.dimension:
                 raise ValueError("representation matrices must share one dimension")
         self.matrices = tuple(mats)
-        self._letters = {}
+        self._letters = None
         self._identity = ScalarMatrix.identity(context, self.dimension)._rows()
 
     @classmethod
@@ -261,27 +261,31 @@ class Representation:
         return cls(context, mats)
 
     def singular_generators(self) -> tuple[int, ...]:
-        """The generators whose matrix is singular.  A full rank modulo the
-        split prime of the context proves a matrix nonsingular; the others
-        get the exact determinant."""
-        return tuple(g for g, m in enumerate(self.matrices) if not m._full_rank_mod_p() and m.det().is_zero())
+        """The generators whose matrix is singular: those without an
+        inverse in the letter table (_letter_rows)."""
+        table = self._letter_rows()
+        return tuple(g for g in range(len(self.matrices)) if (g, -1) not in table)
 
-    def inverse_of_generator(self, g: int) -> ScalarMatrix:
-        return self.matrices[g].inverse()
-
-    def _letter_rows(self, letters) -> dict:
-        """The dict from each letter (g, sign) of letters, and the letters
-        seen before, to rho(x_g)^sign in the (entries, den) row form of
-        FieldContext._matrix_product; each is converted once."""
+    def _letter_rows(self) -> dict:
+        """The dict from each letter (g, sign) to rho(x_g)^sign in the
+        (entries, den) row form of FieldContext._matrix_product, formed
+        once, on first use.  A singular rho(x_g) has no inverse, so its
+        (g, -1) is left out."""
         table = self._letters
-        for g, sign in set(letters) - table.keys():
-            table[g, sign] = (self.matrices[g] if sign == 1 else self.inverse_of_generator(g))._rows()
+        if table is None:
+            table = self._letters = {}
+            for g, m in enumerate(self.matrices):
+                table[g, 1] = m._rows()
+                try:
+                    table[g, -1] = m.inverse()._rows()
+                except ZeroDivisionError:
+                    pass
         return table
 
     def of_word(self, word: Word) -> ScalarMatrix:
         """rho(word): one row-form product per letter, and a ScalarMatrix
         only for the result."""
-        product, table = self.context._matrix_product, self._letter_rows(word.letters)
+        product, table = self.context._matrix_product, self._letter_rows()
         acc = self._identity
         for letter in word.letters:
             acc = product(acc, table[letter])
@@ -347,7 +351,7 @@ class PhiMap:
         self.rho = rho
 
     def generator_image(self, g: int, sign: int = 1) -> LaurentMatrix:
-        rows = self.rho._letter_rows(((g, sign),))[g, sign]
+        rows = self.rho._letter_rows()[g, sign]
         return LaurentMatrix._from_row_terms(self.context, {sign * self.eps.values[g]: rows})
 
     def word_image(self, word: Word) -> LaurentMatrix:
@@ -381,7 +385,7 @@ class PhiMap:
         costs one r x r row-form product and one signed sum, and builds no
         field element.  Rows that cancel stay in the map as zero rows."""
         ctx = self.context
-        product, add, table = ctx._matrix_product, ctx._matrix_sum, self.rho._letter_rows(word.letters)
+        product, add, table = ctx._matrix_product, ctx._matrix_sum, self.rho._letter_rows()
         values = self.eps.values
         e = 0
         prefix = self.rho._identity
@@ -418,7 +422,7 @@ class PhiMap:
         {exponent: rows} map, zero exactly when every row in it is."""
         ctx, values = self.context, self.eps.values
         product, add = ctx._matrix_product, ctx._matrix_sum
-        steps = self.rho._letter_rows([(g, 1) for g in range(len(values))])
+        steps = self.rho._letter_rows()
         sums, e, rows = self._fox_pass(word)
         diff = {e: rows}
         diff[0] = add(diff.get(0), self.rho._identity, -1)

@@ -1057,16 +1057,6 @@ class ScalarMatrix(Matrix):
             row[:] = [e.nums if e.den == d else [x * (d // e.den) for x in e.nums] for e in row]
         return work, scales
 
-    def _full_rank_mod_p(self) -> bool:
-        """True when this matrix has full rank modulo the split prime p of
-        the context (_split_prime), which proves that it has full rank;
-        False decides nothing.  Each row is scaled by the lcm of its
-        denominators into Z[z], which keeps the rank, before the residues
-        are taken."""
-        residue = self.context._residue
-        work, _ = self._integral_rows(range(self.rows), range(self.cols))
-        return _Residues._make(self.context, [[residue(v) for v in row] for row in work]).is_full_rank()
-
     def rank(self) -> int:
         """One per peeled singleton (Matrix._peel_singletons) plus the
         Bareiss rank of the core."""

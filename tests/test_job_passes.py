@@ -16,8 +16,18 @@ import pytest
 from twistalex.homology import build_complex, specialize_homology, wada_ratio
 from twistalex.jobs import parse_job, run_job
 from twistalex.laurent import LaurentMatrix, LaurentPoly
-from twistalex.presentations import Augmentation, Presentation, Representation, Word, fox_derivative, validate
-from twistalex.scalars import CycloNumber, FieldContext, Matrix, ScalarMatrix
+from twistalex.presentations import (
+    Augmentation,
+    Presentation,
+    Representation,
+    Word,
+    fox_derivative,
+    hopf_augmentation,
+    hopf_presentation,
+    random_hopf_representation,
+    validate,
+)
+from twistalex.scalars import CycloNumber, FieldContext, Matrix, ScalarMatrix, _Residues
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_jobs"
 
@@ -46,6 +56,44 @@ def test_a_job_validates_its_triple_once(monkeypatch, mode):
     _, code = run_job(spec, mode=mode)
     assert code == 0
     assert len(calls) == 1
+
+
+def _record_calls(monkeypatch, cls, name):
+    """Record the receiver of every call to the method cls.name."""
+    receivers, original = [], getattr(cls, name)
+
+    def recorded(self, *args, **kwargs):
+        receivers.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, recorded)
+    return receivers
+
+
+def test_validate_inverts_each_generator_once_and_takes_no_det_or_rank(monkeypatch):
+    # Forming rho(x)^-1 for the letter table is the one judge of a singular
+    # rho(x): no determinant and no rank mod the split prime runs.
+    ctx = FieldContext(12)
+    pres = hopf_presentation(3)
+    rho = random_hopf_representation(ctx, 3, 2, random.Random(3))
+    inverses = _record_calls(monkeypatch, ScalarMatrix, "inverse")
+    dets = _record_calls(monkeypatch, ScalarMatrix, "det")
+    ranks = _record_calls(monkeypatch, _Residues, "is_full_rank")
+    report = validate(pres, hopf_augmentation([1, 1, 1]), rho)
+    assert report.ok
+    assert inverses == list(rho.matrices)
+    assert dets == [] and ranks == []
+
+
+def test_a_check_run_forms_its_letter_table_once(monkeypatch):
+    # validate, build_complex's d1 and the fox-identity battery all read the
+    # one letter table of the job's rho.
+    inverses = _record_calls(monkeypatch, ScalarMatrix, "inverse")
+    spec = parse_job((SAMPLES / "a3_reduced.job").read_text(encoding="utf-8"))
+    _, code = run_job(spec, mode="check")
+    assert code == 0
+    matrices = spec.chain_complex().triple[2].matrices
+    assert [m for m in inverses if any(m is r for r in matrices)] == list(matrices)
 
 
 def test_invalid_triple_reports_the_build_verdict():

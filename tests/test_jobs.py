@@ -180,8 +180,9 @@ def test_the_fox_identity_check_fails_when_a_generator_image_is_wrong(monkeypatc
 
     def skewed(eps, rho):
         rho = jobs.Representation(rho.context, rho.matrices)
-        entries, den = rho._letter_rows([(0, 1)])[0, 1]
-        rho._letters[0, 1] = (entries, 2 * den)
+        table = rho._letter_rows()
+        entries, den = table[0, 1]
+        table[0, 1] = (entries, 2 * den)
         return original(eps, rho)
 
     monkeypatch.setattr(jobs, "PhiMap", skewed)

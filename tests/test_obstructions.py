@@ -284,12 +284,20 @@ def test_dimension_bound_hopf_at_one():
     assert generic.ok and generic.dims == (0, 0, 0)
 
 
-def test_dimension_bound_needs_torsion_h1():
+def test_dimension_bound_holds_with_a_free_h1():
+    # The free group on x, y: H0 = R/(t - 1) and H1 = R, so the universal
+    # coefficient equality adds the free rank 1 of H1 to its bound.
     ctx = FieldContext(1)
     pres = Presentation(["x", "y"], [])
     cx = build_complex(pres, Augmentation([1, 1]), Representation.trivial(ctx, 2, 1))
-    with pytest.raises(ValueError):
-        dimension_bound_check(homology(cx), cx, 1)
+    res = homology(cx)
+    assert tuple(shape.free_rank for shape in res.shapes) == (0, 1, 0)
+    report = dimension_bound_check(res, cx, 1)
+    assert report.ok
+    assert (report.dims, report.bounds) == ((1, 2, 0), (1, 1, 0))
+    for a in (-1, 2):
+        report = dimension_bound_check(res, cx, a)
+        assert report.ok and report.dims == (0, 1, 0)
 
 
 def test_cyclotomic_factors_complete():

@@ -188,7 +188,7 @@ def test_representation_of_word_and_inverses():
     y = Word.generator(1)
     img = rho.of_word(x * y * x.inverse())
     assert img[0, 0] == ctx.from_rational(2)
-    assert rho.inverse_of_generator(0)[0, 0] == z.inverse()
+    assert rho.of_word(x.inverse())[0, 0] == z.inverse()
     comm = x * y * x.inverse() * y.inverse()
     assert rho.of_word(comm).is_identity()
 
