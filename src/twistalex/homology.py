@@ -46,7 +46,9 @@ reduced boundaries at t = a.  The ranks record, the Euler characteristic,
 the d_i d_(i+1) = 0 check and wada_ratio read the complex as built.  The
 Wada ratio Delta_1 / Delta_0 has a direct determinant-free-of-homology
 formula via maximal minors, computed by wada_ratio on d1 and d2 as they are
-and cross-checked against the homology route, homology(complex_).ratio().
+and cross-checked against the homology route, homology(complex_).ratio():
+agreement up to a unit is decided by cross-multiplication, a*d = u*c*b, and
+the minor formula's ratio is reduced on its own only when it disagrees.
 """
 
 from __future__ import annotations
@@ -243,7 +245,7 @@ def homology(complex_: TwistedChainComplex) -> AlexanderResult:
     return AlexanderResult(ModuleShape(complex_.context, rank, divs) for rank, divs in zip(free, torsion))
 
 
-def wada_ratio(complex_: TwistedChainComplex) -> RationalFunction:
+def wada_ratio(complex_: TwistedChainComplex, homology_ratio: RationalFunction | None = None) -> RationalFunction:
     """Delta_1 / Delta_0 by the minor formula, bypassing homology.
 
     Pick a generator x_g with det(Phi(x_g) - Id) nonzero, delete its block
@@ -255,6 +257,12 @@ def wada_ratio(complex_: TwistedChainComplex) -> RationalFunction:
     deficiency-1 presentations (relators = generators - 1) so the remainder
     is square-able: the gcd runs over the (r R) x (r R) minors, r = c_0.
     Raises ValueError without a deficiency-1 triple or admissible generator.
+
+    Given homology_ratio, the homology route's Delta_1 / Delta_0, agreement
+    up to a unit is decided by one cross-multiplication
+    (RationalFunction.unit_multiple), and the reduced form is then taken
+    from homology_ratio; the ratio is reduced on its own, by a gcd, only
+    when they disagree, so a disagreement reports the minor formula's value.
     """
     if complex_.triple is None or complex_.triple[0].deficiency != 1:
         raise ValueError("the minor formula needs a deficiency-1 presentation")
@@ -266,7 +274,12 @@ def wada_ratio(complex_: TwistedChainComplex) -> RationalFunction:
         denom = d1.submatrix(range(r), block).determinant()
         if not denom.is_zero():
             rest = d2.submatrix([i for i in range(d2.rows) if i not in block], range(d2.cols))
-            return RationalFunction(rest.minors_gcd(r * pres.relator_count), denom)
+            numer = rest.minors_gcd(r * pres.relator_count)
+            if homology_ratio is not None:
+                agreed = RationalFunction.unit_multiple(numer, denom, homology_ratio)
+                if agreed is not None:
+                    return agreed
+            return RationalFunction(numer, denom)
     raise ValueError("no generator with det(Phi(x) - Id) nonzero")
 
 

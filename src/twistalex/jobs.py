@@ -1052,7 +1052,7 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
                     out.emit({"record": "wada", "applicable": False})
                     out.fail("wada requested on a presentation without deficiency 1")
                     continue
-                wada = wada_ratio(complex_)
+                wada = wada_ratio(complex_, ratio)
                 agrees = ratio is not None and wada.unit_equal(ratio)
                 out.emit(
                     {
@@ -1177,7 +1177,7 @@ def _check_battery(out, complex_, result, ratio, wada, deficiency_one, seed):
         check("fox-identity", None, "no presentation")
         return
     if deficiency_one:
-        w = wada if wada is not None else wada_ratio(complex_)
+        w = wada if wada is not None else wada_ratio(complex_, ratio)
         agrees = ratio is not None and w.unit_equal(ratio)
         check("wada-agreement", agrees)
     else:

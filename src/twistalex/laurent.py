@@ -772,6 +772,30 @@ class RationalFunction:
     def from_poly(cls, p: LaurentPoly) -> RationalFunction:
         return cls(p, LaurentPoly.one(p.context))
 
+    @classmethod
+    def unit_multiple(cls, numerator: LaurentPoly, denominator: LaurentPoly, known: RationalFunction):
+        """The reduced form of numerator / denominator when that ratio is a
+        unit c * t^k times known, else None (also when a numerator is zero).
+
+        In the domain F[t, t^-1], a/b = u * c/d iff a*d = u * c*b, so the test
+        is one cross-multiplication; c and k are read off the leading terms
+        of the two products.  known is coprime with a canonical denominator
+        and the reduced form is unique, so u * known is the form __init__
+        would reach, here without a gcd or a division."""
+        left = numerator * known.denominator
+        right = known.numerator * denominator
+        if not left or len(left.rows) != len(right.rows):
+            return None
+        unit = LaurentPoly.t_power(
+            left.context, left.low - right.low, left.leading_coefficient() / right.leading_coefficient()
+        )
+        if unit * right != left:
+            return None
+        reduced = object.__new__(cls)
+        reduced.numerator = unit * known.numerator
+        reduced.denominator = known.denominator
+        return reduced
+
     def is_polynomial(self) -> bool:
         return self.denominator.is_one()
 

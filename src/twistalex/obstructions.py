@@ -360,8 +360,9 @@ def root_field(rho_x0: ScalarMatrix, d: int) -> RootFieldReport:
     transversal at infinity, unitary-type representation).
 
     Exact path: rho(x0) must have multiplicative order at most ORDER_BOUND; the
-    eigenvalues lambda_i of rho(x0)^-1 are then roots of unity, stripped off
-    the characteristic polynomial by cyclotomic_factors, every d-th root of
+    eigenvalues lambda_i of rho(x0)^-1 are then roots of unity, the inverses
+    of those stripped off the characteristic polynomial of rho(x0) by
+    cyclotomic_factors (no inverse matrix is formed), every d-th root of
     each lambda_i is a root of unity of computable exact order, and S is the
     cyclotomic field generated by all of them together with K.  Without such
     an order the report is symbolic only (degree formula unavailable without
@@ -369,20 +370,22 @@ def root_field(rho_x0: ScalarMatrix, d: int) -> RootFieldReport:
     """
     if d < 2:
         raise ValueError("degree must be at least 2")
-    inv = rho_x0.inverse()
-    order = _matrix_multiplicative_order(inv)
+    order = _matrix_multiplicative_order(rho_x0)
     if order is None:
         return RootFieldReport(False, d, (), (), None, None, None, None)
-    # The eigenvalues are the roots of det(t Id - inv), all of orders dividing
-    # order; each primitive m-th root zeta_m^j is zeta_n^(j n/m) in Q(zeta_n).
-    ctx = inv.context
+    # rho(x0) and its inverse have one order, and the eigenvalues of the
+    # inverse are the inverses: the roots of det(t Id - rho(x0)), all of
+    # orders dividing order, with their exponents negated.  Each primitive
+    # m-th root zeta_m^j is zeta_n^(j n/m) in Q(zeta_n).
+    ctx = rho_x0.context
     char = (
-        LaurentMatrix.identity(ctx, inv.rows) * LaurentPoly.t_power(ctx, 1) - LaurentMatrix.from_scalar_matrix(inv, 0)
+        LaurentMatrix.identity(ctx, rho_x0.rows) * LaurentPoly.t_power(ctx, 1)
+        - LaurentMatrix.from_scalar_matrix(rho_x0, 0)
     ).determinant()
     found, _ = cyclotomic_factors(char, [m for m in range(1, order + 1) if order % m == 0])
     n = lcm([ctx.conductor, order])
-    exponents = sorted(j * (n // m) for m, j, count in found for _ in range(count))
-    if len(exponents) != inv.rows:
+    exponents = sorted(-j * (n // m) % n for m, j, count in found for _ in range(count))
+    if len(exponents) != rho_x0.rows:
         raise ValueError("eigenvalues not expressible as roots of unity in the ambient field")
     big = FieldContext(n)
     eigenvalues = [big.zeta(j) for j in exponents]

@@ -31,3 +31,13 @@ def test_readme_input_limits_show_the_limits():
     limits = {row[0].strip("`"): row[1] for row in _table_rows("Input limits")}
     expected = {name: str(getattr(jobs, name)) for name in dir(jobs) if name.startswith("MAX_")}
     assert limits == expected
+
+
+def test_readme_python_blocks_run(capsys):
+    # The Library block calls the API a reader would copy; run it as written.
+    # Its last line prints the agreement of the minor formula with homology.
+    blocks = re.findall(r"^```python\n(.*?)^```$", README, re.DOTALL | re.MULTILINE)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
+    assert capsys.readouterr().out.splitlines()[-1] == "True"

@@ -866,3 +866,38 @@ def test_a_non_integer_is_refused_in_the_words_of_the_job(text, line, message):
     with pytest.raises(JobParseError) as err:
         parse_job(text)
     assert (err.value.line, err.value.message) == (line, message)
+
+
+def test_the_wada_ratio_takes_its_reduced_form_from_the_homology_ratio(monkeypatch):
+    # The minor formula's ratio agrees with the homology ratio by one
+    # cross-multiplication, so wada_ratio runs no gcd and the job's ratio
+    # reductions are the homology ratio and the local node germ's alone.
+    from twistalex import laurent
+
+    counts = {"init": 0, "in_wada": 0}
+    inside = []
+    gcd, wada = laurent.laurent_gcd, jobs.wada_ratio
+
+    def counted_gcd(a, b):
+        if sys._getframe(1).f_code is laurent.RationalFunction.__init__.__code__:
+            counts["init"] += 1
+        counts["in_wada"] += bool(inside)
+        return gcd(a, b)
+
+    def traced_wada(*args):
+        inside.append(1)
+        try:
+            return wada(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(laurent, "laurent_gcd", counted_gcd)
+    monkeypatch.setattr(jobs, "wada_ratio", traced_wada)
+    spec = parse_job((ROOT / "sample_jobs" / "hopf3_untwisted.job").read_text())
+    _, code = run_job(spec, mode="compute", fmt="records")
+    assert code == EXIT_OK
+    assert counts == {"init": 2, "in_wada": 0}
+    report, code = run_job(spec, mode="check", fmt="records")
+    assert code == EXIT_OK
+    checks = [json.loads(line) for line in report.splitlines() if '"record": "check"' in line]
+    assert {"record": "check", "name": "wada-agreement", "ok": True, "detail": None} in checks

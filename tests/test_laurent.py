@@ -643,3 +643,57 @@ def test_a_row_update_is_one_kernel_call(n, monkeypatch):
     out = laurent._add_multiple(ctx, row, factor, src, 3, zero)
     assert len(calls) == 1
     assert out == [a + factor * b if j != 3 else zero for j, (a, b) in enumerate(zip(row, src))]
+
+
+def _random_unit(rng, ctx):
+    scalar = ctx.zeta(rng.randrange(ctx.conductor)) * Fraction(rng.choice([1, -1, 2, -3]), rng.randint(1, 4))
+    return LaurentPoly.t_power(ctx, rng.randint(-3, 3), scalar)
+
+
+@pytest.mark.parametrize("n", [1, 4, 12])
+def test_unit_multiple_is_the_reduced_form_exactly_when_the_ratios_agree(n):
+    # Half the triples are known x a unit over a common factor, the rest
+    # are drawn apart; the cross-multiplication must decide exactly what
+    # unit_equal on the independently reduced ratio decides, and a result
+    # must be that reduced ratio field for field.
+    ctx = FieldContext(n)
+    rng = random.Random(f"unit-multiple-{n}")
+    agreed = 0
+    for i in range(40):
+        known = RationalFunction(_mixed_poly(rng, ctx), _mixed_poly(rng, ctx))
+        if i % 2 == 0:
+            common = _mixed_poly(rng, ctx, 3)
+            num = known.numerator * _random_unit(rng, ctx) * common
+            den = known.denominator * common
+        else:
+            num, den = _mixed_poly(rng, ctx), _mixed_poly(rng, ctx)
+        full = RationalFunction(num, den)
+        got = RationalFunction.unit_multiple(num, den, known)
+        assert (got is not None) == full.unit_equal(known)
+        if got is not None:
+            agreed += 1
+            for part in ("numerator", "denominator"):
+                a, b = getattr(got, part), getattr(full, part)
+                assert (a.context, a.low, a.rows, a.den) == (b.context, b.low, b.rows, b.den)
+    assert agreed >= 20
+    zero = LaurentPoly.zero(ctx)
+    assert RationalFunction.unit_multiple(zero, _mixed_poly(rng, ctx), RationalFunction.from_poly(zero)) is None
+
+
+def test_wada_ratio_with_a_wrong_known_ratio_reduces_its_own():
+    from twistalex.homology import build_complex, homology, wada_ratio
+    from twistalex.presentations import hopf_augmentation, hopf_presentation, random_hopf_representation
+
+    ctx = FieldContext(12)
+    rng = random.Random("wada-known")
+    t = LaurentPoly.t_power(ctx, 1)
+    for d in (2, 3, 4):
+        rho = random_hopf_representation(ctx, d, 1, rng)
+        cx = build_complex(hopf_presentation(d), hopf_augmentation([1] * d), rho)
+        alone = wada_ratio(cx)
+        right = homology(cx).ratio()
+        for known in (right * (t + 2), right / (t - 3), RationalFunction.from_poly(t + 5)):
+            got = wada_ratio(cx, known)
+            assert (got.numerator, got.denominator) == (alone.numerator, alone.denominator)
+        got = wada_ratio(cx, right)
+        assert (got.numerator, got.denominator) == (alone.numerator, alone.denominator)

@@ -354,3 +354,20 @@ def test_root_field_orders_are_the_eigenvalue_orders():
             assert order == ev.multiplicative_order()
         exact += report.exact
     assert exact >= 20
+
+
+def test_a_root_field_job_inverts_each_generator_once(monkeypatch):
+    # rho's letter table inverts every rho(x) once; root_field reads the
+    # eigenvalues of rho(x0)^-1 off rho(x0) and forms no inverse of its own.
+    from pathlib import Path
+
+    from twistalex.jobs import EXIT_OK, parse_job, run_job
+
+    calls = []
+    inverse = ScalarMatrix.inverse
+    monkeypatch.setattr(ScalarMatrix, "inverse", lambda self: calls.append(self) or inverse(self))
+    job = Path(__file__).resolve().parent.parent / "sample_jobs" / "hopf4_twisted_z12.job"
+    spec = parse_job(job.read_text())
+    report, code = run_job(spec, mode="check")
+    assert code == EXIT_OK and "root-field" in report
+    assert len(calls) == 4
