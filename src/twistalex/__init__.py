@@ -42,6 +42,7 @@ from .homology import (
     euler_rank_check,
     homology,
     specialize_homology,
+    wada_agreement,
     wada_ratio,
 )
 from .obstructions import (
@@ -112,5 +113,6 @@ __all__ = [
     "serialize_job",
     "specialize_homology",
     "validate",
+    "wada_agreement",
     "wada_ratio",
 ]

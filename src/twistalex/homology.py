@@ -43,12 +43,13 @@ column off one boundary with no change to homology over R or at any
 t = a != 0.  homology then runs one Smith form per reduced boundary,
 without certificates, and specialize_homology reads the ranks of the
 reduced boundaries at t = a.  The ranks record, the Euler characteristic,
-the d_i d_(i+1) = 0 check and wada_ratio read the complex as built.  The
-Wada ratio Delta_1 / Delta_0 has a direct determinant-free-of-homology
-formula via maximal minors, computed by wada_ratio on d1 and d2 as they are
-and cross-checked against the homology route, homology(complex_).ratio():
-agreement up to a unit is decided by cross-multiplication, a*d = u*c*b, and
-the minor formula's ratio is reduced on its own only when it disagrees.
+the d_i d_(i+1) = 0 check and wada_agreement read the complex as built.
+For a deficiency-1 presentation Delta_1 / Delta_0 is Wada's invariant
+(Wada, Topology 1994), Reidemeister torsion (Kitano, Pacific J. Math.
+1996): one determinant of d2 over one of d1, which wada_agreement forms
+free of homology.  Its verdict against homology(complex_).ratio() is one
+cross-multiplication, which also gives the reduced form; the minor
+formula's ratio is reduced on its own only when it disagrees.
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ __all__ = [
     "AlexanderResult",
     "build_complex",
     "homology",
+    "wada_agreement",
     "wada_ratio",
     "euler_rank_check",
     "specialize_homology",
@@ -245,24 +247,27 @@ def homology(complex_: TwistedChainComplex) -> AlexanderResult:
     return AlexanderResult(ModuleShape(complex_.context, rank, divs) for rank, divs in zip(free, torsion))
 
 
-def wada_ratio(complex_: TwistedChainComplex, homology_ratio: RationalFunction | None = None) -> RationalFunction:
-    """Delta_1 / Delta_0 by the minor formula, bypassing homology.
+def wada_agreement(
+    complex_: TwistedChainComplex, homology_ratio: RationalFunction | None
+) -> tuple[RationalFunction, bool]:
+    """(ratio, agrees): Delta_1 / Delta_0 by the minor formula, bypassing
+    homology, and whether it is homology_ratio (None when Delta_0 = 0) up to
+    a unit.
 
     Pick a generator x_g with det(Phi(x_g) - Id) nonzero, delete its block
-    column from the Fox matrix, and divide the gcd of the maximal minors of
-    the remainder by that determinant.  Both are read off the complex as
-    built: the determinant off block g of d_1, which is (Phi(x_g) - Id)^T,
-    and the minors off d_2 without block row g, which is the transpose of
-    the Fox matrix without block column g and has the same minors.  Needs
-    deficiency-1 presentations (relators = generators - 1) so the remainder
-    is square-able: the gcd runs over the (r R) x (r R) minors, r = c_0.
-    Raises ValueError without a deficiency-1 triple or admissible generator.
+    column from the Fox matrix, and divide the determinant of the remainder
+    by that one.  Both are read off the complex as built: block g of d_1 is
+    (Phi(x_g) - Id)^T, and d_2 without block row g is the transpose of the
+    remainder, square, (r R) x (r R) with r = c_0, as the presentation has
+    deficiency 1.  Raises ValueError without a deficiency-1 triple or
+    admissible generator.
 
-    Given homology_ratio, the homology route's Delta_1 / Delta_0, agreement
-    up to a unit is decided by one cross-multiplication
-    (RationalFunction.unit_multiple), and the reduced form is then taken
-    from homology_ratio; the ratio is reduced on its own, by a gcd, only
-    when they disagree, so a disagreement reports the minor formula's value.
+    The long minor is not normalized: its unit lc * t^low joins the short
+    determinant.  One cross-multiplication (RationalFunction.unit_multiple)
+    gives the verdict and, on agreement, the reduced form; a disagreement
+    reduces the ratio on its own, by a gcd, so it reports the minor
+    formula's value.  A zero minor agrees exactly when the homology
+    numerator is zero.
     """
     if complex_.triple is None or complex_.triple[0].deficiency != 1:
         raise ValueError("the minor formula needs a deficiency-1 presentation")
@@ -273,14 +278,23 @@ def wada_ratio(complex_: TwistedChainComplex, homology_ratio: RationalFunction |
         block = range(g * r, (g + 1) * r)
         denom = d1.submatrix(range(r), block).determinant()
         if not denom.is_zero():
-            rest = d2.submatrix([i for i in range(d2.rows) if i not in block], range(d2.cols))
-            numer = rest.minors_gcd(r * pres.relator_count)
+            minor = d2.submatrix([i for i in range(d2.rows) if i not in block], range(d2.cols)).determinant()
+            if minor.is_zero():
+                agrees = homology_ratio is not None and homology_ratio.numerator.is_zero()
+                return RationalFunction(minor, denom), agrees
+            denom = denom * LaurentPoly.t_power(complex_.context, minor.low, minor.leading_coefficient())
             if homology_ratio is not None:
-                agreed = RationalFunction.unit_multiple(numer, denom, homology_ratio)
+                agreed = RationalFunction.unit_multiple(minor, denom, homology_ratio)
                 if agreed is not None:
-                    return agreed
-            return RationalFunction(numer, denom)
+                    return agreed, True
+            return RationalFunction(minor, denom), False
     raise ValueError("no generator with det(Phi(x) - Id) nonzero")
+
+
+def wada_ratio(complex_: TwistedChainComplex, homology_ratio: RationalFunction | None = None) -> RationalFunction:
+    """The ratio of wada_agreement(complex_, homology_ratio): Delta_1 /
+    Delta_0 by the minor formula, reduced, whatever homology_ratio is."""
+    return wada_agreement(complex_, homology_ratio)[0]
 
 
 def euler_rank_check(complex_: TwistedChainComplex, result: AlexanderResult) -> None:

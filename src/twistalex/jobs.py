@@ -52,7 +52,7 @@ from .homology import (
     build_complex,
     euler_rank_check,
     homology,
-    wada_ratio,
+    wada_agreement,
 )
 from .obstructions import (
     CurveComponent,
@@ -1040,7 +1040,7 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
             )
 
         deficiency_one = triple is not None and triple[0].deficiency == 1
-        wada = None  # the minor-formula ratio, once computed
+        wada = None  # (ratio, agrees) of the minor formula, once computed
 
         for analysis in spec.analyses:
             if analysis == "delta":
@@ -1052,14 +1052,14 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
                     out.emit({"record": "wada", "applicable": False})
                     out.fail("wada requested on a presentation without deficiency 1")
                     continue
-                wada = wada_ratio(complex_, ratio)
-                agrees = ratio is not None and wada.unit_equal(ratio)
+                wada = wada_agreement(complex_, ratio)
+                minor_ratio, agrees = wada
                 out.emit(
                     {
                         "record": "wada",
                         "applicable": True,
-                        "numerator": text(wada.numerator),
-                        "denominator": text(wada.denominator),
+                        "numerator": text(minor_ratio.numerator),
+                        "denominator": text(minor_ratio.denominator),
                         "agrees": agrees,
                     }
                 )
@@ -1157,8 +1157,8 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
 
 def _check_battery(out, complex_, result, ratio, wada, deficiency_one, seed):
     """Assertion battery for check mode; every entry is deterministic given
-    the seed.  wada is the minor-formula ratio when the report already
-    computed it, else None."""
+    the seed.  wada is the minor formula's (ratio, agrees) when the report
+    already computed it, else None."""
 
     def check(name: str, ok: bool | None, detail: str = ""):
         # ok is None for a check that does not apply to this job.
@@ -1177,9 +1177,7 @@ def _check_battery(out, complex_, result, ratio, wada, deficiency_one, seed):
         check("fox-identity", None, "no presentation")
         return
     if deficiency_one:
-        w = wada if wada is not None else wada_ratio(complex_, ratio)
-        agrees = ratio is not None and w.unit_equal(ratio)
-        check("wada-agreement", agrees)
+        check("wada-agreement", (wada or wada_agreement(complex_, ratio))[1])
     else:
         check("wada-agreement", None, "not deficiency 1")
 

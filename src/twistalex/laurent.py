@@ -462,6 +462,9 @@ class LaurentPoly:
         a, b = (o, self) if len(self.rows) == 1 and not any(self.rows[0][1:]) else (self, o)
         if len(b.rows) == 1 and not any(b.rows[0][1:]):
             # b = c * t^k, c rational (a sign, a constant, a normalizer).
+            if b.den == 1 and b.rows[0][0] == 1:
+                # b = t^k: a's canonical rows, shifted.
+                return LaurentPoly._raw(self.context, a.low + b.low, a.rows, a.den)
             rows = [[x * b.rows[0][0] for x in row] for row in a.rows]
             return LaurentPoly._make(self.context, a.low + b.low, rows, a.den * b.den)
         flat = [0] * ((len(self.rows) + len(o.rows) - 1) * (2 * self.context.degree - 1))
@@ -774,26 +777,32 @@ class RationalFunction:
 
     @classmethod
     def unit_multiple(cls, numerator: LaurentPoly, denominator: LaurentPoly, known: RationalFunction):
-        """The reduced form of numerator / denominator when that ratio is a
-        unit c * t^k times known, else None (also when a numerator is zero).
+        """The reduced form of a/b = numerator / denominator when that ratio
+        is a unit u = s * t^k times known = c/d, else None (also when a
+        numerator is zero).
 
-        In the domain F[t, t^-1], a/b = u * c/d iff a*d = u * c*b, so the test
-        is one cross-multiplication; c and k are read off the leading terms
-        of the two products.  known is coprime with a canonical denominator
-        and the reduced form is unique, so u * known is the form __init__
-        would reach, here without a gcd or a division."""
-        left = numerator * known.denominator
-        right = known.numerator * denominator
-        if not left or len(left.rows) != len(right.rows):
+        In the domain F[t, t^-1], a/b = u * c/d iff a*d = (u*c)*b, so the
+        verdict is this one cross-multiplication.  The leading coefficient
+        and low exponent of a product are the product and the sum of its
+        factors', so u comes from those alone: s = lc(a) lc(d) / (lc(c)
+        lc(b)) and k = low(a) + low(d) - low(c) - low(b).  Lengths add less
+        one in a product, so unequal length sums refuse before any product;
+        otherwise the test forms a*d, u*c and (u*c)*b, and never c*b.  known
+        is coprime with a canonical denominator and the reduced form is
+        unique, so (u*c, d) is the form __init__ would reach, here without a
+        gcd or a division."""
+        a, b, c, d = numerator, denominator, known.numerator, known.denominator
+        if not (a and b and c) or len(a.rows) + len(d.rows) != len(c.rows) + len(b.rows):
             return None
-        unit = LaurentPoly.t_power(
-            left.context, left.low - right.low, left.leading_coefficient() / right.leading_coefficient()
+        scalar = (a.leading_coefficient() * d.leading_coefficient()) / (
+            c.leading_coefficient() * b.leading_coefficient()
         )
-        if unit * right != left:
+        scaled = LaurentPoly.t_power(a.context, a.low + d.low - c.low - b.low, scalar) * c
+        if a * d != scaled * b:
             return None
         reduced = object.__new__(cls)
-        reduced.numerator = unit * known.numerator
-        reduced.denominator = known.denominator
+        reduced.numerator = scaled
+        reduced.denominator = d
         return reduced
 
     def is_polynomial(self) -> bool:

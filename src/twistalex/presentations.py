@@ -418,20 +418,40 @@ class PhiMap:
     def fox_identity(self, word: Word) -> bool:
         """Whether Phi(w) - Id = sum_g Phi(dw/dg) (Phi(g) - Id), Fox's
         fundamental identity, holds on the pass of word (_fox_pass); for a
-        relator it is d1 d2 = 0.  The difference of the two sides is one
-        {exponent: rows} map, zero exactly when every row in it is."""
+        relator it is d1 d2 = 0.  The difference of the two sides is summed
+        term by term into one integer list per t-exponent, every matrix
+        entry's coordinates in a row, over one common denominator; it is
+        zero exactly when every list is."""
         ctx, values = self.context, self.eps.values
-        product, add = ctx._matrix_product, ctx._matrix_sum
+        product = ctx._matrix_product
         steps = self.rho._letter_rows()
         sums, e, rows = self._fox_pass(word)
-        diff = {e: rows}
-        diff[0] = add(diff.get(0), self.rho._identity, -1)
+        # The denominator of a product divides the product of its factors'.
+        den = math.lcm(rows[1], *(r[1] * steps[g, 1][1] for g, terms in enumerate(sums) for r in terms.values()))
+        diff: dict = {}
+
+        def add(e, rows, sign):
+            entries, d = rows
+            factor = sign * (den // d)
+            acc = diff.get(e)
+            if acc is None:
+                diff[e] = [factor * x for row in entries for entry in row for x in entry]
+                return
+            k = 0
+            for row in entries:
+                for entry in row:
+                    for x in entry:
+                        acc[k] += factor * x
+                        k += 1
+
+        add(e, rows, 1)
+        add(0, self.rho._identity, -1)
         for g, terms in enumerate(sums):
-            shift = values[g]
+            shift, step = values[g], steps[g, 1]
             for e, rows in terms.items():
-                diff[e] = add(diff.get(e), rows, 1)
-                diff[e + shift] = add(diff.get(e + shift), product(rows, steps[g, 1]), -1)
-        return not any(x for rows, _ in diff.values() for row in rows for entry in row for x in entry)
+                add(e, rows, 1)
+                add(e + shift, product(rows, step), -1)
+        return not any(any(acc) for acc in diff.values())
 
 
 class ValidationReport:
@@ -833,6 +853,6 @@ def random_a_odd_representation(
 def random_word(generator_count: int, max_length: int, rng: random.Random) -> Word:
     length = rng.randint(0, max_length)
     letters = [
-        (rng.randrange(generator_count), rng.choice([1, -1])) for _ in range(length)
+        (rng.randrange(generator_count), rng.choice((1, -1))) for _ in range(length)
     ]
     return Word(letters)

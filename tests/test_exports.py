@@ -30,11 +30,13 @@ USED_ONLY_BY_TESTS = {
     "fox_derivative": "test_fox_pass.py",
     # dimension_bound_check asks only whether a divisor vanishes at a.
     "multiplicity": "test_laurent.py",
+    # Jobs read the ratio and the verdict of wada_agreement.
+    "wada_ratio": "test_homology.py",
 }
 
 # Public methods and properties that the tests alone call, by name, each
-# with a test file that calls it.  word_image and element_image are also
-# traced by bench/spans.py.
+# with a test file that calls it.  word_image, element_image and minors_gcd
+# are also traced by bench/spans.py.
 METHODS_USED_ONLY_BY_TESTS = {
     "cokernel_shape": "test_homology_oracle.py",
     "free_reduce": "test_presentations.py",
@@ -48,6 +50,8 @@ METHODS_USED_ONLY_BY_TESTS = {
     "span": "test_cyclotomic_oracle.py",
     "generator": "test_presentations.py",
     "transpose": "test_matrix.py",
+    # The Wada minor is one determinant of a square matrix.
+    "minors_gcd": "test_acceptance.py",
 }
 
 

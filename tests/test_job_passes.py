@@ -13,9 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from twistalex.homology import build_complex, specialize_homology, wada_ratio
+from twistalex.homology import build_complex, specialize_homology, wada_agreement, wada_ratio
+from twistalex import jobs
 from twistalex.jobs import parse_job, run_job
-from twistalex.laurent import LaurentMatrix, LaurentPoly
+from twistalex.laurent import LaurentMatrix, LaurentPoly, RationalFunction
 from twistalex.presentations import (
     Augmentation,
     Presentation,
@@ -110,7 +111,7 @@ def test_invalid_triple_reports_the_build_verdict():
 
 
 def test_check_mode_reuses_the_reported_wada_ratio(monkeypatch):
-    calls = _count_calls(monkeypatch, wada_ratio)
+    calls = _count_calls(monkeypatch, wada_agreement)
     spec = parse_job((SAMPLES / "hopf3_untwisted.job").read_text(encoding="utf-8"))
     report, code = run_job(spec, mode="check")
     assert code == 0
@@ -119,7 +120,7 @@ def test_check_mode_reuses_the_reported_wada_ratio(monkeypatch):
 
 
 def test_check_mode_computes_wada_when_not_requested(monkeypatch):
-    calls = _count_calls(monkeypatch, wada_ratio)
+    calls = _count_calls(monkeypatch, wada_agreement)
     text = (SAMPLES / "hopf3_untwisted.job").read_text(encoding="utf-8")
     text = text.replace("analyze delta wada", "analyze delta")
     report, code = run_job(parse_job(text), mode="check")
@@ -127,6 +128,91 @@ def test_check_mode_computes_wada_when_not_requested(monkeypatch):
     assert "check wada-agreement: ok" in report
     assert "\nwada:" not in report
     assert len(calls) == 1
+
+
+POWER_RELATOR_JOB = """
+field cyclotomic 6
+generators x y
+relator x^30 y^-30
+eps x=1 y=1
+rho x = [[z]]
+rho y = [[z^2]]
+analyze delta wada
+"""
+
+
+@pytest.mark.parametrize("job", ["hopf3_untwisted", "power_relator"])
+@pytest.mark.parametrize(
+    "mode, analyses", [("compute", "delta wada"), ("check", "delta wada"), ("check", "delta")]
+)
+def test_the_wada_verdict_is_one_cross_multiplication(monkeypatch, job, mode, analyses):
+    # A job evaluates the minor formula once and takes the verdict from its
+    # cross-multiplication (RationalFunction.unit_multiple): no unit_equal
+    # judges the ratios again and the Fox minor a is never normalized.  Its
+    # unit m goes into the short determinant b, and the three products with
+    # a long operand are a*d, u*c and (u*c)*(m*b), for the homology ratio
+    # c/d and the unit u read off leading terms.
+    if job == "hopf3_untwisted":
+        text = (SAMPLES / "hopf3_untwisted.job").read_text(encoding="utf-8")
+        text = text.replace("analyze delta wada divisibility root-field", f"analyze {analyses}")
+    else:
+        text = POWER_RELATOR_JOB.replace("analyze delta wada", f"analyze {analyses}")
+    spec = parse_job(text)
+    judged = [_record_calls(monkeypatch, cls, "unit_equal") for cls in (LaurentPoly, RationalFunction)]
+    normalized = [_record_calls(monkeypatch, LaurentPoly, name) for name in ("normalize", "_normalizer")]
+    inside, evaluations, determinants, products = [], [], [], []
+    determinant, multiply = LaurentMatrix.determinant, LaurentPoly.__mul__
+
+    def recorded_determinant(self):
+        inside.append("det")
+        try:
+            det = determinant(self)
+        finally:
+            inside.pop()
+        if inside:
+            determinants.append(det)
+        return det
+
+    def recorded_multiply(self, other):
+        product = multiply(self, other)
+        if inside == ["wada"]:
+            products.append((self, other, product))
+        return product
+
+    def traced(complex_, ratio):
+        inside.append("wada")
+        try:
+            verdict = wada_agreement(complex_, ratio)
+        finally:
+            inside.pop()
+        evaluations.append((ratio, verdict))
+        return verdict
+
+    monkeypatch.setattr(LaurentMatrix, "determinant", recorded_determinant)
+    monkeypatch.setattr(LaurentPoly, "__mul__", recorded_multiply)
+    monkeypatch.setattr(jobs, "wada_agreement", traced)
+    report, code = run_job(spec, mode=mode)
+    assert code == 0
+    assert ("wada:" in report) == ("wada" in analyses)
+    assert mode == "compute" or "check wada-agreement: ok" in report
+    assert len(evaluations) == 1
+    [(ratio, (wada, agrees))] = evaluations
+    assert agrees and wada.denominator is ratio.denominator
+    assert judged == [[], []]
+    minor = determinants[-1]
+    assert not any(p is minor for receivers in normalized for p in receivers)
+    names = (
+        ("a", minor),
+        ("c", ratio.numerator),
+        ("d", ratio.denominator),
+        ("u*c", wada.numerator),
+        ("m*b", products[0][2]),
+    )
+
+    def name(p):
+        return next((n for n, q in names if p is q), "unit" if len(p.rows) == 1 else "b")
+
+    assert [(name(x), name(y)) for x, y, _ in products] == [("b", "unit"), ("unit", "c"), ("a", "d"), ("u*c", "m*b")]
 
 
 @pytest.mark.parametrize("mode", ["compute", "check"])

@@ -870,13 +870,14 @@ def test_a_non_integer_is_refused_in_the_words_of_the_job(text, line, message):
 
 def test_the_wada_ratio_takes_its_reduced_form_from_the_homology_ratio(monkeypatch):
     # The minor formula's ratio agrees with the homology ratio by one
-    # cross-multiplication, so wada_ratio runs no gcd and the job's ratio
-    # reductions are the homology ratio and the local node germ's alone.
+    # cross-multiplication, so wada_agreement runs no gcd and the job's
+    # ratio reductions are the homology ratio and the local node germ's
+    # alone.
     from twistalex import laurent
 
     counts = {"init": 0, "in_wada": 0}
     inside = []
-    gcd, wada = laurent.laurent_gcd, jobs.wada_ratio
+    gcd, wada = laurent.laurent_gcd, jobs.wada_agreement
 
     def counted_gcd(a, b):
         if sys._getframe(1).f_code is laurent.RationalFunction.__init__.__code__:
@@ -892,7 +893,7 @@ def test_the_wada_ratio_takes_its_reduced_form_from_the_homology_ratio(monkeypat
             inside.pop()
 
     monkeypatch.setattr(laurent, "laurent_gcd", counted_gcd)
-    monkeypatch.setattr(jobs, "wada_ratio", traced_wada)
+    monkeypatch.setattr(jobs, "wada_agreement", traced_wada)
     spec = parse_job((ROOT / "sample_jobs" / "hopf3_untwisted.job").read_text())
     _, code = run_job(spec, mode="compute", fmt="records")
     assert code == EXIT_OK
@@ -901,3 +902,35 @@ def test_the_wada_ratio_takes_its_reduced_form_from_the_homology_ratio(monkeypat
     assert code == EXIT_OK
     checks = [json.loads(line) for line in report.splitlines() if '"record": "check"' in line]
     assert {"record": "check", "name": "wada-agreement", "ok": True, "detail": None} in checks
+
+
+ZERO_DELTA1 = """
+generators x y
+relator x x^-1
+eps x=1 y=1
+rho trivial 1
+analyze delta wada
+"""
+
+
+def test_a_zero_minor_agrees_exactly_with_a_zero_homology_numerator():
+    # The relator x x^-1 has zero Fox derivatives, so the Wada minor is 0
+    # and H_1 has free rank 1: Delta_1 = 0 on both routes.  The verdict
+    # cannot come from unit_multiple, which refuses a zero numerator.
+    from twistalex.homology import wada_agreement
+    from twistalex.laurent import RationalFunction
+
+    spec = parse_job(ZERO_DELTA1)
+    report, code = run_job(spec, mode="compute")
+    assert code == EXIT_OK
+    assert "ratio delta1/delta0: 0\nwada: 0, agrees with homology: yes\n" in report
+    report, code = run_job(spec, mode="check", fmt="records")
+    assert code == EXIT_OK
+    records = [json.loads(line) for line in report.splitlines()]
+    assert {"record": "wada", "applicable": True, "numerator": "0", "denominator": "1", "agrees": True} in records
+    assert {"record": "check", "name": "wada-agreement", "ok": True, "detail": None} in records
+    complex_ = spec.chain_complex()
+    t = LaurentPoly.t_power(complex_.context, 1)
+    for known, agrees in ((RationalFunction.from_poly(t - 1), False), (None, False)):
+        ratio, verdict = wada_agreement(complex_, known)
+        assert (ratio.numerator.is_zero(), ratio.denominator.is_one(), verdict) == (True, True, agrees)

@@ -681,19 +681,48 @@ def test_unit_multiple_is_the_reduced_form_exactly_when_the_ratios_agree(n):
 
 
 def test_wada_ratio_with_a_wrong_known_ratio_reduces_its_own():
-    from twistalex.homology import build_complex, homology, wada_ratio
-    from twistalex.presentations import hopf_augmentation, hopf_presentation, random_hopf_representation
+    # The Wada minor enters un-normalized, its unit folded into the
+    # determinant, so the minors here include leading coefficients outside
+    # Q: rank-2 Hopf and A_3 complexes over Q(zeta_12).  Whatever known is,
+    # the ratio is the one the minor formula reaches alone, and only the
+    # homology ratio agrees.
+    from twistalex.homology import build_complex, homology, wada_agreement, wada_ratio
+    from twistalex.presentations import (
+        a_odd_augmentation,
+        a_odd_reduced_presentation,
+        hopf_augmentation,
+        hopf_presentation,
+        random_a_odd_representation,
+        random_hopf_representation,
+    )
 
     ctx = FieldContext(12)
     rng = random.Random("wada-known")
     t = LaurentPoly.t_power(ctx, 1)
-    for d in (2, 3, 4):
-        rho = random_hopf_representation(ctx, d, 1, rng)
-        cx = build_complex(hopf_presentation(d), hopf_augmentation([1] * d), rho)
+    complexes = [
+        build_complex(hopf_presentation(d), hopf_augmentation([1] * d), random_hopf_representation(ctx, d, r, rng))
+        for d, r in ((2, 1), (3, 1), (4, 1), (2, 2), (3, 2))
+    ]
+    complexes += [
+        build_complex(
+            a_odd_reduced_presentation(2), a_odd_augmentation(2), random_a_odd_representation(ctx, 2, r, rng, family)
+        )
+        for r in (1, 2)
+        for family in ("diagonal", "conjugate")
+    ]
+    irrational = 0
+    for cx in complexes:
+        r, d1, d2 = cx.ranks[0], *cx.boundaries
+        if not d1.submatrix(range(r), range(r)).determinant().is_zero():
+            minor = d2.submatrix(range(r, d2.rows), range(d2.cols)).determinant()
+            irrational += not minor.leading_coefficient().is_rational()
         alone = wada_ratio(cx)
         right = homology(cx).ratio()
-        for known in (right * (t + 2), right / (t - 3), RationalFunction.from_poly(t + 5)):
+        zero = RationalFunction.from_poly(LaurentPoly.zero(ctx))
+        for known in (right * (t + 2), right / (t - 3), RationalFunction.from_poly(t + 5), zero, right):
+            got, agrees = wada_agreement(cx, known)
+            assert (got.numerator, got.denominator) == (alone.numerator, alone.denominator)
+            assert agrees == (known is right)
             got = wada_ratio(cx, known)
             assert (got.numerator, got.denominator) == (alone.numerator, alone.denominator)
-        got = wada_ratio(cx, right)
-        assert (got.numerator, got.denominator) == (alone.numerator, alone.denominator)
+    assert irrational >= 4
