@@ -21,7 +21,6 @@ from .laurent import (
     RationalFunction,
     SmithNormalForm,
     laurent_gcd,
-    multiplicity,
 )
 from .presentations import (
     Augmentation,
@@ -31,7 +30,6 @@ from .presentations import (
     Representation,
     ValidationReport,
     Word,
-    fox_derivative,
     validate,
 )
 from .homology import (
@@ -43,7 +41,6 @@ from .homology import (
     homology,
     specialize_homology,
     wada_agreement,
-    wada_ratio,
 )
 from .obstructions import (
     CurveComponent,
@@ -100,12 +97,10 @@ __all__ = [
     "dimension_bound_check",
     "euler_rank_check",
     "extension_degree_formula",
-    "fox_derivative",
     "homology",
     "infinity_bound",
     "laurent_gcd",
     "local_polynomial",
-    "multiplicity",
     "parse_job",
     "parse_scalar",
     "root_field",
@@ -114,5 +109,4 @@ __all__ = [
     "specialize_homology",
     "validate",
     "wada_agreement",
-    "wada_ratio",
 ]

@@ -13,19 +13,20 @@ triple with r-dimensional rho over a field F,
     C2 = R^(r R) --d2--> C1 = R^(r g) --d1--> C0 = R^r
 
 with d1 assembled from the blocks Phi(x_i) - Id and d2 from the Fox
-derivative blocks Phi(d r_j / d x_i).  The blocks of one relator come from a
-single left-to-right pass over its letters (PhiMap.fox_row), which carries
-Phi(prefix) as a t-exponent and a scalar matrix, so a relator of length L
-costs L scalar r x r products; the symbolic fox_derivative is left to the
-oracles that check the engine.  The pass ends on rho(r), the relator's
-verdict, so validate runs it and keeps its blocks, and build_complex writes
-d2 from the report: the letters are walked once, not once for validation
-and once for d2; parse_job validates a job by this build alone.  Columns
-are chains: the block orientation is fixed by exactness, which forces the
-transpose of each block as it is usually displayed (rows of the Wada matrix
-are relators).  Every composite d_i d_(i+1) vanishes identically; a
-TwistedChainComplex checks each one as it is made, whoever built its
-boundaries, and treats a failure as an internal error, not bad input.
+derivative blocks Phi(d r_j / d x_i).  The blocks of one relator come from
+a single left-to-right pass over its letters (PhiMap.fox_row), which
+carries Phi(prefix) as a t-exponent and a scalar matrix, so a relator of
+length L costs L scalar r x r products.  The symbolic Fox derivative that
+checks this pass is a test oracle (tests/oracles.py), outside the package.
+The pass ends on rho(r), the relator's verdict, so validate runs it and
+keeps its blocks, and build_complex writes d2 from the report: the letters
+are walked once, not once for validation and once for d2; parse_job
+validates a job by this build alone.  Columns are chains: the block
+orientation is fixed by exactness, which forces the transpose of each block
+as it is usually displayed (rows of the Wada matrix are relators).  Every
+composite d_i d_(i+1) vanishes identically; a TwistedChainComplex checks
+each one as it is made, whoever built its boundaries, and treats a failure
+as an internal error, not bad input.
 
 Twisted Alexander polynomials are the torsion orders Delta_i of H_i, each
 defined up to a unit c * t^m.  Over the PID R every image im d_i is free, so
@@ -77,7 +78,6 @@ __all__ = [
     "build_complex",
     "homology",
     "wada_agreement",
-    "wada_ratio",
     "euler_rank_check",
     "specialize_homology",
 ]
@@ -289,12 +289,6 @@ def wada_agreement(
                     return agreed, True
             return RationalFunction(minor, denom), False
     raise ValueError("no generator with det(Phi(x) - Id) nonzero")
-
-
-def wada_ratio(complex_: TwistedChainComplex, homology_ratio: RationalFunction | None = None) -> RationalFunction:
-    """The ratio of wada_agreement(complex_, homology_ratio): Delta_1 /
-    Delta_0 by the minor formula, reduced, whatever homology_ratio is."""
-    return wada_agreement(complex_, homology_ratio)[0]
 
 
 def euler_rank_check(complex_: TwistedChainComplex, result: AlexanderResult) -> None:

@@ -28,7 +28,7 @@ and convolves nothing.
 LaurentMatrix shares its storage and ring-independent operations with
 ScalarMatrix through scalars.Matrix.  It adds only the promotion of scalar
 entries to constant polynomials, the maps into and out of the field
-(from_scalar_matrix, specialize, substitute_power) and the elimination over
+(from_scalar_matrix and specialize) and the elimination over
 F[t, t^-1]: determinants, minor gcds and Smith normal form, each following
 the sparsity of its input.  A determinant peels singleton rows and columns,
 clears the units of the core by Schur steps that divide by nothing, and
@@ -67,7 +67,6 @@ __all__ = [
     "LaurentPoly",
     "laurent_gcd",
     "gcd_many",
-    "multiplicity",
     "RationalFunction",
     "ModuleShape",
     "SmithNormalForm",
@@ -587,16 +586,6 @@ class LaurentPoly:
     def unit_equal(self, other: LaurentPoly) -> bool:
         return self.normalize() == other.normalize()
 
-    def substitute_power(self, n: int) -> LaurentPoly:
-        """t -> t^n for a positive integer n."""
-        if n < 1:
-            raise ValueError("substitution exponent must be a positive integer")
-        if self.is_zero() or n == 1:
-            return self
-        rows = [(0,) * self.context.degree] * ((len(self.rows) - 1) * n + 1)
-        rows[::n] = self.rows
-        return LaurentPoly._raw(self.context, self.low * n, tuple(rows), self.den)
-
     def bar(self) -> LaurentPoly:
         """The involution: conjugate coefficients and t -> t^-1."""
         if self.is_zero():
@@ -714,12 +703,6 @@ def gcd_many(polys) -> LaurentPoly:
         if r:
             acc = laurent_gcd(acc, r)
     return acc
-
-
-def multiplicity(p: LaurentPoly, a) -> int:
-    """Multiplicity of the root t = a (a nonzero scalar) in p.  p = 0 is
-    refused with ValueError, since every power of (t - a) divides 0."""
-    return _strip_root(p, p.context.from_rational(a))[0]
 
 
 def _strip_root(p: LaurentPoly, a: CycloNumber) -> tuple[int, LaurentPoly]:
@@ -852,11 +835,6 @@ class RationalFunction:
     def bar(self) -> RationalFunction:
         return RationalFunction(self.numerator.bar(), self.denominator.bar())
 
-    def substitute_power(self, n: int) -> RationalFunction:
-        return RationalFunction(
-            self.numerator.substitute_power(n), self.denominator.substitute_power(n)
-        )
-
     def __str__(self) -> str:
         if self.is_polynomial():
             return str(self.numerator)
@@ -924,21 +902,6 @@ class SmithNormalForm:
         self.U = U
         self.V = V
         self.Vinv = Vinv
-
-    def cokernel_shape(self) -> ModuleShape:
-        """The module R^rows / (column span) read off the divisors."""
-        ctx = self.matrix.context
-        nontrivial = [d for d in self.divisors if not d.is_one()]
-        return ModuleShape(ctx, self.matrix.rows - self.rank, nontrivial)
-
-    def diagonal(self) -> "LaurentMatrix":
-        ctx = self.matrix.context
-        zero = LaurentPoly.zero(ctx)
-        rows, cols = self.matrix.rows, self.matrix.cols
-        entries = [[zero] * cols for _ in range(rows)]
-        for i, d in enumerate(self.divisors):
-            entries[i][i] = d
-        return LaurentMatrix(ctx, entries)
 
 
 class LaurentMatrix(Matrix):
@@ -1108,9 +1071,6 @@ class LaurentMatrix(Matrix):
             if _Residues._make(ctx, rows).is_full_rank():
                 return min(self.rows, self.cols)
         return self.specialize(a).rank()
-
-    def substitute_power(self, n: int) -> LaurentMatrix:
-        return self._map(lambda e: e.substitute_power(n))
 
     def smith_normal_form(self, certificates: bool = True) -> SmithNormalForm:
         """Diagonalize by elementary row/column operations over F[t, t^-1],

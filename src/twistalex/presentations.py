@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 
-from .scalars import CycloNumber, FieldContext, ScalarMatrix
+from .scalars import FieldContext, ScalarMatrix
 from .laurent import LaurentMatrix
 
 __all__ = [
@@ -34,12 +33,10 @@ __all__ = [
     "Representation",
     "ValidationReport",
     "InvalidTripleError",
-    "fox_derivative",
     "PhiMap",
     "validate",
     "hopf_presentation",
     "hopf_augmentation",
-    "hopf_extra_meridian_word",
     "a_odd_presentation",
     "a_odd_reduced_presentation",
     "a_odd_augmentation",
@@ -49,9 +46,6 @@ __all__ = [
     "transversal_union_presentation",
     "transversal_union_augmentation",
     "rank_one_representation",
-    "random_invertible_matrix",
-    "random_hopf_representation",
-    "random_a_odd_representation",
     "random_word",
 ]
 
@@ -59,9 +53,8 @@ __all__ = [
 class Word:
     """A word in a free group: a tuple of (generator index, sign) letters.
 
-    Words are stored as written (unreduced); free reduction is available but
-    never applied implicitly, since Fox derivatives are computed on the
-    letters as given.
+    Words are stored as written (unreduced) and never reduced, since Fox
+    derivatives are computed on the letters as given.
     """
 
     __slots__ = ("letters",)
@@ -72,10 +65,6 @@ class Word:
             if g < 0 or s not in (1, -1):
                 raise ValueError(f"bad letter ({g}, {s})")
         self.letters = letters
-
-    @classmethod
-    def generator(cls, g: int, sign: int = 1) -> Word:
-        return cls(((g, sign),))
 
     @classmethod
     def parse(cls, text: str, generator_names) -> Word:
@@ -123,15 +112,6 @@ class Word:
             return Word()
         base = self if n > 0 else self.inverse()
         return Word(base.letters * abs(n))
-
-    def free_reduce(self) -> Word:
-        stack: list[tuple[int, int]] = []
-        for letter in self.letters:
-            if stack and stack[-1][0] == letter[0] and stack[-1][1] == -letter[1]:
-                stack.pop()
-            else:
-                stack.append(letter)
-        return Word(stack)
 
     def max_generator(self) -> int:
         return max((g for g, _ in self.letters), default=-1)
@@ -250,16 +230,6 @@ class Representation:
         eye = ScalarMatrix.identity(context, dimension)
         return cls(context, [eye] * generator_count)
 
-    @classmethod
-    def diagonal(cls, context: FieldContext, diagonals):
-        """One matrix per generator from per-generator diagonal scalar tuples."""
-        mats = []
-        for diag in diagonals:
-            diag = tuple(diag)
-            n = len(diag)
-            mats.append(ScalarMatrix(context, [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]))
-        return cls(context, mats)
-
     def singular_generators(self) -> tuple[int, ...]:
         """The generators whose matrix is singular: those without an
         inverse in the letter table (_letter_rows)."""
@@ -295,38 +265,6 @@ class Representation:
         return f"Representation(dim={self.dimension}, generators={len(self.matrices)})"
 
 
-def fox_derivative(word: Word, generator: int) -> dict[tuple, int]:
-    """The Fox free derivative d(word)/d(x_generator), as the dict from each
-    freely reduced word (its letter tuple) to its nonzero integer coefficient.
-
-    Satisfies d(x)/d(x) = 1, d(y)/d(x) = 0, d(x^-1)/d(x) = -x^-1, and the
-    product rule d(uv)/d(x) = d(u)/d(x) + u * d(v)/d(x).  Closed form used
-    here: a letter x^+1 at position i contributes +prefix(i), a letter x^-1
-    contributes -prefix(i) * x^-1 (the prefix through the letter inclusive).
-    One pass keeps the freely reduced prefix as a stack, so every term is
-    keyed by a reduced word without a reduction of its own.
-
-    This symbolic form is the tests' oracle.  The package does not call it:
-    validate, which writes the rows of d2, and the check battery's
-    fox-identity check evaluate the same formula under Phi in one pass
-    (PhiMap._fox_pass).
-    """
-    out: dict[tuple, int] = {}
-    prefix: list[tuple[int, int]] = []  # the reduced prefix, as a stack
-    for g, s in word.letters:
-        if g == generator and s == 1:
-            key = tuple(prefix)
-            out[key] = out.get(key, 0) + 1
-        if prefix and prefix[-1] == (g, -s):
-            prefix.pop()
-        else:
-            prefix.append((g, s))
-        if g == generator and s == -1:
-            key = tuple(prefix)
-            out[key] = out.get(key, 0) - 1
-    return {w: c for w, c in out.items() if c}
-
-
 class PhiMap:
     """The ring map Phi(x) = t^eps(x) * rho(x) from the group ring into
     r x r Laurent matrices.  Generator images come from the letter table of
@@ -334,8 +272,9 @@ class PhiMap:
     Fox derivatives under Phi: validate reads the rows of d2 and the
     relator verdicts off it through fox_row, and the check battery's
     fox-identity check through fox_identity.  word_image and element_image
-    walk each word through eps.of_word and rho.of_word, for the tests'
-    symbolic oracle (fox_derivative).
+    walk each word through eps.of_word and rho.of_word; no job calls them.
+    They put the tests' symbolic Fox derivative (tests/oracles.py) under
+    Phi, the oracle of _fox_pass.
 
     Inside, Phi of a word is carried as the pair (e, rows), rows the integer
     row form of FieldContext._matrix_product, and a group-ring element as
@@ -378,8 +317,9 @@ class PhiMap:
 
         Phi(prefix) = t^e * rho(prefix) is carried as the integer e and
         rho(prefix) in the integer row form of FieldContext._matrix_product.
-        By the prefix formula (see fox_derivative) a letter x_g adds
-        +Phi(prefix) to the derivative by x_g, and a letter x_g^-1 first
+        By the product rule of Fox calculus, a letter x_g after the prefix u
+        adds u to the derivative by x_g, and a letter x_g^-1 adds -u x_g^-1.
+        So a letter x_g adds +Phi(prefix), and a letter x_g^-1 first
         advances the prefix and then adds -Phi(prefix x_g^-1).  Each
         derivative collects its scalar matrices by exponent, so a letter
         costs one r x r row-form product and one signed sum, and builds no
@@ -545,13 +485,6 @@ def hopf_augmentation(weights) -> Augmentation:
     if len(weights) < 2:
         raise ValueError("need at least two meridian weights")
     return Augmentation([sum(weights)] + weights[:-1])
-
-
-def hopf_extra_meridian_word(d: int) -> Word:
-    """The eliminated d-th meridian expressed in the d-generator presentation:
-    x0 = xd * x(d-1) * ... * x1 gives xd = x0 * x1^-1 * ... * x(d-1)^-1."""
-    letters = [(0, 1)] + [(i, -1) for i in range(1, d)]
-    return Word(letters)
 
 
 def a_odd_presentation(n: int) -> Presentation:
@@ -737,117 +670,9 @@ def rank_one_representation(context: FieldContext, pres: Presentation, scalars) 
 
 
 # ---------------------------------------------------------------------------
-# Randomized valid-triple samplers used by the property suites.  All draws go
-# through a caller-supplied random.Random.
-
-
-def _random_scalar(context: FieldContext, rng: random.Random, *, nonzero=False) -> CycloNumber:
-    while True:
-        if context.conductor == 1 or rng.random() < 0.4:
-            v = context.from_rational(Fraction(rng.randint(-3, 3)))
-        else:
-            v = context.zeta(rng.randrange(context.conductor)) * rng.randint(-2, 2)
-        if not nonzero or not v.is_zero():
-            return v
-
-
-def random_invertible_matrix(context: FieldContext, size: int, rng: random.Random) -> ScalarMatrix:
-    while True:
-        m = ScalarMatrix(
-            context,
-            [[_random_scalar(context, rng) for _ in range(size)] for _ in range(size)],
-        )
-        if not m.det().is_zero():
-            return m
-
-
-def random_root_of_unity(context: FieldContext, rng: random.Random) -> CycloNumber:
-    if context.conductor == 1:
-        return context.from_rational(rng.choice([1, -1]))
-    return context.zeta(rng.randrange(context.conductor))
-
-
-def random_hopf_representation(
-    context: FieldContext, d: int, dimension: int, rng: random.Random, family: str = "scalar"
-) -> Representation:
-    """A valid representation of the Hopf group: the central generator must
-    commute with every other image.
-
-    family 'scalar': rho(x0) = lambda * Id (lambda a random root of unity
-    times a nonzero rational), the rest random invertible.
-    family 'diagonal': every image diagonal.
-    """
-    if family == "scalar":
-        lam = random_root_of_unity(context, rng) * rng.choice([1, 1, 2, -1])
-        eye = ScalarMatrix.identity(context, dimension)
-        mats = [eye * lam]
-        for _ in range(1, d):
-            mats.append(random_invertible_matrix(context, dimension, rng))
-        return Representation(context, mats)
-    if family == "diagonal":
-        diags = []
-        for _ in range(d):
-            diags.append(tuple(_random_scalar(context, rng, nonzero=True) for _ in range(dimension)))
-        return Representation.diagonal(context, diags)
-    raise ValueError(f"unknown family {family!r}")
-
-
-def random_a_odd_representation(
-    context: FieldContext, n: int, dimension: int, rng: random.Random, family: str = "conjugate"
-) -> Representation:
-    """A valid representation of the A_{2n-1} group.
-
-    family 'diagonal': all images diagonal with equal even-index and equal
-    odd-index values (so conjugation by b acts trivially).
-    family 'conjugate': rho(b) = Q with Q^n scalar, rho(a0) = A arbitrary
-    invertible, rho(a1) = Q * A^-1, and a(i+2) = b^-1 * a(i) * b derived; the
-    wrap-around closes because Q^n is central.
-    """
-    m = 2 * n
-    if family == "diagonal":
-        even = tuple(_random_scalar(context, rng, nonzero=True) for _ in range(dimension))
-        odd = tuple(_random_scalar(context, rng, nonzero=True) for _ in range(dimension))
-        diags = [even if i % 2 == 0 else odd for i in range(m)]
-        prod = tuple(o * e for o, e in zip(odd, even))
-        diags.append(prod)
-        return Representation.diagonal(context, diags)
-    if family == "conjugate":
-        # Q = S * diag(mu_j) * S^-1 with each mu_j^n equal to one shared
-        # value, so Q^n is scalar.
-        while True:
-            S = random_invertible_matrix(context, dimension, rng)
-            base = random_root_of_unity(context, rng)
-            if base.is_zero():
-                continue
-            # mu_j = base * eta_j with eta_j^n = 1; eta drawn from the n-th
-            # roots of unity available in the context.
-            etas = []
-            for _ in range(dimension):
-                if context.conductor % n == 0 and context.conductor > 1:
-                    k = rng.randrange(n)
-                    etas.append(context.zeta(k * (context.conductor // n)))
-                else:
-                    etas.append(context.one)
-            diag = ScalarMatrix(
-                context,
-                [
-                    [base * etas[i] if i == j else context.zero for j in range(dimension)]
-                    for i in range(dimension)
-                ],
-            )
-            Q = S * diag * S.inverse()
-            if not Q.det().is_zero():
-                break
-        A = random_invertible_matrix(context, dimension, rng)
-        Qinv = Q.inverse()
-        images = [None] * m
-        images[0] = A
-        images[1] = Q * A.inverse()
-        for i in range(2, m):
-            images[i] = Qinv * images[i - 2] * Q
-        images.append(Q)
-        return Representation(context, images)
-    raise ValueError(f"unknown family {family!r}")
+# Random words for the check battery's fox-identity trials (jobs); the draws
+# go through a caller-supplied random.Random.  The tests' valid-triple
+# samplers live beside them, in tests/oracles.py.
 
 
 def random_word(generator_count: int, max_length: int, rng: random.Random) -> Word:

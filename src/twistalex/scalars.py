@@ -21,7 +21,7 @@ letter of a word: rows over one shared denominator, multiplied and summed
 without field elements (FieldContext._matrix_product, _matrix_sum).
 
 Matrix is the one dense matrix type of the package: storage, construction,
-sums, products, transposes, embeddings and comparisons for any ring of the
+sums, products, submatrices, embeddings and comparisons for any ring of the
 context, and the one elimination of rank, determinant and inverse:
 singleton peeling, then a Bareiss (fraction-free) loop whose pivot size,
 cross product and exact division each ring supplies.  ScalarMatrix is its
@@ -479,10 +479,6 @@ class CycloNumber:
             raise ValueError("coordinate vector has wrong length for context")
 
     @property
-    def coords(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(a, self.den) for a in self.nums)
-
-    @property
     def conductor(self) -> int:
         return self.context.conductor
 
@@ -494,11 +490,6 @@ class CycloNumber:
 
     def is_rational(self) -> bool:
         return all(a == 0 for a in self.nums[1:])
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self.nums[0], self.den)
 
     def _coerce(self, other):
         if isinstance(other, CycloNumber):
@@ -589,15 +580,6 @@ class CycloNumber:
     def conj(self) -> CycloNumber:
         """Complex conjugation: z maps to z^(n-1) = z^-1."""
         return CycloNumber(self.context, self.context._substitute(self.nums, -1), self.den)
-
-    def multiplicative_order(self):
-        """Order of self as a root of unity, or None if it is none.  The roots
-        of unity of Q(zeta_n) are the +-z^k, whose orders divide N = lcm(2, n),
-        so the order is the least divisor k of N with self^k = 1."""
-        big = math.lcm(2, self.conductor)
-        if self**big != self.context.one:
-            return None
-        return next(k for k in range(1, big + 1) if big % k == 0 and self**k == self.context.one)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -861,9 +843,6 @@ class Matrix:
         return self._make(self.context, out)
 
     __rmul__ = __mul__
-
-    def transpose(self):
-        return self._make(self.context, zip(*self.entries))
 
     def submatrix(self, row_indices, col_indices):
         return self._make(self.context, [[self.entries[i][j] for j in col_indices] for i in row_indices])

@@ -56,6 +56,10 @@ def _expr(a: CycloNumber, k: int = 1, n: int | None = None):
     )
 
 
+def _scalar_coords(a: CycloNumber) -> tuple[Fraction, ...]:
+    return tuple(Fraction(x, a.den) for x in a.nums)
+
+
 def _coords(expr, n: int) -> tuple[Fraction, ...]:
     """Power-basis coordinates of expr reduced modulo Phi_n."""
     modulus = sympy.Poly(sympy.cyclotomic_poly(n, Z), Z, domain="QQ")
@@ -71,7 +75,7 @@ def test_inverse_matches_sympy(n, kind):
     phi = sympy.cyclotomic_poly(n, Z)
     for a in _elements(n, kind):
         expected = _coords(sympy.invert(_expr(a), phi, Z), n)
-        assert a.inverse().coords == expected, a
+        assert _scalar_coords(a.inverse()) == expected, a
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -79,7 +83,7 @@ def test_inverse_matches_sympy(n, kind):
 def test_conj_matches_sympy(n, kind):
     for a in _elements(n, kind):
         expected = _coords(_expr(a, n - 1, n), n)
-        assert a.conj().coords == expected, a
+        assert _scalar_coords(a.conj()) == expected, a
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -89,7 +93,7 @@ def test_embed_matches_sympy(n, kind):
         target = FieldContext(k * n)
         for a in _elements(n, kind, count=2):
             expected = _coords(_expr(a, k), k * n)
-            assert embed(a, target).coords == expected, (a, k)
+            assert _scalar_coords(embed(a, target)) == expected, (a, k)
             assert a.embed(target) == embed(a, target)
 
 
@@ -155,7 +159,7 @@ def _laurent_coords(expr, n: int) -> dict[int, tuple[Fraction, ...]]:
 def _engine_coords(p: LaurentPoly) -> dict[int, tuple[Fraction, ...]]:
     if p.is_zero():
         return {}
-    return {e: p.coefficient(e).coords for e in range(p.low, p.high + 1) if p.coefficient(e)}
+    return {e: _scalar_coords(p.coefficient(e)) for e in range(p.low, p.high + 1) if p.coefficient(e)}
 
 
 def _from_expr(ctx: FieldContext, expr) -> LaurentPoly:
@@ -287,7 +291,7 @@ def test_evaluate_matches_sympy(n):
             continue
         for low in (-3, 0, 2):
             p = LaurentPoly(ctx, _laurent(ctx, rng, rng.randint(0, 4)).coeffs, low)
-            assert p.evaluate(a).coords == _coords(_evaluate_expr(p, a), n), (p, a)
+            assert _scalar_coords(p.evaluate(a)) == _coords(_evaluate_expr(p, a), n), (p, a)
 
 
 @pytest.mark.parametrize("n,big", [(1, 5), (3, 12), (4, 12), (5, 15), (12, 60)])
@@ -298,7 +302,7 @@ def test_evaluate_at_a_point_of_a_larger_field_matches_sympy(n, big):
     rng = random.Random(f"laurent-evaluate-{n}-{big}")
     for a in (target.zeta(1), _scalar(target, rng) + target.zeta(2)):
         p = LaurentPoly(ctx, _laurent(ctx, rng, 3).coeffs, -2)
-        assert p.embed(target).evaluate(a).coords == _coords(_evaluate_expr(p, a, big // n), big), (p, a)
+        assert _scalar_coords(p.embed(target).evaluate(a)) == _coords(_evaluate_expr(p, a, big // n), big), (p, a)
 
 
 # Scalar matrices over Q(zeta_n): rank and determinant against sympy's
@@ -318,7 +322,7 @@ def _sympy_field(n: int):
 
 
 def _sympy_scalar(field, a: CycloNumber):
-    coords = [sympy.QQ(c.numerator, c.denominator) for c in a.coords]
+    coords = [sympy.QQ(c.numerator, c.denominator) for c in _scalar_coords(a)]
     return coords[0] if field is sympy.QQ else field(list(reversed(coords)))
 
 
@@ -372,7 +376,7 @@ def test_scalar_rank_and_det_match_sympy(n):
         field, expected = _sympy_matrix(m)
         assert m.rank() == expected.rank(), label
         if m.rows == m.cols:
-            assert m.det().coords == _sympy_coords(field, expected.det(), ctx.degree), label
+            assert _scalar_coords(m.det()) == _sympy_coords(field, expected.det(), ctx.degree), label
         else:
             with pytest.raises(ValueError):
                 m.det()
@@ -557,7 +561,7 @@ def test_sparse_scalar_rank_and_det_match_sympy(n, kind):
         field, expected = _sympy_matrix(m)
         assert m.rank() == expected.rank(), shape
         if m.rows == m.cols:
-            assert m.det().coords == _sympy_coords(field, expected.det(), ctx.degree), shape
+            assert _scalar_coords(m.det()) == _sympy_coords(field, expected.det(), ctx.degree), shape
 
 
 # The inverse of scalar matrices against DomainMatrix.inv over the same
@@ -574,7 +578,7 @@ def _assert_inverse_matches(m: ScalarMatrix, label: str):
     assert (got.rows, got.cols) == (m.rows, m.cols), label
     for got_row, row in zip(got.entries, expected.inv().to_list()):
         for a, b in zip(got_row, row):
-            assert a.coords == _sympy_coords(field, b, m.context.degree), label
+            assert _scalar_coords(a) == _sympy_coords(field, b, m.context.degree), label
 
 
 @pytest.mark.parametrize("n", INVERSE_CONDUCTORS)

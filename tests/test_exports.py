@@ -2,7 +2,9 @@
 behind.  Every name a submodule exports, and every public method or property
 of a package class, is also used by the package itself, unless it is listed
 below with the test that uses it.  Phi's integer row form stays in
-presentations.  The package imports nothing outside the standard library."""
+presentations.  The package imports nothing outside the standard library.
+The tests' oracles (tests/oracles.py) stay outside the package and reach it
+through twistalex.__all__ alone."""
 
 from __future__ import annotations
 
@@ -21,37 +23,27 @@ MODULES = ["twistalex"] + [f"twistalex.{m.name}" for m in pkgutil.iter_modules(t
 
 # Exported for the tests alone: each name and the test file that calls it.
 USED_ONLY_BY_TESTS = {
-    "hopf_extra_meridian_word": "test_acceptance.py",
-    "random_hopf_representation": "test_acceptance.py",
-    "random_a_odd_representation": "test_acceptance.py",
-    # Jobs read the germ complexes parse_job built (JobSpec.chain_complex).
+    # Jobs read the germ complexes parse_job built (JobSpec.chain_complex);
+    # kept for the local divisibility check of ROADMAP item 5.
     "local_polynomial": "test_obstructions.py",
-    # The symbolic oracle of the engine's Fox pass (PhiMap._fox_pass).
-    "fox_derivative": "test_fox_pass.py",
-    # dimension_bound_check asks only whether a divisor vanishes at a.
-    "multiplicity": "test_laurent.py",
-    # Jobs read the ratio and the verdict of wada_agreement.
-    "wada_ratio": "test_homology.py",
 }
 
 # Public methods and properties that the tests alone call, by name, each
-# with a test file that calls it.  word_image, element_image and minors_gcd
-# are also traced by bench/spans.py.
+# with a test file that calls it.
 METHODS_USED_ONLY_BY_TESTS = {
-    "cokernel_shape": "test_homology_oracle.py",
-    "free_reduce": "test_presentations.py",
+    # bench/spans.py wraps these three by name (its METHODS); they leave
+    # with the mend of the bench tracer (ROADMAP item 1).  No job calls
+    # word_image or element_image, and the Wada minor is one determinant.
     "word_image": "test_fox_pass.py",
     "element_image": "test_presentations.py",
-    "coords": "test_scalars.py",
-    "as_rational": "test_scalars.py",
-    "multiplicative_order": "test_scalars.py",
-    "substitute_power": "test_laurent.py",
-    "bar": "test_laurent.py",
-    "span": "test_cyclotomic_oracle.py",
-    "generator": "test_presentations.py",
-    "transpose": "test_matrix.py",
-    # The Wada minor is one determinant of a square matrix.
     "minors_gcd": "test_acceptance.py",
+    # bench/spans.py complex_sizes reads it for homology.max_span.
+    "span": "test_cyclotomic_oracle.py",
+    # The involution, kept for the reciprocity check of ROADMAP item 7.
+    "bar": "test_laurent.py",
+    # Read by bar alone.
+    "high": "test_cyclotomic_oracle.py",
+    "conj": "test_cyclotomic_oracle.py",
 }
 
 
@@ -63,13 +55,19 @@ def _package_trees():
 def _names_used(trees, attributes_only=False) -> set:
     """Names read as obj.name, or as a bare name unless attributes_only,
     except inside a function of the same name: a method that only calls its
-    namesake on its parts (as LaurentMatrix.substitute_power does on its
-    entries) is not a use.  A method is only ever read as obj.name, so a
-    local variable or parameter of its name is not a use of it."""
+    namesake on its parts (as RationalFunction.bar does on its numerator and
+    denominator) is not a use.  A read inside a function named on
+    USED_ONLY_BY_TESTS or METHODS_USED_ONLY_BY_TESTS is not a use either:
+    what only test-only code reads is test-only too.  A method is only ever
+    read as obj.name, so a local variable or parameter of its name is not a
+    use of it."""
     used = set()
+    test_only = USED_ONLY_BY_TESTS.keys() | METHODS_USED_ONLY_BY_TESTS.keys()
 
     def visit(node, enclosing):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name in test_only:
+                return
             enclosing = enclosing | {node.name}
         name = node.attr if isinstance(node, ast.Attribute) else None
         if isinstance(node, ast.Name) and not attributes_only:
@@ -193,3 +191,41 @@ def test_the_runtime_imports_only_the_standard_library():
                 imported.setdefault(name.split(".")[0], path.name)
     assert "fractions" in imported
     assert {name: where for name, where in imported.items() if name not in sys.stdlib_module_names} == {}
+
+
+ORACLES = Path(__file__).parent / "oracles.py"
+
+
+def test_the_oracles_reach_the_package_through_its_exports_alone():
+    # tests/oracles.py checks the engine from outside: it imports the
+    # standard library and names of twistalex.__all__, from twistalex itself
+    # (no submodule, no _ name), and reads no private attribute.  So the
+    # symbolic Fox derivative and the samplers share no code path with the
+    # engine's internals.
+    for node in ast.walk(ast.parse(ORACLES.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                assert alias.name.split(".")[0] in sys.stdlib_module_names, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, ast.unparse(node)
+            if node.module == "twistalex":
+                for alias in node.names:
+                    assert alias.name in twistalex.__all__ and not alias.name.startswith("_"), alias.name
+            else:
+                assert node.module.split(".")[0] in sys.stdlib_module_names, node.module
+        elif isinstance(node, ast.Attribute):
+            private = node.attr.startswith("_") and not node.attr.endswith("__")
+            assert not private, ast.unparse(node)
+
+
+def test_the_package_defines_no_test_oracle():
+    oracles = {
+        node.name for node in ast.parse(ORACLES.read_text(encoding="utf-8")).body if isinstance(node, ast.FunctionDef)
+    }
+    defined = {
+        node.name
+        for tree in _package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert oracles and not oracles & defined, sorted(oracles & defined)

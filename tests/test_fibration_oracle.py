@@ -35,6 +35,11 @@ import random
 
 import pytest
 
+from oracles import (
+    random_a_odd_representation,
+    random_hopf_representation,
+    random_invertible_matrix,
+)
 from twistalex.homology import build_complex, homology
 from twistalex.presentations import (
     Augmentation,
@@ -45,9 +50,6 @@ from twistalex.presentations import (
     braid_cusp_presentation,
     hopf_augmentation,
     hopf_presentation,
-    random_a_odd_representation,
-    random_hopf_representation,
-    random_invertible_matrix,
     rank_one_representation,
     torus_germ_augmentation,
     torus_germ_presentation,

@@ -11,14 +11,13 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import fox_derivative, free_reduce, random_invertible_matrix
 from twistalex.laurent import LaurentMatrix
 from twistalex.presentations import (
     Augmentation,
     PhiMap,
     Representation,
     Word,
-    fox_derivative,
-    random_invertible_matrix,
     random_word,
 )
 from twistalex.scalars import FieldContext, ScalarMatrix
@@ -201,7 +200,7 @@ def _prefix_fox_derivative(word: Word, generator: int) -> dict:
     prefix: list = []
     for g, s in word.letters:
         if g == generator:
-            key = Word(prefix + ([] if s == 1 else [(g, -1)])).free_reduce().letters
+            key = free_reduce(Word(prefix + ([] if s == 1 else [(g, -1)]))).letters
             out[key] = out.get(key, 0) + s
         prefix.append((g, s))
     return {w: c for w, c in out.items() if c}

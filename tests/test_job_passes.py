@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from twistalex.homology import build_complex, specialize_homology, wada_agreement, wada_ratio
+from oracles import fox_derivative, random_hopf_representation
+from twistalex.homology import build_complex, specialize_homology, wada_agreement
 from twistalex import jobs
 from twistalex.jobs import parse_job, run_job
 from twistalex.laurent import LaurentMatrix, LaurentPoly, RationalFunction
@@ -22,10 +23,8 @@ from twistalex.presentations import (
     Presentation,
     Representation,
     Word,
-    fox_derivative,
     hopf_augmentation,
     hopf_presentation,
-    random_hopf_representation,
     validate,
 )
 from twistalex.scalars import CycloNumber, FieldContext, Matrix, ScalarMatrix, _Residues
@@ -244,8 +243,9 @@ analyze delta wada
     ids=["hopf4_twisted_z12", "long_relator"],
 )
 def test_the_engine_does_not_call_the_symbolic_fox_derivative(monkeypatch, text):
-    # fox_derivative is the tests' symbolic oracle: check mode builds the Fox
-    # Jacobian and runs the fox-identity check without it.
+    # fox_derivative is the tests' symbolic oracle, outside the package
+    # (tests/oracles.py): check mode builds the Fox Jacobian and runs the
+    # fox-identity check without it.
     calls = _count_calls(monkeypatch, fox_derivative)
     _, code = run_job(parse_job(text), mode="check")
     assert code == 0
@@ -419,7 +419,7 @@ def test_bareiss_determinant_inverts_at_most_once_per_step(monkeypatch, text):
         return det
 
     monkeypatch.setattr(LaurentMatrix, "determinant", counted_determinant)
-    wada_ratio(complex_)
+    wada_agreement(complex_, None)
     assert per_call and max(n for n, _ in per_call) > 2
     for n, count in per_call:
         assert count <= n - 1, (n, count)
@@ -584,7 +584,7 @@ def test_the_hopf_wada_ratio_makes_a_linear_number_of_divisions(monkeypatch, d):
     complex_ = spec.chain_complex()
     ctx = complex_.context
     divisions = _count_method(monkeypatch, LaurentPoly, "__divmod__")
-    ratio = wada_ratio(complex_)
+    ratio = wada_agreement(complex_, None)[0]
     assert len(divisions) <= d
     t_d_minus_1 = LaurentPoly(ctx, [-1] + [0] * (d - 1) + [1])
     assert ratio.unit_equal(t_d_minus_1 ** (d - 2))
@@ -696,7 +696,7 @@ def test_the_a5_wada_minors_invert_once_per_unit_pivot_that_updates_a_row(monkey
         return det
 
     monkeypatch.setattr(LaurentMatrix, "determinant", counted_determinant)
-    wada_ratio(complex_)
+    wada_agreement(complex_, None)
     assert bareiss == []
     assert max(n for n, _, _ in per_call) == 12 and sum(p for _, p, _ in per_call) > 0
     for n, pivots, count in per_call:

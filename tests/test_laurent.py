@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import random_a_odd_representation, random_hopf_representation, substitute_power
 from twistalex import laurent
 from twistalex.laurent import (
     LaurentMatrix,
@@ -17,9 +18,15 @@ from twistalex.laurent import (
     RationalFunction,
     gcd_many,
     laurent_gcd,
-    multiplicity,
 )
 from twistalex.scalars import ContextMismatchError, FieldContext
+
+
+def _diagonal(snf) -> LaurentMatrix:
+    # diag(divisors) in the shape of the matrix: what U * M * V must be.
+    m, zero = snf.matrix, LaurentPoly.zero(snf.matrix.context)
+    entries = [[snf.divisors[i] if i == j < snf.rank else zero for j in range(m.cols)] for i in range(m.rows)]
+    return LaurentMatrix(m.context, entries)
 
 
 def _poly(ctx, coeffs, low=0):
@@ -115,16 +122,16 @@ def test_substitute_power():
     t = LaurentPoly.t_power(ctx, 1)
     one = LaurentPoly.one(ctx)
     p = t**2 - t + one
-    assert p.substitute_power(3) == t**6 - t**3 + one
-    assert p.substitute_power(1) == p
+    assert substitute_power(p, 3) == t**6 - t**3 + one
+    assert substitute_power(p, 1) == p
     with pytest.raises(ValueError):
-        p.substitute_power(0)
+        substitute_power(p, 0)
     rng = random.Random(3)
     for _ in range(20):
         a = _random_poly(rng, ctx)
         b = _random_poly(rng, ctx)
         n = rng.randint(1, 4)
-        assert (a * b).substitute_power(n) == a.substitute_power(n) * b.substitute_power(n)
+        assert substitute_power(a * b, n) == substitute_power(a, n) * substitute_power(b, n)
 
 
 def test_bar_involution():
@@ -161,10 +168,10 @@ def test_multiplicity():
     t = LaurentPoly.t_power(ctx, 1)
     one = LaurentPoly.one(ctx)
     p = (t - one) ** 3 * (t + 2 * one)
-    assert multiplicity(p, 1) == 3
-    assert multiplicity(p, -2) == 1
-    assert multiplicity(p, 2) == 0
-    assert multiplicity(one, 1) == 0
+    assert laurent._strip_root(p, ctx.from_rational(1))[0] == 3
+    assert laurent._strip_root(p, ctx.from_rational(-2))[0] == 1
+    assert laurent._strip_root(p, ctx.from_rational(2))[0] == 0
+    assert laurent._strip_root(one, ctx.from_rational(1))[0] == 0
 
 
 def test_rational_function_reduction():
@@ -203,7 +210,7 @@ def test_smith_form_frozen_example():
     assert snf.rank == 2
     assert snf.divisors[0].is_one()
     assert snf.divisors[1].unit_equal(t**2)
-    assert (snf.U * m * snf.V) == snf.diagonal()
+    assert (snf.U * m * snf.V) == _diagonal(snf)
 
 
 def test_smith_form_diagonal_chain():
@@ -238,7 +245,7 @@ def test_smith_form_properties_randomized():
         snf = m.smith_normal_form()
         assert snf.U.determinant().is_unit()
         assert snf.V.determinant().is_unit()
-        assert snf.U * m * snf.V == snf.diagonal()
+        assert snf.U * m * snf.V == _diagonal(snf)
         assert (snf.V * snf.Vinv) == LaurentMatrix.identity(ctx, cols)
         prod = LaurentPoly.one(ctx)
         for k, d in enumerate(snf.divisors, start=1):
@@ -255,7 +262,7 @@ def _checked_smith_form(m):
     snf = m.smith_normal_form()
     assert snf.U.determinant().is_unit()
     assert snf.V.determinant().is_unit()
-    assert snf.U * m * snf.V == snf.diagonal()
+    assert snf.U * m * snf.V == _diagonal(snf)
     assert snf.Vinv * snf.V == LaurentMatrix.identity(ctx, m.cols)
     assert all(d == d.normalize() for d in snf.divisors)
     for a, b in zip(snf.divisors, snf.divisors[1:]):
@@ -345,7 +352,7 @@ def test_smith_form_of_sparse_matrices_with_rich_divisors(n):
                   for j in range(k)] for i in range(k)],
             )
 
-        m = triangular(rows) * LaurentMatrix(ctx, d) * triangular(cols).transpose()
+        m = triangular(rows) * LaurentMatrix(ctx, d) * LaurentMatrix(ctx, list(zip(*triangular(cols).entries)))
         row_order, col_order = list(range(rows)), list(range(cols))
         rng.shuffle(row_order)
         rng.shuffle(col_order)
@@ -371,7 +378,8 @@ def test_cokernel_shape():
         ctx,
         [[t - one, LaurentPoly.zero(ctx)], [LaurentPoly.zero(ctx), LaurentPoly.zero(ctx)]],
     )
-    shape = m.smith_normal_form().cokernel_shape()
+    snf = m.smith_normal_form()
+    shape = ModuleShape(ctx, m.rows - snf.rank, [d for d in snf.divisors if not d.is_one()])
     assert shape.free_rank == 1
     assert len(shape.divisors) == 1
     assert shape.divisors[0].unit_equal(t - one)
@@ -433,7 +441,7 @@ def test_matrix_specialize_and_power_substitution():
     s = m.specialize(ctx.zeta(1))
     z = ctx.zeta(1)
     assert s[0, 0] == z + 1 and s[1, 1] == z - 1
-    m2 = m.substitute_power(2)
+    m2 = substitute_power(m, 2)
     assert m2[0, 0] == t**2 + one and m2[0, 1] == t**2
 
 
@@ -562,7 +570,7 @@ def test_smith_form_without_certificates_matches_the_certified_one(n):
                 row[j] = zero
         m = LaurentMatrix(ctx, entries)
         snf = m.smith_normal_form()
-        assert snf.U * m * snf.V == snf.diagonal()
+        assert snf.U * m * snf.V == _diagonal(snf)
         assert snf.Vinv * snf.V == LaurentMatrix.identity(ctx, cols)
         bare = m.smith_normal_form(certificates=False)
         assert (bare.divisors, bare.rank) == (snf.divisors, snf.rank)
@@ -686,14 +694,12 @@ def test_wada_ratio_with_a_wrong_known_ratio_reduces_its_own():
     # Q: rank-2 Hopf and A_3 complexes over Q(zeta_12).  Whatever known is,
     # the ratio is the one the minor formula reaches alone, and only the
     # homology ratio agrees.
-    from twistalex.homology import build_complex, homology, wada_agreement, wada_ratio
+    from twistalex.homology import build_complex, homology, wada_agreement
     from twistalex.presentations import (
         a_odd_augmentation,
         a_odd_reduced_presentation,
         hopf_augmentation,
         hopf_presentation,
-        random_a_odd_representation,
-        random_hopf_representation,
     )
 
     ctx = FieldContext(12)
@@ -716,13 +722,11 @@ def test_wada_ratio_with_a_wrong_known_ratio_reduces_its_own():
         if not d1.submatrix(range(r), range(r)).determinant().is_zero():
             minor = d2.submatrix(range(r, d2.rows), range(d2.cols)).determinant()
             irrational += not minor.leading_coefficient().is_rational()
-        alone = wada_ratio(cx)
+        alone = wada_agreement(cx, None)[0]
         right = homology(cx).ratio()
         zero = RationalFunction.from_poly(LaurentPoly.zero(ctx))
         for known in (right * (t + 2), right / (t - 3), RationalFunction.from_poly(t + 5), zero, right):
             got, agrees = wada_agreement(cx, known)
             assert (got.numerator, got.denominator) == (alone.numerator, alone.denominator)
             assert agrees == (known is right)
-            got = wada_ratio(cx, known)
-            assert (got.numerator, got.denominator) == (alone.numerator, alone.denominator)
     assert irrational >= 4

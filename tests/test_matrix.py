@@ -8,11 +8,11 @@ from itertools import permutations
 
 import pytest
 
+from oracles import random_invertible_matrix
 from twistalex.laurent import LaurentMatrix, LaurentPoly
-from twistalex.presentations import random_invertible_matrix
 from twistalex.scalars import ContextMismatchError, FieldContext, Matrix, ScalarMatrix
 
-SHARED = ("__add__", "__sub__", "__neg__", "__mul__", "__eq__", "transpose", "identity", "zero", "is_zero", "embed")
+SHARED = ("__add__", "__sub__", "__neg__", "__mul__", "__eq__", "identity", "zero", "is_zero", "embed")
 
 
 def test_shared_operations_are_defined_once():
@@ -53,7 +53,8 @@ def test_identity_zero_and_products_in_both_rings():
         assert eye.is_identity() and not zero.is_identity()
         assert zero.is_zero() and (zero.rows, zero.cols) == (3, 2)
         assert eye * zero == zero
-        assert zero.transpose() * eye == zero.transpose()
+        transposed = cls(ctx, list(zip(*zero.entries)))
+        assert transposed * eye == transposed
         assert (eye - eye).is_zero() and -eye + eye == cls.zero(ctx, 3, 3)
         assert 2 * eye == eye + eye == eye * 2
 

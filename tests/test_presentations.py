@@ -7,6 +7,13 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import (
+    fox_derivative,
+    free_reduce,
+    hopf_extra_meridian_word,
+    random_a_odd_representation,
+    random_hopf_representation,
+)
 from twistalex.laurent import LaurentMatrix
 from twistalex.presentations import (
     Augmentation,
@@ -17,12 +24,8 @@ from twistalex.presentations import (
     a_odd_augmentation,
     a_odd_presentation,
     a_odd_reduced_presentation,
-    fox_derivative,
     hopf_augmentation,
-    hopf_extra_meridian_word,
     hopf_presentation,
-    random_a_odd_representation,
-    random_hopf_representation,
     random_word,
     rank_one_representation,
     torus_germ_augmentation,
@@ -57,13 +60,13 @@ def test_word_parse_rejects_bad_tokens():
 
 
 def test_word_group_operations():
-    x = Word.generator(0)
-    y = Word.generator(1)
+    x = Word([(0, 1)])
+    y = Word([(1, 1)])
     comm = x * y * x.inverse() * y.inverse()
     assert len(comm) == 4
-    assert comm.free_reduce().letters
-    assert not (x * x.inverse()).free_reduce().letters
-    assert (comm * comm.inverse()).free_reduce() == Word()
+    assert free_reduce(comm).letters
+    assert not free_reduce(x * x.inverse()).letters
+    assert free_reduce(comm * comm.inverse()) == Word()
     assert x**3 == Word([(0, 1)] * 3)
     assert x**-2 == Word([(0, -1)] * 2)
     assert (x**0) == Word()
@@ -71,12 +74,12 @@ def test_word_group_operations():
 
 def test_free_reduce_cancels_adjacent_inverses():
     w = Word([(0, 1), (1, 1), (1, -1), (0, -1), (0, 1)])
-    assert w.free_reduce() == Word([(0, 1)])
+    assert free_reduce(w) == Word([(0, 1)])
 
 
 def test_fox_derivative_base_cases():
-    x = Word.generator(0)
-    y = Word.generator(1)
+    x = Word([(0, 1)])
+    y = Word([(1, 1)])
     assert fox_derivative(x, 0) == {(): 1}
     assert fox_derivative(x, 1) == {}
     # d(x^-1)/dx = -x^-1
@@ -86,8 +89,8 @@ def test_fox_derivative_base_cases():
 
 
 def test_fox_derivative_commutator_and_power():
-    x = Word.generator(0)
-    y = Word.generator(1)
+    x = Word([(0, 1)])
+    y = Word([(1, 1)])
     comm = x * y * x.inverse() * y.inverse()
     # d[x, y]/dx = 1 - x y x^-1
     assert fox_derivative(comm, 0) == {(): 1, ((0, 1), (1, 1), (0, -1)): -1}
@@ -183,9 +186,9 @@ def test_augmentation_image_index():
 def test_representation_of_word_and_inverses():
     ctx = FieldContext(4)
     z = ctx.zeta(1)
-    rho = Representation.diagonal(ctx, [(z,), (ctx.from_rational(2),)])
-    x = Word.generator(0)
-    y = Word.generator(1)
+    rho = Representation(ctx, [[[z]], [[2]]])
+    x = Word([(0, 1)])
+    y = Word([(1, 1)])
     img = rho.of_word(x * y * x.inverse())
     assert img[0, 0] == ctx.from_rational(2)
     assert rho.of_word(x.inverse())[0, 0] == z.inverse()
@@ -203,7 +206,7 @@ def test_phi_map_images():
     g0 = phi.generator_image(0)
     assert g0[0, 0].coefficient(2) == ctx.zeta(1)
     g1inv = phi.generator_image(1, -1)
-    assert g1inv[0, 0].coefficient(-1).as_rational() == Fraction(1, 2)
+    assert g1inv[0, 0].coefficient(-1) == Fraction(1, 2)
     # relators map to the identity for a valid triple
     assert phi.word_image(pres.relators[0]) == LaurentMatrix.identity(ctx, 1)
 

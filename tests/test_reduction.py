@@ -10,6 +10,7 @@ import random
 from functools import lru_cache
 from pathlib import Path
 
+from oracles import random_a_odd_representation, random_hopf_representation
 from twistalex.homology import TwistedChainComplex, _free_ranks, build_complex, homology, specialize_homology
 from twistalex.jobs import parse_job
 from twistalex.laurent import LaurentMatrix, LaurentPoly
@@ -22,8 +23,6 @@ from twistalex.presentations import (
     a_odd_reduced_presentation,
     hopf_augmentation,
     hopf_presentation,
-    random_a_odd_representation,
-    random_hopf_representation,
     rank_one_representation,
 )
 from twistalex.scalars import FieldContext

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import multiplicative_order
 from twistalex.scalars import (
     ContextMismatchError,
     CycloNumber,
@@ -42,7 +43,7 @@ def test_power_basis_reduction_conductor_12():
     # both read off the reduction rows of Phi_12.
     ctx = FieldContext(12)
     z4 = ctx.zeta(4)
-    assert z4.coords == (Fraction(-1), Fraction(0), Fraction(1), Fraction(0))
+    assert (z4.nums, z4.den) == ((-1, 0, 1, 0), 1)
     assert ctx.zeta(6) == -ctx.one
     assert ctx.zeta(12) == ctx.one
 
@@ -67,9 +68,9 @@ def test_rational_context_is_fraction_arithmetic():
     ctx = FieldContext(1)
     a = ctx.from_rational(Fraction(3, 7))
     b = ctx.from_rational(Fraction(-2, 5))
-    assert (a + b).as_rational() == Fraction(1, 35)
-    assert (a * b).as_rational() == Fraction(-6, 35)
-    assert a.inverse().as_rational() == Fraction(7, 3)
+    assert a + b == Fraction(1, 35)
+    assert a * b == Fraction(-6, 35)
+    assert a.inverse() == Fraction(7, 3)
 
 
 def test_field_axioms_randomized():
@@ -111,12 +112,12 @@ def test_conjugation_is_a_ring_involution():
 
 def test_multiplicative_order():
     ctx = FieldContext(12)
-    assert ctx.one.multiplicative_order() == 1
-    assert (-ctx.one).multiplicative_order() == 2
-    assert ctx.zeta(1).multiplicative_order() == 12
-    assert ctx.zeta(4).multiplicative_order() == 3
+    assert multiplicative_order(ctx.one) == 1
+    assert multiplicative_order(-ctx.one) == 2
+    assert multiplicative_order(ctx.zeta(1)) == 12
+    assert multiplicative_order(ctx.zeta(4)) == 3
     # 2 is not a root of unity
-    assert ctx.from_rational(2).multiplicative_order() is None
+    assert multiplicative_order(ctx.from_rational(2)) is None
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 12, 15, 60])
@@ -129,10 +130,10 @@ def test_multiplicative_order_of_every_root_of_unity(n):
     for k in range(n):
         for sign, shift in ((1, 0), (-1, big // 2)):
             e = k * (big // n) + shift
-            assert (sign * ctx.zeta(k)).multiplicative_order() == big // math.gcd(big, e)
-    assert ctx.from_rational(2).multiplicative_order() is None
+            assert multiplicative_order(sign * ctx.zeta(k)) == big // math.gcd(big, e)
+    assert multiplicative_order(ctx.from_rational(2)) is None
     # 1 + z is not a root of unity, except in Q(zeta_3), where it is -z^2.
-    assert (ctx.one + ctx.zeta(1)).multiplicative_order() == (6 if n == 3 else None)
+    assert multiplicative_order(ctx.one + ctx.zeta(1)) == (6 if n == 3 else None)
 
 
 def test_embed_commutes_with_arithmetic():
@@ -347,7 +348,7 @@ def test_cofactor_through_the_real_subfield_is_the_product_of_conjugates(n, monk
         c, norm = ctx._cofactor(a)
         monkeypatch.undo()
         assert CycloNumber(ctx, c) == expected
-        assert (CycloNumber(ctx, a) * CycloNumber(ctx, c)).as_rational() == norm
+        assert CycloNumber(ctx, a) * CycloNumber(ctx, c) == norm
         assert len(calls) == (totient(n) // 2 + 1 if totient(n) > 2 else 1)
 
 

@@ -20,7 +20,7 @@ def _reference_scalar(c: CycloNumber) -> str:
     if c.is_zero():
         return "0"
     parts = []
-    for k, coeff in enumerate(c.coords):
+    for k, coeff in enumerate(Fraction(x, c.den) for x in c.nums):
         if coeff == 0:
             continue
         mag = abs(coeff)

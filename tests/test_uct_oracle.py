@@ -20,6 +20,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
+from oracles import random_a_odd_representation, random_hopf_representation
 from twistalex.homology import build_complex, homology, specialize_homology
 from twistalex.presentations import (
     Representation,
@@ -28,8 +29,6 @@ from twistalex.presentations import (
     a_odd_reduced_presentation,
     hopf_augmentation,
     hopf_presentation,
-    random_a_odd_representation,
-    random_hopf_representation,
 )
 from twistalex.scalars import FieldContext
 
