@@ -42,7 +42,7 @@ any Smith form the complex cancels its unit pairs once
 and of the Fox blocks are units, and each cancelled pair takes a row and a
 column off one boundary with no change to homology over R or at any
 t = a != 0.  homology then runs one Smith form per reduced boundary,
-without certificates, and specialize_homology reads the ranks of the
+its divisors and rank alone, and specialize_homology reads the ranks of the
 reduced boundaries at t = a.  The ranks record, the Euler characteristic,
 the d_i d_(i+1) = 0 check and wada_agreement read the complex as built.
 For a deficiency-1 presentation Delta_1 / Delta_0 is Wada's invariant
@@ -231,8 +231,8 @@ def _free_ranks(chain_ranks, boundary_ranks) -> tuple[int, ...]:
 
 def homology(complex_: TwistedChainComplex) -> AlexanderResult:
     """Homology shapes in every degree, exactly, from one Smith form per
-    boundary of the reduced complex, without certificates; no kernel basis
-    is formed.
+    boundary of the reduced complex, its divisors and rank; no kernel
+    basis is formed.
 
     H_i is free of rank c_i - rank d_i - rank d_(i+1) plus the torsion of
     coker d_(i+1), its nonunit divisors (module docstring), all read on
@@ -241,7 +241,7 @@ def homology(complex_: TwistedChainComplex) -> AlexanderResult:
     submodule of a free module over a PID, so it has no torsion.
     """
     boundaries, ranks = complex_.reduced()
-    snfs = [d.smith_normal_form(certificates=False) for d in boundaries]
+    snfs = [d.smith_normal_form() for d in boundaries]
     free = _free_ranks(ranks, [snf.rank for snf in snfs])
     torsion = [[d for d in snf.divisors if not d.is_one()] for snf in snfs] + [()]
     return AlexanderResult(ModuleShape(complex_.context, rank, divs) for rank, divs in zip(free, torsion))

@@ -89,14 +89,12 @@ MAX_DIMENSION = 64  # rho trivial <dim>; a written matrix is as large as its tex
 
 
 class JobParseError(ValueError):
-    """A diagnostic with the line (and column when known) it points at."""
+    """A diagnostic with the line it points at."""
 
-    def __init__(self, line: int, message: str, column: int | None = None):
+    def __init__(self, line: int, message: str):
         self.line = line
-        self.column = column
         self.message = message
-        where = f"line {line}" if column is None else f"line {line}, column {column}"
-        super().__init__(f"{where}: {message}")
+        super().__init__(f"line {line}: {message}")
 
 
 def _scalar_matrix(context: FieldContext, rows) -> ScalarMatrix:

@@ -3,8 +3,7 @@
 F[t, t^-1] over a field F is a principal ideal domain whose units are the
 monomials c*t^k.  Everything an order computation needs lives here: canonical
 unit normalization, Euclidean division by degree span, GCDs, determinants,
-minor GCDs, and Smith normal form, with unimodular transform certificates
-when a caller asks for them.
+minor GCDs, and the divisors and rank of a Smith normal form.
 
 A polynomial keeps its coefficients as integer power-basis rows over one
 denominator (Cohen, A Course in Computational Algebraic Number Theory,
@@ -583,9 +582,6 @@ class LaurentPoly:
             return self
         return self._normalizer() * self
 
-    def unit_equal(self, other: LaurentPoly) -> bool:
-        return self.normalize() == other.normalize()
-
     def bar(self) -> LaurentPoly:
         """The involution: conjugate coefficients and t -> t^-1."""
         if self.is_zero():
@@ -889,19 +885,14 @@ class ModuleShape:
 
 
 class SmithNormalForm:
-    """U * M * V = diag(divisors) with unimodular U, V; Vinv = V^-1 is tracked
-    so kernels can be read off without solving.  U, V and Vinv are None for a
-    form computed without certificates."""
+    """The normalized divisors d_1 | d_2 | ... of a matrix M and its rank:
+    M is equivalent to diag(divisors) over F[t, t^-1]."""
 
-    __slots__ = ("matrix", "divisors", "rank", "U", "V", "Vinv")
+    __slots__ = ("divisors", "rank")
 
-    def __init__(self, matrix, divisors, rank, U, V, Vinv):
-        self.matrix = matrix
+    def __init__(self, divisors, rank):
         self.divisors = divisors
         self.rank = rank
-        self.U = U
-        self.V = V
-        self.Vinv = Vinv
 
 
 class LaurentMatrix(Matrix):
@@ -1031,8 +1022,7 @@ class LaurentMatrix(Matrix):
     def minors_gcd(self, k: int) -> LaurentPoly:
         """GCD of all k x k minors, canonical form; zero if all minors vanish."""
         if k == 0:
-            # det of the empty matrix is 1; keeps the k = relator_count
-            # callers uniform for presentations with no relators.
+            # The one 0 x 0 minor, the empty determinant, is 1.
             return LaurentPoly.one(self.context)
         if k < 0 or k > min(self.rows, self.cols):
             raise ValueError("minor size out of range")
@@ -1072,9 +1062,9 @@ class LaurentMatrix(Matrix):
                 return min(self.rows, self.cols)
         return self.specialize(a).rank()
 
-    def smith_normal_form(self, certificates: bool = True) -> SmithNormalForm:
-        """Diagonalize by elementary row/column operations over F[t, t^-1],
-        then put the diagonal in divisibility order.
+    def smith_normal_form(self) -> SmithNormalForm:
+        """The divisors and rank of M, by elementary row/column operations
+        over F[t, t^-1], then the diagonal put in divisibility order.
 
         Each pivot is a nonzero entry of minimal degree span in the active
         block; ties go to the least Markowitz count (r - 1)(c - 1), r and c
@@ -1084,11 +1074,13 @@ class LaurentMatrix(Matrix):
         Remainders swap into the pivot, so spans strictly decrease and the
         clearing of a corner's row and column terminates.  A unit corner u
         is cleared at once: row_i -= (e u^-1) row_corner clears its column,
-        col_j -= (e u^-1) col_corner its row, and the row is scaled by u^-1,
-        so the corner becomes 1.  A nonunit entering the corner has its row
-        scaled by the unit that puts it in canonical form (monic, lowest
-        exponent 0); every division by the corner is then by a monic divisor
-        and needs no field inverse.
+        its row is then cleared with no work on the matrix (a column
+        operation changes nothing else once the column is clear), and the
+        corner becomes 1.  A nonunit entering the corner has its row scaled
+        by the unit that puts it in canonical form (monic, lowest exponent
+        0); every division by the corner is then by a monic divisor and
+        needs no field inverse.  A block of one row or one column has the
+        gcd of its entries as its one divisor (gcd_many).
 
         The diagonal d_0, ..., d_(k-1) that the clearing leaves need not be
         a divisibility chain.  One pass over the pairs i < j mends it: when
@@ -1102,29 +1094,18 @@ class LaurentMatrix(Matrix):
         and lcms keep the earlier ones dividing; so the pass ends on the
         normalized divisors d_1 | d_2 | ....
 
-        With certificates (the default) it returns unimodular U, V such that
-        U*M*V is diagonal, and Vinv = V^-1.  Row i of the working matrix
-        then carries row i of U after its n entries, so every row operation
-        updates U as it updates M (Cohen, A Course in Computational
-        Algebraic Number Theory, 2.4); V and Vinv record the column
-        operations.  With certificates=False U, V and Vinv are None, and a
-        block of one row or one column ends with the gcd of its entries
-        (gcd_many), a step whose transforms only they would show.  The
-        divisors and the rank, which are all a homology computation reads,
-        come out the same.
+        No transforms are kept: the divisors and the rank are all a
+        homology computation reads.  The tests certify them against an
+        independent Smith form with U, V and V^-1 (tests/oracles.py).
         """
         ctx = self.context
         m, n = self.rows, self.cols
         A = [list(row) for row in self.entries]
         zero = LaurentPoly.zero(ctx)
-        if certificates:
-            for i, row in enumerate(A):
-                row.extend(LaurentPoly.one(ctx) if k == i else zero for k in range(m))
-            V, Vinv = ([list(row) for row in LaurentMatrix.identity(ctx, n).entries] for _ in range(2))
 
         def add_row(dst, src, factor, col=None, value=None):
-            # row_dst += factor * row_src, U's part too; value is the new
-            # entry of column col (a remainder of divmod) if the caller has it.
+            # row_dst += factor * row_src; value is the new entry of column
+            # col (a remainder of divmod) if the caller has it.
             A[dst] = _add_multiple(ctx, A[dst], factor, A[src], col, value)
 
         def normalize_row(k):
@@ -1134,18 +1115,6 @@ class LaurentMatrix(Matrix):
                 unit = d._normalizer()
                 A[k] = [unit * a if a else a for a in A[k]]
 
-        def record_column_op(j, corner, q, unit=None):
-            # Record col_j -= q * col_corner (q * unit, given a unit): V
-            # tracks it, Vinv the inverse one on rows, row_corner += q * row_j.
-            # The corner's column is clear, so in A it changes A[corner][j]
-            # alone, which the caller writes.
-            if certificates:
-                if unit is not None:
-                    q = q * unit
-                for row in V:
-                    row[j] = row[j] - q * row[corner]
-                Vinv[corner] = _add_multiple(ctx, Vinv[corner], q, Vinv[j])
-
         def enter_corner(corner, i, j):
             # Move entry (i, j) into the corner and scale its row monic; a
             # unit stays as it is, for clear_by_unit.
@@ -1153,18 +1122,13 @@ class LaurentMatrix(Matrix):
             if j != corner:
                 for row in A:
                     row[corner], row[j] = row[j], row[corner]
-                if certificates:
-                    for row in V:
-                        row[corner], row[j] = row[j], row[corner]
-                    Vinv[corner], Vinv[j] = Vinv[j], Vinv[corner]
             if not A[corner][corner].is_unit():
                 normalize_row(corner)
 
         def clear_by_unit(corner, rows, cols):
             # row_i -= (e u^-1) row_corner for the entries e of the unit
-            # corner u's column, then col_j -= (e u^-1) col_corner for those
-            # of its row; last the row is scaled by u^-1, which leaves the
-            # corner 1 and changes only U's part of the row besides.
+            # corner u's column; its row then clears with no work, and the
+            # corner becomes 1.
             inv = A[corner][corner]._normalizer()
             for i in rows:
                 e = A[i][corner]
@@ -1172,12 +1136,8 @@ class LaurentMatrix(Matrix):
                     add_row(i, corner, -(e * inv), corner, zero)
             row = A[corner]
             for j in cols:
-                e = row[j]
-                if e:
-                    record_column_op(j, corner, e, inv)
-                    row[j] = zero
+                row[j] = zero
             row[corner] = LaurentPoly.one(ctx)
-            row[n:] = [inv * a if a else a for a in row[n:]]
 
         def settle(corner, rows, cols):
             # Clear the corner's column over rows and its row over cols.
@@ -1203,11 +1163,8 @@ class LaurentMatrix(Matrix):
                     e = A[corner][j]
                     if not e:
                         continue
-                    q, r = divmod(e, A[corner][corner])
-                    A[corner][j] = r
-                    if q:
-                        record_column_op(j, corner, q)
-                    if r:
+                    A[corner][j] = e % A[corner][corner]
+                    if A[corner][j]:
                         enter_corner(corner, corner, j)
                         dirty = True
                         break
@@ -1217,7 +1174,7 @@ class LaurentMatrix(Matrix):
         corner = 0
         limit = min(m, n)
         while corner < limit:
-            if not certificates and (m - corner == 1 or n - corner == 1):
+            if m - corner == 1 or n - corner == 1:
                 # A block of one row or one column has the gcd of its
                 # entries as its one divisor.
                 line = [(i, j) for i in range(corner, m) for j in range(corner, n) if A[i][j]]
@@ -1229,8 +1186,7 @@ class LaurentMatrix(Matrix):
                     corner += 1
                 break
             # A pivot of minimal span in the active block, the least
-            # Markowitz count among those, then the first.  A block of one
-            # row or one column gives every entry the count 0.
+            # Markowitz count among those, then the first.
             best = None
             tied = []
             for i in range(corner, m):
@@ -1245,7 +1201,7 @@ class LaurentMatrix(Matrix):
             if best is None:
                 break
             pivot = tied[0]
-            if len(tied) > 1 and m - corner > 1 and n - corner > 1:
+            if len(tied) > 1:
                 block = A[corner:]
                 row_nnz = {i: sum(1 for e in A[i][corner:n] if e.rows) for i in {i for i, _ in tied}}
                 col_nnz = {j: sum(1 for row in block if row[j].rows) for j in {j for _, j in tied}}
@@ -1269,8 +1225,4 @@ class LaurentMatrix(Matrix):
                     normalize_row(j)
                     d, e = A[i][i], A[j][j]
 
-        divisors = tuple(A[i][i] for i in range(corner))
-        if not certificates:
-            return SmithNormalForm(self, divisors, corner, None, None, None)
-        U, V, Vinv = (LaurentMatrix._make(ctx, X) for X in ([row[n:] for row in A], V, Vinv))
-        return SmithNormalForm(self, divisors, corner, U, V, Vinv)
+        return SmithNormalForm(tuple(A[i][i] for i in range(corner)), corner)

@@ -289,9 +289,9 @@ class PhiMap:
         self.eps = eps
         self.rho = rho
 
-    def generator_image(self, g: int, sign: int = 1) -> LaurentMatrix:
-        rows = self.rho._letter_rows()[g, sign]
-        return LaurentMatrix._from_row_terms(self.context, {sign * self.eps.values[g]: rows})
+    def generator_image(self, g: int) -> LaurentMatrix:
+        rows = self.rho._letter_rows()[g, 1]
+        return LaurentMatrix._from_row_terms(self.context, {self.eps.values[g]: rows})
 
     def word_image(self, word: Word) -> LaurentMatrix:
         """Phi(word) = t^eps(word) * rho(word)."""

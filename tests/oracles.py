@@ -1,9 +1,9 @@
 """The tests' oracles and samplers, kept out of the package.
 
 Fox's free derivative in symbolic form (Fox, Ann. of Math. 1953), free
-reduction, the eliminated Hopf meridian, the order of a root of unity and
-the substitution t -> t^n are checks of the engine written from their
-definitions.  The seeded Hopf and A_(2n-1) samplers draw valid triples for
+reduction, the eliminated Hopf meridian, the order of a root of unity, the
+substitution t -> t^n, equality up to a unit and the certified Smith form
+are checks of the engine written from their definitions.  The seeded Hopf and A_(2n-1) samplers draw valid triples for
 the property tests; every draw goes through a caller-supplied random.Random.
 
 This module imports only names of twistalex.__all__ and reads no private
@@ -98,6 +98,78 @@ def substitute_power(x, n: int):
     coeffs = [x.context.zero] * (x.span * n + 1)
     coeffs[::n] = x.coeffs
     return LaurentPoly(x.context, coeffs, x.low * n)
+
+
+def associates(a: LaurentPoly, b: LaurentPoly) -> bool:
+    """a = u * b for a unit u = c * t^k of F[t, t^-1]: both have the same
+    canonical unit form."""
+    return a.normalize() == b.normalize()
+
+
+def certified_smith_form(matrix: LaurentMatrix):
+    """The textbook Smith form of a LaurentMatrix over F[t, t^-1] with its
+    certificates: (divisors, rank, U, V, Vinv), where U * M * V is
+    diag(divisors) in the shape of M, U and V are unimodular, Vinv = V^-1,
+    and the divisors are normalized, each dividing the next.
+
+    Euclid on the corner (Newman, Integral Matrices, 1972): the entry of
+    least span in the block moves to the corner, which reduces every entry
+    of its row and column, and this repeats until both are clear.  A block
+    entry that the corner does not divide then has its row added to the
+    corner's, and it repeats again; each repeat lowers the corner's span.
+    Every row operation also acts on U, every column operation on V, and
+    its inverse on the rows of Vinv."""
+    ctx = matrix.context
+    m, n = matrix.rows, matrix.cols
+    one = LaurentPoly.one(ctx)
+    A = [list(row) for row in matrix.entries]
+    U, V, Vinv = ([list(row) for row in LaurentMatrix.identity(ctx, k).entries] for k in (m, n, n))
+
+    def add_row(dst, src, f):
+        # row_dst += f * row_src.
+        for X in (A, U):
+            X[dst] = [a + f * b for a, b in zip(X[dst], X[src])]
+
+    def add_column(dst, src, f):
+        # col_dst += f * col_src; its inverse is row_src -= f * row_dst.
+        for X in (A, V):
+            for row in X:
+                row[dst] = row[dst] + f * row[src]
+        Vinv[src] = [a - f * b for a, b in zip(Vinv[src], Vinv[dst])]
+
+    def swap_into_corner(k, i, j):
+        for X in (A, U):
+            X[k], X[i] = X[i], X[k]
+        for X in (A, V):
+            for row in X:
+                row[k], row[j] = row[j], row[k]
+        Vinv[k], Vinv[j] = Vinv[j], Vinv[k]
+
+    rank = 0
+    while rank < min(m, n):
+        k = rank
+        block = [(len(A[i][j].rows), i, j) for i in range(k, m) for j in range(k, n) if not A[i][j].is_zero()]
+        if not block:
+            break
+        swap_into_corner(k, *min(block)[1:])
+        d = A[k][k]
+        for i in range(k + 1, m):
+            if not (q := A[i][k] // d).is_zero():
+                add_row(i, k, -q)
+        for j in range(k + 1, n):
+            if not (q := A[k][j] // d).is_zero():
+                add_column(j, k, -q)
+        if any(not A[i][k].is_zero() for i in range(k + 1, m)) or any(not e.is_zero() for e in A[k][k + 1 :]):
+            continue
+        stray = next((i for i in range(k + 1, m) for j in range(k + 1, n) if not (A[i][j] % d).is_zero()), None)
+        if stray is not None:
+            add_row(k, stray, one)
+            continue
+        unit = d.normalize().exact_div(d)
+        A[k], U[k] = ([unit * a for a in X[k]] for X in (A, U))
+        rank += 1
+    divisors = tuple(A[k][k] for k in range(rank))
+    return divisors, rank, *(LaurentMatrix(ctx, X) for X in (U, V, Vinv))
 
 
 # ---------------------------------------------------------------------------

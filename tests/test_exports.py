@@ -1,8 +1,9 @@
 """Every exported name resolves: a deletion may not leave an __all__ entry
 behind.  Every name a submodule exports, and every public method or property
 of a package class, is also used by the package itself, unless it is listed
-below with the test that uses it.  Phi's integer row form stays in
-presentations.  The package imports nothing outside the standard library.
+below with the test that uses it, and every defaulted parameter is set by
+some package call.  Phi's integer row form stays in presentations.  The
+package imports nothing outside the standard library.
 The tests' oracles (tests/oracles.py) stay outside the package and reach it
 through twistalex.__all__ alone."""
 
@@ -39,8 +40,9 @@ METHODS_USED_ONLY_BY_TESTS = {
     "minors_gcd": "test_acceptance.py",
     # bench/spans.py complex_sizes reads it for homology.max_span.
     "span": "test_cyclotomic_oracle.py",
-    # The involution, kept for the reciprocity check of ROADMAP item 7.
-    "bar": "test_laurent.py",
+    # The involution: test_the_ratio_of_a_unitary_representation_is_reciprocal
+    # checks reciprocity with it, ahead of a job check (ROADMAP item 7).
+    "bar": "test_reciprocity_oracle.py",
     # Read by bar alone.
     "high": "test_cyclotomic_oracle.py",
     "conj": "test_cyclotomic_oracle.py",
@@ -131,6 +133,63 @@ def test_every_public_method_has_a_use():
     for name, test_file in METHODS_USED_ONLY_BY_TESTS.items():
         assert name not in used, f"{name} has a use in the package; drop it from the list"
         assert re.search(rf"\.{name}\b", (tests / test_file).read_text(encoding="utf-8")), (name, test_file)
+
+
+# Defaulted parameters that no package call sets, each with its reason.
+OPTIONS_SET_BY_NO_PACKAGE_CALL = {
+    # The console-script entry point reads sys.argv when called bare.
+    ("main", "argv"),
+}
+
+
+def _options(tree):
+    """(function, parameter, positional index) for every parameter with a
+    default of a function or non-dunder method, the index counted among the
+    arguments a call passes (None for a keyword-only one)."""
+    methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for node in cls.body}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or fn.name.startswith("__"):
+            continue
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+        skip = 1 if id(fn) in methods and not static else 0
+        for k in range(len(positional) - len(args.defaults), len(positional)):
+            yield fn.name, positional[k].arg, k - skip
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield fn.name, arg.arg, None
+
+
+def _sets(call, parameter, index) -> bool:
+    # By keyword, by position, or through ** or *.
+    if any(kw.arg in (parameter, None) for kw in call.keywords):
+        return True
+    if index is None:
+        return False
+    return len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_option_is_set_by_some_package_call():
+    # A default that every package call keeps is the only behaviour the
+    # package has, so the parameter is dead weight.  Calls are matched by
+    # the bare name of the function, as methods are above.
+    trees = _package_trees()
+    calls: dict = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+                calls.setdefault(name, []).append(node)
+    unset = sorted(
+        f"{name}.{parameter}"
+        for tree in trees
+        for name, parameter, index in _options(tree)
+        if name not in USED_ONLY_BY_TESTS
+        and (name, parameter) not in OPTIONS_SET_BY_NO_PACKAGE_CALL
+        and not any(_sets(call, parameter, index) for call in calls.get(name, ()))
+    )
+    assert not unset, f"options that no package call sets: {unset}"
 
 
 # Phi's integer row form: the one Fox pass, the letter table and identity

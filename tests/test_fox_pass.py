@@ -223,7 +223,7 @@ def test_one_pass_fox_derivative_matches_the_prefix_definition():
 def _uncached_image(phi: PhiMap, word: Word) -> LaurentMatrix:
     acc = LaurentMatrix.identity(phi.context, phi.dimension)
     for g, s in word.letters:
-        acc = acc * phi.generator_image(g, s)
+        acc = acc * (phi.generator_image(g) if s == 1 else phi.word_image(Word([(g, -1)])))
     return acc
 
 

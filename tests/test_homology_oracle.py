@@ -1,11 +1,11 @@
 """homology() against the certified route it replaced.
 
 The certified route reads H1 off a kernel basis of d1: with U d1 V = D from
-the Smith form with certificates, the image of d2 in the basis V is
-W = V^-1 d2, whose first rank(d1) rows vanish, and H1 is the cokernel of the
-rows below them.  homology() reads the same modules off the ranks and
-divisors of d1 and d2 alone; both must give the same free ranks and the same
-normalized divisors in every degree."""
+the certified Smith form of tests/oracles.py, the image of d2 in the basis V
+is W = V^-1 d2, whose first rank(d1) rows vanish, and H1 is the cokernel of
+the rows below them.  homology() reads the same modules off the ranks and
+divisors of the engine's Smith forms of d1 and d2 alone; both must give the
+same free ranks and the same normalized divisors in every degree."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import random_a_odd_representation, random_hopf_representation
+from oracles import certified_smith_form, random_a_odd_representation, random_hopf_representation
 from twistalex.homology import build_complex, homology
 from twistalex.jobs import parse_job
 from twistalex.laurent import LaurentMatrix, ModuleShape
@@ -33,20 +33,21 @@ from twistalex.scalars import FieldContext
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_jobs"
 
 
-def _cokernel(snf) -> ModuleShape:
+def _cokernel(m, divisors, rank) -> ModuleShape:
     # R^rows / (column span), read off the divisors.
-    m = snf.matrix
-    return ModuleShape(m.context, m.rows - snf.rank, [d for d in snf.divisors if not d.is_one()])
+    return ModuleShape(m.context, m.rows - rank, [d for d in divisors if not d.is_one()])
 
 
 def _certified_homology(complex_) -> tuple[ModuleShape, ModuleShape, ModuleShape]:
     ctx = complex_.context
-    snf1 = complex_.boundaries[0].smith_normal_form()
-    s = snf1.rank
-    w = snf1.Vinv * complex_.boundaries[1]
+    d1 = complex_.boundaries[0]
+    divisors1, s, _, _, vinv = certified_smith_form(d1)
+    w = vinv * complex_.boundaries[1]
     assert w.submatrix(range(s), range(w.cols)).is_zero()
-    snf_y = w.submatrix(range(s, w.rows), range(w.cols)).smith_normal_form()
-    return _cokernel(snf1), _cokernel(snf_y), ModuleShape(ctx, complex_.ranks[2] - snf_y.rank, ())
+    y = w.submatrix(range(s, w.rows), range(w.cols))
+    divisors_y, rank_y = certified_smith_form(y)[:2]
+    h2 = ModuleShape(ctx, complex_.ranks[2] - rank_y, ())
+    return _cokernel(d1, divisors1, s), _cokernel(y, divisors_y, rank_y), h2
 
 
 def _sample_complexes():
@@ -102,15 +103,14 @@ def test_free_group_control_has_free_h1():
 
 
 @pytest.mark.parametrize("label, complex_", CASES[::3], ids=[label for label, _ in CASES[::3]])
-def test_smith_form_without_certificates_gives_the_same_divisors(label, complex_):
-    for matrix in (complex_.boundaries[0], complex_.boundaries[1]):
-        full = matrix.smith_normal_form()
-        bare = matrix.smith_normal_form(certificates=False)
-        assert bare.divisors == full.divisors and bare.rank == full.rank, label
-        assert (bare.U, bare.V, bare.Vinv) == (None, None, None)
+def test_the_smith_form_gives_the_certified_divisors(label, complex_):
+    # Every boundary, as built and as reduced.
+    for matrix in (*complex_.boundaries, *complex_.reduced()[0]):
+        snf = matrix.smith_normal_form()
+        assert (snf.divisors, snf.rank) == certified_smith_form(matrix)[:2], label
 
 
-def test_homology_makes_no_matrix_product_and_no_certified_smith_form(monkeypatch):
+def test_homology_makes_no_matrix_product_and_keeps_no_transform(monkeypatch):
     products = []
     forms = []
     multiply = LaurentMatrix.__mul__
@@ -120,9 +120,9 @@ def test_homology_makes_no_matrix_product_and_no_certified_smith_form(monkeypatc
         products.append((self.rows, self.cols))
         return multiply(self, other)
 
-    def recorded_smith(self, *args, **kwargs):
-        snf = smith(self, *args, **kwargs)
-        forms.append(snf)
+    def recorded_smith(self):
+        snf = smith(self)
+        forms.append((self, snf))
         return snf
 
     complexes = [cx for _, cx in CASES[::3]]
@@ -132,4 +132,6 @@ def test_homology_makes_no_matrix_product_and_no_certified_smith_form(monkeypatc
         homology(cx)
     assert products == []
     assert len(forms) == 2 * len(complexes)
-    assert all(snf.U is None and snf.V is None and snf.Vinv is None for snf in forms)
+    for matrix, snf in forms:
+        assert (snf.divisors, snf.rank) == certified_smith_form(matrix)[:2]
+        assert type(snf).__slots__ == ("divisors", "rank")

@@ -9,7 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import random_a_odd_representation, random_hopf_representation, substitute_power
+from oracles import (
+    associates,
+    certified_smith_form,
+    random_a_odd_representation,
+    random_hopf_representation,
+    substitute_power,
+)
 from twistalex import laurent
 from twistalex.laurent import (
     LaurentMatrix,
@@ -22,11 +28,23 @@ from twistalex.laurent import (
 from twistalex.scalars import ContextMismatchError, FieldContext
 
 
-def _diagonal(snf) -> LaurentMatrix:
-    # diag(divisors) in the shape of the matrix: what U * M * V must be.
-    m, zero = snf.matrix, LaurentPoly.zero(snf.matrix.context)
-    entries = [[snf.divisors[i] if i == j < snf.rank else zero for j in range(m.cols)] for i in range(m.rows)]
+def _diagonal(m, divisors) -> LaurentMatrix:
+    # diag(divisors) in the shape of m: what U * M * V must be.
+    zero = LaurentPoly.zero(m.context)
+    entries = [[divisors[i] if i == j < len(divisors) else zero for j in range(m.cols)] for i in range(m.rows)]
     return LaurentMatrix(m.context, entries)
+
+
+def _certified(m):
+    """The divisors and rank of the certified Smith form of m
+    (tests/oracles.py), its certificates checked: U * M * V = D with
+    unimodular U and V, and Vinv * V = Id."""
+    divisors, rank, U, V, Vinv = certified_smith_form(m)
+    assert U.determinant().is_unit()
+    assert V.determinant().is_unit()
+    assert U * m * V == _diagonal(m, divisors)
+    assert Vinv * V == V * Vinv == LaurentMatrix.identity(m.context, m.cols)
+    return divisors, rank
 
 
 def _poly(ctx, coeffs, low=0):
@@ -83,7 +101,7 @@ def test_normalize_is_monic_with_lowest_exponent_zero():
     n = p.normalize()
     assert n.low == 0
     assert n.leading_coefficient() == ctx.one
-    assert p.unit_equal(n)
+    assert associates(p, n)
     # normalization is idempotent and collapses all unit multiples
     assert n.normalize() == n
     unit = LaurentPoly.t_power(ctx, -5, z)
@@ -95,11 +113,11 @@ def test_gcd_oracles():
     t = LaurentPoly.t_power(ctx, 1)
     one = LaurentPoly.one(ctx)
     g = laurent_gcd(t**2 - one, t**3 - one)
-    assert g.unit_equal(t - one)
+    assert associates(g, t - one)
     # gcd(t^4 - 1, t^6 - 1) = t^2 - 1
-    assert laurent_gcd(t**4 - one, t**6 - one).unit_equal(t**2 - one)
-    assert laurent_gcd(LaurentPoly.zero(ctx), t + one).unit_equal(t + one)
-    assert gcd_many([t**2 - one, t**3 - one, t**4 - one]).unit_equal(t - one)
+    assert associates(laurent_gcd(t**4 - one, t**6 - one), t**2 - one)
+    assert associates(laurent_gcd(LaurentPoly.zero(ctx), t + one), t + one)
+    assert associates(gcd_many([t**2 - one, t**3 - one, t**4 - one]), t - one)
     # coprime pair gives a unit
     assert laurent_gcd(t - one, t + one).is_one()
 
@@ -114,7 +132,7 @@ def test_gcd_divides_both_arguments_randomized():
         assert g.divides(a) and g.divides(b)
         # common factors always land in the gcd
         c = _random_poly(rng, ctx, max_span=3)
-        assert (laurent_gcd(a * c, b * c)).unit_equal(laurent_gcd(a, b) * c)
+        assert associates(laurent_gcd(a * c, b * c), laurent_gcd(a, b) * c)
 
 
 def test_substitute_power():
@@ -209,8 +227,8 @@ def test_smith_form_frozen_example():
     # the off-diagonal 1 is a unit, so d1 = 1 and d2 = det = t^2
     assert snf.rank == 2
     assert snf.divisors[0].is_one()
-    assert snf.divisors[1].unit_equal(t**2)
-    assert (snf.U * m * snf.V) == _diagonal(snf)
+    assert associates(snf.divisors[1], t**2)
+    assert (snf.divisors, snf.rank) == _certified(m)
 
 
 def test_smith_form_diagonal_chain():
@@ -225,8 +243,8 @@ def test_smith_form_diagonal_chain():
         ],
     )
     snf = m.smith_normal_form()
-    assert snf.divisors[0].unit_equal(t - one)
-    assert snf.divisors[1].unit_equal(t**2 - one)
+    assert associates(snf.divisors[0], t - one)
+    assert associates(snf.divisors[1], t**2 - one)
     for i in range(len(snf.divisors) - 1):
         assert snf.divisors[i].divides(snf.divisors[i + 1])
 
@@ -243,37 +261,28 @@ def test_smith_form_properties_randomized():
               for _ in range(cols)] for _ in range(rows)],
         )
         snf = m.smith_normal_form()
-        assert snf.U.determinant().is_unit()
-        assert snf.V.determinant().is_unit()
-        assert snf.U * m * snf.V == _diagonal(snf)
-        assert (snf.V * snf.Vinv) == LaurentMatrix.identity(ctx, cols)
+        assert (snf.divisors, snf.rank) == _certified(m)
         prod = LaurentPoly.one(ctx)
         for k, d in enumerate(snf.divisors, start=1):
             prod = prod * d
-            assert prod.unit_equal(m.minors_gcd(k))
+            assert associates(prod, m.minors_gcd(k))
 
 
 def _checked_smith_form(m):
-    """The certified Smith form of m after every check that needs no other
-    engine: U * M * V = D with unimodular U and V, Vinv * V = Id, monic
-    divisors in divisibility order, the same divisors and rank without
-    certificates, and d_1 ... d_k = gcd of the k x k minors up to units."""
+    """The Smith form of m after every check that needs no other engine:
+    the divisors and rank of the certified form (_certified), monic
+    divisors in divisibility order, and d_1 ... d_k = gcd of the k x k
+    minors up to units."""
     ctx = m.context
     snf = m.smith_normal_form()
-    assert snf.U.determinant().is_unit()
-    assert snf.V.determinant().is_unit()
-    assert snf.U * m * snf.V == _diagonal(snf)
-    assert snf.Vinv * snf.V == LaurentMatrix.identity(ctx, m.cols)
+    assert (snf.divisors, snf.rank) == _certified(m)
     assert all(d == d.normalize() for d in snf.divisors)
     for a, b in zip(snf.divisors, snf.divisors[1:]):
         assert a.divides(b)
-    bare = m.smith_normal_form(certificates=False)
-    assert (bare.divisors, bare.rank) == (snf.divisors, snf.rank)
-    assert bare.U is bare.V is bare.Vinv is None
     prod = LaurentPoly.one(ctx)
     for k, d in enumerate(snf.divisors, start=1):
         prod = prod * d
-        assert prod.unit_equal(m.minors_gcd(k))
+        assert associates(prod, m.minors_gcd(k))
     return snf
 
 
@@ -324,7 +333,7 @@ def test_smith_form_of_diagonal_pairs_against_gcd_and_lcm():
             b = LaurentPoly(ctx, [-s, 1]) * cubic
             g = laurent_gcd(a, b)
             expected = (g, divmod(a * b, g)[0].normalize())
-            snf = LaurentMatrix(ctx, [[a, zero], [zero, b]]).smith_normal_form(certificates=False)
+            snf = LaurentMatrix(ctx, [[a, zero], [zero, b]]).smith_normal_form()
             assert snf.divisors == expected
 
 
@@ -364,7 +373,7 @@ def test_minors_gcd_edges():
     t = LaurentPoly.t_power(ctx, 1)
     m = LaurentMatrix(ctx, [[t, t**2]])
     assert m.minors_gcd(0).is_one()
-    assert m.minors_gcd(1).unit_equal(t)
+    assert associates(m.minors_gcd(1), t)
     with pytest.raises(ValueError):
         m.minors_gcd(2)
 
@@ -382,9 +391,9 @@ def test_cokernel_shape():
     shape = ModuleShape(ctx, m.rows - snf.rank, [d for d in snf.divisors if not d.is_one()])
     assert shape.free_rank == 1
     assert len(shape.divisors) == 1
-    assert shape.divisors[0].unit_equal(t - one)
+    assert associates(shape.divisors[0], t - one)
     assert not shape.is_torsion()
-    assert shape.torsion_order().unit_equal(t - one)
+    assert associates(shape.torsion_order(), t - one)
 
 
 def _left_fold_order(ctx, divisors):
@@ -550,11 +559,11 @@ def _random_entry(rng, ctx, units):
     return _random_poly(rng, ctx, 3) * LaurentPoly.from_scalar(ctx, coeff)
 
 
-@pytest.mark.parametrize("n", [1, 5, 12])
-def test_smith_form_without_certificates_matches_the_certified_one(n):
-    # Every shortcut of the certificate-free form: unit corners, vector
-    # blocks (1 x n, m x 1 and blocks that end in one row or column), zero
-    # lines.  The certified form still satisfies U M V = D.
+@pytest.mark.parametrize("n", [1, 5, 6, 12])
+def test_smith_form_matches_the_certified_one(n):
+    # Every shortcut of the engine's form: unit corners, vector blocks
+    # (1 x n, m x 1 and blocks that end in one row or column), zero lines.
+    # The certified form of tests/oracles.py satisfies U M V = D.
     ctx = FieldContext(n)
     rng = random.Random(f"bare-smith-{n}")
     zero = LaurentPoly.zero(ctx)
@@ -570,14 +579,53 @@ def test_smith_form_without_certificates_matches_the_certified_one(n):
                 row[j] = zero
         m = LaurentMatrix(ctx, entries)
         snf = m.smith_normal_form()
-        assert snf.U * m * snf.V == _diagonal(snf)
-        assert snf.Vinv * snf.V == LaurentMatrix.identity(ctx, cols)
-        bare = m.smith_normal_form(certificates=False)
-        assert (bare.divisors, bare.rank) == (snf.divisors, snf.rank)
+        assert (snf.divisors, snf.rank) == _certified(m)
         prod = LaurentPoly.one(ctx)
         for k, d in enumerate(snf.divisors, start=1):
             prod = prod * d
-            assert prod.unit_equal(m.minors_gcd(k))
+            assert associates(prod, m.minors_gcd(k))
+
+
+@pytest.mark.parametrize("n", [1, 6])
+def test_each_path_of_the_smith_form_gives_the_certified_divisors(monkeypatch, n):
+    # No entry of the first matrix is a unit, but t + 1 mod t - 1 = 2
+    # enters the corner mid-elimination and clears it as a unit.  A block
+    # of one row or one column ends in gcd_many.  A permuted diagonal out of
+    # divisibility order is left as it is by the clearing, so only the
+    # divisibility pass, which adds row j to row i, orders it.
+    ctx = FieldContext(n)
+    t = LaurentPoly.t_power(ctx, 1)
+    one, zero, z = LaurentPoly.one(ctx), LaurentPoly.zero(ctx), ctx.zeta(1)
+    units, gcds, repairs = [], [], []
+    is_unit, gcd, add_multiple = LaurentPoly.is_unit, laurent.gcd_many, laurent._add_multiple
+
+    def recorded_is_unit(p):
+        units.append(is_unit(p))
+        return units[-1]
+
+    def counted_gcd(polys):
+        gcds.append(len(polys))
+        return gcd(polys)
+
+    def recorded_add_multiple(context, row, factor, src, col=None, value=None):
+        repairs.append(col is None and factor.is_one())
+        return add_multiple(context, row, factor, src, col, value)
+
+    monkeypatch.setattr(LaurentPoly, "is_unit", recorded_is_unit)
+    monkeypatch.setattr(laurent, "gcd_many", counted_gcd)
+    monkeypatch.setattr(laurent, "_add_multiple", recorded_add_multiple)
+    cases = [
+        ([[t - one, t + one], [zero, t**2 - z * t]], units),
+        ([[t**2 - one, zero, (t - z) * (t + one)]], gcds),
+        ([[t**2 + t], [t - z], [zero]], gcds),
+        ([[zero, t + one, zero], [(t - one) ** 2, zero, zero], [zero, zero, t - z * one]], repairs),
+    ]
+    for entries, path in cases:
+        del units[:], gcds[:], repairs[:]
+        m = LaurentMatrix(ctx, entries)
+        snf = m.smith_normal_form()
+        assert any(path), entries
+        assert (snf.divisors, snf.rank) == _certified(m)
 
 
 def _mixed_poly(rng, ctx, max_span=4):

@@ -205,7 +205,7 @@ def test_phi_map_images():
     # Phi(x0) = zeta * t^2, Phi(x1^-1) = (1/2) * t^-1
     g0 = phi.generator_image(0)
     assert g0[0, 0].coefficient(2) == ctx.zeta(1)
-    g1inv = phi.generator_image(1, -1)
+    g1inv = phi.word_image(Word([(1, -1)]))
     assert g1inv[0, 0].coefficient(-1) == Fraction(1, 2)
     # relators map to the identity for a valid triple
     assert phi.word_image(pres.relators[0]) == LaurentMatrix.identity(ctx, 1)

@@ -72,7 +72,7 @@ def _koszul_complex(values, eps_values):
 def _unreduced_shapes(cx):
     """(free rank, nonunit divisors) in every degree, from one Smith form of
     each boundary as built."""
-    snfs = [d.smith_normal_form(certificates=False) for d in cx.boundaries]
+    snfs = [d.smith_normal_form() for d in cx.boundaries]
     free = _free_ranks(cx.ranks, [snf.rank for snf in snfs])
     torsion = [tuple(d for d in snf.divisors if not d.is_one()) for snf in snfs] + [()]
     return list(zip(free, torsion))
