@@ -86,7 +86,10 @@ def _free_group_complex():
     return build_complex(pres, Augmentation([1, 1, 1]), rho)
 
 
-CASES = _sample_complexes() + _seeded_complexes() + [("free group on 3 generators", _free_group_complex())]
+SAMPLE_CASES = _sample_complexes()
+CASES = SAMPLE_CASES + _seeded_complexes() + [("free group on 3 generators", _free_group_complex())]
+# Every sample job and a third of the rest.
+SMITH_CASES = SAMPLE_CASES + CASES[len(SAMPLE_CASES) :: 3]
 
 
 @pytest.mark.parametrize("label, complex_", CASES, ids=[label for label, _ in CASES])
@@ -102,7 +105,7 @@ def test_free_group_control_has_free_h1():
     assert result.delta(1).is_zero()
 
 
-@pytest.mark.parametrize("label, complex_", CASES[::3], ids=[label for label, _ in CASES[::3]])
+@pytest.mark.parametrize("label, complex_", SMITH_CASES, ids=[label for label, _ in SMITH_CASES])
 def test_the_smith_form_gives_the_certified_divisors(label, complex_):
     # Every boundary, as built and as reduced.
     for matrix in (*complex_.boundaries, *complex_.reduced()[0]):

@@ -592,8 +592,11 @@ def test_each_path_of_the_smith_form_gives_the_certified_divisors(monkeypatch, n
     # enters the corner mid-elimination and clears it as a unit.  A block
     # of one row or one column ends in gcd_many.  A permuted diagonal out of
     # divisibility order is left as it is by the clearing, so only the
-    # divisibility pass, which adds row j to row i, orders it.
+    # divisibility pass, which adds row j to row i, orders it.  Each matrix
+    # is also drawn with its rows and columns scaled by seeded units c t^k,
+    # which keep every span and zero, so every pivot and path.
     ctx = FieldContext(n)
+    rng = random.Random(f"smith-paths-{n}")
     t = LaurentPoly.t_power(ctx, 1)
     one, zero, z = LaurentPoly.one(ctx), LaurentPoly.zero(ctx), ctx.zeta(1)
     units, gcds, repairs = [], [], []
@@ -621,11 +624,14 @@ def test_each_path_of_the_smith_form_gives_the_certified_divisors(monkeypatch, n
         ([[zero, t + one, zero], [(t - one) ** 2, zero, zero], [zero, zero, t - z * one]], repairs),
     ]
     for entries, path in cases:
-        del units[:], gcds[:], repairs[:]
-        m = LaurentMatrix(ctx, entries)
-        snf = m.smith_normal_form()
-        assert any(path), entries
-        assert (snf.divisors, snf.rank) == _certified(m)
+        for draw in range(4):
+            rows = [_random_unit(rng, ctx) if draw else one for _ in entries]
+            cols = [_random_unit(rng, ctx) if draw else one for _ in entries[0]]
+            m = LaurentMatrix(ctx, [[r * e * c for e, c in zip(row, cols)] for r, row in zip(rows, entries)])
+            del units[:], gcds[:], repairs[:]
+            snf = m.smith_normal_form()
+            assert any(path), (entries, draw)
+            assert (snf.divisors, snf.rank) == _certified(m)
 
 
 def _mixed_poly(rng, ctx, max_span=4):
