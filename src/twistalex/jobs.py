@@ -174,22 +174,26 @@ class JobSpec:
 
     def chain_complex(self, germ: int | None = None) -> TwistedChainComplex:
         """The job's complex (_job_complex), or the complex of the germ of
-        local request germ; each build validates its triple.  parse_job stores
-        the ones it built, and others are built on first use, in one table
-        keyed on _complex_key by ==."""
+        local request germ; each build validates its triple.  A germ whose
+        triple is the job's own (_is_job_triple) gets the job's complex
+        itself, so there is one complex per distinct triple.  parse_job
+        stores the ones it built, and others are built on first use, in one
+        table keyed on _complex_key by ==."""
         key = self._complex_key()
         if self._complexes is None or self._complexes[0] != key:
             self._complexes = (key, {})
         table = self._complexes[1]
         if germ not in table:
             context = self.context()
+            job = self.presentation(), self.augmentation(), self.representation(context)
             if germ is None:
-                triple = self.presentation(), self.augmentation(), self.representation(context)
-                table[None] = _job_complex(self.source, *triple)
+                table[None] = _job_complex(self.source, *job)
             else:
                 kind, params, weights, scalar_texts = self.local_requests[germ]
                 scalars = None if scalar_texts is None else [parse_scalar(s, context) for s in scalar_texts]
-                table[germ] = build_complex(*_local_germ(context, kind, params, weights, scalars))
+                triple = _local_germ(context, kind, params, weights, scalars)
+                shared = _is_job_triple(self.source, job, triple)
+                table[germ] = self.chain_complex() if shared else build_complex(*triple)
         return table[germ]
 
     def curve(self, context: FieldContext) -> CurveData | None:
@@ -299,6 +303,15 @@ def _job_complex(source, pres, eps, rho) -> TwistedChainComplex:
     complex_ = build_complex(pres, eps, rho)
     step = _BUILDERS[source[1]][4] if source[0] == "builder" else None
     return complex_ if step is None else step(complex_)
+
+
+def _is_job_triple(source, job, germ) -> bool:
+    """Whether a local germ's triple is the job's own (equal presentations,
+    augmentations and rho matrices) under a builder with no step, so that
+    the job's complex is the germ's too and is built and reduced once."""
+    (pres, eps, rho), (germ_pres, germ_eps, germ_rho) = job, germ
+    stepless = source[0] != "builder" or _BUILDERS[source[1]][4] is None
+    return stepless and pres == germ_pres and eps == germ_eps and rho.matrices == germ_rho.matrices
 
 
 def _builder_value(name: str, key: str, params: dict, lineno: int):
@@ -593,6 +606,7 @@ def parse_job(text: str) -> JobSpec:
         if missing:
             raise JobParseError(eps_line, f"eps line must cover every generator; missing {', '.join(missing)}")
         eps_values = tuple(assigned[i] for i in range(len(names)))
+    eps = Augmentation(eps_values)
     for i, relator in enumerate(pres.relators):
         _check_span(relator, eps_values, f"relator {i}", eps_line or builder_line or relator_lines[i][0])
 
@@ -676,16 +690,20 @@ def parse_job(text: str) -> JobSpec:
                 scalars = [parse_scalar(text, context) for text in _split_top_level(scalar_text)]
             return scalars, _local_germ(context, kind, params, weights, scalars)
 
-        scalars, (germ_pres, germ_eps, germ_rho) = _bounded_build(
+        scalars, triple = _bounded_build(
             f"local {kind}", params, letters(*family_params), germ, lineno, f"local {kind}: "
         )
-        for relator in germ_pres.relators:
-            _check_span(relator, germ_eps.values, f"local {kind}", lineno)
+        for relator in triple[0].relators:
+            _check_span(relator, triple[1].values, f"local {kind}", lineno)
         # As for the job's own triple, building the germ's complex validates
         # it; run_job reads the complex, and builds again one that failed its
-        # d1 d2 = 0 check, to report that.
+        # d1 d2 = 0 check, to report that.  A germ whose triple is the job's
+        # gets the job's complex, built here at the first such line.
+        shared = _is_job_triple(source, (pres, eps, rho), triple)
         try:
-            complexes[len(local_requests)] = build_complex(germ_pres, germ_eps, germ_rho)
+            if shared and None not in complexes:
+                complexes[None] = _job_complex(source, pres, eps, rho)
+            complexes[len(local_requests)] = complexes[None] if shared else build_complex(*triple)
         except InvalidTripleError as exc:
             raise JobParseError(lineno, f"local {kind}: invalid triple: {'; '.join(exc.report.failures)}")
         except InternalInvariantError:
@@ -767,7 +785,8 @@ def parse_job(text: str) -> JobSpec:
     # supplied the data of its first failure is reported.  A complex that
     # fails its d_i d_(i+1) = 0 check is not kept: run_job builds it again.
     try:
-        complexes[None] = _job_complex(source, pres, spec.augmentation(), rho)
+        if None not in complexes:
+            complexes[None] = _job_complex(source, pres, eps, rho)
     except InvalidTripleError as exc:
         # The line of each subject a failure can blame; the rest fall to the
         # eps, builder or inline line.  rho trivial kills every relator.
@@ -1119,8 +1138,10 @@ def run_job(spec: JobSpec, *, mode: str = "compute", fmt: str = "text", seed: in
             record["bound_ok"] = bound_report.ok if torsion else None
             out.emit(record)
 
+        # A germ that shares the job's complex shares its homology too.
         for index, (kind, params, weights, _) in enumerate(spec.local_requests):
-            loc = _germ_polynomial(kind, params, weights, spec.chain_complex(index))
+            germ = spec.chain_complex(index)
+            loc = _germ_polynomial(kind, params, weights, germ, result if germ is complex_ else homology(germ))
             out.emit(
                 {
                     "record": "local",

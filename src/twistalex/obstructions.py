@@ -453,19 +453,22 @@ def local_polynomial(context: FieldContext, kind: str, weights, scalars=None, pa
     scalars: rank-1 representation values, one per presentation generator
     except where the builder determines them (Hopf x0 = product of all branch
     meridian values; a_odd b = product).  Omitted scalars default to 1.
+    It builds the germ's complex and homology itself; run_job instead reads
+    the complex its spec holds, the job's own when the triples are equal.
     """
     params = tuple(int(p) for p in params)
     weights = tuple(int(w) for w in weights)
     germ = build_complex(*_local_germ(context, kind, params, weights, scalars))
-    return _germ_polynomial(kind, params, weights, germ)
+    return _germ_polynomial(kind, params, weights, germ, homology(germ))
 
 
-def _germ_polynomial(kind: str, params, weights, germ: TwistedChainComplex) -> LocalPolynomial:
+def _germ_polynomial(kind: str, params, weights, germ: TwistedChainComplex, res: AlexanderResult) -> LocalPolynomial:
     """The LocalPolynomial of a local kind read off the chain complex of its
-    germ, as built from _local_germ."""
+    germ, as built from _local_germ, and res, the homology of that complex.
+    The caller supplies res: a job whose germ has the job's own triple
+    passes the homology it already has, and local_polynomial computes it."""
     if kind == "node":
         kind, params = "ordinary", (2,)
-    res = homology(germ)
     delta0 = res.delta(0)
     delta1 = res.delta(1)
     ratio = res.ratio() if not delta0.is_zero() else None

@@ -252,15 +252,6 @@ class Representation:
                     pass
         return table
 
-    def of_word(self, word: Word) -> ScalarMatrix:
-        """rho(word): one row-form product per letter, and a ScalarMatrix
-        only for the result."""
-        product, table = self.context._matrix_product, self._letter_rows()
-        acc = self._identity
-        for letter in word.letters:
-            acc = product(acc, table[letter])
-        return ScalarMatrix._from_rows(self.context, *acc)
-
     def __repr__(self):
         return f"Representation(dim={self.dimension}, generators={len(self.matrices)})"
 
@@ -272,9 +263,10 @@ class PhiMap:
     Fox derivatives under Phi: validate reads the rows of d2 and the
     relator verdicts off it through fox_row, and the check battery's
     fox-identity check through fox_identity.  word_image and element_image
-    walk each word through eps.of_word and rho.of_word; no job calls them.
-    They put the tests' symbolic Fox derivative (tests/oracles.py) under
-    Phi, the oracle of _fox_pass.
+    form each rho(word) as a product of the public ScalarMatrix rho(x) and
+    their inverses, apart from the row form of _fox_pass; no job calls
+    them.  They put the tests' symbolic Fox derivative (tests/oracles.py)
+    under Phi, the oracle of _fox_pass.
 
     Inside, Phi of a word is carried as the pair (e, rows), rows the integer
     row form of FieldContext._matrix_product, and a group-ring element as
@@ -294,21 +286,21 @@ class PhiMap:
         return LaurentMatrix._from_row_terms(self.context, {self.eps.values[g]: rows})
 
     def word_image(self, word: Word) -> LaurentMatrix:
-        """Phi(word) = t^eps(word) * rho(word)."""
-        return LaurentMatrix.from_scalar_matrix(self.rho.of_word(word), self.eps.of_word(word))
+        """Phi(word) = t^eps(word) * rho(word), rho(word) the ScalarMatrix
+        product of rho(x) or its inverse over the letters."""
+        image = ScalarMatrix.identity(self.context, self.dimension)
+        for g, s in word.letters:
+            m = self.rho.matrices[g]
+            image = image * (m if s == 1 else m.inverse())
+        return LaurentMatrix.from_scalar_matrix(image, self.eps.of_word(word))
 
     def element_image(self, element: dict[tuple, int]) -> LaurentMatrix:
         """Phi of a group-ring element given as {letters: coefficient}: the
-        sum of its word images, collected by exponent in row form."""
-        add = self.context._matrix_sum
-        terms: dict = {}
+        sum of its word images."""
+        total = LaurentMatrix.zero(self.context, self.dimension, self.dimension)
         for letters, coeff in element.items():
-            word = Word(letters)
-            e = self.eps.of_word(word)
-            terms[e] = add(terms.get(e), self.rho.of_word(word)._rows(), coeff)
-        if not terms:
-            return LaurentMatrix.zero(self.context, self.dimension, self.dimension)
-        return LaurentMatrix._from_row_terms(self.context, terms)
+            total = total + self.word_image(Word(letters)) * coeff
+        return total
 
     def _fox_pass(self, word: Word):
         """(sums, e, rows): sums[g] the {exponent: rows} map of

@@ -289,8 +289,8 @@ class FieldContext:
     # Square matrices over the field as integer rows: a pair (entries, den)
     # with entries[i][j] the power-basis row of den times the (i, j) entry,
     # den > 0 and, unless it is 1, prime to the content of the entries.  The
-    # Fox pass and Representation.of_word run one product per letter on
-    # this form (ScalarMatrix._rows and _from_rows convert).
+    # Fox pass runs one product per letter on this form (ScalarMatrix._rows
+    # and _from_rows convert).
 
     def _matrix_product(self, a, b):
         """The (entries, den) of a * b: each entry is one convolution summed

@@ -1,9 +1,10 @@
 """The tests' oracles and samplers, kept out of the package.
 
 Fox's free derivative in symbolic form (Fox, Ann. of Math. 1953), free
-reduction, the eliminated Hopf meridian, the order of a root of unity, the
-substitution t -> t^n, equality up to a unit and the certified Smith form
-are checks of the engine written from their definitions.  The seeded Hopf and A_(2n-1) samplers draw valid triples for
+reduction, rho of a word, the eliminated Hopf meridian, the order of a root
+of unity, the substitution t -> t^n, equality up to a unit and the
+certified Smith form are checks of the engine written from their
+definitions.  The seeded Hopf and A_(2n-1) samplers draw valid triples for
 the property tests; every draw goes through a caller-supplied random.Random.
 
 This module imports only names of twistalex.__all__ and reads no private
@@ -66,6 +67,16 @@ def fox_derivative(word: Word, generator: int) -> dict[tuple, int]:
             key = tuple(prefix)
             out[key] = out.get(key, 0) - 1
     return {w: c for w, c in out.items() if c}
+
+
+def rho_of_word(rho: Representation, word: Word) -> ScalarMatrix:
+    """rho(word) from its definition: a left fold of ScalarMatrix products
+    of rho(x) or its inverse over the letters."""
+    image = ScalarMatrix.identity(rho.context, rho.dimension)
+    for g, s in word.letters:
+        m = rho.matrices[g]
+        image = image * (m if s == 1 else m.inverse())
+    return image
 
 
 def hopf_extra_meridian_word(d: int) -> Word:

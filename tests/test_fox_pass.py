@@ -1,8 +1,9 @@
 """The one-pass Fox Jacobian row PhiMap.fox_row against the symbolic oracle
-phi.element_image(fox_derivative(w, g)), and Representation.of_word against
-a fold of ScalarMatrix products; the oracle's own one-pass derivative and
-word images against their plain definitions, and the check battery's
-row-form route through the pass against Laurent-matrix products."""
+phi.element_image(fox_derivative(w, g)), and the rho(w) that ends the pass
+against rho_of_word, a fold of ScalarMatrix products; the oracle's own
+one-pass derivative and word images against their plain definitions, and
+the check battery's row-form route through the pass against Laurent-matrix
+products."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import fox_derivative, free_reduce, random_invertible_matrix
+from oracles import fox_derivative, free_reduce, random_invertible_matrix, rho_of_word
 from twistalex.laurent import LaurentMatrix
 from twistalex.presentations import (
     Augmentation,
@@ -20,7 +21,7 @@ from twistalex.presentations import (
     Word,
     random_word,
 )
-from twistalex.scalars import FieldContext, ScalarMatrix
+from twistalex.scalars import FieldContext
 
 GENERATORS = 3
 
@@ -36,7 +37,7 @@ def _phi(conductor: int, dimension: int, rng: random.Random) -> PhiMap:
 
 def _assert_matches_oracle(phi: PhiMap, word: Word):
     row, image = phi.fox_row(word)
-    assert image == phi.rho.of_word(word), word
+    assert image == rho_of_word(phi.rho, word), word
     assert len(row) == GENERATORS
     for g, block in enumerate(row):
         assert block == phi.element_image(fox_derivative(word, g)), (word, g)
@@ -168,26 +169,19 @@ def test_fox_row_matches_the_oracle_on_a_long_unreduced_power_word(conductor):
     _assert_matches_oracle(phi, Word([(0, 1)] * 250 + [(1, -1)] * 251 + [(0, 1)] + [(2, -1)] * 100))
 
 
-def _folded_image(rho: Representation, word: Word) -> ScalarMatrix:
-    # rho(word) as a left fold of ScalarMatrix products.
-    acc = ScalarMatrix.identity(rho.context, rho.dimension)
-    for g, s in word.letters:
-        m = rho.matrices[g]
-        acc = acc * (m if s == 1 else m.inverse())
-    return acc
-
-
 @pytest.mark.parametrize("conductor,dimension", DENOMINATOR_FIELDS)
 def test_of_word_matches_a_fold_of_scalar_products(conductor, dimension):
     rng = random.Random(11 * conductor + dimension)
     rho = _rho(conductor, dimension, rng)
     words = [random_word(GENERATORS, 0, rng), _bounded_walk(LONG, 5, rng)]
     words.append(Word([(rng.randrange(GENERATORS), rng.choice((1, -1))) for _ in range(LONG)]))
+    # rho(w) as the Fox pass ends on it, under the trivial eps.
+    phi = PhiMap(Augmentation([0] * GENERATORS), rho)
     for w in words:
-        assert rho.of_word(w) == _folded_image(rho, w), w
+        assert phi.fox_row(w)[1] == rho_of_word(rho, w), w
     # A word and its inverse: the product is the identity again.
     w = words[-1]
-    assert rho.of_word(w * w.inverse()).is_identity()
+    assert phi.fox_row(w * w.inverse())[1].is_identity()
 
 
 # The oracle itself: fox_derivative keeps the reduced prefix as a stack, and

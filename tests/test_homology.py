@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from oracles import associates, random_a_odd_representation, random_hopf_representation
+from oracles import associates, random_a_odd_representation, random_hopf_representation, rho_of_word
 from twistalex.homology import (
     InternalInvariantError,
     TwistedChainComplex,
@@ -296,7 +296,7 @@ def _verdict_cases():
 
 def _walked_verdict(pres, eps, rho):
     # The (subject, text) of each failure, from a plain walk of each relator
-    # by eps.of_word and rho.of_word: an oracle that shares no code with the
+    # by eps.of_word and rho_of_word: an oracle that shares no code with the
     # Fox pass that validate reads.
     g = pres.generator_count
     out = []
@@ -310,7 +310,7 @@ def _walked_verdict(pres, eps, rho):
         for i, rel in enumerate(pres.relators):
             if eps.of_word(rel) != 0:
                 out.append((("eps", i), f"eps does not kill relator {i} (value {eps.of_word(rel)})"))
-            if not singular and not rho.of_word(rel).is_identity():
+            if not singular and not rho_of_word(rho, rel).is_identity():
                 out.append((("rho", i), f"rho does not kill relator {i}"))
     if not eps.is_nontrivial():
         out.append((("eps", None), "eps is trivial"))

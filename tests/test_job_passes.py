@@ -1,10 +1,12 @@
-"""How often a job runs its expensive passes: validation (once, in the
-build_complex of parse_job), the Wada minors, specialization and the Fox
-Jacobian; how often the polynomial and scalar-matrix layers build or
-invert field elements; and how often their eliminations divide."""
+"""How often a job runs its expensive passes: validation (once per
+distinct triple, in the build_complex of parse_job), homology (once per
+distinct triple), the Wada minors, specialization and the Fox Jacobian;
+how often the polynomial and scalar-matrix layers build or invert field
+elements; and how often their eliminations divide."""
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import sys
@@ -14,9 +16,10 @@ from pathlib import Path
 import pytest
 
 from oracles import associates, certified_smith_form, fox_derivative, random_hopf_representation
-from twistalex.homology import build_complex, specialize_homology, wada_agreement
+from twistalex.homology import TwistedChainComplex, build_complex, homology, specialize_homology, wada_agreement
 from twistalex import jobs
-from twistalex.jobs import parse_job, run_job
+from twistalex.jobs import JobParseError, parse_job, run_job
+from twistalex.obstructions import local_polynomial
 from twistalex.laurent import LaurentMatrix, LaurentPoly, RationalFunction
 from twistalex.presentations import (
     Augmentation,
@@ -27,7 +30,7 @@ from twistalex.presentations import (
     hopf_presentation,
     validate,
 )
-from twistalex.scalars import CycloNumber, FieldContext, Matrix, ScalarMatrix, _Residues
+from twistalex.scalars import CycloNumber, FieldContext, Matrix, ScalarMatrix, _Residues, parse_scalar
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_jobs"
 
@@ -56,6 +59,139 @@ def test_a_job_validates_its_triple_once(monkeypatch, mode):
     _, code = run_job(spec, mode=mode)
     assert code == 0
     assert len(calls) == 1
+
+
+# One complex per distinct triple: a local germ whose triple is the job's own
+# shares the job's complex and its homology; any other germ has its own.
+
+
+def _root(k: int) -> str:
+    return "1" if k == 0 else f"z^{k}"
+
+
+def _variant_jobs() -> dict:
+    """Seeded cusp, torus and a_odd_reduced jobs, each with a local line
+    whose germ is the job's own triple."""
+    rng = random.Random(34)
+    out = {}
+    for k in range(3):
+        n, w = rng.choice((6, 12)), rng.choice((1, 2, 3))
+        s = _root(rng.randrange(n))
+        out[f"cusp-{k}"] = (
+            f"field cyclotomic {n}\nbuilder cusp\neps x={w} y={w}\nrho x = [[{s}]]\nrho y = [[{s}]]\n"
+            f"analyze delta wada\nlocal cusp weights {w} scalars {s}\n"
+        )
+        (p, q), w = rng.choice(((2, 3), (2, 5), (3, 4), (3, 5))), rng.choice((1, 2))
+        kx, ky = rng.choice([(a, b) for a in range(n) for b in range(n) if (p * a - q * b) % n == 0])
+        sx, sy = _root(kx), _root(ky)
+        out[f"torus-{k}"] = (
+            f"field cyclotomic {n}\nbuilder torus p={p} q={q}\neps x={q * w} y={p * w}\n"
+            f"rho x = [[{sx}]]\nrho y = [[{sy}]]\nanalyze delta wada\nspecialize -1\n"
+            f"local torus {p} {q} weights {w} scalars {sx}, {sy}\n"
+        )
+        m, ke, ko = rng.choice((2, 3)), rng.randrange(n), rng.randrange(n)
+        rho = "".join(f"rho a{i} = [[{_root(ko if i % 2 else ke)}]]\n" for i in range(2 * m))
+        out[f"a_odd_reduced-{k}"] = (
+            f"field cyclotomic {n}\nbuilder a_odd_reduced n={m}\n{rho}rho b = [[{_root((ke + ko) % n)}]]\n"
+            f"analyze delta wada\nlocal a_odd {m} weights 1 1 scalars {_root(ke)}, {_root(ko)}\n"
+        )
+    return out
+
+
+SHARING_JOBS = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SAMPLES.glob("*.job"))}
+SHARING_JOBS.update(_variant_jobs())
+# A germ with the job's presentation and eps but not its rho.
+SHARING_JOBS["cusp_other_rho"] = (
+    "field cyclotomic 6\nbuilder cusp\nrho x = [[z]]\nrho y = [[z]]\nanalyze delta\nlocal cusp weights 1 scalars z^2\n"
+)
+# The jobs with a local germ that is not the job's triple; every other job
+# has one triple.
+DISTINCT_TRIPLES = {"cusp_braid": 2, "cusp_other_rho": 2, "hopf3_untwisted": 2, "trefoil_germ": 2}
+
+
+def _fields_twin(spec):
+    return jobs.JobSpec(*(getattr(spec, name) for name in jobs.JobSpec.__slots__ if not name.startswith("_")))
+
+
+def test_a_germ_with_the_jobs_triple_shares_the_jobs_complex():
+    spec = parse_job(SHARING_JOBS["cusp_braid"])
+    assert spec.chain_complex(0) is spec.chain_complex()
+    # The control: weights 3 make another eps, so another triple.
+    germ = spec.chain_complex(1)
+    assert germ is not spec.chain_complex()
+    assert germ.triple[1] == Augmentation([3, 3])
+
+
+@pytest.mark.parametrize("route", ["parsed", "fields"])
+@pytest.mark.parametrize("name", sorted(SHARING_JOBS))
+def test_each_distinct_triple_is_validated_and_reduced_once(monkeypatch, name, route):
+    validated = _count_calls(monkeypatch, validate)
+    reduced = _count_calls(monkeypatch, homology)
+    spec = parse_job(SHARING_JOBS[name])
+    if route == "fields":
+        # A spec made directly builds its complexes when run.
+        spec = _fields_twin(spec)
+        validated.clear()
+    out, code = run_job(spec)
+    assert code == 0, out
+    distinct = DISTINCT_TRIPLES.get(name, 1)
+    assert len(validated) == len(reduced) == distinct
+    # No triple is validated twice.
+    triples = [(pres, eps, rho.matrices) for pres, eps, rho in validated]
+    assert all(a != b for i, a in enumerate(triples) for b in triples[:i])
+
+
+@pytest.mark.parametrize("name", sorted(n for n, text in SHARING_JOBS.items() if "\nlocal " in text))
+def test_a_local_record_equals_the_standalone_local_polynomial(name):
+    # obstructions.local_polynomial builds and reduces a complex of its own.
+    spec = parse_job(SHARING_JOBS[name])
+    out, code = run_job(spec, fmt="records")
+    assert code == 0, out
+    records = [r for r in map(json.loads, out.splitlines()) if r["record"] == "local"]
+    context = spec.context()
+    assert len(records) == len(spec.local_requests)
+    for record, (kind, params, weights, texts) in zip(records, spec.local_requests):
+        scalars = None if texts is None else [parse_scalar(t, context) for t in texts]
+        loc = local_polynomial(context, kind, weights, scalars, params)
+        ratio = (None, None) if loc.ratio is None else (str(loc.ratio.numerator), str(loc.ratio.denominator))
+        assert record == {
+            "record": "local",
+            "kind": kind,
+            "params": list(params),
+            "weights": list(weights),
+            "delta0": str(loc.delta0),
+            "delta1": str(loc.delta1),
+            "ratio_numerator": ratio[0],
+            "ratio_denominator": ratio[1],
+            "printed_matches": loc.printed_matches,
+        }
+
+
+def test_an_invalid_shared_triple_is_refused_at_its_local_line():
+    # z^2 != z^3 in Q(zeta_6): rho breaks x^2 = y^3, and the local line asks
+    # for the same triple; the local line, checked first, is blamed.
+    text = (
+        "field cyclotomic 6\nbuilder torus p=2 q=3\neps x=3 y=2\nrho x = [[z]]\nrho y = [[z]]\n"
+        "analyze delta\nlocal torus 2 3 weights 1 scalars z, z\n"
+    )
+    with pytest.raises(JobParseError) as info:
+        parse_job(text)
+    assert info.value.line == 7
+    assert info.value.message == "local torus: invalid triple: rho does not kill relator 0"
+
+
+def test_a_builder_with_a_step_keeps_its_germs_apart(monkeypatch):
+    # A step may make a complex that is not the triple's, so a germ of the
+    # job's triple gets its own complex under it.
+    def step(complex_):
+        return TwistedChainComplex(complex_.boundaries, complex_.triple)
+
+    monkeypatch.setitem(jobs._BUILDERS, "cusp", (*jobs._BUILDERS["cusp"][:4], step))
+    validated = _count_calls(monkeypatch, validate)
+    spec = parse_job(SHARING_JOBS["cusp_braid"])
+    assert spec.chain_complex(0) is not spec.chain_complex()
+    assert len(validated) == 3
+    assert run_job(spec) == run_job(_fields_twin(spec))
 
 
 def _record_calls(monkeypatch, cls, name):

@@ -13,6 +13,7 @@ from oracles import (
     hopf_extra_meridian_word,
     random_a_odd_representation,
     random_hopf_representation,
+    rho_of_word,
 )
 from twistalex.laurent import LaurentMatrix
 from twistalex.presentations import (
@@ -184,16 +185,19 @@ def test_augmentation_image_index():
 
 
 def test_representation_of_word_and_inverses():
+    # The oracle rho_of_word against values by hand, and the rho(word) that
+    # ends the Fox pass against the oracle.
     ctx = FieldContext(4)
     z = ctx.zeta(1)
     rho = Representation(ctx, [[[z]], [[2]]])
+    phi = PhiMap(Augmentation([0, 0]), rho)
     x = Word([(0, 1)])
     y = Word([(1, 1)])
-    img = rho.of_word(x * y * x.inverse())
-    assert img[0, 0] == ctx.from_rational(2)
-    assert rho.of_word(x.inverse())[0, 0] == z.inverse()
     comm = x * y * x.inverse() * y.inverse()
-    assert rho.of_word(comm).is_identity()
+    for word, value in ((x * y * x.inverse(), ctx.from_rational(2)), (x.inverse(), z.inverse()), (comm, ctx.one)):
+        assert rho_of_word(rho, word)[0, 0] == value
+        assert phi.fox_row(word)[1] == rho_of_word(rho, word)
+    assert rho_of_word(rho, comm).is_identity()
 
 
 def test_phi_map_images():
