@@ -293,7 +293,10 @@ def wada_agreement(
 
 def euler_rank_check(complex_: TwistedChainComplex, result: AlexanderResult) -> None:
     """Alternating sum of homology free ranks must equal the chain-level
-    Euler characteristic; a mismatch is an internal error."""
+    Euler characteristic; a mismatch is an internal error.  The free ranks
+    are read on the reduced complex and the Euler characteristic on the
+    complex as built, so the check fails when reduced() books a wrong chain
+    rank."""
     lhs = sum((-1) ** i * shape.free_rank for i, shape in enumerate(result.shapes))
     if lhs != complex_.euler_characteristic:
         raise InternalInvariantError(

@@ -956,7 +956,7 @@ class _Report:
 # running
 
 
-def _hopf_curve(spec: JobSpec, lineno_hint: str):
+def _hopf_curve(spec: JobSpec, analysis: str):
     """For a hopf builder job the at-infinity curve is implied: d lines whose
     weights are read back off eps (the central generator carries the total)."""
     if spec.source[0] == "builder" and spec.source[1] == "hopf":
@@ -965,7 +965,7 @@ def _hopf_curve(spec: JobSpec, lineno_hint: str):
         last = spec.eps_values[0] - sum(others)
         weights = others + [last]
         if any(w <= 0 for w in weights):
-            raise ValueError(f"{lineno_hint}: eps does not come from positive meridian weights")
+            raise ValueError(f"{analysis}: eps does not come from positive meridian weights")
         return CurveData([CurveComponent(1, w) for w in weights])
     return None
 

@@ -36,11 +36,12 @@ with the scalar rank, det and inverse.  The Schur step and its choice of
 unit (_UnitSchur) are the same ones that cancel the unit pairs of a chain
 complex before its Smith forms (homology.TwistedChainComplex.reduced).  The
 Smith form breaks span ties between pivots by the Markowitz count, so units
-whose row or column holds nothing else leave without fill, and it orders the
-divisors in one pass at the end, not by a scan per corner.  The rank at a
-point t = a is read modulo the split prime of the context first (_rank_at):
-a full rank there proves the exact rank, and only a deficiency needs the
-exact specialization.
+whose row or column holds nothing else leave without fill.  It has one
+clearing rule: a corner's column is scaled to make it monic, so a unit
+corner is 1, and its divisors come off the diagonal by gcds and lcms in one
+pass at the end.  The rank at a point t = a is read modulo the split prime
+of the context first (_rank_at): a full rank there proves the exact rank,
+and only a deficiency needs the exact specialization.
 """
 
 from __future__ import annotations
@@ -161,17 +162,17 @@ def _sums_of_products(context: FieldContext, sums) -> list:
     return [LaurentPoly._make(context, low, rows[start:end], den) for low, start, end, den in bands]
 
 
-def _add_multiple(context: FieldContext, row, factor: LaurentPoly, src, col=None, value=None) -> list:
+def _add_multiple(context: FieldContext, row, factor: LaurentPoly, src, col: int, value: LaurentPoly) -> list:
     """row + factor * src as one kernel call, the sum of each nonzero entry
-    of src its own band (_sums_of_products); a caller that already holds the
-    new entry of column col passes it as value."""
+    of src its own band (_sums_of_products), with value, which the caller
+    already holds (zero after a Schur step, a remainder in the Smith form),
+    as the new entry of column col."""
     cols = [j for j, b in enumerate(src) if b and j != col]
     new = _sums_of_products(context, [((1, row[j], None), (1, factor, src[j])) for j in cols])
     out = list(row)
     for j, e in zip(cols, new):
         out[j] = e
-    if col is not None:
-        out[col] = value
+    out[col] = value
     return out
 
 
@@ -1070,29 +1071,27 @@ class LaurentMatrix(Matrix):
         block; ties go to the least Markowitz count (r - 1)(c - 1), r and c
         the nonzeros of its row and column in the block (Markowitz,
         Management Sci. 1957), then to the first in row order.  A unit whose
-        row or column holds nothing else thus leaves without fill.
-        Remainders swap into the pivot, so spans strictly decrease and the
-        clearing of a corner's row and column terminates.  A unit corner u
-        is cleared at once: row_i -= (e u^-1) row_corner clears its column,
-        its row is then cleared with no work on the matrix (a column
-        operation changes nothing else once the column is clear), and the
-        corner becomes 1.  A nonunit entering the corner has its row scaled
-        by the unit that puts it in canonical form (monic, lowest exponent
-        0); every division by the corner is then by a monic divisor and
-        needs no field inverse.  A block of one row or one column has the
-        gcd of its entries as its one divisor (gcd_many).
+        row or column holds nothing else thus leaves without fill.  An entry
+        entering the corner has its column scaled by the unit that puts it
+        in canonical form (monic, lowest exponent 0), so a unit corner
+        becomes 1 and every division by the corner is by a monic divisor,
+        with no field inverse.  One rule clears every corner: each entry of
+        its column leaves by row_i -= q row_corner, then each entry of its
+        row is cut to its remainder (a column operation changes nothing else
+        once the column is clear).  Remainders swap into the corner, so
+        spans strictly decrease and the clearing terminates; under a corner
+        of 1 the quotient is the entry itself and the row clears at once.  A
+        block of one row or one column has the gcd of its entries as its one
+        divisor (gcd_many).
 
         The diagonal d_0, ..., d_(k-1) that the clearing leaves need not be
-        a divisibility chain.  One pass over the pairs i < j mends it: when
-        d_i does not divide d_j, row j is added to row i and the 2 x 2 block
-        of rows and columns i, j is cleared again by the same operations.
-        One clearing can leave a corner that still does not divide the other
-        entry, so the step repeats until it does; each repeat lowers the
-        corner's span, and the pair ends as gcd(d_i, d_j) at i and
-        lcm(d_i, d_j), made monic, at j.
-        After the pairs of i, d_i divides every later entry, and the gcds
-        and lcms keep the earlier ones dividing; so the pass ends on the
-        normalized divisors d_1 | d_2 | ....
+        a divisibility chain.  Over a PID diag(a, b) is equivalent to
+        diag(gcd(a, b), lcm(a, b)) (Newman, Integral Matrices, 1972), so one
+        pass over the pairs i < j of the diagonal mends it with no row
+        operation: where d_i does not divide d_j, the gcd goes to i and the
+        monic lcm to j.  After the pairs of i, d_i divides every later
+        entry, and the gcds and lcms keep the earlier ones dividing; so the
+        pass ends on the normalized divisors d_1 | d_2 | ....
 
         No transforms are kept: the divisors and the rank are all a
         homology computation reads.  The tests certify them against an
@@ -1103,48 +1102,24 @@ class LaurentMatrix(Matrix):
         A = [list(row) for row in self.entries]
         zero = LaurentPoly.zero(ctx)
 
-        def add_row(dst, src, factor, col=None, value=None):
-            # row_dst += factor * row_src; value is the new entry of column
-            # col (a remainder of divmod) if the caller has it.
-            A[dst] = _add_multiple(ctx, A[dst], factor, A[src], col, value)
-
-        def normalize_row(k):
-            # Scale row k by the unit that makes A[k][k] canonical.
-            d = A[k][k]
-            if not d._is_normal():
-                unit = d._normalizer()
-                A[k] = [unit * a if a else a for a in A[k]]
-
         def enter_corner(corner, i, j):
-            # Move entry (i, j) into the corner and scale its row monic; a
-            # unit stays as it is, for clear_by_unit.
+            # Move entry (i, j) into the corner and scale its column, from
+            # the corner row down, by the unit that makes it canonical; the
+            # rows above are zero there.
             A[corner], A[i] = A[i], A[corner]
             if j != corner:
                 for row in A:
                     row[corner], row[j] = row[j], row[corner]
-            if not A[corner][corner].is_unit():
-                normalize_row(corner)
-
-        def clear_by_unit(corner, rows, cols):
-            # row_i -= (e u^-1) row_corner for the entries e of the unit
-            # corner u's column; its row then clears with no work, and the
-            # corner becomes 1.
-            inv = A[corner][corner]._normalizer()
-            for i in rows:
-                e = A[i][corner]
-                if e:
-                    add_row(i, corner, -(e * inv), corner, zero)
-            row = A[corner]
-            for j in cols:
-                row[j] = zero
-            row[corner] = LaurentPoly.one(ctx)
+            d = A[corner][corner]
+            if not d._is_normal():
+                unit = d._normalizer()
+                for row in A[corner:]:
+                    if row[corner]:
+                        row[corner] = unit * row[corner]
 
         def settle(corner, rows, cols):
             # Clear the corner's column over rows and its row over cols.
             while True:
-                if A[corner][corner].is_unit():
-                    clear_by_unit(corner, rows, cols)
-                    return
                 dirty = False
                 for i in rows:
                     e = A[i][corner]
@@ -1152,7 +1127,8 @@ class LaurentMatrix(Matrix):
                         continue
                     q, r = divmod(e, A[corner][corner])
                     if q:
-                        add_row(i, corner, -q, corner, r)
+                        # row_i += -q row_corner, r its new corner entry.
+                        A[i] = _add_multiple(ctx, A[i], -q, A[corner], corner, r)
                     if r:
                         enter_corner(corner, i, corner)
                         dirty = True
@@ -1210,19 +1186,16 @@ class LaurentMatrix(Matrix):
             settle(corner, range(corner + 1, m), range(corner + 1, n))
             corner += 1
 
-        # The divisibility pass.  A unit corner leaves its clearing as 1,
-        # and 1 divides everything.  One clearing of the pair need not
-        # leave a corner that divides the other entry, so it repeats; each
-        # repeat swaps a remainder into the corner, of strictly smaller span.
+        # The divisibility pass: diag(d, e) is equivalent to diag(gcd, lcm),
+        # and 1 divides everything.
+        diagonal = [A[i][i] for i in range(corner)]
         for i in range(corner):
             for j in range(i + 1, corner):
-                d, e = A[i][i], A[j][j]
+                d, e = diagonal[i], diagonal[j]
                 if d.is_one():
                     break
-                while d != e and divmod(e, d)[1]:
-                    add_row(i, j, LaurentPoly.one(ctx))
-                    settle(i, (j,), (j,))
-                    normalize_row(j)
-                    d, e = A[i][i], A[j][j]
+                if d != e and not d.divides(e):
+                    g = laurent_gcd(d, e)
+                    diagonal[i], diagonal[j] = g, (d.exact_div(g) * e).normalize()
 
-        return SmithNormalForm(tuple(A[i][i] for i in range(corner)), corner)
+        return SmithNormalForm(tuple(diagonal), corner)

@@ -211,7 +211,7 @@ class Representation:
         mats = []
         for m in matrices:
             if not isinstance(m, ScalarMatrix):
-                m = ScalarMatrix.from_rows(context, m)
+                m = ScalarMatrix(context, m)
             if m.rows != m.cols:
                 raise ValueError("representation matrices must be square")
             mats.append(m)

@@ -987,10 +987,6 @@ class ScalarMatrix(Matrix):
     def _ring_one(context: FieldContext) -> CycloNumber:
         return context.one
 
-    @classmethod
-    def from_rows(cls, context: FieldContext, rows) -> ScalarMatrix:
-        return cls(context, rows)
-
     def _rows(self):
         """The (entries, den) row form of this matrix (FieldContext
         ._matrix_product), den the lcm of the entry denominators."""

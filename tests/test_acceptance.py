@@ -473,7 +473,7 @@ def test_criterion_09_divisibility_and_root_field():
 
     for d, k in params:
         ctxk = FieldContext(k)
-        rf = root_field(ScalarMatrix.from_rows(ctxk, [[ctxk.zeta(1)]]), d)
+        rf = root_field(ScalarMatrix(ctxk, [[ctxk.zeta(1)]]), d)
         assert rf.formula_degree == extension_degree_formula(d, [k]), (d, k)
         if math.gcd(d, k) == 1:
             assert rf.degree == rf.formula_degree, (d, k)

@@ -196,6 +196,25 @@ def test_the_fox_identity_check_fails_when_a_generator_image_is_wrong(monkeypatc
     assert records[-1]["failures"] == ["check fox-identity"]
 
 
+def test_the_euler_ranks_check_fails_when_the_reduction_misbooks_a_chain_rank(monkeypatch):
+    # The free ranks are read on the reduced complex, the Euler
+    # characteristic on the complex as built: a reduction that books one
+    # top cell too many must fail the check.
+    original = TwistedChainComplex.reduced
+
+    def misbooked(complex_):
+        boundaries, ranks = original(complex_)
+        return boundaries, (*ranks[:-1], ranks[-1] + 1)
+
+    monkeypatch.setattr(TwistedChainComplex, "reduced", misbooked)
+    text = (ROOT / "sample_jobs" / "trefoil_germ.job").read_text(encoding="utf-8")
+    report, code = run_job(parse_job(text), mode="check")
+    assert code == EXIT_CHECK_FAILED == 1
+    lines = report.splitlines()
+    assert "check euler-ranks: FAIL (homology Euler characteristic 1 differs from chain value 0)" in lines
+    assert lines[-1] == "result: FAIL (1 failed)"
+
+
 def test_wada_on_wrong_deficiency_fails_the_job():
     text = """
 field rational
@@ -415,6 +434,16 @@ analyze divisibility
         "kind": "input",
         "message": "the bound at infinity needs a curve of degree at least 2, not 1",
     }
+
+
+@pytest.mark.parametrize("analysis", ["divisibility", "root-field"])
+def test_a_hopf_eps_without_positive_meridian_weights_is_an_input_error(analysis):
+    # The implied curve at infinity reads its line weights off eps: here the
+    # last one is 2 - 1 - 1 = 0.
+    text = f"builder hopf d=3\neps x0=2 x1=1 x2=1\nrho trivial 1\nanalyze {analysis}\n"
+    report, code = run_job(parse_job(text), mode="compute")
+    assert code == EXIT_INPUT_ERROR == 2
+    assert report.splitlines()[-1] == f"input error: {analysis}: eps does not come from positive meridian weights"
 
 
 def test_run_corpus_over_samples():

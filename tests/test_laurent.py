@@ -589,49 +589,59 @@ def test_smith_form_matches_the_certified_one(n):
 @pytest.mark.parametrize("n", [1, 6])
 def test_each_path_of_the_smith_form_gives_the_certified_divisors(monkeypatch, n):
     # No entry of the first matrix is a unit, but t + 1 mod t - 1 = 2
-    # enters the corner mid-elimination and clears it as a unit.  A block
-    # of one row or one column ends in gcd_many.  A permuted diagonal out of
-    # divisibility order is left as it is by the clearing, so only the
-    # divisibility pass, which adds row j to row i, orders it.  Each matrix
-    # is also drawn with its rows and columns scaled by seeded units c t^k,
-    # which keep every span and zero, so every pivot and path.
+    # enters the corner mid-elimination, its column is scaled so that it
+    # becomes 1, and the rows below clear against a pivot row whose corner
+    # is 1.  A block of one row or one column ends in gcd_many.  A permuted
+    # diagonal out of divisibility order is left as it is by the clearing,
+    # so only the divisibility pass orders it, handing a pair where d does
+    # not divide e to laurent_gcd; in the last matrix every pair of the
+    # three entries shares a factor.  Each matrix is also drawn with its
+    # rows and columns scaled by seeded units c t^k, which keep every span
+    # and zero, so every pivot and path.
     ctx = FieldContext(n)
     rng = random.Random(f"smith-paths-{n}")
     t = LaurentPoly.t_power(ctx, 1)
     one, zero, z = LaurentPoly.one(ctx), LaurentPoly.zero(ctx), ctx.zeta(1)
-    units, gcds, repairs = [], [], []
-    is_unit, gcd, add_multiple = LaurentPoly.is_unit, laurent.gcd_many, laurent._add_multiple
-
-    def recorded_is_unit(p):
-        units.append(is_unit(p))
-        return units[-1]
+    unit_corners, gcds, replaced = [], [], []
+    gcd, pair_gcd, add_multiple = laurent.gcd_many, laurent.laurent_gcd, laurent._add_multiple
 
     def counted_gcd(polys):
         gcds.append(len(polys))
         return gcd(polys)
 
-    def recorded_add_multiple(context, row, factor, src, col=None, value=None):
-        repairs.append(col is None and factor.is_one())
+    def recorded_pair_gcd(d, e):
+        replaced.append(not d.divides(e))
+        return pair_gcd(d, e)
+
+    def recorded_add_multiple(context, row, factor, src, col, value):
+        unit_corners.append(src[col].is_one())
         return add_multiple(context, row, factor, src, col, value)
 
-    monkeypatch.setattr(LaurentPoly, "is_unit", recorded_is_unit)
     monkeypatch.setattr(laurent, "gcd_many", counted_gcd)
+    monkeypatch.setattr(laurent, "laurent_gcd", recorded_pair_gcd)
     monkeypatch.setattr(laurent, "_add_multiple", recorded_add_multiple)
+    w = t - 2 * z
     cases = [
-        ([[t - one, t + one], [zero, t**2 - z * t]], units),
+        ([[t - one, t + one], [zero, t**2 - z * t]], unit_corners),
         ([[t**2 - one, zero, (t - z) * (t + one)]], gcds),
         ([[t**2 + t], [t - z], [zero]], gcds),
-        ([[zero, t + one, zero], [(t - one) ** 2, zero, zero], [zero, zero, t - z * one]], repairs),
+        ([[zero, t + one, zero], [(t - one) ** 2, zero, zero], [zero, zero, t - z * one]], replaced),
+        ([[zero, zero, (t - one) * w], [(t - one) * (t + one), zero, zero], [zero, (t + one) * w, zero]], replaced),
     ]
+    assert not any(e.is_unit() for row in cases[0][0] for e in row)
     for entries, path in cases:
         for draw in range(4):
             rows = [_random_unit(rng, ctx) if draw else one for _ in entries]
             cols = [_random_unit(rng, ctx) if draw else one for _ in entries[0]]
             m = LaurentMatrix(ctx, [[r * e * c for e, c in zip(row, cols)] for r, row in zip(rows, entries)])
-            del units[:], gcds[:], repairs[:]
+            del unit_corners[:], gcds[:], replaced[:]
             snf = m.smith_normal_form()
             assert any(path), (entries, draw)
             assert (snf.divisors, snf.rank) == _certified(m)
+    # The last draw of the last matrix: no factor is common to all three
+    # entries, and each pair shares one.
+    lcm = ((t - one) * (t + one) * w).normalize()
+    assert snf.divisors == (one, lcm, lcm)
 
 
 def _mixed_poly(rng, ctx, max_span=4):

@@ -35,7 +35,6 @@ def test_constructors_coerce_into_the_ring():
     z = ctx.zeta(1)
     m = ScalarMatrix(ctx, [[1, z]])
     assert m.entries == ((ctx.one, z),)
-    assert ScalarMatrix.from_rows(ctx, [[1, z]]) == m
     lm = LaurentMatrix(ctx, [[1, z, LaurentPoly.t_power(ctx, 2)]])
     assert isinstance(lm.entries, tuple) and all(isinstance(e, LaurentPoly) for e in lm.entries[0])
     assert lm[0, 1] == LaurentPoly.from_scalar(ctx, z)

@@ -67,8 +67,8 @@ def test_infinity_bound_twisted_two_lines_frozen():
     # gcd(det(-t^2 - 1), det(i t - 1)) = t + i, the only shared root t = -i
     ctx = FieldContext(4)
     z = ctx.zeta(1)
-    m0 = ScalarMatrix.from_rows(ctx, [[-1]])
-    m1 = ScalarMatrix.from_rows(ctx, [[z]])
+    m0 = ScalarMatrix(ctx, [[-1]])
+    m1 = ScalarMatrix(ctx, [[z]])
     bound = infinity_bound(_line_curve(2), [m0, m1])
     t = LaurentPoly.t_power(ctx, 1)
     assert associates(bound, t + LaurentPoly.from_scalar(ctx, z))
@@ -83,8 +83,8 @@ def test_infinity_bound_refuses_a_curve_of_degree_one():
 
 def test_infinity_bound_rejects_noncommuting():
     ctx = FieldContext(1)
-    a = ScalarMatrix.from_rows(ctx, [[1, 1], [0, 1]])
-    b = ScalarMatrix.from_rows(ctx, [[1, 0], [1, 1]])
+    a = ScalarMatrix(ctx, [[1, 1], [0, 1]])
+    b = ScalarMatrix(ctx, [[1, 0], [1, 1]])
     with pytest.raises(ValueError):
         infinity_bound(_line_curve(2), [a, b])
 
@@ -121,7 +121,7 @@ def test_root_field_where_totient_formula_understates():
     # the true degree is phi(8)/phi(2) = 4 while the displayed totient
     # formula phi(lcm(4,2))/phi(2) gives only 2
     ctx = FieldContext(2)
-    report = root_field(ScalarMatrix.from_rows(ctx, [[-1]]), 4)
+    report = root_field(ScalarMatrix(ctx, [[-1]]), 4)
     assert report.exact
     assert report.eigenvalue_orders == (2,)
     assert report.conductor == 8
@@ -129,7 +129,7 @@ def test_root_field_where_totient_formula_understates():
     assert report.formula_degree == 2
     # and the k = d = 3 case: cube roots of zeta_3 are primitive 9th roots
     ctx3 = FieldContext(3)
-    report3 = root_field(ScalarMatrix.from_rows(ctx3, [[ctx3.zeta(1)]]), 3)
+    report3 = root_field(ScalarMatrix(ctx3, [[ctx3.zeta(1)]]), 3)
     assert report3.conductor == 9
     assert report3.degree == 3
     assert report3.formula_degree == 1
@@ -137,7 +137,7 @@ def test_root_field_where_totient_formula_understates():
 
 def test_root_field_symbolic_without_finite_order():
     ctx = FieldContext(1)
-    report = root_field(ScalarMatrix.from_rows(ctx, [[2]]), 3)
+    report = root_field(ScalarMatrix(ctx, [[2]]), 3)
     assert not report.exact
     assert report.conductor is None
 

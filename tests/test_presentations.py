@@ -233,8 +233,8 @@ def test_validate_rejects_bad_rho():
     bad = Representation(
         ctx,
         [
-            ScalarMatrix.from_rows(ctx, [[1, 1], [0, 1]]),
-            ScalarMatrix.from_rows(ctx, [[1, 0], [1, 1]]),
+            ScalarMatrix(ctx, [[1, 1], [0, 1]]),
+            ScalarMatrix(ctx, [[1, 0], [1, 1]]),
         ],
     )
     report = validate(pres, eps, bad)
@@ -249,8 +249,8 @@ def test_validate_flags_singular_matrix_without_crashing():
     singular = Representation(
         ctx,
         [
-            ScalarMatrix.from_rows(ctx, [[0]]),
-            ScalarMatrix.from_rows(ctx, [[1]]),
+            ScalarMatrix(ctx, [[0]]),
+            ScalarMatrix(ctx, [[1]]),
         ],
     )
     report = validate(pres, eps, singular)
@@ -281,10 +281,10 @@ def test_validate_names_the_subject_of_each_failure():
     # generator or relator index it names.  parse_job reads a line off it.
     ctx = FieldContext(1)
     hopf, torus = hopf_presentation(3), torus_germ_presentation(2, 3)
-    one, zero = ScalarMatrix.from_rows(ctx, [[1]]), ScalarMatrix.from_rows(ctx, [[0]])
-    shear_x = ScalarMatrix.from_rows(ctx, [[1, 1], [0, 1]])
-    shear_y = ScalarMatrix.from_rows(ctx, [[1, 0], [1, 1]])
-    eye = ScalarMatrix.from_rows(ctx, [[1, 0], [0, 1]])
+    one, zero = ScalarMatrix(ctx, [[1]]), ScalarMatrix(ctx, [[0]])
+    shear_x = ScalarMatrix(ctx, [[1, 1], [0, 1]])
+    shear_y = ScalarMatrix(ctx, [[1, 0], [1, 1]])
+    eye = ScalarMatrix(ctx, [[1, 0], [0, 1]])
     cases = [
         (hopf, [1, 1, 1], [one, zero, zero], [("singular", 1), ("singular", 2)]),
         (hopf, [1, 1, 1], [eye, shear_x, shear_y], []),

@@ -182,17 +182,17 @@ def test_scalar_parse_rejects_garbage():
 def test_scalar_matrix_inverse_and_det():
     ctx = FieldContext(4)
     z = ctx.zeta(1)
-    m = ScalarMatrix.from_rows(ctx, [[1, z], [0, 2]])
+    m = ScalarMatrix(ctx, [[1, z], [0, 2]])
     inv = m.inverse()
     assert (m * inv).is_identity()
     assert m.det() == ctx.from_rational(2)
-    singular = ScalarMatrix.from_rows(ctx, [[1, 1], [1, 1]])
+    singular = ScalarMatrix(ctx, [[1, 1], [1, 1]])
     assert singular.det().is_zero()
 
 
 def test_scalar_matrix_rank():
     ctx = FieldContext(1)
-    m = ScalarMatrix.from_rows(ctx, [[1, 2, 3], [2, 4, 6], [0, 1, 0]])
+    m = ScalarMatrix(ctx, [[1, 2, 3], [2, 4, 6], [0, 1, 0]])
     assert m.rank() == 2
 
 
