@@ -532,6 +532,60 @@ def test_builder_parameter_errors_name_their_line_once(builder, message):
     assert err.value.message == message
 
 
+# Every way a builder, local or singularity line can name its family or
+# give its parameters wrongly, and the full message.  A builder line is
+# line 1 of its job; a local or singularity line is line 4, after a
+# builder, a rho and a component line.
+PARAMETER_ERRORS = [
+    ("builder", "builder line needs a name; available: a_odd, a_odd_reduced, circle, cusp, hopf, torus, union"),
+    ("builder bogus", "unknown builder 'bogus'; available: a_odd, a_odd_reduced, circle, cusp, hopf, torus, union"),
+    ("builder bogus zz=1", "builder bogus: unknown key 'zz' (allowed: d, factors, n, p, q)"),
+    ("builder hopf zz=2", "builder hopf: unknown key 'zz' (allowed: d, factors, n, p, q)"),
+    ("builder hopf p=2", "builder hopf: unexpected parameters p"),
+    ("builder cusp d=1", "builder cusp: unexpected parameters d"),
+    ("builder hopf d", "builder hopf: expected key=value, got 'd'"),
+    ("builder hopf d=2 d=3", "builder hopf: repeated key 'd'"),
+    ("builder hopf", "builder hopf needs d=<int>"),
+    ("builder hopf d=x", "builder hopf: d must be an integer, got 'x'"),
+    ("builder torus p=2", "builder torus needs q=<int>"),
+    ("builder torus p=2 q=x", "builder torus: q must be an integer, got 'x'"),
+    ("builder union", "builder union needs factors=f1,f2"),
+    ("builder union factors=torus:2", "bad union factor 'torus:2' (torus:p:q, cusp, or line)"),
+    ("builder union factors=bogus,line", "bad union factor 'bogus' (torus:p:q, cusp, or line)"),
+    ("builder union factors=line", "a transversal union needs at least two factors"),
+    ("local", "local line needs a kind; available: a_odd, cusp, node, ordinary, torus"),
+    ("local bogus weights 1", "unknown local kind 'bogus'; available: a_odd, cusp, node, ordinary, torus"),
+    ("local torus x 3 weights 1", "local torus: expected integer parameter, got 'x'"),
+    ("local ordinary x weights 1 1", "local ordinary: expected integer parameter, got 'x'"),
+    ("local torus 2 weights 1", "local torus takes 2 integer parameter(s)"),
+    ("local node 2 weights 1 1", "local node takes 0 integer parameter(s)"),
+    ("local cusp 1 weights 1", "local cusp takes 0 integer parameter(s)"),
+    ("local torus 2 3", "local torus: missing 'weights' section"),
+    ("local torus 2 3 scalars 1, 2", "local torus: missing 'weights' section"),
+    ("local torus 2 3 weights x", "local torus: weights must be integers, got 'x'"),
+    ("singularity", "singularity line needs a kind"),
+    ("singularity bogus components=0", "singularity: unknown singularity kind 'bogus'"),
+    ("singularity torus params=2,3", "singularity line needs components=i,j,..."),
+    ("singularity torus components=0 zz=1", "singularity torus: unknown key 'zz' (allowed: components, params)"),
+    ("singularity torus components=x params=2,3", "singularity torus: components must be integers, got 'x'"),
+    ("singularity torus components=0 params=x,3", "singularity torus: params must be integers, got 'x'"),
+    ("singularity ordinary components=0 params=x", "singularity ordinary: params must be integers, got 'x'"),
+    ("singularity torus components=0 params=2", "singularity torus takes 2 integer parameter(s)"),
+    ("singularity torus components=1 params=2,3", "singularity references component 1, but only 1 declared"),
+]
+
+
+@pytest.mark.parametrize("line,message", PARAMETER_ERRORS)
+def test_every_parameter_error_names_its_line_and_reason(line, message):
+    if line.startswith("builder"):
+        text, lineno = f"{line}\nrho trivial 1\n", 1
+    else:
+        text, lineno = f"builder cusp\nrho trivial 1\ncomponent degree=1 weight=1\n{line}\n", 4
+    with pytest.raises(JobParseError) as err:
+        parse_job(text)
+    assert (err.value.line, err.value.message) == (lineno, message)
+
+
 def test_python_dash_m_runs_the_cli():
     # python -m twistalex is the console script: same report, same exit.
     circle = ROOT / "sample_jobs" / "circle.job"
