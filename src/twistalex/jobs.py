@@ -4,7 +4,7 @@ A job file fixes one twisted triple and a list of analyses, one keyword-led
 line each.  Blank lines and lines starting with ``#`` are ignored.
 
     field rational | field cyclotomic <n>
-    builder <name> [key=value ...]
+    builder <name> [key=value ...]        (the keys of that builder)
     generators <name> ...                 (inline alternative to builder; names are identifiers)
     relator <word>                        (inline only; repeatable; 1 is the empty word)
     eps <gen>=<int> ...                   (defaults to the builder's weights)
@@ -12,12 +12,14 @@ line each.  Blank lines and lines starting with ``#`` are ignored.
     rho trivial <dim>                     (identity matrices everywhere)
     analyze <keyword> ...                 (delta wada divisibility root-field alpha)
     specialize <scalar>[, <scalar> ...]
-    local <kind> [<int> ...] weights <int> ... [scalars <scalar>[, ...]]
+    local <kind> [<param> ...] weights <int> ... [scalars <scalar>[, ...]]
     component degree=<d> weight=<n> [euler=<int>] [meridian=<scalar or matrix>]
-    singularity <kind> components=<i,j,...> [params=<p,q,...>]
+    singularity <kind> components=<i,j,...> [params=<param>,...]
 
 Scalars use the field grammar (``1/2 + 3*z^2 - z^5`` with z the declared
-root of unity); words use the generator grammar (``x0 x1^-1``).
+root of unity); words use the generator grammar (``x0 x1^-1``).  A family's
+parameters, by key or in key order, are read by the types of its keys
+(_parameters): integers, and union's factor list ``torus:p:q,cusp,line``.
 ``parse_job``/``serialize_job`` round-trip, and ``run_job`` output is
 byte-identical across runs of the same job.
 
@@ -40,8 +42,8 @@ from .presentations import (
     Presentation,
     Representation,
     Word,
+    _FACTORS,
     _FAMILIES,
-    _union_factors,
     random_word,
     transversal_union_augmentation,
     transversal_union_presentation,
@@ -261,12 +263,11 @@ def _check_span(relator: Word, eps_values, what: str, lineno: int):
         raise JobParseError(lineno, f"{what} spans {span} powers of t under eps; the limit is {MAX_DEGREE_SPAN}")
 
 
-def _bounded_build(what: str, integers, letters, build, lineno: int, prefix: str = ""):
-    """build() of a builder or local germ, once its integer parameters sum to
-    at most MAX_LETTERS (no family has fewer letters than that sum) and its
-    relator letters, if known before the build, are within the limit.  A
-    ValueError of the build is refused at lineno, after prefix."""
-    total = sum(abs(v) for v in integers)
+def _bounded_build(what: str, total: int, letters, build, lineno: int, prefix: str = ""):
+    """build() of a builder or local germ, once the sizes of its parameters
+    sum to a total of at most MAX_LETTERS (no family has fewer letters than
+    that sum) and its relator letters, if known before the build, are within
+    the limit.  A ValueError of the build is refused at lineno, after prefix."""
     if total > MAX_LETTERS:
         raise JobParseError(lineno, f"{what}: the parameters sum to {total}; the limit is {MAX_LETTERS}")
     if letters is not None:
@@ -277,16 +278,15 @@ def _bounded_build(what: str, integers, letters, build, lineno: int, prefix: str
         raise JobParseError(lineno, prefix + str(exc))
 
 
-# The builders: the presentation families (presentations._FAMILIES), built
-# at unit weights, plus union, whose factors are not integers (see
-# presentations._union_factors).  A union has at most 14 generators, and its
-# letters are counted after its build (None).  The last field, the step, is
-# None (as in every shipped builder) or a function from the validated
-# 2-complex to the job's complex, with or without its triple (_job_complex).
+# The builders: the families of presentations._FAMILIES at unit weights,
+# plus union, whose one key is a factor list; a union has at most 14
+# generators, and its letters are counted after its build (None).  The last
+# field, the step, is None (in every shipped builder) or a function from the
+# validated 2-complex to the job's complex, with or without its triple.
 _BUILDERS = {
     **{name: (*entry, None) for name, entry in _FAMILIES.items()},
     "union": (
-        ("factors",),
+        (("factors", _FACTORS),),
         "factors=f1,f2   transversal union; factor = torus:p:q | cusp | line",
         lambda factors: (
             transversal_union_presentation(factors),
@@ -314,40 +314,47 @@ def _is_job_triple(source, job, germ) -> bool:
     return stepless and pres == germ_pres and eps == germ_eps and rho.matrices == germ_rho.matrices
 
 
-def _builder_value(name: str, key: str, params: dict, lineno: int):
-    """One builder parameter as (value, canonical text, its integers): an
-    integer, or union's list of factors."""
-    if key not in params:
-        raise JobParseError(lineno, f"builder {name} needs {key}={'f1,f2' if key == 'factors' else '<int>'}")
-    text = params[key]
-    if key == "factors":
+def _parameters(keys, given: dict, what: str, lineno: int):
+    """(values in key order, canonical texts, total size) of the parameter
+    texts given by key, read by the types of the (key, type) keys; a key not
+    given, or a text its type refuses, is refused at lineno."""
+    values, texts, total = [], [], 0
+    for key, (placeholder, parse, canonical, size) in keys:
+        if key not in given:
+            raise JobParseError(lineno, f"{what} needs {key}={placeholder}")
         try:
-            factors = _union_factors(text)
+            value = parse(given[key], f"{what}: {key}")
         except ValueError as exc:
             raise JobParseError(lineno, str(exc))
-        return factors, ",".join(":".join(map(str, f)) for f in factors), [x for f in factors for x in f[1:]]
-    value = _integer(text, lineno, f"builder {name}: {key} must be an integer")
-    return value, str(value), [value]
+        values.append(value)
+        texts.append(canonical(value))
+        total += size(value)
+    return values, texts, total
 
 
 def _resolve_builder(name: str, params: dict, lineno: int):
     """Return (presentation, default augmentation, canonical params).  The
     parameters and the relator letters they ask for are bounded before the
     build."""
-    if name not in _BUILDERS:
-        raise JobParseError(lineno, f"unknown builder {name!r}; available: {', '.join(sorted(_BUILDERS))}")
     keys, _, build, letters, _ = _BUILDERS[name]
-    extra = set(params) - set(keys)
-    if extra:
-        raise JobParseError(lineno, f"builder {name}: unexpected parameters {', '.join(sorted(extra))}")
-    parsed = [_builder_value(name, key, params, lineno) for key in keys]
-    values = [value for value, _, _ in parsed]
-    integers = [x for _, _, xs in parsed for x in xs]
+    values, texts, total = _parameters(keys, params, f"builder {name}", lineno)
     count = None if letters is None else letters(*values)
-    pres, eps = _bounded_build(f"builder {name}", integers, count, lambda: build(*values), lineno)
+    pres, eps = _bounded_build(f"builder {name}", total, count, lambda: build(*values), lineno)
     if letters is None:
         _check_letters(sum(len(r) for r in pres.relators), lineno)
-    return pres, eps, tuple((key, text) for key, (_, text, _) in zip(keys, parsed))
+    return pres, eps, tuple(zip((key for key, _ in keys), texts))
+
+
+def _germ_parameters(kind: str, texts, what: str, lineno: int):
+    """(family entry, family parameters, given parameters, total size) of a
+    local or singularity line (what) of a local kind and its parameter
+    texts, whose kind and count are checked before a text is read."""
+    try:
+        entry, keys, fixed = _germ_family(kind, len(texts), what)
+    except ValueError as exc:
+        raise JobParseError(lineno, str(exc))
+    values, _, total = _parameters(keys, dict(zip((key for key, _ in keys), texts)), f"{what} {kind}", lineno)
+    return entry, fixed or tuple(values), tuple(values), total
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +431,7 @@ def _parse_kv(tokens, lineno, allowed, what):
             raise JobParseError(lineno, f"{what}: expected key=value, got {tok!r}")
         key, _, val = tok.partition("=")
         if key not in allowed:
-            raise JobParseError(lineno, f"{what}: unknown key {key!r} (allowed: {', '.join(sorted(allowed))})")
+            raise JobParseError(lineno, f"{what}: unknown key {key!r} (allowed: {', '.join(sorted(allowed)) or 'none'})")
         if key in out:
             raise JobParseError(lineno, f"{what}: repeated key {key!r}")
         out[key] = val
@@ -477,12 +484,12 @@ def parse_job(text: str) -> JobSpec:
         elif keyword == "builder":
             if builder_line is not None or inline_line is not None:
                 raise JobParseError(lineno, "only one builder/generators line per job")
-            if not rest:
-                raise JobParseError(lineno, f"builder line needs a name; available: {', '.join(sorted(_BUILDERS))}")
+            if not rest or rest[0] not in _BUILDERS:
+                what = f"unknown builder {rest[0]!r}" if rest else "builder line needs a name"
+                raise JobParseError(lineno, f"{what}; available: {', '.join(sorted(_BUILDERS))}")
             builder_line = lineno
             builder_name = rest[0]
-            allowed = {key for keys, *_ in _BUILDERS.values() for key in keys}
-            builder_params = _parse_kv(rest[1:], lineno, allowed, f"builder {builder_name}")
+            builder_params = _parse_kv(rest[1:], lineno, dict(_BUILDERS[builder_name][0]), f"builder {builder_name}")
         elif keyword == "generators":
             if builder_line is not None or inline_line is not None:
                 raise JobParseError(lineno, "only one builder/generators line per job")
@@ -540,13 +547,13 @@ def parse_job(text: str) -> JobSpec:
             if not body:
                 raise JobParseError(lineno, "specialize line needs at least one value")
             specialize_texts = [p.strip() for p in _split_top_level(body)]
-        elif keyword == "local":
-            local_lines.append((lineno, rest))
+        elif keyword in ("local", "singularity"):
+            if not rest:
+                raise JobParseError(lineno, f"{keyword} line needs a kind; available: {', '.join(sorted(_LOCAL_KINDS))}")
+            (local_lines if keyword == "local" else singularity_lines).append((lineno, rest))
         elif keyword == "component":
             kv = _parse_kv(rest, lineno, {"degree", "weight", "euler", "meridian"}, "component")
             component_lines.append((lineno, kv))
-        elif keyword == "singularity":
-            singularity_lines.append((lineno, rest))
         else:
             raise JobParseError(
                 lineno,
@@ -658,40 +665,25 @@ def parse_job(text: str) -> JobSpec:
     # local lines: each germ is built, measured and validated here
     local_requests = []
     complexes = {}  # the table of JobSpec.chain_complex
-    for lineno, tokens in local_lines:
-        if not tokens or tokens[0] not in _LOCAL_KINDS:
-            what = f"unknown local kind {tokens[0]!r}" if tokens else "local line needs a kind"
-            raise JobParseError(lineno, f"{what}; available: {', '.join(sorted(_LOCAL_KINDS))}")
-        kind = tokens[0]
-        rest = tokens[1:]
-        params = []
-        i = 0
-        while i < len(rest) and rest[i] not in ("weights", "scalars"):
-            params.append(_integer(rest[i], lineno, f"local {kind}: expected integer parameter"))
-            i += 1
-        try:
-            (_, _, _, letters), family_params = _germ_family(kind, params)
-        except ValueError as exc:
-            raise JobParseError(lineno, str(exc))
+    for lineno, (kind, *rest) in local_lines:
+        i = next((j for j, token in enumerate(rest) if token in ("weights", "scalars")), len(rest))
+        (_, _, _, letters), family_params, params, total = _germ_parameters(kind, rest[:i], "local", lineno)
         if i >= len(rest) or rest[i] != "weights":
             raise JobParseError(lineno, f"local {kind}: missing 'weights' section")
-        i += 1
-        weights = []
-        while i < len(rest) and rest[i] != "scalars":
-            weights.append(_integer(rest[i], lineno, f"local {kind}: weights must be integers"))
-            i += 1
+        j = rest.index("scalars") if "scalars" in rest else len(rest)
+        weights = [_integer(w, lineno, f"local {kind}: weights must be integers") for w in rest[i + 1 : j]]
 
         def germ():
             scalars = None
-            if i < len(rest):
-                scalar_text = " ".join(rest[i + 1 :])
+            if j < len(rest):
+                scalar_text = " ".join(rest[j + 1 :])
                 if not scalar_text:
                     raise ValueError("scalars section is empty")
                 scalars = [parse_scalar(text, context) for text in _split_top_level(scalar_text)]
             return scalars, _local_germ(context, kind, params, weights, scalars)
 
         scalars, triple = _bounded_build(
-            f"local {kind}", params, letters(*family_params), germ, lineno, f"local {kind}: "
+            f"local {kind}", total, letters(*family_params), germ, lineno, f"local {kind}: "
         )
         for relator in triple[0].relators:
             _check_span(relator, triple[1].values, f"local {kind}", lineno)
@@ -709,7 +701,7 @@ def parse_job(text: str) -> JobSpec:
         except InternalInvariantError:
             pass
         scalar_texts = None if scalars is None else tuple(str(v) for v in scalars)
-        local_requests.append((kind, tuple(params), tuple(weights), scalar_texts))
+        local_requests.append((kind, params, tuple(weights), scalar_texts))
 
     # component lines
     components = []
@@ -736,31 +728,16 @@ def parse_job(text: str) -> JobSpec:
 
     # singularity lines
     singularities = []
-    for lineno, tokens in singularity_lines:
-        if not tokens:
-            raise JobParseError(lineno, "singularity line needs a kind")
-        kind = tokens[0]
-        kv = _parse_kv(tokens[1:], lineno, {"components", "params"}, f"singularity {kind}")
+    for lineno, (kind, *rest) in singularity_lines:
+        what = f"singularity {kind}"
+        kv = _parse_kv(rest, lineno, {"components", "params"}, what)
         if "components" not in kv:
             raise JobParseError(lineno, "singularity line needs components=i,j,...")
-        what = f"singularity {kind}"
-
-        def integers(key):
-            return tuple(_integer(x, lineno, f"{what}: {key} must be integers") for x in kv[key].split(","))
-
-        comps_idx = integers("components")
-        params = integers("params") if "params" in kv else ()
-        try:
-            Singularity(kind, comps_idx, params)  # as JobSpec.curve will
-        except ValueError as exc:
-            raise JobParseError(lineno, f"singularity: {exc}")
-        # The parameters follow the rules of a local line of the same kind:
-        # the count of _germ_family, then the budget and bounds of its family.
-        try:
-            (_, _, build, letters), family_params = _germ_family(kind, params, "singularity")
-        except ValueError as exc:
-            raise JobParseError(lineno, str(exc))
-        _bounded_build(what, params, letters(*family_params), lambda: build(*family_params), lineno, f"{what}: ")
+        comps_idx = tuple(_integer(x, lineno, f"{what}: components must be integers") for x in kv["components"].split(","))
+        # The rules of a local line of the kind: count, budget, family bounds.
+        texts = kv["params"].split(",") if "params" in kv else []
+        (_, _, build, letters), family_params, params, total = _germ_parameters(kind, texts, "singularity", lineno)
+        _bounded_build(what, total, letters(*family_params), lambda: build(*family_params), lineno, f"{what}: ")
         for c in comps_idx:
             if not 0 <= c < len(components):
                 raise JobParseError(lineno, f"singularity references component {c}, but only {len(components)} declared")

@@ -112,25 +112,26 @@ _LOCAL_KINDS = {
 }
 
 
-def _germ_family(kind: str, params, what: str = "local"):
-    """(family entry, family parameters) of a local kind: the parameters the
-    kind fixes, or the given ones when they are as many as the family's
-    keys.  An unknown kind or another parameter count raises ValueError,
-    whose text names the kind after what (a local or a singularity line)."""
+def _germ_family(kind: str, count: int, what: str):
+    """(family entry, keys a line gives, parameters it fixes) of a local
+    kind: the family's keys and None, or no keys and the fixed parameters.
+    An unknown kind, or a count of parameters other than the keys', raises
+    ValueError naming the kind after what (a local or a singularity line)."""
     if kind not in _LOCAL_KINDS:
-        raise ValueError(f"unsupported singularity kind {kind!r}")
+        raise ValueError(f"unknown {what} kind {kind!r}; available: {', '.join(sorted(_LOCAL_KINDS))}")
     family, fixed, _ = _LOCAL_KINDS[kind]
-    count = len(_FAMILIES[family][0]) if fixed is None else 0
-    if len(params) != count:
-        raise ValueError(f"{what} {kind} takes {count} integer parameter(s)")
-    return _FAMILIES[family], (tuple(params) if fixed is None else fixed)
+    keys = _FAMILIES[family][0] if fixed is None else ()
+    if count != len(keys):
+        raise ValueError(f"{what} {kind} takes {len(keys)} integer parameter(s)")
+    return _FAMILIES[family], keys, fixed
 
 
 def _local_germ(context: FieldContext, kind: str, params, weights, scalars=None):
     """The germ triple of a local kind, built by its family at the branch
     weights; a kind, parameter count or germ the tables do not accept raises
     ValueError."""
-    (_, _, build, _), params = _germ_family(kind, params)
+    (_, _, build, _), _, fixed = _germ_family(kind, len(params), "local")
+    params = fixed or tuple(params)
     values = None if scalars is None else [context.from_rational(s) for s in scalars]
     rank_one = _LOCAL_KINDS[kind][2](context, params, weights, values)
     pres, eps = build(*params, weights=weights)

@@ -539,33 +539,47 @@ def braid_cusp_presentation() -> Presentation:
     return Presentation(["x", "y"], [relator])
 
 
-# Each presentation family: its parameter keys, its line in ``twistalex
-# builders``, the function from its parameters, in key order, and its
-# meridian weights (one per branch; unit weights when omitted) to the
-# presentation and its eps, and the number of relator letters as a function
-# of the same parameters, which a job bounds before anything is built.  Job
-# builders, union factors and local germs are all built from this table.
+def _integer_parameter(text: str, name: str) -> int:
+    """An integer parameter from its job text, read for name (line and key)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {text!r}") from None
+
+
+# A parameter type: the placeholder of a value in "needs key=...", the
+# parser (job text, name) -> value, which raises ValueError in the job's
+# words, a value's canonical text, and its size, which the letter budget sums.
+_INTEGER = ("<int>", _integer_parameter, str, abs)
+
+# Each presentation family: its parameter keys, each with its type, its
+# line in ``twistalex builders``, the function from its parameters, in key
+# order, and its meridian weights (one per branch; unit weights when
+# omitted) to the presentation and its eps, and the number of relator
+# letters as a function of the same parameters, which a job bounds before
+# anything is built.  Job builders, union factors and local germs are all
+# built from this table.
 _FAMILIES = {
     "hopf": (
-        ("d",),
+        (("d", _INTEGER),),
         "d=<int>         generalized Hopf link group on x0..x(d-1), x0 central",
         lambda d, weights=None: (hopf_presentation(d), hopf_augmentation([1] * d if weights is None else weights)),
         lambda d: 4 * (d - 1),
     ),
     "a_odd": (
-        ("n",),
+        (("n", _INTEGER),),
         "n=<int>         A_(2n-1) germ group, full 2n+1 relator presentation",
         lambda n, weights=(1, 1): (a_odd_presentation(n), a_odd_augmentation(n, *weights)),
         lambda n: 8 * n + 3,
     ),
     "a_odd_reduced": (
-        ("n",),
+        (("n", _INTEGER),),
         "n=<int>         A_(2n-1) germ group without its redundant relator",
         lambda n, weights=(1, 1): (a_odd_reduced_presentation(n), a_odd_augmentation(n, *weights)),
         lambda n: 8 * n - 1,
     ),
     "torus": (
-        ("p", "q"),
+        (("p", _INTEGER), ("q", _INTEGER)),
         "p=<int> q=<int>  irreducible germ <x, y | x^p = y^q>",
         lambda p, q, weights=(1,): (torus_germ_presentation(p, q), torus_germ_augmentation(p, q, *weights)),
         lambda p, q: p + q,
@@ -607,6 +621,14 @@ def _union_factors(factors):
     if len(parsed) < 2:
         raise ValueError("a transversal union needs at least two factors")
     return parsed
+
+
+_FACTORS = (  # the factor-list type of union's factors
+    "f1,f2",
+    lambda text, _: _union_factors(text),  # whose messages name the factor
+    lambda factors: ",".join(":".join(map(str, f)) for f in factors),
+    lambda factors: sum(abs(x) for f in factors for x in f[1:]),
+)
 
 
 def _union_factor(factor, weight: int) -> tuple[Presentation, Augmentation]:
