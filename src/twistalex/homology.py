@@ -16,7 +16,8 @@ with d1 assembled from the blocks Phi(x_i) - Id and d2 from the Fox
 derivative blocks Phi(d r_j / d x_i).  The blocks of one relator come from
 a single left-to-right pass over its letters (PhiMap.fox_row), which
 carries Phi(prefix) as a t-exponent and a scalar matrix, so a relator of
-length L costs L scalar r x r products.  The symbolic Fox derivative that
+length L costs at most L scalar r x r products, and a run x^k of one letter
+at most the order of rho(x) of them.  The symbolic Fox derivative that
 checks this pass is a test oracle (tests/oracles.py), outside the package.
 The pass ends on rho(r), the relator's verdict, so validate runs it and
 keeps its blocks, and build_complex writes d2 from the report: the letters

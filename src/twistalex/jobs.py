@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import random
 
-from .scalars import FieldContext, ScalarMatrix, parse_scalar
+from .scalars import FieldContext, ScalarMatrix, _digits, _numeral, parse_scalar
 from .presentations import (
     Augmentation,
     InvalidTripleError,
@@ -83,7 +83,7 @@ EXIT_INVARIANT = 3
 # text cannot ask for an unbounded allocation.  Every sample, benchmark and
 # test job is far below them.
 MAX_CONDUCTOR = 1000  # field cyclotomic <n>: an n x phi(n) power table
-MAX_EPS = 10_000  # |eps(x)| per generator
+MAX_EPS = 10_000  # |eps(x)| per generator; |weight| and |euler| of a component
 MAX_LETTERS = 20_000  # relator letters of a job, powers expanded
 MAX_DEGREE_SPAN = 20_000  # sum of |eps| over the letters of one relator,
 #                           which bounds the t-span of its Fox blocks
@@ -236,23 +236,23 @@ def _letter_count(text: str) -> int:
     for token in text.split():
         _, _, exp = token.partition("^")
         try:
-            count += abs(int(exp)) if exp else 1
+            count += abs(_numeral(exp)) if exp else 1
         except ValueError:
             count += 1
     return count
 
 
 def _integer(text: str, lineno: int, what: str) -> int:
-    """int(text), or a JobParseError at lineno: '<what>, got <text>'."""
+    """_numeral(text), or a JobParseError at lineno: '<what>, got <text>'."""
     try:
-        return int(text)
+        return _numeral(text)
     except ValueError:
         raise JobParseError(lineno, f"{what}, got {text!r}")
 
 
 def _check_letters(count: int, lineno: int):
     if count > MAX_LETTERS:
-        raise JobParseError(lineno, f"the relators have {count} letters; the limit is {MAX_LETTERS}")
+        raise JobParseError(lineno, f"the relators have {_digits(count)} letters; the limit is {MAX_LETTERS}")
 
 
 def _check_span(relator: Word, eps_values, what: str, lineno: int):
@@ -260,7 +260,7 @@ def _check_span(relator: Word, eps_values, what: str, lineno: int):
     its letters."""
     span = sum(abs(eps_values[g]) for g, _ in relator.letters)
     if span > MAX_DEGREE_SPAN:
-        raise JobParseError(lineno, f"{what} spans {span} powers of t under eps; the limit is {MAX_DEGREE_SPAN}")
+        raise JobParseError(lineno, f"{what} spans {_digits(span)} powers of t under eps; the limit is {MAX_DEGREE_SPAN}")
 
 
 def _bounded_build(what: str, total: int, letters, build, lineno: int, prefix: str = ""):
@@ -269,7 +269,7 @@ def _bounded_build(what: str, total: int, letters, build, lineno: int, prefix: s
     that sum) and its relator letters, if known before the build, are within
     the limit.  A ValueError of the build is refused at lineno, after prefix."""
     if total > MAX_LETTERS:
-        raise JobParseError(lineno, f"{what}: the parameters sum to {total}; the limit is {MAX_LETTERS}")
+        raise JobParseError(lineno, f"{what}: the parameters sum to {_digits(total)}; the limit is {MAX_LETTERS}")
     if letters is not None:
         _check_letters(letters, lineno)
     try:
@@ -711,6 +711,8 @@ def parse_job(text: str) -> JobSpec:
         degree = _integer(kv["degree"], lineno, "component: degree must be an integer")
         weight = _integer(kv["weight"], lineno, "component: weight must be an integer")
         euler = _integer(kv["euler"], lineno, "component: euler must be an integer") if "euler" in kv else None
+        if max(abs(weight), abs(euler or 0)) > MAX_EPS:  # t-exponents of the curve analyses
+            raise JobParseError(lineno, f"component: weight and euler must be at most {MAX_EPS} in size")
         try:
             CurveComponent(degree, weight, euler=euler)  # as JobSpec.curve will
         except ValueError as exc:

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import cycle
 
-from .scalars import FieldContext, ScalarMatrix
+from .scalars import FieldContext, ScalarMatrix, _numeral
 from .laurent import LaurentMatrix
 
 __all__ = [
@@ -79,7 +80,7 @@ class Word:
             if "^" in token:
                 name, _, exp_s = token.partition("^")
                 try:
-                    exp = int(exp_s)
+                    exp = _numeral(exp_s)
                 except ValueError:
                     raise ValueError(f"bad exponent in {token!r}") from None
             else:
@@ -271,7 +272,8 @@ class PhiMap:
     Inside, Phi of a word is carried as the pair (e, rows), rows the integer
     row form of FieldContext._matrix_product, and a group-ring element as
     the map {e: rows} of its sum of t^e * rows; a LaurentMatrix is built
-    only for what the public methods return."""
+    only for what the public methods return.  A run of one letter of finite
+    order reads its repeated prefixes back (_fox_pass)."""
 
     __slots__ = ("context", "dimension", "eps", "rho")
 
@@ -314,24 +316,36 @@ class PhiMap:
         So a letter x_g adds +Phi(prefix), and a letter x_g^-1 first
         advances the prefix and then adds -Phi(prefix x_g^-1).  Each
         derivative collects its scalar matrices by exponent, so a letter
-        costs one r x r row-form product and one signed sum, and builds no
-        field element.  Rows that cancel stay in the map as zero rows."""
+        costs one signed sum and builds no field element; cancelled rows stay
+        as zeros.  A run of one letter keeps its prefixes P A^k, A =
+        rho(x_g)^+-1, from its second letter on; the row form is canonical, so
+        once P A^m is P the run reads P A^j back: at most ord(A) products."""
         ctx = self.context
         product, add, table = ctx._matrix_product, ctx._matrix_sum, self.rho._letter_rows()
         values = self.eps.values
         e = 0
         prefix = self.rho._identity
         sums: list[dict] = [{} for _ in values]
+        last = None
         for letter in word.letters:
             g, s = letter
+            before = prefix
+            if letter != last:
+                last, first, run, kept = letter, prefix, None, None
+                prefix = product(prefix, table[letter])
+            elif kept:
+                prefix = next(kept)
+            else:
+                run = run or []
+                run.append(prefix)
+                kept = cycle(run) if prefix == first else None
+                prefix = next(kept) if kept else product(prefix, table[letter])
             terms = sums[g]
             if s == 1:
                 prev = terms.get(e)
-                terms[e] = prefix if prev is None else add(prev, prefix, 1)
-                prefix = product(prefix, table[letter])
+                terms[e] = before if prev is None else add(prev, before, 1)
                 e += values[g]
             else:
-                prefix = product(prefix, table[letter])
                 e -= values[g]
                 terms[e] = add(terms.get(e), prefix, -1)
         return sums, e, prefix
@@ -542,7 +556,7 @@ def braid_cusp_presentation() -> Presentation:
 def _integer_parameter(text: str, name: str) -> int:
     """An integer parameter from its job text, read for name (line and key)."""
     try:
-        return int(text)
+        return _numeral(text)
     except ValueError:
         raise ValueError(f"{name} must be an integer, got {text!r}") from None
 
@@ -615,7 +629,7 @@ def _union_factors(factors):
         try:
             if kind not in _UNION_FAMILIES or len(params) != len(_FAMILIES[_UNION_FAMILIES[kind]][0]):
                 raise ValueError
-            parsed.append((kind, *map(int, params)))
+            parsed.append((kind, *(_numeral(str(x)) for x in params)))
         except ValueError:
             raise ValueError(f"bad union factor {':'.join(map(str, f))!r} (torus:p:q, cusp, or line)") from None
     if len(parsed) < 2:

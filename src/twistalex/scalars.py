@@ -289,8 +289,8 @@ class FieldContext:
     # Square matrices over the field as integer rows: a pair (entries, den)
     # with entries[i][j] the power-basis row of den times the (i, j) entry,
     # den > 0 and, unless it is 1, prime to the content of the entries.  The
-    # Fox pass runs one product per letter on this form (ScalarMatrix._rows
-    # and _from_rows convert).
+    # Fox pass runs its products on this form and compares prefixes in it,
+    # which is canonical (ScalarMatrix._rows and _from_rows convert).
 
     def _matrix_product(self, a, b):
         """The (entries, den) of a * b: each entry is one convolution summed
@@ -627,12 +627,20 @@ def embed(value: CycloNumber, target: FieldContext) -> CycloNumber:
 # A sign right after ^, e or E belongs to its factor (z^-1, 1e-5).
 _SIGN = re.compile(r"(?<![\^eE])[+-]")
 # The exponent of a factor in exponent notation, which Fraction expands.
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9]+)\Z")
 # Python's default limit on the digits of an int printed as text.  A parsed
 # scalar must print, so no numerator or denominator may pass it, and no
 # factor's exponent either: 1e9999999999 would cost 10^(10^10).
 _MAX_DIGITS = 4300
 _DIGITS_BOUND = 10**_MAX_DIGITS
+
+
+def _numeral(text: str, kind=int):
+    """kind(text), kind int or Fraction, for ASCII text without '_': int()
+    and Fraction() alone also take digit groups (1_0) and non-ASCII digits."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII number: {text!r}")
+    return kind(text)
 
 
 def _too_many_digits(text: str) -> ValueError:
@@ -682,7 +690,7 @@ def parse_scalar(text: str, context: FieldContext) -> CycloNumber:
                     zpow = 1
                 elif f.startswith("z^"):
                     try:
-                        zpow = int(f[2:])
+                        zpow = _numeral(f[2:])
                     except ValueError:
                         raise ValueError(f"cannot parse scalar factor {f!r}")
                 else:
@@ -692,7 +700,7 @@ def parse_scalar(text: str, context: FieldContext) -> CycloNumber:
                 if exponent and (len(exponent[1]) > _MAX_DIGITS or abs(int(exponent[1])) > _MAX_DIGITS):
                     raise ValueError(f"scalar factor {f!r} has an exponent past {_MAX_DIGITS}")
                 try:
-                    value = int(f) if f.isascii() and f.isdigit() else Fraction(f)
+                    value = _numeral(f, int if f.isdigit() else Fraction)
                 except (ValueError, ZeroDivisionError):
                     raise ValueError(f"cannot parse scalar factor {f!r}")
                 num, den = num * value.numerator, den * value.denominator
@@ -991,7 +999,7 @@ class ScalarMatrix(Matrix):
         """The (entries, den) row form of this matrix (FieldContext
         ._matrix_product), den the lcm of the entry denominators."""
         den = lcm(e.den for row in self.entries for e in row)
-        entries = [[e.nums if e.den == den else [x * (den // e.den) for x in e.nums] for e in row] for row in self.entries]
+        entries = [[list(e.nums) if e.den == den else [x * (den // e.den) for x in e.nums] for e in row] for row in self.entries]
         return entries, den
 
     @classmethod

@@ -21,7 +21,7 @@ from twistalex.presentations import (
     Word,
     random_word,
 )
-from twistalex.scalars import FieldContext
+from twistalex.scalars import FieldContext, ScalarMatrix
 
 GENERATORS = 3
 
@@ -182,6 +182,121 @@ def test_of_word_matches_a_fold_of_scalar_products(conductor, dimension):
     # A word and its inverse: the product is the identity again.
     w = words[-1]
     assert phi.fox_row(w * w.inverse())[1].is_identity()
+
+
+# Runs of one letter of finite order: the pass keeps a run's prefixes P A^k
+# and, once P A^m = P, reads the rest of the run back.  Each case is a letter
+# rho(x0) = A of order m, in a context with a random invertible rho(x1) and
+# rho(x2) = A^-1, so that runs start at the identity and mid-word, next to
+# runs of another letter of the same order.
+
+
+def _scalar(conductor: int, k: int):
+    return FieldContext(conductor).zeta(k)
+
+
+FINITE_ORDER = {  # name: (conductor, rho(x0), its order)
+    "one over Q": (1, [[1]], 1),
+    "minus one over Q": (1, [[-1]], 2),
+    "z over Q(zeta_6)": (6, [[_scalar(6, 1)]], 6),
+    "z^2 over Q(zeta_6)": (6, [[_scalar(6, 2)]], 3),
+    "z^3 over Q(zeta_6)": (6, [[_scalar(6, 3)]], 2),
+    "z over Q(zeta_12)": (12, [[_scalar(12, 1)]], 12),
+    "z^4 over Q(zeta_12)": (12, [[_scalar(12, 4)]], 3),
+    "z^9 over Q(zeta_12)": (12, [[_scalar(12, 9)]], 4),
+    "signed 2-cycle": (1, [[0, -1], [1, 0]], 4),
+    "signed 3-cycle": (1, [[0, 0, 1], [-1, 0, 0], [0, 1, 0]], 6),
+    "signed transposition in rank 3": (1, [[0, 1, 0], [1, 0, 0], [0, 0, -1]], 2),
+    "z^3-twisted 2-cycle over Q(zeta_12)": (12, [[0, _scalar(12, 3)], [1, 0]], 8),
+    "companion of Phi_5": (1, [[0, 0, 0, -1], [1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]], 5),
+    "identity of rank 2": (1, [[1, 0], [0, 1]], 1),
+}
+UNIPOTENT = (1, [[1, 1], [0, 1]], None)  # the control: its powers never repeat
+
+
+def _order(a: ScalarMatrix) -> int:
+    power, m = a, 1
+    while not power.is_identity():
+        power, m = power * a, m + 1
+    return m
+
+
+def test_the_finite_order_letters_have_their_stated_orders():
+    for name, (conductor, rows, order) in FINITE_ORDER.items():
+        assert _order(ScalarMatrix(FieldContext(conductor), rows)) == order, name
+
+
+def _run_phi(case, eps_x: int) -> PhiMap:
+    conductor, rows, _ = case
+    ctx = FieldContext(conductor)
+    a = ScalarMatrix(ctx, rows)
+    other = random_invertible_matrix(ctx, a.rows, random.Random(f"{conductor}-{rows}"))
+    return PhiMap(Augmentation([eps_x, 1, -1]), Representation(ctx, [a, other, a.inverse()]))
+
+
+def _run_lengths(m: int) -> list[int]:
+    return sorted({n for n in (m - 1, m, m + 1, 3 * m + 2) if n > 0})
+
+
+def _run_words(m: int) -> list[Word]:
+    words = []
+    for n in _run_lengths(m):
+        for s in (1, -1):
+            run = [(0, s)] * n
+            words += [
+                Word(run + [(1, 1), (0, s)]),  # from the identity
+                Word([(1, 1), (0, -s)] + run + [(1, -1)]),  # mid-word, after the other sign
+                Word([(2, s)] * n + run + [(1, s)] + run),  # after a run of another letter
+            ]
+    return words
+
+
+@pytest.mark.parametrize("eps_x", [0, 2])
+@pytest.mark.parametrize("name", sorted(FINITE_ORDER))
+def test_fox_row_matches_the_oracle_on_runs_of_a_finite_order_letter(name, eps_x):
+    phi = _run_phi(FINITE_ORDER[name], eps_x)
+    for w in _run_words(FINITE_ORDER[name][2]):
+        _assert_matches_oracle(phi, w)
+        assert phi.fox_identity(w), w
+
+
+@pytest.mark.parametrize("eps_x", [0, 2])
+def test_fox_row_matches_the_oracle_on_runs_of_a_unipotent_letter(eps_x):
+    phi = _run_phi(UNIPOTENT, eps_x)
+    for w in _run_words(4):
+        _assert_matches_oracle(phi, w)
+
+
+def _products(monkeypatch, phi: PhiMap, word: Word) -> int:
+    calls = []
+    original = FieldContext._matrix_product
+
+    def counted(self, a, b):
+        calls.append(None)
+        return original(self, a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(FieldContext, "_matrix_product", counted)
+        phi._fox_pass(word)
+    return len(calls)
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_ORDER))
+def test_a_run_makes_one_product_per_letter_up_to_the_order_of_its_letter(monkeypatch, name):
+    m = FINITE_ORDER[name][2]
+    phi = _run_phi(FINITE_ORDER[name], 2)
+    for n in _run_lengths(m) + [10 * m + 3]:
+        for s in (1, -1):
+            assert _products(monkeypatch, phi, Word([(0, s)] * n)) == min(n, m), (n, s)
+            # A letter of another generator between two runs restarts the count.
+            assert _products(monkeypatch, phi, Word([(0, s)] * n + [(1, 1)] + [(0, s)] * n)) == 2 * min(n, m) + 1
+
+
+def test_a_run_of_a_unipotent_letter_makes_one_product_per_letter(monkeypatch):
+    phi = _run_phi(UNIPOTENT, 2)
+    for n in (1, 2, 7, 40):
+        for s in (1, -1):
+            assert _products(monkeypatch, phi, Word([(0, s)] * n)) == n
 
 
 # The oracle itself: fox_derivative keeps the reduced prefix as a stack, and

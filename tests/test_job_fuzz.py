@@ -8,8 +8,10 @@ mutants run through parse_job and run_job(mode="check"), the path of
 minors in the determinant and the Smith form.
 
 A second set of mutants changes only the lines that give a family its
-parameters (builder, local and singularity), and each must also finish
-within a second."""
+parameters (builder, local and singularity), and a third only the numbers
+of a job: a digit group, a non-ASCII digit, a signed exponent, or a digit
+string at or past the digit limit of a scalar.  Each mutant of these two
+sets must also finish within a second."""
 
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from twistalex.jobs import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, MAX_LETTERS, JobParseError, parse_job, run_job
+from twistalex.scalars import _MAX_DIGITS
 
 SAMPLES = sorted((Path(__file__).resolve().parent.parent / "sample_jobs").glob("*.job"))
 MUTANTS_PER_FILE = 40
@@ -107,6 +110,57 @@ def test_parameter_mutants_of_a_sample_job_exit_0_1_or_2_within_a_second(path):
     text = path.read_text(encoding="utf-8")
     for _ in range(MUTANTS_PER_FILE):
         mutant = _mutate_parameters(text, rng)
+        start = time.perf_counter()
+        assert _exit_code(mutant) in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_INPUT_ERROR), mutant
+        assert time.perf_counter() - start < 1.0, mutant
+
+
+# Numbers outside comments and the field line: a larger conductor is a slow
+# field, not a malformed number (ROADMAP item 14).
+SKIPPED = re.compile(r"^(?:#|field cyclotomic ).*$", re.MULTILINE)
+# A matrix entry of _MAX_DIGITS digits is a valid scalar, and a job on it is
+# slow, not malformed: in the 2 x 2 rho of hopf2_matrix it ran 0.9 s, nearly
+# all of it in the gcds of exact elimination (ROADMAP item 6).  Matrix
+# entries get only the digit string past the limit.
+MATRIX = re.compile(r"\[.*\]")
+# Arabic-Indic, Devanagari and fullwidth zeros: int() reads all three.
+OTHER_ZEROS = (0x660, 0x966, 0xFF10)
+
+
+def _mutate_number(text: str, rng: random.Random) -> str:
+    """One number of the job, outside comments and its field line, with a digit group
+    separator inserted, a digit swapped for a non-ASCII one, or the number
+    replaced by a digit string of _MAX_DIGITS or _MAX_DIGITS + 1 digits
+    (only the latter in a matrix); or one exponent given a sign."""
+    skipped = [range(m.start(), m.end()) for m in SKIPPED.finditer(text)]
+    kind = rng.randrange(4)
+    pattern = r"\^[+-]?" if kind == 2 else r"[0-9]+"
+    spots = [m for m in re.finditer(pattern, text) if not any(m.start() in r for r in skipped)]
+    if not spots:
+        return text
+    m = rng.choice(spots)
+    digits = m.group()
+    if kind == 0:
+        i = rng.randint(0, len(digits))
+        new = digits[:i] + "_" + digits[i:]
+    elif kind == 1:
+        i = rng.randrange(len(digits))
+        new = digits[:i] + chr(rng.choice(OTHER_ZEROS) + int(digits[i])) + digits[i + 1 :]
+    elif kind == 2:
+        new = "^" + rng.choice("+-")
+    else:
+        in_matrix = any(e.start() <= m.start() < e.end() for e in MATRIX.finditer(text))
+        count = _MAX_DIGITS + (1 if in_matrix else rng.randrange(2))
+        new = str(rng.randint(1, 9)) + "".join(rng.choice("0123456789") for _ in range(count - 1))
+    return text[: m.start()] + new + text[m.end() :]
+
+
+@pytest.mark.parametrize("path", SAMPLES, ids=lambda p: p.stem)
+def test_number_mutants_of_a_sample_job_exit_0_1_or_2_within_a_second(path):
+    rng = random.Random(f"number-fuzz-{path.stem}")
+    text = path.read_text(encoding="utf-8")
+    for _ in range(MUTANTS_PER_FILE):
+        mutant = _mutate_number(text, rng)
         start = time.perf_counter()
         assert _exit_code(mutant) in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_INPUT_ERROR), mutant
         assert time.perf_counter() - start < 1.0, mutant

@@ -388,11 +388,20 @@ def test_the_engine_does_not_call_the_symbolic_fox_derivative(monkeypatch, text)
     assert calls == []
 
 
-def _products_in_build_complex(monkeypatch, length: int) -> dict:
+# rho(x) = rho(y) = [[2]] has infinite order, so no run of x^L y^-L repeats
+# a prefix and the Fox pass makes one product per letter; rho(x) = rho(y) = z
+# over Q(zeta_6) has order 6, and a run of it makes at most 6.
+INFINITE_ORDER = (1, "2")
+ORDER_SIX = (6, "z")
+
+
+def _products_in_build_complex(monkeypatch, length: int, letters=INFINITE_ORDER) -> dict:
     x_l_y_minus_l = Word([(0, 1)] * length + [(1, -1)] * length)
     pres = Presentation(["x", "y"], [x_l_y_minus_l])
     eps = Augmentation([1, 1])
-    rho = Representation.trivial(FieldContext(1), 2)
+    conductor, scalar = letters
+    ctx = FieldContext(conductor)
+    rho = Representation(ctx, [[[parse_scalar(scalar, ctx)]]] * 2)
     with monkeypatch.context() as patch:
         calls = {
             "per-letter": _count_method(patch, FieldContext, "_matrix_product"),
@@ -419,16 +428,24 @@ def test_build_complex_walks_each_relator_once(monkeypatch):
         assert _products_in_build_complex(monkeypatch, length)["per-letter"] <= 2 * length + 10
 
 
-def _x_l_y_minus_l_job(length: int) -> str:
-    return f"generators x y\nrelator x^{length} y^-{length}\neps x=1 y=1\nrho x = [[1]]\nrho y = [[1]]\n"
+def test_build_complex_makes_at_most_the_letter_order_in_products_per_run(monkeypatch):
+    # Each run of x^L y^-L reads its prefixes back after six letters, so the
+    # count does not grow with L.
+    for length in (120, 1200):
+        assert _products_in_build_complex(monkeypatch, length, ORDER_SIX)["per-letter"] <= 2 * 6 + 10
+
+
+def _x_l_y_minus_l_job(length: int, scalar: str = "1") -> str:
+    return f"generators x y\nrelator x^{length} y^-{length}\neps x=1 y=1\nrho x = [[{scalar}]]\nrho y = [[{scalar}]]\n"
 
 
 def test_a_compute_job_walks_its_relator_letters_once(monkeypatch):
     # In the Fox pass of the build_complex that parse_job runs; run_job
-    # reuses the complex.
+    # reuses the complex.  rho(x) = rho(y) = [[2]] has infinite order, so
+    # every letter makes its product.
     length = 200
     products = _count_method(monkeypatch, FieldContext, "_matrix_product")
-    _, code = run_job(parse_job(_x_l_y_minus_l_job(length)), mode="compute")
+    _, code = run_job(parse_job(_x_l_y_minus_l_job(length, "2")), mode="compute")
     assert code == 0
     assert 2 * length <= len(products) <= 2 * length + 10
 

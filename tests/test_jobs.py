@@ -586,6 +586,71 @@ def test_every_parameter_error_names_its_line_and_reason(line, message):
     assert (err.value.line, err.value.message) == (lineno, message)
 
 
+# One number rule for every numeric field (scalars._numeral): ASCII only,
+# with no digit groups, although int() and Fraction() take both.  One input
+# per site, each refused at its line.
+_NUMBER_BASE = "generators x y\nrelator x^2 y^-2\neps x=1 y=1\nrho x = [[1]]\nrho y = [[1]]\n"
+NUMBER_ERRORS = [
+    ("builder hopf d=1_0\nrho trivial 1\n", 1, "builder hopf: d must be an integer, got '1_0'"),
+    ("builder hopf d=\u0663\nrho trivial 1\n", 1, "builder hopf: d must be an integer, got '\u0663'"),
+    ("builder union factors=torus:1_0:3,line\nrho trivial 1\n", 1, "bad union factor 'torus:1_0:3' (torus:p:q, cusp, or line)"),
+    ("builder hopf d=2\nrho trivial 1_0\n", 2, "rho trivial dimension must be an integer, got '1_0'"),
+    ("field cyclotomic 1_2\n" + _NUMBER_BASE, 1, "conductor must be an integer, got '1_2'"),
+    (_NUMBER_BASE.replace("eps x=1", "eps x=1_0"), 3, "eps value for 'x' must be an integer, got '1_0'"),
+    (_NUMBER_BASE.replace("x^2 y^-2", "x^1_0 y^-10"), 2, "bad exponent in 'x^1_0'"),
+    # The letter count reads the exponent by the same rule, so Word.parse,
+    # not the letter limit, names it.
+    (_NUMBER_BASE.replace("x^2 y^-2", "x^1_000_000 y^-1"), 2, "bad exponent in 'x^1_000_000'"),
+    (_NUMBER_BASE.replace("x^2", "x^\u0662"), 2, "bad exponent in 'x^\u0662'"),
+    ("field cyclotomic 6\n" + _NUMBER_BASE.replace("x = [[1]]", "x = [[z^1_2]]"), 5, "rho x: cannot parse scalar factor 'z^1_2'"),
+    (_NUMBER_BASE.replace("x = [[1]]", "x = [[1_0/3]]"), 4, "rho x: cannot parse scalar factor '1_0/3'"),
+    (_NUMBER_BASE.replace("x = [[1]]", "x = [[1e1_0]]"), 4, "rho x: cannot parse scalar factor '1e1_0'"),
+    (_NUMBER_BASE.replace("x = [[1]]", "x = [[\u0661/3]]"), 4, "rho x: cannot parse scalar factor '\u0661/3'"),
+    (_NUMBER_BASE + "local torus 2 1_0 weights 1\n", 6, "local torus: q must be an integer, got '1_0'"),
+    (_NUMBER_BASE + "local torus 2 3 weights 1_0\n", 6, "local torus: weights must be integers, got '1_0'"),
+    ("builder cusp\nrho trivial 1\ncomponent degree=1_0 weight=1\n", 3, "component: degree must be an integer, got '1_0'"),
+]
+
+
+@pytest.mark.parametrize("text,lineno,message", NUMBER_ERRORS)
+def test_every_number_is_ascii_without_digit_groups(text, lineno, message):
+    with pytest.raises(JobParseError) as err:
+        parse_job(text)
+    assert (err.value.line, err.value.message) == (lineno, message)
+
+
+@pytest.mark.parametrize("kv", ["weight=10001 euler=1", "weight=1 euler=-10001", "weight=" + "9" * 4300 + " euler=1"])
+def test_a_component_weight_and_euler_are_bounded_like_eps(kv):
+    # Both are t-exponents of the curve analyses: a weight of 4300 digits
+    # overflowed the infinity bound, and an Euler characteristic as large
+    # raised a polynomial to that power.
+    text = f"builder cusp\nrho trivial 1\ncomponent degree=1 {kv}\n"
+    with pytest.raises(JobParseError) as err:
+        parse_job(text)
+    assert (err.value.line, err.value.message) == (3, "component: weight and euler must be at most 10000 in size")
+
+
+def test_a_limit_message_prints_a_sum_past_the_digit_limit_of_int():
+    # The weights of a local cusp meet in the span of its 6 letters: 6 times
+    # 4300 nines has 4301 digits, more than str() of an int prints.
+    text = f"builder cusp\nrho trivial 1\nlocal cusp weights {'9' * 4300}\n"
+    with pytest.raises(JobParseError) as err:
+        parse_job(text)
+    span = "5" + "9" * 4299 + "4"
+    assert (err.value.line, err.value.message) == (3, f"local cusp spans {span} powers of t under eps; the limit is 20000")
+
+
+def test_the_ascii_number_forms_still_parse():
+    # Signs, leading zeros, decimals and exponent notation.
+    job = parse_job(
+        "field cyclotomic +06\ngenerators x y\nrelator x^+02 y^-02\neps x=+1 y=01\n"
+        "rho x = [[-0.5e1*z^-1 + 1.5 + 7/2 - 1E+0]]\nrho y = [[-0.5e1*z^-1 + 1.5 + 7/2 - 1E+0]]\n"
+    )
+    assert (job.conductor, job.eps_values) == (6, (1, 1))
+    assert run_job(job)[1] == 0
+    assert parse_job("builder hopf d=+03\nrho trivial 1\n").source == parse_job("builder hopf d=3\nrho trivial 1\n").source
+
+
 def test_python_dash_m_runs_the_cli():
     # python -m twistalex is the console script: same report, same exit.
     circle = ROOT / "sample_jobs" / "circle.job"
