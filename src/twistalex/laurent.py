@@ -921,31 +921,34 @@ class LaurentMatrix(Matrix):
 
     @classmethod
     def from_scalar_matrix(cls, m: ScalarMatrix, t_exponent: int = 0) -> LaurentMatrix:
-        return cls._from_row_terms(m.context, {t_exponent: m._rows()})
+        return cls._from_row_terms(m.context, [(t_exponent, 1, m._rows())])
 
     @classmethod
-    def _from_row_terms(cls, context: FieldContext, terms: dict) -> LaurentMatrix:
-        """sum_e t^e * terms[e] for a nonempty dict of equally shaped
-        matrices in (entries, den) row form, keyed by exponent: each entry's
-        rows are laid out over the lcm of the denominators, absent exponents
-        sharing one zero row."""
-        entries = next(iter(terms.values()))[0]
-        low = min(terms)
-        width = max(terms) - low + 1
-        den = lcm(d for _, d in terms.values())
-        scaled = []
-        for e, (m, d) in terms.items():
-            if d != den:
-                m = [[[x * (den // d) for x in v] for v in row] for row in m]
-            scaled.append((e - low, m))
+    def _from_row_terms(cls, context: FieldContext, terms: list) -> LaurentMatrix:
+        """The sum of sign * t^e * rows over a nonempty list of terms
+        (e, sign, rows), rows equally shaped matrices in (entries, den) row
+        form.  Each entry sums the terms of each exponent once, over the lcm
+        of the denominators; a lone term that needs no factor is laid out as
+        it is, and absent exponents share one zero row.  The rows are read,
+        never written."""
+        den = lcm(rows[1] for _, _, rows in terms)
+        groups: dict = {}
+        for e, sign, (m, d) in terms:
+            groups.setdefault(e, []).append((sign * (den // d), m))
+        low = min(groups)
+        width = max(groups) - low + 1
         zero = context.zero.nums
         out = []
-        for i, row in enumerate(entries):
+        for i, row in enumerate(terms[0][2][0]):
             new = []
             for j in range(len(row)):
                 rows = [zero] * width
-                for k, m in scaled:
-                    rows[k] = m[i][j]
+                for e, group in groups.items():
+                    if len(group) == 1:
+                        f, m = group[0]
+                        rows[e - low] = m[i][j] if f == 1 else [f * x for x in m[i][j]]
+                    else:
+                        rows[e - low] = [sum(c) for c in zip(*([f * x for x in m[i][j]] for f, m in group))]
                 new.append(LaurentPoly._make(context, low, rows, den))
             out.append(new)
         return cls._make(context, out)

@@ -271,8 +271,8 @@ class PhiMap:
 
     Inside, Phi of a word is carried as the pair (e, rows), rows the integer
     row form of FieldContext._matrix_product, and a group-ring element as
-    the map {e: rows} of its sum of t^e * rows; a LaurentMatrix is built
-    only for what the public methods return.  A run of one letter of finite
+    the list of its signed terms (e, +-1, rows), unsummed; a LaurentMatrix
+    is built only for what the public methods return.  A run of one letter of finite
     order reads its repeated prefixes back (_fox_pass)."""
 
     __slots__ = ("context", "dimension", "eps", "rho")
@@ -285,7 +285,7 @@ class PhiMap:
 
     def generator_image(self, g: int) -> LaurentMatrix:
         rows = self.rho._letter_rows()[g, 1]
-        return LaurentMatrix._from_row_terms(self.context, {self.eps.values[g]: rows})
+        return LaurentMatrix._from_row_terms(self.context, [(self.eps.values[g], 1, rows)])
 
     def word_image(self, word: Word) -> LaurentMatrix:
         """Phi(word) = t^eps(word) * rho(word), rho(word) the ScalarMatrix
@@ -305,27 +305,27 @@ class PhiMap:
         return total
 
     def _fox_pass(self, word: Word):
-        """(sums, e, rows): sums[g] the {exponent: rows} map of
-        Phi(d word / d x_g) for every generator g, and (e, rows) Phi(word),
-        in one left-to-right pass.
+        """(sums, e, rows): sums[g] the list of signed terms (e, +-1, rows)
+        of Phi(d word / d x_g) for every generator g, one per letter of x_g
+        in letter order, and (e, rows) Phi(word), in one left-to-right pass.
 
         Phi(prefix) = t^e * rho(prefix) is carried as the integer e and
         rho(prefix) in the integer row form of FieldContext._matrix_product.
         By the product rule of Fox calculus, a letter x_g after the prefix u
         adds u to the derivative by x_g, and a letter x_g^-1 adds -u x_g^-1.
-        So a letter x_g adds +Phi(prefix), and a letter x_g^-1 first
-        advances the prefix and then adds -Phi(prefix x_g^-1).  Each
-        derivative collects its scalar matrices by exponent, so a letter
-        costs one signed sum and builds no field element; cancelled rows stay
-        as zeros.  A run of one letter keeps its prefixes P A^k, A =
-        rho(x_g)^+-1, from its second letter on; the row form is canonical, so
-        once P A^m is P the run reads P A^j back: at most ord(A) products."""
-        ctx = self.context
-        product, add, table = ctx._matrix_product, ctx._matrix_sum, self.rho._letter_rows()
+        So a letter x_g appends (e, 1, rows of the prefix), and a letter
+        x_g^-1 first advances the prefix and then appends (e, -1, rows of
+        prefix x_g^-1).  The terms share the prefix rows, which nothing
+        writes; the pass makes no sum and builds no field element, and
+        LaurentMatrix._from_row_terms sums each exponent once.  A run of one
+        letter keeps its prefixes P A^k, A = rho(x_g)^+-1, from its second
+        letter on; the row form is canonical, so once P A^m is P the run
+        reads P A^j back: at most ord(A) products."""
+        product, table = self.context._matrix_product, self.rho._letter_rows()
         values = self.eps.values
         e = 0
         prefix = self.rho._identity
-        sums: list[dict] = [{} for _ in values]
+        sums: list[list] = [[] for _ in values]
         last = None
         for letter in word.letters:
             g, s = letter
@@ -340,14 +340,12 @@ class PhiMap:
                 run.append(prefix)
                 kept = cycle(run) if prefix == first else None
                 prefix = next(kept) if kept else product(prefix, table[letter])
-            terms = sums[g]
             if s == 1:
-                prev = terms.get(e)
-                terms[e] = before if prev is None else add(prev, before, 1)
+                sums[g].append((e, 1, before))
                 e += values[g]
             else:
                 e -= values[g]
-                terms[e] = add(terms.get(e), prefix, -1)
+                sums[g].append((e, -1, prefix))
         return sums, e, prefix
 
     def fox_row(self, word: Word) -> tuple[list[LaurentMatrix], ScalarMatrix]:
@@ -365,15 +363,16 @@ class PhiMap:
         """Whether Phi(w) - Id = sum_g Phi(dw/dg) (Phi(g) - Id), Fox's
         fundamental identity, holds on the pass of word (_fox_pass); for a
         relator it is d1 d2 = 0.  The difference of the two sides is summed
-        term by term into one integer list per t-exponent, every matrix
-        entry's coordinates in a row, over one common denominator; it is
-        zero exactly when every list is."""
+        into one integer list per t-exponent, every matrix entry's
+        coordinates in a row, over one common denominator: each signed term
+        of the pass once as it is and once times -rho(x_g), shifted by
+        eps(x_g).  It is zero exactly when every list is."""
         ctx, values = self.context, self.eps.values
         product = ctx._matrix_product
         steps = self.rho._letter_rows()
         sums, e, rows = self._fox_pass(word)
         # The denominator of a product divides the product of its factors'.
-        den = math.lcm(rows[1], *(r[1] * steps[g, 1][1] for g, terms in enumerate(sums) for r in terms.values()))
+        den = math.lcm(rows[1], *(r[1] * steps[g, 1][1] for g, terms in enumerate(sums) for _, _, r in terms))
         diff: dict = {}
 
         def add(e, rows, sign):
@@ -394,9 +393,9 @@ class PhiMap:
         add(0, self.rho._identity, -1)
         for g, terms in enumerate(sums):
             shift, step = values[g], steps[g, 1]
-            for e, rows in terms.items():
-                add(e, rows, 1)
-                add(e + shift, product(rows, step), -1)
+            for e, sign, rows in terms:
+                add(e, rows, sign)
+                add(e + shift, product(rows, step), -sign)
         return not any(any(acc) for acc in diff.values())
 
 

@@ -17,8 +17,9 @@ Each context also keeps a split prime p = 1 mod n and a root w of Phi_n
 mod p; z -> w maps Z[z] onto F_p, and a full rank or a nonzero value mod p
 proves the same of the exact matrix or element (_split_prime, _Residues).
 Square matrices get the same treatment where a loop multiplies one per
-letter of a word: rows over one shared denominator, multiplied and summed
-without field elements (FieldContext._matrix_product, _matrix_sum).
+letter of a word: rows over one shared denominator, multiplied without
+field elements (FieldContext._matrix_product); the Fox pass keeps its
+terms unsummed and LaurentMatrix._from_row_terms sums them once.
 
 Matrix is the one dense matrix type of the package: storage, construction,
 sums, products, submatrices, embeddings and comparisons for any ring of the
@@ -294,7 +295,8 @@ class FieldContext:
 
     def _matrix_product(self, a, b):
         """The (entries, den) of a * b: each entry is one convolution summed
-        over the inner index and folded through the power table once."""
+        over the inner index and folded through the power table once, and
+        den is reduced against the content of the entries."""
         (ea, da), (eb, db) = a, b
         if len(ea) == 1:
             out = [[self._product(ea[0][0], eb[0][0])]]
@@ -319,25 +321,13 @@ class FieldContext:
                                 entry[k] += c * v
                     new.append(entry)
                 out.append(new)
-        return _reduced_rows(out, da * db)
-
-    def _matrix_sum(self, a, b, sign: int):
-        """The (entries, den) of a + sign * b for a nonzero integer sign; a
-        is None for the zero matrix."""
-        eb, db = b
-        if a is None:
-            if sign == 1:
-                return b
-            out = [[[x * sign for x in e] for e in row] for row in eb]
-            return (out, db) if sign == -1 else _reduced_rows(out, db)
-        ea, da = a
-        if da == db:
-            den, fa, fb = da, 1, sign
-        else:
-            den = math.lcm(da, db)
-            fa, fb = den // da, sign * (den // db)
-        out = [[[x * fa + y * fb for x, y in zip(u, v)] for u, v in zip(ra, rb)] for ra, rb in zip(ea, eb)]
-        return _reduced_rows(out, den)
+        den = da * db
+        if den != 1:
+            g = math.gcd(den, *(x for row in out for e in row for x in e))
+            if g != 1:
+                den //= g
+                out = [[[x // g for x in e] for e in row] for row in out]
+        return out, den
 
     def __repr__(self) -> str:
         if self.conductor == 1:
@@ -394,16 +384,6 @@ def _split_prime(n: int, modulus) -> tuple[int, tuple[int, ...]]:
     if sum(map(operator.mul, modulus, powers)) % p:
         raise AssertionError("the root mod p must be a root of the cyclotomic polynomial")
     return p, tuple(powers[:-1])
-
-
-def _reduced_rows(entries, den: int):
-    # The content reduction of the matrix row form, skipped when den is 1.
-    if den != 1:
-        g = math.gcd(den, *(x for row in entries for e in row for x in e))
-        if g != 1:
-            den //= g
-            entries = [[[x // g for x in e] for e in row] for row in entries]
-    return entries, den
 
 
 def _scalar_text(nums, den: int) -> tuple[bool, str, bool]:

@@ -196,7 +196,7 @@ def test_every_option_is_set_by_some_package_call():
 # rows of Representation, and the row arithmetic of FieldContext.  Only
 # presentations, which evaluates Phi, and scalars, which defines the
 # arithmetic, name them; the rest reads fox_row and fox_identity.
-ROW_FORM_INTERNALS = {"_fox_pass", "_letter_rows", "_identity", "_matrix_product", "_matrix_sum"}
+ROW_FORM_INTERNALS = {"_fox_pass", "_letter_rows", "_identity", "_matrix_product"}
 ROW_FORM_OWNERS = {"presentations.py", "scalars.py"}
 
 

@@ -7,6 +7,7 @@ products."""
 
 from __future__ import annotations
 
+import copy
 import random
 from fractions import Fraction
 
@@ -355,11 +356,63 @@ def test_kept_prefix_images_match_the_uncached_product(conductor, dimension):
 @pytest.mark.parametrize("conductor", [1, 6, 12])
 @pytest.mark.parametrize("dimension", [1, 2, 3])
 def test_the_row_form_term_map_matches_the_laurent_product_route(conductor, dimension):
-    # The pass ends on Phi(w) as the row-form term {eps(w): rows of rho(w)};
+    # The pass ends on Phi(w) as the row-form term (eps(w), 1, rows of rho(w));
     # its derivatives are pinned against the oracle by the fox_row tests.
     rng = random.Random(1000 * conductor + dimension)
     phi = _phi(conductor, dimension, rng)
     for _ in range(40):
         w = random_word(GENERATORS, 12, rng)
         _, e, rows = phi._fox_pass(w)
-        assert LaurentMatrix._from_row_terms(phi.context, {e: rows}) == _uncached_image(phi, w), w.letters
+        assert LaurentMatrix._from_row_terms(phi.context, [(e, 1, rows)]) == _uncached_image(phi, w), w.letters
+
+
+# No shared row is written.  The pass's terms point at the rows of its
+# prefixes, rho's identity among them, a run reads its kept prefixes back,
+# and _from_row_terms lays a lone term out as it is, so a sum made in place
+# would corrupt rho's letter table or its identity.  eps(x0) = eps(x2) = 0
+# puts every term of a word in x0 and x2 on one exponent.
+
+SHARED_ROW_CASES = {  # name: (conductor, rho(x0) of finite order, its order, rho(x1))
+    "fractional signed 2-cycle over Q": (1, [[0, -2], [Fraction(1, 2), 0]], 4, [[Fraction(1, 2), 1], [0, 3]]),
+    "fractional z^3-twisted 2-cycle over Q(zeta_12)": (
+        12,
+        [[0, _scalar(12, 3) * Fraction(1, 3)], [3, 0]],
+        8,
+        [[_scalar(12, 1), Fraction(1, 2)], [0, 2]],
+    ),
+    "z over Q(zeta_6)": (6, [[_scalar(6, 1)]], 6, [[Fraction(-1, 3)]]),
+}
+
+
+def _shared_row_words(m: int) -> list[Word]:
+    return [
+        Word([(0, 1)] * (2 * m + 1) + [(0, -1)] * (3 * m + 2)),
+        Word([(0, -1)] * (m + 1) + [(2, 1)] * (2 * m) + [(0, 1)] * m),
+        Word([(0, 1), (0, -1)] * 3 + [(1, 1)] + [(0, -1)] * (m + 2) + [(2, -1)] * (m + 1) + [(1, -1)]),
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_ROW_CASES))
+def test_the_pass_writes_no_shared_row(name):
+    conductor, rows, order, other = SHARED_ROW_CASES[name]
+    ctx = FieldContext(conductor)
+    a = ScalarMatrix(ctx, rows)
+    assert _order(a) == order
+    rho = Representation(ctx, [a, ScalarMatrix(ctx, other), a.inverse()])
+    phi = PhiMap(Augmentation([0, 1, 0]), rho)
+    table, identity = copy.deepcopy(rho._letter_rows()), copy.deepcopy(rho._identity)
+    words = _shared_row_words(order)
+    first = [phi.fox_row(w) for w in words]
+    for w in words:
+        # Some derivative has two terms on one exponent, which are summed.
+        assert any(len({e for e, _, _ in terms}) < len(terms) for terms in phi._fox_pass(w)[0]), w
+        assert phi.fox_identity(w), w
+    for g in range(GENERATORS):
+        assert phi.generator_image(g) == phi.word_image(Word([(g, 1)])), g
+    assert rho._letter_rows() == table
+    assert rho._identity == identity
+    for w, (blocks, image) in zip(words, first):
+        assert image == rho_of_word(rho, w), w
+        assert phi.fox_row(w) == (blocks, image), w
+        for g, block in enumerate(blocks):
+            assert block == phi.element_image(fox_derivative(w, g)), (w, g)
