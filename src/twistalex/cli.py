@@ -19,6 +19,7 @@ from .jobs import (
     EXIT_INPUT_ERROR,
     JobParseError,
     _BUILDERS,
+    _read_job,
     parse_job,
     run_corpus,
     run_job,
@@ -56,12 +57,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_file(path: Path, mode: str, fmt: str, seed: int) -> int:
     try:
-        text = path.read_text(encoding="utf-8")
+        spec = parse_job(_read_job(path))
     except OSError as exc:
         print(f"cannot read {path}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    try:
-        spec = parse_job(text)
     except JobParseError as exc:
         print(f"{path}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -156,7 +156,7 @@ class TwistedChainComplex:
                 ranks[i + 1] -= len(pivots)
             boundaries = self.boundaries
             if ranks != list(self.ranks):
-                boundaries = tuple(LaurentMatrix._make(self.context, d) for d in work)
+                boundaries = tuple(LaurentMatrix._make(self.context, d, ranks[i + 1]) for i, d in enumerate(work))
             self._reduced = (boundaries, tuple(ranks))
         return self._reduced
 

@@ -153,7 +153,7 @@ class JobSpec:
         self.local_requests = tuple(local_requests)
         self.components = tuple(components)
         self.singularities = tuple(singularities)
-        # (_complex_key(), {None or germ index: complex}): see chain_complex.
+        # (_key(), {None or germ index: complex}): see chain_complex.
         self._complexes = None
 
     def context(self) -> FieldContext:
@@ -169,34 +169,25 @@ class JobSpec:
     def representation(self, context: FieldContext) -> Representation:
         return Representation(context, [_scalar_matrix(context, rows) for rows in self.rho_rows])
 
-    def _complex_key(self):
-        # The fields of the triple, source (the builder step) and local requests.
-        triple = (self.conductor, self.generator_names, self.relator_texts, self.eps_values, self.rho_rows)
-        return (*triple, self.source, self.local_requests)
-
     def chain_complex(self, germ: int | None = None) -> TwistedChainComplex:
-        """The job's complex (_job_complex), or the complex of the germ of
-        local request germ; each build validates its triple.  A germ whose
-        triple is the job's own (_is_job_triple) gets the job's complex
-        itself, so there is one complex per distinct triple.  parse_job
-        stores the ones it built, and others are built on first use, in one
-        table keyed on _complex_key by ==."""
-        key = self._complex_key()
+        """The job's complex, or that of the germ of local request germ, by
+        the rule of _complex, which validates each triple it builds.
+        parse_job stores the ones it built, and others are built on first
+        use, in one table keyed on _key() by ==."""
+        key = self._key()
         if self._complexes is None or self._complexes[0] != key:
             self._complexes = (key, {})
         table = self._complexes[1]
-        if germ not in table:
-            context = self.context()
-            job = self.presentation(), self.augmentation(), self.representation(context)
-            if germ is None:
-                table[None] = _job_complex(self.source, *job)
-            else:
-                kind, params, weights, scalar_texts = self.local_requests[germ]
-                scalars = None if scalar_texts is None else [parse_scalar(s, context) for s in scalar_texts]
-                triple = _local_germ(context, kind, params, weights, scalars)
-                shared = _is_job_triple(self.source, job, triple)
-                table[germ] = self.chain_complex() if shared else build_complex(*triple)
-        return table[germ]
+        if germ in table:
+            return table[germ]
+        context = self.context()
+        triple = None
+        if germ is not None:
+            kind, params, weights, scalar_texts = self.local_requests[germ]
+            scalars = None if scalar_texts is None else [parse_scalar(s, context) for s in scalar_texts]
+            triple = _local_germ(context, kind, params, weights, scalars)
+        job = self.presentation(), self.augmentation(), self.representation(context)
+        return _complex(table, germ, self.source, job, triple)
 
     def curve(self, context: FieldContext) -> CurveData | None:
         if not self.components:
@@ -298,20 +289,22 @@ _BUILDERS = {
 }
 
 
-def _job_complex(source, pres, eps, rho) -> TwistedChainComplex:
-    """build_complex, which validates the triple, then the builder's step."""
-    complex_ = build_complex(pres, eps, rho)
-    step = _BUILDERS[source[1]][4] if source[0] == "builder" else None
-    return complex_ if step is None else step(complex_)
-
-
-def _is_job_triple(source, job, germ) -> bool:
-    """Whether a local germ's triple is the job's own (equal presentations,
-    augmentations and rho matrices) under a builder with no step, so that
-    the job's complex is the germ's too and is built and reduced once."""
-    (pres, eps, rho), (germ_pres, germ_eps, germ_rho) = job, germ
-    stepless = source[0] != "builder" or _BUILDERS[source[1]][4] is None
-    return stepless and pres == germ_pres and eps == germ_eps and rho.matrices == germ_rho.matrices
+def _complex(table: dict, key, source, job, germ=None) -> TwistedChainComplex:
+    """table[key], built on first use: for the job (key None, job its
+    triple) build_complex, which validates the triple, then the builder's
+    step; for a local germ (key its index, germ its triple) the germ's own
+    complex, or the job's when the triples are equal (presentations, eps and
+    rho matrices) under a builder with no step: one per distinct triple."""
+    if key not in table:
+        step = _BUILDERS[source[1]][4] if source[0] == "builder" else None
+        if key is None:
+            complex_ = build_complex(*job)
+            table[key] = complex_ if step is None else step(complex_)
+        else:
+            (pres, eps, rho), (germ_pres, germ_eps, germ_rho) = job, germ
+            shared = step is None and pres == germ_pres and eps == germ_eps and rho.matrices == germ_rho.matrices
+            table[key] = _complex(table, None, source, job) if shared else build_complex(*germ)
+    return table[key]
 
 
 def _parameters(keys, given: dict, what: str, lineno: int):
@@ -664,7 +657,7 @@ def parse_job(text: str) -> JobSpec:
 
     # local lines: each germ is built, measured and validated here
     local_requests = []
-    complexes = {}  # the table of JobSpec.chain_complex
+    complexes = {}  # the table of JobSpec.chain_complex, filled by _complex
     for lineno, (kind, *rest) in local_lines:
         i = next((j for j, token in enumerate(rest) if token in ("weights", "scalars")), len(rest))
         (_, _, _, letters), family_params, params, total = _germ_parameters(kind, rest[:i], "local", lineno)
@@ -691,11 +684,8 @@ def parse_job(text: str) -> JobSpec:
         # it; run_job reads the complex, and builds again one that failed its
         # d1 d2 = 0 check, to report that.  A germ whose triple is the job's
         # gets the job's complex, built here at the first such line.
-        shared = _is_job_triple(source, (pres, eps, rho), triple)
         try:
-            if shared and None not in complexes:
-                complexes[None] = _job_complex(source, pres, eps, rho)
-            complexes[len(local_requests)] = complexes[None] if shared else build_complex(*triple)
+            _complex(complexes, len(local_requests), source, (pres, eps, rho), triple)
         except InvalidTripleError as exc:
             raise JobParseError(lineno, f"local {kind}: invalid triple: {'; '.join(exc.report.failures)}")
         except InternalInvariantError:
@@ -758,14 +748,13 @@ def parse_job(text: str) -> JobSpec:
         tuple(components),
         tuple(singularities),
     )
-    spec._complexes = (spec._complex_key(), complexes)
+    spec._complexes = (spec._key(), complexes)
 
     # Building the complex is the validation of the triple, and the line that
     # supplied the data of its first failure is reported.  A complex that
     # fails its d_i d_(i+1) = 0 check is not kept: run_job builds it again.
     try:
-        if None not in complexes:
-            complexes[None] = _job_complex(source, pres, eps, rho)
+        _complex(complexes, None, source, (pres, eps, rho))
     except InvalidTripleError as exc:
         # The line of each subject a failure can blame; the rest fall to the
         # eps, builder or inline line.  rho trivial kills every relator.
@@ -1193,18 +1182,33 @@ def _check_battery(out, complex_, result, ratio, wada, deficiency_one, seed):
 # corpus
 
 
+def _read_job(path) -> str:
+    """The text of a job file.  A file that is not UTF-8 is refused at the
+    line that holds its first bad byte, as parse_job counts lines; a file
+    that cannot be read raises OSError."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # A character put after the good prefix lands on the bad byte's line.
+        line = len((data[: exc.start].decode("utf-8") + "_").splitlines())
+        raise JobParseError(line, f"not UTF-8: byte 0x{data[exc.start]:02x} does not decode") from None
+
+
 def run_corpus(paths, *, fmt: str = "text", seed: int = 0) -> tuple[str, int]:
-    """Check every job file and summarize; exit code is the worst one seen."""
+    """Check every job file and summarize; exit code is the worst one seen.
+    A file that cannot be read or decoded gets the ERROR verdict."""
     out = _Report(fmt)
     worst = EXIT_OK
     counts = {"ok": 0, "fail": 0, "error": 0}
     for path in paths:
         try:
-            spec = parse_job(path.read_text(encoding="utf-8"))
+            spec = parse_job(_read_job(path))
             _, code = run_job(spec, mode="check", seed=seed)
         except JobParseError as exc:
-            code = EXIT_INPUT_ERROR
-            detail = str(exc)
+            code, detail = EXIT_INPUT_ERROR, str(exc)
+        except OSError as exc:
+            code, detail = EXIT_INPUT_ERROR, f"cannot read: {exc.strerror or exc}"
         else:
             detail = None
         worst = max(worst, code)

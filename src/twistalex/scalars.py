@@ -745,28 +745,29 @@ class Matrix:
             if len(row) != self.cols:
                 raise ValueError("ragged matrix")
 
-    def _set(self, context, entries):
+    def _set(self, context, entries, cols=0):
         self.context = context
         self.entries = entries
         self.rows = len(entries)
-        self.cols = len(entries[0]) if entries else 0
+        self.cols = len(entries[0]) if entries else cols
 
     @classmethod
-    def _make(cls, context: FieldContext, rows):
-        """A matrix from rows of entries already in the ring and context."""
+    def _make(cls, context: FieldContext, rows, cols: int = 0):
+        """A matrix from rows of entries already in the ring and context;
+        with no rows it is 0 x cols."""
         m = object.__new__(cls)
-        m._set(context, tuple(map(tuple, rows)))
+        m._set(context, tuple(map(tuple, rows)), cols)
         return m
 
     @classmethod
     def identity(cls, context: FieldContext, n: int):
         one, zero = cls._ring_one(context), cls._ring_zero(context)
-        return cls._make(context, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls._make(context, [[one if i == j else zero for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def zero(cls, context: FieldContext, rows: int, cols: int):
         z = cls._ring_zero(context)
-        return cls._make(context, [(z,) * cols] * rows)
+        return cls._make(context, [(z,) * cols] * rows, cols)
 
     def __getitem__(self, key):
         i, j = key
@@ -775,7 +776,7 @@ class Matrix:
     def _map(self, fn, cls=None, context=None):
         # fn applied to every entry; the result is a cls matrix over context.
         return (cls or type(self))._make(
-            context or self.context, [[fn(e) for e in row] for row in self.entries]
+            context or self.context, [[fn(e) for e in row] for row in self.entries], self.cols
         )
 
     def _entrywise(self, other, op):
@@ -785,14 +786,13 @@ class Matrix:
             raise ContextMismatchError("matrix contexts differ")
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("matrix shapes differ")
-        return self._make(
-            self.context, [[op(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
+        rows = [[op(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
+        return self._make(self.context, rows, self.cols)
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self.context is other.context and self.entries == other.entries
+        return self.context is other.context and self.cols == other.cols and self.entries == other.entries
 
     def __hash__(self):
         return hash((self.context.conductor, self.entries))
@@ -811,7 +811,7 @@ class Matrix:
             if isinstance(other, Matrix):
                 return NotImplemented
             c = self._entry(self.context, other)
-            return self._make(self.context, [[a * c for a in row] for row in self.entries])
+            return self._make(self.context, [[a * c for a in row] for row in self.entries], self.cols)
         if other.context is not self.context:
             raise ContextMismatchError("matrix contexts differ")
         if self.cols != other.rows:
@@ -828,12 +828,13 @@ class Matrix:
                 for j, b in nz:
                     pairs[j].append((a, b))
             out.append([dot(p) if p else zero for p in pairs])
-        return self._make(self.context, out)
+        return self._make(self.context, out, other.cols)
 
     __rmul__ = __mul__
 
     def submatrix(self, row_indices, col_indices):
-        return self._make(self.context, [[self.entries[i][j] for j in col_indices] for i in row_indices])
+        rows = [[self.entries[i][j] for j in col_indices] for i in row_indices]
+        return self._make(self.context, rows, len(col_indices))
 
     def _peel_singletons(self):
         """Singleton peeling in front of Bareiss for rank and determinant.

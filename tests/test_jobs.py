@@ -478,6 +478,45 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "data, line, byte",
+    [
+        (b"\xff", 1, "ff"),
+        (b"field rational\nbuilder cusp\nrho trivial 1 \xff\n", 3, "ff"),
+        # a cut multibyte character after CRLF and bare CR line ends
+        (b"field rational\r\nbuilder cusp\rrho trivial 1\n# \xe2\x82\n", 4, "e2"),
+    ],
+    ids=["alone", "lf-lines", "cut-character"],
+)
+def test_cli_refuses_a_file_that_is_not_utf8_at_the_line_of_its_first_bad_byte(tmp_path, capsys, data, line, byte):
+    path = tmp_path / "bytes.job"
+    path.write_bytes(data)
+    for command in ("compute", "check"):
+        assert main([command, str(path)]) == EXIT_INPUT_ERROR
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"{path}: line {line}: not UTF-8: byte 0x{byte} does not decode\n"
+
+
+def test_corpus_gives_an_unreadable_or_undecodable_file_the_error_verdict(tmp_path, capsys):
+    # A directory that matches *.job cannot be read, and a Latin-1 file
+    # cannot be decoded; each is one ERROR line, and the rest still run.
+    (tmp_path / "good.job").write_text(HOPF3, encoding="utf-8")
+    (tmp_path / "latin1.job").write_bytes("field rational\n# caf\u00e9\nbuilder cusp\n".encode("latin-1"))
+    (tmp_path / "nested.job").mkdir()
+    assert main(["corpus", str(tmp_path)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().out.splitlines() == [
+        "good.job: ok",
+        "latin1.job: ERROR (line 2: not UTF-8: byte 0xe9 does not decode)",
+        "nested.job: ERROR (cannot read: Is a directory)",
+        "corpus: 1 ok, 0 failed, 2 errors",
+    ]
+    report, code = run_corpus(sorted(tmp_path.glob("*.job")), fmt="records")
+    records = [json.loads(r) for r in report.splitlines()]
+    assert code == EXIT_INPUT_ERROR
+    assert [(r.get("verdict"), r["exit"]) for r in records] == [("ok", 0), ("ERROR", 2), ("ERROR", 2), (None, 2)]
+
+
 def test_cli_builders_listing(capsys):
     assert main(["builders"]) == 0
     out = capsys.readouterr().out

@@ -58,6 +58,19 @@ def test_identity_zero_and_products_in_both_rings():
         assert 2 * eye == eye + eye == eye * 2
 
 
+def test_a_matrix_with_no_rows_keeps_its_column_count():
+    ctx = FieldContext(6)
+    for cls in (ScalarMatrix, LaurentMatrix):
+        for empty in (cls.zero(ctx, 0, 3), cls.identity(ctx, 3).submatrix([], range(3))):
+            assert (empty.rows, empty.cols) == (0, 3)
+            assert empty != cls.zero(ctx, 0, 0)
+            assert empty * cls.zero(ctx, 3, 2) == cls.zero(ctx, 0, 2)
+            assert cls.zero(ctx, 2, 0) * empty == cls.zero(ctx, 2, 3)
+            assert -empty == empty + empty == 2 * empty == empty
+        with pytest.raises(ValueError, match="inner dimensions differ"):
+            cls.zero(ctx, 0, 3) * cls.zero(ctx, 2, 2)
+
+
 def test_mixed_rings_never_combine():
     ctx = FieldContext(3)
     s = ScalarMatrix.identity(ctx, 2)

@@ -29,6 +29,7 @@ from twistalex.scalars import FieldContext
 
 SAMPLES = sorted((Path(__file__).resolve().parent.parent / "sample_jobs").glob("*.job"))
 Z12 = FieldContext(12)
+Q = FieldContext(1)
 
 
 @lru_cache(maxsize=None)
@@ -112,16 +113,27 @@ def test_the_reduced_boundaries_compose_to_zero_and_hold_no_unit():
         boundaries, ranks = cx.reduced()
         assert len(ranks) == len(cx.ranks)
         assert sum((-1) ** i * c for i, c in enumerate(ranks)) == cx.euler_characteristic
-        # The shapes: d_i is c_(i-1) x c_i, a side of 0 leaving the other 0.
+        # The shapes: d_i is c_(i-1) x c_i, with no rows or no columns too.
         for i, d in enumerate(boundaries, 1):
-            assert d.rows == ranks[i - 1]
-            assert d.cols == (ranks[i] if ranks[i - 1] else 0)
+            assert (d.rows, d.cols) == (ranks[i - 1], ranks[i])
         for low, high in zip(boundaries, boundaries[1:]):
-            if low.rows and high.rows and high.cols:
-                assert (low * high).is_zero()
+            assert (low * high).is_zero()
         assert not any(e.is_unit() for d in boundaries for row in d.entries for e in row)
         # The complex as built is left as it was.
         assert cx.ranks == (cx.boundaries[0].rows, *(d.cols for d in cx.boundaries))
+
+
+def test_a_boundary_that_loses_every_row_keeps_its_columns():
+    # d1 = (1, 0) cancels C0 whole; the reduced d1 is 0 x 1, so d1 d2 is
+    # still defined, and H1 = R/(t - 1).
+    t_minus_1 = LaurentPoly(Q, [-1, 1])
+    cx = TwistedChainComplex([LaurentMatrix(Q, [[1, 0]]), LaurentMatrix(Q, [[0], [t_minus_1]])])
+    (d1, d2), ranks = cx.reduced()
+    assert ranks == (0, 1, 1)
+    assert (d1.rows, d1.cols) == (0, 1) and (d2.rows, d2.cols) == (1, 1)
+    assert d1 * d2 == LaurentMatrix.zero(Q, 0, 1)
+    shapes = homology(cx).shapes
+    assert [(s.free_rank, tuple(s.divisors)) for s in shapes] == _unreduced_shapes(cx) == [(0, ()), (0, (t_minus_1,)), (0, ())]
 
 
 def test_ranks_at_a_root_of_a_divisor_match_the_complex_as_built():
