@@ -17,9 +17,11 @@ line each.  Blank lines and lines starting with ``#`` are ignored.
     singularity <kind> components=<i,j,...> [params=<param>,...]
 
 Scalars use the field grammar (``1/2 + 3*z^2 - z^5`` with z the declared
-root of unity); words use the generator grammar (``x0 x1^-1``).  A family's
-parameters, by key or in key order, are read by the types of its keys
-(_parameters): integers, and union's factor list ``torus:p:q,cusp,line``.
+root of unity); words use the generator grammar (``x0 x1^-1``).  Every
+builder is a family of presentations._FAMILIES, whose letters are bounded
+before it is built.  A family's parameters, by key or in key order, are
+read by the types of its keys (_parameters): integers, and union's factor
+list ``torus:p:q,cusp,line``.
 ``parse_job``/``serialize_job`` round-trip, and ``run_job`` output is
 byte-identical across runs of the same job.
 
@@ -31,6 +33,7 @@ the two formats cannot drift apart.
 
 from __future__ import annotations
 
+import codecs
 import json
 import random
 
@@ -42,11 +45,8 @@ from .presentations import (
     Presentation,
     Representation,
     Word,
-    _FACTORS,
     _FAMILIES,
     random_word,
-    transversal_union_augmentation,
-    transversal_union_presentation,
 )
 from .homology import (
     InternalInvariantError,
@@ -257,36 +257,22 @@ def _check_span(relator: Word, eps_values, what: str, lineno: int):
 def _bounded_build(what: str, total: int, letters, build, lineno: int, prefix: str = ""):
     """build() of a builder or local germ, once the sizes of its parameters
     sum to a total of at most MAX_LETTERS (no family has fewer letters than
-    that sum) and its relator letters, if known before the build, are within
-    the limit.  A ValueError of the build is refused at lineno, after prefix."""
+    that sum) and its relator letters, counted from them, are within the
+    limit.  A ValueError of the build is refused at lineno, after prefix."""
     if total > MAX_LETTERS:
         raise JobParseError(lineno, f"{what}: the parameters sum to {_digits(total)}; the limit is {MAX_LETTERS}")
-    if letters is not None:
-        _check_letters(letters, lineno)
+    _check_letters(letters, lineno)
     try:
         return build()
     except ValueError as exc:
         raise JobParseError(lineno, prefix + str(exc))
 
 
-# The builders: the families of presentations._FAMILIES at unit weights,
-# plus union, whose one key is a factor list; a union has at most 14
-# generators, and its letters are counted after its build (None).  The last
-# field, the step, is None (in every shipped builder) or a function from the
-# validated 2-complex to the job's complex, with or without its triple.
-_BUILDERS = {
-    **{name: (*entry, None) for name, entry in _FAMILIES.items()},
-    "union": (
-        (("factors", _FACTORS),),
-        "factors=f1,f2   transversal union; factor = torus:p:q | cusp | line",
-        lambda factors: (
-            transversal_union_presentation(factors),
-            transversal_union_augmentation(factors, [1] * len(factors)),
-        ),
-        None,
-        None,
-    ),
-}
+# The builders: the families of presentations._FAMILIES at unit weights.
+# The last field, the step, is None (in every shipped builder) or a function
+# from the validated 2-complex to the job's complex, with or without its
+# triple.
+_BUILDERS = {name: (*entry, None) for name, entry in _FAMILIES.items()}
 
 
 def _complex(table: dict, key, source, job, germ=None) -> TwistedChainComplex:
@@ -331,10 +317,7 @@ def _resolve_builder(name: str, params: dict, lineno: int):
     build."""
     keys, _, build, letters, _ = _BUILDERS[name]
     values, texts, total = _parameters(keys, params, f"builder {name}", lineno)
-    count = None if letters is None else letters(*values)
-    pres, eps = _bounded_build(f"builder {name}", total, count, lambda: build(*values), lineno)
-    if letters is None:
-        _check_letters(sum(len(r) for r in pres.relators), lineno)
+    pres, eps = _bounded_build(f"builder {name}", total, letters(*values), lambda: build(*values), lineno)
     return pres, eps, tuple(zip((key for key, _ in keys), texts))
 
 
@@ -1183,10 +1166,11 @@ def _check_battery(out, complex_, result, ratio, wada, deficiency_one, seed):
 
 
 def _read_job(path) -> str:
-    """The text of a job file.  A file that is not UTF-8 is refused at the
-    line that holds its first bad byte, as parse_job counts lines; a file
-    that cannot be read raises OSError."""
-    data = path.read_bytes()
+    """The text of a job file, without a leading UTF-8 byte-order mark.  A
+    file that is not UTF-8 is refused at the line that holds its first bad
+    byte, as parse_job counts lines; a file that cannot be read raises
+    OSError."""
+    data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

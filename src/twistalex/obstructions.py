@@ -273,9 +273,9 @@ def check_divides(delta: LaurentPoly, bound: LaurentPoly) -> DivisibilityReport:
         raise ValueError("zero bound")
     if delta.is_zero():
         return DivisibilityReport(delta, bound, False, None, delta)
-    if delta.divides(bound):
-        quotient = (bound.exact_div(delta)).normalize()
-        return DivisibilityReport(delta, bound, True, quotient, None)
+    quotient, remainder = divmod(bound, delta)
+    if remainder.is_zero():
+        return DivisibilityReport(delta, bound, True, quotient.normalize(), None)
     w = delta.normalize()
     b = bound
     while True:

@@ -14,8 +14,9 @@ Builders for the plane-curve families live here too: the generalized Hopf
 link group (central generator commuting with all meridians), the A_{2n-1}
 singularity link group, torus germ groups, and transversal unions of germ
 factors with all cross-component commutators.  One table, _FAMILIES, says
-what each family is; job builders, union factors and local germs all build
-from it.
+what each family is, union included; job builders, union factors and local
+germs all build from it, and each family counts its relator letters from
+its parameters, before anything is built.
 """
 
 from __future__ import annotations
@@ -44,8 +45,7 @@ __all__ = [
     "torus_germ_presentation",
     "torus_germ_augmentation",
     "braid_cusp_presentation",
-    "transversal_union_presentation",
-    "transversal_union_augmentation",
+    "transversal_union",
     "rank_one_representation",
     "random_word",
 ]
@@ -565,10 +565,78 @@ def _integer_parameter(text: str, name: str) -> int:
 # words, a value's canonical text, and its size, which the letter budget sums.
 _INTEGER = ("<int>", _integer_parameter, str, abs)
 
+# Each union factor kind: the family it is built from, at unit weight, and
+# the generators it adds.
+_UNION_FACTORS = {"torus": ("torus", 2), "cusp": ("cusp", 2), "line": ("circle", 1)}
+
+_UNION_NAME_POOL = "xyzwuvabcdefgh"
+
+
+def _union_factors(factors):
+    """Normalize union factors, given as tuples ('torus', p, q) | ('cusp',) |
+    ('line',) or as their job text ``torus:p:q,cusp,line``; a union has at
+    least two factors and at most 14 generators."""
+    if isinstance(factors, str):
+        factors = [part.strip().split(":") for part in factors.split(",")]
+    parsed = []
+    for f in factors:
+        kind, *params = f
+        try:
+            if kind not in _UNION_FACTORS or len(params) != len(_FAMILIES[_UNION_FACTORS[kind][0]][0]):
+                raise ValueError
+            parsed.append((kind, *(_numeral(str(x)) for x in params)))
+        except ValueError:
+            raise ValueError(f"bad union factor {':'.join(map(str, f))!r} (torus:p:q, cusp, or line)") from None
+    if len(parsed) < 2:
+        raise ValueError("a transversal union needs at least two factors")
+    count = sum(_UNION_FACTORS[kind][1] for kind, *_ in parsed)
+    if count > len(_UNION_NAME_POOL):
+        raise ValueError(f"a transversal union has {count} generators; the limit is {len(_UNION_NAME_POOL)}")
+    return parsed
+
+
+_FACTORS = (  # the factor-list type of union's factors
+    "f1,f2",
+    lambda text, _: _union_factors(text),  # whose messages name the factor
+    lambda factors: ",".join(":".join(map(str, f)) for f in factors),
+    lambda factors: sum(abs(x) for f in factors for x in f[1:]),
+)
+
+
+def transversal_union(factors) -> tuple[Presentation, Augmentation]:
+    """Join germ factors transversally, each built once at unit weight: the
+    factor presentations side by side, plus every cross-factor commutator,
+    and the factors' eps values in turn.  Factor kinds: ('torus', p, q) with
+    germ generators, ('cusp',) with braid meridian generators, ('line',)
+    with a single free meridian."""
+    relators: list[Word] = []
+    blocks: list[range] = []
+    values: list[int] = []
+    for kind, *params in _union_factors(factors):
+        germ, eps = _FAMILIES[_UNION_FACTORS[kind][0]][2](*params)
+        base = len(values)
+        relators += [Word((base + g, s) for g, s in r.letters) for r in germ.relators]
+        blocks.append(range(base, base + germ.generator_count))
+        values += eps.values
+    for i, block in enumerate(blocks):
+        for other in blocks[i + 1 :]:
+            relators += [Word([(g, 1), (h, 1), (g, -1), (h, -1)]) for g in block for h in other]
+    return Presentation(_UNION_NAME_POOL[: len(values)], relators), Augmentation(values)
+
+
+def _union_letters(factors) -> int:
+    """The relator letters of a union: its factors' own, and 4 for each pair
+    of generators in different factors."""
+    sizes = [_UNION_FACTORS[kind][1] for kind, *_ in factors]
+    own = sum(_FAMILIES[_UNION_FACTORS[kind][0]][3](*params) for kind, *params in factors)
+    return own + 2 * (sum(sizes) ** 2 - sum(n * n for n in sizes))
+
+
 # Each presentation family: its parameter keys, each with its type, its
 # line in ``twistalex builders``, the function from its parameters, in key
 # order, and its meridian weights (one per branch; unit weights when
-# omitted) to the presentation and its eps, and the number of relator
+# omitted; union, which no local kind builds, takes none) to the
+# presentation and its eps, and the number of relator
 # letters as a function of the same parameters, which a job bounds before
 # anything is built.  Job builders, union factors and local germs are all
 # built from this table.
@@ -609,78 +677,13 @@ _FAMILIES = {
         lambda weights=(1,): (Presentation(["x0"], []), Augmentation(weights)),
         lambda: 0,
     ),
+    "union": (
+        (("factors", _FACTORS),),
+        "factors=f1,f2   transversal union; factor = torus:p:q | cusp | line",
+        transversal_union,
+        _union_letters,
+    ),
 }
-
-# The family each union factor kind is built from, at the factor's weight.
-_UNION_FAMILIES = {"torus": "torus", "cusp": "cusp", "line": "circle"}
-
-_UNION_NAME_POOL = "xyzwuvabcdefgh"
-
-
-def _union_factors(factors):
-    """Normalize union factors, given as tuples ('torus', p, q) | ('cusp',) |
-    ('line',) or as their job text ``torus:p:q,cusp,line``."""
-    if isinstance(factors, str):
-        factors = [part.strip().split(":") for part in factors.split(",")]
-    parsed = []
-    for f in factors:
-        kind, *params = f
-        try:
-            if kind not in _UNION_FAMILIES or len(params) != len(_FAMILIES[_UNION_FAMILIES[kind]][0]):
-                raise ValueError
-            parsed.append((kind, *(_numeral(str(x)) for x in params)))
-        except ValueError:
-            raise ValueError(f"bad union factor {':'.join(map(str, f))!r} (torus:p:q, cusp, or line)") from None
-    if len(parsed) < 2:
-        raise ValueError("a transversal union needs at least two factors")
-    return parsed
-
-
-_FACTORS = (  # the factor-list type of union's factors
-    "f1,f2",
-    lambda text, _: _union_factors(text),  # whose messages name the factor
-    lambda factors: ",".join(":".join(map(str, f)) for f in factors),
-    lambda factors: sum(abs(x) for f in factors for x in f[1:]),
-)
-
-
-def _union_factor(factor, weight: int) -> tuple[Presentation, Augmentation]:
-    """One factor's own presentation, and its eps at its component weight."""
-    kind, *params = factor
-    return _FAMILIES[_UNION_FAMILIES[kind]][2](*params, weights=(weight,))
-
-
-def transversal_union_presentation(factors) -> Presentation:
-    """Join germ factors transversally: the factor presentations side by
-    side, plus every cross-factor commutator.  Factor kinds: ('torus', p, q)
-    with germ generators, ('cusp',) with braid meridian generators, ('line',)
-    with a single free meridian."""
-    germs = [_union_factor(f, 1)[0] for f in _union_factors(factors)]
-    count = sum(germ.generator_count for germ in germs)
-    if count > len(_UNION_NAME_POOL):
-        raise ValueError(f"a transversal union has {count} generators; the limit is {len(_UNION_NAME_POOL)}")
-    relators: list[Word] = []
-    blocks: list[range] = []
-    for germ in germs:
-        base = blocks[-1].stop if blocks else 0
-        relators += [Word((base + g, s) for g, s in r.letters) for r in germ.relators]
-        blocks.append(range(base, base + germ.generator_count))
-    for i, block in enumerate(blocks):
-        for other in blocks[i + 1 :]:
-            for g in block:
-                for h in other:
-                    relators.append(Word([(g, 1), (h, 1), (g, -1), (h, -1)]))
-    return Presentation(_UNION_NAME_POOL[:count], relators)
-
-
-def transversal_union_augmentation(factors, weights) -> Augmentation:
-    """Component meridian weights, one per factor, pushed to the factor
-    generators (torus germs scale by the abelianization exponents)."""
-    parsed = _union_factors(factors)
-    weights = [int(w) for w in weights]
-    if len(weights) != len(parsed):
-        raise ValueError("one weight per factor required")
-    return Augmentation([v for f, w in zip(parsed, weights) for v in _union_factor(f, w)[1].values])
 
 
 def rank_one_representation(context: FieldContext, pres: Presentation, scalars) -> Representation:

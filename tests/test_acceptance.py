@@ -49,8 +49,7 @@ from twistalex.presentations import (
     rank_one_representation,
     torus_germ_augmentation,
     torus_germ_presentation,
-    transversal_union_augmentation,
-    transversal_union_presentation,
+    transversal_union,
 )
 from twistalex.scalars import FieldContext, ScalarMatrix
 
@@ -131,8 +130,7 @@ def _criterion4_union():
     nontrivial square root on x and a nontrivial cube root on y."""
     ctx = FieldContext(6)
     factors = (("torus", 2, 3), ("torus", 2, 5))
-    pres = transversal_union_presentation(factors)
-    eps = transversal_union_augmentation(factors, [1, 1])
+    pres, eps = transversal_union(factors)
     rho = rank_one_representation(
         ctx, pres, [ctx.from_rational(-1), ctx.zeta(2), ctx.one, ctx.one]
     )

@@ -32,8 +32,7 @@ from twistalex.presentations import (
     hopf_presentation,
     rank_one_representation,
     torus_germ_presentation,
-    transversal_union_augmentation,
-    transversal_union_presentation,
+    transversal_union,
     validate,
 )
 from twistalex.scalars import FieldContext
@@ -247,8 +246,7 @@ def test_union_of_equal_germs_picks_up_extra_factor():
     # the first, so Delta_1 gains the factor t - zeta_6^5 on top of t - 1.
     ctx = FieldContext(6)
     factors = (("torus", 2, 3), ("torus", 2, 3))
-    pres = transversal_union_presentation(factors)
-    eps = transversal_union_augmentation(factors, [1, 1])
+    pres, eps = transversal_union(factors)
     rho = rank_one_representation(
         ctx, pres, [ctx.from_rational(-1), ctx.zeta(2), ctx.one, ctx.one]
     )

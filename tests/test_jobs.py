@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import json
 import os
 import re
@@ -485,8 +486,11 @@ def test_cli_exit_codes(tmp_path, capsys):
         (b"field rational\nbuilder cusp\nrho trivial 1 \xff\n", 3, "ff"),
         # a cut multibyte character after CRLF and bare CR line ends
         (b"field rational\r\nbuilder cusp\rrho trivial 1\n# \xe2\x82\n", 4, "e2"),
+        # the byte-order mark is dropped before decoding, so the byte named
+        # is the bad one and not the one three bytes before it
+        (codecs.BOM_UTF8 + b"field rational\nbuilder cusp\nrho trivial 1 \xff\n", 3, "ff"),
     ],
-    ids=["alone", "lf-lines", "cut-character"],
+    ids=["alone", "lf-lines", "cut-character", "after-bom"],
 )
 def test_cli_refuses_a_file_that_is_not_utf8_at_the_line_of_its_first_bad_byte(tmp_path, capsys, data, line, byte):
     path = tmp_path / "bytes.job"
@@ -496,6 +500,25 @@ def test_cli_refuses_a_file_that_is_not_utf8_at_the_line_of_its_first_bad_byte(t
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == f"{path}: line {line}: not UTF-8: byte 0x{byte} does not decode\n"
+
+
+CUSP_JOB = b"field rational\nbuilder cusp\nrho trivial 1\n"
+
+
+def test_compute_reads_a_file_with_a_byte_order_mark_as_the_file_without_it(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.job", tmp_path / "marked.job"
+    plain.write_bytes(CUSP_JOB)
+    marked.write_bytes(codecs.BOM_UTF8 + CUSP_JOB)
+    assert main(["compute", str(plain)]) == EXIT_OK
+    expected = capsys.readouterr()
+    assert main(["compute", str(marked)]) == EXIT_OK
+    assert capsys.readouterr() == expected
+
+
+def test_corpus_checks_a_file_with_a_byte_order_mark(tmp_path, capsys):
+    (tmp_path / "marked.job").write_bytes(codecs.BOM_UTF8 + CUSP_JOB)
+    assert main(["corpus", str(tmp_path)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == ["marked.job: ok", "corpus: 1 ok, 0 failed, 0 errors"]
 
 
 def test_corpus_gives_an_unreadable_or_undecodable_file_the_error_verdict(tmp_path, capsys):
@@ -748,15 +771,50 @@ def test_an_oversized_a_odd_is_refused_before_its_presentation_is_built(monkeypa
     assert built == []
 
 
+# Unions of a parameter sum within the letter limit whose letters are not,
+# with the letters each asks for; the second's torus factor is not coprime.
+OVERSIZED_UNIONS = {
+    "torus:9989:9990,cusp,cusp,cusp,cusp,cusp,cusp": 20_351,
+    "torus:9990:9992,cusp,cusp,cusp,cusp,cusp,cusp": 20_354,
+}
+
+
+@pytest.mark.parametrize("factors", sorted(OVERSIZED_UNIONS))
+def test_an_oversized_union_is_refused_before_a_factor_is_built(monkeypatch, factors):
+    # The letter count comes from the factor list: the factors' own letters
+    # and 4 per cross-factor generator pair, 336 for these 14 generators.
+    built = []
+
+    def recorded(*params):
+        built.append(params)
+        raise AssertionError("union factor built")
+
+    monkeypatch.setattr(presentations, "torus_germ_presentation", recorded)
+    monkeypatch.setattr(presentations, "braid_cusp_presentation", recorded)
+    with pytest.raises(JobParseError) as err:
+        parse_job(f"builder union factors={factors}\nrho trivial 1\n")
+    assert err.value.line == 1
+    assert err.value.message == f"the relators have {OVERSIZED_UNIONS[factors]} letters; the limit is 20000"
+    assert built == []
+
+
 # Sample parameters for each presentation family, and the parameters and
 # weights of each local kind.
-FAMILY_PARAMS = {"hopf": (5,), "a_odd": (3,), "a_odd_reduced": (3,), "torus": (3, 5), "cusp": (), "circle": ()}
+FAMILY_PARAMS = {
+    "hopf": (5,),
+    "a_odd": (3,),
+    "a_odd_reduced": (3,),
+    "torus": (3, 5),
+    "cusp": (),
+    "circle": (),
+    "union": ([("torus", 2, 3), ("cusp",), ("line",)],),
+}
 LOCAL_PARAMS = {"node": ((), (1, 1)), "ordinary": ((4,), (1,) * 4), "a_odd": ((3,), (1, 1)), "torus": ((3, 5), (1,)), "cusp": ((), (1,))}
 
 
 @pytest.mark.parametrize(
     "name,params",
-    [(name, FAMILY_PARAMS[name]) for name in presentations._FAMILIES]
+    list(FAMILY_PARAMS.items())
     + [(f"local {kind}", LOCAL_PARAMS[kind]) for kind in obstructions._LOCAL_KINDS],
 )
 def test_builder_letter_counts_match_the_built_relators(name, params):
@@ -771,6 +829,10 @@ def test_builder_letter_counts_match_the_built_relators(name, params):
         _, _, build, letters = presentations._FAMILIES[name]
         pres, _ = build(*params)
     assert letters(*params) == sum(len(r) for r in pres.relators)
+
+
+def test_every_family_has_sample_parameters():
+    assert set(FAMILY_PARAMS) == set(presentations._FAMILIES)
 
 
 BUILDERS_LISTING = """\

@@ -31,8 +31,7 @@ from twistalex.presentations import (
     rank_one_representation,
     torus_germ_augmentation,
     torus_germ_presentation,
-    transversal_union_augmentation,
-    transversal_union_presentation,
+    transversal_union,
     validate,
 )
 from twistalex.scalars import FieldContext, ScalarMatrix
@@ -165,16 +164,15 @@ def test_hopf_extra_meridian():
 
 def test_union_builder_shape():
     factors = [("torus", 2, 3), ("line",)]
-    pres = transversal_union_presentation(factors)
+    pres, eps = transversal_union(factors)
     assert pres.generator_count == 3
     # one germ relator plus one commutator per cross-factor generator pair
     assert pres.relator_count == 3
-    eps = transversal_union_augmentation(factors, [1, 1])
     assert eps.values == (3, 2, 1)
     for rel in pres.relators:
         assert eps.of_word(rel) == 0
     with pytest.raises(ValueError):
-        transversal_union_presentation([("torus", 2, 3)])
+        transversal_union([("torus", 2, 3)])
 
 
 def test_augmentation_image_index():
