@@ -240,7 +240,10 @@ class Representation:
     def _letter_rows(self) -> dict:
         """The dict from each letter (g, sign) to rho(x_g)^sign in the
         (entries, den) row form of FieldContext._matrix_product, formed
-        once, on first use.  A singular rho(x_g) has no inverse, so its
+        once, on first use.  The inverse is formed in that form
+        (ScalarMatrix._inverse_rows): up to rank 3 the adjugate over the
+        determinant, one cofactor of det per generator, and fraction-free
+        Gauss-Jordan above.  A singular rho(x_g) has no inverse, so its
         (g, -1) is left out."""
         table = self._letters
         if table is None:
@@ -248,7 +251,7 @@ class Representation:
             for g, m in enumerate(self.matrices):
                 table[g, 1] = m._rows()
                 try:
-                    table[g, -1] = m.inverse()._rows()
+                    table[g, -1] = m._inverse_rows()
                 except ZeroDivisionError:
                     pass
         return table

@@ -18,8 +18,9 @@ mod p; z -> w maps Z[z] onto F_p, and a full rank or a nonzero value mod p
 proves the same of the exact matrix or element (_split_prime, _Residues).
 Square matrices get the same treatment where a loop multiplies one per
 letter of a word: rows over one shared denominator, multiplied without
-field elements (FieldContext._matrix_product); the Fox pass keeps its
-terms unsummed and LaurentMatrix._from_row_terms sums them once.
+field elements (FieldContext._matrix_product), and inverted straight into
+that form (ScalarMatrix._inverse_rows); the Fox pass keeps its terms
+unsummed and LaurentMatrix._from_row_terms sums them once.
 
 Matrix is the one dense matrix type of the package: storage, construction,
 sums, products, submatrices, embeddings and comparisons for any ring of the
@@ -28,10 +29,12 @@ singleton peeling, then a Bareiss (fraction-free) loop whose pivot size,
 cross product and exact division each ring supplies.  ScalarMatrix is its
 field case.  Its rank, det and inverse run the loop on integral rows of
 Z[z], where the division by the previous pivot p is a product with the
-cofactor of p and an integer division by N(p); inverse runs it in
-Gauss-Jordan form on [M | Id] and divides by the last pivot once.  None of
-them inverts a field element.  LaurentMatrix (in laurent.py) is the
-F[t, t^-1] case.
+cofactor of p and an integer division by N(p).  The inverse of an n x n
+matrix with n <= 3 runs no loop: it is the adjugate of the integral rows
+over their determinant, from the 2 x 2 minors and one cofactor of det;
+above n = 3 the loop runs in Gauss-Jordan form on [M | Id] and divides by
+the last pivot once.  None of them inverts a field element.  LaurentMatrix
+(in laurent.py) is the F[t, t^-1] case.
 """
 
 from __future__ import annotations
@@ -321,18 +324,57 @@ class FieldContext:
                                 entry[k] += c * v
                     new.append(entry)
                 out.append(new)
-        den = da * db
-        if den != 1:
-            g = math.gcd(den, *(x for row in out for e in row for x in e))
-            if g != 1:
-                den //= g
-                out = [[[x // g for x in e] for e in row] for row in out]
-        return out, den
+        return _lowest_terms(out, da * db)
+
+    def _adjugate(self, rows):
+        """(adj(E), det E) for E given by n = 1, 2 or 3 rows of Z[z].  The
+        cofactors are the 2 x 2 minors: for n = 3 row i of the cofactor
+        matrix is the cross product of the other two rows in cyclic order,
+        and det E is the first row times its cofactors."""
+
+        def times(a, b):
+            return self._product(a, b) if any(a) and any(b) else [0] * self.degree
+
+        def minor(a, d, b, c):
+            # a d - b c
+            return [x - y for x, y in zip(times(a, d), times(b, c))]
+
+        if len(rows) == 1:
+            [[a]] = rows
+            return [[[1] + [0] * (self.degree - 1)]], a
+        if len(rows) == 2:
+            (a, b), (c, d) = rows
+            return [[d, [-x for x in b]], [[-x for x in c], a]], minor(a, d, b, c)
+        cof = [
+            [minor(u[1], v[2], u[2], v[1]), minor(u[2], v[0], u[0], v[2]), minor(u[0], v[1], u[1], v[0])]
+            for u, v in ((rows[1], rows[2]), (rows[2], rows[0]), (rows[0], rows[1]))
+        ]
+        det = [sum(t) for t in zip(*(times(a, c) for a, c in zip(rows[0], cof[0])))]
+        return [list(col) for col in zip(*cof)], det
 
     def __repr__(self) -> str:
         if self.conductor == 1:
             return "FieldContext(rational)"
         return f"FieldContext(cyclotomic {self.conductor})"
+
+
+def _lowest_terms(entries, den: int):
+    """(entries, den), den > 0, reduced to den 1 or prime to the content of
+    the entries: the one row form of the matrix."""
+    if den != 1:
+        g = math.gcd(den, *(x for row in entries for e in row for x in e))
+        if g != 1:
+            den //= g
+            entries = [[[x // g for x in e] for e in row] for row in entries]
+    return entries, den
+
+
+# The largest n whose inverse is the adjugate over the determinant
+# (ScalarMatrix._inverse_rows).  Cofactor expansion grows as n!: at n = 4
+# fraction-free Gauss-Jordan was faster over Q and on unit determinants,
+# while at n = 3 the adjugate took at most the time of Gauss-Jordan
+# (timings in ROADMAP.md, aim 2).
+_ADJUGATE_MAX = 3
 
 
 def _is_prime(p: int) -> bool:
@@ -960,7 +1002,8 @@ class Matrix:
 
 class ScalarMatrix(Matrix):
     """A matrix over the context field: rank, det and inverse by the
-    fraction-free elimination of Matrix on integral rows."""
+    fraction-free elimination of Matrix on integral rows, the inverse up to
+    3 x 3 by the adjugate over the determinant instead."""
 
     __slots__ = ()
 
@@ -1051,25 +1094,47 @@ class ScalarMatrix(Matrix):
         return CycloNumber(ctx, nums, scale)
 
     def inverse(self) -> ScalarMatrix:
-        """Fraction-free Gauss-Jordan (Matrix._bareiss) on the integral rows
-        of [self | Id], each row scaled by the lcm of its denominators: the
-        right block ends as p self^-1, and one cofactor of the last pivot p
-        divides it out."""
+        """self^-1 from its row form (_inverse_rows): the adjugate over the
+        determinant up to n = 3, fraction-free Gauss-Jordan above."""
+        return self._from_rows(self.context, *self._inverse_rows())
+
+    def _inverse_rows(self):
+        """The canonical (entries, den) row form of self^-1 (FieldContext
+        ._matrix_product), as B c s / N for a block B, a cofactor (c, N) and
+        a scale s.  For n <= _ADJUGATE_MAX, with E the integral rows of self
+        over den, B = adj(E) (FieldContext._adjugate), (c, N) is the
+        cofactor of det E and s = den.  Above, fraction-free Gauss-Jordan
+        (Matrix._bareiss) on the integral rows of [self | Id], each row
+        scaled by the lcm of its denominators, leaves B = p self^-1 for the
+        last pivot p, whose cofactor is (c, N), and s = 1.  A singular
+        matrix raises ZeroDivisionError."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n, ctx = self.rows, self.context
         if not n:
-            return self
-        work, scales = self._integral_rows(range(n), range(n))
-        zero = [0] * ctx.degree
-        for i, (row, s) in enumerate(zip(work, scales)):
-            row += [zero] * n
-            row[n + i] = [s] + zero[1:]
-        rank, pivot, _ = self._bareiss(work, n, jordan=True)
-        if rank < n:
-            raise ZeroDivisionError("matrix is singular")
-        c, norm = ctx._cofactor(pivot)
-        return self._make(ctx, [[CycloNumber(ctx, ctx._product(v, c), norm) for v in row[n:]] for row in work])
+            return [], 1
+        if n <= _ADJUGATE_MAX:
+            entries, scale = self._rows()
+            block, det = ctx._adjugate(entries)
+            if not any(det):
+                raise ZeroDivisionError("matrix is singular")
+            c, norm = ctx._cofactor(det)
+        else:
+            work, scales = self._integral_rows(range(n), range(n))
+            zero = [0] * ctx.degree
+            for i, (row, s) in enumerate(zip(work, scales)):
+                row += [zero] * n
+                row[n + i] = [s] + zero[1:]
+            rank, pivot, _ = self._bareiss(work, n, jordan=True)
+            if rank < n:
+                raise ZeroDivisionError("matrix is singular")
+            c, norm = ctx._cofactor(pivot)
+            block, scale = [row[n:] for row in work], 1
+        if norm < 0:
+            scale, norm = -scale, -norm
+        if scale != 1:
+            c = [x * scale for x in c]
+        return _lowest_terms([[ctx._product(v, c) if any(v) else list(v) for v in row] for row in block], norm)
 
 
 class _Residues(Matrix):

@@ -5,7 +5,8 @@ reduction, rho of a word, the eliminated Hopf meridian, the order of a root
 of unity, the substitution t -> t^n, equality up to a unit and the
 certified Smith form are checks of the engine written from their
 definitions.  The seeded Hopf and A_(2n-1) samplers draw valid triples for
-the property tests; every draw goes through a caller-supplied random.Random.
+the property tests, also with every image in GL_r(Z[zeta_n]) for the
+monodromy oracle; every draw goes through a caller-supplied random.Random.
 
 This module imports only names of twistalex.__all__ and reads no private
 attribute (tests/test_exports.py checks both), so no oracle here shares a
@@ -212,6 +213,30 @@ def random_invertible_matrix(context: FieldContext, size: int, rng: random.Rando
             return m
 
 
+def random_unimodular_matrix(context: FieldContext, size: int, rng: random.Random) -> ScalarMatrix:
+    """A draw from GL_r(Z[zeta_n]): L D U with L lower and U upper
+    unitriangular with entries in Z[zeta_n] and D a diagonal of signed roots
+    of unity.  The power basis is an integral basis of Z[zeta_n], so the
+    matrix and its inverse U^-1 D^-1 L^-1 have integral coordinates."""
+
+    def triangular(lower: bool) -> ScalarMatrix:
+        return ScalarMatrix(
+            context,
+            [
+                [
+                    CycloNumber(context, [rng.randint(-2, 2) for _ in range(context.degree)])
+                    if (j < i if lower else j > i)
+                    else int(i == j)
+                    for j in range(size)
+                ]
+                for i in range(size)
+            ],
+        )
+
+    roots = [random_root_of_unity(context, rng) * rng.choice([1, -1]) for _ in range(size)]
+    return triangular(True) * _diagonal(context, roots) * triangular(False)
+
+
 def random_root_of_unity(context: FieldContext, rng: random.Random) -> CycloNumber:
     if context.conductor == 1:
         return context.from_rational(rng.choice([1, -1]))
@@ -226,14 +251,18 @@ def random_hopf_representation(
 
     family 'scalar': rho(x0) = lambda * Id (lambda a random root of unity
     times a nonzero rational), the rest random invertible.
+    family 'unimodular': images in GL_r(Z[zeta_n]), lambda a signed root of
+    unity and the rest from random_unimodular_matrix.
     family 'diagonal': every image diagonal.
     """
-    if family == "scalar":
-        lam = random_root_of_unity(context, rng) * rng.choice([1, 1, 2, -1])
+    if family in ("scalar", "unimodular"):
+        unimodular = family == "unimodular"
+        lam = random_root_of_unity(context, rng) * rng.choice([1, -1] if unimodular else [1, 1, 2, -1])
+        draw = random_unimodular_matrix if unimodular else random_invertible_matrix
         eye = ScalarMatrix.identity(context, dimension)
         mats = [eye * lam]
         for _ in range(1, d):
-            mats.append(random_invertible_matrix(context, dimension, rng))
+            mats.append(draw(context, dimension, rng))
         return Representation(context, mats)
     if family == "diagonal":
         diags = []
@@ -253,6 +282,8 @@ def random_a_odd_representation(
     family 'conjugate': rho(b) = Q with Q^n scalar, rho(a0) = A arbitrary
     invertible, rho(a1) = Q * A^-1, and a(i+2) = b^-1 * a(i) * b derived; the
     wrap-around closes because Q^n is central.
+    family 'unimodular': 'conjugate' with A and the conjugator of Q drawn by
+    random_unimodular_matrix, so every image lies in GL_r(Z[zeta_n]).
     """
     m = 2 * n
     if family == "diagonal":
@@ -261,11 +292,12 @@ def random_a_odd_representation(
         diags = [even if i % 2 == 0 else odd for i in range(m)]
         diags.append(tuple(o * e for o, e in zip(odd, even)))
         return Representation(context, [_diagonal(context, diag) for diag in diags])
-    if family == "conjugate":
+    if family in ("conjugate", "unimodular"):
+        draw = random_unimodular_matrix if family == "unimodular" else random_invertible_matrix
         # Q = S * diag(mu_j) * S^-1 with each mu_j^n equal to one shared
         # value, so Q^n is scalar.
         while True:
-            S = random_invertible_matrix(context, dimension, rng)
+            S = draw(context, dimension, rng)
             base = random_root_of_unity(context, rng)
             if base.is_zero():
                 continue
@@ -281,7 +313,7 @@ def random_a_odd_representation(
             Q = S * _diagonal(context, [base * eta for eta in etas]) * S.inverse()
             if not Q.det().is_zero():
                 break
-        A = random_invertible_matrix(context, dimension, rng)
+        A = draw(context, dimension, rng)
         Qinv = Q.inverse()
         images = [None] * m
         images[0] = A

@@ -21,6 +21,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from twistalex.laurent import LaurentMatrix, LaurentPoly, laurent_gcd  # noqa: E402
+from twistalex.presentations import Augmentation, Presentation, Representation, validate  # noqa: E402
 from twistalex.scalars import CycloNumber, FieldContext, ScalarMatrix, embed  # noqa: E402
 
 Z = sympy.Symbol("z")
@@ -628,6 +629,66 @@ def test_scalar_inverse_edge_cases(n):
     for shape in ((2, 3), (3, 2), (1, 0)):
         with pytest.raises(ValueError):
             ScalarMatrix.zero(ctx, *shape).inverse()
+
+
+# Both sides of the cutoff of ScalarMatrix._inverse_rows: the adjugate over
+# the determinant up to n = 3, fraction-free Gauss-Jordan at n = 4.  Each n
+# gets a dense draw with fractional entries and a determinant that is no
+# unit of Z[zeta_n], a unimodular L D U draw over Z[zeta_n] whose
+# determinant is a signed root of unity, and a singular draw, which has no
+# inverse: rho of one generator with that matrix has no (0, -1) in its
+# letter table, and validate reports it singular.
+
+CUTOFF_CONDUCTORS = (1, 6, 12, 60)
+
+
+def _norm(field, value, n: int):
+    """The norm to Q of a sympy field element: its resultant with Phi_n."""
+    coords = _sympy_coords(field, value, FieldContext(n).degree)
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * Z**j for j, c in enumerate(coords))
+    return sympy.resultant(sympy.cyclotomic_poly(n, Z), expr, Z)
+
+
+@pytest.mark.parametrize("size", (1, 2, 3, 4))
+@pytest.mark.parametrize("n", CUTOFF_CONDUCTORS)
+def test_scalar_inverse_matches_sympy_on_both_sides_of_the_cutoff(n, size):
+    ctx = FieldContext(n)
+    rng = random.Random(f"inverse-cutoff-{n}-{size}")
+
+    def entry(dens=(1, 2, 3, 6)):
+        return CycloNumber(ctx, [rng.randint(-3, 3) for _ in range(ctx.degree)], rng.choice(dens))
+
+    def matrix(fn):
+        return ScalarMatrix(ctx, [[fn(i, j) for j in range(size)] for i in range(size)])
+
+    while True:
+        dense = matrix(lambda i, j: entry())
+        field, expected = _sympy_matrix(dense)
+        if expected.det() and abs(_norm(field, expected.det(), n)) != 1:
+            break
+    lower = matrix(lambda i, j: entry((1,)) if j < i else int(i == j))
+    upper = matrix(lambda i, j: entry((1,)) if j > i else int(i == j))
+    roots = matrix(lambda i, j: ctx.zeta(rng.randrange(n)) * rng.choice((1, -1)) if i == j else 0)
+    unimodular = lower * roots * upper
+    field, expected = _sympy_matrix(unimodular)
+    assert abs(_norm(field, expected.det(), n)) == 1
+    for label, m in (("fractional", dense), ("unimodular", unimodular)):
+        _assert_inverse_matches(m, label)
+        entries, den = m._inverse_rows()
+        assert ScalarMatrix._from_rows(ctx, entries, den)._rows() == (entries, den), label
+    assert unimodular._inverse_rows()[1] == 1
+
+    rows = [list(row) for row in dense.entries]
+    # The last row: 0 for n = 1, else twice the first row plus the one above.
+    rows[-1] = [2 * a + b for a, b in zip(rows[0], rows[-2])] if size > 1 else [ctx.zero]
+    singular = ScalarMatrix(ctx, rows)
+    assert not _sympy_matrix(singular)[1].det()
+    with pytest.raises(ZeroDivisionError):
+        singular.inverse()
+    rho = Representation(ctx, [singular])
+    assert (0, 1) in rho._letter_rows() and (0, -1) not in rho._letter_rows()
+    report = validate(Presentation(["x0"], []), Augmentation([1]), rho)
+    assert "rho(x0) is singular" in report.failures
 
 
 # Division with remainder against Poly.div over the algebraic field of

@@ -212,7 +212,7 @@ def test_validate_inverts_each_generator_once_and_takes_no_det_or_rank(monkeypat
     ctx = FieldContext(12)
     pres = hopf_presentation(3)
     rho = random_hopf_representation(ctx, 3, 2, random.Random(3))
-    inverses = _record_calls(monkeypatch, ScalarMatrix, "inverse")
+    inverses = _record_calls(monkeypatch, ScalarMatrix, "_inverse_rows")
     dets = _record_calls(monkeypatch, ScalarMatrix, "det")
     ranks = _record_calls(monkeypatch, _Residues, "is_full_rank")
     report = validate(pres, hopf_augmentation([1, 1, 1]), rho)
@@ -224,7 +224,7 @@ def test_validate_inverts_each_generator_once_and_takes_no_det_or_rank(monkeypat
 def test_a_check_run_forms_its_letter_table_once(monkeypatch):
     # validate, build_complex's d1 and the fox-identity battery all read the
     # one letter table of the job's rho.
-    inverses = _record_calls(monkeypatch, ScalarMatrix, "inverse")
+    inverses = _record_calls(monkeypatch, ScalarMatrix, "_inverse_rows")
     spec = parse_job((SAMPLES / "a3_reduced.job").read_text(encoding="utf-8"))
     _, code = run_job(spec, mode="check")
     assert code == 0
@@ -618,6 +618,21 @@ def test_scalar_inverse_inverts_nothing(monkeypatch, n):
     assert inverses == []
     assert len(cofactors) <= n
     assert (m * inv).is_identity()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_letter_of_rank_at_most_three_takes_one_cofactor(monkeypatch, n):
+    # Up to rank 3 the letter table forms rho(x)^-1 as the adjugate over the
+    # determinant: one cofactor of det per generator and no elimination.
+    ctx = FieldContext(12)
+    m = _random_scalar_matrix(ctx, random.Random(f"letter-{n}"), n)
+    rho = Representation(ctx, [m])
+    cofactors = _count_method(monkeypatch, FieldContext, "_cofactor")
+    eliminations = _count_method(monkeypatch, Matrix, "_bareiss")
+    inverse = ScalarMatrix._from_rows(ctx, *rho._letter_rows()[0, -1])
+    assert len(cofactors) == 1
+    assert eliminations == []
+    assert (m * inverse).is_identity()
 
 
 def test_each_elimination_runs_one_bareiss(monkeypatch):

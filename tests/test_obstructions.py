@@ -365,8 +365,8 @@ def test_a_root_field_job_inverts_each_generator_once(monkeypatch):
     from twistalex.jobs import EXIT_OK, parse_job, run_job
 
     calls = []
-    inverse = ScalarMatrix.inverse
-    monkeypatch.setattr(ScalarMatrix, "inverse", lambda self: calls.append(self) or inverse(self))
+    inverse = ScalarMatrix._inverse_rows
+    monkeypatch.setattr(ScalarMatrix, "_inverse_rows", lambda self: calls.append(self) or inverse(self))
     job = Path(__file__).resolve().parent.parent / "sample_jobs" / "hopf4_twisted_z12.job"
     spec = parse_job(job.read_text())
     report, code = run_job(spec, mode="check")
